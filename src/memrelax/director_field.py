@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .fiber_reduction import WEDGE_FLOOR
+from .fiber_reduction import WEDGE_FLOOR, solve_fiber
 from .pw_affine import PwAffineField
 from .quadrature import integrate_adaptive
 from .tensor_kernel import ExtValue, as_mat32
@@ -148,63 +148,41 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # constrained per-cell minimization
 
-def _fiber_argmin(model: EnergyModel, a: float, sq: float) -> float:
-    """Unconstrained minimizer of h(t a) + (sq + t^2)^(p/2) over t > 0.
+def _constrained_minima(model: EnergyModel, grads: np.ndarray,
+                        signs: np.ndarray, j: int):
+    """Values and minimizers of the sign-pinned cell problems, batched.
 
-    The objective falls from +inf, crosses its single stationary point,
-    and rises like t^p, so a sign bisection on the derivative converges
-    to machine precision.
+    Splitting zeta along the cell normal c shows the tangential part only
+    inflates |zeta|, so each problem is the fiber problem in the normal
+    coordinate t with the clamp t >= 1/(j a), a = |c|.  The fiber slope
+    increases, so the clamped minimizer is max(t*, 1/(j a)).
     """
-    h = model.barrier
-    p = model.p
-
-    def slope(t: float) -> float:
-        return (a * float(h.derivative(np.array([t * a]))[0])
-                + p * t * (sq + t * t) ** (p / 2.0 - 1.0))
-
-    lo, hi = 1e-12, 1.0
-    while slope(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise InfeasibleError("fiber objective has no finite minimizer")
-    while slope(lo) > 0.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
+    a = np.linalg.norm(crosses, axis=1)
+    q = np.sum(grads * grads, axis=(1, 2))
+    t, values = solve_fiber(model, a, q, t_min=1.0 / (j * a))
+    zetas = (signs * t / a)[:, None] * crosses
+    return values, zetas
 
 
 def cell_min_constrained(model: EnergyModel, xi, sign: int,
                          j: int) -> tuple[float, np.ndarray]:
     """Minimum of the bulk energy over third columns with a pinned sign.
 
-    The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}. Splitting
-    zeta along the cell normal shows the tangential part only inflates
-    |zeta|, so the problem is one-dimensional in the normal coordinate t
-    with the constraint t >= 1/(j a). Returns the value and a minimizer.
+    The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}; the
+    problem reduces to the fiber problem of :func:`solve_fiber` in the
+    normal coordinate t with the clamp t >= 1/(j a). Returns the value
+    and a minimizer.
     """
     if j < 1:
         raise ValueError("constraint index must be >= 1")
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     m = as_mat32(xi)
-    cross = np.cross(m[:, 0], m[:, 1])
-    a = float(np.linalg.norm(cross))
-    if a <= WEDGE_FLOOR:
+    if np.linalg.norm(np.cross(m[:, 0], m[:, 1])) <= WEDGE_FLOOR:
         raise ValueError("constrained minimization needs a full-rank cell")
-    sq = float(np.sum(m * m))
-
-    t_star = _fiber_argmin(model, a, sq)
-    t = max(t_star, 1.0 / (j * a))
-    value = float(model.barrier(t * a)) + (sq + t * t) ** (model.p / 2.0)
-    zeta = (sign * t / a) * cross
-    return value, zeta
+    values, zetas = _constrained_minima(model, m[None], np.array([sign]), j)
+    return float(values[0]), zetas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +251,15 @@ class DirectorAssignment:
 
 def build_assignment(model: EnergyModel, field: PwAffineField,
                      j: int | None = None) -> DirectorAssignment:
-    """Assign signs and constrained minimizers to every cell of a field."""
+    """Assign signs and constrained minimizers to every cell of a field,
+    all cells in one batched fiber solve."""
     grads = field.gradients()
     zeta_bar, j_v, signs = feasible_normal(grads)
     if j is None:
         j = j_v
     if j < j_v:
         raise ValueError(f"index {j} is below the feasibility index {j_v}")
-    zetas = np.empty((grads.shape[0], 3))
-    values = np.empty(grads.shape[0])
-    for i in range(grads.shape[0]):
-        values[i], zetas[i] = cell_min_constrained(model, grads[i],
-                                                   int(signs[i]), j)
+    values, zetas = _constrained_minima(model, grads, signs, j)
     return DirectorAssignment(gradients=grads, areas=field.mesh.areas.copy(),
                               j=int(j), j_v=int(j_v), signs=signs,
                               zeta_bar=zeta_bar, zetas=zetas, values=values)

@@ -60,10 +60,20 @@ class ReciprocalBarrier:
         np.power(t, -self.power, out=out, where=pos)
         return out
 
+    @property
+    def blowup_order(self) -> float:
+        """r with h(t) ~ t^-r as t -> 0."""
+        return self.power
+
     def derivative(self, t: np.ndarray) -> np.ndarray:
         """h'(t) for t > 0 (used by descent assembly)."""
         t = np.asarray(t, dtype=float)
         return -self.power * t ** (-self.power - 1.0)
+
+    def second_derivative(self, t: np.ndarray) -> np.ndarray:
+        """h''(t) for t > 0."""
+        t = np.asarray(t, dtype=float)
+        return self.power * (self.power + 1.0) * t ** (-self.power - 2.0)
 
 
 @dataclass(frozen=True)
@@ -96,9 +106,20 @@ class ShiftedLogBarrier:
         out[pos] = val[pos]
         return out
 
+    @property
+    def blowup_order(self) -> float:
+        """r with h(t) ~ t^-r as t -> 0."""
+        return 1.0
+
     def derivative(self, t: np.ndarray) -> np.ndarray:
+        """h'(t) for t > 0, the right derivative at the kink t = 1."""
         t = np.asarray(t, dtype=float)
         return np.where(t < 1.0, -1.0 / t, 0.0) - 1.0 / (t * t)
+
+    def second_derivative(self, t: np.ndarray) -> np.ndarray:
+        """h''(t) for t > 0, the right derivative at the kink t = 1."""
+        t = np.asarray(t, dtype=float)
+        return np.where(t < 1.0, 1.0 / (t * t), 0.0) + 2.0 / (t * t * t)
 
 
 _BARRIERS = {

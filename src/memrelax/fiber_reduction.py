@@ -4,13 +4,19 @@ For W(F) = h(|det F|) + |F|^p the infimum over the third column is a
 one-dimensional problem: with c the cross product of the two columns of
 xi and a = |c| > 0, the determinant of (xi | zeta) is <c, zeta>, so only
 the component of zeta along c/a matters and any tangential part just
-inflates the norm.  The reduced density is
+inflates the norm.  With q = |xi|^2 the reduced density is
 
-    w0(xi) = min_{t >= 0}  h(t a) + (|xi|^2 + t^2)^{p/2},
+    w0(xi) = min_{t > 0}  h(t a) + (q + t^2)^{p/2},
 
-+inf exactly when a = 0.  The minimization is a bracketed golden
-section in log t plus a parabolic polish; an independent 3D grid oracle
-over the third column cross-checks the reduction.
++inf exactly when a = 0.  The barrier is convex and p > 1, so the
+minimizer is the only zero of the increasing slope
+
+    phi(t) = a h'(t a) + p t (q + t^2)^{p/2 - 1},
+
+or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
+finds it for a batch of (a, q) by safeguarded Newton; every caller in
+the package goes through it.  An independent 3D grid oracle over the
+third column cross-checks the reduction.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ from .tensor_kernel import ExtValue, INFINITE, as_mat32, wedge
 __all__ = [
     "WEDGE_FLOOR",
     "ReducedDensity",
+    "solve_fiber",
     "w0_closed_form",
     "w0_batch",
     "w0_bruteforce",
@@ -33,58 +40,90 @@ __all__ = [
 # below this column cross-product norm a 3x2 gradient counts as rank deficient
 WEDGE_FLOOR = 1e-14
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# a lane stops once its Newton step or its bracket is this small relative to t
+_REL_TOL = 1e-13
+_MAX_ITER = 100
 
 
-def _golden_min_t(model: EnergyModel, a: np.ndarray, q: np.ndarray,
-                  iters: int = 60, polish: int = 1):
+def _slope(model: EnergyModel, a, q, t):
+    """phi(t) and phi'(t) of the fiber objective, elementwise."""
+    x = t * a
+    s = q + t * t
+    u = s ** (model.p / 2.0 - 2.0)
+    phi = a * model.barrier.derivative(x) + model.p * t * s * u
+    dphi = (a * a * model.barrier.second_derivative(x)
+            + model.p * u * (q + (model.p - 1.0) * t * t))
+    return phi, dphi
+
+
+def solve_fiber(model: EnergyModel, a, q, t_min=None):
     """Minimize h(t a) + (q + t^2)^{p/2} over t > 0, lanewise.
 
-    a, q are equal-length 1D arrays with a > 0.  Runs in log t: the
-    substitution preserves unimodality and keeps the barrier end of the
-    bracket representable.  Returns (t_min, value) arrays.
+    a > 0 and q are equal-length 1D arrays; t_min, a scalar or an array
+    of the same length, restricts the search to t >= t_min.  Each lane
+    runs Newton on phi(t) = 0 inside a bracket [lo, hi] around the root,
+    and falls back to a geometric bisection whenever the Newton step
+    would leave the bracket or be longer than the lane's previous move.
+    A lane stops when its step or its bracket is at most 1e-13 t; the
+    bracket test ends lanes whose minimizer sits at a kink of the
+    barrier, where phi jumps over zero.  The start is the root for p = 2
+    and h(x) = x^-r, r the barrier's blow-up order, so for the reciprocal
+    barrier at p = 2 the first step already converges.
+
+    Returns (t, value) arrays.  Raises RuntimeError if a lane has not
+    converged after _MAX_ITER steps.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
+    r = model.barrier.blowup_order
+    t = (0.5 * r * a ** -r) ** (1.0 / (r + 2.0))
+    lo = np.zeros_like(t)
+    live = np.arange(t.size)
+    if t_min is not None:
+        lo = np.broadcast_to(np.asarray(t_min, dtype=float), t.shape)
+        # phi increases, so phi(t_min) >= 0 pins the minimizer to the bound
+        pinned = _slope(model, a, q, lo)[0] >= 0.0
+        t = np.where(pinned, lo, np.maximum(t, lo))
+        live = np.flatnonzero(~pinned)
 
-    def geval(s):
-        t = np.exp(s)
-        return model.barrier.values(t * a) + model.norm_power(q + t * t)
+    tl, lol = t[live], lo[live]
+    hil = np.full(live.size, np.inf)
+    moved = np.full(live.size, np.inf)
+    for _ in range(_MAX_ITER):
+        if live.size == 0:
+            break
+        al, ql = a[live], q[live]
+        phi, dphi = _slope(model, al, ql, tl)
+        step = -phi / dphi
+        below = phi < 0.0
+        lol = np.where(below, tl, lol)
+        hil = np.where(below, hil, tl)
+        tol = _REL_TOL * tl
+        newton = tl + step
+        converged = np.abs(step) <= tol
+        done = converged | (hil - lol <= tol)
+        t[live] = np.where(converged, newton, tl)
 
-    # bracket: coercivity caps the minimizer by the t = 1 probe value,
-    # the barrier pushes it far above exp(s_lo)
-    g1 = model.barrier.values(a) + model.norm_power(q + 1.0)
-    s_hi = np.log(g1 ** (1.0 / model.p) + 1.0)
-    s_lo = -40.0 - np.log1p(a)
+        # Newton must stay in the bracket and not outgrow the last move;
+        # the second test stops a slow crawl up the barrier from the left
+        fast = ((newton > lol) & (newton < hil)
+                & (np.abs(step) <= moved))
+        # an open bracket end is approached in factors of 16
+        bisect = np.where(lol > 0.0, np.sqrt(lol * hil), hil / 16.0)
+        bisect = np.where(np.isinf(hil), 16.0 * lol, bisect)
+        nxt = np.where(fast, newton, bisect)
+        keep = ~done
+        live = live[keep]
+        moved = np.abs(nxt - tl)[keep]
+        tl = nxt[keep]
+        lol, hil = lol[keep], hil[keep]
+    if live.size:
+        raise RuntimeError(
+            f"fiber solve left {live.size} lane(s) unconverged after "
+            f"{_MAX_ITER} iterations")
 
-    x1, x4 = s_lo, s_hi
-    d = _INVPHI * (x4 - x1)
-    x2, x3 = x4 - d, x1 + d
-    f2, f3 = geval(x2), geval(x3)
-    for _ in range(iters):
-        left = f2 < f3
-        x4 = np.where(left, x3, x4)
-        x1 = np.where(left, x1, x2)
-        d = _INVPHI * (x4 - x1)
-        x2, x3 = x4 - d, x1 + d
-        f2, f3 = geval(x2), geval(x3)
-
-    left = f2 < f3
-    sm = np.where(left, x2, x3)
-    fm = np.where(left, f2, f3)
-    for _ in range(polish):
-        f1, f4 = geval(x1), geval(x4)
-        num = (sm - x1) ** 2 * (fm - f4) - (sm - x4) ** 2 * (fm - f1)
-        den = (sm - x1) * (fm - f4) - (sm - x4) * (fm - f1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sp = sm - 0.5 * num / den
-        sp = np.where(np.isfinite(sp), np.clip(sp, x1, x4), sm)
-        fp = geval(sp)
-        better = fp < fm
-        sm = np.where(better, sp, sm)
-        fm = np.where(better, fp, fm)
-
-    return np.exp(sm), fm
+    value = model.barrier.values(t * a) + model.norm_power(q + t * t)
+    return t, value
 
 
 def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
@@ -99,16 +138,18 @@ def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
     if a <= WEDGE_FLOOR:
         return (INFINITE, None) if return_witness else INFINITE
     q = float(np.sum(xi * xi))
-    t, val = _golden_min_t(model, np.array([a]), np.array([q]), iters=80, polish=2)
+    t, val = solve_fiber(model, np.array([a]), np.array([q]))
     value = ExtValue(float(val[0]))
     if not return_witness:
         return value
     return value, float(t[0]) * c / a
 
 
-def w0_batch(model: EnergyModel, xis: np.ndarray, iters: int = 48) -> np.ndarray:
+def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
     """Reduced density over a stack (N, 3, 2), as floats with +inf."""
     xis = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
+    if not np.all(np.isfinite(xis)):
+        raise ValueError("mat32 entries must be finite")
     u = xis[:, :, 0]
     v = xis[:, :, 1]
     c = np.stack([
@@ -121,8 +162,7 @@ def w0_batch(model: EnergyModel, xis: np.ndarray, iters: int = 48) -> np.ndarray
     out = np.full(xis.shape[0], np.inf)
     ok = a > WEDGE_FLOOR
     if np.any(ok):
-        _, val = _golden_min_t(model, a[ok], q[ok], iters=iters)
-        out[ok] = val
+        _, out[ok] = solve_fiber(model, a[ok], q[ok])
     return out
 
 

@@ -9,7 +9,7 @@ from memrelax.director_field import (
     build_assignment, cell_min_constrained, cellwise_energy, feasible_normal,
     nirf_value,
 )
-from memrelax.energy_models import EnergyModel
+from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import PwAffineField, single_triangle_mesh, unit_square_mesh
 from memrelax.tensor_kernel import mat32
@@ -151,6 +151,21 @@ def test_assignment_invariants_on_wiggly_mesh():
     assert np.all(dets_bar >= 1.0 / asn.j_v - 1e-15)
     dets_cell = asn.signs * np.einsum("ij,ij->i", crosses, asn.zetas)
     assert np.all(dets_cell >= 1.0 / asn.j - 1e-12)
+
+
+@pytest.mark.parametrize("model", [EnergyModel(),
+                                   EnergyModel(ShiftedLogBarrier(), p=3.0)])
+def test_batched_assignment_matches_per_cell_minima(model):
+    field = wiggly_field(3)
+    _, j_v, _ = feasible_normal(field.gradients())
+    for j in (j_v, 4 * j_v):
+        asn = build_assignment(model, field, j)
+        for i in range(asn.n_cells):
+            value, zeta = cell_min_constrained(model, asn.gradients[i],
+                                               int(asn.signs[i]), j)
+            assert asn.values[i] == pytest.approx(value, rel=1e-13)
+            np.testing.assert_allclose(asn.zetas[i], zeta, rtol=1e-13,
+                                       atol=1e-15)
 
 
 def test_assignment_rejects_low_index():

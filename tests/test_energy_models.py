@@ -58,6 +58,19 @@ def test_shifted_log_barrier_shape():
     assert v[1:] == pytest.approx([b(0.5), b(1.0), b(2.0)])
 
 
+@pytest.mark.parametrize("barrier", [ReciprocalBarrier(), ReciprocalBarrier(0.5),
+                                     ShiftedLogBarrier()])
+def test_barrier_derivatives_match_differences(barrier):
+    # sample points avoid the shifted log's kink at t = 1
+    t = np.array([0.05, 0.3, 0.7, 1.5, 4.0])
+    h = 1e-6 * t
+    d1 = (barrier.values(t + h) - barrier.values(t - h)) / (2 * h)
+    d2 = (barrier.derivative(t + h) - barrier.derivative(t - h)) / (2 * h)
+    np.testing.assert_allclose(barrier.derivative(t), d1, rtol=1e-7)
+    np.testing.assert_allclose(barrier.second_derivative(t), d2, rtol=1e-7)
+    assert barrier.blowup_order == getattr(barrier, "power", 1.0)
+
+
 def test_batch_matches_scalar():
     m = EnergyModel(barrier=ReciprocalBarrier(power=2.0), p=3.0)
     rng = np.random.default_rng(11)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memrelax import fiber_reduction
 from memrelax.energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
 from memrelax.fiber_reduction import (
-    ReducedDensity, w0_batch, w0_bruteforce, w0_closed_form, w0_growth_constant,
+    ReducedDensity, solve_fiber, w0_batch, w0_bruteforce, w0_closed_form,
+    w0_growth_constant,
 )
 from memrelax.tensor_kernel import INFINITE, mat32, wedge_norm
 
@@ -16,8 +18,8 @@ def test_frozen_value_and_witness():
     m = EnergyModel()
     val, zeta = w0_closed_form(m, E1E2, return_witness=True)
     assert val.finite == pytest.approx(W0_E1E2, abs=1e-10)
-    # the abscissa is only sqrt(eps)-accurate for a value-based minimizer
-    assert zeta == pytest.approx([0.0, 0.0, 2.0 ** (-1.0 / 3.0)], abs=1e-6)
+    # the abscissa is the root of the fiber slope, not a value-based argmin
+    assert zeta == pytest.approx([0.0, 0.0, 2.0 ** (-1.0 / 3.0)], abs=1e-12)
 
 
 def test_rank_deficient_is_exactly_infinite():
@@ -71,7 +73,9 @@ def test_oracle_callable_path_matches_model_path():
 def test_closed_form_tracks_oracle_other_models():
     for model, tol in [
         (EnergyModel(barrier=ShiftedLogBarrier()), 2e-3),
+        (EnergyModel(barrier=ShiftedLogBarrier(), p=3.0), 5e-3),
         (EnergyModel(barrier=ReciprocalBarrier(power=2.0), p=3.0), 5e-3),
+        (EnergyModel(p=1.5), 2e-3),
     ]:
         xi = mat32([1.0, 0.2, -0.1], [0.3, 1.1, 0.2])
         cf = w0_closed_form(model, xi).finite
@@ -143,3 +147,63 @@ def test_reduced_density_orbit_invariance():
         a = w0_closed_form(m, xi).finite
         b = w0_closed_form(m, Q3 @ xi @ Q2).finite
         assert a == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+def test_reciprocal_p2_root_is_exact(r):
+    # for h(x) = x^-r and p = 2 the slope -r a^-r t^(-r-1) + 2t vanishes
+    # at t^(r+2) = r a^-r / 2, whatever q is
+    m = EnergyModel(barrier=ReciprocalBarrier(power=r))
+    rng = np.random.default_rng(3)
+    a = 10.0 ** rng.uniform(-3, 2, 500)
+    q = 10.0 ** rng.uniform(-2, 2, 500)
+    t, val = solve_fiber(m, a, q)
+    t_exact = (0.5 * r * a ** -r) ** (1.0 / (r + 2.0))
+    np.testing.assert_allclose(t, t_exact, rtol=1e-13)
+    np.testing.assert_allclose(val, (t_exact * a) ** -r + q + t_exact ** 2,
+                               rtol=1e-13)
+
+
+def test_shifted_log_kink_minimizer_terminates():
+    # h jumps from slope -2 to -1 at x = 1; with p = 2 and 1 < a^2 < 2 the
+    # fiber slope jumps over zero at t = 1/a, which is then the minimizer
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    a = np.array([1.05, 1.2, 1.4])
+    q = np.array([0.5, 2.44, 9.0])
+    t, val = solve_fiber(m, a, q)
+    np.testing.assert_allclose(t, 1.0 / a, rtol=1e-12)
+    np.testing.assert_allclose(val, 1.0 + q + 1.0 / a ** 2, rtol=1e-12)
+    xi = mat32([1.2, 0, 0], [0, 1, 0])
+    assert w0_closed_form(m, xi).finite == pytest.approx(val[1], rel=1e-15)
+
+
+def test_lower_clamp_pins_or_passes_through():
+    m = EnergyModel()
+    a = np.array([1.0, 1.0])
+    t_free, v_free = solve_fiber(m, a, np.array([2.0, 2.0]))
+    t, val = solve_fiber(m, a, np.array([2.0, 2.0]),
+                         t_min=np.array([0.5, 1.0]))
+    assert t[0] == pytest.approx(t_free[0], rel=1e-15)
+    assert val[0] == pytest.approx(v_free[0], rel=1e-15)
+    # above the root the clamp is the constrained minimizer: 1/1 + 2 + 1
+    assert t[1] == 1.0
+    assert val[1] == 4.0
+
+
+def test_unconverged_lane_raises(monkeypatch):
+    # a kink minimizer needs about 40 bracket halvings, far more than 3
+    monkeypatch.setattr(fiber_reduction, "_MAX_ITER", 3)
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    with pytest.raises(RuntimeError, match="unconverged"):
+        solve_fiber(m, np.array([1.2]), np.array([2.44]))
+
+
+def test_batch_rejects_non_finite_entries():
+    m = EnergyModel()
+    for bad in (np.nan, np.inf):
+        xis = np.tile(E1E2, (3, 1, 1))
+        xis[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            w0_batch(m, xis)
+        with pytest.raises(ValueError, match="finite"):
+            w0_closed_form(m, xis[1])
