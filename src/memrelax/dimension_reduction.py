@@ -21,7 +21,7 @@ from .director_field import InfeasibleError, blended_director, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
 from .quadrature import subdivide_triangles
-from .tensor_kernel import ExtValue
+from .tensor_kernel import ExtValue, cofactors
 
 __all__ = [
     "PrismField",
@@ -83,9 +83,6 @@ class PrismField:
     @property
     def layer_heights(self) -> np.ndarray:
         return np.linspace(-0.5, 0.5, self.n_layers)
-
-    def layer_field(self, layer: int) -> PwAffineField:
-        return PwAffineField(self.mesh, self.values[layer])
 
     def to_dict(self) -> dict:
         return {"mesh": self.mesh.to_dict(), "eps": self.eps,
@@ -186,13 +183,6 @@ def _prism_quadrature(u: PrismField, refine: int = 0):
             np.concatenate(out_v))
 
 
-def _bulk_values(model: EnergyModel, grads: np.ndarray) -> np.ndarray:
-    dets = np.einsum("ki,ki->k", grads[:, :, 0],
-                     np.cross(grads[:, :, 1], grads[:, :, 2], axis=1))
-    sq = np.einsum("kij,kij->k", grads, grads)
-    return model.barrier.values(np.abs(dets)) + sq ** (model.p / 2.0)
-
-
 def thin_film_energy(u: PrismField, model: EnergyModel,
                      *, refine: int = 0) -> ExtValue:
     """Volume integral of the bulk density on the rescaled gradient.
@@ -201,7 +191,7 @@ def thin_film_energy(u: PrismField, model: EnergyModel,
     plane (4-way) and through thickness (2-way) per level.
     """
     w, grads, _, _, _ = _prism_quadrature(u, refine)
-    return ExtValue(float(np.dot(w, _bulk_values(model, grads))))
+    return ExtValue(float(np.dot(w, model.w_batch(grads))))
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +242,6 @@ def thin_film_total(model: EnergyModel, load: LoadPotential, u: PrismField,
     if not energy.is_finite:
         return math.inf
     return energy.finite + thin_film_load(u, load, refine=refine)
-
-
-def membrane_load(v: PwAffineField, load: LoadPotential) -> float:
-    """Load at the mid-surface with the same centroid quadrature."""
-    mesh = v.mesh
-    cen = mesh.vertices[mesh.triangles].mean(axis=1)
-    vals = v.values[mesh.triangles].mean(axis=1)
-    return float(np.dot(mesh.areas, load.density(cen, 0.0, vals)))
 
 
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
@@ -326,7 +308,7 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
     tri = v.mesh.triangles
     phi_cen = nodal_phi[tri].mean(axis=1)
     grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
-    return float(np.dot(v.mesh.areas, _bulk_values(model, grads)))
+    return float(np.dot(v.mesh.areas, model.w_batch(grads)))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +368,6 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
     return x, f, accepted
 
 
-def _cofactor_columns(grads: np.ndarray) -> np.ndarray:
-    c = np.empty_like(grads)
-    c[:, :, 0] = np.cross(grads[:, :, 1], grads[:, :, 2], axis=1)
-    c[:, :, 1] = np.cross(grads[:, :, 2], grads[:, :, 0], axis=1)
-    c[:, :, 2] = np.cross(grads[:, :, 0], grads[:, :, 1], axis=1)
-    return c
-
-
 class _ThinObjective:
     """Total rescaled energy and its analytic nodal gradient."""
 
@@ -436,15 +410,13 @@ class _ThinObjective:
         F[:, :, :, 2] = (cen[1:] - cen[:-1]) / (delta * eps)
         flat = F.reshape(-1, 3, 3)
 
-        cof = _cofactor_columns(flat)
-        dets = np.einsum("kj,kj->k", flat[:, :, 0], cof[:, :, 0])
+        dets, cof = cofactors(flat)
         adet = np.abs(dets)
         if np.any(adet == 0.0):
             return math.inf, np.zeros_like(x), dets
         sq = np.einsum("kij,kij->k", flat, flat)
         w = np.tile(areas, m - 1) * delta
-        bulk = model.barrier.values(adet) + sq ** (p / 2.0)
-        value = float(np.dot(w, bulk))
+        value = float(np.dot(w, model.density(adet, sq)))
 
         hp = model.barrier.derivative(adet) * np.sign(dets)
         D = (w * hp)[:, None, None] * cof
@@ -658,16 +630,6 @@ class SweepRow:
 class SweepReport:
     rows: tuple
     meta: dict = dc_field(default_factory=dict)
-
-    def to_csv(self, path, header_lines=()) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("eps,e3d,emem,gap,lp_distance,iterations\n")
-            for r in self.rows:
-                fh.write(f"{r.eps:.17g},{r.e3d:.17g},{r.emem:.17g},"
-                         f"{r.gap:.17g},{r.lp_distance:.17g},"
-                         f"{r.iterations}\n")
 
     def to_dict(self) -> dict:
         return {"meta": self.meta,

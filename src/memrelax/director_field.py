@@ -347,14 +347,11 @@ def _cell_energy(model: EnergyModel, director: BlendedDirector, cell: int,
     asn = director.assignment
     cross = np.cross(asn.gradients[cell, :, 0], asn.gradients[cell, :, 1])
     sq = float(np.sum(asn.gradients[cell] ** 2))
-    p = model.p
-    barrier = model.barrier
 
     def integrand(points: np.ndarray) -> np.ndarray:
         zeta = director.evaluate_in_cell(cell, points)
-        det = np.abs(zeta @ cross)
-        return (barrier.values(det)
-                + (sq + np.einsum("ij,ij->i", zeta, zeta)) ** (p / 2.0))
+        return model.density(np.abs(zeta @ cross),
+                             sq + np.einsum("ij,ij->i", zeta, zeta))
 
     tri = director._corners[cell][None]
     return integrate_adaptive(integrand, tri, rel_tol=rel_tol,

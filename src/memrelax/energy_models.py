@@ -4,16 +4,16 @@ The shipped family is W(F) = h(|det F|) + |F|^p with p > 1, where the
 barrier h is positive, continuous on (0, inf), +inf exactly at 0, and
 bounded by a plateau r(delta) on [delta, inf).  Two barriers ship
 (reciprocal power and shifted log); anything exposing the same small
-surface plugs in.
+surface plugs in: ``name``, ``plateau``, ``values``, ``derivative``,
+``second_derivative`` and ``blowup_order``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_kernel import ExtValue, INFINITE, as_mat33, det3, frob_norm
+from .tensor_kernel import ExtValue, as_mat33, cofactors
 
 __all__ = [
     "ReciprocalBarrier",
@@ -39,14 +39,6 @@ class ReciprocalBarrier:
     @property
     def name(self) -> str:
         return "reciprocal" if self.power == 1.0 else f"reciprocal^{self.power:g}"
-
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        if t < 0:
-            raise ValueError("barrier argument must be nonnegative")
-        if t == 0.0:
-            return math.inf
-        return t ** -self.power
 
     def plateau(self, delta: float) -> float:
         if not delta > 0:
@@ -84,18 +76,10 @@ class ShiftedLogBarrier:
     def name(self) -> str:
         return "shifted_log"
 
-    def __call__(self, t: float) -> float:
-        t = float(t)
-        if t < 0:
-            raise ValueError("barrier argument must be nonnegative")
-        if t == 0.0:
-            return math.inf
-        return max(-math.log(t), 0.0) + 1.0 / t
-
     def plateau(self, delta: float) -> float:
         if not delta > 0:
             raise ValueError("plateau threshold must be positive")
-        return self(delta)
+        return float(self.values(np.array([delta]))[0])
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -153,13 +137,6 @@ class EnergyModel:
         if not 0 < self.coercivity <= 1:
             raise ValueError("coercivity constant must lie in (0, 1]")
 
-    def energy(self, F) -> ExtValue:
-        return eval_w(self, F)
-
-    def describe(self) -> dict:
-        return {"barrier": self.barrier.name, "p": self.p,
-                "coercivity": self.coercivity}
-
     # ---- numeric cores (float arrays, +inf as IEEE inf) ----------------
 
     def norm_power(self, sq: np.ndarray) -> np.ndarray:
@@ -169,43 +146,26 @@ class EnergyModel:
             return sq
         return sq ** (self.p / 2.0)
 
-    def third_column_values(self, xi, zetas: np.ndarray) -> np.ndarray:
-        """W((xi | zeta_k)) for a batch of third columns, as a float array.
+    def density(self, adet: np.ndarray, sq: np.ndarray) -> np.ndarray:
+        """W from |det F| and |F|^2, elementwise: h(adet) + sq^{p/2}.
 
-        Returns +inf where the determinant vanishes exactly.
+        +inf where adet is 0.  Every evaluation of W in the package goes
+        through here.
         """
-        xi = np.asarray(xi, dtype=float)
-        z = np.asarray(zetas, dtype=float).reshape(-1, 3)
-        c = np.array([
-            xi[1, 0] * xi[2, 1] - xi[2, 0] * xi[1, 1],
-            xi[2, 0] * xi[0, 1] - xi[0, 0] * xi[2, 1],
-            xi[0, 0] * xi[1, 1] - xi[1, 0] * xi[0, 1],
-        ])
-        dets = z @ c
-        q = float(np.sum(xi * xi))
-        return self.barrier.values(np.abs(dets)) + self.norm_power(
-            q + np.sum(z * z, axis=1))
+        return self.barrier.values(adet) + self.norm_power(sq)
 
     def w_batch(self, F: np.ndarray) -> np.ndarray:
         """W over a stack of 3x3 matrices, as a float array with +inf."""
         F = np.asarray(F, dtype=float).reshape(-1, 3, 3)
-        dets = (
-            F[:, 0, 0] * (F[:, 1, 1] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 1])
-            - F[:, 0, 1] * (F[:, 1, 0] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 0])
-            + F[:, 0, 2] * (F[:, 1, 0] * F[:, 2, 1] - F[:, 1, 1] * F[:, 2, 0])
-        )
-        sq = np.sum(F * F, axis=(1, 2))
-        return self.barrier.values(np.abs(dets)) + self.norm_power(sq)
+        if not np.all(np.isfinite(F)):
+            raise ValueError("mat33 entries must be finite")
+        dets, _ = cofactors(F)
+        return self.density(np.abs(dets), np.sum(F * F, axis=(1, 2)))
 
 
 def eval_w(model: EnergyModel, F) -> ExtValue:
     """Evaluate the stored energy at a 3x3 gradient."""
-    F = as_mat33(F)
-    d = det3(F)
-    if d == 0.0:
-        return INFINITE
-    n = frob_norm(F)
-    return ExtValue(model.barrier(abs(d)) + n ** model.p)
+    return ExtValue(model.w_batch(as_mat33(F))[0])
 
 
 @dataclass(frozen=True)
@@ -257,8 +217,9 @@ def _sample_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
 def _singular_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
     """Exactly singular samples: duplicated or zeroed columns.
 
-    Column duplication cancels exactly in the cofactor expansion, so
-    det3 returns 0.0 and not a rounding residue.
+    Column duplication cancels exactly in the expansion along row 0 that
+    :func:`cofactors` uses, so the determinant is 0.0 and not a rounding
+    residue.
     """
     out = rng.uniform(-3.0, 3.0, size=(n, 3, 3))
     half = n // 2
@@ -271,14 +232,13 @@ def check_conditions(model: EnergyModel, n_samples: int = 2000,
                      deltas=(1.0, 0.5, 0.1), seed: int = 0) -> ConditionReport:
     """Sampled verification of blow-up, growth, and plane symmetry.
 
-    Not a proof; a randomized audit used by the CLI selftest and the
-    test suite.
+    Not a proof; a randomized audit used by the test suite.
     """
     rng = np.random.default_rng(seed)
     F = _sample_matrices(rng, n_samples)
-    vals = model.w_batch(F)
-    dets = np.abs([det3(f) for f in F])
+    dets = np.abs(cofactors(F)[0])
     sq = np.sum(F * F, axis=(1, 2))
+    vals = model.density(dets, sq)
     ratio = vals / (1.0 + model.norm_power(sq))
 
     emp, bound = [], []

@@ -269,10 +269,6 @@ class LaminateResult:
     values: tuple[float, ...]
     witness: dict | None
 
-    def value(self, depth: int | None = None) -> ExtValue:
-        v = self.values[-1 if depth is None else depth]
-        return ExtValue(v)
-
 
 def _quantize_key(xi: np.ndarray, pitch: float, inner: bool):
     q = np.round(xi.ravel() / pitch).astype(np.int64)
@@ -407,11 +403,6 @@ def laminate_search(density, xi, depth: int,
     p = params if params is not None else DEFAULT_SEARCH
     values, witness = _profile(density, xi, depth, p, {}, False)
     return LaminateResult(values=tuple(values), witness=witness)
-
-
-def laminate_envelope(density, xi, depth: int,
-                      params: SearchParams | None = None) -> ExtValue:
-    return laminate_search(density, xi, depth, params).value()
 
 
 def laminate_profile(density, xi, depth: int,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .tensor_kernel import ExtValue, INFINITE, as_mat32, wedge
+from .tensor_kernel import ExtValue, INFINITE, append_column, as_mat32, wedge
 
 __all__ = [
     "WEDGE_FLOOR",
@@ -122,8 +122,7 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
             f"fiber solve left {live.size} lane(s) unconverged after "
             f"{_MAX_ITER} iterations")
 
-    value = model.barrier.values(t * a) + model.norm_power(q + t * t)
-    return t, value
+    return t, model.density(t * a, q + t * t)
 
 
 def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
@@ -241,7 +240,7 @@ def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
     w_best = np.inf
     for d in probe_dirs:
         for t in ts:
-            val = (w.third_column_values(xi, (t * d)[None, :])[0] if is_model
+            val = (w.w_batch(append_column(xi, t * d))[0] if is_model
                    else float(w(xi, t * d)))
             w_best = min(w_best, val)
     if not np.isfinite(w_best):
@@ -262,7 +261,7 @@ def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
                  + cz * axes[None, None, :])
             S = (sq[i0:i1, None, None] + sq[None, :, None]
                  + sq[None, None, :])
-            V = w.barrier.values(np.abs(D)) + w.norm_power(q + S)
+            V = w.density(np.abs(D), q + S)
             V = np.where(S <= rad_tol, V, np.inf)
             best = min(best, float(V.min()))
     else:

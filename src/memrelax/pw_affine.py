@@ -225,16 +225,6 @@ def field_from_json(text: str) -> PwAffineField:
     return PwAffineField.from_dict(json.loads(text))
 
 
-def save_field(field: PwAffineField, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(field_to_json(field))
-
-
-def load_field(path) -> PwAffineField:
-    with open(path, encoding="utf-8") as fh:
-        return field_from_json(fh.read())
-
-
 def gradient_cells(field: PwAffineField) -> list[tuple[int, np.ndarray, float]]:
     """(cell index, gradient, area) for every cell."""
     mesh = field.mesh
@@ -242,24 +232,33 @@ def gradient_cells(field: PwAffineField) -> list[tuple[int, np.ndarray, float]]:
             for i in range(mesh.n_cells)]
 
 
-def energy_integral(field: PwAffineField, density: Callable, *,
-                    offset=None) -> ExtValue:
-    """Integral of density(offset + gradient) over the domain.
+def _integrate(density: Callable, terms) -> ExtValue:
+    """Sum of area * density(gradient) over (gradient, area) pairs.
 
     The density maps a 3x2 matrix to an ExtValue (plain floats are
-    accepted); any infinite cell makes the whole integral infinite.
+    accepted). Zero-area terms are skipped; the first infinite value
+    makes the whole integral infinite and ends the loop.
     """
-    shift = None if offset is None else np.asarray(offset, dtype=float)
     acc = 0.0
-    for i in range(field.mesh.n_cells):
-        g = field._grads[i] if shift is None else shift + field._grads[i]
+    for g, area in terms:
+        if area == 0.0:
+            continue
         val = density(g)
         if not isinstance(val, ExtValue):
             val = ExtValue(float(val))
         if not val.is_finite:
             return INFINITE
-        acc += float(field.mesh.areas[i]) * val.finite
+        acc += area * val.finite
     return ExtValue(acc)
+
+
+def energy_integral(field: PwAffineField, density: Callable, *,
+                    offset=None) -> ExtValue:
+    """Integral of density(offset + gradient) over the domain; any
+    infinite cell makes the whole integral infinite."""
+    grads = field._grads if offset is None \
+        else np.asarray(offset, dtype=float) + field._grads
+    return _integrate(density, zip(grads, map(float, field.mesh.areas)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +608,19 @@ class PastedField:
             return 0.0
         return max(alphas) * self.template.sup_norm()
 
-    def gradient_distribution(self) -> list[tuple[np.ndarray, float]]:
-        """(gradient, total area) pairs, the residual as a zero gradient."""
-        pasted = sum(p.scale ** 2 for r in self.regions for p in r.placements)
+    def _distribution(self, placements, residual: float):
+        """(template gradient, area) pairs for a set of copies, then the
+        uncovered residual as a zero gradient."""
+        pasted = sum(p.scale ** 2 for p in placements)
         ref_area = self.template.mesh.area()
         out = [(g.copy(), pasted * ref_area * frac)
                for g, frac in self._template_cells]
-        out.append((np.zeros((3, 2)), self.residual_area))
+        out.append((np.zeros((3, 2)), residual))
         return out
+
+    def gradient_distribution(self) -> list[tuple[np.ndarray, float]]:
+        """(gradient, total area) pairs, the residual as a zero gradient."""
+        return self._distribution(self.copies, self.residual_area)
 
     def energy_integral(self, density: Callable, *, offset=None,
                         include_residual: bool = True) -> ExtValue:
@@ -626,37 +630,14 @@ class PastedField:
         terms = self.gradient_distribution()
         if not include_residual:
             terms = terms[:-1]  # the residual is always the last entry
-        acc = 0.0
-        for g, area in terms:
-            if area == 0.0:
-                continue
-            val = density(shift + g)
-            if not isinstance(val, ExtValue):
-                val = ExtValue(float(val))
-            if not val.is_finite:
-                return INFINITE
-            acc += area * val.finite
-        return ExtValue(acc)
+        return _integrate(density, ((shift + g, a) for g, a in terms))
 
     def energy_with_host(self, density: Callable) -> ExtValue:
         """Integral of density(host gradient + pasted gradient)."""
-        acc = 0.0
-        for r in self.regions:
-            pasted = sum(p.scale ** 2 for p in r.placements)
-            ref_area = self.template.mesh.area()
-            terms = [(g, pasted * ref_area * frac)
-                     for g, frac in self._template_cells]
-            terms.append((np.zeros((3, 2)), r.area - r.covered_area))
-            for g, area in terms:
-                if area == 0.0:
-                    continue
-                val = density(r.host_gradient + g)
-                if not isinstance(val, ExtValue):
-                    val = ExtValue(float(val))
-                if not val.is_finite:
-                    return INFINITE
-                acc += area * val.finite
-        return ExtValue(acc)
+        return _integrate(density, (
+            (r.host_gradient + g, a) for r in self.regions
+            for g, a in self._distribution(r.placements,
+                                           r.area - r.covered_area)))
 
     def evaluate(self, points) -> np.ndarray:
         """Pointwise values of the pasted perturbation, shape (N, 3)."""

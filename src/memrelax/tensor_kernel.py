@@ -23,6 +23,7 @@ __all__ = [
     "append_column",
     "frob_norm",
     "cross3",
+    "cofactors",
     "det3",
     "wedge_norm",
     "wedge",
@@ -48,10 +49,6 @@ class ExtValue:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExtValue is immutable")
-
-    @classmethod
-    def infinite(cls) -> "ExtValue":
-        return INFINITE
 
     @property
     def is_finite(self) -> bool:
@@ -174,16 +171,28 @@ def cross3(a, b) -> np.ndarray:
     ])
 
 
+def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and cofactor matrices of an (N, 3, 3) stack.
+
+    Column k of the cofactor matrix is the cross product of the other two
+    columns in cyclic order, so F^T cof = det I.  The determinant is the
+    expansion along row 0; when two columns are equal their products
+    cancel exactly and det is 0.0, not a rounding residue.
+    """
+    F = np.asarray(F, dtype=float)
+    cof = np.empty_like(F)
+    for k in range(3):
+        cof[:, :, k] = np.cross(F[:, :, (k + 1) % 3], F[:, :, (k + 2) % 3],
+                                axis=1)
+    return np.einsum("ki,ki->k", F[:, 0, :], cof[:, 0, :]), cof
+
+
 def det3(F) -> float:
     """Determinant of a 3x3 matrix by cofactor expansion (deterministic)."""
     f = np.asarray(F, dtype=float)
     if f.shape != (3, 3):
         raise ValueError(f"det3 expects shape (3, 3), got {f.shape}")
-    return float(
-        f[0, 0] * (f[1, 1] * f[2, 2] - f[1, 2] * f[2, 1])
-        - f[0, 1] * (f[1, 0] * f[2, 2] - f[1, 2] * f[2, 0])
-        + f[0, 2] * (f[1, 0] * f[2, 1] - f[1, 1] * f[2, 0])
-    )
+    return float(cofactors(f[None])[0][0])
 
 
 def wedge(xi) -> np.ndarray:

@@ -37,7 +37,7 @@ def test_reciprocal_plateau_values():
     b = ReciprocalBarrier()
     assert b.plateau(1.0) == 1.0
     assert b.plateau(0.1) == pytest.approx(10.0)
-    assert b(0.0) == math.inf
+    assert b.values(np.array([0.0]))[0] == math.inf
     assert ReciprocalBarrier(power=2.0).plateau(0.5) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         b.plateau(0.0)
@@ -47,15 +47,12 @@ def test_reciprocal_plateau_values():
 
 def test_shifted_log_barrier_shape():
     b = ShiftedLogBarrier()
-    assert b(0.0) == math.inf
-    assert b(1.0) == pytest.approx(1.0)
-    assert b(2.0) == pytest.approx(0.5)  # log part clamps to zero above 1
-    assert b(0.5) == pytest.approx(math.log(2.0) + 2.0)
-    assert b.plateau(0.5) == pytest.approx(b(0.5))
-    t = np.array([0.0, 0.5, 1.0, 2.0])
-    v = b.values(t)
+    v = b.values(np.array([0.0, 0.5, 1.0, 2.0]))
     assert v[0] == math.inf
-    assert v[1:] == pytest.approx([b(0.5), b(1.0), b(2.0)])
+    assert v[1] == pytest.approx(math.log(2.0) + 2.0)
+    assert v[2] == pytest.approx(1.0)
+    assert v[3] == pytest.approx(0.5)  # log part clamps to zero above 1
+    assert b.plateau(0.5) == v[1]
 
 
 @pytest.mark.parametrize("barrier", [ReciprocalBarrier(), ReciprocalBarrier(0.5),
@@ -76,22 +73,26 @@ def test_batch_matches_scalar():
     rng = np.random.default_rng(11)
     F = rng.uniform(-2, 2, size=(32, 3, 3))
     F[0, :, 1] = F[0, :, 0]  # exactly singular lane
+    # the (xi | zeta) layout of a surface gradient with a third column
+    F[1] = np.column_stack([rng.uniform(-1, 1, size=(3, 2)),
+                            rng.uniform(-2, 2, size=3)])
     batch = m.w_batch(F)
     assert batch[0] == math.inf
+    assert eval_w(m, F[0]) == INFINITE
     for k in range(1, 32):
-        # sq**(p/2) vs sqrt(sq)**p differ in the last ulp for p != 2
-        assert batch[k] == pytest.approx(eval_w(m, F[k]).as_float(), rel=1e-12)
+        ref = (abs(np.linalg.det(F[k])) ** -2.0
+               + np.linalg.norm(F[k]) ** 3.0)
+        assert batch[k] == pytest.approx(ref, rel=1e-12)
+        assert eval_w(m, F[k]).finite == batch[k]
 
 
-def test_third_column_batch_matches_scalar():
+def test_batch_rejects_non_finite_entries():
     m = EnergyModel()
-    rng = np.random.default_rng(7)
-    xi = rng.uniform(-1, 1, size=(3, 2))
-    Z = rng.uniform(-2, 2, size=(16, 3))
-    vals = m.third_column_values(xi, Z)
-    for k in range(16):
-        F = np.column_stack([xi, Z[k]])
-        assert vals[k] == pytest.approx(eval_w(m, F).as_float(), rel=1e-12)
+    F = np.tile(np.eye(3), (4, 1, 1))
+    for bad in (math.nan, math.inf):
+        F[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            m.w_batch(F)
 
 
 def test_condition_report():

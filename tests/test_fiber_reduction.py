@@ -63,7 +63,7 @@ def test_oracle_callable_path_matches_model_path():
     xi = mat32([1.2, 0.1, 0.0], [-0.3, 0.8, 0.5])
 
     def w_callable(x, zeta):
-        return m.third_column_values(x, zeta[None, :])[0]
+        return m.w_batch(np.column_stack([x, zeta]))[0]
 
     a = w0_bruteforce(m, xi, 21).finite
     b = w0_bruteforce(w_callable, xi, 21, coercivity=1.0, p=2.0).finite

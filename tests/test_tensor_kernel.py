@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memrelax.tensor_kernel import (
-    ExtValue, INFINITE, ZERO, append_column, as_mat32, cross3, det3,
-    frob_norm, mat32, mat33, wedge, wedge_norm,
+    ExtValue, INFINITE, ZERO, append_column, as_mat32, cofactors, cross3,
+    det3, frob_norm, mat32, mat33, wedge, wedge_norm,
 )
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -28,6 +28,25 @@ def test_det_equals_cross_dot(a, b, z):
     rhs = float(np.dot(wedge(xi), z))
     scale = 1.0 + frob_norm(xi) * np.linalg.norm(z)
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_cofactor_det_is_exactly_zero_for_equal_columns(pair):
+    rng = np.random.default_rng(2)
+    F = rng.uniform(-3.0, 3.0, size=(200, 3, 3))
+    F[:, :, pair[1]] = F[:, :, pair[0]]
+    dets, _ = cofactors(F)
+    assert np.all(dets == 0.0)
+
+
+def test_cofactors_invert_the_stack():
+    rng = np.random.default_rng(4)
+    F = rng.uniform(-3.0, 3.0, size=(64, 3, 3))
+    dets, cof = cofactors(F)
+    eye = dets[:, None, None] * np.eye(3)
+    np.testing.assert_allclose(F.transpose(0, 2, 1) @ cof, eye, atol=1e-12)
+    np.testing.assert_allclose(dets, np.linalg.det(F), atol=1e-12)
+    assert [det3(f) for f in F] == dets.tolist()
 
 
 @given(vec3, vec3)
