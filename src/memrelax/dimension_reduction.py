@@ -20,7 +20,6 @@ import numpy as np
 from .director_field import InfeasibleError, blended_director, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .quadrature import subdivide_triangles
 from .tensor_kernel import ExtValue, cofactors
 
 __all__ = [
@@ -122,76 +121,42 @@ def pi_eps_average(u: PrismField) -> PwAffineField:
 # ---------------------------------------------------------------------------
 # rescaled gradients and the film energy
 
-def _layer_gradients(u: PrismField) -> np.ndarray:
-    """In-plane gradients, shape (layers, cells, 3, 2)."""
-    T = u.mesh.triangles
-    edge = np.stack([u.values[:, T[:, 1]] - u.values[:, T[:, 0]],
-                     u.values[:, T[:, 2]] - u.values[:, T[:, 0]]], axis=-1)
-    return np.einsum("lmkr,mrc->lmkc", edge, u.mesh._inv_jac)
+def _prism_samples(mesh: TriMesh, vals: np.ndarray, eps: float):
+    """Rescaled gradient F and field value at each prism centroid.
 
-
-def _prism_quadrature(u: PrismField, refine: int = 0):
-    """Centroid-sampled rescaled gradients with their volume weights.
-
-    Returns (weights, grads, points, heights, mids) flattened over
-    (layer interval, sublayer, in-plane subcell): grads are (K, 3, 3)
-    rescaled gradient samples, points the in-plane sample locations,
-    heights the through-thickness sample heights, and mids the field
-    values at the samples (what a load integrand sees).
+    ``vals`` holds (layers, n, 3) nodal values; the results have shapes
+    (layers - 1, cells, 3, 3) and (layers - 1, cells, 3). F's in-plane
+    columns average the two layer gradients and its third column is the
+    centroid difference quotient across the layer, amplified by 1/eps.
     """
-    if refine < 0:
-        raise ValueError("refine must be >= 0")
-    mesh = u.mesh
-    m = u.n_layers
-    delta = 1.0 / (m - 1)
-    heights = u.layer_heights
-
-    corners = mesh.vertices[mesh.triangles]
-    for _ in range(refine):
-        corners = subdivide_triangles(corners)
-    sub_per_cell = corners.shape[0] // mesh.n_cells
-    centroids = corners.mean(axis=1)                       # (S, 2)
-    cell_of = np.repeat(np.arange(mesh.n_cells), sub_per_cell)
-
-    # barycentric coordinates inside the known parent cell
-    rel = centroids - mesh._p0[cell_of]
-    lam12 = np.einsum("sij,sj->si", mesh._inv_jac[cell_of], rel)
-    lam = np.concatenate([(1.0 - lam12.sum(axis=1))[:, None], lam12], axis=1)
-    nodal = u.values[:, mesh.triangles[cell_of]]           # (m, S, 3, 3)
-    at_pts = np.einsum("si,lsij->lsj", lam, nodal)         # (m, S, 3)
-
-    grads_l = _layer_gradients(u)[:, cell_of]              # (m, S, 3, 2)
-
-    n_sub = 2 ** refine
-    s_mid = (np.arange(n_sub) + 0.5) / n_sub
-    area_w = np.repeat(mesh.areas, sub_per_cell) / sub_per_cell
-
-    out_g, out_w, out_p, out_h, out_v = [], [], [], [], []
-    for l in range(m - 1):
-        db = (at_pts[l + 1] - at_pts[l]) / (delta * u.eps)  # (S, 3)
-        for s in s_mid:
-            g = np.empty((centroids.shape[0], 3, 3))
-            g[:, :, :2] = (1.0 - s) * grads_l[l] + s * grads_l[l + 1]
-            g[:, :, 2] = db
-            out_g.append(g)
-            out_w.append(area_w * (delta / n_sub))
-            out_p.append(centroids)
-            out_h.append(np.full(centroids.shape[0], heights[l] + s * delta))
-            out_v.append((1.0 - s) * at_pts[l] + s * at_pts[l + 1])
-    return (np.concatenate(out_w), np.concatenate(out_g),
-            np.concatenate(out_p), np.concatenate(out_h),
-            np.concatenate(out_v))
+    delta = 1.0 / (vals.shape[0] - 1)
+    g = mesh.cell_gradients(vals)
+    cen = mesh.cell_means(vals)
+    F = np.empty((g.shape[0] - 1,) + g.shape[1:-1] + (3,))
+    F[..., :2] = 0.5 * (g[:-1] + g[1:])
+    F[..., 2] = (cen[1:] - cen[:-1]) / (delta * eps)
+    return F, 0.5 * (cen[:-1] + cen[1:])
 
 
-def thin_film_energy(u: PrismField, model: EnergyModel,
-                     *, refine: int = 0) -> ExtValue:
-    """Volume integral of the bulk density on the rescaled gradient.
+def _prism_weights(mesh: TriMesh, layers: int) -> np.ndarray:
+    """Prism volumes, flattened layer-major to ((layers - 1) * cells,)."""
+    return np.tile(mesh.areas, layers - 1) * (1.0 / (layers - 1))
 
-    Centroid sampling per prism; ``refine`` subdivides each prism in
-    plane (4-way) and through thickness (2-way) per level.
-    """
-    w, grads, _, _, _ = _prism_quadrature(u, refine)
-    return ExtValue(float(np.dot(w, model.w_batch(grads))))
+
+def _prism_centroids(mesh: TriMesh, layers: int):
+    """In-plane points and heights of the prism centroids, flattened
+    layer-major like the weights."""
+    h = np.linspace(-0.5, 0.5, layers)
+    pts = np.tile(mesh.cell_means(mesh.vertices), (layers - 1, 1))
+    return pts, np.repeat(0.5 * (h[:-1] + h[1:]), mesh.n_cells)
+
+
+def thin_film_energy(u: PrismField, model: EnergyModel) -> ExtValue:
+    """Volume integral of the bulk density on the rescaled gradient,
+    sampled at each prism's centroid."""
+    F, _ = _prism_samples(u.mesh, u.values, u.eps)
+    w = _prism_weights(u.mesh, u.n_layers)
+    return ExtValue(float(np.dot(w, model.w_batch(F.reshape(-1, 3, 3)))))
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +195,20 @@ class LoadPotential:
                 + norms ** self.p)
 
 
-def thin_film_load(u: PrismField, load: LoadPotential,
-                   *, refine: int = 0) -> float:
-    w, _, pts, heights, mids = _prism_quadrature(u, refine)
-    return float(np.dot(w, load.density(pts, heights, mids)))
+def thin_film_load(u: PrismField, load: LoadPotential) -> float:
+    """Load integral sampled at the prism centroids, like the energy."""
+    _, mids = _prism_samples(u.mesh, u.values, u.eps)
+    w = _prism_weights(u.mesh, u.n_layers)
+    pts, heights = _prism_centroids(u.mesh, u.n_layers)
+    return float(np.dot(w, load.density(pts, heights, mids.reshape(-1, 3))))
 
 
-def thin_film_total(model: EnergyModel, load: LoadPotential, u: PrismField,
-                    *, refine: int = 0) -> float:
-    energy = thin_film_energy(u, model, refine=refine)
+def thin_film_total(model: EnergyModel, load: LoadPotential,
+                    u: PrismField) -> float:
+    energy = thin_film_energy(u, model)
     if not energy.is_finite:
         return math.inf
-    return energy.finite + thin_film_load(u, load, refine=refine)
+    return energy.finite + thin_film_load(u, load)
 
 
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
@@ -250,9 +217,7 @@ def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
             np.array_equal(a.mesh.vertices, b.mesh.vertices)
             and np.array_equal(a.mesh.triangles, b.mesh.triangles)):
         raise ValueError("fields must share a mesh")
-    diff = a.values - b.values
-    tri = a.mesh.triangles
-    cen = diff[tri].mean(axis=1)
+    cen = a.mesh.cell_means(a.values - b.values)
     norms = np.linalg.norm(cen, axis=1)
     return float(np.dot(a.mesh.areas, norms ** p) ** (1.0 / p))
 
@@ -285,8 +250,7 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
     the energy is still well-defined, merely large.
     """
     nodal_phi = _sample_director(phi, v.mesh)
-    tri = v.mesh.triangles
-    phi_cen = nodal_phi[tri].mean(axis=1)
+    phi_cen = v.mesh.cell_means(nodal_phi)
     grads = v.gradients()
     dets = np.einsum("kj,kj->k", np.cross(grads[:, :, 0], grads[:, :, 1]),
                      phi_cen)
@@ -304,9 +268,7 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
                              phi) -> float:
     """Membrane-side target of the recovery lift: the bulk density on
     (gradient | director) with the director sampled like the lift."""
-    nodal_phi = _sample_director(phi, v.mesh)
-    tri = v.mesh.triangles
-    phi_cen = nodal_phi[tri].mean(axis=1)
+    phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
     grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
     return float(np.dot(v.mesh.areas, model.w_batch(grads)))
 
@@ -379,11 +341,9 @@ class _ThinObjective:
         self.layers = layers
         self.eps = eps
         self.delta = 1.0 / (layers - 1)
-        self.heights = np.linspace(-0.5, 0.5, layers)
-        self.mid_heights = 0.5 * (self.heights[:-1] + self.heights[1:])
-        self.centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-        self.psi_mid = np.stack([load.psi_at(self.centroids, h)
-                                 for h in self.mid_heights])
+        self.weights = _prism_weights(mesh, layers)
+        self.psi_mid = load.psi_at(*_prism_centroids(mesh, layers)).reshape(
+            layers - 1, mesh.n_cells, 3)
 
     def pack(self, u: PrismField) -> np.ndarray:
         return u.values.reshape(-1).copy()
@@ -393,21 +353,9 @@ class _ThinObjective:
         return PrismField(self.mesh, vals, self.eps)
 
     def __call__(self, x: np.ndarray):
-        model, mesh = self.model, self.mesh
-        m, delta, eps = self.layers, self.delta, self.eps
+        model, mesh, m = self.model, self.mesh, self.layers
         vals = x.reshape(m, mesh.n_vertices, 3)
-        T = mesh.triangles
-        areas = mesh.areas
-        p = model.p
-
-        edge = np.stack([vals[:, T[:, 1]] - vals[:, T[:, 0]],
-                         vals[:, T[:, 2]] - vals[:, T[:, 0]]], axis=-1)
-        g_layer = np.einsum("lmkr,mrc->lmkc", edge, mesh._inv_jac)
-        cen = vals[:, T].mean(axis=2)                       # (m, cells, 3)
-
-        F = np.empty((m - 1, T.shape[0], 3, 3))
-        F[:, :, :, :2] = 0.5 * (g_layer[:-1] + g_layer[1:])
-        F[:, :, :, 2] = (cen[1:] - cen[:-1]) / (delta * eps)
+        F, mid = _prism_samples(mesh, vals, self.eps)
         flat = F.reshape(-1, 3, 3)
 
         dets, cof = cofactors(flat)
@@ -415,39 +363,30 @@ class _ThinObjective:
         if np.any(adet == 0.0):
             return math.inf, np.zeros_like(x), dets
         sq = np.einsum("kij,kij->k", flat, flat)
-        w = np.tile(areas, m - 1) * delta
+        w = self.weights
         value = float(np.dot(w, model.density(adet, sq)))
 
         hp = model.barrier.derivative(adet) * np.sign(dets)
         D = (w * hp)[:, None, None] * cof
-        D += (w * p * sq ** (p / 2.0 - 1.0))[:, None, None] * flat
-        D = D.reshape(m - 1, T.shape[0], 3, 3)
+        D += (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None] * flat
+        D = D.reshape(F.shape)
 
-        grad = np.zeros((m, mesh.n_vertices, 3))
-        du = 0.5 * np.einsum("lmir,msr->lmis", D[:, :, :, :2],
-                             mesh._inv_jac)
-        for layer_slice in (slice(0, m - 1), slice(1, m)):
-            np.add.at(grad, (layer_slice, T[:, 1]), du[:, :, :, 0])
-            np.add.at(grad, (layer_slice, T[:, 2]), du[:, :, :, 1])
-            np.add.at(grad, (layer_slice, T[:, 0]),
-                      -du[:, :, :, 0] - du[:, :, :, 1])
-        third = D[:, :, :, 2] / (delta * eps)
-        for k in range(3):
-            np.add.at(grad, (slice(1, m), T[:, k]), third / 3.0)
-            np.add.at(grad, (slice(0, m - 1), T[:, k]), -third / 3.0)
-
-        mid = 0.5 * (cen[:-1] + cen[1:])                    # (m-1, cells, 3)
+        vol = mesh.areas * self.delta
         norms = np.linalg.norm(mid, axis=2)
-        value += float(np.einsum("m,lm->", areas * delta,
+        value += float(np.einsum("m,lm->", vol,
                                  np.einsum("lmj,lmj->lm", self.psi_mid, mid)
                                  + norms ** self.load.p))
         pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
         dpsi = (self.psi_mid + self.load.p * pw[:, :, None] * mid)
-        dpsi *= (areas * delta)[None, :, None]
-        for layer_slice in (slice(0, m - 1), slice(1, m)):
-            for k in range(3):
-                np.add.at(grad, (layer_slice, T[:, k]), dpsi / 6.0)
+        dpsi *= vol[None, :, None]
 
+        # F[l] reads layers l and l + 1: half of each in-plane gradient,
+        # -/+ the centroids over the layer spacing, half of each centroid
+        half = 0.5 * D[..., :2]
+        third = D[..., 2] / (self.delta * self.eps)
+        grad = np.zeros_like(vals)
+        grad[:-1] = mesh.pull_back(half, 0.5 * dpsi - third)
+        grad[1:] += mesh.pull_back(half, 0.5 * dpsi + third)
         return value, grad.reshape(-1), dets
 
 
@@ -516,8 +455,7 @@ class _MembraneObjective:
         self.load = load
         self.mesh = mesh
         self.outside = outside
-        self.centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-        self.psi0 = load.psi_at(self.centroids, 0.0)
+        self.psi0 = load.psi_at(mesh.cell_means(mesh.vertices), 0.0)
         self.h = 1e-5
 
     def pack(self, v: PwAffineField) -> np.ndarray:
@@ -539,13 +477,10 @@ class _MembraneObjective:
     def __call__(self, x: np.ndarray):
         mesh = self.mesh
         vals = x.reshape(-1, 3)
-        T = mesh.triangles
         areas = mesh.areas
-        n = T.shape[0]
+        n = mesh.n_cells
 
-        edge = np.stack([vals[T[:, 1]] - vals[T[:, 0]],
-                         vals[T[:, 2]] - vals[T[:, 0]]], axis=-1)
-        grads = np.einsum("mkr,mrc->mkc", edge, mesh._inv_jac)
+        grads = mesh.cell_gradients(vals)
         value = float(np.dot(areas, self._table_values(grads)))
 
         h = self.h
@@ -558,24 +493,15 @@ class _MembraneObjective:
                 slot += 2
         tv = self._table_values(probes.reshape(-1, 3, 2)).reshape(n, 12)
         dT = ((tv[:, 0::2] - tv[:, 1::2]) / (2.0 * h)).reshape(n, 3, 2)
-        du = np.einsum("mir,msr->mis", areas[:, None, None] * dT,
-                       mesh._inv_jac)
 
-        grad = np.zeros_like(vals)
-        np.add.at(grad, T[:, 1], du[:, :, 0])
-        np.add.at(grad, T[:, 2], du[:, :, 1])
-        np.add.at(grad, T[:, 0], -du[:, :, 0] - du[:, :, 1])
-
-        cen = vals[T].mean(axis=1)
+        cen = mesh.cell_means(vals)
         norms = np.linalg.norm(cen, axis=1)
         value += float(np.dot(areas,
                               np.einsum("mj,mj->m", self.psi0, cen)
                               + norms ** self.load.p))
         pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
         dl = (self.psi0 + self.load.p * pw[:, None] * cen) * areas[:, None]
-        for k in range(3):
-            np.add.at(grad, T[:, k], dl / 3.0)
-
+        grad = mesh.pull_back(areas[:, None, None] * dT, dl)
         return value, grad.reshape(-1), None
 
 
@@ -689,7 +615,6 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                 raise RuntimeError(
                     "film minimization ended above its warm-start "
                     "competitor; the descent contract is broken")
-        energy = thin_film_energy(u, model).as_float()
         dist = lp_distance(pi_eps_average(u), v_bar, model.p)
         return SweepRow(eps=eps, e3d=total, emem=mem.total,
                         gap=total - mem.total, lp_distance=dist,

@@ -28,15 +28,22 @@ _BARY_TOL = 1e-12
 
 
 class TriMesh:
-    """Triangulation of a polygonal domain.
+    """Triangulation of a polygonal domain and its P1 operators.
 
     Vertices are an (n, 2) float array, triangles an (m, 3) index array.
-    Cell areas, inverse edge Jacobians, and the boundary-vertex mask are
-    computed once at construction; all arrays are frozen afterwards.
+    Construction computes the cell areas, the inverse edge Jacobians and
+    one edge table: ``edges`` holds each undirected edge once as a sorted
+    vertex pair, ``cell_edges`` the edge ids of the sides (a, b), (b, c),
+    (c, a) of every cell, and ``boundary_mask`` marks the vertices of edges
+    that belong to one cell only. All arrays are frozen afterwards.
+
+    A P1 field is an (..., n, k) array of nodal values. Its cell gradients
+    and cell means (centroid values) are linear maps of those values, and
+    :meth:`pull_back` is their exact adjoint.
     """
 
-    __slots__ = ("vertices", "triangles", "areas", "boundary_mask",
-                 "_inv_jac", "_p0")
+    __slots__ = ("vertices", "triangles", "areas", "boundary_mask", "edges",
+                 "cell_edges", "_inv_jac", "_p0")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -51,9 +58,11 @@ class TriMesh:
             raise ValueError("mesh needs at least one triangle")
         if T.min() < 0 or T.max() >= V.shape[0]:
             raise ValueError("triangle index out of range")
-        for tri in T:
-            if len(set(tri.tolist())) != 3:
-                raise ValueError(f"triangle {tri.tolist()} repeats a vertex")
+        repeats = ((T[:, 0] == T[:, 1]) | (T[:, 1] == T[:, 2])
+                   | (T[:, 2] == T[:, 0]))
+        if np.any(repeats):
+            tri = T[int(np.argmax(repeats))]
+            raise ValueError(f"triangle {tri.tolist()} repeats a vertex")
 
         p0 = V[T[:, 0]]
         jac = np.stack([V[T[:, 1]] - p0, V[T[:, 2]] - p0], axis=-1)  # (m,2,2)
@@ -69,24 +78,26 @@ class TriMesh:
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
 
+        # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
+        n = V.shape[0]
+        sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, side_edge, counts = np.unique(
+            sides[:, 0] * n + sides[:, 1], return_inverse=True,
+            return_counts=True)
+        edges = np.stack([keys // n, keys % n], axis=1)
+        cell_edges = side_edge.reshape(-1, 3)
         # a boundary edge belongs to exactly one triangle
-        counts: dict[tuple[int, int], int] = {}
-        for a, b, c in T:
-            for e in ((a, b), (b, c), (c, a)):
-                key = (min(e), max(e))
-                counts[key] = counts.get(key, 0) + 1
-        boundary = np.zeros(V.shape[0], dtype=bool)
-        for (a, b), k in counts.items():
-            if k == 1:
-                boundary[a] = True
-                boundary[b] = True
+        boundary = np.zeros(n, dtype=bool)
+        boundary[edges[counts == 1]] = True
 
-        for arr in (V, T, areas, inv, p0, boundary):
+        for arr in (V, T, areas, inv, p0, boundary, edges, cell_edges):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "triangles", T)
         object.__setattr__(self, "areas", areas)
         object.__setattr__(self, "boundary_mask", boundary)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "cell_edges", cell_edges)
         object.__setattr__(self, "_inv_jac", inv)
         object.__setattr__(self, "_p0", p0)
 
@@ -123,11 +134,54 @@ class TriMesh:
 
     def edge_cells(self) -> dict[tuple[int, int], list[int]]:
         """Map from undirected edge to the cells sharing it."""
-        edges: dict[tuple[int, int], list[int]] = {}
-        for i, (a, b, c) in enumerate(self.triangles):
-            for e in ((a, b), (b, c), (c, a)):
-                edges.setdefault((min(e), max(e)), []).append(i)
-        return edges
+        order = np.argsort(self.cell_edges.ravel(), kind="stable")
+        counts = np.bincount(self.cell_edges.ravel(),
+                             minlength=self.edges.shape[0])
+        cells = np.split(order // 3, np.cumsum(counts)[:-1])
+        return {(a, b): c.tolist()
+                for (a, b), c in zip(self.edges.tolist(), cells)}
+
+    def cell_gradients(self, values) -> np.ndarray:
+        """Constant gradient per cell: (..., n, k) nodal values in,
+        (..., m, k, 2) out."""
+        v = np.asarray(values, dtype=float)
+        T, inv = self.triangles, self._inv_jac
+        v0 = v[..., T[:, 0], :]
+        e1 = v[..., T[:, 1], :] - v0
+        e2 = v[..., T[:, 2], :] - v0
+        out = np.empty(e1.shape + (2,))
+        for c in range(2):
+            out[..., c] = e1 * inv[:, 0, c, None] + e2 * inv[:, 1, c, None]
+        return out
+
+    def cell_means(self, values) -> np.ndarray:
+        """Centroid value per cell, the mean of its three corners:
+        (..., n, k) in, (..., m, k) out."""
+        v = np.asarray(values, dtype=float)
+        T = self.triangles
+        return (v[..., T[:, 0], :] + v[..., T[:, 1], :]
+                + v[..., T[:, 2], :]) / 3.0
+
+    def pull_back(self, d_grad, d_mean) -> np.ndarray:
+        """Adjoint of (cell_gradients, cell_means).
+
+        Maps (..., m, k, 2) and (..., m, k) to the nodal (..., n, k) array
+        v* with <cell_gradients(v), d_grad> + <cell_means(v), d_mean> =
+        <v, v*> for every v.
+        """
+        G = np.asarray(d_grad, dtype=float)
+        C = np.asarray(d_mean, dtype=float) / 3.0
+        inv = self._inv_jac
+        # weights of the edge differences v1 - v0 and v2 - v0
+        a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
+        b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
+        corner = np.stack([C - a - b, C + a, C + b], axis=-2)  # (..., m, 3, k)
+        lead, k, n = corner.shape[:-3], corner.shape[-1], self.n_vertices
+        rows = np.arange(int(np.prod(lead, dtype=int)))[:, None, None, None]
+        idx = (rows * n + self.triangles[..., None]) * k + np.arange(k)
+        out = np.bincount(idx.ravel(), corner.ravel(),
+                          minlength=rows.shape[0] * n * k)
+        return out.reshape(lead + (n, k))
 
     def to_dict(self) -> dict:
         return {"vertices": self.vertices.tolist(),
@@ -160,10 +214,7 @@ class PwAffineField:
             if worst > 1e-12:
                 raise ValueError(
                     f"aff0 field has nonzero boundary values (max {worst:.3e})")
-        T = mesh.triangles
-        edge_vals = np.stack([vals[T[:, 1]] - vals[T[:, 0]],
-                              vals[T[:, 2]] - vals[T[:, 0]]], axis=-1)  # (m,3,2)
-        grads = np.einsum("mkr,mrc->mkc", edge_vals, mesh._inv_jac)
+        grads = mesh.cell_gradients(vals)
         vals.setflags(write=False)
         grads.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
@@ -298,44 +349,44 @@ def single_triangle_mesh(p0, p1, p2) -> TriMesh:
     return TriMesh([p0, p1, p2], [(0, 1, 2)])
 
 
+def _edge_midpoints(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """Nodal values followed by their average over each edge."""
+    a, b = mesh.edges.T
+    return np.concatenate([values, 0.5 * (values[a] + values[b])])
+
+
 def refine_mesh(mesh: TriMesh, levels: int = 1) -> TriMesh:
-    """Uniform refinement: each triangle splits at its edge midpoints."""
+    """Uniform refinement: each triangle splits at its edge midpoints.
+
+    Per level the old vertices keep their indices and edge e's midpoint
+    is appended as vertex n + e. Each cell's four children stay
+    contiguous in the corner order of ``quadrature.subdivide_triangles``.
+    """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     for _ in range(levels):
-        verts = [tuple(v) for v in mesh.vertices]
-        index = {v: i for i, v in enumerate(verts)}
-        mids: dict[tuple[int, int], int] = {}
-
-        def midpoint(a: int, b: int) -> int:
-            key = (min(a, b), max(a, b))
-            if key not in mids:
-                m = tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
-                if m not in index:
-                    index[m] = len(verts)
-                    verts.append(m)
-                mids[key] = index[m]
-            return mids[key]
-
-        tris = []
-        for a, b, c in mesh.triangles:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        mesh = TriMesh(verts, tris)
+        a, b, c = mesh.triangles.T
+        ab, bc, ca = (mesh.n_vertices + mesh.cell_edges).T
+        tris = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+        mesh = TriMesh(_edge_midpoints(mesh, mesh.vertices),
+                       tris.reshape(-1, 3))
     return mesh
 
 
 def refine_field(field: PwAffineField, levels: int = 1) -> PwAffineField:
-    """Same field on a uniformly refined mesh.
+    """Same field on ``refine_mesh(field.mesh, levels)``.
 
-    New vertices are edge midpoints, where the interpolant is exact, so
-    the refined field is pointwise identical to the original.
+    A new vertex takes the average of its edge's end values, which is
+    the P1 interpolant there, so the refined field is pointwise the
+    original; no point is located.
     """
-    if levels == 0:
-        return field
-    mesh = refine_mesh(field.mesh, levels)
-    return PwAffineField(mesh, field.evaluate(mesh.vertices),
-                         aff0=field.aff0)
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    mesh, vals = field.mesh, field.values
+    for _ in range(levels):
+        vals = _edge_midpoints(mesh, vals)
+        mesh = refine_mesh(mesh)
+    return PwAffineField(mesh, vals, aff0=field.aff0)
 
 
 def _unit_vector(nu) -> np.ndarray:

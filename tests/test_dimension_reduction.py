@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from memrelax.dimension_reduction import (
-    LoadPotential, _ThinObjective, _default_film_start,
-    director_membrane_energy, lp_distance, recovery_sequence,
+    LoadPotential, PrismField, _MembraneObjective, _ThinObjective,
+    _default_film_start, director_membrane_energy, gamma_sweep,
+    lift_membrane, lp_distance, pi_eps_average, recovery_sequence,
+    thin_film_total,
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
+from memrelax.envelope import EnvelopeTable, GrowthCertificate
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 
 
@@ -97,3 +102,81 @@ def test_recovery_lift_converges_to_director_energy():
     assert gaps[0] > 0.0
     for coarse, fine in zip(gaps, gaps[1:]):
         assert fine <= coarse / 50.0
+
+
+def _linear_table():
+    # 1 + 3 (s1 + s2) is bilinear, so the interpolant reproduces it, and
+    # it stays above the p = 2 floor s1^2 + s2^2 on [0, 3]^2
+    grid = np.linspace(0.0, 3.0, 7)
+    s1, s2 = np.meshgrid(grid, grid, indexing="ij")
+    cert = GrowthCertificate(c=10.0, p=2.0, r1=1.0, cbar1=1.0)
+    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), [], 2.0, cert, 0)
+
+
+def _tilted_load():
+    return LoadPotential(
+        lambda pts, x3: np.tile([0.1, -0.2, 0.3], (len(pts), 1)), p=2.5)
+
+
+def test_membrane_objective_gradient_matches_central_difference():
+    mesh = unit_square_mesh(3)
+    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh,
+                             "certificate")
+    rng = np.random.default_rng(4)
+    flat = np.zeros((mesh.n_vertices, 3))
+    flat[:, :2] = 1.3 * mesh.vertices
+    x = flat.reshape(-1) + 0.02 * rng.standard_normal(flat.size)
+    d = rng.standard_normal(x.shape)
+    _, g, _ = obj(x)
+    h = 1e-6
+    fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
+    assert fd == pytest.approx(float(g @ d), rel=1e-6)
+
+
+def test_film_total_matches_the_film_objective():
+    # gamma_sweep's "total > competitor" guard compares the two
+    model = EnergyModel()
+    load = _tilted_load()
+    mesh = unit_square_mesh(3)
+    rng = np.random.default_rng(6)
+    u0 = _default_film_start(mesh, 0.1, 5)
+    u = PrismField(mesh, u0.values + 0.01 * rng.standard_normal(
+        u0.values.shape), 0.1)
+    obj = _ThinObjective(model, load, mesh, 5, 0.1)
+    total = obj(obj.pack(u))[0]
+    assert thin_film_total(model, load, u) == pytest.approx(total, rel=1e-12)
+
+
+def test_thickness_average_inverts_the_membrane_lift():
+    v = _curved_membrane()
+    for eps in (0.3, 0.01):
+        back = pi_eps_average(lift_membrane(v, eps, layers=7))
+        np.testing.assert_allclose(back.values, v.values, rtol=0.0,
+                                   atol=1e-14)
+
+
+def test_prism_field_json_round_trips(tmp_path):
+    u = recovery_sequence(EnergyModel(), _curved_membrane(),
+                          np.array([0.0, 0.1, 1.0]), 0.05)[0]
+    for clone in (PrismField.from_dict(u.to_dict()), None):
+        if clone is None:
+            u.save_json(tmp_path / "film.json")
+            clone = PrismField.load_json(tmp_path / "film.json")
+        np.testing.assert_array_equal(clone.values, u.values)
+        np.testing.assert_array_equal(clone.mesh.vertices, u.mesh.vertices)
+        np.testing.assert_array_equal(clone.mesh.triangles, u.mesh.triangles)
+        assert clone.eps == u.eps
+
+
+def test_gamma_sweep_rows_are_consistent():
+    report = gamma_sweep(EnergyModel(), _linear_table(),
+                         LoadPotential(lambda pts, x3: np.tile(
+                             [0.0, 0.0, -1.0], (len(pts), 1))),
+                         unit_square_mesh(2), [0.2, 0.1], iters=5)
+    assert [r.eps for r in report.rows] == [0.2, 0.1]
+    for r in report.rows:
+        assert all(math.isfinite(x) for x in
+                   (r.e3d, r.emem, r.gap, r.lp_distance))
+        assert r.gap == r.e3d - r.emem
+        assert r.emem == report.meta["membrane_total"]
+        assert r.lp_distance >= 0.0 and 0 <= r.iterations <= 5

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from memrelax.energy_models import EnergyModel
+from memrelax import director_field, pw_affine
+from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import ReducedDensity
 from memrelax.pw_affine import (
     PwAffineField,
@@ -16,10 +17,13 @@ from memrelax.pw_affine import (
     field_from_json,
     field_to_json,
     gradient_cells,
+    refine_field,
+    refine_mesh,
     single_triangle_mesh,
     unit_square_mesh,
     vitali_paste,
 )
+from memrelax.quadrature import subdivide_triangles
 from memrelax.tensor_kernel import INFINITE
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -180,8 +184,8 @@ def test_mesh_and_field_validation():
         TriMesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])  # collinear
     with pytest.raises(ValueError):
         TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)])  # bad index
-    with pytest.raises(ValueError):
-        TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])  # repeated vertex
+    with pytest.raises(ValueError, match=r"triangle \[0, 1, 1\] repeats"):
+        TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 1)])
     mesh = single_triangle_mesh((0, 0), (1, 0), (0, 1))
     with pytest.raises(ValueError):
         PwAffineField(mesh, np.ones((3, 3)), aff0=True)  # boundary not zero
@@ -307,3 +311,134 @@ def test_vitali_respects_host_gradient_regions():
     assert len(pasted.regions) == 2
     for region in pasted.regions:
         assert region.coverage >= 0.995
+
+
+# ---------------------------------------------------------------------------
+# P1 operators and the edge table
+
+def _perturbed_mesh(n=3, seed=5):
+    mesh = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    moved = mesh.vertices.copy()
+    inner = ~mesh.boundary_mask
+    moved[inner] += 0.1 / n * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2))
+    return TriMesh(moved, mesh.triangles)
+
+
+def test_edge_table_lists_each_side_once():
+    mesh = _perturbed_mesh()
+    T = mesh.triangles
+    sides = np.stack([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]], axis=1)
+    np.testing.assert_array_equal(mesh.edges[mesh.cell_edges],
+                                  np.sort(sides, axis=2))
+    # Euler: V - E + F = 1 on the square
+    assert mesh.n_vertices - mesh.edges.shape[0] + mesh.n_cells == 1
+    on_side = np.any((mesh.vertices == 0.0) | (mesh.vertices == 1.0), axis=1)
+    np.testing.assert_array_equal(mesh.boundary_mask, on_side)
+    for (a, b), cells in mesh.edge_cells().items():
+        assert a < b and 1 <= len(cells) <= 2 and cells == sorted(cells)
+        if len(cells) == 1:
+            assert on_side[a] and on_side[b]
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_pull_back_is_adjoint_of_gradients_and_means(lead):
+    mesh = _perturbed_mesh()
+    rng = np.random.default_rng(11)
+    k = 3
+    v = rng.standard_normal(lead + (mesh.n_vertices, k))
+    G = rng.standard_normal(lead + (mesh.n_cells, k, 2))
+    C = rng.standard_normal(lead + (mesh.n_cells, k))
+    lhs = (np.sum(mesh.cell_gradients(v) * G)
+           + np.sum(mesh.cell_means(v) * C))
+    back = mesh.pull_back(G, C)
+    assert back.shape == v.shape
+    assert np.sum(v * back) == pytest.approx(lhs, rel=1e-12)
+
+
+def test_cell_gradients_and_means_of_an_affine_map():
+    mesh = _perturbed_mesh()
+    xi = np.array([[1.0, 2.0], [-0.5, 0.3], [0.2, 0.0]])
+    vals = mesh.vertices @ xi.T
+    np.testing.assert_allclose(mesh.cell_gradients(vals),
+                               np.broadcast_to(xi, (mesh.n_cells, 3, 2)),
+                               atol=1e-12)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    np.testing.assert_allclose(mesh.cell_means(vals), centroids @ xi.T,
+                               atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# refinement
+
+def _curved_field(mesh):
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    return PwAffineField(mesh, np.column_stack(
+        [x + 0.1 * np.sin(y), y + 0.1 * np.cos(x), 0.2 * x * y]))
+
+
+def test_refine_field_agrees_with_the_original_field():
+    field = _curved_field(_perturbed_mesh())
+    pts = np.random.default_rng(2).uniform(0.02, 0.98, size=(200, 2))
+    for levels in (1, 2):
+        fine = refine_field(field, levels)
+        np.testing.assert_allclose(fine.evaluate(pts), field.evaluate(pts),
+                                   rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_refined_unit_square_counts_area_and_boundary(n):
+    mesh = unit_square_mesh(n)
+    fine = refine_mesh(mesh)
+    assert fine.n_vertices == (2 * n + 1) ** 2
+    assert fine.n_cells == 8 * n * n
+    assert fine.area() == pytest.approx(mesh.area(), rel=1e-14)
+    np.testing.assert_array_equal(fine.vertices[:mesh.n_vertices],
+                                  mesh.vertices)
+    direct = unit_square_mesh(2 * n)
+
+    def boundary_points(m):
+        return sorted(map(tuple, m.vertices[m.boundary_mask].tolist()))
+
+    assert boundary_points(fine) == boundary_points(direct)
+
+
+def test_refine_keeps_aff0_and_child_order():
+    hat = build_square_hat(E3, 1.0)
+    fine = refine_field(hat)
+    assert fine.aff0
+    assert np.all(fine.values[fine.mesh.boundary_mask] == 0.0)
+    # children of cell c are cells 4c..4c+3 in the quadrature's order
+    np.testing.assert_array_equal(
+        fine.mesh.vertices[fine.mesh.triangles],
+        subdivide_triangles(hat.mesh.vertices[hat.mesh.triangles]))
+    np.testing.assert_allclose(fine.gradients().reshape(-1, 4, 3, 2),
+                               np.repeat(hat.gradients()[:, None], 4, axis=1),
+                               atol=1e-14)
+
+
+def test_refine_levels():
+    field = _curved_field(unit_square_mesh(2))
+    twice = refine_field(refine_field(field))
+    at_once = refine_field(field, 2)
+    np.testing.assert_array_equal(at_once.values, twice.values)
+    np.testing.assert_array_equal(at_once.mesh.triangles, twice.mesh.triangles)
+    np.testing.assert_array_equal(refine_mesh(field.mesh, 2).vertices,
+                                  twice.mesh.vertices)
+    assert refine_field(field, 0).mesh is field.mesh
+    with pytest.raises(ValueError):
+        refine_field(field, -1)
+    with pytest.raises(ValueError):
+        refine_mesh(field.mesh, -1)
+
+
+def test_refined_nirf_job_never_locates_points(monkeypatch):
+    def no_locate(self, points, tol=0.0):
+        raise AssertionError("point location called")
+
+    monkeypatch.setattr(pw_affine.TriMesh, "locate", no_locate)
+    v = pw_affine.refine_field(_curved_field(unit_square_mesh(2)), 1)
+    _, j_v, _ = director_field.feasible_normal(v.gradients())
+    value = director_field.nirf_value(EnergyModel(ShiftedLogBarrier()), v,
+                                      4 * j_v, 64, rel_tol=1e-3, max_level=3)
+    assert math.isfinite(value.as_float())
