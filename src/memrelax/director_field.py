@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _ANGULAR_TOL = 1e-6
+# cells per integrate_adaptive call in nirf_value
+_SLICE_CELLS = 256
 
 
 class InfeasibleError(RuntimeError):
@@ -85,7 +87,12 @@ def _cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
 
 
 def _cell_crosses(cells) -> np.ndarray:
-    grads = np.asarray([as_mat32(c) for c in cells], dtype=float)
+    grads = np.asarray(cells, dtype=float)
+    if grads.ndim != 3 or grads.shape[1:] != (3, 2):
+        raise ValueError(
+            f"mat32 stack must have shape (M, 3, 2), got {grads.shape}")
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("mat32 entries must be finite")
     crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
     norms = np.linalg.norm(crosses, axis=1)
     if np.any(norms <= WEDGE_FLOOR):
@@ -277,18 +284,6 @@ def cellwise_energy(assignment: DirectorAssignment) -> float:
 # ---------------------------------------------------------------------------
 # continuous blend
 
-def _segment_distances(points: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Distance from each point to the boundary of one triangle."""
-    out = np.full(points.shape[0], np.inf)
-    for k in range(3):
-        p0 = tri[k]
-        d = tri[(k + 1) % 3] - p0
-        t = ((points - p0) @ d) / (d @ d)
-        foot = p0 + np.clip(t, 0.0, 1.0)[:, None] * d
-        out = np.minimum(out, np.linalg.norm(points - foot, axis=1))
-    return out
-
-
 class BlendedDirector:
     """Continuous director: shared direction near edges, cell minimizer
     deeper than 1/n inside each cell.
@@ -310,25 +305,28 @@ class BlendedDirector:
         self.assignment = assignment
         self.n = int(n)
         self._corners = field.mesh.vertices[field.mesh.triangles]
+        # side k runs from corner k to corner k + 1
+        self._sides = np.roll(self._corners, -1, axis=1) - self._corners
+        self._side_sq = np.einsum("mkj,mkj->mk", self._sides, self._sides)
 
-    def alpha_in_cell(self, cell: int, points: np.ndarray) -> np.ndarray:
-        d = _segment_distances(np.asarray(points, dtype=float),
-                               self._corners[cell])
-        return np.minimum(self.n * d, 1.0)
-
-    def evaluate_in_cell(self, cell: int, points: np.ndarray) -> np.ndarray:
-        a = self.alpha_in_cell(cell, points)[:, None]
+    def _blend(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Director at (N, 2) points, each inside its given cell."""
+        p0 = self._corners[cells]
+        d = self._sides[cells]
+        t = (np.einsum("nkj,nkj->nk", points[:, None] - p0, d)
+             / self._side_sq[cells])
+        gap = points[:, None] - (p0 + np.clip(t, 0.0, 1.0)[..., None] * d)
+        dist = np.sqrt(np.einsum("nkj,nkj->nk", gap, gap)).min(axis=1)
+        a = np.minimum(self.n * dist, 1.0)[:, None]
         return ((1.0 - a) * self.assignment.zeta_bar[None]
-                + a * self.assignment.zetas[cell][None])
+                + a * self.assignment.zetas[cells])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         cells = self.field.mesh.locate(pts)
-        out = np.empty((pts.shape[0], 3))
-        for c in np.unique(cells):
-            mask = cells == c
-            out[mask] = self.evaluate_in_cell(int(c), pts[mask])
-        return out
+        if np.any(cells < 0):
+            raise ValueError("director evaluated outside the mesh")
+        return self._blend(pts, cells)
 
     def __call__(self, point) -> np.ndarray:
         return self.evaluate(np.asarray(point, dtype=float)[None])[0]
@@ -342,42 +340,42 @@ def blended_director(field: PwAffineField, assignment: DirectorAssignment,
 # ---------------------------------------------------------------------------
 # energy of the blended director
 
-def _cell_energy(model: EnergyModel, director: BlendedDirector, cell: int,
-                 rel_tol: float, max_level: int) -> float:
-    asn = director.assignment
-    cross = np.cross(asn.gradients[cell, :, 0], asn.gradients[cell, :, 1])
-    sq = float(np.sum(asn.gradients[cell] ** 2))
-
-    def integrand(points: np.ndarray) -> np.ndarray:
-        zeta = director.evaluate_in_cell(cell, points)
-        return model.density(np.abs(zeta @ cross),
-                             sq + np.einsum("ij,ij->i", zeta, zeta))
-
-    tri = director._corners[cell][None]
-    return integrate_adaptive(integrand, tri, rel_tol=rel_tol,
-                              max_level=max_level).value
-
-
 def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
                *, rel_tol: float = 1e-4, max_level: int = 8,
                threads: int = 1) -> ExtValue:
     """Energy of the blended continuous director over the whole mesh.
 
     Builds the assignment at index j (rejected below the feasibility
-    index), blends with sharpness n, and integrates the bulk energy
-    cell by cell with the adaptive midpoint rule. The value decreases
-    toward the integral of the reduced density as j and n grow.
+    index) and blends with sharpness n. Each cell is a root of the
+    adaptive midpoint rule and refines until its own two successive
+    levels agree; the cells go through :func:`integrate_adaptive` in
+    consecutive slices of at most ``_SLICE_CELLS``, and ``threads`` maps
+    the slices on a pool. The per-cell values are summed once, so the
+    result does not depend on ``threads``. The value decreases toward
+    the integral of the reduced density as j and n grow.
     """
     asn = build_assignment(model, field, j)
     director = BlendedDirector(field, asn, n)
-    cells = range(asn.n_cells)
+    grads = asn.gradients
+    crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
+    sq = np.sum(grads ** 2, axis=(1, 2))
 
-    def work(c):
-        return _cell_energy(model, director, c, rel_tol, max_level)
+    def integrand(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        zeta = director._blend(points, cells)
+        adet = np.abs(np.einsum("ij,ij->i", zeta, crosses[cells]))
+        return model.density(adet,
+                             sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
 
+    def work(start: int) -> np.ndarray:
+        tris = director._corners[start:start + _SLICE_CELLS]
+        return integrate_adaptive(lambda p, r: integrand(p, r + start), tris,
+                                  rel_tol=rel_tol,
+                                  max_level=max_level).values
+
+    starts = range(0, asn.n_cells, _SLICE_CELLS)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, cells))
+            parts = list(pool.map(work, starts))
     else:
-        parts = [work(c) for c in cells]
-    return ExtValue(float(np.sum(parts)))
+        parts = [work(s) for s in starts]
+    return ExtValue(float(np.sum(np.concatenate(parts))))

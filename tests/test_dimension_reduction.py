@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from memrelax import dimension_reduction
 from memrelax.dimension_reduction import (
-    LoadPotential, PrismField, _MembraneObjective, _ThinObjective,
-    _default_film_start, director_membrane_energy, gamma_sweep,
-    lift_membrane, lp_distance, pi_eps_average, recovery_sequence,
-    thin_film_total,
+    LoadPotential, MinimizeResult, PrismField, _MembraneObjective,
+    _ThinObjective, _default_film_start, director_membrane_energy,
+    gamma_sweep, lift_membrane, lp_distance, minimize_membrane,
+    minimize_thin_film, pi_eps_average, recovery_sequence, thin_film_total,
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.envelope import EnvelopeTable, GrowthCertificate
@@ -180,3 +181,38 @@ def test_gamma_sweep_rows_are_consistent():
         assert r.gap == r.e3d - r.emem
         assert r.emem == report.meta["membrane_total"]
         assert r.lp_distance >= 0.0 and 0 <= r.iterations <= 5
+
+
+def _down_load():
+    return LoadPotential(lambda pts, x3: np.tile(
+        [0.0, 0.0, -1.0], (len(pts), 1)))
+
+
+def test_membrane_descent_is_monotone_in_the_budget():
+    # _descent is deterministic, so a shorter run is a prefix of a longer
+    totals = [minimize_membrane(_linear_table(), _tilted_load(),
+                                unit_square_mesh(2), iters=k, seeds=2,
+                                seed=3).total for k in (0, 5, 20)]
+    assert totals[1] <= totals[0] and totals[2] <= totals[1]
+    assert totals[2] < totals[0]
+
+
+def test_film_descent_is_monotone_in_the_budget():
+    totals = [minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
+                                 unit_square_mesh(2), layers=3, iters=k,
+                                 seeds=2, seed=5).total for k in (0, 5, 20)]
+    assert totals[1] <= totals[0] and totals[2] <= totals[1]
+    assert totals[2] < totals[0]
+
+
+def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
+    def above_start(model, load, eps, mesh=None, *, start, **kwargs):
+        total = thin_film_total(model, load, start) + 1.0
+        return MinimizeResult(field=start, total=total, energy=total,
+                              load_value=0.0, iterations=0)
+
+    monkeypatch.setattr(dimension_reduction, "minimize_thin_film",
+                        above_start)
+    with pytest.raises(RuntimeError, match="descent contract"):
+        gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                    unit_square_mesh(2), [0.2], iters=5)

@@ -12,6 +12,7 @@ from memrelax.director_field import (
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import PwAffineField, single_triangle_mesh, unit_square_mesh
+from memrelax.quadrature import integrate_adaptive
 from memrelax.tensor_kernel import mat32
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
@@ -71,6 +72,15 @@ def test_margin_certified_on_random_cell_sets():
 def test_rank_deficient_cell_rejected():
     with pytest.raises(ValueError, match="rank-deficient"):
         feasible_normal([E1E2, mat32([1, 0, 0], [2, 0, 0])])
+
+
+def test_feasible_normal_rejects_nonfinite_and_misshapen_stacks():
+    bad = np.stack([E1E2, E1E2])
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="mat32 entries must be finite"):
+        feasible_normal(bad)
+    with pytest.raises(ValueError, match="mat32 .*must have shape"):
+        feasible_normal(np.zeros((2, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +271,31 @@ def test_blend_stays_feasible_everywhere():
     assert np.all(asn.signs[cells] * dets >= 1.0 / asn.j - 1e-12)
 
 
+def test_blend_is_exact_at_vertices_and_on_the_plateau():
+    m = EnergyModel()
+    field = wiggly_field(4)
+    asn = build_assignment(m, field)
+    n = 64
+    phi = blended_director(field, asn, n)
+    at_vertices = phi.evaluate(field.mesh.vertices)
+    assert np.array_equal(at_vertices,
+                          np.tile(asn.zeta_bar, (field.mesh.n_vertices, 1)))
+    # a centroid lies a third of the smallest height inside its cell
+    corners = field.mesh.vertices[field.mesh.triangles]
+    edges = np.roll(corners, -1, axis=1) - corners
+    heights = 2.0 * field.mesh.areas[:, None] / np.linalg.norm(edges, axis=2)
+    assert np.all(heights.min(axis=1) / 3.0 > 1.0 / n)
+    assert np.array_equal(phi.evaluate(corners.mean(axis=1)), asn.zetas)
+
+
+def test_blend_rejects_points_outside_the_mesh():
+    m = EnergyModel()
+    field = identity_field()
+    phi = blended_director(field, build_assignment(m, field, 4), 8)
+    with pytest.raises(ValueError, match="outside the mesh"):
+        phi.evaluate(np.array([[0.2, 0.2], [0.9, 0.9]]))
+
+
 def test_blend_input_validation():
     m = EnergyModel()
     field = identity_field()
@@ -324,3 +359,50 @@ def test_nirf_threaded_matches_serial():
     serial = nirf_value(m, field, 8, 32).finite
     threaded = nirf_value(m, field, 8, 32, threads=4).finite
     assert threaded == serial
+
+
+def curved_field() -> PwAffineField:
+    mesh = unit_square_mesh(12)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    vals = np.column_stack([x + 0.1 * np.sin(y), y + 0.1 * np.cos(x),
+                            0.2 * x * y])
+    return PwAffineField(mesh, vals)
+
+
+def per_cell_nirf(model, field, asn, n):
+    """The blended energy cell by cell, blend weight written out."""
+    corners = field.mesh.vertices[field.mesh.triangles]
+    total = 0.0
+    for c in range(asn.n_cells):
+        tri = corners[c]
+        g = asn.gradients[c]
+        cross = np.cross(g[:, 0], g[:, 1])
+        sq = float(np.sum(g * g))
+
+        def integrand(p, roots, tri=tri, c=c, cross=cross, sq=sq):
+            dist = np.inf
+            for k in range(3):
+                a, b = tri[k], tri[(k + 1) % 3]
+                s = np.clip(((p - a) @ (b - a)) / ((b - a) @ (b - a)),
+                            0.0, 1.0)
+                dist = np.minimum(dist, np.hypot(*(p - a - s[:, None]
+                                                   * (b - a)).T))
+            w = np.minimum(n * dist, 1.0)[:, None]
+            zeta = (1.0 - w) * asn.zeta_bar + w * asn.zetas[c]
+            return model.density(np.abs(zeta @ cross),
+                                 sq + np.sum(zeta * zeta, axis=1))
+
+        total += integrate_adaptive(integrand, tri[None]).value
+    return total
+
+
+def test_nirf_matches_a_per_cell_oracle_across_slices():
+    m = EnergyModel(ShiftedLogBarrier())
+    field = curved_field()
+    assert field.mesh.n_cells > 256  # more than one slice of cells
+    _, j_v, _ = feasible_normal(field.gradients())
+    asn = build_assignment(m, field, 4 * j_v)
+    got = nirf_value(m, field, 4 * j_v, 64).finite
+    want = per_cell_nirf(m, field, asn, 64)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert nirf_value(m, field, 4 * j_v, 64, threads=2).finite == got
