@@ -20,7 +20,7 @@ import numpy as np
 from .director_field import InfeasibleError, blended_director, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import ExtValue, cofactors
+from .tensor_kernel import ExtValue, cofactors, singular_values, wedge
 
 __all__ = [
     "PrismField",
@@ -252,8 +252,7 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
     nodal_phi = _sample_director(phi, v.mesh)
     phi_cen = v.mesh.cell_means(nodal_phi)
     grads = v.gradients()
-    dets = np.einsum("kj,kj->k", np.cross(grads[:, :, 0], grads[:, :, 1]),
-                     phi_cen)
+    dets = np.einsum("kj,kj->k", wedge(grads), phi_cen)
     worst = float(np.abs(dets).min())
     if worst < det_floor:
         warnings.warn(f"recovery director determinant fell to {worst:.3e} "
@@ -278,11 +277,20 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Best descent run; ``iterations`` counts its accepted steps.
+
+    ``stop_reason`` is "grad_tol" (gradient vanished), "line_search_stalled"
+    (no step along the gradient was accepted) or "budget" (``iters``
+    steps taken); ``grad_norm`` is the gradient norm where it stopped.
+    """
+
     field: object
     total: float
     energy: float
     load_value: float
     iterations: int
+    stop_reason: str
+    grad_norm: float
 
 
 def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
@@ -291,7 +299,8 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
     ``value_grad`` returns (value, gradient, state); ``guard(state0,
     state1)`` vetoes a step (used to refuse determinant sign flips, which
     would tunnel through the infinite barrier wall). Accepted energies
-    are nonincreasing by construction.
+    are nonincreasing by construction. Returns (x, value, accepted
+    steps, stop reason, gradient norm at x).
     """
     f, g, state = value_grad(x0)
     if not math.isfinite(f):
@@ -299,9 +308,11 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
     x = x0
     prev_x = prev_g = None
     accepted = 0
+    reason = "budget"
     for _ in range(iters):
         gn2 = float(np.dot(g, g))
         if gn2 <= 1e-30:
+            reason = "grad_tol"
             break
         if prev_x is None:
             t = 1.0 / max(1.0, math.sqrt(gn2))
@@ -323,11 +334,12 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
             if t < 1e-14:
                 break
         if not ok:
+            reason = "line_search_stalled"
             break
         prev_x, prev_g = x, g
         x, f, g, state = x1, f1, g1, state1
         accepted += 1
-    return x, f, accepted
+    return x, f, accepted, reason, math.sqrt(float(np.dot(g, g)))
 
 
 class _ThinObjective:
@@ -431,23 +443,29 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
     for k in range(max(1, seeds)):
         xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
         try:
-            x, fval, its = _descent(obj, xk, iters, guard=_sign_guard)
+            run = _descent(obj, xk, iters, guard=_sign_guard)
         except InfeasibleError:
             continue
         feasible += 1
-        if best is None or fval < best[1]:
-            best = (x, fval, its)
+        if best is None or run[1] < best[1]:
+            best = run
     if best is None:
         raise InfeasibleError("every start had infinite energy")
-    x, fval, its = best
+    x, fval, its, reason, gnorm = best
     u = obj.unpack(x)
     energy = thin_film_energy(u, model).as_float()
     return MinimizeResult(field=u, total=fval, energy=energy,
-                          load_value=fval - energy, iterations=its)
+                          load_value=fval - energy, iterations=its,
+                          stop_reason=reason, grad_norm=gnorm)
 
 
 class _MembraneObjective:
-    """Tabulated envelope plus mid-surface load, numeric density slope."""
+    """Tabulated envelope plus mid-surface load, numeric density slope.
+
+    The density slope is a central difference of the table with 12 probes
+    per cell; every lookup, and the ``outside="error"`` guard, reads the
+    singular values in closed form from the column Gram invariants.
+    """
 
     def __init__(self, table, load: LoadPotential, mesh: TriMesh,
                  outside: str):
@@ -466,7 +484,7 @@ class _MembraneObjective:
 
     def _table_values(self, grads: np.ndarray) -> np.ndarray:
         if self.outside == "error":
-            sig = np.linalg.svd(grads, compute_uv=False)
+            sig = singular_values(grads)
             if np.any(sig[:, 0] > self.table.sigma_max + 1e-12):
                 raise InfeasibleError(
                     "a cell gradient left the tabulated envelope box; "
@@ -529,14 +547,15 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
     best = None
     for k in range(max(1, seeds)):
         xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        x, fval, its = _descent(obj, xk, iters)
-        if best is None or fval < best[1]:
-            best = (x, fval, its)
-    x, fval, its = best
+        run = _descent(obj, xk, iters)
+        if best is None or run[1] < best[1]:
+            best = run
+    x, fval, its, reason, gnorm = best
     v = obj.unpack(x)
     energy = float(np.dot(mesh.areas, tab.values_at(v.gradients())))
     return MinimizeResult(field=v, total=fval, energy=energy,
-                          load_value=fval - energy, iterations=its)
+                          load_value=fval - energy, iterations=its,
+                          stop_reason=reason, grad_norm=gnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +569,7 @@ class SweepRow:
     gap: float
     lp_distance: float
     iterations: int
+    stop_reason: str | None  # the film descent's; None in recovery mode
 
 
 @dataclass(frozen=True)
@@ -561,7 +581,8 @@ class SweepReport:
         return {"meta": self.meta,
                 "rows": [{"eps": r.eps, "e3d": r.e3d, "emem": r.emem,
                           "gap": r.gap, "lp_distance": r.lp_distance,
-                          "iterations": r.iterations} for r in self.rows]}
+                          "iterations": r.iterations,
+                          "stop_reason": r.stop_reason} for r in self.rows]}
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -605,12 +626,13 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                                   layers=layers)
         competitor = thin_film_total(model, load, u0)
         if mode == "recovery":
-            u, total, its = u0, competitor, 0
+            u, total, its, reason = u0, competitor, 0, None
         else:
             res = minimize_thin_film(model, load, eps, start=u0,
                                      iters=iters, seeds=seeds,
                                      seed=seed + 7919 * idx)
             u, total, its = res.field, res.total, res.iterations
+            reason = res.stop_reason
             if total > competitor + 1e-9:
                 raise RuntimeError(
                     "film minimization ended above its warm-start "
@@ -618,7 +640,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         dist = lp_distance(pi_eps_average(u), v_bar, model.p)
         return SweepRow(eps=eps, e3d=total, emem=mem.total,
                         gap=total - mem.total, lp_distance=dist,
-                        iterations=its)
+                        iterations=its, stop_reason=reason)
 
     jobs = list(enumerate(eps_schedule))
     if threads > 1:
@@ -630,5 +652,6 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
             "j_requested": j, "j_v": assignment.j_v, "blend_n": blend_n,
             "seed": seed, "iters": iters, "seeds": seeds,
             "membrane_total": mem.total,
-            "membrane_iterations": mem.iterations}
+            "membrane_iterations": mem.iterations,
+            "membrane_stop_reason": mem.stop_reason}
     return SweepReport(rows=rows, meta=meta)

@@ -22,7 +22,7 @@ from .energy_models import EnergyModel
 from .fiber_reduction import WEDGE_FLOOR, solve_fiber
 from .pw_affine import PwAffineField
 from .quadrature import integrate_adaptive
-from .tensor_kernel import ExtValue, as_mat32
+from .tensor_kernel import ExtValue, as_mat32, wedge
 
 __all__ = [
     "InfeasibleError",
@@ -39,6 +39,8 @@ __all__ = [
 _ANGULAR_TOL = 1e-6
 # cells per integrate_adaptive call in nirf_value
 _SLICE_CELLS = 256
+# directions per (directions x cells) block in feasible_normal's scan
+_SCAN_DIRECTIONS = 64
 
 
 class InfeasibleError(RuntimeError):
@@ -93,7 +95,7 @@ def _cell_crosses(cells) -> np.ndarray:
             f"mat32 stack must have shape (M, 3, 2), got {grads.shape}")
     if not np.all(np.isfinite(grads)):
         raise ValueError("mat32 entries must be finite")
-    crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
+    crosses = wedge(grads)
     norms = np.linalg.norm(crosses, axis=1)
     if np.any(norms <= WEDGE_FLOOR):
         bad = int(np.argmin(norms))
@@ -123,15 +125,18 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     best = None
 
     def consider(batch: np.ndarray):
+        # blocks of directions bound the memory; the strict ">" keeps the
+        # first maximum across blocks, as argmax does within one
         nonlocal best_margin, best
-        dots = batch @ crosses.T
-        angular = np.abs(batch @ unit.T).min(axis=1)
-        margin = np.abs(dots).min(axis=1)
-        margin[angular < _ANGULAR_TOL] = -1.0
-        k = int(np.argmax(margin))
-        if margin[k] > best_margin:
-            best_margin = float(margin[k])
-            best = batch[k]
+        for start in range(0, batch.shape[0], _SCAN_DIRECTIONS):
+            block = batch[start:start + _SCAN_DIRECTIONS]
+            angular = np.abs(block @ unit.T).min(axis=1)
+            margin = np.abs(block @ crosses.T).min(axis=1)
+            margin[angular < _ANGULAR_TOL] = -1.0
+            k = int(np.argmax(margin))
+            if margin[k] > best_margin:
+                best_margin = float(margin[k])
+                best = block[k]
 
     consider(_axes())
     consider(_icosahedron())
@@ -164,7 +169,7 @@ def _constrained_minima(model: EnergyModel, grads: np.ndarray,
     coordinate t with the clamp t >= 1/(j a), a = |c|.  The fiber slope
     increases, so the clamped minimizer is max(t*, 1/(j a)).
     """
-    crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
+    crosses = wedge(grads)
     a = np.linalg.norm(crosses, axis=1)
     q = np.sum(grads * grads, axis=(1, 2))
     t, values = solve_fiber(model, a, q, t_min=1.0 / (j * a))
@@ -186,7 +191,7 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     m = as_mat32(xi)
-    if np.linalg.norm(np.cross(m[:, 0], m[:, 1])) <= WEDGE_FLOOR:
+    if np.linalg.norm(wedge(m)) <= WEDGE_FLOOR:
         raise ValueError("constrained minimization needs a full-rank cell")
     values, zetas = _constrained_minima(model, m[None], np.array([sign]), j)
     return float(values[0]), zetas[0]
@@ -219,7 +224,7 @@ class DirectorAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        crosses = np.cross(self.gradients[:, :, 0], self.gradients[:, :, 1])
+        crosses = wedge(self.gradients)
         margin = 1.0 / self.j
         for label, vecs, need in (("shared direction",
                                    np.broadcast_to(self.zeta_bar,
@@ -357,7 +362,7 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     asn = build_assignment(model, field, j)
     director = BlendedDirector(field, asn, n)
     grads = asn.gradients
-    crosses = np.cross(grads[:, :, 0], grads[:, :, 1])
+    crosses = wedge(grads)
     sq = np.sum(grads ** 2, axis=(1, 2))
 
     def integrand(points: np.ndarray, cells: np.ndarray) -> np.ndarray:

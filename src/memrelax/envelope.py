@@ -34,7 +34,8 @@ import numpy as np
 from .energy_models import EnergyModel
 from .fiber_reduction import ReducedDensity, w0_growth_constant
 from .pw_affine import PwAffineField, energy_integral
-from .tensor_kernel import ExtValue, as_mat32, frob_norm, wedge
+from .tensor_kernel import (ExtValue, as_mat32, frob_norm, singular_values,
+                            wedge)
 
 _COL_TOL = 1e-12
 
@@ -405,12 +406,6 @@ def laminate_search(density, xi, depth: int,
     return LaminateResult(values=tuple(values), witness=witness)
 
 
-def laminate_profile(density, xi, depth: int,
-                     params: SearchParams | None = None) -> list[ExtValue]:
-    res = laminate_search(density, xi, depth, params)
-    return [ExtValue(v) for v in res.values]
-
-
 # ---------------------------------------------------------------------------
 # rank-one convexity probe
 
@@ -486,7 +481,9 @@ class EnvelopeTable:
 
     The underlying density is invariant under left 3D and right 2D
     rotations, so bounds are tabulated at representatives diag(s1, s2) on
-    a square grid and queried through the singular values of the argument.
+    a square grid and queried through the singular values of the argument,
+    taken in closed form from the column Gram invariants
+    (:func:`~memrelax.tensor_kernel.singular_values`, no LAPACK call).
     Node values are certified upper bounds; interpolated values carry the
     interpolation error of the grid. Outside the tabulated ball the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
@@ -525,13 +522,13 @@ class EnvelopeTable:
     def sigma_max(self) -> float:
         return float(self.sigma_grid[-1])
 
-    def _singular(self, xis: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(xis, compute_uv=False)  # descending (N, 2)
-
     def values_at(self, xis: np.ndarray) -> np.ndarray:
-        """Interpolated upper bounds for an (N, 3, 2) stack."""
+        """Interpolated upper bounds for an (N, 3, 2) stack.
+
+        Raises ValueError on NaN or infinite entries.
+        """
         pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
-        sig = self._singular(pts)
+        sig = singular_values(pts)
         out = np.empty(pts.shape[0])
         inside = sig[:, 0] <= self.sigma_max + 1e-12
         if np.any(~inside):

@@ -22,11 +22,11 @@ __all__ = [
     "as_mat33",
     "append_column",
     "frob_norm",
-    "cross3",
     "cofactors",
     "det3",
     "wedge_norm",
     "wedge",
+    "singular_values",
 ]
 
 
@@ -161,16 +161,6 @@ def frob_norm(F) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def cross3(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float).reshape(3)
-    b = np.asarray(b, dtype=float).reshape(3)
-    return np.array([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
-
-
 def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinants and cofactor matrices of an (N, 3, 3) stack.
 
@@ -181,9 +171,10 @@ def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     F = np.asarray(F, dtype=float)
     cof = np.empty_like(F)
-    for k in range(3):
-        cof[:, :, k] = np.cross(F[:, :, (k + 1) % 3], F[:, :, (k + 2) % 3],
-                                axis=1)
+    # column pairs (1, 2), (2, 0), (0, 1) as strided views, no copies
+    cof[:, :, 0] = wedge(F[:, :, 1:])
+    cof[:, :, 1] = wedge(F[:, :, 2::-2])
+    cof[:, :, 2] = wedge(F[:, :, :2])
     return np.einsum("ki,ki->k", F[:, 0, :], cof[:, 0, :]), cof
 
 
@@ -196,11 +187,85 @@ def det3(F) -> float:
 
 
 def wedge(xi) -> np.ndarray:
-    """Cross product of the two columns of a 3x2 matrix."""
-    xi = as_mat32(xi)
-    return cross3(xi[:, 0], xi[:, 1])
+    """Cross product of the two columns of a 3x2 matrix or an (N, 3, 2)
+    stack, shape (3,) or (N, 3).
+
+    Written out component by component with the products and differences
+    of ``np.cross``, so the result is bit-identical to it.  A single matrix
+    is validated like :func:`as_mat32`; a stack only by its shape.
+    """
+    x = np.asarray(xi, dtype=float)
+    if x.ndim == 2:
+        x = as_mat32(x)
+    elif x.ndim != 3 or x.shape[1:] != (3, 2):
+        raise ValueError(
+            f"wedge expects shape (3, 2) or (N, 3, 2), got {x.shape}")
+    a = x[..., 0]
+    b = x[..., 1]
+    out = np.empty(a.shape)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
 
 
 def wedge_norm(xi) -> float:
     """Norm of the column cross product; zero exactly at rank deficiency."""
     return float(np.linalg.norm(wedge(xi)))
+
+
+# |w|^2 is a fourth power of the entries: below a largest singular value
+# of 2^-240 it loses digits to underflow, above entries of 2^240 it
+# overflows.  Such rows are scaled by a power of two, which is exact.
+_GRAM_MIN = 2.0 ** -240
+_GRAM_MAX = 2.0 ** 240
+
+
+def _gram_singular(x: np.ndarray) -> np.ndarray:
+    c1 = x[:, :, 0]
+    c2 = x[:, :, 1]
+    a = np.einsum("ni,ni->n", c1, c1)
+    d = np.einsum("ni,ni->n", c2, c2)
+    b = np.einsum("ni,ni->n", c1, c2)
+    w = wedge(x)
+    s1 = np.sqrt(0.5 * (a + d + np.hypot(a - d, 2.0 * b)))
+    # |w| = s1 s2 exactly; s1 = 0 only for the zero matrix, where w = 0
+    s2 = np.sqrt(np.einsum("ni,ni->n", w, w)) / np.where(s1 > 0.0, s1, 1.0)
+    return np.column_stack([s1, np.minimum(s2, s1)])
+
+
+def singular_values(xis) -> np.ndarray:
+    """Singular values of an (N, 3, 2) stack, (N, 2) in descending order.
+
+    Closed form from the column Gram invariants a = |c1|^2, d = |c2|^2,
+    b = c1.c2 and the wedge w = c1 x c2:
+    s1 = sqrt((a + d + hypot(a - d, 2b)) / 2) and s2 = |w| / s1.  Every
+    term of s1 is nonnegative, and s2 divides the directly computed wedge
+    instead of subtracting two close numbers, so both keep an absolute
+    error of a few ulps of s1 at s1 = s2 and at rank deficiency.
+
+    Squares must stay in the normal range: a stack with an entry beyond
+    2^240 is scaled row by row by powers of two (exact), and otherwise
+    only the rows with s1 below 2^-240 are, so the common case pays one
+    max over the stack.  Raises ValueError on NaN or infinite entries.
+    """
+    x = np.asarray(xis, dtype=float)
+    if x.ndim != 3 or x.shape[1:] != (3, 2):
+        raise ValueError(
+            f"mat32 stack must have shape (N, 3, 2), got {x.shape}")
+    top = float(np.abs(x).max(initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("mat32 entries must be finite")
+    if top > _GRAM_MAX:
+        sig = np.empty((x.shape[0], 2))
+        far = np.ones(x.shape[0], dtype=bool)
+    else:
+        sig = _gram_singular(x)
+        far = sig[:, 0] < _GRAM_MIN
+        if not np.any(far):
+            return sig
+    rows = x[far]
+    e = np.frexp(np.abs(rows).max(axis=(1, 2), initial=0.0))[1]
+    sig[far] = np.ldexp(_gram_singular(np.ldexp(rows, -e[:, None, None])),
+                        e[:, None])
+    return sig

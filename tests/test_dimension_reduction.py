@@ -6,12 +6,14 @@ import pytest
 from memrelax import dimension_reduction
 from memrelax.dimension_reduction import (
     LoadPotential, MinimizeResult, PrismField, _MembraneObjective,
-    _ThinObjective, _default_film_start, director_membrane_energy,
+    _ThinObjective, _default_film_start, _descent, director_membrane_energy,
     gamma_sweep, lift_membrane, lp_distance, minimize_membrane,
     minimize_thin_film, pi_eps_average, recovery_sequence, thin_film_total,
 )
+from memrelax.director_field import InfeasibleError
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
-from memrelax.envelope import EnvelopeTable, GrowthCertificate
+from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
+                               build_envelope_table)
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 
 
@@ -169,6 +171,9 @@ def test_prism_field_json_round_trips(tmp_path):
         assert clone.eps == u.eps
 
 
+STOP_REASONS = ("grad_tol", "line_search_stalled", "budget")
+
+
 def test_gamma_sweep_rows_are_consistent():
     report = gamma_sweep(EnergyModel(), _linear_table(),
                          LoadPotential(lambda pts, x3: np.tile(
@@ -181,6 +186,11 @@ def test_gamma_sweep_rows_are_consistent():
         assert r.gap == r.e3d - r.emem
         assert r.emem == report.meta["membrane_total"]
         assert r.lp_distance >= 0.0 and 0 <= r.iterations <= 5
+        assert r.stop_reason in STOP_REASONS
+    assert report.meta["membrane_stop_reason"] in STOP_REASONS
+    rows = report.to_dict()["rows"]
+    assert [r["stop_reason"] for r in rows] == [r.stop_reason
+                                                for r in report.rows]
 
 
 def _down_load():
@@ -209,10 +219,65 @@ def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
     def above_start(model, load, eps, mesh=None, *, start, **kwargs):
         total = thin_film_total(model, load, start) + 1.0
         return MinimizeResult(field=start, total=total, energy=total,
-                              load_value=0.0, iterations=0)
+                              load_value=0.0, iterations=0,
+                              stop_reason="budget", grad_norm=0.0)
 
     monkeypatch.setattr(dimension_reduction, "minimize_thin_film",
                         above_start)
     with pytest.raises(RuntimeError, match="descent contract"):
         gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
                     unit_square_mesh(2), [0.2], iters=5)
+
+
+def test_descent_reports_why_it_stopped():
+    def bowl(x):
+        return float(x @ x), 2.0 * x, None
+
+    def uphill(x):
+        # the negated gradient: no step along it decreases the value
+        return float(x @ x), -2.0 * x, None
+
+    x0 = np.array([3.0, -4.0])
+    assert _descent(bowl, x0, 0)[2:] == (0, "budget", 10.0)
+    assert _descent(bowl, np.zeros(2), 50)[2:] == (0, "grad_tol", 0.0)
+    x, f, its, reason, gnorm = _descent(bowl, x0, 50)
+    assert reason == "grad_tol" and 0 < its < 50 and gnorm <= 1e-15
+    assert _descent(uphill, x0, 50)[2:] == (0, "line_search_stalled", 10.0)
+
+
+def test_minimizers_report_stop_reason_and_gradient_norm():
+    res = minimize_membrane(_linear_table(), _tilted_load(),
+                            unit_square_mesh(2), iters=0)
+    assert (res.iterations, res.stop_reason) == (0, "budget")
+    assert res.grad_norm > 0.0
+    res = minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
+                             unit_square_mesh(2), layers=3, iters=3)
+    assert (res.iterations, res.stop_reason) == (3, "budget")
+    assert math.isfinite(res.grad_norm) and res.grad_norm > 0.0
+
+
+def test_sweep_membrane_descent_ends_on_its_budget():
+    # the seed-0 sweep of the benchmark: 200 steps do not reach a
+    # stationary point of the tabulated membrane energy
+    table = build_envelope_table(EnergyModel(), sigma_max=2.0, pitch=0.5,
+                                 depth=1)
+    res = minimize_membrane(table, _down_load(), unit_square_mesh(8),
+                            iters=200)
+    assert (res.iterations, res.stop_reason) == (200, "budget")
+    assert res.grad_norm > 1e-3
+
+
+def test_membrane_guard_refuses_gradients_beyond_the_table():
+    mesh = unit_square_mesh(2)
+    table = _linear_table()
+    obj = _MembraneObjective(table, _tilted_load(), mesh, "error")
+    flat = np.zeros((mesh.n_vertices, 3))
+    flat[:, :2] = mesh.vertices
+    obj(flat.reshape(-1))
+    # stretching x by 4 gives singular values (4, 1) against sigma_max = 3
+    flat[:, 0] *= 4.0
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        obj(flat.reshape(-1))
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        minimize_membrane(table, _tilted_load(), mesh, outside="error",
+                          start=PwAffineField(mesh, flat))

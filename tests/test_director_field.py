@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from memrelax import director_field
 from memrelax.director_field import (
     BlendedDirector, DirectorAssignment, InfeasibleError, blended_director,
     build_assignment, cell_min_constrained, cellwise_energy, feasible_normal,
@@ -67,6 +68,22 @@ def test_margin_certified_on_random_cell_sets():
         assert np.abs(dets).min() >= 1.0 / j_v
         assert np.array_equal(np.sign(dets).astype(int), signs)
         assert np.linalg.norm(zeta) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_direction_scan_does_not_depend_on_its_block_size(monkeypatch):
+    # the first maximum wins within a block and across blocks alike
+    rng = np.random.default_rng(21)
+    # one flat cell ties +e3 with -e3 in the first batch
+    stacks = [np.array([E1E2]), wiggly_field(6).gradients()]
+    stacks += [np.array(random_cells(rng, k)) for k in (1, 3, 6)]
+    want = [feasible_normal(cells) for cells in stacks]
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
+        for cells, (zeta, j_v, signs) in zip(stacks, want):
+            got = feasible_normal(cells)
+            assert np.array_equal(got[0], zeta)
+            assert got[1] == j_v
+            assert np.array_equal(got[2], signs)
 
 
 def test_rank_deficient_cell_rejected():

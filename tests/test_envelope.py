@@ -8,7 +8,7 @@ from memrelax.energy_models import EnergyModel, ReciprocalBarrier
 from memrelax.envelope import (
     DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
     build_envelope_table, finite_upper_bound, four_corner_bound,
-    growth_certificate, laminate_profile, laminate_search,
+    growth_certificate, laminate_search,
     rank_one_convexity_probe, square_refine_bound, zw0_upper_from_testfn,
 )
 from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
@@ -199,8 +199,8 @@ def test_certificate_dominates_constructive_bound(w0):
 # laminate search
 
 def test_laminate_depth_zero_is_density(w0):
-    prof = laminate_profile(w0, E1E2, 0)
-    assert prof[0].finite == pytest.approx(W0_E1E2, abs=1e-10)
+    values = laminate_search(w0, E1E2, 0).values
+    assert values[0] == pytest.approx(W0_E1E2, abs=1e-10)
     assert laminate_search(w0, mat32([1, 0, 0], [2, 0, 0]), 0).values[0] \
         == math.inf
 
@@ -318,6 +318,29 @@ def test_table_outside_ball_uses_certificate(small_table):
     xi = mat32([5.0, 0, 0], [0, 5.0, 0])
     expect = small_table.certificate.c * (1.0 + frob_norm(xi) ** small_table.p)
     assert small_table.value_at(xi) == pytest.approx(expect, rel=1e-12)
+
+
+def test_table_lookup_rejects_non_finite_entries(small_table):
+    xis = np.tile(np.array([[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]]), (4, 1, 1))
+    for bad in (np.nan, np.inf):
+        xis[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="mat32 entries must be finite"):
+            small_table.values_at(xis)
+
+
+def test_table_lookup_at_the_edge_of_the_exponent_range(small_table):
+    rng = np.random.default_rng(9)
+    xis = rng.uniform(-1.0, 1.0, (64, 3, 2))
+    # far outside the ball: the certificate on the SVD's norm
+    big = xis * 1e150
+    norms = np.linalg.norm(np.linalg.svd(big, compute_uv=False), axis=1)
+    expect = small_table.certificate.c * (1.0 + norms ** small_table.p)
+    got = small_table.values_at(big)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    # next to the origin: the node value at zero
+    got = small_table.values_at(xis * 1e-150)
+    np.testing.assert_allclose(got, small_table.values[0, 0], rtol=1e-12)
 
 
 def test_table_interpolant_batch_matches_scalar(small_table):
