@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -130,8 +131,7 @@ def _prism_samples(mesh: TriMesh, vals: np.ndarray, eps: float):
     centroid difference quotient across the layer, amplified by 1/eps.
     """
     delta = 1.0 / (vals.shape[0] - 1)
-    g = mesh.cell_gradients(vals)
-    cen = mesh.cell_means(vals)
+    g, cen = mesh.cell_gradients_and_means(vals)
     F = np.empty((g.shape[0] - 1,) + g.shape[1:-1] + (3,))
     F[..., :2] = 0.5 * (g[:-1] + g[1:])
     F[..., 2] = (cen[1:] - cen[:-1]) / (delta * eps)
@@ -282,6 +282,9 @@ class MinimizeResult:
     ``stop_reason`` is "grad_tol" (gradient vanished), "line_search_stalled"
     (no step along the gradient was accepted) or "budget" (``iters``
     steps taken); ``grad_norm`` is the gradient norm where it stopped.
+    ``evaluations``, ``gradients`` and ``backtracks`` are exact counts
+    over every start: objective values, gradient builds, and trial steps
+    the line search rejected.
     """
 
     field: object
@@ -291,23 +294,44 @@ class MinimizeResult:
     iterations: int
     stop_reason: str
     grad_norm: float
+    evaluations: int
+    gradients: int
+    backtracks: int
 
 
-def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
+@dataclass(frozen=True)
+class _Run:
+    x: np.ndarray
+    value: float
+    accepted: int
+    stop_reason: str
+    grad_norm: float
+    evaluations: int
+    gradients: int
+    backtracks: int
+
+
+def _descent(value, gradient, x0: np.ndarray, iters: int,
+             guard=None) -> _Run:
     """Barzilai-Borwein descent with Armijo backtracking.
 
-    ``value_grad`` returns (value, gradient, state); ``guard(state0,
-    state1)`` vetoes a step (used to refuse determinant sign flips, which
-    would tunnel through the infinite barrier wall). Accepted energies
-    are nonincreasing by construction. Returns (x, value, accepted
-    steps, stop reason, gradient norm at x).
+    ``value(x)`` returns (value, state), state being a pair (guard data,
+    intermediates); ``gradient(state)`` builds the gradient at that point
+    from it. The line search needs values only, so the gradient is built
+    at the start and at each accepted step, after which only the guard
+    data is kept. ``guard(data0, data1)`` vetoes a step (used to refuse
+    determinant sign flips, which would tunnel through the infinite
+    barrier wall). Accepted energies are nonincreasing by construction.
     """
-    f, g, state = value_grad(x0)
+    f, state = value(x0)
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
+    g = gradient(state)
+    keep, state = state[0], None  # the intermediates are spent
     x = x0
     prev_x = prev_g = None
-    accepted = 0
+    accepted = backtracks = 0
+    evaluations = gradients = 1
     reason = "budget"
     for _ in range(iters):
         gn2 = float(np.dot(g, g))
@@ -325,11 +349,14 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
         ok = False
         for _ in range(60):
             x1 = x - t * g
-            f1, g1, state1 = value_grad(x1)
+            f1, state = value(x1)
+            evaluations += 1
             if (math.isfinite(f1) and f1 <= f - 1e-4 * t * gn2
-                    and (guard is None or guard(state, state1))):
+                    and (guard is None or guard(keep, state[0]))):
                 ok = True
                 break
+            state = None
+            backtracks += 1
             t *= 0.5
             if t < 1e-14:
                 break
@@ -337,13 +364,34 @@ def _descent(value_grad, x0: np.ndarray, iters: int, guard=None):
             reason = "line_search_stalled"
             break
         prev_x, prev_g = x, g
-        x, f, g, state = x1, f1, g1, state1
+        g = gradient(state)
+        x, f, keep, state = x1, f1, state[0], None
+        gradients += 1
         accepted += 1
-    return x, f, accepted, reason, math.sqrt(float(np.dot(g, g)))
+    return _Run(x, f, accepted, reason, math.sqrt(float(np.dot(g, g))),
+                evaluations, gradients, backtracks)
+
+
+def _best_run(runs: list, refused: int = 0):
+    """The lowest-valued run (the first on ties) and the
+    :class:`MinimizeResult` fields it sets, with the counts summed over
+    every run plus one evaluation per ``refused`` start."""
+    best = min(runs, key=lambda r: r.value)
+    return best, dict(
+        iterations=best.accepted, stop_reason=best.stop_reason,
+        grad_norm=best.grad_norm,
+        evaluations=refused + sum(r.evaluations for r in runs),
+        gradients=sum(r.gradients for r in runs),
+        backtracks=sum(r.backtracks for r in runs))
 
 
 class _ThinObjective:
-    """Total rescaled energy and its analytic nodal gradient."""
+    """Total rescaled energy and its analytic nodal gradient.
+
+    ``__call__`` computes the value and keeps the intermediates that
+    ``gradient`` turns into the nodal gradient; the two together do the
+    arithmetic of one value-and-gradient pass.
+    """
 
     def __init__(self, model: EnergyModel, load: LoadPotential,
                  mesh: TriMesh, layers: int, eps: float):
@@ -354,6 +402,7 @@ class _ThinObjective:
         self.eps = eps
         self.delta = 1.0 / (layers - 1)
         self.weights = _prism_weights(mesh, layers)
+        self.vol = mesh.areas * self.delta
         self.psi_mid = load.psi_at(*_prism_centroids(mesh, layers)).reshape(
             layers - 1, mesh.n_cells, 3)
 
@@ -365,6 +414,9 @@ class _ThinObjective:
         return PrismField(self.mesh, vals, self.eps)
 
     def __call__(self, x: np.ndarray):
+        """(value, (dets, intermediates)) at x, with the prism determinants
+        for the sign guard; the value is +inf, and the intermediates
+        None, when a determinant vanishes."""
         model, mesh, m = self.model, self.mesh, self.layers
         vals = x.reshape(m, mesh.n_vertices, 3)
         F, mid = _prism_samples(mesh, vals, self.eps)
@@ -373,33 +425,37 @@ class _ThinObjective:
         dets, cof = cofactors(flat)
         adet = np.abs(dets)
         if np.any(adet == 0.0):
-            return math.inf, np.zeros_like(x), dets
+            return math.inf, (dets, None)
         sq = np.einsum("kij,kij->k", flat, flat)
-        w = self.weights
-        value = float(np.dot(w, model.density(adet, sq)))
+        value = float(np.dot(self.weights, model.density(adet, sq)))
 
+        norms = np.linalg.norm(mid, axis=2)
+        value += float(np.einsum("m,lm->", self.vol,
+                                 np.einsum("lmj,lmj->lm", self.psi_mid, mid)
+                                 + norms ** self.load.p))
+        return value, (dets, (flat, cof, adet, sq, mid, norms))
+
+    def gradient(self, state) -> np.ndarray:
+        """Flat nodal gradient at the point whose call returned ``state``."""
+        dets, (flat, cof, adet, sq, mid, norms) = state
+        model, mesh, w = self.model, self.mesh, self.weights
         hp = model.barrier.derivative(adet) * np.sign(dets)
         D = (w * hp)[:, None, None] * cof
         D += (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None] * flat
-        D = D.reshape(F.shape)
+        D = D.reshape(mid.shape + (3,))
 
-        vol = mesh.areas * self.delta
-        norms = np.linalg.norm(mid, axis=2)
-        value += float(np.einsum("m,lm->", vol,
-                                 np.einsum("lmj,lmj->lm", self.psi_mid, mid)
-                                 + norms ** self.load.p))
         pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
         dpsi = (self.psi_mid + self.load.p * pw[:, :, None] * mid)
-        dpsi *= vol[None, :, None]
+        dpsi *= self.vol[None, :, None]
 
         # F[l] reads layers l and l + 1: half of each in-plane gradient,
         # -/+ the centroids over the layer spacing, half of each centroid
         half = 0.5 * D[..., :2]
         third = D[..., 2] / (self.delta * self.eps)
-        grad = np.zeros_like(vals)
+        grad = np.zeros((self.layers, mesh.n_vertices, 3))
         grad[:-1] = mesh.pull_back(half, 0.5 * dpsi - third)
         grad[1:] += mesh.pull_back(half, 0.5 * dpsi + third)
-        return value, grad.reshape(-1), dets
+        return grad.reshape(-1)
 
 
 def _sign_guard(d0: np.ndarray, d1: np.ndarray) -> bool:
@@ -438,33 +494,35 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
     rng = np.random.default_rng(seed)
     scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
 
-    best = None
-    feasible = 0
+    runs = []
+    refused = 0
     for k in range(max(1, seeds)):
         xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
         try:
-            run = _descent(obj, xk, iters, guard=_sign_guard)
+            runs.append(_descent(obj, obj.gradient, xk, iters,
+                                 guard=_sign_guard))
         except InfeasibleError:
-            continue
-        feasible += 1
-        if best is None or run[1] < best[1]:
-            best = run
-    if best is None:
+            refused += 1  # one evaluation found the start infeasible
+    if not runs:
         raise InfeasibleError("every start had infinite energy")
-    x, fval, its, reason, gnorm = best
-    u = obj.unpack(x)
+    best, fields = _best_run(runs, refused)
+    u = obj.unpack(best.x)
     energy = thin_film_energy(u, model).as_float()
-    return MinimizeResult(field=u, total=fval, energy=energy,
-                          load_value=fval - energy, iterations=its,
-                          stop_reason=reason, grad_norm=gnorm)
+    return MinimizeResult(field=u, total=best.value, energy=energy,
+                          load_value=best.value - energy, **fields)
 
 
 class _MembraneObjective:
     """Tabulated envelope plus mid-surface load, numeric density slope.
 
-    The density slope is a central difference of the table with 12 probes
-    per cell; every lookup, and the ``outside="error"`` guard, reads the
-    singular values in closed form from the column Gram invariants.
+    ``__call__`` returns (value, (None, intermediates)); ``gradient``
+    takes the density slope as a central difference of the table with 12
+    probes per cell. Every lookup reads the singular values in closed
+    form from the column Gram invariants. With ``outside="error"`` the
+    box guard checks every lookup: the cell gradients at each point whose
+    value is taken, trial points of the line search included, and the
+    probes only where a gradient is built, at the start and at accepted
+    steps.
     """
 
     def __init__(self, table, load: LoadPotential, mesh: TriMesh,
@@ -493,13 +551,21 @@ class _MembraneObjective:
         return self.table.values_at(grads)
 
     def __call__(self, x: np.ndarray):
+        areas = self.mesh.areas
+        grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
+        value = float(np.dot(areas, self._table_values(grads)))
+        norms = np.linalg.norm(cen, axis=1)
+        value += float(np.dot(areas,
+                              np.einsum("mj,mj->m", self.psi0, cen)
+                              + norms ** self.load.p))
+        return value, (None, (grads, cen, norms))
+
+    def gradient(self, state) -> np.ndarray:
+        """Flat nodal gradient at the point whose call returned ``state``."""
+        _, (grads, cen, norms) = state
         mesh = self.mesh
-        vals = x.reshape(-1, 3)
         areas = mesh.areas
         n = mesh.n_cells
-
-        grads = mesh.cell_gradients(vals)
-        value = float(np.dot(areas, self._table_values(grads)))
 
         h = self.h
         probes = np.repeat(grads[:, None], 12, axis=1)
@@ -512,15 +578,9 @@ class _MembraneObjective:
         tv = self._table_values(probes.reshape(-1, 3, 2)).reshape(n, 12)
         dT = ((tv[:, 0::2] - tv[:, 1::2]) / (2.0 * h)).reshape(n, 3, 2)
 
-        cen = mesh.cell_means(vals)
-        norms = np.linalg.norm(cen, axis=1)
-        value += float(np.dot(areas,
-                              np.einsum("mj,mj->m", self.psi0, cen)
-                              + norms ** self.load.p))
         pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
         dl = (self.psi0 + self.load.p * pw[:, None] * cen) * areas[:, None]
-        grad = mesh.pull_back(areas[:, None, None] * dT, dl)
-        return value, grad.reshape(-1), None
+        return mesh.pull_back(areas[:, None, None] * dT, dl).reshape(-1)
 
 
 def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
@@ -544,18 +604,15 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
     x0 = obj.pack(start)
     rng = np.random.default_rng(seed)
     scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
-    best = None
+    runs = []
     for k in range(max(1, seeds)):
         xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        run = _descent(obj, xk, iters)
-        if best is None or run[1] < best[1]:
-            best = run
-    x, fval, its, reason, gnorm = best
-    v = obj.unpack(x)
+        runs.append(_descent(obj, obj.gradient, xk, iters))
+    best, fields = _best_run(runs)
+    v = obj.unpack(best.x)
     energy = float(np.dot(mesh.areas, tab.values_at(v.gradients())))
-    return MinimizeResult(field=v, total=fval, energy=energy,
-                          load_value=fval - energy, iterations=its,
-                          stop_reason=reason, grad_norm=gnorm)
+    return MinimizeResult(field=v, total=best.value, energy=energy,
+                          load_value=best.value - energy, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +620,21 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One thickness of a sweep. ``iterations``, ``stop_reason`` and the
+    three counts are the film descent's (:class:`MinimizeResult`); in
+    recovery mode no descent runs, so the counts are 0 and the reason
+    None."""
+
     eps: float
     e3d: float
     emem: float
     gap: float
     lp_distance: float
     iterations: int
-    stop_reason: str | None  # the film descent's; None in recovery mode
+    stop_reason: str | None
+    evaluations: int
+    gradients: int
+    backtracks: int
 
 
 @dataclass(frozen=True)
@@ -582,7 +647,10 @@ class SweepReport:
                 "rows": [{"eps": r.eps, "e3d": r.e3d, "emem": r.emem,
                           "gap": r.gap, "lp_distance": r.lp_distance,
                           "iterations": r.iterations,
-                          "stop_reason": r.stop_reason} for r in self.rows]}
+                          "stop_reason": r.stop_reason,
+                          "evaluations": r.evaluations,
+                          "gradients": r.gradients,
+                          "backtracks": r.backtracks} for r in self.rows]}
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -600,7 +668,10 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     the membrane minimum, and the L^p distance of the thickness average
     from the membrane minimizer. Mode "minimize" descends from the
     recovery lift of the membrane minimizer; mode "recovery" scores the
-    lift itself (its gap is the recovery residual).
+    lift itself (its gap is the recovery residual). The meta holds the
+    membrane descent's stop reason and counts and, under ``seconds``, the
+    wall time of each phase: the membrane descent, the director
+    assignment and each film run in schedule order.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -610,48 +681,63 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     if mode not in ("minimize", "recovery"):
         raise ValueError('mode must be "minimize" or "recovery"')
 
+    started = time.perf_counter()
     mem = minimize_membrane(table, load, mesh, iters=iters, seeds=seeds,
                             seed=seed)
     v_bar = mem.field
+    assigning = time.perf_counter()
     # the requested index is a preference; the minimizer's own geometry
     # sets the feasibility floor, so clamp instead of failing the sweep
     assignment = build_assignment(model, v_bar, None)
     if j is not None and j > assignment.j:
         assignment = build_assignment(model, v_bar, j)
     director = blended_director(v_bar, assignment, blend_n)
+    assigned = time.perf_counter()
 
     def run(idx_eps):
         idx, eps = idx_eps
+        film_started = time.perf_counter()
         u0, _ = recovery_sequence(model, v_bar, director, eps,
                                   layers=layers)
         competitor = thin_film_total(model, load, u0)
         if mode == "recovery":
             u, total, its, reason = u0, competitor, 0, None
+            counts = dict(evaluations=0, gradients=0, backtracks=0)
         else:
             res = minimize_thin_film(model, load, eps, start=u0,
                                      iters=iters, seeds=seeds,
                                      seed=seed + 7919 * idx)
             u, total, its = res.field, res.total, res.iterations
             reason = res.stop_reason
+            counts = dict(evaluations=res.evaluations,
+                          gradients=res.gradients,
+                          backtracks=res.backtracks)
             if total > competitor + 1e-9:
                 raise RuntimeError(
                     "film minimization ended above its warm-start "
                     "competitor; the descent contract is broken")
         dist = lp_distance(pi_eps_average(u), v_bar, model.p)
-        return SweepRow(eps=eps, e3d=total, emem=mem.total,
-                        gap=total - mem.total, lp_distance=dist,
-                        iterations=its, stop_reason=reason)
+        row = SweepRow(eps=eps, e3d=total, emem=mem.total,
+                       gap=total - mem.total, lp_distance=dist,
+                       iterations=its, stop_reason=reason, **counts)
+        return row, time.perf_counter() - film_started
 
     jobs = list(enumerate(eps_schedule))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(run, jobs))
+            runs = list(pool.map(run, jobs))
     else:
-        rows = tuple(run(job) for job in jobs)
+        runs = [run(job) for job in jobs]
     meta = {"mode": mode, "layers": layers, "j": assignment.j,
             "j_requested": j, "j_v": assignment.j_v, "blend_n": blend_n,
             "seed": seed, "iters": iters, "seeds": seeds,
             "membrane_total": mem.total,
             "membrane_iterations": mem.iterations,
-            "membrane_stop_reason": mem.stop_reason}
-    return SweepReport(rows=rows, meta=meta)
+            "membrane_stop_reason": mem.stop_reason,
+            "membrane_evaluations": mem.evaluations,
+            "membrane_gradients": mem.gradients,
+            "membrane_backtracks": mem.backtracks,
+            "seconds": {"membrane": assigning - started,
+                        "assignment": assigned - assigning,
+                        "films": [secs for _, secs in runs]}}
+    return SweepReport(rows=tuple(row for row, _ in runs), meta=meta)

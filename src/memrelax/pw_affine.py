@@ -26,6 +26,11 @@ AREA_FLOOR = 1e-14
 # roundoff from the affine solve, far below any mesh feature size we accept.
 _BARY_TOL = 1e-12
 
+# Points per block of :meth:`TriMesh.locate`'s scan. A block holds a
+# (points, cells, 3) barycentric stack, so the scan's memory grows with
+# the mesh, not with the product of mesh and point count.
+_LOCATE_POINTS = 16
+
 
 class TriMesh:
     """Triangulation of a polygonal domain and its P1 operators.
@@ -38,12 +43,15 @@ class TriMesh:
     that belong to one cell only. All arrays are frozen afterwards.
 
     A P1 field is an (..., n, k) array of nodal values. Its cell gradients
-    and cell means (centroid values) are linear maps of those values, and
-    :meth:`pull_back` is their exact adjoint.
+    and cell means (centroid values) are linear maps of those values, both
+    read from one gather of the cell corners, and :meth:`pull_back` is
+    their exact adjoint. The scatter index of :meth:`pull_back` depends
+    only on the mesh and the shape of its input, so it is built once per
+    (leading rows, k) and kept with the mesh.
     """
 
     __slots__ = ("vertices", "triangles", "areas", "boundary_mask", "edges",
-                 "cell_edges", "_inv_jac", "_p0")
+                 "cell_edges", "_inv_jac", "_p0", "_scatter")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -100,6 +108,7 @@ class TriMesh:
         object.__setattr__(self, "cell_edges", cell_edges)
         object.__setattr__(self, "_inv_jac", inv)
         object.__setattr__(self, "_p0", p0)
+        object.__setattr__(self, "_scatter", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TriMesh is immutable")
@@ -124,12 +133,19 @@ class TriMesh:
         return np.concatenate([lam0[:, :, None], lam], axis=2)
 
     def locate(self, points: np.ndarray, tol: float = _BARY_TOL) -> np.ndarray:
-        """Index of a containing cell per point, -1 if outside the domain."""
-        bary = self.barycentric(points)
-        inside = np.all(bary >= -tol, axis=2)                  # (N,m)
-        out = np.full(bary.shape[0], -1, dtype=int)
-        hit = inside.any(axis=1)
-        out[hit] = np.argmax(inside[hit], axis=1)
+        """Index of the lowest-index cell containing each point, -1 if the
+        point lies outside the domain.
+
+        Points are scanned in blocks of ``_LOCATE_POINTS``, so at most a
+        (block, m, 3) barycentric stack is held at once.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        out = np.full(pts.shape[0], -1, dtype=int)
+        for start in range(0, pts.shape[0], _LOCATE_POINTS):
+            block = slice(start, start + _LOCATE_POINTS)
+            inside = np.all(self.barycentric(pts[block]) >= -tol, axis=2)
+            hit = inside.any(axis=1)
+            out[block][hit] = np.argmax(inside[hit], axis=1)
         return out
 
     def edge_cells(self) -> dict[tuple[int, int], list[int]]:
@@ -141,33 +157,61 @@ class TriMesh:
         return {(a, b): c.tolist()
                 for (a, b), c in zip(self.edges.tolist(), cells)}
 
+    def _corners(self, values) -> np.ndarray:
+        """One gather of the cell corners: (..., n, k) nodal values in,
+        (..., 3, m, k) out, corner c of cell i at [..., c, i, :]."""
+        return np.take(np.asarray(values, dtype=float), self.triangles.T,
+                       axis=-2)
+
+    def _gradients(self, c: np.ndarray) -> np.ndarray:
+        inv = self._inv_jac
+        e1 = c[..., 1, :, :] - c[..., 0, :, :]
+        e2 = c[..., 2, :, :] - c[..., 0, :, :]
+        out = np.empty(e1.shape + (2,))
+        for col in range(2):
+            out[..., col] = (e1 * inv[:, 0, col, None]
+                             + e2 * inv[:, 1, col, None])
+        return out
+
+    @staticmethod
+    def _means(c: np.ndarray) -> np.ndarray:
+        return (c[..., 0, :, :] + c[..., 1, :, :] + c[..., 2, :, :]) / 3.0
+
     def cell_gradients(self, values) -> np.ndarray:
         """Constant gradient per cell: (..., n, k) nodal values in,
         (..., m, k, 2) out."""
-        v = np.asarray(values, dtype=float)
-        T, inv = self.triangles, self._inv_jac
-        v0 = v[..., T[:, 0], :]
-        e1 = v[..., T[:, 1], :] - v0
-        e2 = v[..., T[:, 2], :] - v0
-        out = np.empty(e1.shape + (2,))
-        for c in range(2):
-            out[..., c] = e1 * inv[:, 0, c, None] + e2 * inv[:, 1, c, None]
-        return out
+        return self._gradients(self._corners(values))
 
     def cell_means(self, values) -> np.ndarray:
         """Centroid value per cell, the mean of its three corners:
         (..., n, k) in, (..., m, k) out."""
-        v = np.asarray(values, dtype=float)
-        T = self.triangles
-        return (v[..., T[:, 0], :] + v[..., T[:, 1], :]
-                + v[..., T[:, 2], :]) / 3.0
+        return self._means(self._corners(values))
+
+    def cell_gradients_and_means(self, values):
+        """(cell_gradients(values), cell_means(values)) from one gather of
+        the corners, equal to the two calls bit for bit."""
+        c = self._corners(values)
+        return self._gradients(c), self._means(c)
+
+    def _scatter_index(self, rows: int, k: int) -> np.ndarray:
+        """Flat output slot of every (row, cell, corner, component) term:
+        (row * n + triangles[cell, corner]) * k + component."""
+        idx = self._scatter.get((rows, k))
+        if idx is None:
+            r = np.arange(rows)[:, None, None, None]
+            idx = ((r * self.n_vertices + self.triangles[..., None]) * k
+                   + np.arange(k)).ravel()
+            idx.setflags(write=False)
+            self._scatter[(rows, k)] = idx
+        return idx
 
     def pull_back(self, d_grad, d_mean) -> np.ndarray:
         """Adjoint of (cell_gradients, cell_means).
 
         Maps (..., m, k, 2) and (..., m, k) to the nodal (..., n, k) array
         v* with <cell_gradients(v), d_grad> + <cell_means(v), d_mean> =
-        <v, v*> for every v.
+        <v, v*> for every v. One ``np.bincount`` call; its index is cached
+        per (leading rows, k) on the mesh.
         """
         G = np.asarray(d_grad, dtype=float)
         C = np.asarray(d_mean, dtype=float) / 3.0
@@ -175,12 +219,14 @@ class TriMesh:
         # weights of the edge differences v1 - v0 and v2 - v0
         a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
         b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
-        corner = np.stack([C - a - b, C + a, C + b], axis=-2)  # (..., m, 3, k)
-        lead, k, n = corner.shape[:-3], corner.shape[-1], self.n_vertices
-        rows = np.arange(int(np.prod(lead, dtype=int)))[:, None, None, None]
-        idx = (rows * n + self.triangles[..., None]) * k + np.arange(k)
-        out = np.bincount(idx.ravel(), corner.ravel(),
-                          minlength=rows.shape[0] * n * k)
+        corner = np.empty(C.shape[:-1] + (3,) + C.shape[-1:])  # (..., m, 3, k)
+        corner[..., 0, :] = C - a - b
+        corner[..., 1, :] = C + a
+        corner[..., 2, :] = C + b
+        lead, k, n = C.shape[:-2], C.shape[-1], self.n_vertices
+        rows = int(np.prod(lead, dtype=int))
+        out = np.bincount(self._scatter_index(rows, k), corner.ravel(),
+                          minlength=rows * n * k)
         return out.reshape(lead + (n, k))
 
     def to_dict(self) -> dict:

@@ -63,7 +63,7 @@ def test_film_objective_gradient_matches_central_difference(model):
     x[:, :, :2] *= 1.5
     x = x.reshape(-1) + 0.02 * rng.standard_normal(x.size)
     d = rng.standard_normal(x.shape)
-    _, g, _ = obj(x)
+    g = obj.gradient(obj(x)[1])
     h = 1e-6
     fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
     assert fd == pytest.approx(float(g @ d), rel=1e-6)
@@ -130,7 +130,7 @@ def test_membrane_objective_gradient_matches_central_difference():
     flat[:, :2] = 1.3 * mesh.vertices
     x = flat.reshape(-1) + 0.02 * rng.standard_normal(flat.size)
     d = rng.standard_normal(x.shape)
-    _, g, _ = obj(x)
+    g = obj.gradient(obj(x)[1])
     h = 1e-6
     fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
     assert fd == pytest.approx(float(g @ d), rel=1e-6)
@@ -187,10 +187,21 @@ def test_gamma_sweep_rows_are_consistent():
         assert r.emem == report.meta["membrane_total"]
         assert r.lp_distance >= 0.0 and 0 <= r.iterations <= 5
         assert r.stop_reason in STOP_REASONS
-    assert report.meta["membrane_stop_reason"] in STOP_REASONS
+        assert r.gradients == r.iterations + 1
+        assert r.evaluations == r.gradients + r.backtracks
+    meta = report.meta
+    assert meta["membrane_stop_reason"] in STOP_REASONS
+    assert meta["membrane_gradients"] == meta["membrane_iterations"] + 1
+    assert meta["membrane_evaluations"] == (meta["membrane_gradients"]
+                                            + meta["membrane_backtracks"])
+    secs = meta["seconds"]
+    assert len(secs["films"]) == 2
+    assert all(x >= 0.0 for x in [secs["membrane"], secs["assignment"]]
+               + secs["films"])
     rows = report.to_dict()["rows"]
-    assert [r["stop_reason"] for r in rows] == [r.stop_reason
-                                                for r in report.rows]
+    for key in ("stop_reason", "evaluations", "gradients", "backtracks"):
+        assert [r[key] for r in rows] == [getattr(r, key)
+                                          for r in report.rows]
 
 
 def _down_load():
@@ -220,7 +231,8 @@ def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
         total = thin_film_total(model, load, start) + 1.0
         return MinimizeResult(field=start, total=total, energy=total,
                               load_value=0.0, iterations=0,
-                              stop_reason="budget", grad_norm=0.0)
+                              stop_reason="budget", grad_norm=0.0,
+                              evaluations=1, gradients=1, backtracks=0)
 
     monkeypatch.setattr(dimension_reduction, "minimize_thin_film",
                         above_start)
@@ -231,18 +243,26 @@ def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
 
 def test_descent_reports_why_it_stopped():
     def bowl(x):
-        return float(x @ x), 2.0 * x, None
+        return float(x @ x), (None, x)
 
-    def uphill(x):
+    def slope(state):
+        return 2.0 * state[1]
+
+    def uphill(state):
         # the negated gradient: no step along it decreases the value
-        return float(x @ x), -2.0 * x, None
+        return -2.0 * state[1]
+
+    def stop(run):
+        return run.accepted, run.stop_reason, run.grad_norm
 
     x0 = np.array([3.0, -4.0])
-    assert _descent(bowl, x0, 0)[2:] == (0, "budget", 10.0)
-    assert _descent(bowl, np.zeros(2), 50)[2:] == (0, "grad_tol", 0.0)
-    x, f, its, reason, gnorm = _descent(bowl, x0, 50)
+    assert stop(_descent(bowl, slope, x0, 0)) == (0, "budget", 10.0)
+    assert stop(_descent(bowl, slope, np.zeros(2), 50)) == (0, "grad_tol",
+                                                            0.0)
+    its, reason, gnorm = stop(_descent(bowl, slope, x0, 50))
     assert reason == "grad_tol" and 0 < its < 50 and gnorm <= 1e-15
-    assert _descent(uphill, x0, 50)[2:] == (0, "line_search_stalled", 10.0)
+    assert stop(_descent(bowl, uphill, x0, 50)) == (
+        0, "line_search_stalled", 10.0)
 
 
 def test_minimizers_report_stop_reason_and_gradient_norm():
@@ -281,3 +301,158 @@ def test_membrane_guard_refuses_gradients_beyond_the_table():
     with pytest.raises(InfeasibleError, match="envelope box"):
         minimize_membrane(table, _tilted_load(), mesh, outside="error",
                           start=PwAffineField(mesh, flat))
+
+
+def _eager_descent(obj, x0, iters, guard=None):
+    # the descent loop as it ran before the value/gradient split: the
+    # gradient is built at every trial point, rejected ones included
+    def value_grad(x):
+        f, state = obj(x)
+        g = obj.gradient(state) if math.isfinite(f) else np.zeros_like(x)
+        return f, g, state[0]
+
+    f, g, state = value_grad(x0)
+    if not math.isfinite(f):
+        raise InfeasibleError("starting configuration has infinite energy")
+    x = x0
+    prev_x = prev_g = None
+    accepted = 0
+    reason = "budget"
+    for _ in range(iters):
+        gn2 = float(np.dot(g, g))
+        if gn2 <= 1e-30:
+            reason = "grad_tol"
+            break
+        if prev_x is None:
+            t = 1.0 / max(1.0, math.sqrt(gn2))
+        else:
+            s = x - prev_x
+            y = g - prev_g
+            sy = float(np.dot(s, y))
+            t = float(np.dot(s, s)) / sy if sy > 1e-30 else 1.0
+        t = min(max(t, 1e-12), 1e3)
+        ok = False
+        for _ in range(60):
+            x1 = x - t * g
+            f1, g1, state1 = value_grad(x1)
+            if (math.isfinite(f1) and f1 <= f - 1e-4 * t * gn2
+                    and (guard is None or guard(state, state1))):
+                ok = True
+                break
+            t *= 0.5
+            if t < 1e-14:
+                break
+        if not ok:
+            reason = "line_search_stalled"
+            break
+        prev_x, prev_g = x, g
+        x, f, g, state = x1, f1, g1, state1
+        accepted += 1
+    return x, f, accepted, reason, math.sqrt(float(np.dot(g, g)))
+
+
+class _Counted:
+    """An objective that counts its value calls and gradient builds."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.values = self.gradients = 0
+
+    def __call__(self, x):
+        self.values += 1
+        return self.obj(x)
+
+    def gradient(self, state):
+        self.gradients += 1
+        return self.obj.gradient(state)
+
+
+def _check_against_eager(obj, x0, iters, guard=None):
+    counted = _Counted(obj)
+    run = _descent(counted, counted.gradient, x0, iters, guard=guard)
+    x, f, accepted, reason, gnorm = _eager_descent(obj, x0, iters, guard)
+    np.testing.assert_array_equal(run.x, x)
+    assert (run.value, run.accepted, run.stop_reason, run.grad_norm) == (
+        f, accepted, reason, gnorm)
+    # gradients only at the start and at accepted steps; every other
+    # value was a rejected trial
+    assert counted.gradients == run.gradients == run.accepted + 1
+    assert counted.values == run.evaluations
+    assert run.evaluations == 1 + run.accepted + run.backtracks
+    assert run.backtracks > 0
+    return run
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_film_descent_matches_the_eager_reference(eps):
+    mesh = unit_square_mesh(2)
+    obj = _ThinObjective(EnergyModel(), _tilted_load(), mesh, 5, eps)
+    rng = np.random.default_rng(7)
+    x0 = obj.pack(_default_film_start(mesh, eps, 5))
+    x0 = x0 + 0.01 * rng.standard_normal(x0.shape)
+    run = _check_against_eager(obj, x0, 40,
+                               guard=dimension_reduction._sign_guard)
+    assert run.accepted == 40
+
+
+def test_membrane_descent_matches_the_eager_reference():
+    mesh = unit_square_mesh(3)
+    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh,
+                             "certificate")
+    rng = np.random.default_rng(8)
+    flat = np.zeros((mesh.n_vertices, 3))
+    flat[:, :2] = 1.3 * mesh.vertices
+    x0 = flat.reshape(-1) + 0.02 * rng.standard_normal(flat.size)
+    _check_against_eager(obj, x0, 40)
+
+
+def test_membrane_guard_refuses_a_trial_point_beyond_the_table():
+    # the start has singular values (2.8, 2.8) against sigma_max = 3; the
+    # load pulls the interior vertex harder than the boundary ones, so the
+    # first trial step stretches a cell out of the box. The guard runs on
+    # every value, trial points included.
+    mesh = unit_square_mesh(2)
+    load = LoadPotential(lambda pts, x3: np.tile([-10.0, 0.0, 0.0],
+                                                 (len(pts), 1)))
+    obj = _MembraneObjective(_linear_table(), load, mesh, "error")
+    flat = np.zeros((mesh.n_vertices, 3))
+    flat[:, :2] = 2.8 * mesh.vertices
+    x0 = flat.reshape(-1)
+    g = obj.gradient(obj(x0)[1])
+    trial = x0 - g / max(1.0, float(np.linalg.norm(g)))
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        obj(trial)
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        _descent(obj, obj.gradient, x0, 5)
+
+
+def test_minimizers_count_values_gradients_and_backtracks():
+    load = _tilted_load()
+    mesh = unit_square_mesh(2)
+    res = minimize_membrane(_linear_table(), load, mesh, iters=20, seeds=2,
+                            seed=3)
+    assert res.gradients >= res.iterations + 2  # two starts
+    assert res.evaluations == res.gradients + res.backtracks
+    res = minimize_thin_film(EnergyModel(), load, 0.2, mesh, layers=3,
+                             iters=20, seeds=2, seed=5)
+    assert res.gradients >= res.iterations + 2
+    assert res.evaluations == res.gradients + res.backtracks
+    # a layer-constant start has zero determinants: one evaluation refuses
+    # it and only the jittered start descends
+    flat = PwAffineField(mesh, np.column_stack([mesh.vertices,
+                                                np.zeros(9)]))
+    res = minimize_thin_film(EnergyModel(), load, 0.2,
+                             start=lift_membrane(flat, 0.2, layers=3),
+                             iters=20, seeds=2, seed=5)
+    assert res.gradients == res.iterations + 1
+    assert res.evaluations == 1 + res.gradients + res.backtracks
+
+
+def test_recovery_sweep_rows_count_no_descent():
+    report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                         unit_square_mesh(2), [0.2, 0.1], iters=5,
+                         mode="recovery")
+    for r in report.rows:
+        assert (r.iterations, r.stop_reason) == (0, None)
+        assert (r.evaluations, r.gradients, r.backtracks) == (0, 0, 0)
+    assert len(report.meta["seconds"]["films"]) == 2

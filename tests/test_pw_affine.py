@@ -368,6 +368,76 @@ def test_cell_gradients_and_means_of_an_affine_map():
                                atol=1e-14)
 
 
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_one_corner_gather_equals_the_per_corner_formulas(lead, k):
+    # the three-gather formulas the mesh used before it shared one gather
+    mesh = _perturbed_mesh()
+    v = np.random.default_rng(12).standard_normal(lead + (mesh.n_vertices, k))
+    T, inv = mesh.triangles, mesh._inv_jac
+    v0 = v[..., T[:, 0], :]
+    e1 = v[..., T[:, 1], :] - v0
+    e2 = v[..., T[:, 2], :] - v0
+    grads = np.empty(e1.shape + (2,))
+    for c in range(2):
+        grads[..., c] = e1 * inv[:, 0, c, None] + e2 * inv[:, 1, c, None]
+    means = (v0 + v[..., T[:, 1], :] + v[..., T[:, 2], :]) / 3.0
+    both = mesh.cell_gradients_and_means(v)
+    for got, want in ((mesh.cell_gradients(v), grads), (both[0], grads),
+                      (mesh.cell_means(v), means), (both[1], means)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def _uncached_pull_back(mesh, d_grad, d_mean):
+    # the formula that rebuilt its scatter index on every call
+    G, C, inv = d_grad, d_mean / 3.0, mesh._inv_jac
+    a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
+    b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
+    corner = np.stack([C - a - b, C + a, C + b], axis=-2)
+    lead, k, n = corner.shape[:-3], corner.shape[-1], mesh.n_vertices
+    rows = np.arange(int(np.prod(lead, dtype=int)))[:, None, None, None]
+    idx = (rows * n + mesh.triangles[..., None]) * k + np.arange(k)
+    out = np.bincount(idx.ravel(), corner.ravel(),
+                      minlength=rows.shape[0] * n * k)
+    return out.reshape(lead + (n, k))
+
+
+def test_cached_pull_back_equals_the_uncached_formula():
+    mesh = _perturbed_mesh()
+    rng = np.random.default_rng(13)
+    # alternate the shapes twice, so an index reused for the wrong shape
+    # would show on the second round
+    for lead, k in [((), 1), ((4,), 3), ((), 3), ((4,), 1)] * 2:
+        G = rng.standard_normal(lead + (mesh.n_cells, k, 2))
+        C = rng.standard_normal(lead + (mesh.n_cells, k))
+        got = mesh.pull_back(G, C)
+        assert got.shape == lead + (mesh.n_vertices, k)
+        np.testing.assert_array_equal(got, _uncached_pull_back(mesh, G, C))
+
+
+@pytest.mark.parametrize("block", [1, 16, 1000])
+def test_blocked_locate_equals_one_full_scan(monkeypatch, block):
+    monkeypatch.setattr(pw_affine, "_LOCATE_POINTS", block)
+    mesh = _perturbed_mesh()
+    a, b = mesh.edges.T
+    rng = np.random.default_rng(14)
+    pts = np.concatenate([
+        mesh.vertices,                                     # several cells
+        0.5 * (mesh.vertices[a] + mesh.vertices[b]),       # shared edges
+        rng.uniform(0.0, 1.0, size=(40, 2)),
+        [(-0.1, 0.5), (0.5, 1.2), (2.0, 2.0), (1.0 + 1e-9, 0.5)],
+    ])
+    assert pts.shape[0] < 1000  # so the largest block scans all at once
+    # one (N, m, 3) scan: the lowest-index containing cell, -1 outside
+    inside = np.all(mesh.barycentric(pts) >= -pw_affine._BARY_TOL, axis=2)
+    want = np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
+    got = mesh.locate(pts)
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[-4:] == -1) and np.all(got[:-4] >= 0)
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
