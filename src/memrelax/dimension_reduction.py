@@ -80,10 +80,6 @@ class PrismField:
     def n_layers(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def layer_heights(self) -> np.ndarray:
-        return np.linspace(-0.5, 0.5, self.n_layers)
-
     def to_dict(self) -> dict:
         return {"mesh": self.mesh.to_dict(), "eps": self.eps,
                 "values": self.values.tolist()}
@@ -595,8 +591,7 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
     """
     if outside not in ("certificate", "error"):
         raise ValueError('outside must be "certificate" or "error"')
-    tab = table.table if hasattr(table, "table") else table
-    obj = _MembraneObjective(tab, load, mesh, outside)
+    obj = _MembraneObjective(table, load, mesh, outside)
     if start is None:
         flat = np.zeros((mesh.n_vertices, 3))
         flat[:, :2] = mesh.vertices
@@ -610,7 +605,7 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
         runs.append(_descent(obj, obj.gradient, xk, iters))
     best, fields = _best_run(runs)
     v = obj.unpack(best.x)
-    energy = float(np.dot(mesh.areas, tab.values_at(v.gradients())))
+    energy = float(np.dot(mesh.areas, table.values_at(v.gradients())))
     return MinimizeResult(field=v, total=best.value, energy=energy,
                           load_value=best.value - energy, **fields)
 

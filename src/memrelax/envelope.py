@@ -11,7 +11,8 @@ module approaches it from above along independent routes:
 * :func:`square_refine_bound` averages an inner bound over four
   single-column shifts, and composed with the four-corner bound it is
   finite at every argument, rank-deficient ones included;
-* :func:`laminate_search` runs an iterated rank-one splitting search.
+* :func:`laminate_search` runs a rank-one splitting search of depth at
+  most two: the best single split, then the best split of its two ends.
 
 :func:`build_envelope_table` combines the routes on a grid of singular
 values (the reduced density is invariant under left and right rotations,
@@ -196,8 +197,9 @@ class SearchParams:
     Directions for the 3-vector factor come from the cube lattice (6 axes,
     8 diagonals, 12 edge midpoints), planar directions from equally spaced
     angles, split magnitudes from a log-spaced bracket, volume fractions
-    from the open unit interval. Depths past one re-rank the scored pairs
-    and recurse into the best top_k with the (smaller) inner grid.
+    from the open unit interval. Depth two re-ranks the scored pairs and
+    splits both ends of the best top_k once more on the (smaller) inner
+    grid.
     """
 
     n_sphere: int = 26
@@ -208,12 +210,12 @@ class SearchParams:
     n_lambda: int = 7
     top_k: int = 192
     polish_rounds: int = 2
-    memo_pitch: float = 1e-3
     inner: "SearchParams | None" = None
 
 
-# three grid tiers: a full grid at the queried point, a reduced grid one
-# split down, and a small leaf grid below that (deeper levels reuse it)
+# three grid tiers: a full grid at the queried point, a reduced grid for
+# the ends of its splits, and a small leaf grid for the ends of the
+# reduced grid's splits when the reduced grid is searched on its own
 LEAF_SEARCH = SearchParams(n_sphere=6, n_angles=2, n_magnitudes=3,
                            n_lambda=3, top_k=8, polish_rounds=0)
 INNER_SEARCH = SearchParams(n_sphere=14, n_angles=4, n_magnitudes=5,
@@ -271,18 +273,16 @@ class LaminateResult:
     witness: dict | None
 
 
-def _quantize_key(xi: np.ndarray, pitch: float, inner: bool):
-    q = np.round(xi.ravel() / pitch).astype(np.int64)
-    return (inner, *q.tolist())
+def _polish_pair(density, xi, step, lam0, rounds: int):
+    """Local refinement of (magnitude, fraction) for a fixed direction.
 
-
-def _polish_pair(density, xi, step, lam0, rounds: int) -> float:
-    """Local refinement of (magnitude, fraction) for a fixed direction."""
+    Returns (value, step, fraction) of the best split it evaluated.
+    """
     s0 = frob_norm(step)
     direction = step / s0
     best = math.inf
     s_center, l_center = s0, lam0
-    for _ in range(max(rounds, 0)):
+    for _ in range(rounds):
         ss = np.geomspace(s_center / 2.0, s_center * 2.0, 7)
         ll = np.clip(np.linspace(l_center - 0.15, l_center + 0.15, 7),
                      0.02, 0.98)
@@ -297,21 +297,14 @@ def _polish_pair(density, xi, step, lam0, rounds: int) -> float:
         if vals[k] < best:
             best = float(vals[k])
             s_center, l_center = float(S[k]), float(L[k])
-    return best
+    return best, s_center * direction, l_center
 
 
-def _profile(density, xi: np.ndarray, depth: int, params: SearchParams,
-             memo: dict, inner_level: bool) -> tuple[list[float], dict | None]:
-    key = _quantize_key(xi, params.memo_pitch, inner_level)
-    hit = memo.get(key)
-    if hit is not None and len(hit[0]) >= depth + 1:
-        return hit[0][:depth + 1], hit[1]
-
+def _profile(density, xi: np.ndarray, depth: int,
+             params: SearchParams) -> tuple[list[float], dict | None]:
     base = _as_ext(density(xi)).as_float()
     if depth == 0:
-        out = ([base], None)
-        memo[key] = out
-        return out
+        return [base], None
 
     steps, lam = _pair_grid(params)
     plus = xi[None] + (1.0 - lam)[:, None, None] * steps
@@ -321,28 +314,27 @@ def _profile(density, xi: np.ndarray, depth: int, params: SearchParams,
     scores = lam * vp + (1.0 - lam) * vm
 
     k_best = int(np.argmin(scores))
-    v1 = min(base, float(scores[k_best]))
+    split = float(scores[k_best])
     witness = None
-    if math.isfinite(float(scores[k_best])):
-        witness = {
-            "step": steps[k_best].tolist(),
-            "fraction": float(lam[k_best]),
-            "score": float(scores[k_best]),
-        }
+    if math.isfinite(split):
+        step, frac = steps[k_best], float(lam[k_best])
         if params.polish_rounds > 0:
-            v1 = min(v1, _polish_pair(density, xi, steps[k_best],
-                                      float(lam[k_best]),
-                                      params.polish_rounds))
-    values = [base, v1]
+            polished = _polish_pair(density, xi, step, frac,
+                                    params.polish_rounds)
+            if polished[0] < split:
+                split, step, frac = polished
+        witness = {"step": step.tolist(), "fraction": frac, "score": split}
+    values = [base, min(base, split)]
 
-    if depth >= 2:
+    if depth == 2:
         inner = params.inner if params.inner is not None else params
         order = np.argsort(scores, kind="stable")
         kept = [int(k) for k in order[:params.top_k]
                 if math.isfinite(float(scores[k]))]
-        if depth == 2 and kept:
-            # all children need only their depth-1 value; two batched
-            # sweeps over (child, inner pair) replace per-child recursion
+        v2 = values[1]
+        if kept:
+            # every child needs only its depth-1 value; two batched
+            # sweeps over (child, inner pair) give them all
             pts = np.concatenate([plus[kept], minus[kept]])
             child_l0 = _batch_eval(density, pts)
             csteps, clam = _pair_grid(inner)
@@ -354,55 +346,33 @@ def _profile(density, xi: np.ndarray, depth: int, params: SearchParams,
             cvm = _batch_eval(density, cm.reshape(-1, 3, 2)).reshape(shape)
             csc = (clam[None] * cvp + (1.0 - clam)[None] * cvm).min(axis=1)
             child_l1 = np.minimum(child_l0, csc)
-            half = len(kept)
-            children = [([child_l0[i], float(child_l1[i])],
-                         [child_l0[half + i], float(child_l1[half + i])],
-                         float(lam[k]))
-                        for i, k in enumerate(kept)]
-        else:
-            children = []
-            for k in kept:
-                pp, _ = _profile(density, plus[k], depth - 1, inner,
-                                 memo, True)
-                pm, _ = _profile(density, minus[k], depth - 1, inner,
-                                 memo, True)
-                children.append((pp, pm, float(lam[k])))
-        # memoized child profiles may belong to a point up to half a
-        # quantization pitch away; an exact per-point floor, when the
-        # density provides one, caps the drift that reuse can introduce
-        floor_fn = getattr(density, "floor", None)
-        floor = float(floor_fn(xi)) if floor_fn is not None else -math.inf
-        for d in range(2, depth + 1):
-            vd = values[d - 1]
-            for pp, pm, frac in children:
-                vd = min(vd, frac * pp[d - 1] + (1.0 - frac) * pm[d - 1])
-            values.append(max(vd, min(floor, values[d - 1])))
-
-    memo[key] = (values, witness)
+            half, frac = len(kept), lam[kept]
+            pairs = frac * child_l1[:half] + (1.0 - frac) * child_l1[half:]
+            v2 = min(v2, float(pairs.min()))
+        values.append(v2)
     return values, witness
 
 
 def laminate_search(density, xi, depth: int,
                     params: SearchParams | None = None) -> LaminateResult:
-    """Iterated rank-one splitting from a matrix, all depths up to depth.
+    """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
 
-    values[0] is the density itself; values[k] is the best convex split
-    along rank-one segments recursing k times. The sequence is
-    nonincreasing by construction (each depth chains a min with the
-    previous one over the same evaluation tree).
+    values[0] is the density itself. values[1] is the best single split
+    along a rank-one segment, the grid's best pair after polishing, or
+    values[0] when no split beats it. values[2] also splits both ends of
+    the best top_k grid pairs once on the inner grid. The sequence is
+    nonincreasing by construction.
 
-    Recursive levels share evaluations through a memo keyed by the
-    quantized split point, so profiles requested at different depths can
-    disagree at a shared depth slot by about the quantization pitch times
-    the local Lipschitz constant. Within a single profile the invariants
-    are structural: monotone in depth, never above values[0], never below
-    the density floor when one is advertised.
+    The witness is the best single split (its ``step``, ``fraction`` and
+    ``score``): fraction * density(xi + (1 - fraction) * step)
+    + (1 - fraction) * density(xi - fraction * step) replays ``score``,
+    which equals values[1] whenever a split beats the density.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not 0 <= depth <= 2:
+        raise ValueError("depth must be 0, 1 or 2")
     xi = as_mat32(xi)
     p = params if params is not None else DEFAULT_SEARCH
-    values, witness = _profile(density, xi, depth, p, {}, False)
+    values, witness = _profile(density, xi, depth, p)
     return LaminateResult(values=tuple(values), witness=witness)
 
 
@@ -623,10 +593,9 @@ def _representative(s1: float, s2: float) -> np.ndarray:
 def _node_bound(density, s1: float, s2: float, depth: int,
                 params: SearchParams) -> TableEntry:
     xi = _representative(s1, s2)
-    candidates: list[tuple[float, str, dict | None]] = []
-
-    base = _as_ext(density(xi)).as_float()
-    candidates.append((base, "density", None))
+    lam = laminate_search(density, xi, depth, params)
+    candidates: list[tuple[float, str, dict | None]] = [
+        (lam.values[0], "density", None)]
 
     col1 = xi[:, 0]
     col2 = xi[:, 1]
@@ -637,8 +606,6 @@ def _node_bound(density, s1: float, s2: float, depth: int,
         candidates.append((fc.as_float(), "four-corner", None))
     sq = finite_upper_bound(xi, density)
     candidates.append((sq.as_float(), "square-refine", None))
-
-    lam = laminate_search(density, xi, depth, params)
     candidates.append((lam.values[-1], f"laminate-{depth}", lam.witness))
 
     value, method, witness = min(candidates, key=lambda c: c[0])

@@ -183,9 +183,9 @@ class ReducedDensity:
     def floor(self, xi) -> float:
         """Exact lower bound |xi|^p.
 
-        Holds pointwise because the fiber penalty is nonnegative, and it
-        survives any convex splitting of xi, so lamination searches may
-        clamp their estimates to it without losing soundness.
+        Holds pointwise because the fiber penalty is nonnegative. It is
+        convex, so every rank-one laminate of the reduced density, and
+        hence the relaxed density, stays above it too.
         """
         m = as_mat32(xi)
         return float(np.sum(m * m) ** (self.model.p / 2.0))

@@ -3,18 +3,15 @@
 A :class:`TriMesh` triangulates a polygonal domain; a :class:`PwAffineField`
 attaches a 3-vector to every vertex and interpolates affinely on each cell,
 so the gradient is a constant 3x2 matrix per cell. The module also provides
-the two explicit compactly supported hat constructions (on the unit diamond
-and the crossed unit square) and :func:`vitali_paste`, which fills a host
-domain with disjoint scaled-and-translated copies of such a hat while
-tracking coverage and the exact gradient distribution of the result.
+the paper's two explicit compactly supported Aff0 test fields, the hats on
+the unit diamond and on the crossed unit square, and
+:func:`energy_integral`, which integrates a density over a field's
+gradients.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -148,15 +145,6 @@ class TriMesh:
             out[block][hit] = np.argmax(inside[hit], axis=1)
         return out
 
-    def edge_cells(self) -> dict[tuple[int, int], list[int]]:
-        """Map from undirected edge to the cells sharing it."""
-        order = np.argsort(self.cell_edges.ravel(), kind="stable")
-        counts = np.bincount(self.cell_edges.ravel(),
-                             minlength=self.edges.shape[0])
-        cells = np.split(order // 3, np.cumsum(counts)[:-1])
-        return {(a, b): c.tolist()
-                for (a, b), c in zip(self.edges.tolist(), cells)}
-
     def _corners(self, values) -> np.ndarray:
         """One gather of the cell corners: (..., n, k) nodal values in,
         (..., 3, m, k) out, corner c of cell i at [..., c, i, :]."""
@@ -275,32 +263,17 @@ class PwAffineField:
         """Per-cell gradients, shape (m, 3, 2), read-only."""
         return self._grads
 
-    def gradient(self, cell: int) -> np.ndarray:
-        return self._grads[cell].copy()
-
-    def evaluate(self, points, *, outside: str = "error") -> np.ndarray:
-        """Interpolated values, shape (N, 3).
-
-        ``outside`` is "error" or "zero"; the latter is the natural
-        extension for compactly supported fields.
-        """
+    def evaluate(self, points) -> np.ndarray:
+        """Interpolated values, shape (N, 3); points outside the domain
+        raise ValueError."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         cells = self.mesh.locate(pts)
-        out = np.zeros((pts.shape[0], 3))
         miss = cells < 0
-        if np.any(miss) and outside != "zero":
+        if np.any(miss):
             raise ValueError(f"{int(miss.sum())} point(s) outside the domain")
-        hit = ~miss
-        if np.any(hit):
-            c = cells[hit]
-            rel = pts[hit] - self.mesh._p0[c]
-            base = self.values[self.mesh.triangles[c, 0]]
-            out[hit] = base + np.einsum("nkc,nc->nk", self._grads[c], rel)
-        return out
-
-    def sup_norm(self) -> float:
-        """Max euclidean nodal norm; affine cells attain their max at vertices."""
-        return float(np.sqrt((self.values ** 2).sum(axis=1)).max())
+        rel = pts - self.mesh._p0[cells]
+        base = self.values[self.mesh.triangles[cells, 0]]
+        return base + np.einsum("nkc,nc->nk", self._grads[cells], rel)
 
     def to_dict(self) -> dict:
         data = self.mesh.to_dict()
@@ -314,30 +287,18 @@ class PwAffineField:
         return cls(mesh, data["values"], aff0=bool(data.get("aff0", False)))
 
 
-def field_to_json(field: PwAffineField) -> str:
-    return json.dumps(field.to_dict())
-
-
-def field_from_json(text: str) -> PwAffineField:
-    return PwAffineField.from_dict(json.loads(text))
-
-
-def gradient_cells(field: PwAffineField) -> list[tuple[int, np.ndarray, float]]:
-    """(cell index, gradient, area) for every cell."""
-    mesh = field.mesh
-    return [(i, field.gradient(i), float(mesh.areas[i]))
-            for i in range(mesh.n_cells)]
-
-
-def _integrate(density: Callable, terms) -> ExtValue:
-    """Sum of area * density(gradient) over (gradient, area) pairs.
+def energy_integral(field: PwAffineField, density: Callable, *,
+                    offset=None) -> ExtValue:
+    """Integral of density(offset + gradient) over the domain.
 
     The density maps a 3x2 matrix to an ExtValue (plain floats are
-    accepted). Zero-area terms are skipped; the first infinite value
+    accepted). Zero-area cells are skipped; the first infinite value
     makes the whole integral infinite and ends the loop.
     """
+    grads = field._grads if offset is None \
+        else np.asarray(offset, dtype=float) + field._grads
     acc = 0.0
-    for g, area in terms:
+    for g, area in zip(grads, map(float, field.mesh.areas)):
         if area == 0.0:
             continue
         val = density(g)
@@ -347,15 +308,6 @@ def _integrate(density: Callable, terms) -> ExtValue:
             return INFINITE
         acc += area * val.finite
     return ExtValue(acc)
-
-
-def energy_integral(field: PwAffineField, density: Callable, *,
-                    offset=None) -> ExtValue:
-    """Integral of density(offset + gradient) over the domain; any
-    infinite cell makes the whole integral infinite."""
-    grads = field._grads if offset is None \
-        else np.asarray(offset, dtype=float) + field._grads
-    return _integrate(density, zip(grads, map(float, field.mesh.areas)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,319 +419,3 @@ def build_square_hat(nu, t: float) -> PwAffineField:
     vals = np.zeros((5, 3))
     vals[4] = 0.5 * float(t) * v
     return PwAffineField(mesh, vals, aff0=True)
-
-
-# ---------------------------------------------------------------------------
-# Vitali pasting
-
-@dataclass(frozen=True)
-class Placement:
-    """One scaled translate of the reference cell: x maps to offset + scale*E."""
-
-    offset: tuple[float, float]
-    scale: float
-
-
-@dataclass(frozen=True)
-class RegionPaste:
-    """Tiling record for one maximal equal-gradient region of the host."""
-
-    cells: tuple[int, ...]
-    host_gradient: np.ndarray      # (3, 2)
-    area: float
-    covered_area: float
-    placements: tuple[Placement, ...]
-
-    @property
-    def coverage(self) -> float:
-        return self.covered_area / self.area
-
-
-_ROT = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)  # x -> 45deg frame
-
-
-def _classify_reference(mesh: TriMesh) -> str:
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    area = mesh.area()
-    if (np.allclose(lo, [0.0, 0.0], atol=1e-9)
-            and np.allclose(hi, [1.0, 1.0], atol=1e-9)
-            and abs(area - 1.0) <= 1e-9):
-        return "square"
-    if (np.allclose(lo, [-1.0, -1.0], atol=1e-9)
-            and np.allclose(hi, [1.0, 1.0], atol=1e-9)
-            and abs(area - 2.0) <= 1e-9):
-        return "diamond"
-    raise ValueError("template reference cell must be the unit square or "
-                     "the unit diamond")
-
-
-def _gradient_regions(field: PwAffineField, tol: float = 1e-10) -> list[list[int]]:
-    """Maximal edge-connected groups of cells with equal gradient."""
-    grads = field.gradients()
-    parent = list(range(field.mesh.n_cells))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for cells in field.mesh.edge_cells().values():
-        for a, b in zip(cells, cells[1:]):
-            scale = 1.0 + max(float(np.abs(grads[a]).max()),
-                              float(np.abs(grads[b]).max()))
-            if float(np.abs(grads[a] - grads[b]).max()) <= tol * scale:
-                parent[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for i in range(field.mesh.n_cells):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _largest_dyadic_below(limit: float) -> float:
-    """Largest power of two strictly below the limit."""
-    beta = 2.0 ** math.floor(math.log2(limit))
-    if beta >= limit:
-        beta *= 0.5
-    return beta
-
-
-def _contained_in_member(corners: np.ndarray, tri_p0: np.ndarray,
-                         tri_inv: np.ndarray) -> np.ndarray:
-    """For (K, 4, 2) corner stacks: does one member triangle hold all four?
-
-    Convexity of the triangle lets corner containment stand in for the
-    whole tile.
-    """
-    K = corners.shape[0]
-    ok = np.zeros(K, dtype=bool)
-    for p0, inv in zip(tri_p0, tri_inv):
-        rel = corners - p0                               # (K,4,2)
-        lam = np.einsum("ij,kcj->kci", inv, rel)          # (K,4,2)
-        lam0 = 1.0 - lam[:, :, 0] - lam[:, :, 1]
-        inside = (lam0 >= -_BARY_TOL) & np.all(lam >= -_BARY_TOL, axis=2)
-        ok |= inside.all(axis=1)
-        if ok.all():
-            break
-    return ok
-
-
-def _tile_region(mesh: TriMesh, cells: Sequence[int], kind: str,
-                 max_scale: float, eta: float,
-                 max_levels: int) -> tuple[list[Placement], float]:
-    """Fill one region with disjoint scaled reference cells.
-
-    Square templates tile in domain coordinates, diamonds in the 45deg
-    rotated frame where they become axis-aligned squares of side
-    scale*sqrt(2). Tiling starts from the largest admissible dyadic size
-    and quadtree-refines boxes that straddle the region boundary until the
-    uncovered fraction drops below eta or the level budget runs out.
-    """
-    idx = np.unique(np.asarray(mesh.triangles)[list(cells)])
-    verts = mesh.vertices[idx]
-    region_area = float(mesh.areas[list(cells)].sum())
-    rotated = kind == "diamond"
-
-    if rotated:
-        # a diamond of scale alpha is a rotated-frame square of side
-        # alpha*sqrt(2); keep sides on the dyadic-times-sqrt(2) ladder so
-        # diamond-shaped regions tile exactly
-        frame = verts @ _ROT.T
-        beta0 = _largest_dyadic_below(max_scale) * math.sqrt(2.0)
-    else:
-        frame = verts
-        beta0 = _largest_dyadic_below(max_scale)
-
-    lo = frame.min(axis=0)
-    hi = frame.max(axis=0)
-    width = hi - lo
-    if region_area <= 0.0 or float(width.min()) <= 0.0:
-        return [], 0.0
-    beta = beta0
-    while beta > float(width.min()):
-        beta *= 0.5
-        max_levels -= 1
-        if max_levels < 0:
-            return [], 0.0
-
-    # when the region is exactly its frame bounding box, box containment
-    # replaces the per-triangle test and dyadic tiling is an exact cover
-    bbox_exact = abs(float(width[0] * width[1]) - region_area) \
-        <= 1e-12 * max(region_area, 1.0)
-    member_p0 = mesh._p0[list(cells)]
-    member_inv = mesh._inv_jac[list(cells)]
-
-    nx = int(math.ceil(width[0] / beta - 1e-12))
-    ny = int(math.ceil(width[1] / beta - 1e-12))
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    anchors = lo + beta * np.stack([ii.ravel(), jj.ravel()], axis=1)
-
-    unit = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    placements: list[Placement] = []
-    covered = 0.0
-    for level in range(max_levels + 1):
-        if anchors.shape[0] == 0:
-            break
-        corners = anchors[:, None, :] + beta * unit[None, :, :]   # (K,4,2)
-        if bbox_exact:
-            ok = (np.all(corners >= lo - 1e-12, axis=(1, 2))
-                  & np.all(corners <= hi + 1e-12, axis=(1, 2)))
-            maybe = ~ok
-        else:
-            dom_corners = corners @ _ROT if rotated else corners
-            ok = _contained_in_member(dom_corners, member_p0, member_inv)
-            # boxes fully outside the frame bounding box cannot intersect
-            # the region; drop them instead of refining
-            outside = (np.any(corners[:, 2, :] <= lo + 1e-15, axis=1)
-                       | np.any(corners[:, 0, :] >= hi - 1e-15, axis=1))
-            maybe = ~ok & ~outside
-        for anchor in anchors[ok]:
-            if rotated:
-                center = (anchor + 0.5 * beta) @ _ROT
-                placements.append(Placement((float(center[0]),
-                                             float(center[1])),
-                                            beta / math.sqrt(2.0)))
-            else:
-                placements.append(Placement((float(anchor[0]),
-                                             float(anchor[1])), beta))
-        # rotation preserves area, so a frame box of side beta covers
-        # beta^2 of the domain for both template kinds
-        covered += beta * beta * int(ok.sum())
-        if covered >= (1.0 - eta) * region_area or not np.any(maybe):
-            break
-        # quadtree split of the undecided boxes
-        half = 0.5 * beta
-        base = anchors[maybe]
-        shifts = np.array([(0.0, 0.0), (half, 0.0), (0.0, half), (half, half)])
-        anchors = (base[:, None, :] + shifts[None, :, :]).reshape(-1, 2)
-        beta = half
-    return placements, covered
-
-
-class PastedField:
-    """Aff0 perturbation built from disjoint scaled copies of a template.
-
-    Each copy at (a, alpha) contributes x -> alpha * template((x - a) / alpha),
-    so gradients are exactly the template's; the uncovered residual carries
-    the zero field. Energy and gradient statistics are exact bookkeeping
-    over (copy scale, template cell) pairs, not quadrature.
-    """
-
-    __slots__ = ("host", "template", "kind", "regions", "domain_area",
-                 "covered_area", "_template_cells")
-
-    def __init__(self, host: PwAffineField, template: PwAffineField,
-                 kind: str, regions: Sequence[RegionPaste]):
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "regions", tuple(regions))
-        object.__setattr__(self, "domain_area", host.mesh.area())
-        object.__setattr__(self, "covered_area",
-                           float(sum(r.covered_area for r in regions)))
-        ref_area = template.mesh.area()
-        cells = [(template.gradient(i),
-                  float(template.mesh.areas[i]) / ref_area)
-                 for i in range(template.mesh.n_cells)]
-        object.__setattr__(self, "_template_cells", tuple(cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PastedField is immutable")
-
-    @property
-    def copies(self) -> tuple[Placement, ...]:
-        return tuple(p for r in self.regions for p in r.placements)
-
-    @property
-    def coverage(self) -> float:
-        return self.covered_area / self.domain_area
-
-    @property
-    def residual_area(self) -> float:
-        return self.domain_area - self.covered_area
-
-    def sup_norm(self) -> float:
-        alphas = [p.scale for r in self.regions for p in r.placements]
-        if not alphas:
-            return 0.0
-        return max(alphas) * self.template.sup_norm()
-
-    def _distribution(self, placements, residual: float):
-        """(template gradient, area) pairs for a set of copies, then the
-        uncovered residual as a zero gradient."""
-        pasted = sum(p.scale ** 2 for p in placements)
-        ref_area = self.template.mesh.area()
-        out = [(g.copy(), pasted * ref_area * frac)
-               for g, frac in self._template_cells]
-        out.append((np.zeros((3, 2)), residual))
-        return out
-
-    def gradient_distribution(self) -> list[tuple[np.ndarray, float]]:
-        """(gradient, total area) pairs, the residual as a zero gradient."""
-        return self._distribution(self.copies, self.residual_area)
-
-    def energy_integral(self, density: Callable, *, offset=None,
-                        include_residual: bool = True) -> ExtValue:
-        """Integral of density(offset + gradient) via exact bookkeeping."""
-        shift = np.zeros((3, 2)) if offset is None \
-            else np.asarray(offset, dtype=float)
-        terms = self.gradient_distribution()
-        if not include_residual:
-            terms = terms[:-1]  # the residual is always the last entry
-        return _integrate(density, ((shift + g, a) for g, a in terms))
-
-    def energy_with_host(self, density: Callable) -> ExtValue:
-        """Integral of density(host gradient + pasted gradient)."""
-        return _integrate(density, (
-            (r.host_gradient + g, a) for r in self.regions
-            for g, a in self._distribution(r.placements,
-                                           r.area - r.covered_area)))
-
-    def evaluate(self, points) -> np.ndarray:
-        """Pointwise values of the pasted perturbation, shape (N, 3)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        out = np.zeros((pts.shape[0], 3))
-        for r in self.regions:
-            for p in r.placements:
-                a = np.array(p.offset)
-                if self.kind == "square":
-                    mask = np.all((pts >= a - 1e-12)
-                                  & (pts <= a + p.scale + 1e-12), axis=1)
-                else:
-                    mask = (np.abs(pts - a).sum(axis=1)
-                            <= p.scale * (1.0 + 1e-12))
-                if np.any(mask):
-                    ref = (pts[mask] - a) / p.scale
-                    out[mask] = p.scale * self.template.evaluate(
-                        ref, outside="zero")
-        return out
-
-
-def vitali_paste(host: PwAffineField, template: PwAffineField,
-                 max_scale: float, *, eta: float = 1e-3,
-                 max_levels: int = 12) -> PastedField:
-    """Fill the host domain with disjoint scaled translates of a template.
-
-    The host is cut into maximal edge-connected regions of equal gradient
-    and each region is tiled independently with copies of scale strictly
-    below max_scale, targeting uncovered fraction at most eta per region.
-    When a region cannot be tiled to target within the refinement budget
-    the result simply reports the achieved coverage.
-    """
-    if max_scale <= 0.0:
-        raise ValueError("max_scale must be positive")
-    if not template.aff0:
-        raise ValueError("template must be an aff0 field on its reference cell")
-    kind = _classify_reference(template.mesh)
-    regions = []
-    for cells in _gradient_regions(host):
-        placements, covered = _tile_region(host.mesh, cells, kind,
-                                           max_scale, eta, max_levels)
-        regions.append(RegionPaste(
-            cells=tuple(int(c) for c in cells),
-            host_gradient=host.gradient(cells[0]),
-            area=float(host.mesh.areas[list(cells)].sum()),
-            covered_area=covered,
-            placements=tuple(placements)))
-    return PastedField(host, template, kind, regions)

@@ -25,7 +25,7 @@ def w0():
 
 
 class PowerDensity:
-    """|xi|^p, convex, with itself as exact floor."""
+    """|xi|^p, convex."""
 
     def __init__(self, p=2.0):
         self.p = p
@@ -36,10 +36,6 @@ class PowerDensity:
     def batch(self, xis):
         sq = np.einsum("nij,nij->n", xis, xis)
         return sq ** (self.p / 2.0)
-
-    def floor(self, xi):
-        m = np.asarray(xi, dtype=float)
-        return float(np.sum(m * m) ** (self.p / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +205,9 @@ def test_laminate_profile_monotone(w0):
     rng = np.random.default_rng(6)
     for _ in range(4):
         xi = rng.uniform(-1.5, 1.5, (3, 2))
-        res = laminate_search(w0, xi, 3, INNER_SEARCH)
+        res = laminate_search(w0, xi, 2, INNER_SEARCH)
         vals = res.values
-        assert len(vals) == 4
+        assert len(vals) == 3
         for a, b in zip(vals, vals[1:]):
             assert b <= a + 1e-12
 
@@ -252,6 +248,28 @@ def test_laminate_respects_floor(w0):
 def test_laminate_rejects_negative_depth(w0):
     with pytest.raises(ValueError, match="depth"):
         laminate_search(w0, E1E2, -1)
+
+
+def test_laminate_rejects_depth_above_two(w0):
+    with pytest.raises(ValueError, match="depth"):
+        laminate_search(w0, E1E2, 3)
+
+
+def test_depth_one_witnesses_replay_their_node_values(w0):
+    # the set-up table of the sweep benchmark; its polished splits must
+    # replay to the claimed node value, not only the grid split before it
+    table = build_envelope_table(EnergyModel(), sigma_max=2.0, pitch=0.5,
+                                 depth=1)
+    nodes = [e for e in table.entries if e.method == "laminate-1"]
+    assert nodes
+    for e in nodes:
+        xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
+        step = np.array(e.witness["step"])
+        lam = e.witness["fraction"]
+        replay = (lam * w0(xi + (1.0 - lam) * step).as_float()
+                  + (1.0 - lam) * w0(xi - lam * step).as_float())
+        assert e.witness["score"] == e.value
+        assert replay == pytest.approx(e.value, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,14 +15,10 @@ from memrelax.pw_affine import (
     crossed_square_mesh,
     diamond_mesh,
     energy_integral,
-    field_from_json,
-    field_to_json,
-    gradient_cells,
     refine_field,
     refine_mesh,
     single_triangle_mesh,
     unit_square_mesh,
-    vitali_paste,
 )
 from memrelax.quadrature import subdivide_triangles
 from memrelax.tensor_kernel import INFINITE
@@ -43,20 +40,17 @@ def test_affine_field_has_constant_gradient():
     xi = rng.normal(size=(3, 2))
     mesh = unit_square_mesh(3)
     field = affine_field(mesh, xi, b=rng.normal(size=3))
-    cells = gradient_cells(field)
-    assert len(cells) == mesh.n_cells
-    total = 0.0
-    for _, grad, area in cells:
+    grads = field.gradients()
+    assert grads.shape == (mesh.n_cells, 3, 2)
+    for grad in grads:
         np.testing.assert_allclose(grad, xi, atol=1e-12)
-        total += area
-    assert total == pytest.approx(1.0, abs=1e-12)
+    assert mesh.areas.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_field_zero_gradients():
     mesh = diamond_mesh()
     field = PwAffineField(mesh, np.zeros((mesh.n_vertices, 3)), aff0=True)
-    for _, grad, _ in gradient_cells(field):
-        assert np.all(grad == 0.0)
+    assert np.all(field.gradients() == 0.0)
     assert mesh.area() == pytest.approx(2.0, abs=1e-12)
 
 
@@ -69,13 +63,13 @@ def test_diamond_hat_gradient_pattern():
     signs = [(-1, 1), (-1, -1), (1, -1), (1, 1)]
     for cell, (s1, s2) in enumerate(signs):
         expected = t * np.stack([s1 * nu, s2 * nu], axis=1)
-        np.testing.assert_allclose(hat.gradient(cell), expected, atol=1e-12)
+        np.testing.assert_allclose(hat.gradients()[cell], expected, atol=1e-12)
 
 
 def test_diamond_hat_shifted_gradients():
     xi = np.stack([E1, E2], axis=1)
     hat = build_diamond_hat(E3, 1.0)
-    shifted = [xi + hat.gradient(i) for i in range(4)]
+    shifted = [xi + hat.gradients()[i] for i in range(4)]
     expected = [
         np.stack([E1 - E3, E2 + E3], axis=1),
         np.stack([E1 - E3, E2 - E3], axis=1),
@@ -99,7 +93,7 @@ def test_square_hat_gradient_pattern():
         np.stack([nu, zero], axis=1),
     ]
     for cell, want in enumerate(expected):
-        np.testing.assert_allclose(hat.gradient(cell), want, atol=1e-12)
+        np.testing.assert_allclose(hat.gradients()[cell], want, atol=1e-12)
     np.testing.assert_allclose(hat.mesh.areas, 0.25, atol=1e-15)
 
 
@@ -129,9 +123,14 @@ def test_interpolant_continuous_across_interior_edges():
     rng = np.random.default_rng(13)
     field = PwAffineField(mesh, rng.normal(size=(mesh.n_vertices, 3)))
     grads = field.gradients()
-    for (a, b), cells in mesh.edge_cells().items():
-        if len(cells) < 2:
-            continue
+    owners = {}
+    for cell, sides in enumerate(mesh.cell_edges.tolist()):
+        for e in sides:
+            owners.setdefault(e, []).append(cell)
+    interior = [(e, cells) for e, cells in owners.items() if len(cells) == 2]
+    assert interior
+    for e, cells in interior:
+        a, b = mesh.edges[e]
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         per_cell = []
         for c in cells:
@@ -195,122 +194,10 @@ def test_mesh_and_field_validation():
 
 def test_field_json_roundtrip():
     hat = build_diamond_hat(E3, 0.25)
-    clone = field_from_json(field_to_json(hat))
+    clone = PwAffineField.from_dict(json.loads(json.dumps(hat.to_dict())))
     np.testing.assert_array_equal(clone.values, hat.values)
     np.testing.assert_array_equal(clone.mesh.triangles, hat.mesh.triangles)
     assert clone.aff0
-
-
-def test_vitali_square_template_exact_dyadic_cover():
-    host = affine_field(unit_square_mesh(1), np.stack([E1, E2], axis=1))
-    template = build_square_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 1.0 / 16.0)
-    assert pasted.coverage == pytest.approx(1.0, abs=1e-12)
-    assert pasted.coverage >= 0.999
-    copies = pasted.copies
-    assert len(copies) == 1024
-    assert all(p.scale == pytest.approx(1.0 / 32.0, abs=0) for p in copies)
-    assert pasted.residual_area == pytest.approx(0.0, abs=1e-12)
-
-
-def test_vitali_sup_norm_bound():
-    host = affine_field(unit_square_mesh(1), np.stack([E1, E2], axis=1))
-    template = build_square_hat(E3, 2.0)
-    max_scale = 1.0 / 8.0
-    pasted = vitali_paste(host, template, max_scale)
-    assert pasted.sup_norm() <= max_scale * template.sup_norm()
-    probe = np.random.default_rng(2).uniform(0, 1, size=(200, 2))
-    vals = pasted.evaluate(probe)
-    assert np.sqrt((vals ** 2).sum(axis=1)).max() \
-        <= max_scale * template.sup_norm() + 1e-12
-
-
-def test_vitali_energy_bookkeeping_is_exact():
-    xi = np.stack([E1, E2], axis=1)
-    host = affine_field(unit_square_mesh(1), xi)
-    template = build_square_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 1.0 / 8.0)
-    density = lambda g: float((g * g).sum())
-
-    covered = pasted.energy_integral(density, offset=xi,
-                                     include_residual=False)
-    mean_template = energy_integral(template, density, offset=xi).finite \
-        / template.mesh.area()
-    assert covered.finite == pytest.approx(
-        pasted.covered_area * mean_template, abs=1e-10)
-
-    full = pasted.energy_integral(density, offset=xi)
-    assert full.finite == pytest.approx(
-        covered.finite + pasted.residual_area * density(xi), abs=1e-10)
-    with_host = pasted.energy_with_host(density)
-    assert with_host.finite == pytest.approx(full.finite, abs=1e-10)
-
-
-def test_vitali_gradient_distribution_matches_template():
-    host = affine_field(unit_square_mesh(1), np.stack([E1, E2], axis=1))
-    template = build_square_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 1.0 / 16.0)
-    dist = pasted.gradient_distribution()
-    assert len(dist) == 5  # four template cells plus the residual
-    template_grads = [template.gradient(i) for i in range(4)]
-    for (g, area), want in zip(dist[:4], template_grads):
-        np.testing.assert_allclose(g, want, atol=1e-15)
-        assert area == pytest.approx(pasted.covered_area / 4.0, abs=1e-12)
-    res_grad, res_area = dist[-1]
-    assert np.all(res_grad == 0.0)
-    assert res_area == pytest.approx(pasted.residual_area, abs=1e-12)
-    assert sum(a for _, a in dist) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_vitali_diamond_template_tiles_diamond_host_exactly():
-    host = affine_field(diamond_mesh(), np.stack([E1, E2], axis=1))
-    template = build_diamond_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 0.25)
-    # scale ladder: alpha = 1/8 strictly below 1/4, 8x8 rotated-frame grid
-    assert pasted.coverage == pytest.approx(1.0, abs=1e-12)
-    copies = pasted.copies
-    assert len(copies) == 64
-    assert all(p.scale == pytest.approx(0.125, rel=1e-12) for p in copies)
-
-
-def test_vitali_diamond_template_in_square_host():
-    host = affine_field(unit_square_mesh(1), np.stack([E1, E2], axis=1))
-    template = build_diamond_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 0.25, eta=1e-2)
-    assert pasted.coverage >= 0.99
-    assert pasted.sup_norm() <= 0.25 * template.sup_norm()
-    # pasted copies stay inside the host and vanish on their rims
-    for placement in pasted.copies[:8]:
-        a = np.array(placement.offset)
-        rim = a + placement.scale * np.array([(1, 0), (0, 1), (-1, 0), (0, -1)])
-        assert np.abs(pasted.evaluate(rim)).max() < 1e-12
-
-
-def test_vitali_input_validation():
-    host = affine_field(unit_square_mesh(1), np.stack([E1, E2], axis=1))
-    template = build_square_hat(E3, 1.0)
-    with pytest.raises(ValueError):
-        vitali_paste(host, template, 0.0)
-    not_aff0 = affine_field(crossed_square_mesh(), np.stack([E1, E2], axis=1))
-    with pytest.raises(ValueError):
-        vitali_paste(host, not_aff0, 0.5)
-    tri_mesh = single_triangle_mesh((0, 0), (1, 0), (0, 1))
-    tri_template = PwAffineField(tri_mesh, np.zeros((3, 3)), aff0=True)
-    with pytest.raises(ValueError):
-        vitali_paste(host, tri_template, 0.5)
-
-
-def test_vitali_respects_host_gradient_regions():
-    # two host cells with different gradients must be tiled separately
-    mesh = unit_square_mesh(1)
-    vals = np.zeros((4, 3))
-    vals[:, 0] = mesh.vertices[:, 0] * mesh.vertices[:, 1]  # not affine
-    host = PwAffineField(mesh, vals)
-    template = build_square_hat(E3, 1.0)
-    pasted = vitali_paste(host, template, 1.0 / 8.0, eta=5e-3)
-    assert len(pasted.regions) == 2
-    for region in pasted.regions:
-        assert region.coverage >= 0.995
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +222,11 @@ def test_edge_table_lists_each_side_once():
     assert mesh.n_vertices - mesh.edges.shape[0] + mesh.n_cells == 1
     on_side = np.any((mesh.vertices == 0.0) | (mesh.vertices == 1.0), axis=1)
     np.testing.assert_array_equal(mesh.boundary_mask, on_side)
-    for (a, b), cells in mesh.edge_cells().items():
-        assert a < b and 1 <= len(cells) <= 2 and cells == sorted(cells)
-        if len(cells) == 1:
-            assert on_side[a] and on_side[b]
+    assert np.all(mesh.edges[:, 0] < mesh.edges[:, 1])
+    owners = np.bincount(mesh.cell_edges.ravel(),
+                         minlength=mesh.edges.shape[0])
+    assert np.all((owners == 1) | (owners == 2))
+    assert np.all(on_side[mesh.edges[owners == 1]])
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
