@@ -5,7 +5,9 @@ reads the bulk density on the rescaled gradient whose third column is
 amplified by the inverse thickness. Averaging through the thickness maps
 film configurations onto membrane fields, recovery lifts map membrane
 fields back, and the sweep utilities compare near-minimizers on both
-sides as the thickness shrinks.
+sides as the thickness shrinks. The two minimizers share the load term,
+the lift v + eps * x3 * phi, the flat start and one multi-start descent
+driver; their objectives differ only in the energy and its gradient.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "lift_membrane",
     "pi_eps_average",
     "thin_film_energy",
-    "thin_film_load",
     "thin_film_total",
     "LoadPotential",
     "recovery_sequence",
@@ -99,10 +100,24 @@ class PrismField:
             return cls.from_dict(json.load(fh))
 
 
+def _lift(v: PwAffineField, nodal_phi: np.ndarray, eps: float,
+          layers: int) -> PrismField:
+    """Film v + eps * x3 * phi, phi per vertex or one 3-vector."""
+    heights = np.linspace(-0.5, 0.5, layers)
+    return PrismField(v.mesh, v.values[None] + eps * heights[:, None, None]
+                      * nodal_phi[None], eps)
+
+
+def _flat_membrane(mesh: TriMesh) -> PwAffineField:
+    """The reference configuration (x1, x2, 0)."""
+    flat = np.zeros((mesh.n_vertices, 3))
+    flat[:, :2] = mesh.vertices
+    return PwAffineField(mesh, flat)
+
+
 def lift_membrane(v: PwAffineField, eps: float, layers: int = 5) -> PrismField:
     """Layer-constant film with every layer equal to the membrane field."""
-    vals = np.broadcast_to(v.values, (layers,) + v.values.shape)
-    return PrismField(v.mesh, vals.copy(), eps)
+    return _lift(v, np.zeros(3), eps, layers)
 
 
 def pi_eps_average(u: PrismField) -> PwAffineField:
@@ -118,41 +133,43 @@ def pi_eps_average(u: PrismField) -> PwAffineField:
 # ---------------------------------------------------------------------------
 # rescaled gradients and the film energy
 
-def _prism_samples(mesh: TriMesh, vals: np.ndarray, eps: float):
-    """Rescaled gradient F and field value at each prism centroid.
+def _prism_weights(mesh: TriMesh, layers: int) -> np.ndarray:
+    """Prism volumes, flattened layer-major to ((layers - 1) * cells,)."""
+    return np.tile(mesh.areas, layers - 1) * (1.0 / (layers - 1))
 
-    ``vals`` holds (layers, n, 3) nodal values; the results have shapes
-    (layers - 1, cells, 3, 3) and (layers - 1, cells, 3). F's in-plane
-    columns average the two layer gradients and its third column is the
-    centroid difference quotient across the layer, amplified by 1/eps.
+
+def _film_energy(model: EnergyModel, weights: np.ndarray, mesh: TriMesh,
+                 vals: np.ndarray, eps: float):
+    """Film energy at (layers, n, 3) nodal values, the prism determinants
+    and the intermediates its gradient reads (None, with the energy +inf,
+    when a determinant vanishes).
+
+    The bulk density is sampled once per prism, at its centroid. The
+    rescaled gradient F there averages the two layer gradients in its
+    in-plane columns; its third column is the centroid difference
+    quotient across the layer, amplified by 1/eps.
     """
     delta = 1.0 / (vals.shape[0] - 1)
     g, cen = mesh.cell_gradients_and_means(vals)
     F = np.empty((g.shape[0] - 1,) + g.shape[1:-1] + (3,))
     F[..., :2] = 0.5 * (g[:-1] + g[1:])
     F[..., 2] = (cen[1:] - cen[:-1]) / (delta * eps)
-    return F, 0.5 * (cen[:-1] + cen[1:])
-
-
-def _prism_weights(mesh: TriMesh, layers: int) -> np.ndarray:
-    """Prism volumes, flattened layer-major to ((layers - 1) * cells,)."""
-    return np.tile(mesh.areas, layers - 1) * (1.0 / (layers - 1))
-
-
-def _prism_centroids(mesh: TriMesh, layers: int):
-    """In-plane points and heights of the prism centroids, flattened
-    layer-major like the weights."""
-    h = np.linspace(-0.5, 0.5, layers)
-    pts = np.tile(mesh.cell_means(mesh.vertices), (layers - 1, 1))
-    return pts, np.repeat(0.5 * (h[:-1] + h[1:]), mesh.n_cells)
+    mid = 0.5 * (cen[:-1] + cen[1:])
+    flat = F.reshape(-1, 3, 3)
+    dets, cof = cofactors(flat)
+    adet = np.abs(dets)
+    if np.any(adet == 0.0):
+        return math.inf, dets, None
+    sq = np.einsum("kij,kij->k", flat, flat)
+    energy = float(np.dot(weights, model.density(adet, sq)))
+    return energy, dets, (flat, cof, adet, sq, mid)
 
 
 def thin_film_energy(u: PrismField, model: EnergyModel) -> ExtValue:
     """Volume integral of the bulk density on the rescaled gradient,
-    sampled at each prism's centroid."""
-    F, _ = _prism_samples(u.mesh, u.values, u.eps)
-    w = _prism_weights(u.mesh, u.n_layers)
-    return ExtValue(float(np.dot(w, model.w_batch(F.reshape(-1, 3, 3)))))
+    sampled at each prism's centroid: the film objective's energy."""
+    weights = _prism_weights(u.mesh, u.n_layers)
+    return ExtValue(_film_energy(model, weights, u.mesh, u.values, u.eps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +179,8 @@ def thin_film_energy(u: PrismField, model: EnergyModel) -> ExtValue:
 class LoadPotential:
     """Potential <psi(x, x3), zeta> + |zeta|^p, coercive for p > 1.
 
-    ``psi`` maps in-plane points (N, 2) and heights (N,) to (N, 3).
+    ``psi`` maps in-plane points (N, 2) and heights (N,) to (N, 3). Both
+    objectives sample it once and read :meth:`terms` and :meth:`slope`.
     """
 
     psi: object
@@ -184,27 +202,24 @@ class LoadPotential:
             raise ValueError("load field must return one 3-vector per point")
         return out
 
-    def density(self, pts: np.ndarray, x3, zeta: np.ndarray) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=float)
-        norms = np.linalg.norm(zeta, axis=1)
-        return (np.einsum("nj,nj->n", self.psi_at(pts, x3), zeta)
-                + norms ** self.p)
+    def terms(self, psi: np.ndarray, zeta: np.ndarray):
+        """Density <psi, zeta> + |zeta|^p over the last axis of sampled
+        psi and zeta, and |zeta|, which :meth:`slope` reuses."""
+        norms = np.linalg.norm(zeta, axis=-1)
+        return np.einsum("...j,...j->...", psi, zeta) + norms ** self.p, norms
 
-
-def thin_film_load(u: PrismField, load: LoadPotential) -> float:
-    """Load integral sampled at the prism centroids, like the energy."""
-    _, mids = _prism_samples(u.mesh, u.values, u.eps)
-    w = _prism_weights(u.mesh, u.n_layers)
-    pts, heights = _prism_centroids(u.mesh, u.n_layers)
-    return float(np.dot(w, load.density(pts, heights, mids.reshape(-1, 3))))
+    def slope(self, psi: np.ndarray, zeta: np.ndarray,
+              norms: np.ndarray) -> np.ndarray:
+        """Derivative of the density in zeta: psi + p |zeta|^(p-2) zeta."""
+        pw = np.where(norms > 0.0, norms ** (self.p - 2.0), 0.0)
+        return psi + self.p * pw[..., None] * zeta
 
 
 def thin_film_total(model: EnergyModel, load: LoadPotential,
                     u: PrismField) -> float:
-    energy = thin_film_energy(u, model)
-    if not energy.is_finite:
-        return math.inf
-    return energy.finite + thin_film_load(u, load)
+    """The film objective's value at u, +inf on a vanishing determinant."""
+    obj = _ThinObjective(model, load, u.mesh, u.n_layers, u.eps)
+    return obj(u.values.reshape(-1))[0]
 
 
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
@@ -253,9 +268,7 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
     if worst < det_floor:
         warnings.warn(f"recovery director determinant fell to {worst:.3e} "
                       f"(floor {det_floor:.3e})", stacklevel=2)
-    heights = np.linspace(-0.5, 0.5, layers)
-    vals = (v.values[None] + eps * heights[:, None, None] * nodal_phi[None])
-    u = PrismField(v.mesh, vals, eps)
+    u = _lift(v, nodal_phi, eps, layers)
     return u, thin_film_energy(u, model)
 
 
@@ -279,8 +292,8 @@ class MinimizeResult:
     (no step along the gradient was accepted) or "budget" (``iters``
     steps taken); ``grad_norm`` is the gradient norm where it stopped.
     ``evaluations``, ``gradients`` and ``backtracks`` are exact counts
-    over every start: objective values, gradient builds, and trial steps
-    the line search rejected.
+    over every start: objective values (one per refused start), gradient
+    builds, and trial steps the line search rejected.
     """
 
     field: object
@@ -295,6 +308,9 @@ class MinimizeResult:
     backtracks: int
 
 
+_COUNTS = ("evaluations", "gradients", "backtracks")
+
+
 @dataclass(frozen=True)
 class _Run:
     x: np.ndarray
@@ -305,6 +321,10 @@ class _Run:
     evaluations: int
     gradients: int
     backtracks: int
+
+
+class _RefusedStart(InfeasibleError):
+    """The first evaluation of a descent found its start infeasible."""
 
 
 def _descent(value, gradient, x0: np.ndarray, iters: int,
@@ -318,10 +338,14 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
     data is kept. ``guard(data0, data1)`` vetoes a step (used to refuse
     determinant sign flips, which would tunnel through the infinite
     barrier wall). Accepted energies are nonincreasing by construction.
+    A start valued +inf or raising InfeasibleError raises _RefusedStart.
     """
-    f, state = value(x0)
+    try:
+        f, state = value(x0)
+    except InfeasibleError as err:
+        raise _RefusedStart(str(err)) from err
     if not math.isfinite(f):
-        raise InfeasibleError("starting configuration has infinite energy")
+        raise _RefusedStart("starting configuration has infinite energy")
     g = gradient(state)
     keep, state = state[0], None  # the intermediates are spent
     x = x0
@@ -368,68 +392,74 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
                 evaluations, gradients, backtracks)
 
 
-def _best_run(runs: list, refused: int = 0):
-    """The lowest-valued run (the first on ties) and the
-    :class:`MinimizeResult` fields it sets, with the counts summed over
-    every run plus one evaluation per ``refused`` start."""
+def _multi_start(obj, start, iters: int, seeds: int, seed: int,
+                 jitter: float, guard=None) -> MinimizeResult:
+    """Descend ``obj`` from the start's nodal values and ``seeds - 1``
+    jittered copies; the lowest run wins, the first on ties. Refused
+    starts are skipped, and the first refusal is raised if all are."""
+    x0 = start.values.reshape(-1).copy()
+    rng = np.random.default_rng(seed)
+    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
+    runs, refusals = [], []
+    for k in range(max(1, seeds)):
+        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
+        try:
+            runs.append(_descent(obj, obj.gradient, xk, iters, guard))
+        except _RefusedStart as err:
+            refusals.append(err)
+    if not runs:
+        raise refusals[0]
     best = min(runs, key=lambda r: r.value)
-    return best, dict(
-        iterations=best.accepted, stop_reason=best.stop_reason,
-        grad_norm=best.grad_norm,
-        evaluations=refused + sum(r.evaluations for r in runs),
+    energy, load_value, _ = obj.split(best.x)
+    return MinimizeResult(
+        field=obj.unpack(best.x), total=best.value, energy=energy,
+        load_value=load_value, iterations=best.accepted,
+        stop_reason=best.stop_reason, grad_norm=best.grad_norm,
+        evaluations=len(refusals) + sum(r.evaluations for r in runs),
         gradients=sum(r.gradients for r in runs),
         backtracks=sum(r.backtracks for r in runs))
 
 
 class _ThinObjective:
-    """Total rescaled energy and its analytic nodal gradient.
+    """Total rescaled energy and its analytic nodal gradient; ``__call__``
+    keeps the intermediates that ``gradient`` turns into the gradient."""
 
-    ``__call__`` computes the value and keeps the intermediates that
-    ``gradient`` turns into the nodal gradient; the two together do the
-    arithmetic of one value-and-gradient pass.
-    """
-
-    def __init__(self, model: EnergyModel, load: LoadPotential,
+    def __init__(self, model: EnergyModel, potential: LoadPotential,
                  mesh: TriMesh, layers: int, eps: float):
         self.model = model
-        self.load = load
+        self.potential = potential
         self.mesh = mesh
         self.layers = layers
         self.eps = eps
         self.delta = 1.0 / (layers - 1)
         self.weights = _prism_weights(mesh, layers)
         self.vol = mesh.areas * self.delta
-        self.psi_mid = load.psi_at(*_prism_centroids(mesh, layers)).reshape(
+        # psi at the prism centroids, like the film energy's samples
+        h = np.linspace(-0.5, 0.5, layers)
+        pts = np.tile(mesh.cell_means(mesh.vertices), (layers - 1, 1))
+        x3 = np.repeat(0.5 * (h[:-1] + h[1:]), mesh.n_cells)
+        self.psi_mid = potential.psi_at(pts, x3).reshape(
             layers - 1, mesh.n_cells, 3)
-
-    def pack(self, u: PrismField) -> np.ndarray:
-        return u.values.reshape(-1).copy()
 
     def unpack(self, x: np.ndarray) -> PrismField:
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
         return PrismField(self.mesh, vals, self.eps)
 
+    def split(self, x: np.ndarray):
+        """(energy, load value, (dets, intermediates)) at x; the dets feed
+        the sign guard, and the energy is +inf if one vanishes."""
+        vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
+        energy, dets, parts = _film_energy(self.model, self.weights,
+                                           self.mesh, vals, self.eps)
+        if parts is None:
+            return energy, 0.0, (dets, None)
+        terms, norms = self.potential.terms(self.psi_mid, parts[-1])
+        load = float(np.einsum("m,lm->", self.vol, terms))
+        return energy, load, (dets, parts + (norms,))
+
     def __call__(self, x: np.ndarray):
-        """(value, (dets, intermediates)) at x, with the prism determinants
-        for the sign guard; the value is +inf, and the intermediates
-        None, when a determinant vanishes."""
-        model, mesh, m = self.model, self.mesh, self.layers
-        vals = x.reshape(m, mesh.n_vertices, 3)
-        F, mid = _prism_samples(mesh, vals, self.eps)
-        flat = F.reshape(-1, 3, 3)
-
-        dets, cof = cofactors(flat)
-        adet = np.abs(dets)
-        if np.any(adet == 0.0):
-            return math.inf, (dets, None)
-        sq = np.einsum("kij,kij->k", flat, flat)
-        value = float(np.dot(self.weights, model.density(adet, sq)))
-
-        norms = np.linalg.norm(mid, axis=2)
-        value += float(np.einsum("m,lm->", self.vol,
-                                 np.einsum("lmj,lmj->lm", self.psi_mid, mid)
-                                 + norms ** self.load.p))
-        return value, (dets, (flat, cof, adet, sq, mid, norms))
+        energy, load, state = self.split(x)
+        return energy + load, state
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
@@ -440,8 +470,7 @@ class _ThinObjective:
         D += (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None] * flat
         D = D.reshape(mid.shape + (3,))
 
-        pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
-        dpsi = (self.psi_mid + self.load.p * pw[:, :, None] * mid)
+        dpsi = self.potential.slope(self.psi_mid, mid, norms)
         dpsi *= self.vol[None, :, None]
 
         # F[l] reads layers l and l + 1: half of each in-plane gradient,
@@ -460,12 +489,9 @@ def _sign_guard(d0: np.ndarray, d1: np.ndarray) -> bool:
 
 def _default_film_start(mesh: TriMesh, eps: float,
                         layers: int) -> PrismField:
-    flat = np.zeros((mesh.n_vertices, 3))
-    flat[:, :2] = mesh.vertices
-    heights = np.linspace(-0.5, 0.5, layers)
-    vals = np.repeat(flat[None], layers, axis=0)
-    vals[:, :, 2] += eps * heights[:, None]
-    return PrismField(mesh, vals, eps)
+    """The flat membrane lifted along the unit normal."""
+    return _lift(_flat_membrane(mesh), np.array([0.0, 0.0, 1.0]), eps,
+                 layers)
 
 
 def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
@@ -478,34 +504,16 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
     The line search refuses steps that flip any prism determinant's
     sign: the barrier makes the zero-determinant set an infinite wall
     and hopping across it would silently change branch. Starts are the
-    given field plus jittered copies; infeasible starts are skipped and
-    all-infeasible raises.
+    given field (default: the flat film) plus ``seeds - 1`` jittered
+    copies; one evaluation refuses a start of infinite energy, and the
+    first refusal is raised when every start is refused.
     """
     if start is None:
         if mesh is None:
             raise ValueError("provide a start field or a mesh")
         start = _default_film_start(mesh, eps, layers)
     obj = _ThinObjective(model, load, start.mesh, start.n_layers, eps)
-    x0 = obj.pack(start)
-    rng = np.random.default_rng(seed)
-    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
-
-    runs = []
-    refused = 0
-    for k in range(max(1, seeds)):
-        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        try:
-            runs.append(_descent(obj, obj.gradient, xk, iters,
-                                 guard=_sign_guard))
-        except InfeasibleError:
-            refused += 1  # one evaluation found the start infeasible
-    if not runs:
-        raise InfeasibleError("every start had infinite energy")
-    best, fields = _best_run(runs, refused)
-    u = obj.unpack(best.x)
-    energy = thin_film_energy(u, model).as_float()
-    return MinimizeResult(field=u, total=best.value, energy=energy,
-                          load_value=best.value - energy, **fields)
+    return _multi_start(obj, start, iters, seeds, seed, jitter, _sign_guard)
 
 
 class _MembraneObjective:
@@ -521,17 +529,14 @@ class _MembraneObjective:
     steps.
     """
 
-    def __init__(self, table, load: LoadPotential, mesh: TriMesh,
+    def __init__(self, table, potential: LoadPotential, mesh: TriMesh,
                  outside: str):
         self.table = table
-        self.load = load
+        self.potential = potential
         self.mesh = mesh
         self.outside = outside
-        self.psi0 = load.psi_at(mesh.cell_means(mesh.vertices), 0.0)
+        self.psi0 = potential.psi_at(mesh.cell_means(mesh.vertices), 0.0)
         self.h = 1e-5
-
-    def pack(self, v: PwAffineField) -> np.ndarray:
-        return v.values.reshape(-1).copy()
 
     def unpack(self, x: np.ndarray) -> PwAffineField:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
@@ -546,15 +551,17 @@ class _MembraneObjective:
                     "certificate extension")
         return self.table.values_at(grads)
 
-    def __call__(self, x: np.ndarray):
+    def split(self, x: np.ndarray):
+        """(envelope energy, load value, (None, intermediates)) at x."""
         areas = self.mesh.areas
         grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
-        value = float(np.dot(areas, self._table_values(grads)))
-        norms = np.linalg.norm(cen, axis=1)
-        value += float(np.dot(areas,
-                              np.einsum("mj,mj->m", self.psi0, cen)
-                              + norms ** self.load.p))
-        return value, (None, (grads, cen, norms))
+        energy = float(np.dot(areas, self._table_values(grads)))
+        terms, norms = self.potential.terms(self.psi0, cen)
+        return energy, float(np.dot(areas, terms)), (None, (grads, cen, norms))
+
+    def __call__(self, x: np.ndarray):
+        energy, load, state = self.split(x)
+        return energy + load, state
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
@@ -574,8 +581,7 @@ class _MembraneObjective:
         tv = self._table_values(probes.reshape(-1, 3, 2)).reshape(n, 12)
         dT = ((tv[:, 0::2] - tv[:, 1::2]) / (2.0 * h)).reshape(n, 3, 2)
 
-        pw = np.where(norms > 0.0, norms ** (self.load.p - 2.0), 0.0)
-        dl = (self.psi0 + self.load.p * pw[:, None] * cen) * areas[:, None]
+        dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
         return mesh.pull_back(areas[:, None, None] * dT, dl).reshape(-1)
 
 
@@ -587,27 +593,16 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
 
     ``outside`` controls gradients beyond the tabulated ball:
     "certificate" uses the polynomial growth bound (coercive, so the
-    descent is pulled back in), "error" refuses to evaluate there.
+    descent is pulled back in), "error" refuses to evaluate there: a
+    start outside the box costs one evaluation and is refused, as in
+    :func:`minimize_thin_film`, and a trial step outside it raises.
     """
     if outside not in ("certificate", "error"):
         raise ValueError('outside must be "certificate" or "error"')
     obj = _MembraneObjective(table, load, mesh, outside)
     if start is None:
-        flat = np.zeros((mesh.n_vertices, 3))
-        flat[:, :2] = mesh.vertices
-        start = PwAffineField(mesh, flat)
-    x0 = obj.pack(start)
-    rng = np.random.default_rng(seed)
-    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
-    runs = []
-    for k in range(max(1, seeds)):
-        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        runs.append(_descent(obj, obj.gradient, xk, iters))
-    best, fields = _best_run(runs)
-    v = obj.unpack(best.x)
-    energy = float(np.dot(mesh.areas, table.values_at(v.gradients())))
-    return MinimizeResult(field=v, total=best.value, energy=energy,
-                          load_value=best.value - energy, **fields)
+        start = _flat_membrane(mesh)
+    return _multi_start(obj, start, iters, seeds, seed, jitter)
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +633,7 @@ class SweepReport:
     meta: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"meta": self.meta,
-                "rows": [{"eps": r.eps, "e3d": r.e3d, "emem": r.emem,
-                          "gap": r.gap, "lp_distance": r.lp_distance,
-                          "iterations": r.iterations,
-                          "stop_reason": r.stop_reason,
-                          "evaluations": r.evaluations,
-                          "gradients": r.gradients,
-                          "backtracks": r.backtracks} for r in self.rows]}
+        return {"meta": self.meta, "rows": [asdict(r) for r in self.rows]}
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -697,16 +685,14 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         competitor = thin_film_total(model, load, u0)
         if mode == "recovery":
             u, total, its, reason = u0, competitor, 0, None
-            counts = dict(evaluations=0, gradients=0, backtracks=0)
+            counts = dict.fromkeys(_COUNTS, 0)
         else:
             res = minimize_thin_film(model, load, eps, start=u0,
                                      iters=iters, seeds=seeds,
                                      seed=seed + 7919 * idx)
             u, total, its = res.field, res.total, res.iterations
             reason = res.stop_reason
-            counts = dict(evaluations=res.evaluations,
-                          gradients=res.gradients,
-                          backtracks=res.backtracks)
+            counts = {k: getattr(res, k) for k in _COUNTS}
             if total > competitor + 1e-9:
                 raise RuntimeError(
                     "film minimization ended above its warm-start "
@@ -726,12 +712,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     meta = {"mode": mode, "layers": layers, "j": assignment.j,
             "j_requested": j, "j_v": assignment.j_v, "blend_n": blend_n,
             "seed": seed, "iters": iters, "seeds": seeds,
-            "membrane_total": mem.total,
-            "membrane_iterations": mem.iterations,
-            "membrane_stop_reason": mem.stop_reason,
-            "membrane_evaluations": mem.evaluations,
-            "membrane_gradients": mem.gradients,
-            "membrane_backtracks": mem.backtracks,
+            **{f"membrane_{k}": getattr(mem, k)
+               for k in ("total", "iterations", "stop_reason") + _COUNTS},
             "seconds": {"membrane": assigning - started,
                         "assignment": assigned - assigning,
                         "films": [secs for _, secs in runs]}}

@@ -22,7 +22,6 @@ __all__ = [
     "ConditionReport",
     "eval_w",
     "check_conditions",
-    "barrier_from_name",
 ]
 
 
@@ -104,22 +103,6 @@ class ShiftedLogBarrier:
         """h''(t) for t > 0, the right derivative at the kink t = 1."""
         t = np.asarray(t, dtype=float)
         return np.where(t < 1.0, 1.0 / (t * t), 0.0) + 2.0 / (t * t * t)
-
-
-_BARRIERS = {
-    "reciprocal": ReciprocalBarrier,
-    "shifted_log": ShiftedLogBarrier,
-}
-
-
-def barrier_from_name(name: str, **kwargs):
-    try:
-        cls = _BARRIERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown barrier {name!r}; available: {sorted(_BARRIERS)}"
-        ) from None
-    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,6 @@ def _as_ext(value) -> ExtValue:
     return value if isinstance(value, ExtValue) else ExtValue(float(value))
 
 
-def _batch_eval(density, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a density over an (N, 3, 2) stack, +inf as a float."""
-    batch = getattr(density, "batch", None)
-    if batch is not None:
-        return np.asarray(batch(pts), dtype=float)
-    return np.array([_as_ext(density(p)).as_float() for p in pts])
-
-
 def _unit_orthogonal(v: np.ndarray) -> np.ndarray:
     """A deterministic unit vector orthogonal to a nonzero 3-vector."""
     probe = np.array([1.0, 0.0, 0.0])
@@ -291,8 +283,7 @@ def _polish_pair(density, xi, step, lam0, rounds: int):
         L = L.ravel()
         P = xi[None] + ((1.0 - L) * S)[:, None, None] * direction[None]
         M = xi[None] - (L * S)[:, None, None] * direction[None]
-        vals = L * _batch_eval(density, P) \
-            + (1.0 - L) * _batch_eval(density, M)
+        vals = L * density.batch(P) + (1.0 - L) * density.batch(M)
         k = int(np.argmin(vals))
         if vals[k] < best:
             best = float(vals[k])
@@ -309,8 +300,8 @@ def _profile(density, xi: np.ndarray, depth: int,
     steps, lam = _pair_grid(params)
     plus = xi[None] + (1.0 - lam)[:, None, None] * steps
     minus = xi[None] - lam[:, None, None] * steps
-    vp = _batch_eval(density, plus)
-    vm = _batch_eval(density, minus)
+    vp = density.batch(plus)
+    vm = density.batch(minus)
     scores = lam * vp + (1.0 - lam) * vm
 
     k_best = int(np.argmin(scores))
@@ -333,17 +324,18 @@ def _profile(density, xi: np.ndarray, depth: int,
                 if math.isfinite(float(scores[k]))]
         v2 = values[1]
         if kept:
-            # every child needs only its depth-1 value; two batched
-            # sweeps over (child, inner pair) give them all
+            # every child needs only its depth-1 value: its own value
+            # is in vp/vm, and two batched sweeps over (child, inner
+            # pair) give its best split
             pts = np.concatenate([plus[kept], minus[kept]])
-            child_l0 = _batch_eval(density, pts)
+            child_l0 = np.concatenate([vp[kept], vm[kept]])
             csteps, clam = _pair_grid(inner)
             cp = (pts[:, None] + (1.0 - clam)[None, :, None, None]
                   * csteps[None])
             cm = pts[:, None] - clam[None, :, None, None] * csteps[None]
             shape = (pts.shape[0], clam.shape[0])
-            cvp = _batch_eval(density, cp.reshape(-1, 3, 2)).reshape(shape)
-            cvm = _batch_eval(density, cm.reshape(-1, 3, 2)).reshape(shape)
+            cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
+            cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
             csc = (clam[None] * cvp + (1.0 - clam)[None] * cvm).min(axis=1)
             child_l1 = np.minimum(child_l0, csc)
             half, frac = len(kept), lam[kept]
@@ -356,6 +348,10 @@ def _profile(density, xi: np.ndarray, depth: int,
 def laminate_search(density, xi, depth: int,
                     params: SearchParams | None = None) -> LaminateResult:
     """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
+
+    ``density`` is called on one matrix and its ``batch`` method on an
+    (N, 3, 2) stack, returning floats with +inf, like
+    :class:`~memrelax.fiber_reduction.ReducedDensity`.
 
     values[0] is the density itself. values[1] is the best single split
     along a rank-one segment, the grid's best pair after polishing, or
@@ -384,8 +380,9 @@ def rank_one_convexity_probe(f, samples: int, *, seed: int = 0,
                              relative: bool = False) -> float:
     """Largest violation of convexity along sampled rank-one segments.
 
-    Draws segments whose endpoints stay inside the Frobenius ball of the
-    given radius and returns max of f(center) - lam f(plus)
+    ``f.batch`` evaluates an (N, 3, 2) stack. Draws segments whose
+    endpoints stay inside the Frobenius ball of the given radius and
+    returns max of f(center) - lam f(plus)
     - (1-lam) f(minus), optionally divided by max(1, f(center)).
     A function convex along rank-one lines keeps this at roundoff level.
     """
@@ -409,9 +406,9 @@ def rank_one_convexity_probe(f, samples: int, *, seed: int = 0,
     plus = xi + ((1.0 - lam) * s)[:, None, None] * r
     minus = xi - (lam * s)[:, None, None] * r
 
-    fc = _batch_eval(f, xi)
-    fp = _batch_eval(f, plus)
-    fm = _batch_eval(f, minus)
+    fc = f.batch(xi)
+    fp = f.batch(plus)
+    fm = f.batch(minus)
     viol = fc - (lam * fp + (1.0 - lam) * fm)
     if relative:
         viol = viol / np.maximum(1.0, np.abs(fc))
@@ -429,21 +426,6 @@ class TableEntry:
     method: str
     depth: int
     witness: dict | None = None
-
-
-class _TableDensity:
-    """Callable view of a table with a vectorized batch method."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "EnvelopeTable"):
-        self._table = table
-
-    def __call__(self, xi) -> ExtValue:
-        return ExtValue(self._table.value_at(xi))
-
-    def batch(self, xis: np.ndarray) -> np.ndarray:
-        return self._table.values_at(xis)
 
 
 class EnvelopeTable:
@@ -521,9 +503,6 @@ class EnvelopeTable:
 
     def value_at(self, xi) -> float:
         return float(self.values_at(as_mat32(xi)[None])[0])
-
-    def interpolant(self) -> _TableDensity:
-        return _TableDensity(self)
 
     def audit_growth(self) -> float:
         """Max ratio of node value to the certificate bound (must be <= 1)."""

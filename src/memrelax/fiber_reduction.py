@@ -149,14 +149,7 @@ def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
     xis = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
     if not np.all(np.isfinite(xis)):
         raise ValueError("mat32 entries must be finite")
-    u = xis[:, :, 0]
-    v = xis[:, :, 1]
-    c = np.stack([
-        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
-        u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
-        u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
-    ], axis=1)
-    a = np.linalg.norm(c, axis=1)
+    a = np.linalg.norm(wedge(xis), axis=1)
     q = np.sum(xis * xis, axis=(1, 2))
     out = np.full(xis.shape[0], np.inf)
     ok = a > WEDGE_FLOOR
@@ -176,9 +169,6 @@ class ReducedDensity:
 
     def batch(self, xis: np.ndarray) -> np.ndarray:
         return w0_batch(self.model, xis)
-
-    def minimizer(self, xi):
-        return w0_closed_form(self.model, xi, return_witness=True)
 
     def floor(self, xi) -> float:
         """Exact lower bound |xi|^p.

@@ -292,15 +292,14 @@ def energy_integral(field: PwAffineField, density: Callable, *,
     """Integral of density(offset + gradient) over the domain.
 
     The density maps a 3x2 matrix to an ExtValue (plain floats are
-    accepted). Zero-area cells are skipped; the first infinite value
-    makes the whole integral infinite and ends the loop.
+    accepted). Every cell has positive area (:class:`TriMesh` rejects
+    areas at or below ``AREA_FLOOR``); the first infinite value makes the
+    whole integral infinite and ends the loop.
     """
     grads = field._grads if offset is None \
         else np.asarray(offset, dtype=float) + field._grads
     acc = 0.0
     for g, area in zip(grads, map(float, field.mesh.areas)):
-        if area == 0.0:
-            continue
         val = density(g)
         if not isinstance(val, ExtValue):
             val = ExtValue(float(val))

@@ -92,11 +92,10 @@ def midpoint_rule(f: Integrand, tris: np.ndarray,
 
 
 def integrate_adaptive(f: Integrand, mesh_or_tris, *,
-                       rel_tol: float = 1e-4, max_level: int = 8,
-                       min_level: int = 1) -> QuadResult:
+                       rel_tol: float = 1e-4, max_level: int = 8) -> QuadResult:
     """Integrate over each root triangle, refining uniformly per root.
 
-    Root r stops at the first level l >= min_level with
+    Root r stops at the first level l >= 1 with
     |I_l - I_{l-1}| <= rel_tol * max(|I_l|, 1e-300), where I_l is its
     composite value over its 4**l children, or at max_level. Every level
     makes one call ``f(points, roots)`` over the roots still refining
@@ -133,11 +132,10 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
             errors[active] = np.abs(new - values[active])
             values[active] = new
             levels[active] = level
-            if level >= min_level:
-                going = ~(errors[active]
-                          <= rel_tol * np.maximum(np.abs(new), 1e-300))
-                active = active[going]
-                tris = tris.reshape(-1, k, 3, 2)[going].reshape(-1, 3, 2)
+            going = ~(errors[active]
+                      <= rel_tol * np.maximum(np.abs(new), 1e-300))
+            active = active[going]
+            tris = tris.reshape(-1, k, 3, 2)[going].reshape(-1, 3, 2)
     return QuadResult(value=float(np.sum(values)),
                       error_estimate=float(errors.max(initial=0.0)),
                       level=int(levels.max(initial=0)), n_evals=evals,

@@ -8,7 +8,8 @@ from memrelax.dimension_reduction import (
     LoadPotential, MinimizeResult, PrismField, _MembraneObjective,
     _ThinObjective, _default_film_start, _descent, director_membrane_energy,
     gamma_sweep, lift_membrane, lp_distance, minimize_membrane,
-    minimize_thin_film, pi_eps_average, recovery_sequence, thin_film_total,
+    minimize_thin_film, pi_eps_average, recovery_sequence, thin_film_energy,
+    thin_film_total,
 )
 from memrelax.director_field import InfeasibleError
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
@@ -56,10 +57,9 @@ def test_film_objective_gradient_matches_central_difference(model):
         lambda pts, x3: np.tile([0.1, -0.2, 0.3], (len(pts), 1)), p=2.5)
     obj = _ThinObjective(model, load, mesh, 5, 0.2)
     rng = np.random.default_rng(0)
-    x = obj.pack(_default_film_start(mesh, 0.2, 5))
+    x = _default_film_start(mesh, 0.2, 5).values.copy()
     # an in-plane stretch keeps every prism determinant near 2.25, away
     # from the shifted log's kink at 1
-    x = x.reshape(5, -1, 3)
     x[:, :, :2] *= 1.5
     x = x.reshape(-1) + 0.02 * rng.standard_normal(x.size)
     d = rng.standard_normal(x.shape)
@@ -146,8 +146,8 @@ def test_film_total_matches_the_film_objective():
     u = PrismField(mesh, u0.values + 0.01 * rng.standard_normal(
         u0.values.shape), 0.1)
     obj = _ThinObjective(model, load, mesh, 5, 0.1)
-    total = obj(obj.pack(u))[0]
-    assert thin_film_total(model, load, u) == pytest.approx(total, rel=1e-12)
+    total = obj(u.values.reshape(-1))[0]
+    assert thin_film_total(model, load, u) == total
 
 
 def test_thickness_average_inverts_the_membrane_lift():
@@ -198,10 +198,13 @@ def test_gamma_sweep_rows_are_consistent():
     assert len(secs["films"]) == 2
     assert all(x >= 0.0 for x in [secs["membrane"], secs["assignment"]]
                + secs["films"])
-    rows = report.to_dict()["rows"]
-    for key in ("stop_reason", "evaluations", "gradients", "backtracks"):
-        assert [r[key] for r in rows] == [getattr(r, key)
-                                          for r in report.rows]
+    out = report.to_dict()
+    assert list(out) == ["meta", "rows"]
+    keys = ["eps", "e3d", "emem", "gap", "lp_distance", "iterations",
+            "stop_reason", "evaluations", "gradients", "backtracks"]
+    for row, r in zip(out["rows"], report.rows):
+        assert list(row) == keys
+        assert [row[k] for k in keys] == [getattr(r, k) for k in keys]
 
 
 def _down_load():
@@ -388,7 +391,7 @@ def test_film_descent_matches_the_eager_reference(eps):
     mesh = unit_square_mesh(2)
     obj = _ThinObjective(EnergyModel(), _tilted_load(), mesh, 5, eps)
     rng = np.random.default_rng(7)
-    x0 = obj.pack(_default_film_start(mesh, eps, 5))
+    x0 = _default_film_start(mesh, eps, 5).values.reshape(-1)
     x0 = x0 + 0.01 * rng.standard_normal(x0.shape)
     run = _check_against_eager(obj, x0, 40,
                                guard=dimension_reduction._sign_guard)
@@ -424,6 +427,93 @@ def test_membrane_guard_refuses_a_trial_point_beyond_the_table():
         obj(trial)
     with pytest.raises(InfeasibleError, match="envelope box"):
         _descent(obj, obj.gradient, x0, 5)
+
+
+def test_membrane_outside_error_raises_a_mid_run_exit_from_the_box():
+    # the flat start lies in the box and its first trial step leaves it;
+    # the jittered second start would descend, so skipping the first run
+    # as a refused start would return a result instead of raising
+    table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        minimize_membrane(table, load, mesh, outside="error", iters=5,
+                          seeds=2, seed=0, jitter=0.1)
+    x0 = np.column_stack([mesh.vertices, np.zeros(9)]).reshape(-1)
+    rng = np.random.default_rng(0)
+    x1 = x0 + 0.1 * max(1.0, float(np.sqrt(np.mean(x0 * x0)))) \
+        * rng.standard_normal(x0.shape)
+    res = minimize_membrane(table, load, mesh, outside="error", iters=5,
+                            start=PwAffineField(mesh, x1.reshape(-1, 3)))
+    assert math.isfinite(res.total)
+
+
+def test_membrane_outside_error_raises_the_first_refusal():
+    # stretching x by 4 puts both starts outside the box: each is refused
+    # at its first evaluation and the first refusal is raised
+    mesh = unit_square_mesh(2)
+    flat = np.column_stack([4.0 * mesh.vertices[:, 0], mesh.vertices[:, 1],
+                            np.zeros(9)])
+    with pytest.raises(InfeasibleError, match="envelope box"):
+        minimize_membrane(_linear_table(), _tilted_load(), mesh,
+                          outside="error", seeds=2,
+                          start=PwAffineField(mesh, flat))
+
+
+def _reference_multi_start(obj, x0, iters, seeds, seed, jitter, guard=None):
+    # the multi-start loop and best-run pick as they ran before the shared
+    # driver: the film loop, which skips starts refused by _descent
+    rng = np.random.default_rng(seed)
+    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
+    runs = []
+    refused = 0
+    for k in range(max(1, seeds)):
+        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
+        try:
+            runs.append(_descent(obj, obj.gradient, xk, iters, guard=guard))
+        except InfeasibleError:
+            refused += 1
+    best = min(runs, key=lambda r: r.value)
+    return best, dict(
+        iterations=best.accepted, stop_reason=best.stop_reason,
+        grad_norm=best.grad_norm,
+        evaluations=refused + sum(r.evaluations for r in runs),
+        gradients=sum(r.gradients for r in runs),
+        backtracks=sum(r.backtracks for r in runs))
+
+
+def _check_against_reference(res, obj, x0, guard=None):
+    best, fields = _reference_multi_start(obj, x0, 20, 3, 5, 0.01, guard)
+    np.testing.assert_array_equal(res.field.values.reshape(-1), best.x)
+    assert res.total == best.value
+    assert {k: getattr(res, k) for k in fields} == fields
+    assert res.energy + res.load_value == res.total
+
+
+def test_membrane_multi_start_matches_the_reference():
+    table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
+    res = minimize_membrane(table, load, mesh, iters=20, seeds=3, seed=5)
+    obj = _MembraneObjective(table, load, mesh, "certificate")
+    x0 = np.column_stack([mesh.vertices, np.zeros(9)]).reshape(-1)
+    _check_against_reference(res, obj, x0)
+    assert res.energy == pytest.approx(float(np.dot(
+        mesh.areas, table.values_at(res.field.gradients()))), rel=1e-12)
+
+
+def test_film_multi_start_matches_the_reference():
+    model, load, mesh = EnergyModel(), _tilted_load(), unit_square_mesh(2)
+    obj = _ThinObjective(model, load, mesh, 3, 0.2)
+    flat = PwAffineField(mesh, np.column_stack([mesh.vertices,
+                                                np.zeros(9)]))
+    # the default start, then a layer-constant one that one evaluation
+    # refuses (zero determinants) before its jittered copies descend
+    for start, refused in ((_default_film_start(mesh, 0.2, 3), 0),
+                           (lift_membrane(flat, 0.2, layers=3), 1)):
+        res = minimize_thin_film(model, load, 0.2, start=start, iters=20,
+                                 seeds=3, seed=5)
+        _check_against_reference(res, obj, start.values.reshape(-1),
+                                 dimension_reduction._sign_guard)
+        assert res.energy == thin_film_energy(res.field, model).finite
+        assert res.evaluations == (refused + res.gradients
+                                   + res.backtracks)
 
 
 def test_minimizers_count_values_gradients_and_backtracks():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from memrelax.energy_models import (
-    EnergyModel, ReciprocalBarrier, ShiftedLogBarrier, barrier_from_name,
-    check_conditions, eval_w,
+    EnergyModel, ReciprocalBarrier, ShiftedLogBarrier, check_conditions,
+    eval_w,
 )
 from memrelax.tensor_kernel import INFINITE
 
@@ -112,8 +112,3 @@ def test_model_validation_and_registry():
         EnergyModel(p=1.0)
     with pytest.raises(ValueError):
         EnergyModel(coercivity=0.0)
-    with pytest.raises(ValueError):
-        barrier_from_name("nope")
-    b = barrier_from_name("reciprocal", power=2.0)
-    assert b.power == 2.0
-    assert barrier_from_name("shifted_log").name == "shifted_log"

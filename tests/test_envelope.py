@@ -361,15 +361,6 @@ def test_table_lookup_at_the_edge_of_the_exponent_range(small_table):
     np.testing.assert_allclose(got, small_table.values[0, 0], rtol=1e-12)
 
 
-def test_table_interpolant_batch_matches_scalar(small_table):
-    f = small_table.interpolant()
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(-1.0, 1.0, (16, 3, 2))
-    batch = f.batch(pts)
-    for k in range(16):
-        assert batch[k] == pytest.approx(f(pts[k]).as_float(), rel=1e-12)
-
-
 def test_table_json_roundtrip(small_table, tmp_path):
     path = tmp_path / "table.json"
     small_table.save_json(path)
