@@ -190,10 +190,6 @@ class LoadPotential:
         if not self.p > 1.0:
             raise ValueError("load exponent must exceed 1")
 
-    @staticmethod
-    def zero(p: float = 2.0) -> "LoadPotential":
-        return LoadPotential(lambda pts, x3: np.zeros((len(pts), 3)), p)
-
     def psi_at(self, pts: np.ndarray, x3) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         h = np.broadcast_to(np.asarray(x3, dtype=float), pts.shape[0])

@@ -28,7 +28,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,6 +192,13 @@ class SearchParams:
     from the open unit interval. Depth two re-ranks the scored pairs and
     splits both ends of the best top_k once more on the (smaller) inner
     grid.
+
+    The cube lattice is closed under negation and the fractions are
+    symmetric about 1/2, so a grid pair (d (x) n, lam) usually has a mirror
+    (-d (x) n, 1 - lam) with the same two end points in swapped roles.
+    The search evaluates each mirror pair once; a pair whose mirror is
+    not on the grid exactly (1 - lam is not a grid fraction in floating
+    point, as for n_lambda = 5) is evaluated on its own.
     """
 
     n_sphere: int = 26
@@ -236,9 +243,49 @@ def _sphere_net(n: int) -> np.ndarray:
     return axes
 
 
+class _PairGrid(NamedTuple):
+    steps: np.ndarray    # (K, 3, 2) rank-one steps
+    lam: np.ndarray      # (K,) volume fractions
+    mirror: np.ndarray   # (K,) index of the mirror pair, -1 if none
+    rep: np.ndarray      # (R,) pairs evaluated: one per mirror pair
+    ends: np.ndarray     # (K, 2) ids of each pair's (plus, minus) end
+
+
+def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Index k of each pair's mirror (-steps, 1 - lam), -1 if none.
+
+    Matched by exact equality: steps[k] == -steps[j] entrywise (signed
+    zeros equal), 1 - lam[j] == lam[k] and 1 - lam[k] == lam[j]. Then
+    the mirror's ends xi + (1 - lam[k]) steps[k] and xi - lam[k] steps[k]
+    are bit for bit the pair's ends xi - lam[j] steps[j] and
+    xi + (1 - lam[j]) steps[j], and its score is bit for bit the pair's.
+    """
+    def rows(step, frac):
+        # one byte string per pair; adding 0.0 turns -0.0 into 0.0, so
+        # equal zeros give equal bytes
+        flat = np.column_stack([step.reshape(-1, 6) + 0.0, frac])
+        return flat.view(np.dtype((np.void, flat.itemsize * 7))).ravel()
+
+    keys = rows(steps, lam)
+    want = rows(-steps, 1.0 - lam)
+    order = np.argsort(keys)
+    k = order[np.minimum(np.searchsorted(keys[order], want), lam.size - 1)]
+    return np.where((keys[k] == want) & (1.0 - lam[k] == lam), k, -1)
+
+
 @functools.lru_cache(maxsize=16)
-def _pair_grid(params: SearchParams):
-    """Rank-one steps (K, 3, 2) and volume fractions (K,) for one grid."""
+def _pair_grid(params: SearchParams) -> _PairGrid:
+    """Rank-one steps, volume fractions and the mirror map of one grid.
+
+    Built once per grid. A pair's mirror (-step, 1 - lam) is matched by
+    exact equality (:func:`_mirror_index`), so the two share their end
+    points bit for bit. ``rep`` lists the pairs the search evaluates,
+    the lower index of each mirror pair and every unmatched pair.
+    Numbering the ends of the representatives plus ends first,
+    0..R-1, then minus ends, R..2R-1, ``ends[j]`` gives the ids of pair
+    j's plus end xi + (1 - lam) step and minus end xi - lam step; a
+    mirror takes its representative's ids swapped.
+    """
     dirs = _sphere_net(params.n_sphere)
     angles = np.pi * np.arange(params.n_angles) / params.n_angles
     planar = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -252,17 +299,46 @@ def _pair_grid(params: SearchParams):
     K = steps.shape[0]
     steps = np.repeat(steps, lams.shape[0], axis=0)
     lam = np.tile(lams, K)
-    steps.setflags(write=False)
-    lam.setflags(write=False)
-    return steps, lam
+
+    mirror = _mirror_index(steps, lam)
+    pairs = np.arange(lam.size)
+    rep = np.flatnonzero((mirror < 0) | (pairs < mirror))
+    slot = np.arange(rep.size)
+    ends = np.empty((lam.size, 2), dtype=int)
+    ends[rep] = np.stack([slot, rep.size + slot], axis=1)
+    mirrored = mirror[rep] >= 0
+    ends[mirror[rep[mirrored]]] = np.stack(
+        [rep.size + slot[mirrored], slot[mirrored]], axis=1)
+    grid = _PairGrid(steps, lam, mirror, rep, ends)
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
 class LaminateResult:
-    """Profile of bound values by depth plus the best first-split witness."""
+    """Profile of bound values by depth, the witness of the last value
+    and the number of density points the search evaluated."""
 
     values: tuple[float, ...]
     witness: dict | None
+    evaluations: int
+
+
+class _Counted:
+    """Density proxy that counts the points it evaluates."""
+
+    def __init__(self, density):
+        self.density = density
+        self.points = 0
+
+    def __call__(self, xi):
+        self.points += 1
+        return self.density(xi)
+
+    def batch(self, xis):
+        self.points += len(xis)
+        return self.density.batch(xis)
 
 
 def _polish_pair(density, xi, step, lam0, rounds: int):
@@ -291,17 +367,37 @@ def _polish_pair(density, xi, step, lam0, rounds: int):
     return best, s_center * direction, l_center
 
 
+def _split_record(step, frac, score) -> dict:
+    return {"step": step.tolist(), "fraction": float(frac),
+            "score": float(score)}
+
+
 def _profile(density, xi: np.ndarray, depth: int,
              params: SearchParams) -> tuple[list[float], dict | None]:
+    """Values by depth and the witness of the last one.
+
+    Each mirror pair of the grid, matched exactly by
+    :func:`_mirror_index`, is evaluated once, on its representative, and
+    the mirror's end values are the representative's swapped; its score
+    is then bit for bit the one a separate evaluation gives, so the
+    ranking, the best pair and the polish are those of the full grid.
+    Unmatched pairs are evaluated on their own. At depth 2 each distinct kept end is split on the
+    representatives of the inner grid, whose minimum is the full inner
+    grid's.
+    """
     base = _as_ext(density(xi)).as_float()
     if depth == 0:
         return [base], None
 
-    steps, lam = _pair_grid(params)
-    plus = xi[None] + (1.0 - lam)[:, None, None] * steps
-    minus = xi[None] - lam[:, None, None] * steps
-    vp = density.batch(plus)
-    vm = density.batch(minus)
+    grid = _pair_grid(params)
+    steps, lam = grid.steps, grid.lam
+    rsteps, rlam = steps[grid.rep], lam[grid.rep]
+    # ends of the representatives: plus ends, then minus ends
+    pts = np.concatenate([xi[None] + (1.0 - rlam)[:, None, None] * rsteps,
+                          xi[None] - rlam[:, None, None] * rsteps])
+    vals = np.concatenate([density.batch(pts[:rlam.size]),
+                           density.batch(pts[rlam.size:])])
+    vp, vm = vals[grid.ends[:, 0]], vals[grid.ends[:, 1]]
     scores = lam * vp + (1.0 - lam) * vm
 
     k_best = int(np.argmin(scores))
@@ -314,33 +410,47 @@ def _profile(density, xi: np.ndarray, depth: int,
                                     params.polish_rounds)
             if polished[0] < split:
                 split, step, frac = polished
-        witness = {"step": step.tolist(), "fraction": frac, "score": split}
+        witness = _split_record(step, frac, split)
     values = [base, min(base, split)]
 
     if depth == 2:
-        inner = params.inner if params.inner is not None else params
-        order = np.argsort(scores, kind="stable")
-        kept = [int(k) for k in order[:params.top_k]
-                if math.isfinite(float(scores[k]))]
+        order = np.argsort(scores, kind="stable")[:params.top_k]
+        kept = order[np.isfinite(scores[order])]
         v2 = values[1]
-        if kept:
-            # every child needs only its depth-1 value: its own value
-            # is in vp/vm, and two batched sweeps over (child, inner
-            # pair) give its best split
-            pts = np.concatenate([plus[kept], minus[kept]])
-            child_l0 = np.concatenate([vp[kept], vm[kept]])
-            csteps, clam = _pair_grid(inner)
-            cp = (pts[:, None] + (1.0 - clam)[None, :, None, None]
-                  * csteps[None])
-            cm = pts[:, None] - clam[None, :, None, None] * csteps[None]
-            shape = (pts.shape[0], clam.shape[0])
-            cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
-            cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
-            csc = (clam[None] * cvp + (1.0 - clam)[None] * cvm).min(axis=1)
-            child_l1 = np.minimum(child_l0, csc)
-            half, frac = len(kept), lam[kept]
-            pairs = frac * child_l1[:half] + (1.0 - frac) * child_l1[half:]
-            v2 = min(v2, float(pairs.min()))
+        if kept.size:
+            # every child needs only its depth-1 value: its own value is
+            # in vals, and two batched sweeps over (distinct child, inner
+            # representative) give its best split
+            ids, child_of = np.unique(grid.ends[kept].ravel(),
+                                      return_inverse=True)
+            inner = _pair_grid(params.inner if params.inner is not None
+                               else params)
+            isteps, ilam = inner.steps[inner.rep], inner.lam[inner.rep]
+            child = pts[ids]
+            cp = (child[:, None] + (1.0 - ilam)[None, :, None, None]
+                  * isteps[None])
+            cm = child[:, None] - ilam[None, :, None, None] * isteps[None]
+            shape = (ids.size, ilam.size)
+            csc = (ilam * density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
+                   + (1.0 - ilam)
+                   * density.batch(cm.reshape(-1, 3, 2)).reshape(shape))
+            c_best = np.argmin(csc, axis=1)
+            c_split = csc[np.arange(ids.size), c_best]
+            child_l1 = np.minimum(vals[ids], c_split)[child_of]
+            child_l1 = child_l1.reshape(kept.size, 2)
+            frac = lam[kept]
+            pairs = frac * child_l1[:, 0] + (1.0 - frac) * child_l1[:, 1]
+            i = int(np.argmin(pairs))
+            if pairs[i] < v2:
+                v2 = float(pairs[i])
+                k = int(kept[i])
+                witness = _split_record(steps[k], lam[k], v2)
+                for side, c in zip(("plus", "minus"),
+                                   child_of[2 * i:2 * i + 2]):
+                    b = int(c_best[c])
+                    witness[side] = (
+                        _split_record(isteps[b], ilam[b], c_split[c])
+                        if c_split[c] < vals[ids[c]] else None)
         values.append(v2)
     return values, witness
 
@@ -351,7 +461,11 @@ def laminate_search(density, xi, depth: int,
 
     ``density`` is called on one matrix and its ``batch`` method on an
     (N, 3, 2) stack, returning floats with +inf, like
-    :class:`~memrelax.fiber_reduction.ReducedDensity`.
+    :class:`~memrelax.fiber_reduction.ReducedDensity`. ``batch`` must
+    evaluate each matrix on its own, independently of the rest of the
+    stack: a grid pair and its mirror (-step, 1 - fraction), matched
+    exactly as in :class:`SearchParams`, share their end points, and
+    only one of them is evaluated.
 
     values[0] is the density itself. values[1] is the best single split
     along a rank-one segment, the grid's best pair after polishing, or
@@ -359,17 +473,25 @@ def laminate_search(density, xi, depth: int,
     the best top_k grid pairs once on the inner grid. The sequence is
     nonincreasing by construction.
 
-    The witness is the best single split (its ``step``, ``fraction`` and
-    ``score``): fraction * density(xi + (1 - fraction) * step)
-    + (1 - fraction) * density(xi - fraction * step) replays ``score``,
-    which equals values[1] whenever a split beats the density.
+    The witness is the split that attains the last value, with its
+    ``step``, ``fraction`` and ``score``: fraction * E(xi + (1 - fraction)
+    * step) + (1 - fraction) * E(xi - fraction * step) replays ``score``.
+    At depth 1, and at depth 2 when splitting the ends does not lower
+    values[1], E is the density and ``score`` equals values[1] whenever a
+    split beats the density. When it does, the witness also holds
+    ``plus`` and ``minus``: the split of that end that attains its value,
+    itself a witness with E the density, or None where the end's own
+    density is lower; ``score`` then equals values[2]. ``evaluations``
+    counts the density points the search evaluated.
     """
     if not 0 <= depth <= 2:
         raise ValueError("depth must be 0, 1 or 2")
     xi = as_mat32(xi)
     p = params if params is not None else DEFAULT_SEARCH
-    values, witness = _profile(density, xi, depth, p)
-    return LaminateResult(values=tuple(values), witness=witness)
+    counted = _Counted(density)
+    values, witness = _profile(counted, xi, depth, p)
+    return LaminateResult(values=tuple(values), witness=witness,
+                          evaluations=counted.points)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +543,16 @@ def rank_one_convexity_probe(f, samples: int, *, seed: int = 0,
 
 @dataclass(frozen=True)
 class TableEntry:
+    """One node: its bound, the route that gave it, that route's witness
+    and the density points all the node's bounds evaluated (None when
+    read from a table saved without the count)."""
+
     sigma: tuple[float, float]
     value: float
     method: str
     depth: int
     witness: dict | None = None
+    evaluations: int | None = None
 
 
 class EnvelopeTable:
@@ -523,7 +650,9 @@ class EnvelopeTable:
             "model_info": self.model_info,
             "entries": [{"sigma": list(e.sigma), "value": e.value,
                          "method": e.method, "depth": e.depth,
-                         "witness": e.witness} for e in self.entries],
+                         "witness": e.witness,
+                         "evaluations": e.evaluations}
+                        for e in self.entries],
         }
 
     @classmethod
@@ -531,7 +660,8 @@ class EnvelopeTable:
         cert = GrowthCertificate(**data["certificate"])
         entries = [TableEntry(sigma=tuple(e["sigma"]), value=e["value"],
                               method=e["method"], depth=e["depth"],
-                              witness=e.get("witness"))
+                              witness=e.get("witness"),
+                              evaluations=e.get("evaluations"))
                    for e in data["entries"]]
         return cls(np.array(data["sigma_grid"]), np.array(data["values"]),
                    entries, data["p"], cert, data["depth"],
@@ -572,6 +702,7 @@ def _representative(s1: float, s2: float) -> np.ndarray:
 def _node_bound(density, s1: float, s2: float, depth: int,
                 params: SearchParams) -> TableEntry:
     xi = _representative(s1, s2)
+    density = _Counted(density)
     lam = laminate_search(density, xi, depth, params)
     candidates: list[tuple[float, str, dict | None]] = [
         (lam.values[0], "density", None)]
@@ -589,7 +720,8 @@ def _node_bound(density, s1: float, s2: float, depth: int,
 
     value, method, witness = min(candidates, key=lambda c: c[0])
     return TableEntry(sigma=(s1, s2), value=value, method=method,
-                      depth=depth, witness=witness)
+                      depth=depth, witness=witness,
+                      evaluations=density.points)
 
 
 def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,

@@ -6,9 +6,8 @@ import pytest
 
 from memrelax import director_field
 from memrelax.director_field import (
-    BlendedDirector, DirectorAssignment, InfeasibleError, blended_director,
-    build_assignment, cell_min_constrained, cellwise_energy, feasible_normal,
-    nirf_value,
+    DirectorAssignment, blended_director, build_assignment,
+    cell_min_constrained, cellwise_energy, feasible_normal, nirf_value,
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form

@@ -1,19 +1,20 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from memrelax.energy_models import EnergyModel, ReciprocalBarrier
+from memrelax import envelope
+from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.envelope import (
     DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
     build_envelope_table, finite_upper_bound, four_corner_bound,
     growth_certificate, laminate_search,
     rank_one_convexity_probe, square_refine_bound, zw0_upper_from_testfn,
 )
-from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
+from memrelax.fiber_reduction import ReducedDensity
 from memrelax.pw_affine import build_diamond_hat, build_square_hat
-from memrelax.tensor_kernel import INFINITE, frob_norm, mat32
+from memrelax.tensor_kernel import frob_norm, mat32
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -272,6 +273,32 @@ def test_depth_one_witnesses_replay_their_node_values(w0):
         assert replay == pytest.approx(e.value, rel=1e-12, abs=0.0)
 
 
+def _replay(density, xi, split):
+    """Value of a witness tree: the density at a leaf (None), else the
+    fraction-weighted values of the split's two ends."""
+    if split is None:
+        return envelope._as_ext(density(xi)).as_float()
+    step = np.array(split["step"])
+    lam = split["fraction"]
+    return (lam * _replay(density, xi + (1.0 - lam) * step,
+                          split.get("plus"))
+            + (1.0 - lam) * _replay(density, xi - lam * step,
+                                    split.get("minus")))
+
+
+def test_depth_two_witnesses_replay_their_node_values(w0):
+    table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
+                                 depth=2)
+    nodes = [e for e in table.entries if e.method == "laminate-2"]
+    # (0.5, 0.5) is attained only by splitting the ends of a first split
+    assert any("plus" in e.witness for e in nodes)
+    for e in nodes:
+        xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
+        assert e.witness["score"] == e.value
+        assert _replay(w0, xi, e.witness) == pytest.approx(
+            e.value, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # rank-one convexity probe
 
@@ -395,6 +422,42 @@ def test_table_entry_methods_are_labelled(small_table):
     assert {e.method for e in small_table.entries} <= allowed
 
 
+def test_table_json_keeps_evaluations(small_table):
+    data = small_table.to_dict()
+    back = EnvelopeTable.from_dict(data)
+    assert [e.evaluations for e in back.entries] \
+        == [e.evaluations for e in small_table.entries]
+    # a table saved before the count existed still loads
+    for e in data["entries"]:
+        del e["evaluations"]
+    old = EnvelopeTable.from_dict(data)
+    assert all(e.evaluations is None for e in old.entries)
+    assert np.array_equal(old.values, small_table.values)
+
+
+def test_evaluations_count_every_density_point(monkeypatch):
+    seen = {"points": 0}
+
+    class CountingDensity(ReducedDensity):
+        def __call__(self, xi):
+            seen["points"] += 1
+            return super().__call__(xi)
+
+        def batch(self, xis):
+            seen["points"] += len(xis)
+            return super().batch(xis)
+
+    monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
+    table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
+                                 depth=2, params=SMALL)
+    assert all(e.evaluations > 0 for e in table.entries)
+    assert sum(e.evaluations for e in table.entries) == seen["points"]
+
+    seen["points"] = 0
+    res = laminate_search(CountingDensity(EnergyModel()), E1E2, 2, SMALL)
+    assert res.evaluations == seen["points"]
+
+
 def test_threaded_build_matches_serial(small_table):
     threaded = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
                                     depth=1, params=SMALL, threads=4)
@@ -408,3 +471,128 @@ def test_table_validation_rejects_bad_grid(small_table):
                       small_table.certificate, 1)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
+
+
+# ---------------------------------------------------------------------------
+# mirror pairs of the search grid
+
+# a grid whose fractions 1/6, 1/3, 2/3, 5/6 are not exact mirrors of each
+# other in floating point, at both levels of the search
+INEXACT = SearchParams(n_sphere=6, n_angles=2, n_magnitudes=3, n_lambda=5,
+                       top_k=8, polish_rounds=1,
+                       inner=dataclasses.replace(LEAF_SEARCH, n_lambda=5))
+
+
+@pytest.mark.parametrize("params", [DEFAULT_SEARCH, INNER_SEARCH,
+                                    LEAF_SEARCH, SMALL],
+                         ids=["default", "inner", "leaf", "small"])
+def test_every_grid_pair_has_an_exact_mirror(params):
+    grid = envelope._pair_grid(params)
+    k = np.arange(grid.lam.size)
+    assert np.all(grid.mirror >= 0)
+    assert np.array_equal(grid.mirror[grid.mirror], k)
+    assert np.array_equal(grid.steps[grid.mirror], -grid.steps)
+    assert np.all(grid.lam + grid.lam[grid.mirror] == 1.0)
+    assert grid.rep.size * 2 == grid.lam.size
+    # a mirror reads its representative's end values swapped
+    assert np.array_equal(grid.ends[grid.mirror], grid.ends[:, ::-1])
+
+
+def test_inexact_fractions_stay_unmatched():
+    grid = envelope._pair_grid(INEXACT)
+    lost = grid.mirror < 0
+    assert lost.any() and not lost.all()
+    assert np.all(grid.lam[~lost] == 0.5)
+    # an unmatched pair is evaluated on its own
+    assert np.all(np.isin(np.flatnonzero(lost), grid.rep))
+
+
+def _full_grid_profile(density, xi, depth, params):
+    """The search with every grid pair evaluated on its own."""
+    base = envelope._as_ext(density(xi)).as_float()
+    grid = envelope._pair_grid(params)
+    steps, lam = grid.steps, grid.lam
+    plus = xi[None] + (1.0 - lam)[:, None, None] * steps
+    minus = xi[None] - lam[:, None, None] * steps
+    vp = density.batch(plus)
+    vm = density.batch(minus)
+    scores = lam * vp + (1.0 - lam) * vm
+    k_best = int(np.argmin(scores))
+    split = float(scores[k_best])
+    witness = None
+    if math.isfinite(split):
+        step, frac = steps[k_best], float(lam[k_best])
+        if params.polish_rounds > 0:
+            polished = envelope._polish_pair(density, xi, step, frac,
+                                             params.polish_rounds)
+            if polished[0] < split:
+                split, step, frac = polished
+        witness = {"step": step.tolist(), "fraction": frac, "score": split}
+    values = [base, min(base, split)]
+    if depth == 2:
+        inner = envelope._pair_grid(params.inner)
+        order = np.argsort(scores, kind="stable")
+        kept = [int(k) for k in order[:params.top_k]
+                if math.isfinite(float(scores[k]))]
+        v2 = values[1]
+        if kept:
+            pts = np.concatenate([plus[kept], minus[kept]])
+            child_l0 = np.concatenate([vp[kept], vm[kept]])
+            cp = (pts[:, None] + (1.0 - inner.lam)[None, :, None, None]
+                  * inner.steps[None])
+            cm = (pts[:, None] - inner.lam[None, :, None, None]
+                  * inner.steps[None])
+            shape = (pts.shape[0], inner.lam.size)
+            cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
+            cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
+            csc = (inner.lam * cvp + (1.0 - inner.lam) * cvm).min(axis=1)
+            child_l1 = np.minimum(child_l0, csc)
+            frac = lam[kept]
+            half = len(kept)
+            pairs = (frac * child_l1[:half]
+                     + (1.0 - frac) * child_l1[half:])
+            v2 = min(v2, float(pairs.min()))
+        values.append(v2)
+    return values, witness
+
+
+# small arguments, where splitting the ends of a split pays off
+EQUIVALENCE_POINTS = [
+    np.random.default_rng(21).uniform(-0.5, 0.5, (3, 2)),
+    mat32([0.3, 0.06, -0.12], [0.15, 0.03 + 3e-8, -0.06]),  # nearly parallel
+    mat32([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),                # rank one
+    mat32([0.1, -0.4, 0.25], [0.1, -0.4, 0.25]),            # equal columns
+]
+EQUIVALENCE_DENSITIES = [
+    ReducedDensity(EnergyModel()),
+    ReducedDensity(EnergyModel(ShiftedLogBarrier(), p=3.0)),
+    PowerDensity(3.0),
+]
+
+
+@pytest.mark.parametrize("params", [INNER_SEARCH, INEXACT],
+                         ids=["inner", "inexact"])
+@pytest.mark.parametrize("density", EQUIVALENCE_DENSITIES,
+                         ids=["reciprocal", "shifted-log", "power"])
+def test_mirror_search_equals_the_full_grid(density, params):
+    for xi in EQUIVALENCE_POINTS:
+        want1, witness1 = _full_grid_profile(density, xi, 1, params)
+        got1 = laminate_search(density, xi, 1, params)
+        assert list(got1.values) == want1
+        assert got1.witness == witness1
+        want2, _ = _full_grid_profile(density, xi, 2, params)
+        got2 = laminate_search(density, xi, 2, params)
+        assert list(got2.values) == want2
+        # the witness replays its score, the value whenever some split
+        # beats the density (never for the convex power)
+        assert _replay(density, xi, got2.witness) == pytest.approx(
+            got2.witness["score"], rel=1e-12, abs=0.0)
+        if want2[2] < want2[0]:
+            assert got2.witness["score"] == want2[2]
+
+
+def test_mirror_search_equals_the_full_grid_at_the_defaults(w0):
+    xi = EQUIVALENCE_POINTS[0]
+    want, witness = _full_grid_profile(w0, xi, 2, DEFAULT_SEARCH)
+    assert list(laminate_search(w0, xi, 2).values) == want
+    assert laminate_search(w0, xi, 1).witness == witness
