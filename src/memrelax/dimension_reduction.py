@@ -6,8 +6,8 @@ amplified by the inverse thickness. Averaging through the thickness maps
 film configurations onto membrane fields, recovery lifts map membrane
 fields back, and the sweep utilities compare near-minimizers on both
 sides as the thickness shrinks. The two minimizers share the load term,
-the lift v + eps * x3 * phi, the flat start and one multi-start descent
-driver; their objectives differ only in the energy and its gradient.
+the lift v + eps * x3 * phi, the flat start and one descent from one
+start; their objectives differ only in the energy and its gradient.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 from .director_field import InfeasibleError, blended_director, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import ExtValue, cofactors, singular_values, wedge
+from .tensor_kernel import ExtValue, cofactors, wedge
 
 __all__ = [
     "PrismField",
@@ -218,12 +218,17 @@ def thin_film_total(model: EnergyModel, load: LoadPotential,
     return obj(u.values.reshape(-1))[0]
 
 
+def _check_same_mesh(a: TriMesh, b: TriMesh, what: str) -> None:
+    """Raise unless a and b are one object or have equal vertices and
+    triangles."""
+    if a is not b and not (np.array_equal(a.vertices, b.vertices)
+                           and np.array_equal(a.triangles, b.triangles)):
+        raise ValueError(f"{what} must share a mesh")
+
+
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
     """L^p distance of two fields on one mesh, centroid quadrature."""
-    if a.mesh is not b.mesh and not (
-            np.array_equal(a.mesh.vertices, b.mesh.vertices)
-            and np.array_equal(a.mesh.triangles, b.mesh.triangles)):
-        raise ValueError("fields must share a mesh")
+    _check_same_mesh(a.mesh, b.mesh, "fields")
     cen = a.mesh.cell_means(a.values - b.values)
     norms = np.linalg.norm(cen, axis=1)
     return float(np.dot(a.mesh.areas, norms ** p) ** (1.0 / p))
@@ -282,14 +287,14 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Best descent run; ``iterations`` counts its accepted steps.
+    """One descent run; ``iterations`` counts its accepted steps.
 
     ``stop_reason`` is "grad_tol" (gradient vanished), "line_search_stalled"
     (no step along the gradient was accepted) or "budget" (``iters``
     steps taken); ``grad_norm`` is the gradient norm where it stopped.
-    ``evaluations``, ``gradients`` and ``backtracks`` are exact counts
-    over every start: objective values (one per refused start), gradient
-    builds, and trial steps the line search rejected.
+    ``evaluations``, ``gradients`` and ``backtracks`` are exact counts of
+    objective values, gradient builds, and trial steps the line search
+    rejected.
     """
 
     field: object
@@ -319,10 +324,6 @@ class _Run:
     backtracks: int
 
 
-class _RefusedStart(InfeasibleError):
-    """The first evaluation of a descent found its start infeasible."""
-
-
 def _descent(value, gradient, x0: np.ndarray, iters: int,
              guard=None) -> _Run:
     """Barzilai-Borwein descent with Armijo backtracking.
@@ -334,14 +335,11 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
     data is kept. ``guard(data0, data1)`` vetoes a step (used to refuse
     determinant sign flips, which would tunnel through the infinite
     barrier wall). Accepted energies are nonincreasing by construction.
-    A start valued +inf or raising InfeasibleError raises _RefusedStart.
+    A start valued +inf raises InfeasibleError after that one evaluation.
     """
-    try:
-        f, state = value(x0)
-    except InfeasibleError as err:
-        raise _RefusedStart(str(err)) from err
+    f, state = value(x0)
     if not math.isfinite(f):
-        raise _RefusedStart("starting configuration has infinite energy")
+        raise InfeasibleError("starting configuration has infinite energy")
     g = gradient(state)
     keep, state = state[0], None  # the intermediates are spent
     x = x0
@@ -388,32 +386,16 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
                 evaluations, gradients, backtracks)
 
 
-def _multi_start(obj, start, iters: int, seeds: int, seed: int,
-                 jitter: float, guard=None) -> MinimizeResult:
-    """Descend ``obj`` from the start's nodal values and ``seeds - 1``
-    jittered copies; the lowest run wins, the first on ties. Refused
-    starts are skipped, and the first refusal is raised if all are."""
-    x0 = start.values.reshape(-1).copy()
-    rng = np.random.default_rng(seed)
-    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
-    runs, refusals = [], []
-    for k in range(max(1, seeds)):
-        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        try:
-            runs.append(_descent(obj, obj.gradient, xk, iters, guard))
-        except _RefusedStart as err:
-            refusals.append(err)
-    if not runs:
-        raise refusals[0]
-    best = min(runs, key=lambda r: r.value)
-    energy, load_value, _ = obj.split(best.x)
+def _minimize(obj, start, iters: int, guard=None) -> MinimizeResult:
+    """Descend ``obj`` from the start's nodal values."""
+    run = _descent(obj, obj.gradient, start.values.reshape(-1), iters, guard)
+    energy, load_value, _ = obj.split(run.x)
     return MinimizeResult(
-        field=obj.unpack(best.x), total=best.value, energy=energy,
-        load_value=load_value, iterations=best.accepted,
-        stop_reason=best.stop_reason, grad_norm=best.grad_norm,
-        evaluations=len(refusals) + sum(r.evaluations for r in runs),
-        gradients=sum(r.gradients for r in runs),
-        backtracks=sum(r.backtracks for r in runs))
+        field=obj.unpack(run.x), total=run.value, energy=energy,
+        load_value=load_value, iterations=run.accepted,
+        stop_reason=run.stop_reason, grad_norm=run.grad_norm,
+        evaluations=run.evaluations, gradients=run.gradients,
+        backtracks=run.backtracks)
 
 
 class _ThinObjective:
@@ -493,23 +475,24 @@ def _default_film_start(mesh: TriMesh, eps: float,
 def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
                        mesh: TriMesh | None = None, *,
                        start: PrismField | None = None, layers: int = 5,
-                       iters: int = 200, seeds: int = 1, seed: int = 0,
-                       jitter: float = 0.01) -> MinimizeResult:
-    """Descend the total film energy from one or more feasible starts.
+                       iters: int = 200) -> MinimizeResult:
+    """Descend the total film energy from one feasible start.
 
     The line search refuses steps that flip any prism determinant's
     sign: the barrier makes the zero-determinant set an infinite wall
-    and hopping across it would silently change branch. Starts are the
-    given field (default: the flat film) plus ``seeds - 1`` jittered
-    copies; one evaluation refuses a start of infinite energy, and the
-    first refusal is raised when every start is refused.
+    and hopping across it would silently change branch. The start is the
+    given field (default: the flat film lifted along the normal); one
+    evaluation refuses a start of infinite energy with InfeasibleError.
+    A mesh given next to a start must be the start's mesh.
     """
     if start is None:
         if mesh is None:
             raise ValueError("provide a start field or a mesh")
         start = _default_film_start(mesh, eps, layers)
+    elif mesh is not None:
+        _check_same_mesh(start.mesh, mesh, "start and mesh")
     obj = _ThinObjective(model, load, start.mesh, start.n_layers, eps)
-    return _multi_start(obj, start, iters, seeds, seed, jitter, _sign_guard)
+    return _minimize(obj, start, iters, _sign_guard)
 
 
 class _MembraneObjective:
@@ -518,40 +501,27 @@ class _MembraneObjective:
     ``__call__`` returns (value, (None, intermediates)); ``gradient``
     takes the density slope as a central difference of the table with 12
     probes per cell. Every lookup reads the singular values in closed
-    form from the column Gram invariants. With ``outside="error"`` the
-    box guard checks every lookup: the cell gradients at each point whose
-    value is taken, trial points of the line search included, and the
-    probes only where a gradient is built, at the start and at accepted
-    steps.
+    form from the column Gram invariants. Beyond the tabulated ball the
+    table returns its growth certificate, a true upper bound that grows
+    like |xi|^p, so a long trial step is rejected by the line search
+    like any other rise in value.
     """
 
-    def __init__(self, table, potential: LoadPotential, mesh: TriMesh,
-                 outside: str):
+    def __init__(self, table, potential: LoadPotential, mesh: TriMesh):
         self.table = table
         self.potential = potential
         self.mesh = mesh
-        self.outside = outside
         self.psi0 = potential.psi_at(mesh.cell_means(mesh.vertices), 0.0)
         self.h = 1e-5
 
     def unpack(self, x: np.ndarray) -> PwAffineField:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
 
-    def _table_values(self, grads: np.ndarray) -> np.ndarray:
-        if self.outside == "error":
-            sig = singular_values(grads)
-            if np.any(sig[:, 0] > self.table.sigma_max + 1e-12):
-                raise InfeasibleError(
-                    "a cell gradient left the tabulated envelope box; "
-                    "rebuild the table with a larger radius or allow the "
-                    "certificate extension")
-        return self.table.values_at(grads)
-
     def split(self, x: np.ndarray):
         """(envelope energy, load value, (None, intermediates)) at x."""
         areas = self.mesh.areas
         grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
-        energy = float(np.dot(areas, self._table_values(grads)))
+        energy = float(np.dot(areas, self.table.values_at(grads)))
         terms, norms = self.potential.terms(self.psi0, cen)
         return energy, float(np.dot(areas, terms)), (None, (grads, cen, norms))
 
@@ -574,7 +544,7 @@ class _MembraneObjective:
                 probes[:, slot, i, j] += h
                 probes[:, slot + 1, i, j] -= h
                 slot += 2
-        tv = self._table_values(probes.reshape(-1, 3, 2)).reshape(n, 12)
+        tv = self.table.values_at(probes.reshape(-1, 3, 2)).reshape(n, 12)
         dT = ((tv[:, 0::2] - tv[:, 1::2]) / (2.0 * h)).reshape(n, 3, 2)
 
         dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
@@ -582,23 +552,19 @@ class _MembraneObjective:
 
 
 def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
-                      start: PwAffineField | None = None, iters: int = 200,
-                      seeds: int = 1, seed: int = 0, jitter: float = 0.01,
-                      outside: str = "certificate") -> MinimizeResult:
-    """Minimize tabulated-envelope energy plus mid-surface load.
+                      start: PwAffineField | None = None,
+                      iters: int = 200) -> MinimizeResult:
+    """Minimize tabulated-envelope energy plus mid-surface load from one
+    start on ``mesh`` (default: the flat membrane).
 
-    ``outside`` controls gradients beyond the tabulated ball:
-    "certificate" uses the polynomial growth bound (coercive, so the
-    descent is pulled back in), "error" refuses to evaluate there: a
-    start outside the box costs one evaluation and is refused, as in
-    :func:`minimize_thin_film`, and a trial step outside it raises.
+    Gradients beyond the tabulated ball are valued by the growth
+    certificate, which is coercive, so the descent is pulled back in.
     """
-    if outside not in ("certificate", "error"):
-        raise ValueError('outside must be "certificate" or "error"')
-    obj = _MembraneObjective(table, load, mesh, outside)
     if start is None:
         start = _flat_membrane(mesh)
-    return _multi_start(obj, start, iters, seeds, seed, jitter)
+    else:
+        _check_same_mesh(start.mesh, mesh, "start and mesh")
+    return _minimize(_MembraneObjective(table, load, mesh), start, iters)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +605,7 @@ class SweepReport:
 def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                 mesh: TriMesh, eps_schedule, *, layers: int = 5,
                 j: int | None = None, blend_n: int = 64, iters: int = 200,
-                seeds: int = 1, seed: int = 0, mode: str = "minimize",
-                threads: int = 1) -> SweepReport:
+                mode: str = "minimize", threads: int = 1) -> SweepReport:
     """Membrane minimum once, then one film run per thickness.
 
     Per thickness the report records the total film energy, the gap to
@@ -661,8 +626,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         raise ValueError('mode must be "minimize" or "recovery"')
 
     started = time.perf_counter()
-    mem = minimize_membrane(table, load, mesh, iters=iters, seeds=seeds,
-                            seed=seed)
+    mem = minimize_membrane(table, load, mesh, iters=iters)
     v_bar = mem.field
     assigning = time.perf_counter()
     # the requested index is a preference; the minimizer's own geometry
@@ -673,8 +637,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     director = blended_director(v_bar, assignment, blend_n)
     assigned = time.perf_counter()
 
-    def run(idx_eps):
-        idx, eps = idx_eps
+    def run(eps):
         film_started = time.perf_counter()
         u0, _ = recovery_sequence(model, v_bar, director, eps,
                                   layers=layers)
@@ -683,9 +646,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
             u, total, its, reason = u0, competitor, 0, None
             counts = dict.fromkeys(_COUNTS, 0)
         else:
-            res = minimize_thin_film(model, load, eps, start=u0,
-                                     iters=iters, seeds=seeds,
-                                     seed=seed + 7919 * idx)
+            res = minimize_thin_film(model, load, eps, start=u0, iters=iters)
             u, total, its = res.field, res.total, res.iterations
             reason = res.stop_reason
             counts = {k: getattr(res, k) for k in _COUNTS}
@@ -699,15 +660,14 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                        iterations=its, stop_reason=reason, **counts)
         return row, time.perf_counter() - film_started
 
-    jobs = list(enumerate(eps_schedule))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, jobs))
+            runs = list(pool.map(run, eps_schedule))
     else:
-        runs = [run(job) for job in jobs]
+        runs = [run(eps) for eps in eps_schedule]
     meta = {"mode": mode, "layers": layers, "j": assignment.j,
             "j_requested": j, "j_v": assignment.j_v, "blend_n": blend_n,
-            "seed": seed, "iters": iters, "seeds": seeds,
+            "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)
                for k in ("total", "iterations", "stop_reason") + _COUNTS},
             "seconds": {"membrane": assigning - started,

@@ -167,8 +167,9 @@ class GrowthCertificate:
     r1: float
     cbar1: float
 
-    def bound(self, xi) -> float:
-        return self.c * (1.0 + frob_norm(as_mat32(xi)) ** self.p)
+    def bound(self, norms):
+        """c (1 + |xi|^p), elementwise in the Frobenius norms |xi|."""
+        return self.c * (1.0 + norms ** self.p)
 
 
 def growth_certificate(model: EnergyModel) -> GrowthCertificate:
@@ -612,7 +613,7 @@ class EnvelopeTable:
         inside = sig[:, 0] <= self.sigma_max + 1e-12
         if np.any(~inside):
             norms = np.sqrt((sig[~inside] ** 2).sum(axis=1))
-            out[~inside] = self.certificate.c * (1.0 + norms ** self.p)
+            out[~inside] = self.certificate.bound(norms)
         if np.any(inside):
             s = np.clip(sig[inside], 0.0, self.sigma_max)
             g = self.sigma_grid
@@ -628,14 +629,10 @@ class EnvelopeTable:
             out[inside] = v
         return out
 
-    def value_at(self, xi) -> float:
-        return float(self.values_at(as_mat32(xi)[None])[0])
-
     def audit_growth(self) -> float:
         """Max ratio of node value to the certificate bound (must be <= 1)."""
         s1, s2 = np.meshgrid(self.sigma_grid, self.sigma_grid, indexing="ij")
-        norms = np.sqrt(s1 ** 2 + s2 ** 2)
-        bound = self.certificate.c * (1.0 + norms ** self.p)
+        bound = self.certificate.bound(np.sqrt(s1 ** 2 + s2 ** 2))
         return float((self.values / bound).max())
 
     def to_dict(self) -> dict:
@@ -675,24 +672,6 @@ class EnvelopeTable:
     def load_json(cls, path) -> "EnvelopeTable":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sigma1,sigma2,value,method,depth\n")
-            for e in self.entries:
-                fh.write(f"{e.sigma[0]:.17g},{e.sigma[1]:.17g},"
-                         f"{e.value:.17g},{e.method},{e.depth}\n")
-
-    def slice_along(self, start, stop, n: int = 101) -> np.ndarray:
-        """Values along the matrix segment from start to stop, (n, 3) rows
-        (parameter, |xi|, value)."""
-        a = as_mat32(start)
-        b = as_mat32(stop)
-        ts = np.linspace(0.0, 1.0, n)
-        pts = a[None] + ts[:, None, None] * (b - a)[None]
-        vals = self.values_at(pts)
-        norms = np.array([frob_norm(p) for p in pts])
-        return np.column_stack([ts, norms, vals])
 
 
 def _representative(s1: float, s2: float) -> np.ndarray:

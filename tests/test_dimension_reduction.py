@@ -123,8 +123,7 @@ def _tilted_load():
 
 def test_membrane_objective_gradient_matches_central_difference():
     mesh = unit_square_mesh(3)
-    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh,
-                             "certificate")
+    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh)
     rng = np.random.default_rng(4)
     flat = np.zeros((mesh.n_vertices, 3))
     flat[:, :2] = 1.3 * mesh.vertices
@@ -215,16 +214,16 @@ def _down_load():
 def test_membrane_descent_is_monotone_in_the_budget():
     # _descent is deterministic, so a shorter run is a prefix of a longer
     totals = [minimize_membrane(_linear_table(), _tilted_load(),
-                                unit_square_mesh(2), iters=k, seeds=2,
-                                seed=3).total for k in (0, 5, 20)]
+                                unit_square_mesh(2), iters=k).total
+              for k in (0, 5, 20)]
     assert totals[1] <= totals[0] and totals[2] <= totals[1]
     assert totals[2] < totals[0]
 
 
 def test_film_descent_is_monotone_in_the_budget():
     totals = [minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
-                                 unit_square_mesh(2), layers=3, iters=k,
-                                 seeds=2, seed=5).total for k in (0, 5, 20)]
+                                 unit_square_mesh(2), layers=3,
+                                 iters=k).total for k in (0, 5, 20)]
     assert totals[1] <= totals[0] and totals[2] <= totals[1]
     assert totals[2] < totals[0]
 
@@ -288,22 +287,6 @@ def test_sweep_membrane_descent_ends_on_its_budget():
                             iters=200)
     assert (res.iterations, res.stop_reason) == (200, "budget")
     assert res.grad_norm > 1e-3
-
-
-def test_membrane_guard_refuses_gradients_beyond_the_table():
-    mesh = unit_square_mesh(2)
-    table = _linear_table()
-    obj = _MembraneObjective(table, _tilted_load(), mesh, "error")
-    flat = np.zeros((mesh.n_vertices, 3))
-    flat[:, :2] = mesh.vertices
-    obj(flat.reshape(-1))
-    # stretching x by 4 gives singular values (4, 1) against sigma_max = 3
-    flat[:, 0] *= 4.0
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        obj(flat.reshape(-1))
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        minimize_membrane(table, _tilted_load(), mesh, outside="error",
-                          start=PwAffineField(mesh, flat))
 
 
 def _eager_descent(obj, x0, iters, guard=None):
@@ -400,8 +383,7 @@ def test_film_descent_matches_the_eager_reference(eps):
 
 def test_membrane_descent_matches_the_eager_reference():
     mesh = unit_square_mesh(3)
-    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh,
-                             "certificate")
+    obj = _MembraneObjective(_linear_table(), _tilted_load(), mesh)
     rng = np.random.default_rng(8)
     flat = np.zeros((mesh.n_vertices, 3))
     flat[:, :2] = 1.3 * mesh.vertices
@@ -409,133 +391,80 @@ def test_membrane_descent_matches_the_eager_reference():
     _check_against_eager(obj, x0, 40)
 
 
-def test_membrane_guard_refuses_a_trial_point_beyond_the_table():
-    # the start has singular values (2.8, 2.8) against sigma_max = 3; the
-    # load pulls the interior vertex harder than the boundary ones, so the
-    # first trial step stretches a cell out of the box. The guard runs on
-    # every value, trial points included.
-    mesh = unit_square_mesh(2)
-    load = LoadPotential(lambda pts, x3: np.tile([-10.0, 0.0, 0.0],
-                                                 (len(pts), 1)))
-    obj = _MembraneObjective(_linear_table(), load, mesh, "error")
-    flat = np.zeros((mesh.n_vertices, 3))
-    flat[:, :2] = 2.8 * mesh.vertices
-    x0 = flat.reshape(-1)
-    g = obj.gradient(obj(x0)[1])
-    trial = x0 - g / max(1.0, float(np.linalg.norm(g)))
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        obj(trial)
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        _descent(obj, obj.gradient, x0, 5)
+def _flat(mesh):
+    return PwAffineField(mesh, np.column_stack([mesh.vertices,
+                                                np.zeros(mesh.n_vertices)]))
 
 
-def test_membrane_outside_error_raises_a_mid_run_exit_from_the_box():
-    # the flat start lies in the box and its first trial step leaves it;
-    # the jittered second start would descend, so skipping the first run
-    # as a refused start would return a result instead of raising
+def test_membrane_descends_from_a_start_beyond_the_table():
+    # stretching x by 4 gives singular values (4, 1) against sigma_max = 3;
+    # the certificate values those cells and grows like |xi|^p, so the
+    # descent pulls them back in
     table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        minimize_membrane(table, load, mesh, outside="error", iters=5,
-                          seeds=2, seed=0, jitter=0.1)
-    x0 = np.column_stack([mesh.vertices, np.zeros(9)]).reshape(-1)
-    rng = np.random.default_rng(0)
-    x1 = x0 + 0.1 * max(1.0, float(np.sqrt(np.mean(x0 * x0)))) \
-        * rng.standard_normal(x0.shape)
-    res = minimize_membrane(table, load, mesh, outside="error", iters=5,
-                            start=PwAffineField(mesh, x1.reshape(-1, 3)))
-    assert math.isfinite(res.total)
+    start = PwAffineField(mesh, _flat(mesh).values * [4.0, 1.0, 1.0])
+    first = minimize_membrane(table, load, mesh, start=start, iters=0).total
+    res = minimize_membrane(table, load, mesh, start=start, iters=20)
+    assert math.isfinite(res.total) and res.total < first
 
 
-def test_membrane_outside_error_raises_the_first_refusal():
-    # stretching x by 4 puts both starts outside the box: each is refused
-    # at its first evaluation and the first refusal is raised
+def test_film_descent_refuses_a_start_of_infinite_energy():
+    # a layer-constant start has zero prism determinants
     mesh = unit_square_mesh(2)
-    flat = np.column_stack([4.0 * mesh.vertices[:, 0], mesh.vertices[:, 1],
-                            np.zeros(9)])
-    with pytest.raises(InfeasibleError, match="envelope box"):
-        minimize_membrane(_linear_table(), _tilted_load(), mesh,
-                          outside="error", seeds=2,
-                          start=PwAffineField(mesh, flat))
+    with pytest.raises(InfeasibleError, match="infinite energy"):
+        minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
+                           start=lift_membrane(_flat(mesh), 0.2, layers=3))
 
 
-def _reference_multi_start(obj, x0, iters, seeds, seed, jitter, guard=None):
-    # the multi-start loop and best-run pick as they ran before the shared
-    # driver: the film loop, which skips starts refused by _descent
-    rng = np.random.default_rng(seed)
-    scale = jitter * max(1.0, float(np.sqrt(np.mean(x0 * x0))))
-    runs = []
-    refused = 0
-    for k in range(max(1, seeds)):
-        xk = x0 if k == 0 else x0 + scale * rng.standard_normal(x0.shape)
-        try:
-            runs.append(_descent(obj, obj.gradient, xk, iters, guard=guard))
-        except InfeasibleError:
-            refused += 1
-    best = min(runs, key=lambda r: r.value)
-    return best, dict(
-        iterations=best.accepted, stop_reason=best.stop_reason,
-        grad_norm=best.grad_norm,
-        evaluations=refused + sum(r.evaluations for r in runs),
-        gradients=sum(r.gradients for r in runs),
-        backtracks=sum(r.backtracks for r in runs))
-
-
-def _check_against_reference(res, obj, x0, guard=None):
-    best, fields = _reference_multi_start(obj, x0, 20, 3, 5, 0.01, guard)
-    np.testing.assert_array_equal(res.field.values.reshape(-1), best.x)
-    assert res.total == best.value
-    assert {k: getattr(res, k) for k in fields} == fields
+def test_minimizers_return_the_descent_from_their_start():
+    model, table = EnergyModel(), _linear_table()
+    load, mesh = _tilted_load(), unit_square_mesh(2)
+    res = minimize_thin_film(model, load, 0.2, mesh, layers=3, iters=20)
+    obj = _ThinObjective(model, load, mesh, 3, 0.2)
+    x0 = _default_film_start(mesh, 0.2, 3).values.reshape(-1)
+    run = _descent(obj, obj.gradient, x0, 20, dimension_reduction._sign_guard)
+    np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
+    assert res.total == run.value
     assert res.energy + res.load_value == res.total
-
-
-def test_membrane_multi_start_matches_the_reference():
-    table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
-    res = minimize_membrane(table, load, mesh, iters=20, seeds=3, seed=5)
-    obj = _MembraneObjective(table, load, mesh, "certificate")
-    x0 = np.column_stack([mesh.vertices, np.zeros(9)]).reshape(-1)
-    _check_against_reference(res, obj, x0)
+    assert res.energy == thin_film_energy(res.field, model).finite
+    res = minimize_membrane(table, load, mesh, iters=20)
+    obj = _MembraneObjective(table, load, mesh)
+    run = _descent(obj, obj.gradient, _flat(mesh).values.reshape(-1), 20)
+    np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
+    assert res.total == run.value
+    assert res.energy + res.load_value == res.total
     assert res.energy == pytest.approx(float(np.dot(
         mesh.areas, table.values_at(res.field.gradients()))), rel=1e-12)
 
 
-def test_film_multi_start_matches_the_reference():
-    model, load, mesh = EnergyModel(), _tilted_load(), unit_square_mesh(2)
-    obj = _ThinObjective(model, load, mesh, 3, 0.2)
-    flat = PwAffineField(mesh, np.column_stack([mesh.vertices,
-                                                np.zeros(9)]))
-    # the default start, then a layer-constant one that one evaluation
-    # refuses (zero determinants) before its jittered copies descend
-    for start, refused in ((_default_film_start(mesh, 0.2, 3), 0),
-                           (lift_membrane(flat, 0.2, layers=3), 1)):
-        res = minimize_thin_film(model, load, 0.2, start=start, iters=20,
-                                 seeds=3, seed=5)
-        _check_against_reference(res, obj, start.values.reshape(-1),
-                                 dimension_reduction._sign_guard)
-        assert res.energy == thin_film_energy(res.field, model).finite
-        assert res.evaluations == (refused + res.gradients
-                                   + res.backtracks)
-
-
 def test_minimizers_count_values_gradients_and_backtracks():
-    load = _tilted_load()
+    load, mesh = _tilted_load(), unit_square_mesh(2)
+    for res in (minimize_membrane(_linear_table(), load, mesh, iters=20),
+                minimize_thin_film(EnergyModel(), load, 0.2, mesh, layers=3,
+                                   iters=20)):
+        assert res.gradients == res.iterations + 1
+        assert res.evaluations == res.gradients + res.backtracks
+
+
+def _moved_mesh(mesh):
+    # the same size and connectivity, other vertices
+    return TriMesh(mesh.vertices * [2.0, 1.0], mesh.triangles)
+
+
+def test_membrane_rejects_a_start_on_another_mesh():
+    table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
+    with pytest.raises(ValueError, match="share a mesh"):
+        minimize_membrane(table, load, mesh, start=_flat(_moved_mesh(mesh)))
+    copy = TriMesh(mesh.vertices.copy(), mesh.triangles.copy())
+    res = minimize_membrane(table, load, mesh, start=_flat(copy), iters=0)
+    assert res.total == minimize_membrane(table, load, mesh, iters=0).total
+
+
+def test_film_rejects_a_mesh_other_than_its_start_mesh():
     mesh = unit_square_mesh(2)
-    res = minimize_membrane(_linear_table(), load, mesh, iters=20, seeds=2,
-                            seed=3)
-    assert res.gradients >= res.iterations + 2  # two starts
-    assert res.evaluations == res.gradients + res.backtracks
-    res = minimize_thin_film(EnergyModel(), load, 0.2, mesh, layers=3,
-                             iters=20, seeds=2, seed=5)
-    assert res.gradients >= res.iterations + 2
-    assert res.evaluations == res.gradients + res.backtracks
-    # a layer-constant start has zero determinants: one evaluation refuses
-    # it and only the jittered start descends
-    flat = PwAffineField(mesh, np.column_stack([mesh.vertices,
-                                                np.zeros(9)]))
-    res = minimize_thin_film(EnergyModel(), load, 0.2,
-                             start=lift_membrane(flat, 0.2, layers=3),
-                             iters=20, seeds=2, seed=5)
-    assert res.gradients == res.iterations + 1
-    assert res.evaluations == 1 + res.gradients + res.backtracks
+    start = _default_film_start(mesh, 0.2, 3)
+    with pytest.raises(ValueError, match="share a mesh"):
+        minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
+                           _moved_mesh(mesh), start=start)
 
 
 def test_recovery_sweep_rows_count_no_descent():

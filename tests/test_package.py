@@ -48,3 +48,42 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level private functions, classes and constants."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the code reads, as a bare name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_every_private_definition_is_used():
+    # a private helper left behind after its last caller is deleted is
+    # dead code; tests do not count as callers
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(Path(memrelax.__path__[0]).glob("*.py"))]
+    defined = set().union(*map(_private_definitions, trees))
+    read = set().union(*map(_read_names, trees))
+    assert defined, "the scan found no private definitions"
+    assert sorted(defined - read) == []
