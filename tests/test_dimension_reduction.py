@@ -415,9 +415,8 @@ def test_film_descent_refuses_a_start_of_infinite_energy():
                            start=lift_membrane(_flat(mesh), 0.2, layers=3))
 
 
-def test_minimizers_return_the_descent_from_their_start():
-    model, table = EnergyModel(), _linear_table()
-    load, mesh = _tilted_load(), unit_square_mesh(2)
+def test_film_minimizer_returns_the_descent_from_its_start():
+    model, load, mesh = EnergyModel(), _tilted_load(), unit_square_mesh(2)
     res = minimize_thin_film(model, load, 0.2, mesh, layers=3, iters=20)
     obj = _ThinObjective(model, load, mesh, 3, 0.2)
     x0 = _default_film_start(mesh, 0.2, 3).values.reshape(-1)
@@ -426,6 +425,10 @@ def test_minimizers_return_the_descent_from_their_start():
     assert res.total == run.value
     assert res.energy + res.load_value == res.total
     assert res.energy == thin_film_energy(res.field, model).finite
+
+
+def test_membrane_minimizer_returns_the_descent_from_its_start():
+    table, load, mesh = _linear_table(), _tilted_load(), unit_square_mesh(2)
     res = minimize_membrane(table, load, mesh, iters=20)
     obj = _MembraneObjective(table, load, mesh)
     run = _descent(obj, obj.gradient, _flat(mesh).values.reshape(-1), 20)
