@@ -23,7 +23,7 @@ import numpy as np
 from .director_field import InfeasibleError, blended_director, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import ExtValue, cofactors, singular_values, wedge
+from .tensor_kernel import ExtValue, cofactors, wedge
 
 __all__ = [
     "PrismField",
@@ -206,8 +206,9 @@ class LoadPotential:
 
     def slope(self, psi: np.ndarray, zeta: np.ndarray,
               norms: np.ndarray) -> np.ndarray:
-        """Derivative of the density in zeta: psi + p |zeta|^(p-2) zeta."""
-        pw = np.where(norms > 0.0, norms ** (self.p - 2.0), 0.0)
+        """psi + p |zeta|^(p-2) zeta, the zeta-slope; psi where zeta = 0."""
+        pw = np.power(norms, self.p - 2.0, out=np.zeros_like(norms),
+                      where=norms > 0.0)
         return psi + self.p * pw[..., None] * zeta
 
 
@@ -395,9 +396,11 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
     empty) and halves t until f(x + t d) <= f + 1e-4 t g.d. A direction
     with g.d >= 0 clears the memory and is replaced by -g. Accepted
     energies are nonincreasing by construction, and the curvature pairs
-    take a fixed (2 * _MEMORY, n) of memory. A start valued +inf raises
-    InfeasibleError after that one evaluation.
+    take a fixed (2 * _MEMORY, n) of memory. Negative ``iters`` raise
+    ValueError, and a start valued +inf InfeasibleError after one call.
     """
+    if iters < 0:
+        raise ValueError("iters must be nonnegative")
     f, state = value(x0)
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
@@ -561,15 +564,13 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
 
 
 class _MembraneObjective:
-    """Tabulated envelope plus mid-surface load, numeric density slope.
+    """Tabulated envelope plus mid-surface load, and its nodal gradient.
 
     ``__call__`` returns (value, (None, intermediates)); ``gradient``
-    takes the density slope as a central difference of the table with 12
-    probes per cell. Every lookup reads the singular values in closed
-    form from the column Gram invariants. Beyond the tabulated ball the
-    table returns its growth certificate, a true upper bound that grows
-    like |xi|^p, so a long trial step is rejected by the line search
-    like any other rise in value.
+    reads the density slope from the table's ``slopes_at``. Beyond the
+    tabulated box the table returns its growth certificate, a true upper
+    bound that grows like |xi|^p, so a long trial step is rejected by the
+    line search like any other rise in value.
     """
 
     def __init__(self, table, potential: LoadPotential, mesh: TriMesh):
@@ -577,7 +578,6 @@ class _MembraneObjective:
         self.potential = potential
         self.mesh = mesh
         self.psi0 = potential.psi_at(mesh.cell_means(mesh.vertices), 0.0)
-        self.h = 1e-5
 
     def unpack(self, x: np.ndarray) -> PwAffineField:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
@@ -586,10 +586,9 @@ class _MembraneObjective:
         """(envelope energy, load value, (None, intermediates)) at x."""
         areas = self.mesh.areas
         grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
-        tv = self.table.values_at(grads)
         terms, norms = self.potential.terms(self.psi0, cen)
-        return (float(np.dot(areas, tv)), float(np.dot(areas, terms)),
-                (None, (grads, tv, cen, norms)))
+        return (float(np.dot(areas, self.table.values_at(grads))),
+                float(np.dot(areas, terms)), (None, (grads, cen, norms)))
 
     def __call__(self, x: np.ndarray):
         energy, load, state = self.split(x)
@@ -597,52 +596,11 @@ class _MembraneObjective:
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
-        _, (grads, tv0, cen, norms) = state
-        mesh = self.mesh
-        areas = mesh.areas
-        n = mesh.n_cells
-
-        h = self.h
-        probes = np.repeat(grads[:, None], 12, axis=1)
-        slot = 0
-        for i in range(3):
-            for j in range(2):
-                probes[:, slot, i, j] += h
-                probes[:, slot + 1, i, j] -= h
-                slot += 2
-        tv = self.table.values_at(probes.reshape(-1, 3, 2)).reshape(n, 12)
-        dT = (tv[:, 0::2] - tv[:, 1::2]) / (2.0 * h)
-        self._one_sided_at_the_edge(grads, probes, tv, tv0, dT)
-
+        _, (grads, cen, norms) = state
+        areas = self.mesh.areas
+        dT = self.table.slopes_at(grads) * areas[:, None, None]
         dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
-        return mesh.pull_back(areas[:, None, None] * dT.reshape(n, 3, 2),
-                              dl).reshape(-1)
-
-    def _one_sided_at_the_edge(self, grads, probes, tv, tv0, dT) -> None:
-        """Where the two probes of a pair lie on either side of the box
-        edge sigma_max, across which the table jumps to its certificate,
-        difference the centre with the probe on the centre's side.
-
-        A probe moves sigma_1 by at most h, so only cells with sigma_1
-        within h of sigma_max (2h, for rounding) can be affected; since
-        sigma_1 <= |xi|, most cells are cleared without their SVD.
-        """
-        top = self.table.sigma_max + 1e-12  # EnvelopeTable.values_at's box
-        reach = 2.0 * self.h
-        near = np.flatnonzero(np.einsum("kij,kij->k", grads, grads)
-                              >= max(top - reach, 0.0) ** 2)
-        if near.size == 0:
-            return
-        sig1 = singular_values(grads[near])[:, 0]
-        close = np.abs(sig1 - top) < reach
-        edge, centre = near[close], (sig1[close] <= top)[:, None]
-        inside = singular_values(
-            probes[edge].reshape(-1, 3, 2))[:, 0].reshape(-1, 6, 2) <= top
-        c = tv0[edge, None]
-        one_sided = np.where(inside[..., 0] == centre,
-                             tv[edge, 0::2] - c, c - tv[edge, 1::2]) / self.h
-        straddle = inside[..., 0] != inside[..., 1]
-        dT[edge] = np.where(straddle, one_sided, dT[edge])
+        return self.mesh.pull_back(dT, dl).reshape(-1)
 
 
 def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
@@ -651,7 +609,7 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
     """Minimize tabulated-envelope energy plus mid-surface load from one
     start on ``mesh`` (default: the flat membrane).
 
-    Gradients beyond the tabulated ball are valued by the growth
+    Gradients beyond the tabulated box are valued by the growth
     certificate, which is coercive, so the descent is pulled back in.
     """
     if start is None:
@@ -718,6 +676,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         raise ValueError("thickness schedule must be strictly decreasing")
     if mode not in ("minimize", "recovery"):
         raise ValueError('mode must be "minimize" or "recovery"')
+    if not all(0.0 < e < math.inf for e in eps_schedule):
+        raise ValueError("thicknesses must be finite and positive")
 
     started = time.perf_counter()
     mem = minimize_membrane(table, load, mesh, iters=iters)

@@ -171,6 +171,10 @@ class GrowthCertificate:
         """c (1 + |xi|^p), elementwise in the Frobenius norms |xi|."""
         return self.c * (1.0 + norms ** self.p)
 
+    def slope(self, xis, norms):
+        """c p |xi|^(p-2) xi, the xi-derivative of :meth:`bound`."""
+        return (self.c * self.p * norms ** (self.p - 2.0))[:, None, None] * xis
+
 
 def growth_certificate(model: EnergyModel) -> GrowthCertificate:
     cbar1 = w0_growth_constant(model, 1.0)
@@ -565,9 +569,11 @@ class EnvelopeTable:
     taken in closed form from the column Gram invariants
     (:func:`~memrelax.tensor_kernel.singular_values`, no LAPACK call).
     Node values are certified upper bounds; interpolated values carry the
-    interpolation error of the grid. Outside the tabulated ball the
+    interpolation error of the grid. Outside the tabulated box the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
-    a true upper bound of the polynomial-growth kind.
+    a true upper bound of the polynomial-growth kind. :meth:`values_at`
+    reads the bound and :meth:`slopes_at` its exact derivative; both find
+    the box and the cell the same way.
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
@@ -602,6 +608,16 @@ class EnvelopeTable:
     def sigma_max(self) -> float:
         return float(self.sigma_grid[-1])
 
+    def _cells(self, sig: np.ndarray):
+        """The box mask of (N, 2) singular values and, inside, the lower
+        node indices (i1, i2) of their cell and the fractions (f1, f2) in
+        it; a grid line reads the cell above it, sigma_max the last."""
+        inside = sig[:, 0] <= self.sigma_max + 1e-12
+        s = np.clip(sig[inside], 0.0, self.sigma_max)
+        g = self.sigma_grid
+        idx = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
+        return inside, idx.T, ((s - g[idx]) / (g[idx + 1] - g[idx])).T
+
     def values_at(self, xis: np.ndarray) -> np.ndarray:
         """Interpolated upper bounds for an (N, 3, 2) stack.
 
@@ -609,24 +625,51 @@ class EnvelopeTable:
         """
         pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
         sig = singular_values(pts)
+        inside, (i1, i2), (f1, f2) = self._cells(sig)
         out = np.empty(pts.shape[0])
-        inside = sig[:, 0] <= self.sigma_max + 1e-12
-        if np.any(~inside):
-            norms = np.sqrt((sig[~inside] ** 2).sum(axis=1))
-            out[~inside] = self.certificate.bound(norms)
-        if np.any(inside):
-            s = np.clip(sig[inside], 0.0, self.sigma_max)
-            g = self.sigma_grid
-            idx = np.clip(np.searchsorted(g, s, side="right") - 1,
-                          0, g.size - 2)
-            f = (s - g[idx]) / (g[idx + 1] - g[idx])
-            i1, i2 = idx[:, 0], idx[:, 1]
-            f1, f2 = f[:, 0], f[:, 1]
-            v = (self.values[i1, i2] * (1 - f1) * (1 - f2)
-                 + self.values[i1 + 1, i2] * f1 * (1 - f2)
-                 + self.values[i1, i2 + 1] * (1 - f1) * f2
-                 + self.values[i1 + 1, i2 + 1] * f1 * f2)
-            out[inside] = v
+        out[~inside] = self.certificate.bound(
+            np.sqrt((sig[~inside] ** 2).sum(axis=1)))
+        v = self.values
+        out[inside] = (v[i1, i2] * (1 - f1) * (1 - f2)
+                       + v[i1 + 1, i2] * f1 * (1 - f2)
+                       + v[i1, i2 + 1] * (1 - f1) * f2
+                       + v[i1 + 1, i2 + 1] * f1 * f2)
+        return out
+
+    def slopes_at(self, xis: np.ndarray) -> np.ndarray:
+        """Exact derivatives of :meth:`values_at` for an (N, 3, 2) stack.
+
+        Inside the box the isotropic B(s1, s2) has the derivative
+        b1 u1 v1^T + b2 u2 v2^T (Lewis, J. Convex Anal. 2, 1995): bk is
+        B's sk-slope on the cell :meth:`values_at` reads, v1 the top
+        eigenvector of xi^T xi, v2 is v1 turned by 90 degrees and
+        uk = xi vk / sk, zero where sk = 0. Beyond it the slope is the
+        certificate's.
+        """
+        pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
+        sig = singular_values(pts)
+        inside, (i1, i2), (f1, f2) = self._cells(sig)
+        out = np.empty(pts.shape)
+        out[~inside] = self.certificate.slope(
+            pts[~inside], np.sqrt((sig[~inside] ** 2).sum(axis=1)))
+        v, g = self.values, self.sigma_grid
+        b = np.stack([((v[i1 + 1, i2] - v[i1, i2]) * (1 - f2)
+                       + (v[i1 + 1, i2 + 1] - v[i1, i2 + 1]) * f2)
+                      / (g[i1 + 1] - g[i1]),
+                      ((v[i1, i2 + 1] - v[i1, i2]) * (1 - f1)
+                       + (v[i1 + 1, i2 + 1] - v[i1 + 1, i2]) * f1)
+                      / (g[i2 + 1] - g[i2])], axis=1)
+        near, s = pts[inside], sig[inside]
+        # the Gram matrix of xi / s1: its eigenvectors, without underflow
+        unit = near / np.maximum(s[:, 0], np.finfo(float).tiny)[:, None, None]
+        gram = np.einsum("kia,kib->kab", unit, unit)
+        theta = 0.5 * np.arctan2(2.0 * gram[:, 0, 1],
+                                 gram[:, 0, 0] - gram[:, 1, 1])
+        c, t = np.cos(theta), np.sin(theta)
+        rot = np.stack([c, -t, t, c], axis=1).reshape(-1, 2, 2)  # (v1 | v2)
+        # columns b_k u_k = b_k xi v_k / s_k, then times the rows v_k^T
+        scale = np.divide(b, s, out=np.zeros_like(b), where=s > 0.0)
+        out[inside] = (near @ rot) * scale[:, None, :] @ rot.transpose(0, 2, 1)
         return out
 
     def audit_growth(self) -> float:
@@ -686,11 +729,8 @@ def _node_bound(density, s1: float, s2: float, depth: int,
     candidates: list[tuple[float, str, dict | None]] = [
         (lam.values[0], "density", None)]
 
-    col1 = xi[:, 0]
-    col2 = xi[:, 1]
-    split = min(float(np.linalg.norm(col1 + col2)),
-                float(np.linalg.norm(col1 - col2)))
-    if split > 1e-9:
+    # diag(s1, s2) with s1 >= s2: column sum and difference of norm |s|
+    if s1 > 0.0:
         fc = four_corner_bound(xi, density)
         candidates.append((fc.as_float(), "four-corner", None))
     sq = finite_upper_bound(xi, density)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,98 @@ def test_membrane_objective_gradient_matches_central_difference():
     h = 1e-6
     fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
     assert fd == pytest.approx(float(g @ d), rel=1e-6)
+
+
+def test_linear_table_slope_is_its_isotropic_derivative():
+    # B = 1 + 3 (s1 + s2) is 1 + 3 times the nuclear norm, whose
+    # derivative at full rank is xi (xi^T xi)^(-1/2)
+    rng = np.random.default_rng(11)
+    xis = rng.uniform(-1.0, 1.0, (64, 3, 2))
+    w, q = np.linalg.eigh(np.einsum("kia,kib->kab", xis, xis))
+    expect = 3.0 * xis @ (q * w[:, None, :] ** -0.5) @ q.transpose(0, 2, 1)
+    table = _linear_table()
+    np.testing.assert_allclose(table.slopes_at(xis), expect, rtol=1e-9,
+                               atol=1e-12)
+    # the slope is scale-free, also where the Gram entries would underflow
+    np.testing.assert_allclose(table.slopes_at(xis * 1e-170), expect,
+                               rtol=1e-9, atol=1e-12)
+
+
+class _CountingTable:
+    """A table that counts the matrices each lookup reads."""
+
+    def __init__(self, table):
+        self.table = table
+        self.reads = {"values_at": 0, "slopes_at": 0}
+
+    def values_at(self, xis):
+        self.reads["values_at"] += len(xis)
+        return self.table.values_at(xis)
+
+    def slopes_at(self, xis):
+        self.reads["slopes_at"] += len(xis)
+        return self.table.slopes_at(xis)
+
+
+def test_membrane_gradient_reads_each_cell_once_through_the_slopes():
+    mesh = unit_square_mesh(3)
+    table = _CountingTable(_linear_table())
+    obj = _MembraneObjective(table, _tilted_load(), mesh)
+    state = obj(1.3 * _flat(mesh).values.reshape(-1))[1]
+    assert table.reads == {"values_at": mesh.n_cells, "slopes_at": 0}
+    table.reads = dict.fromkeys(table.reads, 0)
+    obj.gradient(state)
+    assert table.reads == {"values_at": 0, "slopes_at": mesh.n_cells}
+
+
+def test_load_slope_of_a_zero_row_is_psi_without_a_warning():
+    # for p < 2, |zeta|^(p - 2) is infinite at zeta = 0
+    load = LoadPotential(lambda pts, x3: np.tile(
+        [0.1, -0.2, 0.3], (len(pts), 1)), p=1.5)
+    psi = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.1]])
+    zeta = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 4.0]])
+    mesh = unit_square_mesh(2)
+    zero = PwAffineField(mesh, np.zeros((mesh.n_vertices, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = load.slope(psi, zeta, load.terms(psi, zeta)[1])
+        res = minimize_membrane(_linear_table(), load, mesh, start=zero,
+                                iters=5)
+    np.testing.assert_array_equal(slope[0], psi[0])
+    np.testing.assert_allclose(slope[1], psi[1] + 1.5 * 5.0 ** -0.5
+                               * zeta[1], rtol=1e-15)
+    # the start's value: B(0) = 1, and the load vanishes at zeta = 0
+    assert res.total <= 1.0
+
+
+def test_a_negative_budget_is_refused():
+    mesh = unit_square_mesh(2)
+    runs = [
+        lambda: _descent(lambda x: (float(x @ x), (None, x)),
+                         lambda state: 2.0 * state[1], np.ones(2), -1),
+        lambda: minimize_membrane(_linear_table(), _tilted_load(), mesh,
+                                  iters=-3),
+        lambda: minimize_thin_film(EnergyModel(), _tilted_load(), 0.2, mesh,
+                                   iters=-3),
+        lambda: gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                            mesh, [0.2], iters=-3),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            run()
+
+
+@pytest.mark.parametrize("schedule", [[math.nan], [math.inf], [-0.1],
+                                      [0.2, 0.0], [0.2, -0.1]])
+def test_gamma_sweep_checks_thicknesses_before_the_membrane_descent(
+        monkeypatch, schedule):
+    def never(*args, **kwargs):
+        raise AssertionError("the membrane descent ran")
+
+    monkeypatch.setattr(dimension_reduction, "minimize_membrane", never)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                    unit_square_mesh(2), schedule, iters=5)
 
 
 def test_film_total_matches_the_film_objective():

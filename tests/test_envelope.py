@@ -14,7 +14,7 @@ from memrelax.envelope import (
 )
 from memrelax.fiber_reduction import ReducedDensity
 from memrelax.pw_affine import build_diamond_hat, build_square_hat
-from memrelax.tensor_kernel import frob_norm, mat32
+from memrelax.tensor_kernel import frob_norm, mat32, singular_values
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -364,6 +364,11 @@ def test_table_outside_ball_uses_certificate(small_table):
     expect = small_table.certificate.c * (1.0 + frob_norm(xi) ** small_table.p)
     got = small_table.values_at(xi[None])[0]
     assert got == pytest.approx(expect, rel=1e-12)
+    # and its slope c p |xi|^(p - 2) xi
+    cert = small_table.certificate
+    expect = cert.c * cert.p * frob_norm(xi) ** (cert.p - 2.0) * xi
+    np.testing.assert_allclose(small_table.slopes_at(xi[None])[0], expect,
+                               rtol=1e-12)
 
 
 def test_table_lookup_rejects_non_finite_entries(small_table):
@@ -387,6 +392,39 @@ def test_table_lookup_at_the_edge_of_the_exponent_range(small_table):
     # next to the origin: the node value at zero
     got = small_table.values_at(xis * 1e-150)
     np.testing.assert_allclose(got, small_table.values[0, 0], rtol=1e-12)
+
+
+def _with_singular_values(rng, s1, s2):
+    """A 3x2 matrix with singular values (s1, s2) and random singular
+    vectors. With s2 = 0 its columns are c and 2c, so that the column
+    cross product, and with it s2, is exactly zero."""
+    if s2 == 0.0:
+        c = rng.standard_normal(3)
+        return np.stack([c, 2.0 * c], axis=1) * (s1 / (5.0 ** 0.5
+                                                      * np.linalg.norm(c)))
+    u = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    return u @ np.diag([s1, s2]) @ v.T
+
+
+@pytest.mark.parametrize("sigma", [
+    (0.8, 0.3), (0.7, 0.6), (0.35, 0.1),  # inside the box
+    (1.4, 0.2), (2.0, 1.5),               # beyond sigma_max
+    (0.3, 0.3), (0.8, 0.8),               # s1 = s2
+    (0.7, 0.0), (1.3, 0.0),               # rank one
+    (0.0, 0.0),
+])
+def test_table_slope_matches_central_differences(small_table, sigma):
+    # away from grid lines (pitch 0.5), where the interpolant is smooth
+    xi = _with_singular_values(np.random.default_rng(3), *sigma)
+    assert np.allclose(singular_values(xi[None])[0], sigma,
+                       rtol=1e-12, atol=0.0)
+    h = 1e-6
+    unit = np.eye(6).reshape(6, 3, 2)
+    fd = (small_table.values_at(xi + h * unit)
+          - small_table.values_at(xi - h * unit)).reshape(3, 2) / (2 * h)
+    got = small_table.slopes_at(xi[None])[0]
+    assert np.linalg.norm(got - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
 def test_table_json_roundtrip(small_table, tmp_path):
