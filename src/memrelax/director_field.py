@@ -293,36 +293,54 @@ class BlendedDirector:
     """Continuous director: shared direction near edges, cell minimizer
     deeper than 1/n inside each cell.
 
-    The blend weight is min(n * dist(x, cell boundary), 1), so the field
-    equals the shared direction on the mesh skeleton and the per-cell
-    constrained minimizer on the interior plateau. Both endpoints satisfy
-    the cell's determinant bound and the bound is linear in the director,
-    so every blended value stays feasible.
+    The blend weight is a = clip(n * dist(x, cell boundary), 0, 1) and the
+    director (1 - a) * zeta_bar + a * zeta_c, so the field equals the
+    shared direction on the mesh skeleton and the per-cell constrained
+    minimizer on the interior plateau. A cell is a triangle, hence
+    convex, and inside it the distance to its boundary is the least
+    distance to its three side lines; each line is stored per cell as an
+    inward unit normal and an offset. Both endpoints satisfy the cell's
+    determinant bound and the bound is linear in the director, so every
+    blended value stays feasible.
     """
 
     def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
                  n: int):
-        if n < 1:
-            raise ValueError("blend sharpness must be >= 1")
+        if not (math.isfinite(n) and n == int(n) and n >= 1):
+            raise ValueError("blend sharpness must be an integer >= 1")
         if assignment.n_cells != field.mesh.n_cells:
             raise ValueError("assignment does not match the field's mesh")
         self.field = field
         self.assignment = assignment
         self.n = int(n)
-        self._corners = field.mesh.vertices[field.mesh.triangles]
-        # side k runs from corner k to corner k + 1
-        self._sides = np.roll(self._corners, -1, axis=1) - self._corners
-        self._side_sq = np.einsum("mkj,mkj->mk", self._sides, self._sides)
+        self._corners = corners = field.mesh.vertices[field.mesh.triangles]
+        # side k runs from corner k to corner k + 1; its normal is turned
+        # toward corner k + 2, so clockwise cells work too
+        side = np.roll(corners, -1, axis=1) - corners
+        normal = np.stack([-side[..., 1], side[..., 0]], axis=-1)
+        normal /= np.linalg.norm(normal, axis=2)[..., None]
+        opposite = np.roll(corners, -2, axis=1) - corners
+        normal *= np.sign(np.einsum("mkj,mkj->mk", normal,
+                                    opposite))[..., None]
+        nx, ny = normal[..., 0], normal[..., 1]
+        # the offset repeats _weight's arithmetic, so the line of the side
+        # that starts at a corner reads exactly 0.0 there
+        offset = -(nx * corners[..., 0] + ny * corners[..., 1])
+        # (side, coefficient, cell): each gather reads one contiguous row
+        self._lines = np.ascontiguousarray(np.stack([nx.T, ny.T, offset.T],
+                                                    axis=1))
+
+    def _weight(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Blend weight at (N, 2) points, each inside its given cell."""
+        x, y = points[:, 0], points[:, 1]
+        d0, d1, d2 = (nx[cells] * x + ny[cells] * y + o[cells]
+                      for nx, ny, o in self._lines)
+        return np.clip(self.n * np.minimum(np.minimum(d0, d1), d2),
+                       0.0, 1.0)
 
     def _blend(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Director at (N, 2) points, each inside its given cell."""
-        p0 = self._corners[cells]
-        d = self._sides[cells]
-        t = (np.einsum("nkj,nkj->nk", points[:, None] - p0, d)
-             / self._side_sq[cells])
-        gap = points[:, None] - (p0 + np.clip(t, 0.0, 1.0)[..., None] * d)
-        dist = np.sqrt(np.einsum("nkj,nkj->nk", gap, gap)).min(axis=1)
-        a = np.minimum(self.n * dist, 1.0)[:, None]
+        a = self._weight(points, cells)[:, None]
         return ((1.0 - a) * self.assignment.zeta_bar[None]
                 + a * self.assignment.zetas[cells])
 
@@ -351,25 +369,35 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     """Energy of the blended continuous director over the whole mesh.
 
     Builds the assignment at index j (rejected below the feasibility
-    index) and blends with sharpness n. Each cell is a root of the
-    adaptive midpoint rule and refines until its own two successive
-    levels agree; the cells go through :func:`integrate_adaptive` in
-    consecutive slices of at most ``_SLICE_CELLS``, and ``threads`` maps
-    the slices on a pool. The per-cell values are summed once, so the
-    result does not depend on ``threads``. The value decreases toward
-    the integral of the reduced density as j and n grow.
+    index) and blends with sharpness n. Along the blend
+    zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c, the determinant
+    is c0 + a * c1 and |xi|^2 + |zeta|^2 is q0 + a * (q1 + a * q2), with
+    five coefficients per cell computed once; the integrand reads them
+    and the weight a of :class:`BlendedDirector` (the side-line distance)
+    and never forms zeta. Each cell is a root of the adaptive midpoint
+    rule and refines until its own two successive levels agree; the
+    cells go through :func:`integrate_adaptive` in consecutive slices of
+    at most ``_SLICE_CELLS``, and ``threads`` maps the slices on a pool.
+    The per-cell values are summed once, so the result does not depend
+    on ``threads``. The value decreases toward the integral of the
+    reduced density as j and n grow.
     """
     asn = build_assignment(model, field, j)
     director = BlendedDirector(field, asn, n)
     grads = asn.gradients
     crosses = wedge(grads)
-    sq = np.sum(grads ** 2, axis=(1, 2))
+    zeta_bar = asn.zeta_bar
+    delta = asn.zetas - zeta_bar
+    c0 = crosses @ zeta_bar
+    c1 = np.einsum("ij,ij->i", crosses, delta)
+    q0 = np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar
+    q1 = 2.0 * (delta @ zeta_bar)
+    q2 = np.einsum("ij,ij->i", delta, delta)
 
     def integrand(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        zeta = director._blend(points, cells)
-        adet = np.abs(np.einsum("ij,ij->i", zeta, crosses[cells]))
-        return model.density(adet,
-                             sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
+        a = director._weight(points, cells)
+        return model.density(np.abs(c0[cells] + a * c1[cells]),
+                             q0[cells] + a * (q1[cells] + a * q2[cells]))
 
     def work(start: int) -> np.ndarray:
         tris = director._corners[start:start + _SLICE_CELLS]

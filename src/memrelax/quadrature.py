@@ -91,6 +91,12 @@ def midpoint_rule(f: Integrand, tris: np.ndarray,
     return areas * vals.mean(axis=1)
 
 
+def _not_nan(values: np.ndarray, level: int) -> np.ndarray:
+    if np.isnan(values).any():
+        raise ValueError(f"integrand gave NaN at refinement level {level}")
+    return values
+
+
 def integrate_adaptive(f: Integrand, mesh_or_tris, *,
                        rel_tol: float = 1e-4, max_level: int = 8) -> QuadResult:
     """Integrate over each root triangle, refining uniformly per root.
@@ -103,12 +109,17 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
     ``roots`` indexes the stack passed in. Descendants of a root stay
     contiguous, so I_l is a row sum of the children's terms, and each
     root's value does not depend on the roots refined with it.
+
+    Raises ValueError at the first level at which a root's value is
+    NaN; +inf values pass through.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError("rel_tol must be positive and finite")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
     tris = _triangle_stack(mesh_or_tris)
     m = tris.shape[0]
-    values = midpoint_rule(f, tris, np.arange(m))
+    values = _not_nan(midpoint_rule(f, tris, np.arange(m)), 0)
     levels = np.zeros(m, dtype=int)
     errors = np.full(m, np.inf)
     evals = 3 * m
@@ -127,7 +138,7 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
             level += 1
             k = 4 ** level
             new = midpoint_rule(f, tris, np.repeat(active, k))
-            new = new.reshape(-1, k).sum(axis=1)
+            new = _not_nan(new.reshape(-1, k).sum(axis=1), level)
             evals += 3 * tris.shape[0]
             errors[active] = np.abs(new - values[active])
             values[active] = new

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from memrelax.director_field import (
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
-from memrelax.pw_affine import PwAffineField, single_triangle_mesh, unit_square_mesh
+from memrelax.pw_affine import (
+    PwAffineField, TriMesh, single_triangle_mesh, unit_square_mesh,
+)
 from memrelax.quadrature import integrate_adaptive
 from memrelax.tensor_kernel import mat32
 
@@ -323,6 +326,71 @@ def test_blend_input_validation():
         blended_director(other, asn, 8)
 
 
+@pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+def test_blend_rejects_a_fractional_or_nonfinite_sharpness(n):
+    m = EnergyModel()
+    field = identity_field()
+    asn = build_assignment(m, field, 4)
+    with pytest.raises(ValueError, match="sharpness"):
+        blended_director(field, asn, n)
+    assert blended_director(field, asn, 8.0).n == 8
+
+
+def clockwise(field: PwAffineField) -> PwAffineField:
+    """The same field on the same cells, each listed clockwise."""
+    mesh = field.mesh
+    return PwAffineField(TriMesh(mesh.vertices, mesh.triangles[:, ::-1]),
+                         field.values)
+
+
+def segment_distance(corners: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each point to the boundary of its (N, 3, 2) cell,
+    by projection onto the three side segments."""
+    sides = np.roll(corners, -1, axis=1) - corners
+    t = (np.einsum("nkj,nkj->nk", points[:, None] - corners, sides)
+         / np.einsum("nkj,nkj->nk", sides, sides))
+    gap = points[:, None] - (corners + np.clip(t, 0.0, 1.0)[..., None] * sides)
+    return np.sqrt(np.einsum("nkj,nkj->nk", gap, gap)).min(axis=1)
+
+
+@pytest.mark.parametrize("orient", [lambda f: f, clockwise],
+                         ids=["counterclockwise", "clockwise"])
+def test_weight_matches_the_segment_distance(orient):
+    m = EnergyModel()
+    field = orient(wiggly_field(4))
+    asn = build_assignment(m, field)
+    corners = field.mesh.vertices[field.mesh.triangles]
+    rng = np.random.default_rng(15)
+    inner = rng.integers(0, field.mesh.n_cells, 2000)
+    bary = rng.dirichlet(np.ones(3), inner.size)
+    mids = 0.5 * (corners + np.roll(corners, -1, axis=1))
+    every = np.repeat(np.arange(field.mesh.n_cells), 3)
+    cells = np.concatenate([inner, every, every])
+    points = np.concatenate([np.einsum("nk,nkj->nj", bary, corners[inner]),
+                             mids.reshape(-1, 2), corners.reshape(-1, 2)])
+    dist = segment_distance(corners[cells], points)
+    assert dist.max() > 0.05  # the weight is checked away from the edges
+    for n in (1, 4, 64):
+        got = blended_director(field, asn, n)._weight(points, cells)
+        np.testing.assert_allclose(got, np.minimum(n * dist, 1.0),
+                                   rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("orient", [lambda f: f, clockwise],
+                         ids=["counterclockwise", "clockwise"])
+def test_weight_is_zero_at_every_corner_of_every_cell(orient):
+    m = EnergyModel()
+    field = orient(wiggly_field(4))
+    phi = blended_director(field, build_assignment(m, field), 10 ** 6)
+    corners = field.mesh.vertices[field.mesh.triangles]
+    cells = np.repeat(np.arange(field.mesh.n_cells), 3)
+    weights = phi._weight(corners.reshape(-1, 2), cells)
+    assert np.all(weights == 0.0)
+    assert np.array_equal(phi.evaluate(field.mesh.vertices),
+                          np.tile(phi.assignment.zeta_bar,
+                                  (field.mesh.n_vertices, 1)))
+
+
 # ---------------------------------------------------------------------------
 # blended energy
 
@@ -367,6 +435,8 @@ def test_nirf_rejects_low_index_and_degenerate_cells():
                                                 np.zeros(3)]))
     with pytest.raises(ValueError, match="rank-deficient"):
         nirf_value(m, flat, 1, 8)
+    with pytest.raises(ValueError, match="max_level"):
+        nirf_value(m, field, 4, 8, max_level=-3)
 
 
 def test_nirf_threaded_matches_serial():
@@ -422,3 +492,51 @@ def test_nirf_matches_a_per_cell_oracle_across_slices():
     want = per_cell_nirf(m, field, asn, 64)
     assert got == pytest.approx(want, rel=1e-13)
     assert nirf_value(m, field, 4 * j_v, 64, threads=2).finite == got
+
+
+def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
+    # the per-cell polynomial in the weight against W at the blended zeta
+    m = EnergyModel(ShiftedLogBarrier())
+    field = curved_field()
+    _, j_v, _ = feasible_normal(field.gradients())
+    seen = []
+
+    def spy(f, tris, **kw):
+        seen.append((f, tris))
+        return integrate_adaptive(f, tris, **kw)
+
+    monkeypatch.setattr(director_field, "integrate_adaptive", spy)
+    nirf_value(m, field, 4 * j_v, 64)
+    asn = build_assignment(m, field, 4 * j_v)
+    phi = blended_director(field, asn, 64)
+    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    sq = np.sum(asn.gradients ** 2, axis=(1, 2))
+    rng = np.random.default_rng(16)
+    start = 0
+    for f, tris in seen:
+        roots = rng.integers(0, tris.shape[0], 3000)
+        bary = rng.dirichlet(np.full(3, 0.3), roots.size)
+        points = np.einsum("nk,nkj->nj", bary, tris[roots])
+        cells = roots + start
+        zeta = phi._blend(points, cells)
+        want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[cells])),
+                         sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
+        np.testing.assert_allclose(f(points, roots), want, rtol=1e-13)
+        start += tris.shape[0]
+    assert start == asn.n_cells
+
+
+def test_nirf_memory_stays_per_point_scalar():
+    # the integrand holds (N,) arrays per sample point; an (N, 3, 2)
+    # stack per point at the deepest level peaks near 14 MB on this mesh
+    m = EnergyModel(ShiftedLogBarrier())
+    field = curved_field()
+    _, j_v, _ = feasible_normal(field.gradients())
+    nirf_value(m, field, 4 * j_v, 64)
+    tracemalloc.start()
+    try:
+        nirf_value(m, field, 4 * j_v, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -40,6 +40,40 @@ def test_rejects_bad_input():
                            rel_tol=0.0)
 
 
+def test_rejects_a_negative_max_level():
+    with pytest.raises(ValueError, match="max_level"):
+        integrate_adaptive(lambda p, roots: p[:, 0], unit_square_mesh(1),
+                           max_level=-1)
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
+def test_rejects_a_nonfinite_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol"):
+        integrate_adaptive(lambda p, roots: p[:, 0], unit_square_mesh(1),
+                           rel_tol=rel_tol)
+
+
+def test_nan_raises_at_its_first_level_and_inf_passes():
+    calls = []
+
+    def f(points, roots):
+        calls.append(points.shape[0])
+        return np.where(points[:, 0] < 0.1, np.nan, np.exp(points[:, 0]))
+
+    # the edge midpoints reach x = 0.25 at level 0, 0.125 at level 1 and
+    # 0.0625 at level 2
+    tri = np.array([[[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="NaN at refinement level 2"):
+        integrate_adaptive(f, tri, rel_tol=1e-12, max_level=8)
+    assert len(calls) == 3
+
+    infinite = lambda p, roots: np.where(p[:, 0] < 0.1, np.inf,
+                                         np.exp(p[:, 0]))
+    res = integrate_adaptive(infinite, tri, rel_tol=1e-12, max_level=2)
+    assert res.value == np.inf
+    assert res.levels.tolist() == [2]
+
+
 def _flat_or_kinked(points, kinked):
     return np.where(kinked, np.abs(points[:, 0] - 0.5), 1.0)
 
