@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .director_field import InfeasibleError, blended_director, build_assignment
+from .director_field import InfeasibleError, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
 from .tensor_kernel import ExtValue, cofactors, wedge
@@ -214,9 +214,9 @@ class LoadPotential:
 
 def thin_film_total(model: EnergyModel, load: LoadPotential,
                     u: PrismField) -> float:
-    """The film objective's value at u, +inf on a vanishing determinant."""
-    obj = _ThinObjective(model, load, u.mesh, u.n_layers, u.eps)
-    return obj(u.values.reshape(-1))[0]
+    """The value at u of the film objective started at u, +inf on a
+    vanishing determinant."""
+    return _ThinObjective(model, load, u, u.eps)(u.values.reshape(-1))[0]
 
 
 def _check_same_mesh(a: TriMesh, b: TriMesh, what: str) -> None:
@@ -239,37 +239,35 @@ def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
 # recovery lifts
 
 def _sample_director(phi, mesh: TriMesh) -> np.ndarray:
-    if hasattr(phi, "evaluate"):
-        return np.asarray(phi.evaluate(mesh.vertices), dtype=float)
-    if callable(phi):
-        return np.asarray(phi(mesh.vertices), dtype=float)
+    """(n, 3) nodal director values from nodal values or one 3-vector."""
     arr = np.asarray(phi, dtype=float)
-    if arr.shape == (3,):
-        return np.broadcast_to(arr, (mesh.n_vertices, 3)).copy()
-    if arr.shape == (mesh.n_vertices, 3):
-        return arr.copy()
-    raise ValueError("director must be a field, a callable, nodal values, "
-                     "or one constant 3-vector")
+    if arr.shape not in ((3,), (mesh.n_vertices, 3)):
+        raise ValueError("director must be nodal values or one 3-vector")
+    return np.broadcast_to(arr, (mesh.n_vertices, 3))
+
+
+# Centroid determinant of a recovery lift below which it warns
+_DET_FLOOR = 1e-6
 
 
 def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
-                      eps: float, *, layers: int = 5,
-                      det_floor: float = 1e-6) -> tuple[PrismField, ExtValue]:
+                      eps: float, *,
+                      layers: int = 5) -> tuple[PrismField, ExtValue]:
     """Film v(x) + eps * x3 * phi(x) on the rescaled slab and its energy.
 
-    The director is sampled at mesh vertices, so refine the membrane
-    field first when phi varies inside cells. Cells whose centroid
-    determinant falls below the floor trigger a warning, not an error:
-    the energy is still well-defined, merely large.
+    The director phi is given by its values at the mesh vertices, or as
+    one 3-vector. Cells whose centroid determinant falls below
+    ``_DET_FLOOR`` trigger a warning, not an error: the energy is still
+    well-defined, merely large.
     """
     nodal_phi = _sample_director(phi, v.mesh)
     phi_cen = v.mesh.cell_means(nodal_phi)
     grads = v.gradients()
     dets = np.einsum("kj,kj->k", wedge(grads), phi_cen)
     worst = float(np.abs(dets).min())
-    if worst < det_floor:
+    if worst < _DET_FLOOR:
         warnings.warn(f"recovery director determinant fell to {worst:.3e} "
-                      f"(floor {det_floor:.3e})", stacklevel=2)
+                      f"(floor {_DET_FLOOR:.3e})", stacklevel=2)
     u = _lift(v, nodal_phi, eps, layers)
     return u, thin_film_energy(u, model)
 
@@ -284,7 +282,7 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
 
 
 # ---------------------------------------------------------------------------
-# descent with a feasibility guard
+# descent
 
 @dataclass(frozen=True)
 class MinimizeResult:
@@ -379,18 +377,16 @@ class _Run:
     backtracks: int
 
 
-def _descent(value, gradient, x0: np.ndarray, iters: int,
-             guard=None) -> _Run:
+def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     """L-BFGS descent with Armijo backtracking (Liu-Nocedal, Math. Prog.
     45, 1989), memory ``_MEMORY``.
 
-    ``value(x)`` returns (value, state), state being a pair (guard data,
-    intermediates); ``gradient(state)`` builds the gradient at that point
-    from it, and may consume the intermediates' buffers. The line search
-    needs values only, so the gradient is built at the start and at each
-    accepted step, after which only the guard data is kept.
-    ``guard(data0, data1)`` vetoes a step (used to refuse determinant sign
-    flips, which would tunnel through the infinite barrier wall).
+    ``value(x)`` returns (value, intermediates); ``gradient(intermediates)``
+    builds the gradient at that point from them, and may consume their
+    buffers. The line search needs values only, so the gradient is built
+    at the start and at each accepted step. A trial valued +inf is
+    refused like any other rise; the film objective values so every point
+    across its determinant barrier.
 
     A step x + t d tries t = 1 (t = 1 / max(1, |g|) while the memory is
     empty) and halves t until f(x + t d) <= f + 1e-4 t g.d. A direction
@@ -405,7 +401,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
     g = gradient(state)
-    keep, state = state[0], None  # the intermediates are spent
+    state = None  # the intermediates are spent
     x = x0
     memory = _Lbfgs(x0.size)
     accepted = backtracks = 0
@@ -427,8 +423,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
             x1 = x + t * d
             f1, state = value(x1)
             evaluations += 1
-            if (math.isfinite(f1) and f1 <= f + 1e-4 * t * slope
-                    and (guard is None or guard(keep, state[0]))):
+            if math.isfinite(f1) and f1 <= f + 1e-4 * t * slope:
                 ok = True
                 break
             state = None
@@ -441,16 +436,16 @@ def _descent(value, gradient, x0: np.ndarray, iters: int,
             break
         g1 = gradient(state)
         memory.update(x1 - x, g1 - g)
-        x, f, g, keep, state = x1, f1, g1, state[0], None
+        x, f, g, state = x1, f1, g1, None
         gradients += 1
         accepted += 1
     return _Run(x, f, accepted, reason, math.sqrt(float(np.dot(g, g))),
                 evaluations, gradients, backtracks)
 
 
-def _minimize(obj, start, iters: int, guard=None) -> MinimizeResult:
+def _minimize(obj, start, iters: int) -> MinimizeResult:
     """Descend ``obj`` from the start's nodal values."""
-    run = _descent(obj, obj.gradient, start.values.reshape(-1), iters, guard)
+    run = _descent(obj, obj.gradient, start.values.reshape(-1), iters)
     energy, load_value, _ = obj.split(run.x)
     return MinimizeResult(
         field=obj.unpack(run.x), total=run.value, energy=energy,
@@ -462,17 +457,21 @@ def _minimize(obj, start, iters: int, guard=None) -> MinimizeResult:
 
 class _ThinObjective:
     """Total rescaled energy and its analytic nodal gradient; ``__call__``
-    keeps the intermediates that ``gradient`` turns into the gradient."""
+    keeps the intermediates that ``gradient`` turns into the gradient. A
+    point where a prism determinant vanishes or differs in sign from the
+    start's, recorded once in ``signs``, is valued +inf."""
 
     def __init__(self, model: EnergyModel, potential: LoadPotential,
-                 mesh: TriMesh, layers: int, eps: float):
+                 start: PrismField, eps: float):
         self.model = model
         self.potential = potential
-        self.mesh = mesh
-        self.layers = layers
+        self.mesh = mesh = start.mesh
+        self.layers = layers = start.n_layers
         self.eps = eps
         self.delta = 1.0 / (layers - 1)
         self.weights = _prism_weights(mesh, layers)
+        self.signs = np.sign(_film_energy(model, self.weights, mesh,
+                                          start.values, eps)[1])
         self.vol = mesh.areas * self.delta
         # psi at the prism centroids, like the film energy's samples
         h = np.linspace(-0.5, 0.5, layers)
@@ -486,16 +485,16 @@ class _ThinObjective:
         return PrismField(self.mesh, vals, self.eps)
 
     def split(self, x: np.ndarray):
-        """(energy, load value, (dets, intermediates)) at x; the dets feed
-        the sign guard, and the energy is +inf if one vanishes."""
+        """(energy, load value, intermediates) at x; (+inf, 0.0, None)
+        where a determinant's sign differs from the start's."""
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
         energy, dets, parts = _film_energy(self.model, self.weights,
                                            self.mesh, vals, self.eps)
-        if parts is None:
-            return energy, 0.0, (dets, None)
+        if not np.all(dets * self.signs > 0.0):
+            return math.inf, 0.0, None
         terms, norms = self.potential.terms(self.psi_mid, parts[-1])
         load = float(np.einsum("m,lm->", self.vol, terms))
-        return energy, load, (dets, parts + (norms,))
+        return energy, load, parts + (norms,)
 
     def __call__(self, x: np.ndarray):
         energy, load, state = self.split(x)
@@ -507,9 +506,9 @@ class _ThinObjective:
         Consumes the state: the density slope D is assembled in place in
         its ``cof`` and ``flat`` buffers, so ``state`` cannot be reused.
         """
-        dets, (flat, cof, adet, sq, mid, norms) = state
+        flat, cof, adet, sq, mid, norms = state
         model, mesh, w = self.model, self.mesh, self.weights
-        hp = model.barrier.derivative(adet) * np.sign(dets)
+        hp = model.barrier.derivative(adet) * self.signs
         cof *= (w * hp)[:, None, None]
         flat *= (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None]
         D = np.add(cof, flat, out=cof).reshape(mid.shape + (3,))
@@ -529,10 +528,6 @@ class _ThinObjective:
         return grad.reshape(-1)
 
 
-def _sign_guard(d0: np.ndarray, d1: np.ndarray) -> bool:
-    return bool(np.all(np.sign(d0) == np.sign(d1)) and np.all(d1 != 0.0))
-
-
 def _default_film_start(mesh: TriMesh, eps: float,
                         layers: int) -> PrismField:
     """The flat membrane lifted along the unit normal."""
@@ -546,12 +541,13 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
                        iters: int = 200) -> MinimizeResult:
     """Descend the total film energy from one feasible start.
 
-    The line search refuses steps that flip any prism determinant's
-    sign: the barrier makes the zero-determinant set an infinite wall
-    and hopping across it would silently change branch. The start is the
-    given field (default: the flat film lifted along the normal); one
-    evaluation refuses a start of infinite energy with InfeasibleError.
-    A mesh given next to a start must be the start's mesh.
+    The film objective values +inf every point at which a prism
+    determinant differs in sign from the start's: the barrier makes the
+    zero-determinant set an infinite wall, and a step across it would
+    silently change branch. The start is the given field (default: the
+    flat film lifted along the normal); one evaluation refuses a start of
+    infinite energy with InfeasibleError. A mesh given next to a start
+    must be the start's mesh.
     """
     if start is None:
         if mesh is None:
@@ -559,14 +555,13 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
         start = _default_film_start(mesh, eps, layers)
     elif mesh is not None:
         _check_same_mesh(start.mesh, mesh, "start and mesh")
-    obj = _ThinObjective(model, load, start.mesh, start.n_layers, eps)
-    return _minimize(obj, start, iters, _sign_guard)
+    return _minimize(_ThinObjective(model, load, start, eps), start, iters)
 
 
 class _MembraneObjective:
     """Tabulated envelope plus mid-surface load, and its nodal gradient.
 
-    ``__call__`` returns (value, (None, intermediates)); ``gradient``
+    ``__call__`` returns (value, intermediates); ``gradient``
     reads the density slope from the table's ``slopes_at``. Beyond the
     tabulated box the table returns its growth certificate, a true upper
     bound that grows like |xi|^p, so a long trial step is rejected by the
@@ -583,12 +578,12 @@ class _MembraneObjective:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
 
     def split(self, x: np.ndarray):
-        """(envelope energy, load value, (None, intermediates)) at x."""
+        """(envelope energy, load value, intermediates) at x."""
         areas = self.mesh.areas
         grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
         terms, norms = self.potential.terms(self.psi0, cen)
         return (float(np.dot(areas, self.table.values_at(grads))),
-                float(np.dot(areas, terms)), (None, (grads, cen, norms)))
+                float(np.dot(areas, terms)), (grads, cen, norms))
 
     def __call__(self, x: np.ndarray):
         energy, load, state = self.split(x)
@@ -596,7 +591,7 @@ class _MembraneObjective:
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
-        _, (grads, cen, norms) = state
+        grads, cen, norms = state
         areas = self.mesh.areas
         dT = self.table.slopes_at(grads) * areas[:, None, None]
         dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
@@ -656,18 +651,21 @@ class SweepReport:
 
 def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                 mesh: TriMesh, eps_schedule, *, layers: int = 5,
-                j: int | None = None, blend_n: int = 64, iters: int = 200,
-                mode: str = "minimize", threads: int = 1) -> SweepReport:
+                iters: int = 200, mode: str = "minimize",
+                threads: int = 1) -> SweepReport:
     """Membrane minimum once, then one film run per thickness.
 
     Per thickness the report records the total film energy, the gap to
     the membrane minimum, and the L^p distance of the thickness average
-    from the membrane minimizer. Mode "minimize" descends from the
-    recovery lift of the membrane minimizer; mode "recovery" scores the
-    lift itself (its gap is the recovery residual). The meta holds the
-    membrane descent's stop reason and counts and, under ``seconds``, the
-    wall time of each phase: the membrane descent, the director
-    assignment and each film run in schedule order.
+    from the membrane minimizer. Each film run starts from the recovery
+    lift v + eps * x3 * zeta_bar of the membrane minimizer v along the
+    shared direction zeta_bar of its director assignment, which clears
+    every cell's determinant bound. Mode "minimize" descends from that
+    lift; mode "recovery" scores the lift itself (its gap is the
+    recovery residual). The meta holds the assignment's feasibility
+    index ``j_v``, the membrane descent's stop reason and counts and,
+    under ``seconds``, the wall time of each phase: the membrane descent,
+    the director assignment and each film run in schedule order.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -683,17 +681,12 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     mem = minimize_membrane(table, load, mesh, iters=iters)
     v_bar = mem.field
     assigning = time.perf_counter()
-    # the requested index is a preference; the minimizer's own geometry
-    # sets the feasibility floor, so clamp instead of failing the sweep
-    assignment = build_assignment(model, v_bar, None)
-    if j is not None and j > assignment.j:
-        assignment = build_assignment(model, v_bar, j)
-    director = blended_director(v_bar, assignment, blend_n)
+    assignment = build_assignment(model, v_bar)
     assigned = time.perf_counter()
 
     def run(eps):
         film_started = time.perf_counter()
-        u0, _ = recovery_sequence(model, v_bar, director, eps,
+        u0, _ = recovery_sequence(model, v_bar, assignment.zeta_bar, eps,
                                   layers=layers)
         competitor = thin_film_total(model, load, u0)
         if mode == "recovery":
@@ -719,8 +712,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
             runs = list(pool.map(run, eps_schedule))
     else:
         runs = [run(eps) for eps in eps_schedule]
-    meta = {"mode": mode, "layers": layers, "j": assignment.j,
-            "j_requested": j, "j_v": assignment.j_v, "blend_n": blend_n,
+    meta = {"mode": mode, "layers": layers, "j_v": assignment.j_v,
             "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)
                for k in ("total", "iterations", "stop_reason") + _COUNTS},

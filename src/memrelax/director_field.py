@@ -32,7 +32,6 @@ __all__ = [
     "build_assignment",
     "cellwise_energy",
     "BlendedDirector",
-    "blended_director",
     "nirf_value",
 ]
 
@@ -353,11 +352,6 @@ class BlendedDirector:
 
     def __call__(self, point) -> np.ndarray:
         return self.evaluate(np.asarray(point, dtype=float)[None])[0]
-
-
-def blended_director(field: PwAffineField, assignment: DirectorAssignment,
-                     n: int) -> BlendedDirector:
-    return BlendedDirector(field, assignment, n)
 
 
 # ---------------------------------------------------------------------------

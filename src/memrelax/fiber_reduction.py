@@ -14,7 +14,7 @@ minimizer is the only zero of the increasing slope
     phi(t) = a h'(t a) + p t (q + t^2)^{p/2 - 1},
 
 or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
-finds it for a batch of (a, q) by safeguarded Newton; every caller in
+finds it for a batch of (a, q) by bracketed Newton; every caller in
 the package goes through it.  An independent 3D grid oracle over the
 third column cross-checks the reduction.
 """

@@ -129,7 +129,7 @@ class TriMesh:
         lam0 = 1.0 - lam[:, :, 0] - lam[:, :, 1]
         return np.concatenate([lam0[:, :, None], lam], axis=2)
 
-    def locate(self, points: np.ndarray, tol: float = _BARY_TOL) -> np.ndarray:
+    def locate(self, points: np.ndarray) -> np.ndarray:
         """Index of the lowest-index cell containing each point, -1 if the
         point lies outside the domain.
 
@@ -140,7 +140,8 @@ class TriMesh:
         out = np.full(pts.shape[0], -1, dtype=int)
         for start in range(0, pts.shape[0], _LOCATE_POINTS):
             block = slice(start, start + _LOCATE_POINTS)
-            inside = np.all(self.barycentric(pts[block]) >= -tol, axis=2)
+            inside = np.all(self.barycentric(pts[block]) >= -_BARY_TOL,
+                            axis=2)
             hit = inside.any(axis=1)
             out[block][hit] = np.argmax(inside[hit], axis=1)
         return out

@@ -111,7 +111,8 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
     root's value does not depend on the roots refined with it.
 
     Raises ValueError at the first level at which a root's value is
-    NaN; +inf values pass through.
+    NaN; +inf values pass through, and a root equal at two successive
+    levels (+inf included) has converged.
     """
     if not 0.0 < rel_tol < np.inf:
         raise ValueError("rel_tol must be positive and finite")
@@ -140,7 +141,10 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
             new = midpoint_rule(f, tris, np.repeat(active, k))
             new = _not_nan(new.reshape(-1, k).sum(axis=1), level)
             evals += 3 * tris.shape[0]
-            errors[active] = np.abs(new - values[active])
+            # equal levels have converged, +inf ones too (inf - inf is NaN)
+            old = values[active]
+            errors[active] = np.abs(np.subtract(new, old, where=new != old,
+                                                out=np.zeros_like(new)))
             values[active] = new
             levels[active] = level
             going = ~(errors[active]

@@ -9,16 +9,17 @@ from memrelax import dimension_reduction
 from memrelax.dimension_reduction import (
     _MEMORY, LoadPotential, MinimizeResult, PrismField, _Lbfgs,
     _MembraneObjective,
-    _ThinObjective, _default_film_start, _descent, director_membrane_energy,
-    gamma_sweep, lift_membrane, lp_distance, minimize_membrane,
-    minimize_thin_film, pi_eps_average, recovery_sequence, thin_film_energy,
-    thin_film_total,
+    _ThinObjective, _default_film_start, _descent, _lift,
+    director_membrane_energy, gamma_sweep, lift_membrane, lp_distance,
+    minimize_membrane, minimize_thin_film, pi_eps_average, recovery_sequence,
+    thin_film_energy, thin_film_total,
 )
-from memrelax.director_field import InfeasibleError
+from memrelax.director_field import InfeasibleError, build_assignment
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
                                build_envelope_table)
-from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
+from memrelax.pw_affine import (PwAffineField, TriMesh, single_triangle_mesh,
+                                unit_square_mesh)
 
 
 def test_lp_distance_of_constant_offset():
@@ -52,19 +53,25 @@ def test_lp_distance_rejects_a_different_mesh_of_the_same_size():
             lp_distance(a, b, 2.0)
 
 
+def _film_objective(model, load, mesh, x, eps):
+    """The film objective started at the flat nodal values x."""
+    start = PrismField(mesh, x.reshape(-1, mesh.n_vertices, 3), eps)
+    return _ThinObjective(model, load, start, eps)
+
+
 @pytest.mark.parametrize("model", [EnergyModel(),
                                    EnergyModel(ShiftedLogBarrier(), p=3.0)])
 def test_film_objective_gradient_matches_central_difference(model):
     mesh = unit_square_mesh(2)
     load = LoadPotential(
         lambda pts, x3: np.tile([0.1, -0.2, 0.3], (len(pts), 1)), p=2.5)
-    obj = _ThinObjective(model, load, mesh, 5, 0.2)
     rng = np.random.default_rng(0)
     x = _default_film_start(mesh, 0.2, 5).values.copy()
     # an in-plane stretch keeps every prism determinant near 2.25, away
     # from the shifted log's kink at 1
     x[:, :, :2] *= 1.5
     x = x.reshape(-1) + 0.02 * rng.standard_normal(x.size)
+    obj = _film_objective(model, load, mesh, x, 0.2)
     d = rng.standard_normal(x.shape)
     g = obj.gradient(obj(x)[1])
     h = 1e-6
@@ -96,11 +103,9 @@ def test_recovery_lift_converges_to_director_energy():
     # thickness average cancels it to first order and the gap is O(eps^2)
     model = EnergyModel()
     v = _curved_membrane()
-
-    def phi(pts):
-        return np.column_stack([0.3 * np.sin(2.0 * pts[:, 1]),
-                                0.2 * pts[:, 0],
-                                1.0 + 0.5 * pts[:, 0] * pts[:, 1]])
+    x, y = v.mesh.vertices.T
+    phi = np.column_stack([0.3 * np.sin(2.0 * y), 0.2 * x,
+                           1.0 + 0.5 * x * y])
 
     target = director_membrane_energy(model, v, phi)
     gaps = [abs(recovery_sequence(model, v, phi, eps)[1].finite - target)
@@ -203,8 +208,8 @@ def test_load_slope_of_a_zero_row_is_psi_without_a_warning():
 def test_a_negative_budget_is_refused():
     mesh = unit_square_mesh(2)
     runs = [
-        lambda: _descent(lambda x: (float(x @ x), (None, x)),
-                         lambda state: 2.0 * state[1], np.ones(2), -1),
+        lambda: _descent(lambda x: (float(x @ x), x),
+                         lambda state: 2.0 * state, np.ones(2), -1),
         lambda: minimize_membrane(_linear_table(), _tilted_load(), mesh,
                                   iters=-3),
         lambda: minimize_thin_film(EnergyModel(), _tilted_load(), 0.2, mesh,
@@ -239,7 +244,7 @@ def test_film_total_matches_the_film_objective():
     u0 = _default_film_start(mesh, 0.1, 5)
     u = PrismField(mesh, u0.values + 0.01 * rng.standard_normal(
         u0.values.shape), 0.1)
-    obj = _ThinObjective(model, load, mesh, 5, 0.1)
+    obj = _ThinObjective(model, load, u0, 0.1)
     total = obj(u.values.reshape(-1))[0]
     assert thin_film_total(model, load, u) == total
 
@@ -340,14 +345,14 @@ def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
 
 def test_descent_reports_why_it_stopped():
     def bowl(x):
-        return float(x @ x), (None, x)
+        return float(x @ x), x
 
     def slope(state):
-        return 2.0 * state[1]
+        return 2.0 * state
 
     def uphill(state):
         # the negated gradient: no step along it decreases the value
-        return -2.0 * state[1]
+        return -2.0 * state
 
     def stop(run):
         return run.accepted, run.stop_reason, run.grad_norm
@@ -367,10 +372,10 @@ def test_descent_replaces_an_ascent_direction_by_the_negative_gradient(
     # with every memory direction pointing uphill, each step clears the
     # memory and steps along -g, which still reaches the bowl's minimum
     def bowl(x):
-        return float(x @ x), (None, x)
+        return float(x @ x), x
 
     monkeypatch.setattr(_Lbfgs, "direction", lambda self, g: g.copy())
-    run = _descent(bowl, lambda state: 2.0 * state[1],
+    run = _descent(bowl, lambda state: 2.0 * state,
                    np.array([3.0, -4.0]), 100)
     assert run.stop_reason == "grad_tol" and run.accepted > 1
 
@@ -443,9 +448,9 @@ def _diagonal_bowl(n, condition):
     c = np.logspace(0.0, math.log10(condition), n)
 
     def value(x):
-        return 0.5 * float(np.dot(c * x, x)), (None, x)
+        return 0.5 * float(np.dot(c * x, x)), x
 
-    return value, lambda state: c * state[1]
+    return value, lambda state: c * state
 
 
 def test_descent_beats_barzilai_borwein_on_an_ill_conditioned_bowl():
@@ -531,15 +536,15 @@ def test_membrane_gradient_does_not_spike_at_the_table_edge(sweep_table):
     assert inner / 10.0 <= edge <= 10.0 * inner
 
 
-def _eager_descent(obj, x0, iters, guard=None):
+def _eager_descent(obj, x0, iters):
     # the descent loop with the gradient built at every trial point,
     # rejected ones included, as it ran before the value/gradient split
     def value_grad(x):
         f, state = obj(x)
         g = obj.gradient(state) if math.isfinite(f) else np.zeros_like(x)
-        return f, g, state[0]
+        return f, g
 
-    f, g, state = value_grad(x0)
+    f, g = value_grad(x0)
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
     x = x0
@@ -560,9 +565,8 @@ def _eager_descent(obj, x0, iters, guard=None):
         ok = False
         for _ in range(60):
             x1 = x + t * d
-            f1, g1, state1 = value_grad(x1)
-            if (math.isfinite(f1) and f1 <= f + 1e-4 * t * slope
-                    and (guard is None or guard(state, state1))):
+            f1, g1 = value_grad(x1)
+            if math.isfinite(f1) and f1 <= f + 1e-4 * t * slope:
                 ok = True
                 break
             t *= 0.5
@@ -572,7 +576,7 @@ def _eager_descent(obj, x0, iters, guard=None):
             reason = "line_search_stalled"
             break
         memory.update(x1 - x, g1 - g)
-        x, f, g, state = x1, f1, g1, state1
+        x, f, g = x1, f1, g1
         accepted += 1
     return x, f, accepted, reason, math.sqrt(float(np.dot(g, g)))
 
@@ -593,10 +597,10 @@ class _Counted:
         return self.obj.gradient(state)
 
 
-def _check_against_eager(obj, x0, iters, guard=None):
+def _check_against_eager(obj, x0, iters):
     counted = _Counted(obj)
-    run = _descent(counted, counted.gradient, x0, iters, guard=guard)
-    x, f, accepted, reason, gnorm = _eager_descent(obj, x0, iters, guard)
+    run = _descent(counted, counted.gradient, x0, iters)
+    x, f, accepted, reason, gnorm = _eager_descent(obj, x0, iters)
     np.testing.assert_array_equal(run.x, x)
     assert (run.value, run.accepted, run.stop_reason, run.grad_norm) == (
         f, accepted, reason, gnorm)
@@ -612,12 +616,11 @@ def _check_against_eager(obj, x0, iters, guard=None):
 @pytest.mark.parametrize("eps", [0.2, 0.05])
 def test_film_descent_matches_the_eager_reference(eps):
     mesh = unit_square_mesh(2)
-    obj = _ThinObjective(EnergyModel(), _tilted_load(), mesh, 5, eps)
     rng = np.random.default_rng(7)
     x0 = _default_film_start(mesh, eps, 5).values.reshape(-1)
     x0 = x0 + 0.01 * rng.standard_normal(x0.shape)
-    run = _check_against_eager(obj, x0, 40,
-                               guard=dimension_reduction._sign_guard)
+    obj = _film_objective(EnergyModel(), _tilted_load(), mesh, x0, eps)
+    run = _check_against_eager(obj, x0, 40)
     assert run.accepted == 40
 
 
@@ -647,6 +650,28 @@ def test_membrane_descends_from_a_start_beyond_the_table():
     assert math.isfinite(res.total) and res.total < first
 
 
+def test_film_objective_refuses_a_determinant_sign_flip():
+    # one cell, three layers at heights -0.1, 0, 0.1: lowering the top
+    # layer to -0.05 turns the upper prism's determinant from 1 to -0.5
+    # and leaves the lower one at 1
+    model, load = EnergyModel(), _tilted_load()
+    mesh = single_triangle_mesh((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    start = _default_film_start(mesh, 0.2, 3)
+    vals = start.values.copy()
+    vals[2, :, 2] = -0.05
+    flipped = PrismField(mesh, vals, 0.2)
+    obj = _ThinObjective(model, load, start, 0.2)
+    assert obj.signs.tolist() == [1.0, 1.0]
+    assert math.isfinite(obj(start.values.reshape(-1))[0])
+    assert obj(vals.reshape(-1)) == (math.inf, None)
+    # no determinant vanishes there: the energy alone is finite, and so is
+    # the objective started at the flipped film
+    assert thin_film_energy(flipped, model).is_finite
+    flipped_obj = _ThinObjective(model, load, flipped, 0.2)
+    assert flipped_obj.signs.tolist() == [1.0, -1.0]
+    assert math.isfinite(flipped_obj(vals.reshape(-1))[0])
+
+
 def test_film_descent_refuses_a_start_of_infinite_energy():
     # a layer-constant start has zero prism determinants
     mesh = unit_square_mesh(2)
@@ -658,9 +683,9 @@ def test_film_descent_refuses_a_start_of_infinite_energy():
 def test_film_minimizer_returns_the_descent_from_its_start():
     model, load, mesh = EnergyModel(), _tilted_load(), unit_square_mesh(2)
     res = minimize_thin_film(model, load, 0.2, mesh, layers=3, iters=20)
-    obj = _ThinObjective(model, load, mesh, 3, 0.2)
-    x0 = _default_film_start(mesh, 0.2, 3).values.reshape(-1)
-    run = _descent(obj, obj.gradient, x0, 20, dimension_reduction._sign_guard)
+    start = _default_film_start(mesh, 0.2, 3)
+    obj = _ThinObjective(model, load, start, 0.2)
+    run = _descent(obj, obj.gradient, start.values.reshape(-1), 20)
     np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
     assert res.total == run.value
     assert res.energy + res.load_value == res.total
@@ -708,6 +733,18 @@ def test_film_rejects_a_mesh_other_than_its_start_mesh():
     with pytest.raises(ValueError, match="share a mesh"):
         minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
                            _moved_mesh(mesh), start=start)
+
+
+def test_recovery_sweep_scores_the_lift_along_the_shared_direction():
+    model, table, load = EnergyModel(), _linear_table(), _down_load()
+    mesh = unit_square_mesh(2)
+    report = gamma_sweep(model, table, load, mesh, [0.2, 0.1], iters=5,
+                         mode="recovery")
+    mem = minimize_membrane(table, load, mesh, iters=5)
+    zeta_bar = build_assignment(model, mem.field).zeta_bar
+    for r in report.rows:
+        lift = _lift(mem.field, zeta_bar, r.eps, 5)
+        assert r.e3d == thin_film_total(model, load, lift)
 
 
 def test_recovery_sweep_rows_count_no_descent():

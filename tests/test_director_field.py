@@ -7,7 +7,7 @@ import pytest
 
 from memrelax import director_field
 from memrelax.director_field import (
-    DirectorAssignment, blended_director, build_assignment,
+    BlendedDirector, DirectorAssignment, build_assignment,
     cell_min_constrained, cellwise_energy, feasible_normal, nirf_value,
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
@@ -256,7 +256,7 @@ def test_blend_is_shared_direction_on_edges():
     m = EnergyModel()
     field = identity_field()
     asn = build_assignment(m, field, 4)
-    phi = blended_director(field, asn, 16)
+    phi = BlendedDirector(field, asn, 16)
     edge_pts = np.array([[0.5, 0.0], [0.0, 0.3], [0.5, 0.5]])
     got = phi.evaluate(edge_pts)
     assert np.allclose(got, asn.zeta_bar[None], atol=1e-12)
@@ -270,7 +270,7 @@ def test_blend_plateaus_at_cell_minimizer():
     d = 0.25 * (1.0 - math.sqrt(0.5))  # distance to the hypotenuse
     for n in (64, 256):
         assert n * d > 1.0
-        phi = blended_director(field, asn, n)
+        phi = BlendedDirector(field, asn, n)
         assert np.allclose(phi.evaluate(center), asn.zetas[0][None],
                            atol=1e-12)
     assert phi([0.25, 0.25]) == pytest.approx(asn.zetas[0], abs=1e-12)
@@ -280,7 +280,7 @@ def test_blend_stays_feasible_everywhere():
     m = EnergyModel()
     field = wiggly_field(2)
     asn = build_assignment(m, field, asn_j := None)
-    phi = blended_director(field, asn, 32)
+    phi = BlendedDirector(field, asn, 32)
     rng = np.random.default_rng(14)
     pts = rng.uniform(0.0, 1.0, (10000, 2))
     cells = field.mesh.locate(pts)
@@ -295,7 +295,7 @@ def test_blend_is_exact_at_vertices_and_on_the_plateau():
     field = wiggly_field(4)
     asn = build_assignment(m, field)
     n = 64
-    phi = blended_director(field, asn, n)
+    phi = BlendedDirector(field, asn, n)
     at_vertices = phi.evaluate(field.mesh.vertices)
     assert np.array_equal(at_vertices,
                           np.tile(asn.zeta_bar, (field.mesh.n_vertices, 1)))
@@ -310,7 +310,7 @@ def test_blend_is_exact_at_vertices_and_on_the_plateau():
 def test_blend_rejects_points_outside_the_mesh():
     m = EnergyModel()
     field = identity_field()
-    phi = blended_director(field, build_assignment(m, field, 4), 8)
+    phi = BlendedDirector(field, build_assignment(m, field, 4), 8)
     with pytest.raises(ValueError, match="outside the mesh"):
         phi.evaluate(np.array([[0.2, 0.2], [0.9, 0.9]]))
 
@@ -320,10 +320,10 @@ def test_blend_input_validation():
     field = identity_field()
     asn = build_assignment(m, field, 4)
     with pytest.raises(ValueError, match="sharpness"):
-        blended_director(field, asn, 0)
+        BlendedDirector(field, asn, 0)
     other = wiggly_field(2)
     with pytest.raises(ValueError, match="does not match"):
-        blended_director(other, asn, 8)
+        BlendedDirector(other, asn, 8)
 
 
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
@@ -332,8 +332,8 @@ def test_blend_rejects_a_fractional_or_nonfinite_sharpness(n):
     field = identity_field()
     asn = build_assignment(m, field, 4)
     with pytest.raises(ValueError, match="sharpness"):
-        blended_director(field, asn, n)
-    assert blended_director(field, asn, 8.0).n == 8
+        BlendedDirector(field, asn, n)
+    assert BlendedDirector(field, asn, 8.0).n == 8
 
 
 def clockwise(field: PwAffineField) -> PwAffineField:
@@ -371,7 +371,7 @@ def test_weight_matches_the_segment_distance(orient):
     dist = segment_distance(corners[cells], points)
     assert dist.max() > 0.05  # the weight is checked away from the edges
     for n in (1, 4, 64):
-        got = blended_director(field, asn, n)._weight(points, cells)
+        got = BlendedDirector(field, asn, n)._weight(points, cells)
         np.testing.assert_allclose(got, np.minimum(n * dist, 1.0),
                                    rtol=0.0, atol=1e-14)
 
@@ -381,7 +381,7 @@ def test_weight_matches_the_segment_distance(orient):
 def test_weight_is_zero_at_every_corner_of_every_cell(orient):
     m = EnergyModel()
     field = orient(wiggly_field(4))
-    phi = blended_director(field, build_assignment(m, field), 10 ** 6)
+    phi = BlendedDirector(field, build_assignment(m, field), 10 ** 6)
     corners = field.mesh.vertices[field.mesh.triangles]
     cells = np.repeat(np.arange(field.mesh.n_cells), 3)
     weights = phi._weight(corners.reshape(-1, 2), cells)
@@ -508,7 +508,7 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     monkeypatch.setattr(director_field, "integrate_adaptive", spy)
     nirf_value(m, field, 4 * j_v, 64)
     asn = build_assignment(m, field, 4 * j_v)
-    phi = blended_director(field, asn, 64)
+    phi = BlendedDirector(field, asn, 64)
     crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
     sq = np.sum(asn.gradients ** 2, axis=(1, 2))
     rng = np.random.default_rng(16)

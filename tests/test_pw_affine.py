@@ -391,7 +391,7 @@ def test_refine_levels():
 
 
 def test_refined_nirf_job_never_locates_points(monkeypatch):
-    def no_locate(self, points, tol=0.0):
+    def no_locate(self, points):
         raise AssertionError("point location called")
 
     monkeypatch.setattr(pw_affine.TriMesh, "locate", no_locate)

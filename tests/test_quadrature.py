@@ -73,6 +73,13 @@ def test_nan_raises_at_its_first_level_and_inf_passes():
     assert res.value == np.inf
     assert res.levels.tolist() == [2]
 
+    # +inf at every level: levels 0 and 1 agree, so the root stops at 1
+    always = lambda p, roots: np.full(p.shape[0], np.inf)
+    res = integrate_adaptive(always, tri, rel_tol=1e-12, max_level=8)
+    assert res.value == np.inf
+    assert res.levels.tolist() == [1] and res.n_evals == 3 + 12
+    assert res.error_estimate == 0.0
+
 
 def _flat_or_kinked(points, kinked):
     return np.where(kinked, np.abs(points[:, 0] - 0.5), 1.0)
