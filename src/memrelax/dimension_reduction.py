@@ -180,7 +180,9 @@ class LoadPotential:
     """Potential <psi(x, x3), zeta> + |zeta|^p, coercive for p > 1.
 
     ``psi`` maps in-plane points (N, 2) and heights (N,) to (N, 3). Both
-    objectives sample it once and read :meth:`terms` and :meth:`slope`.
+    objectives sample it once, through :meth:`psi_at`, which refuses a
+    NaN or infinite sample with ValueError, and read :meth:`terms` and
+    :meth:`slope`.
     """
 
     psi: object
@@ -196,12 +198,14 @@ class LoadPotential:
         out = np.asarray(self.psi(pts, h), dtype=float)
         if out.shape != (pts.shape[0], 3):
             raise ValueError("load field must return one 3-vector per point")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("load field returned NaN or infinite values")
         return out
 
     def terms(self, psi: np.ndarray, zeta: np.ndarray):
         """Density <psi, zeta> + |zeta|^p over the last axis of sampled
         psi and zeta, and |zeta|, which :meth:`slope` reuses."""
-        norms = np.linalg.norm(zeta, axis=-1)
+        norms = np.sqrt(np.einsum("...j,...j->...", zeta, zeta))
         return np.einsum("...j,...j->...", psi, zeta) + norms ** self.p, norms
 
     def slope(self, psi: np.ndarray, zeta: np.ndarray,
@@ -317,21 +321,39 @@ _MEMORY = 5
 
 
 class _Lbfgs:
-    """The newest ``_MEMORY`` curvature pairs (s, y) in preallocated ring
-    buffers, and the two-loop direction -H g they define (Nocedal, Math.
-    Comp. 35, 1980), the initial H scaled by s.y / y.y of the newest pair.
+    """The newest ``_MEMORY`` curvature pairs (s, y) in a preallocated ring
+    buffer, and the direction -H g they define, H in the compact form of
+    Byrd, Nocedal and Schnabel (Math. Prog. 63, 1994):
+
+        H = gamma I + (S | Y) M (S | Y)^T,
+        M = [[R^-T (D + gamma Y^T Y) R^-1, -gamma R^-T], [-gamma R^-1, 0]],
+
+    the pairs the columns of S and Y, R the upper triangle of S^T Y with
+    the pairs oldest first, D its diagonal and gamma = s.y / y.y of the
+    newest pair. It is the inverse Hessian of the two-loop recursion
+    (Nocedal, Math. Comp. 35, 1980). All small matrices are indexed by
+    ring slot; R^-1 vanishes in the rows and columns of slots that hold
+    no pair, so their stale entries drop out. ``update`` keeps S^T Y,
+    Y^T Y and R^-1 up to date in O(_MEMORY^2) and rebuilds M;
+    ``direction`` takes two products with the (2 * _MEMORY, n) pair
+    buffer, s in its first half and y in its second.
     """
 
     def __init__(self, n: int):
-        self.s = np.zeros((_MEMORY, n))
-        self.y = np.zeros((_MEMORY, n))
-        self.rho = np.zeros(_MEMORY)
+        m = _MEMORY
+        self.pairs = np.zeros((2 * m, n))
+        self.sy = np.zeros((m, m))     # s_i . y_j
+        self.yy = np.zeros((m, m))     # y_i . y_j
+        self.d = np.zeros((m, m))      # s_i . y_i on the diagonal
+        self.r_inv = np.zeros((m, m))  # R^-1 on the slots held
+        self.middle = np.zeros((2 * m, 2 * m))
         self.gamma = 1.0
         self.size = 0  # pairs held
         self.head = 0  # the slot the next pair overwrites
 
     def clear(self) -> None:
         self.size = 0
+        self.r_inv.fill(0.0)
 
     def update(self, s: np.ndarray, y: np.ndarray) -> None:
         """Keep the pair unless s.y <= 1e-12 |s| |y|, which would leave H
@@ -340,29 +362,39 @@ class _Lbfgs:
         yy = float(np.dot(y, y))
         if not sy > 1e-12 * math.sqrt(float(np.dot(s, s)) * yy):
             return
-        k = self.head
-        self.s[k] = s
-        self.y[k] = y
-        self.rho[k] = 1.0 / sy
-        self.gamma = sy / yy
-        self.head = (k + 1) % _MEMORY
-        self.size = min(self.size + 1, _MEMORY)
+        m, k = _MEMORY, self.head
+        self.pairs[k] = s
+        self.pairs[m + k] = y
+        with_s, with_y = self.pairs @ s, self.pairs @ y
+        self.sy[k] = with_s[m:]
+        self.sy[:, k] = with_y[:m]
+        self.yy[k] = self.yy[:, k] = with_y[m:]
+        self.gamma = gamma = sy / yy
+        self.head = (k + 1) % m
+        self.size = min(self.size + 1, m)
+
+        # drop the pair slot k held, the oldest: the inverse of R without
+        # its first row and column is R^-1 without them; then append the
+        # newest: [[R, r], [0, s.y]]^-1 = [[R^-1, -R^-1 r / s.y],
+        # [0, 1 / s.y]], r the s_i . y of the pairs held
+        r_inv = self.r_inv
+        r_inv[k] = 0.0
+        r_inv[:, k] = 0.0
+        r_inv[:, k] = r_inv @ self.sy[:, k] * (-1.0 / sy)
+        r_inv[k, k] = 1.0 / sy
+        self.d[k, k] = sy
+        lower = r_inv * -gamma
+        self.middle[:m, :m] = r_inv.T @ (self.d + gamma * self.yy) @ r_inv
+        self.middle[:m, m:] = lower.T
+        self.middle[m:, :m] = lower
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """-H g; -g itself while no pair is held."""
-        newest_first = [(self.head - 1 - i) % _MEMORY
-                        for i in range(self.size)]
-        q = -g
-        alpha = {}
-        for k in newest_first:
-            alpha[k] = self.rho[k] * np.dot(self.s[k], q)
-            q -= alpha[k] * self.y[k]
-        if newest_first:
-            q *= self.gamma
-        for k in reversed(newest_first):
-            beta = self.rho[k] * np.dot(self.y[k], q)
-            q += (alpha[k] - beta) * self.s[k]
-        return q
+        if not self.size:
+            return -g
+        d = self.middle @ (self.pairs @ g) @ self.pairs
+        d += self.gamma * g
+        return np.negative(d, out=d)
 
 
 @dataclass(frozen=True)
@@ -504,28 +536,46 @@ class _ThinObjective:
         """Flat nodal gradient at the point whose call returned ``state``.
 
         Consumes the state: the density slope D is assembled in place in
-        its ``cof`` and ``flat`` buffers, so ``state`` cannot be reused.
+        its ``cof`` and ``flat`` buffers, and ``flat`` then holds the
+        per-layer in-plane slopes, so ``state`` cannot be reused. Prism l
+        reads layers l and l + 1 with the same in-plane part, so the
+        per-cell slopes of the two prisms that touch a layer are summed
+        first (:meth:`_layer_slopes`) and one ``TriMesh.pull_back`` over
+        all layers scatters them.
         """
         flat, cof, adet, sq, mid, norms = state
-        model, mesh, w = self.model, self.mesh, self.weights
+        model, w = self.model, self.weights
         hp = model.barrier.derivative(adet) * self.signs
         cof *= (w * hp)[:, None, None]
         flat *= (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None]
         D = np.add(cof, flat, out=cof).reshape(mid.shape + (3,))
+        d_grad, d_mean = self._layer_slopes(D, flat, mid, norms)
+        return self.mesh.pull_back(d_grad, d_mean).reshape(-1)
 
+    def _layer_slopes(self, D, spare, mid, norms):
+        """The (layers, cells, 3, 2) and (layers, cells, 3) slopes in the
+        cell gradients and cell means of each layer, from the prisms'
+        density slopes D and the load.
+
+        F[l] reads layers l and l + 1: half of each in-plane gradient,
+        -/+ the centroids over the layer spacing, and the load half of
+        each centroid. The in-plane sums go to the spent ``spare`` buffer,
+        which holds (layers - 1) * 9 >= layers * 6 floats per cell.
+        """
+        rows = (self.layers,) + D.shape[1:-1] + (2,)
+        d_grad = spare.reshape(-1)[:math.prod(rows)].reshape(rows)
+        d_grad[:-1] = D[..., :2]
+        d_grad[-1] = 0.0
+        d_grad[1:] += D[..., :2]
+        d_grad *= 0.5
+        third = D[..., 2] / (self.delta * self.eps)
         dpsi = self.potential.slope(self.psi_mid, mid, norms)
-        dpsi *= self.vol[None, :, None]
-
-        # F[l] reads layers l and l + 1: half of each in-plane gradient,
-        # -/+ the centroids over the layer spacing, half of each centroid
-        half = D[..., :2]
-        half *= 0.5
-        third = D[..., 2]
-        third /= self.delta * self.eps
-        grad = np.zeros((self.layers, mesh.n_vertices, 3))
-        grad[:-1] = mesh.pull_back(half, 0.5 * dpsi - third)
-        grad[1:] += mesh.pull_back(half, 0.5 * dpsi + third)
-        return grad.reshape(-1)
+        dpsi *= (0.5 * self.vol)[None, :, None]
+        d_mean = np.empty((self.layers,) + dpsi.shape[1:])
+        np.subtract(dpsi, third, out=d_mean[:-1])
+        d_mean[-1] = 0.0
+        d_mean[1:] += np.add(dpsi, third, out=dpsi)
+        return d_grad, d_mean
 
 
 def _default_film_start(mesh: TriMesh, eps: float,
@@ -561,11 +611,14 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
 class _MembraneObjective:
     """Tabulated envelope plus mid-surface load, and its nodal gradient.
 
-    ``__call__`` returns (value, intermediates); ``gradient``
-    reads the density slope from the table's ``slopes_at``. Beyond the
-    tabulated box the table returns its growth certificate, a true upper
-    bound that grows like |xi|^p, so a long trial step is rejected by the
-    line search like any other rise in value.
+    ``__call__`` returns (value, intermediates). The table is read once
+    per point: the intermediates keep the value call's
+    :class:`~memrelax.envelope.TableLookup`, and ``gradient`` takes the
+    density slope from it (``TableLookup.slopes``) without a second
+    singular value computation or cell search. Beyond the tabulated box
+    the table returns its growth certificate, a true upper bound that
+    grows like |xi|^p, so a long trial step is rejected by the line
+    search like any other rise in value.
     """
 
     def __init__(self, table, potential: LoadPotential, mesh: TriMesh):
@@ -578,12 +631,14 @@ class _MembraneObjective:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
 
     def split(self, x: np.ndarray):
-        """(envelope energy, load value, intermediates) at x."""
+        """(envelope energy, load value, intermediates) at x; the
+        intermediates keep the table lookup of the cell gradients."""
         areas = self.mesh.areas
         grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
         terms, norms = self.potential.terms(self.psi0, cen)
-        return (float(np.dot(areas, self.table.values_at(grads))),
-                float(np.dot(areas, terms)), (grads, cen, norms))
+        hit = self.table.lookup(grads)
+        return (float(np.dot(areas, hit.values)),
+                float(np.dot(areas, terms)), (hit, cen, norms))
 
     def __call__(self, x: np.ndarray):
         energy, load, state = self.split(x)
@@ -591,9 +646,9 @@ class _MembraneObjective:
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
-        grads, cen, norms = state
+        hit, cen, norms = state
         areas = self.mesh.areas
-        dT = self.table.slopes_at(grads) * areas[:, None, None]
+        dT = hit.slopes() * areas[:, None, None]
         dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
         return self.mesh.pull_back(dT, dl).reshape(-1)
 

@@ -171,10 +171,6 @@ class GrowthCertificate:
         """c (1 + |xi|^p), elementwise in the Frobenius norms |xi|."""
         return self.c * (1.0 + norms ** self.p)
 
-    def slope(self, xis, norms):
-        """c p |xi|^(p-2) xi, the xi-derivative of :meth:`bound`."""
-        return (self.c * self.p * norms ** (self.p - 2.0))[:, None, None] * xis
-
 
 def growth_certificate(model: EnergyModel) -> GrowthCertificate:
     cbar1 = w0_growth_constant(model, 1.0)
@@ -560,6 +556,73 @@ class TableEntry:
     evaluations: int | None = None
 
 
+class TableLookup(NamedTuple):
+    """One read of an :class:`EnvelopeTable` at an (N, 3, 2) stack.
+
+    ``values`` are the bounds. The rest is what :meth:`slopes` reads, so
+    that the derivative at the same stack needs no second singular value
+    computation or cell search: the singular values, their Frobenius
+    norms, the box mask and, row by row, the lower node indices and
+    fractions of the cell and its four corner values (ordered (0, 0),
+    (1, 0), (0, 1), (1, 1) in (s1, s2)). A row beyond the box reads the
+    cell of its clipped singular values, which neither ``values`` nor
+    :meth:`slopes` use.
+    """
+
+    table: "EnvelopeTable"
+    xis: np.ndarray        # (N, 3, 2)
+    values: np.ndarray     # (N,)
+    sigma: np.ndarray      # (N, 2), descending
+    norms: np.ndarray      # (N,)
+    inside: np.ndarray     # (N,) box mask
+    cells: tuple           # (i1, i2), each (N,)
+    fractions: tuple       # (f1, f2), each (N,)
+    corners: tuple         # four (N,) node values
+
+    def slopes(self) -> np.ndarray:
+        """Exact derivatives of ``values``, (N, 3, 2).
+
+        Inside the box the isotropic B(s1, s2) has the derivative
+        xi (b1 / s1 P + b2 / s2 (I - P)) (Lewis, J. Convex Anal. 2, 1995):
+        bk is B's sk-slope on the looked-up cell, b / s is read as 0 where
+        s = 0, and P = v1 v1^T projects onto the top eigenvector of
+        xi^T xi. From the Gram invariants a = |c1|^2, d = |c2|^2,
+        b = c1.c2 of xi / s1 (scale-free), P = [[1 + C, S], [S, 1 - C]] / 2
+        with (C, S) = (a - d, 2b) / hypot(a - d, 2b), and (1, 0) where
+        that vanishes (s1 = s2). Beyond the box the slope is the
+        certificate's, c p |xi|^(p - 2) xi. Both are xi (m I + h [[C, S],
+        [S, -C]]), m and h the mean and half difference of b1 / s1 and
+        b2 / s2 inside the box, and h = 0 beyond it.
+        """
+        pts, sig, inside = self.xis, self.sigma, self.inside
+        (i1, i2), (f1, f2) = self.cells, self.fractions
+        v00, v10, v01, v11 = self.corners
+        widths, cert = self.table._widths, self.table.certificate
+        s1, s2 = sig[:, 0], sig[:, 1]
+        b1 = ((v10 - v00) * (1 - f2) + (v11 - v01) * f2) / widths[i1]
+        b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / widths[i2]
+        q1 = np.divide(b1, s1, out=np.zeros_like(b1), where=s1 > 0.0)
+        q2 = np.divide(b2, s2, out=np.zeros_like(b2), where=s2 > 0.0)
+        unit = pts / np.maximum(s1, np.finfo(float).tiny)[:, None, None]
+        u1, u2 = unit[:, :, 0], unit[:, :, 1]
+        diff = (np.einsum("ki,ki->k", u1, u1)
+                - np.einsum("ki,ki->k", u2, u2))
+        off = 2.0 * np.einsum("ki,ki->k", u1, u2)
+        r = np.hypot(diff, off)
+        cos = np.divide(diff, r, out=np.ones_like(r), where=r > 0.0)
+        sin = np.divide(off, r, out=np.zeros_like(r), where=r > 0.0)
+        grow = np.power(self.norms, cert.p - 2.0,
+                        out=np.zeros_like(self.norms), where=~inside)
+        m = np.where(inside, 0.5 * (q1 + q2), cert.c * cert.p * grow)
+        h = np.where(inside, 0.5 * (q1 - q2), 0.0)
+        hc, hs = (h * cos)[:, None], (h * sin)[:, None]
+        c1, c2 = pts[:, :, 0], pts[:, :, 1]
+        out = np.empty(pts.shape)
+        out[:, :, 0] = c1 * (m[:, None] + hc) + c2 * hs
+        out[:, :, 1] = c1 * hs + c2 * (m[:, None] - hc)
+        return out
+
+
 class EnvelopeTable:
     """Bilinear interpolant of envelope upper bounds on singular values.
 
@@ -571,9 +634,13 @@ class EnvelopeTable:
     Node values are certified upper bounds; interpolated values carry the
     interpolation error of the grid. Outside the tabulated box the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
-    a true upper bound of the polynomial-growth kind. :meth:`values_at`
-    reads the bound and :meth:`slopes_at` its exact derivative; both find
-    the box and the cell the same way.
+    a true upper bound of the polynomial-growth kind.
+
+    :meth:`lookup` is the one read: it finds the box and the cell, forms
+    the bilinear interpolant and keeps what the exact derivative
+    (:meth:`TableLookup.slopes`) needs. :meth:`values_at` and
+    :meth:`slopes_at` read a fresh lookup; a caller that needs both at
+    one stack keeps the lookup instead.
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
@@ -597,6 +664,7 @@ class EnvelopeTable:
         if np.any(vals < floor - 1e-9):
             raise ValueError("table value below the coercivity floor")
         self.sigma_grid = grid
+        self._widths = np.diff(grid)
         self.values = vals
         self.entries = tuple(entries)
         self.p = float(p)
@@ -609,68 +677,46 @@ class EnvelopeTable:
         return float(self.sigma_grid[-1])
 
     def _cells(self, sig: np.ndarray):
-        """The box mask of (N, 2) singular values and, inside, the lower
-        node indices (i1, i2) of their cell and the fractions (f1, f2) in
-        it; a grid line reads the cell above it, sigma_max the last."""
+        """The box mask of (N, 2) singular values and the lower node
+        indices (i1, i2) of their cell and the fractions (f1, f2) in it,
+        of the values clipped to the box; a grid line reads the cell above
+        it, sigma_max the last."""
         inside = sig[:, 0] <= self.sigma_max + 1e-12
-        s = np.clip(sig[inside], 0.0, self.sigma_max)
+        s = np.minimum(np.maximum(sig, 0.0), self.sigma_max)
         g = self.sigma_grid
-        idx = np.clip(np.searchsorted(g, s, side="right") - 1, 0, g.size - 2)
-        return inside, idx.T, ((s - g[idx]) / (g[idx + 1] - g[idx])).T
+        idx = np.minimum(np.maximum(np.searchsorted(g, s, side="right") - 1,
+                                    0), g.size - 2)
+        return inside, idx.T, ((s - g[idx]) / self._widths[idx]).T
 
-    def values_at(self, xis: np.ndarray) -> np.ndarray:
-        """Interpolated upper bounds for an (N, 3, 2) stack.
+    def lookup(self, xis: np.ndarray) -> TableLookup:
+        """Interpolated upper bounds for an (N, 3, 2) stack, with what
+        their slopes read.
 
         Raises ValueError on NaN or infinite entries.
         """
         pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
         sig = singular_values(pts)
         inside, (i1, i2), (f1, f2) = self._cells(sig)
-        out = np.empty(pts.shape[0])
-        out[~inside] = self.certificate.bound(
-            np.sqrt((sig[~inside] ** 2).sum(axis=1)))
-        v = self.values
-        out[inside] = (v[i1, i2] * (1 - f1) * (1 - f2)
-                       + v[i1 + 1, i2] * f1 * (1 - f2)
-                       + v[i1, i2 + 1] * (1 - f1) * f2
-                       + v[i1 + 1, i2 + 1] * f1 * f2)
-        return out
+        v, n = self.values.ravel(), self.sigma_grid.size
+        node = i1 * n + i2
+        corners = (v.take(node), v.take(node + n), v.take(node + 1),
+                   v.take(node + (n + 1)))
+        v00, v10, v01, v11 = corners
+        norms = np.hypot(sig[:, 0], sig[:, 1])
+        out = np.where(inside,
+                       v00 * (1 - f1) * (1 - f2) + v10 * f1 * (1 - f2)
+                       + v01 * (1 - f1) * f2 + v11 * f1 * f2,
+                       self.certificate.bound(norms))
+        return TableLookup(self, pts, out, sig, norms, inside, (i1, i2),
+                           (f1, f2), corners)
+
+    def values_at(self, xis: np.ndarray) -> np.ndarray:
+        """Interpolated upper bounds for an (N, 3, 2) stack."""
+        return self.lookup(xis).values
 
     def slopes_at(self, xis: np.ndarray) -> np.ndarray:
-        """Exact derivatives of :meth:`values_at` for an (N, 3, 2) stack.
-
-        Inside the box the isotropic B(s1, s2) has the derivative
-        b1 u1 v1^T + b2 u2 v2^T (Lewis, J. Convex Anal. 2, 1995): bk is
-        B's sk-slope on the cell :meth:`values_at` reads, v1 the top
-        eigenvector of xi^T xi, v2 is v1 turned by 90 degrees and
-        uk = xi vk / sk, zero where sk = 0. Beyond it the slope is the
-        certificate's.
-        """
-        pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
-        sig = singular_values(pts)
-        inside, (i1, i2), (f1, f2) = self._cells(sig)
-        out = np.empty(pts.shape)
-        out[~inside] = self.certificate.slope(
-            pts[~inside], np.sqrt((sig[~inside] ** 2).sum(axis=1)))
-        v, g = self.values, self.sigma_grid
-        b = np.stack([((v[i1 + 1, i2] - v[i1, i2]) * (1 - f2)
-                       + (v[i1 + 1, i2 + 1] - v[i1, i2 + 1]) * f2)
-                      / (g[i1 + 1] - g[i1]),
-                      ((v[i1, i2 + 1] - v[i1, i2]) * (1 - f1)
-                       + (v[i1 + 1, i2 + 1] - v[i1 + 1, i2]) * f1)
-                      / (g[i2 + 1] - g[i2])], axis=1)
-        near, s = pts[inside], sig[inside]
-        # the Gram matrix of xi / s1: its eigenvectors, without underflow
-        unit = near / np.maximum(s[:, 0], np.finfo(float).tiny)[:, None, None]
-        gram = np.einsum("kia,kib->kab", unit, unit)
-        theta = 0.5 * np.arctan2(2.0 * gram[:, 0, 1],
-                                 gram[:, 0, 0] - gram[:, 1, 1])
-        c, t = np.cos(theta), np.sin(theta)
-        rot = np.stack([c, -t, t, c], axis=1).reshape(-1, 2, 2)  # (v1 | v2)
-        # columns b_k u_k = b_k xi v_k / s_k, then times the rows v_k^T
-        scale = np.divide(b, s, out=np.zeros_like(b), where=s > 0.0)
-        out[inside] = (near @ rot) * scale[:, None, :] @ rot.transpose(0, 2, 1)
-        return out
+        """Exact derivatives of :meth:`values_at` for an (N, 3, 2) stack."""
+        return self.lookup(xis).slopes()
 
     def audit_growth(self) -> float:
         """Max ratio of node value to the certificate bound (must be <= 1)."""

@@ -11,6 +11,7 @@ gradients.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -202,21 +203,27 @@ class TriMesh:
         <v, v*> for every v. One ``np.bincount`` call; its index is cached
         per (leading rows, k) on the mesh.
         """
+        corner = self._corner_terms(d_grad, d_mean)
+        lead, k, n = corner.shape[:-3], corner.shape[-1], self.n_vertices
+        rows = math.prod(lead)
+        out = np.bincount(self._scatter_index(rows, k), corner.ravel(),
+                          minlength=rows * n * k)
+        return out.reshape(lead + (n, k))
+
+    def _corner_terms(self, d_grad, d_mean) -> np.ndarray:
+        """The (..., m, 3, k) terms :meth:`pull_back` adds at the cell
+        corners; its temporaries are gone before the scatter."""
         G = np.asarray(d_grad, dtype=float)
         C = np.asarray(d_mean, dtype=float) / 3.0
         inv = self._inv_jac
         # weights of the edge differences v1 - v0 and v2 - v0
         a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
         b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
-        corner = np.empty(C.shape[:-1] + (3,) + C.shape[-1:])  # (..., m, 3, k)
+        corner = np.empty(C.shape[:-1] + (3,) + C.shape[-1:])
         corner[..., 0, :] = C - a - b
         corner[..., 1, :] = C + a
         corner[..., 2, :] = C + b
-        lead, k, n = C.shape[:-2], C.shape[-1], self.n_vertices
-        rows = int(np.prod(lead, dtype=int))
-        out = np.bincount(self._scatter_index(rows, k), corner.ravel(),
-                          minlength=rows * n * k)
-        return out.reshape(lead + (n, k))
+        return corner
 
     def to_dict(self) -> dict:
         return {"vertices": self.vertices.tolist(),

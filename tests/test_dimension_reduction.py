@@ -59,14 +59,16 @@ def _film_objective(model, load, mesh, x, eps):
     return _ThinObjective(model, load, start, eps)
 
 
+@pytest.mark.parametrize("layers", [3, 5, 7])
 @pytest.mark.parametrize("model", [EnergyModel(),
                                    EnergyModel(ShiftedLogBarrier(), p=3.0)])
-def test_film_objective_gradient_matches_central_difference(model):
+def test_film_objective_gradient_matches_central_difference(model, layers):
+    # three layers have no middle row, in which two prisms' slopes meet
     mesh = unit_square_mesh(2)
     load = LoadPotential(
         lambda pts, x3: np.tile([0.1, -0.2, 0.3], (len(pts), 1)), p=2.5)
     rng = np.random.default_rng(0)
-    x = _default_film_start(mesh, 0.2, 5).values.copy()
+    x = _default_film_start(mesh, 0.2, layers).values.copy()
     # an in-plane stretch keeps every prism determinant near 2.25, away
     # from the shifted log's kink at 1
     x[:, :, :2] *= 1.5
@@ -159,30 +161,28 @@ def test_linear_table_slope_is_its_isotropic_derivative():
 
 
 class _CountingTable:
-    """A table that counts the matrices each lookup reads."""
+    """A table that counts its lookups and the matrices they read."""
 
     def __init__(self, table):
         self.table = table
-        self.reads = {"values_at": 0, "slopes_at": 0}
+        self.reads = {"lookups": 0, "cells": 0}
 
-    def values_at(self, xis):
-        self.reads["values_at"] += len(xis)
-        return self.table.values_at(xis)
-
-    def slopes_at(self, xis):
-        self.reads["slopes_at"] += len(xis)
-        return self.table.slopes_at(xis)
+    def lookup(self, xis):
+        self.reads["lookups"] += 1
+        self.reads["cells"] += len(xis)
+        return self.table.lookup(xis)
 
 
 def test_membrane_gradient_reads_each_cell_once_through_the_slopes():
+    # one lookup per value call; the gradient reads the slopes from the
+    # lookup kept in the state and looks nothing up again
     mesh = unit_square_mesh(3)
     table = _CountingTable(_linear_table())
     obj = _MembraneObjective(table, _tilted_load(), mesh)
     state = obj(1.3 * _flat(mesh).values.reshape(-1))[1]
-    assert table.reads == {"values_at": mesh.n_cells, "slopes_at": 0}
-    table.reads = dict.fromkeys(table.reads, 0)
+    assert table.reads == {"lookups": 1, "cells": mesh.n_cells}
     obj.gradient(state)
-    assert table.reads == {"values_at": 0, "slopes_at": mesh.n_cells}
+    assert table.reads == {"lookups": 1, "cells": mesh.n_cells}
 
 
 def test_load_slope_of_a_zero_row_is_psi_without_a_warning():
@@ -203,6 +203,27 @@ def test_load_slope_of_a_zero_row_is_psi_without_a_warning():
                                * zeta[1], rtol=1e-15)
     # the start's value: B(0) = 1, and the load vanishes at zeta = 0
     assert res.total <= 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_nonfinite_load_is_refused_before_any_descent(bad):
+    # refused where the load is sampled, before a non-finite start total
+    # could read as an infeasible start
+    def psi(pts, x3):
+        out = np.tile([0.1, -0.2, 0.3], (len(pts), 1))
+        out[-1, 2] = bad
+        return out
+
+    load, mesh = LoadPotential(psi), unit_square_mesh(2)
+    runs = [
+        lambda: minimize_thin_film(EnergyModel(), load, 0.2, mesh, iters=3),
+        lambda: minimize_membrane(_linear_table(), load, mesh, iters=3),
+        lambda: gamma_sweep(EnergyModel(), _linear_table(), load, mesh,
+                            [0.2], iters=3),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="load field returned NaN"):
+            run()
 
 
 def test_a_negative_budget_is_refused():
@@ -408,6 +429,50 @@ def test_lbfgs_direction_is_the_two_loop_recursion():
     np.testing.assert_allclose(memory.direction(g), -r, rtol=1e-12)
     memory.clear()
     np.testing.assert_array_equal(memory.direction(g), -g)
+
+
+def _two_loop(kept, g):
+    """-H g by the textbook two-loop recursion over the pairs, oldest
+    first."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(kept):
+        a = (s @ q) / (s @ y)
+        alphas.append(a)
+        q -= a * y
+    s, y = kept[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), a in zip(kept, reversed(alphas)):
+        r += (a - (y @ r) / (s @ y)) * s
+    return -r
+
+
+def test_lbfgs_direction_with_few_pairs_and_after_a_clear():
+    # one and two pairs, then pairs kept after clear() in mid-ring: the
+    # slots still hold the older pairs, which must not enter the direction
+    rng = np.random.default_rng(5)
+    n = 7
+
+    def pair():
+        s = rng.standard_normal(n)
+        return s, s * rng.uniform(0.5, 2.0, n)
+
+    g = rng.standard_normal(n)
+    memory, kept = _Lbfgs(n), []
+    for _ in range(2):
+        kept.append(pair())
+        memory.update(*kept[-1])
+        np.testing.assert_allclose(memory.direction(g), _two_loop(kept, g),
+                                   rtol=1e-12)
+    for _ in range(2):
+        memory.update(*pair())
+    memory.clear()
+    kept = []
+    for _ in range(3):  # slots 4, 0 and 1: the ring wraps
+        kept.append(pair())
+        memory.update(*kept[-1])
+        assert memory.size == len(kept)
+        np.testing.assert_allclose(memory.direction(g), _two_loop(kept, g),
+                                   rtol=1e-12)
 
 
 def _bb_descent(value, gradient, x0, iters):

@@ -375,8 +375,11 @@ def test_table_lookup_rejects_non_finite_entries(small_table):
     xis = np.tile(np.array([[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]]), (4, 1, 1))
     for bad in (np.nan, np.inf):
         xis[2, 1, 1] = bad
-        with pytest.raises(ValueError, match="mat32 entries must be finite"):
-            small_table.values_at(xis)
+        for read in (small_table.lookup, small_table.values_at,
+                     small_table.slopes_at):
+            with pytest.raises(ValueError,
+                               match="mat32 entries must be finite"):
+                read(xis)
 
 
 def test_table_lookup_at_the_edge_of_the_exponent_range(small_table):
@@ -425,6 +428,58 @@ def test_table_slope_matches_central_differences(small_table, sigma):
           - small_table.values_at(xi - h * unit)).reshape(3, 2) / (2 * h)
     got = small_table.slopes_at(xi[None])[0]
     assert np.linalg.norm(got - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+
+
+def _rotation_slopes(table, xis):
+    """The table's slope in its rotation form: b1 u1 v1^T + b2 u2 v2^T
+    with v1 = (cos t, sin t), t = atan2(2 b, a - d) / 2 from the Gram
+    matrix of xi / s1, v2 = v1 turned by 90 degrees, uk = xi vk / sk
+    (zero where sk = 0); the certificate's slope beyond the box."""
+    sig = singular_values(xis)
+    inside, cells, fractions = table._cells(sig)
+    (i1, i2), (f1, f2) = ([a[inside] for a in pair]
+                          for pair in (cells, fractions))
+    cert = table.certificate
+    norms = np.sqrt((sig ** 2).sum(axis=1))
+    out = (cert.c * cert.p * norms ** (cert.p - 2.0))[:, None, None] * xis
+    v, g = table.values, table.sigma_grid
+    b = np.stack([((v[i1 + 1, i2] - v[i1, i2]) * (1 - f2)
+                   + (v[i1 + 1, i2 + 1] - v[i1, i2 + 1]) * f2)
+                  / (g[i1 + 1] - g[i1]),
+                  ((v[i1, i2 + 1] - v[i1, i2]) * (1 - f1)
+                   + (v[i1 + 1, i2 + 1] - v[i1 + 1, i2]) * f1)
+                  / (g[i2 + 1] - g[i2])], axis=1)
+    near, s = xis[inside], sig[inside]
+    unit = near / np.maximum(s[:, 0], np.finfo(float).tiny)[:, None, None]
+    gram = np.einsum("kia,kib->kab", unit, unit)
+    t = 0.5 * np.arctan2(2.0 * gram[:, 0, 1], gram[:, 0, 0] - gram[:, 1, 1])
+    rot = np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)],
+                   axis=1).reshape(-1, 2, 2)
+    scale = np.divide(b, s, out=np.zeros_like(b), where=s > 0.0)
+    out[inside] = (near @ rot) * scale[:, None, :] @ rot.transpose(0, 2, 1)
+    return out
+
+
+def test_kept_lookup_gives_the_slopes_of_the_rotation_form(small_table):
+    # one stack with s1 = s2, s2 = 0, the zero matrix, random rows and
+    # rows beyond the box, read once by lookup; the closed-form projector
+    # against the angle of the top eigenvector
+    rng = np.random.default_rng(21)
+    sigmas = [(0.3, 0.3), (0.8, 0.8), (0.7, 0.0), (1.3, 0.0), (0.0, 0.0),
+              (1.4, 0.2), (2.0, 1.5), (0.8, 0.3), (0.35, 0.1)]
+    xis = np.concatenate([
+        np.array([_with_singular_values(rng, *s) for s in sigmas]),
+        # Gram matrix exactly 0.16 I: no top eigenvector
+        mat32([0.4, 0, 0], [0, 0.4, 0])[None],
+        rng.uniform(-0.7, 0.7, (32, 3, 2))])
+    hit = small_table.lookup(xis)
+    assert not hit.inside.all() and hit.inside.any()
+    np.testing.assert_array_equal(hit.values, small_table.values_at(xis))
+    got = hit.slopes()
+    np.testing.assert_array_equal(got, small_table.slopes_at(xis))
+    expect = _rotation_slopes(small_table, xis)
+    scale = np.abs(expect).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - expect) <= 1e-12 * scale)
 
 
 def test_table_json_roundtrip(small_table, tmp_path):
