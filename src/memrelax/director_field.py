@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .fiber_reduction import WEDGE_FLOOR, solve_fiber
+from .fiber_reduction import WEDGE_FLOOR, _fiber_invariants, solve_fiber
 from .pw_affine import PwAffineField
 from .quadrature import integrate_adaptive
 from .tensor_kernel import ExtValue, as_mat32, wedge
@@ -168,12 +168,9 @@ def _constrained_minima(model: EnergyModel, grads: np.ndarray,
     coordinate t with the clamp t >= 1/(j a), a = |c|.  The fiber slope
     increases, so the clamped minimizer is max(t*, 1/(j a)).
     """
-    crosses = wedge(grads)
-    a = np.linalg.norm(crosses, axis=1)
-    q = np.sum(grads * grads, axis=(1, 2))
+    crosses, a, q = _fiber_invariants(grads)
     t, values = solve_fiber(model, a, q, t_min=1.0 / (j * a))
-    zetas = (signs * t / a)[:, None] * crosses
-    return values, zetas
+    return values, np.ascontiguousarray(((signs * t / a) * crosses).T)
 
 
 def cell_min_constrained(model: EnergyModel, xi, sign: int,

@@ -373,6 +373,16 @@ def _split_record(step, frac, score) -> dict:
             "score": float(score)}
 
 
+def _component_major(xis: np.ndarray) -> np.ndarray:
+    """An (N, 3, 2) stack as contiguous (3, 2, N) component rows."""
+    return np.ascontiguousarray(xis.transpose(1, 2, 0))
+
+
+def _stack_view(rows: np.ndarray) -> np.ndarray:
+    """The (N, 3, 2) view of contiguous (3, 2, ...) component rows."""
+    return rows.reshape(3, 2, -1).transpose(2, 0, 1)
+
+
 def _profile(density, xi: np.ndarray, depth: int,
              params: SearchParams) -> tuple[list[float], dict | None]:
     """Values by depth and the witness of the last one.
@@ -382,9 +392,11 @@ def _profile(density, xi: np.ndarray, depth: int,
     the mirror's end values are the representative's swapped; its score
     is then bit for bit the one a separate evaluation gives, so the
     ranking, the best pair and the polish are those of the full grid.
-    Unmatched pairs are evaluated on their own. At depth 2 each distinct kept end is split on the
-    representatives of the inner grid, whose minimum is the full inner
-    grid's.
+    Unmatched pairs are evaluated on their own. At depth 2 each distinct
+    kept end is split on the representatives of the inner grid, whose
+    minimum is the full inner grid's. The ends are built component-major,
+    (3, 2, end) and (3, 2, child, pair), from contiguous operands, and
+    ``density.batch`` gets their (N, 3, 2) views.
     """
     base = _as_ext(density(xi)).as_float()
     if depth == 0:
@@ -392,12 +404,11 @@ def _profile(density, xi: np.ndarray, depth: int,
 
     grid = _pair_grid(params)
     steps, lam = grid.steps, grid.lam
-    rsteps, rlam = steps[grid.rep], lam[grid.rep]
-    # ends of the representatives: plus ends, then minus ends
-    pts = np.concatenate([xi[None] + (1.0 - rlam)[:, None, None] * rsteps,
-                          xi[None] - rlam[:, None, None] * rsteps])
-    vals = np.concatenate([density.batch(pts[:rlam.size]),
-                           density.batch(pts[rlam.size:])])
+    rsteps, rlam = _component_major(steps[grid.rep]), lam[grid.rep]
+    # ends of the representatives, (3, 2, 2R): plus ends, then minus ends
+    pts = np.concatenate([xi[:, :, None] + (1.0 - rlam) * rsteps,
+                          xi[:, :, None] - rlam * rsteps], axis=2)
+    vals = density.batch(_stack_view(pts))
     vp, vm = vals[grid.ends[:, 0]], vals[grid.ends[:, 1]]
     scores = lam * vp + (1.0 - lam) * vm
 
@@ -427,14 +438,15 @@ def _profile(density, xi: np.ndarray, depth: int,
             inner = _pair_grid(params.inner if params.inner is not None
                                else params)
             isteps, ilam = inner.steps[inner.rep], inner.lam[inner.rep]
-            child = pts[ids]
-            cp = (child[:, None] + (1.0 - ilam)[None, :, None, None]
-                  * isteps[None])
-            cm = child[:, None] - ilam[None, :, None, None] * isteps[None]
+            # (3, 2, child, pair) ends of every child's inner splits
+            child = pts.take(ids, axis=2)[:, :, :, None]
+            cstep = _component_major(isteps)[:, :, None, :]
+            cp = child + (1.0 - ilam) * cstep
+            cm = child - ilam * cstep
             shape = (ids.size, ilam.size)
-            csc = (ilam * density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
+            csc = (ilam * density.batch(_stack_view(cp)).reshape(shape)
                    + (1.0 - ilam)
-                   * density.batch(cm.reshape(-1, 3, 2)).reshape(shape))
+                   * density.batch(_stack_view(cm)).reshape(shape))
             c_best = np.argmin(csc, axis=1)
             c_split = csc[np.arange(ids.size), c_best]
             child_l1 = np.minimum(vals[ids], c_split)[child_of]
@@ -466,7 +478,10 @@ def laminate_search(density, xi, depth: int,
     evaluate each matrix on its own, independently of the rest of the
     stack: a grid pair and its mirror (-step, 1 - fraction), matched
     exactly as in :class:`SearchParams`, share their end points, and
-    only one of them is evaluated.
+    only one of them is evaluated. It must also take any memory layout:
+    the search builds the grid ends component-major, as contiguous
+    (3, 2, ...) arrays, and passes their (N, 3, 2) views, which
+    :func:`~memrelax.fiber_reduction.w0_batch` reads without a copy.
 
     values[0] is the density itself. values[1] is the best single split
     along a rank-one segment, the grid's best pair after polishing, or

@@ -15,8 +15,16 @@ minimizer is the only zero of the increasing slope
 
 or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
 finds it for a batch of (a, q) by bracketed Newton; every caller in
-the package goes through it.  An independent 3D grid oracle over the
-third column cross-checks the reduction.
+the package goes through it.  A lane leaves the batch as soon as it has
+converged or its bracket has closed, before the next step is chosen, so
+the bracket bookkeeping runs only on lanes that go on.  An independent
+3D grid oracle over the third column cross-checks the reduction.
+
+Batches of gradients are (N, 3, 2) stacks of any memory layout.  a and q
+are read from the six entry rows of ``xis.reshape(-1, 6).T``: for a
+component-major stack, the (N, 3, 2) view of contiguous (3, 2, N)
+memory, these rows are contiguous; for a C-ordered stack they are
+strided views.  Neither layout is copied.
 """
 from __future__ import annotations
 
@@ -45,6 +53,33 @@ _REL_TOL = 1e-13
 _MAX_ITER = 100
 
 
+def _fiber_invariants(xis: np.ndarray):
+    """Column cross product c, a = |c| and q = |xi|^2 of an (N, 3, 2) stack.
+
+    Reads the six entry rows of ``xis.reshape(-1, 6).T`` in place:
+    contiguous for a component-major stack, strided for a C-ordered one
+    (reshape copies only a stack it cannot view that way). c comes back
+    as (3, N) rows. The products and sums are those of :func:`wedge`,
+    ``np.linalg.norm(c, axis=1)`` and ``np.sum(xis * xis, axis=(1, 2))``
+    in their order, so all three are bit-identical to those.
+    """
+    rows = xis.reshape(-1, 6).T
+    x0, x1, y0, y1, z0, z1 = rows
+    c = np.empty((3, rows.shape[1]))
+    np.subtract(y0 * z1, z0 * y1, out=c[0])
+    np.subtract(z0 * x1, x0 * z1, out=c[1])
+    np.subtract(x0 * y1, y0 * x1, out=c[2])
+    sq = np.empty(rows.shape[1])
+    a = np.multiply(c[0], c[0])
+    for k in (1, 2):
+        a += np.multiply(c[k], c[k], out=sq)
+    np.sqrt(a, out=a)
+    q = np.multiply(x0, x0)
+    for r in rows[1:]:
+        q += np.multiply(r, r, out=sq)
+    return c, a, q
+
+
 def _slope(model: EnergyModel, a, q, t):
     """phi(t) and phi'(t) of the fiber objective, elementwise."""
     x = t * a
@@ -59,40 +94,55 @@ def _slope(model: EnergyModel, a, q, t):
 def solve_fiber(model: EnergyModel, a, q, t_min=None):
     """Minimize h(t a) + (q + t^2)^{p/2} over t > 0, lanewise.
 
-    a > 0 and q are equal-length 1D arrays; t_min, a scalar or an array
-    of the same length, restricts the search to t >= t_min.  Each lane
-    runs Newton on phi(t) = 0 inside a bracket [lo, hi] around the root,
-    and falls back to a geometric bisection whenever the Newton step
-    would leave the bracket or be longer than the lane's previous move.
-    A lane stops when its step or its bracket is at most 1e-13 t; the
-    bracket test ends lanes whose minimizer sits at a kink of the
-    barrier, where phi jumps over zero.  The start is the root for p = 2
-    and h(x) = x^-r, r the barrier's blow-up order, so for the reciprocal
-    barrier at p = 2 the first step already converges.
+    a and q are 1D arrays of one shape, a finite and > 0, q finite and
+    >= 0; t_min, finite and >= 0, a scalar or an array of the same
+    length, restricts the search to t >= t_min. Anything else raises
+    ValueError before the first step. Each lane runs Newton on
+    phi(t) = 0 inside a bracket [lo, hi] around the root, and falls back
+    to a geometric bisection whenever the Newton step would leave the
+    bracket or be longer than the lane's previous move. A lane stops when
+    its step or its bracket is at most 1e-13 t; the bracket test ends
+    lanes whose minimizer sits at a kink of the barrier, where phi jumps
+    over zero. Stopped lanes leave before the Newton/bisection choice, so
+    only lanes that go on carry a bracket. The start is the root for
+    p = 2 and h(x) = x^-r, r the barrier's blow-up order, so for the
+    reciprocal barrier at p = 2 every lane stops after one slope.
 
-    Returns (t, value) arrays.  Raises RuntimeError if a lane has not
+    Returns (t, value) arrays. Raises RuntimeError if a lane has not
     converged after _MAX_ITER steps.
     """
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
+    if a.ndim != 1 or a.shape != q.shape:
+        raise ValueError(f"a and q must be 1D of one shape, got {a.shape} "
+                         f"and {q.shape}")
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ValueError("a must be finite and > 0")
+    if not np.all((q >= 0.0) & (q < np.inf)):
+        raise ValueError("q must be finite and >= 0")
     r = model.barrier.blowup_order
     t = (0.5 * r * a ** -r) ** (1.0 / (r + 2.0))
-    lo = np.zeros_like(t)
     live = np.arange(t.size)
+    al, ql, lol = a, q, np.zeros_like(t)
     if t_min is not None:
-        lo = np.broadcast_to(np.asarray(t_min, dtype=float), t.shape)
-        # phi increases, so phi(t_min) >= 0 pins the minimizer to the bound
-        pinned = _slope(model, a, q, lo)[0] >= 0.0
+        t_min = np.asarray(t_min, dtype=float)
+        if not np.all((t_min >= 0.0) & (t_min < np.inf)):
+            raise ValueError("t_min must be finite and >= 0")
+        lo = np.broadcast_to(t_min, t.shape)
+        # phi increases, so phi(t_min) >= 0 pins the minimizer to the bound;
+        # the barrier blows up at 0, where phi is -inf or nan, never pinned
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pinned = _slope(model, a, q, lo)[0] >= 0.0
         t = np.where(pinned, lo, np.maximum(t, lo))
         live = np.flatnonzero(~pinned)
+        al, ql, lol = a[live], q[live], lo[live]
 
-    tl, lol = t[live], lo[live]
+    tl = t[live]
     hil = np.full(live.size, np.inf)
     moved = np.full(live.size, np.inf)
     for _ in range(_MAX_ITER):
         if live.size == 0:
             break
-        al, ql = a[live], q[live]
         phi, dphi = _slope(model, al, ql, tl)
         step = -phi / dphi
         below = phi < 0.0
@@ -102,7 +152,15 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
         newton = tl + step
         converged = np.abs(step) <= tol
         done = converged | (hil - lol <= tol)
-        t[live] = np.where(converged, newton, tl)
+        if done.any():
+            t[live] = np.where(converged, newton, tl)
+            keep = np.flatnonzero(~done)
+            live = live[keep]
+            if live.size == 0:
+                break
+            al, ql, tl, step, newton = (al[keep], ql[keep], tl[keep],
+                                        step[keep], newton[keep])
+            lol, hil, moved = lol[keep], hil[keep], moved[keep]
 
         # Newton must stay in the bracket and not outgrow the last move;
         # the second test stops a slow crawl up the barrier from the left
@@ -112,11 +170,8 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
         bisect = np.where(lol > 0.0, np.sqrt(lol * hil), hil / 16.0)
         bisect = np.where(np.isinf(hil), 16.0 * lol, bisect)
         nxt = np.where(fast, newton, bisect)
-        keep = ~done
-        live = live[keep]
-        moved = np.abs(nxt - tl)[keep]
-        tl = nxt[keep]
-        lol, hil = lol[keep], hil[keep]
+        moved = np.abs(nxt - tl)
+        tl = nxt
     if live.size:
         raise RuntimeError(
             f"fiber solve left {live.size} lane(s) unconverged after "
@@ -145,16 +200,23 @@ def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
 
 
 def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
-    """Reduced density over a stack (N, 3, 2), as floats with +inf."""
+    """Reduced density over a stack (N, 3, 2), as floats with +inf.
+
+    Any (N, 3, 2) stack is accepted and none is copied: a component-major
+    one, the (N, 3, 2) view of contiguous (3, 2, N) memory, is read in
+    contiguous entry rows, a C-ordered one in strided rows. Rank-deficient
+    rows (a <= WEDGE_FLOOR) are +inf; the rest go to one
+    :func:`solve_fiber` call.
+    """
     xis = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
     if not np.all(np.isfinite(xis)):
         raise ValueError("mat32 entries must be finite")
-    a = np.linalg.norm(wedge(xis), axis=1)
-    q = np.sum(xis * xis, axis=(1, 2))
-    out = np.full(xis.shape[0], np.inf)
+    a, q = _fiber_invariants(xis)[1:]
     ok = a > WEDGE_FLOOR
-    if np.any(ok):
-        _, out[ok] = solve_fiber(model, a[ok], q[ok])
+    if np.all(ok):
+        return solve_fiber(model, a, q)[1]
+    out = np.full(a.size, np.inf)
+    _, out[ok] = solve_fiber(model, a[ok], q[ok])
     return out
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from memrelax import envelope
-from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
+from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
+                                    ShiftedLogBarrier)
 from memrelax.envelope import (
     DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
     build_envelope_table, finite_upper_bound, four_corner_bound,
@@ -532,6 +533,24 @@ def test_evaluations_count_every_density_point(monkeypatch):
     seen["points"] = 0
     res = laminate_search(CountingDensity(EnergyModel()), E1E2, 2, SMALL)
     assert res.evaluations == seen["points"]
+
+
+# node values, as float.hex, and density evaluations of the depth-2 table
+# at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier, recorded
+# before the fiber solve read component-major rows
+GOLDEN_DEPTH2 = [
+    ((0.0, 0.0), "0x1.38f3d1d950af4p+2", 10209),
+    ((0.5, 0.0), "0x1.1000ae72bbb9fp+2", 178409),
+    ((0.5, 0.5), "0x1.ef5adf0195e84p+1", 171689),
+]
+
+
+def test_depth_two_table_reproduces_its_golden_nodes():
+    table = build_envelope_table(EnergyModel(ReciprocalBarrier(1.0)),
+                                 sigma_max=0.5, pitch=0.5, depth=2,
+                                 threads=1)
+    got = [(e.sigma, e.value.hex(), e.evaluations) for e in table.entries]
+    assert got == GOLDEN_DEPTH2
 
 
 def test_threaded_build_matches_serial(small_table):

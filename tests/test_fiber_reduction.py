@@ -8,7 +8,7 @@ from memrelax.fiber_reduction import (
     ReducedDensity, solve_fiber, w0_batch, w0_bruteforce, w0_closed_form,
     w0_growth_constant,
 )
-from memrelax.tensor_kernel import INFINITE, mat32, wedge_norm
+from memrelax.tensor_kernel import INFINITE, mat32, wedge, wedge_norm
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)  # minimizer of 1/t + t^2 shifted by |xi|^2
@@ -207,3 +207,120 @@ def test_batch_rejects_non_finite_entries():
             w0_batch(m, xis)
         with pytest.raises(ValueError, match="finite"):
             w0_closed_form(m, xis[1])
+
+
+# ---------------------------------------------------------------------------
+# memory layout, lane retirement and lane validation
+
+def _component_major_view(xis):
+    """The same stack as the (N, 3, 2) view of contiguous (3, 2, N) rows."""
+    view = np.ascontiguousarray(xis.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert not view.flags.c_contiguous
+    return view
+
+
+def test_batch_is_bitwise_the_same_for_either_layout():
+    m = EnergyModel()
+    rng = np.random.default_rng(11)
+    xis = rng.uniform(-2.0, 2.0, size=(300, 3, 2))
+    xis[::7, :, 1] = -0.5 * xis[::7, :, 0]   # rank deficient
+    xis[5] = 0.0
+    view = _component_major_view(xis)
+    assert np.array_equal(view, xis)
+    vals = w0_batch(m, xis)
+    assert np.isinf(vals[::7]).all() and np.isinf(vals[5])
+    assert np.array_equal(w0_batch(m, view), vals)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_row_invariants_equal_wedge_norm_and_square_sum(seed):
+    rng = np.random.default_rng(seed)
+    n = 2000
+    mags = 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 3, 2))
+    xis = rng.choice([-1.0, 1.0], size=(n, 3, 2)) * mags
+    c_ref = wedge(xis)
+    a_ref = np.linalg.norm(c_ref, axis=1)
+    q_ref = np.sum(xis * xis, axis=(1, 2))
+    for stack in (xis, _component_major_view(xis)):
+        c, a, q = fiber_reduction._fiber_invariants(stack)
+        assert np.array_equal(c.T, c_ref)
+        assert np.array_equal(a, a_ref)
+        assert np.array_equal(q, q_ref)
+
+
+def _lane_by_lane(model, a, q, t_min):
+    out = [solve_fiber(model, a[i:i + 1], q[i:i + 1], t_min=t_min[i:i + 1])
+           for i in range(a.size)]
+    return (np.concatenate([t for t, _ in out]),
+            np.concatenate([v for _, v in out]))
+
+
+def test_mixed_batch_equals_lane_by_lane_solves():
+    # shifted log barrier, p = 2: h(x) = 1/x + const for x >= 1, so lanes
+    # with a^2 >= 2 start at their root; 1 < a^2 < 2 puts the minimizer
+    # on the kink t = 1/a, reached by bracket halvings; a large t_min
+    # pins a lane to its bound; small a needs Newton steps
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    a = np.array([1.5, 3.0, 1.05, 1.2, 1.4, 0.3, 0.7, 1.0, 2.0, 0.5])
+    q = np.array([0.5, 2.0, 0.5, 2.44, 9.0, 1.0, 0.2, 3.0, 1.0, 4.0])
+    t_min = np.full(a.size, 1e-3)
+    t_min[[7, 8, 9]] = [5.0, 2.0, 10.0]
+    t, val = solve_fiber(m, a, q, t_min=t_min)
+    t_one, val_one = _lane_by_lane(m, a, q, t_min)
+    assert np.array_equal(t, t_one)
+    assert np.array_equal(val, val_one)
+    np.testing.assert_allclose(t[2:5], 1.0 / a[2:5], rtol=1e-12)
+    assert np.array_equal(t[7:], t_min[7:])
+    start = (0.5 / a[:2]) ** (1.0 / 3.0)
+    np.testing.assert_allclose(t[:2], start, rtol=1e-15)
+
+
+def test_reciprocal_batch_with_pinned_lanes_equals_lane_by_lane():
+    m = EnergyModel(barrier=ReciprocalBarrier(1.0))
+    rng = np.random.default_rng(4)
+    a = 10.0 ** rng.uniform(-2.0, 1.0, 40)
+    q = 10.0 ** rng.uniform(-2.0, 1.0, 40)
+    t_min = np.where(np.arange(40) % 3 == 0, 20.0, 0.0)
+    t, val = solve_fiber(m, a, q, t_min=t_min)
+    t_one, val_one = _lane_by_lane(m, a, q, t_min)
+    assert np.array_equal(t, t_one)
+    assert np.array_equal(val, val_one)
+    assert np.array_equal(t[::3], t_min[::3])
+
+
+def test_batch_of_empty_and_all_rank_deficient_stacks():
+    m = EnergyModel()
+    empty = w0_batch(m, np.zeros((0, 3, 2)))
+    assert empty.shape == (0,)
+    flat = np.zeros((4, 3, 2))
+    flat[:, 0, 0] = [1.0, 2.0, 0.0, -3.0]
+    flat[:, 1, 1] = [0.0, 0.0, 1.0, 0.0]
+    vals = w0_batch(m, flat)
+    assert vals.shape == (4,) and np.isinf(vals).all()
+    t, val = solve_fiber(m, np.zeros(0), np.zeros(0))
+    assert t.shape == val.shape == (0,)
+
+
+@pytest.mark.parametrize("a, q, t_min, match", [
+    ([1.0], [np.nan], None, "q must be finite"),
+    ([1.0], [np.inf], None, "q must be finite"),
+    ([1.0], [-5.0], None, "q must be finite and >= 0"),
+    ([-1.0], [1.0], None, "a must be finite and > 0"),
+    ([0.0], [1.0], None, "a must be finite and > 0"),
+    ([np.nan], [1.0], None, "a must be finite and > 0"),
+    ([np.inf], [1.0], None, "a must be finite and > 0"),
+    ([1.0, 2.0], [1.0], None, "one shape"),
+    ([[1.0]], [[1.0]], None, "one shape"),
+    (1.0, 1.0, None, "one shape"),
+    ([1.0], [1.0], -0.5, "t_min must be finite and >= 0"),
+    ([1.0], [1.0], np.nan, "t_min must be finite and >= 0"),
+    ([1.0], [1.0], np.inf, "t_min must be finite and >= 0"),
+])
+def test_solve_fiber_refuses_bad_lanes(monkeypatch, a, q, t_min, match):
+    # the refusal comes before the first slope
+    def no_slope(*args):
+        raise AssertionError("a bad lane reached the slope")
+
+    monkeypatch.setattr(fiber_reduction, "_slope", no_slope)
+    with pytest.raises(ValueError, match=match):
+        solve_fiber(EnergyModel(), np.array(a), np.array(q), t_min=t_min)
