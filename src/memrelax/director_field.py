@@ -87,21 +87,21 @@ def _cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
             + (np.sin(theta) * np.sin(phi))[:, None] * w)
 
 
-def _cell_crosses(cells) -> np.ndarray:
+def _cell_crosses(cells) -> tuple[np.ndarray, np.ndarray]:
+    """Column cross products (M, 3) and norms (M,) of a full-rank stack."""
     grads = np.asarray(cells, dtype=float)
     if grads.ndim != 3 or grads.shape[1:] != (3, 2):
         raise ValueError(
             f"mat32 stack must have shape (M, 3, 2), got {grads.shape}")
     if not np.all(np.isfinite(grads)):
         raise ValueError("mat32 entries must be finite")
-    crosses = wedge(grads)
-    norms = np.linalg.norm(crosses, axis=1)
+    crosses, norms, _ = _fiber_invariants(grads)
     if np.any(norms <= WEDGE_FLOOR):
         bad = int(np.argmin(norms))
         raise ValueError(
             f"cell {bad} has rank-deficient gradient; "
             "a full-rank plane requires independent columns")
-    return crosses
+    return crosses.T, norms
 
 
 def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
@@ -117,8 +117,8 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     j with min_i |det| >= 1/j and signs holds the per-cell determinant
     signs at the returned direction.
     """
-    crosses = _cell_crosses(cells)
-    unit = crosses / np.linalg.norm(crosses, axis=1)[:, None]
+    crosses, norms = _cell_crosses(cells)
+    unit = crosses / norms[:, None]
 
     best_margin = -1.0
     best = None
@@ -187,7 +187,7 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     if sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     m = as_mat32(xi)
-    if np.linalg.norm(wedge(m)) <= WEDGE_FLOOR:
+    if not _fiber_invariants(m[None])[1][0] > WEDGE_FLOOR:
         raise ValueError("constrained minimization needs a full-rank cell")
     values, zetas = _constrained_minima(model, m[None], np.array([sign]), j)
     return float(values[0]), zetas[0]

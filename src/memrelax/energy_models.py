@@ -9,6 +9,7 @@ surface plugs in: ``name``, ``plateau``, ``values``, ``derivative``,
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class ReciprocalBarrier:
     power: float = 1.0
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError("barrier power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("barrier power must be finite and positive")
 
     @property
     def name(self) -> str:
@@ -115,8 +116,8 @@ class EnergyModel:
     coercivity: float = 1.0
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ValueError("growth exponent p must exceed 1")
+        if not 1 < self.p < math.inf:
+            raise ValueError("growth exponent p must be finite and exceed 1")
         if not 0 < self.coercivity <= 1:
             raise ValueError("coercivity constant must lie in (0, 1]")
 

@@ -8,11 +8,15 @@ module approaches it from above along independent routes:
   gradients of an explicit test field;
 * :func:`four_corner_bound` evaluates the diamond construction, which is
   finite whenever the column sum and difference are both nonzero;
-* :func:`square_refine_bound` averages an inner bound over four
-  single-column shifts, and composed with the four-corner bound it is
-  finite at every argument, rank-deficient ones included;
+* :func:`square_refine_bound` averages the four-corner bound over four
+  single-column shifts, which makes it finite at every argument,
+  rank-deficient ones included;
 * :func:`laminate_search` runs a rank-one splitting search of depth at
   most two: the best single split, then the best split of its two ends.
+
+Every route values the density through its ``batch`` method alone, on
+(N, 3, 2) stacks, like
+:meth:`~memrelax.fiber_reduction.ReducedDensity.batch`.
 
 :func:`build_envelope_table` combines the routes on a grid of singular
 values (the reduced density is invariant under left and right rotations,
@@ -26,9 +30,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +44,6 @@ from .tensor_kernel import (ExtValue, as_mat32, frob_norm, singular_values,
                             wedge)
 
 _COL_TOL = 1e-12
-
-
-def _as_ext(value) -> ExtValue:
-    return value if isinstance(value, ExtValue) else ExtValue(float(value))
 
 
 def _unit_orthogonal(v: np.ndarray) -> np.ndarray:
@@ -90,15 +91,14 @@ def zw0_upper_from_testfn(xi, phi: PwAffineField, density) -> ExtValue:
     return total * (1.0 / phi.mesh.area())
 
 
-def four_corner_bound(xi, density) -> ExtValue:
-    """Average of the density at the four diamond corners.
+def _corners(xi: np.ndarray) -> np.ndarray:
+    """The four diamond corners (col1 -+ nu | col2 +- nu) of one matrix,
+    as a (4, 3, 2) stack.
 
-    The corners (col1 -+ nu | col2 +- nu) have wedge norm at least
-    min{|col1 + col2|, |col1 - col2|}, so the bound is finite whenever
-    that minimum is positive; arguments with equal columns up to sign are
-    refused because every corner could degenerate.
+    Each corner has wedge norm at least min{|col1 + col2|, |col1 - col2|};
+    arguments with equal columns up to sign are refused because every
+    corner could degenerate.
     """
-    xi = as_mat32(xi)
     col1 = xi[:, 0]
     col2 = xi[:, 1]
     delta = min(float(np.linalg.norm(col1 + col2)),
@@ -107,24 +107,33 @@ def four_corner_bound(xi, density) -> ExtValue:
         raise ValueError(
             "four-corner bound refused: columns are equal up to sign")
     nu = _split_direction(xi, allow_zero=False)
-    corners = [
+    return np.stack([
         np.stack([col1 - nu, col2 + nu], axis=1),
         np.stack([col1 - nu, col2 - nu], axis=1),
         np.stack([col1 + nu, col2 - nu], axis=1),
         np.stack([col1 + nu, col2 + nu], axis=1),
-    ]
-    acc = ExtValue(0.0)
-    for corner in corners:
-        acc = acc + _as_ext(density(corner))
-    return acc * 0.25
+    ])
 
 
-def square_refine_bound(xi, inner: Callable) -> ExtValue:
-    """Average of an inner bound over the four single-column unit shifts.
+def four_corner_bound(xi, density) -> ExtValue:
+    """Average of the density at the four diamond corners.
+
+    The bound is finite whenever the column sum and difference are both
+    nonzero; equal columns up to sign are refused. ``density.batch``
+    values the four corners in one call.
+    """
+    vals = density.batch(_corners(as_mat32(xi)))
+    return ExtValue(np.sum(vals)) * 0.25
+
+
+def square_refine_bound(xi, density) -> ExtValue:
+    """Four-corner bound averaged over the four single-column unit shifts.
 
     Each shift (col1 | col2 +- nu), (col1 -+ nu | col2) has column sum and
-    difference of norm at least one, so composing with
-    :func:`four_corner_bound` stays finite for every argument.
+    difference of norm at least one, so its four-corner bound is finite
+    and the average is finite for every 3x2 argument, rank-deficient ones
+    included. ``density.batch`` values the 16 corners in one call; each
+    shift's corner average is summed in corner order, then the shifts'.
     """
     xi = as_mat32(xi)
     nu = _split_direction(xi, allow_zero=True)
@@ -136,18 +145,9 @@ def square_refine_bound(xi, inner: Callable) -> ExtValue:
         np.stack([col1, col2 - nu], axis=1),
         np.stack([col1 + nu, col2], axis=1),
     ]
-    acc = ExtValue(0.0)
-    for shift in shifts:
-        acc = acc + _as_ext(inner(shift))
-    return acc * 0.25
-
-
-def finite_upper_bound(xi, density) -> ExtValue:
-    """Square refinement composed with the four-corner average.
-
-    Finite for every 3x2 argument, including all rank-deficient ones.
-    """
-    return square_refine_bound(xi, lambda z: four_corner_bound(z, density))
+    vals = density.batch(np.concatenate([_corners(z) for z in shifts]))
+    shift_means = np.sum(vals.reshape(4, 4), axis=1) * 0.25
+    return ExtValue(np.sum(shift_means)) * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +333,6 @@ class _Counted:
         self.density = density
         self.points = 0
 
-    def __call__(self, xi):
-        self.points += 1
-        return self.density(xi)
-
     def batch(self, xis):
         self.points += len(xis)
         return self.density.batch(xis)
@@ -398,7 +394,7 @@ def _profile(density, xi: np.ndarray, depth: int,
     (3, 2, end) and (3, 2, child, pair), from contiguous operands, and
     ``density.batch`` gets their (N, 3, 2) views.
     """
-    base = _as_ext(density(xi)).as_float()
+    base = float(density.batch(xi[None])[0])
     if depth == 0:
         return [base], None
 
@@ -472,9 +468,9 @@ def laminate_search(density, xi, depth: int,
                     params: SearchParams | None = None) -> LaminateResult:
     """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
 
-    ``density`` is called on one matrix and its ``batch`` method on an
-    (N, 3, 2) stack, returning floats with +inf, like
-    :class:`~memrelax.fiber_reduction.ReducedDensity`. ``batch`` must
+    ``density`` is read through its ``batch`` method alone, which values
+    an (N, 3, 2) stack as floats with +inf, like
+    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. ``batch`` must
     evaluate each matrix on its own, independently of the rest of the
     stack: a grid pair and its mirror (-step, 1 - fraction), matched
     exactly as in :class:`SearchParams`, share their end points, and
@@ -500,8 +496,8 @@ def laminate_search(density, xi, depth: int,
     density is lower; ``score`` then equals values[2]. ``evaluations``
     counts the density points the search evaluated.
     """
-    if not 0 <= depth <= 2:
-        raise ValueError("depth must be 0, 1 or 2")
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= 2):
+        raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     xi = as_mat32(xi)
     p = params if params is not None else DEFAULT_SEARCH
     counted = _Counted(density)
@@ -794,7 +790,7 @@ def _node_bound(density, s1: float, s2: float, depth: int,
     if s1 > 0.0:
         fc = four_corner_bound(xi, density)
         candidates.append((fc.as_float(), "four-corner", None))
-    sq = finite_upper_bound(xi, density)
+    sq = square_refine_bound(xi, density)
     candidates.append((sq.as_float(), "square-refine", None))
     candidates.append((lam.values[-1], f"laminate-{depth}", lam.witness))
 

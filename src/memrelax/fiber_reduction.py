@@ -184,19 +184,18 @@ def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
     """Reduced density at one surface gradient.
 
     Returns an ExtValue, or (ExtValue, zeta) with the minimizing third
-    column when return_witness is set (zeta is None at +inf).
+    column when return_witness is set (zeta is None at +inf). c, a and q
+    come from :func:`_fiber_invariants` and the rank test is
+    :func:`w0_batch`'s, so the value is bit for bit ``w0_batch`` at xi.
     """
-    xi = as_mat32(xi)
-    c = wedge(xi)
-    a = float(np.linalg.norm(c))
-    if a <= WEDGE_FLOOR:
+    c, a, q = _fiber_invariants(as_mat32(xi)[None])
+    if not a[0] > WEDGE_FLOOR:
         return (INFINITE, None) if return_witness else INFINITE
-    q = float(np.sum(xi * xi))
-    t, val = solve_fiber(model, np.array([a]), np.array([q]))
+    t, val = solve_fiber(model, a, q)
     value = ExtValue(float(val[0]))
     if not return_witness:
         return value
-    return value, float(t[0]) * c / a
+    return value, t[0] * c[:, 0] / a[0]
 
 
 def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ gradients.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -295,26 +294,21 @@ class PwAffineField:
         return cls(mesh, data["values"], aff0=bool(data.get("aff0", False)))
 
 
-def energy_integral(field: PwAffineField, density: Callable, *,
+def energy_integral(field: PwAffineField, density, *,
                     offset=None) -> ExtValue:
     """Integral of density(offset + gradient) over the domain.
 
-    The density maps a 3x2 matrix to an ExtValue (plain floats are
-    accepted). Every cell has positive area (:class:`TriMesh` rejects
-    areas at or below ``AREA_FLOOR``); the first infinite value makes the
-    whole integral infinite and ends the loop.
+    ``density.batch`` values the (m, 3, 2) stack of cell gradients in one
+    call, as floats with +inf, like
+    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`; the values
+    are summed with the cell areas. Every cell has positive area
+    (:class:`TriMesh` rejects areas at or below ``AREA_FLOOR``), so one
+    infinite value makes the integral :data:`INFINITE`.
     """
     grads = field._grads if offset is None \
         else np.asarray(offset, dtype=float) + field._grads
-    acc = 0.0
-    for g, area in zip(grads, map(float, field.mesh.areas)):
-        val = density(g)
-        if not isinstance(val, ExtValue):
-            val = ExtValue(float(val))
-        if not val.is_finite:
-            return INFINITE
-        acc += area * val.finite
-    return ExtValue(acc)
+    total = float(np.sum(field.mesh.areas * density.batch(grads)))
+    return ExtValue(total) if math.isfinite(total) else INFINITE
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ def test_reciprocal_plateau_values():
         ReciprocalBarrier(power=-1.0)
 
 
+def test_reciprocal_barrier_rejects_an_infinite_power():
+    # a power of +inf would make h(t) = 0 for every t > 1
+    with pytest.raises(ValueError, match="finite and positive"):
+        ReciprocalBarrier(power=math.inf)
+
+
 def test_shifted_log_barrier_shape():
     b = ShiftedLogBarrier()
     v = b.values(np.array([0.0, 0.5, 1.0, 2.0]))
@@ -112,3 +118,9 @@ def test_model_validation_and_registry():
         EnergyModel(p=1.0)
     with pytest.raises(ValueError):
         EnergyModel(coercivity=0.0)
+
+
+def test_model_rejects_an_infinite_growth_exponent():
+    # p = +inf would make every density value +inf
+    with pytest.raises(ValueError, match="finite and exceed 1"):
+        EnergyModel(p=math.inf)

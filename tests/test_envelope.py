@@ -9,7 +9,7 @@ from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
     DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
-    build_envelope_table, finite_upper_bound, four_corner_bound,
+    build_envelope_table, four_corner_bound,
     growth_certificate, laminate_search,
     rank_one_convexity_probe, square_refine_bound, zw0_upper_from_testfn,
 )
@@ -94,7 +94,7 @@ def test_four_corner_finite_on_rank_deficient(w0):
     assert val.is_finite
     assert val.finite == pytest.approx(3.0 + 3.0 * 2.0 ** (-2.0 / 3.0),
                                        abs=1e-9)
-    assert finite_upper_bound(mat32([1, 0, 0], [0, 0, 0]), w0).finite \
+    assert square_refine_bound(mat32([1, 0, 0], [0, 0, 0]), w0).finite \
         == pytest.approx(5.405185348552224, abs=1e-9)
 
 
@@ -151,27 +151,64 @@ def test_finite_upper_bound_everywhere(w0):
         mat32([0.3, -1.2, 0.8], [0.3, -1.2, 0.8]),
     ]
     for xi in cases:
-        val = finite_upper_bound(xi, w0)
+        val = square_refine_bound(xi, w0)
         assert val.is_finite
 
 
 def test_finite_upper_bound_frozen_at_zero(w0):
     # all four single-column shifts of zero land on the same orbit, each
     # refined corner evaluates at wedge norm 1 and squared norm 3
-    val = finite_upper_bound(mat32([0, 0, 0], [0, 0, 0]), w0)
+    val = square_refine_bound(mat32([0, 0, 0], [0, 0, 0]), w0)
     assert val.finite == pytest.approx(4.88988157484231, abs=1e-9)
 
 
-def test_square_refine_composes_with_any_inner(w0):
-    inner_calls = []
+class BatchOnly:
+    """A density with only a batch method, recording each call's size."""
 
-    def inner(xi):
-        inner_calls.append(np.array(xi))
-        return w0(xi)
+    def __init__(self, density):
+        self.density = density
+        self.calls = []
 
-    val = square_refine_bound(E1E2, inner)
-    assert val.is_finite
-    assert len(inner_calls) == 4
+    def batch(self, xis):
+        self.calls.append(len(xis))
+        return self.density.batch(xis)
+
+
+@pytest.mark.parametrize("bound, points", [
+    (four_corner_bound, 4), (square_refine_bound, 16)],
+    ids=["four-corner", "square-refine"])
+def test_each_bound_values_its_points_in_one_batch_call(w0, bound, points):
+    xi = mat32([0.3, -1.2, 0.8], [0.7, 0.1, -0.4])
+    density = BatchOnly(w0)
+    assert bound(xi, density) == bound(xi, w0)
+    assert density.calls == [points]
+
+
+def _unit_normal(m):
+    c = np.cross(m[:, 0], m[:, 1])
+    return c / np.linalg.norm(c)
+
+
+def test_bounds_sum_their_points_in_corner_order(w0):
+    # the scalar loops the batched bounds replace: each shift's corner
+    # mean, summed corner by corner, then the mean of the shifts
+    xi = mat32([0.3, -1.2, 0.8], [0.7, 0.1, -0.4])
+    nu = _unit_normal(xi)
+
+    def corner_mean(m):
+        c1, c2, n = m[:, 0], m[:, 1], _unit_normal(m)
+        total = 0.0
+        for s, u in ((-1, 1), (-1, -1), (1, -1), (1, 1)):
+            total += w0(np.stack([c1 + s * n, c2 + u * n], axis=1)).finite
+        return total * 0.25
+
+    assert four_corner_bound(xi, w0).finite == corner_mean(xi)
+    total = 0.0
+    for col, sgn in ((1, 1.0), (0, -1.0), (1, -1.0), (0, 1.0)):
+        shift = xi.copy()
+        shift[:, col] += sgn * nu
+        total += corner_mean(shift)
+    assert square_refine_bound(xi, w0).finite == total * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +226,7 @@ def test_certificate_dominates_constructive_bound(w0):
     rng = np.random.default_rng(5)
     for _ in range(50):
         xi = rng.uniform(-2.5, 2.5, (3, 2))
-        val = finite_upper_bound(xi, w0)
+        val = square_refine_bound(xi, w0)
         assert val.finite <= cert.bound(frob_norm(xi)) + 1e-9
 
 
@@ -257,12 +294,28 @@ def test_laminate_rejects_depth_above_two(w0):
         laminate_search(w0, E1E2, 3)
 
 
-def test_depth_one_witnesses_replay_their_node_values(w0):
-    # the set-up table of the sweep benchmark; its polished splits must
-    # replay to the claimed node value, not only the grid split before it
-    table = build_envelope_table(EnergyModel(), sigma_max=2.0, pitch=0.5,
-                                 depth=1)
-    nodes = [e for e in table.entries if e.method == "laminate-1"]
+def test_laminate_rejects_a_fractional_depth(w0):
+    with pytest.raises(ValueError, match="the integer 0, 1 or 2"):
+        laminate_search(w0, E1E2, 1.5)
+
+
+def test_table_rejects_a_fractional_depth():
+    with pytest.raises(ValueError, match="the integer 0, 1 or 2"):
+        build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
+                             depth=1.5)
+
+
+@pytest.fixture(scope="module")
+def sweep_table():
+    # the set-up table of the sweep benchmark
+    return build_envelope_table(EnergyModel(), sigma_max=2.0, pitch=0.5,
+                                depth=1)
+
+
+def test_depth_one_witnesses_replay_their_node_values(w0, sweep_table):
+    # the polished splits must replay to the claimed node value, not only
+    # the grid split before it
+    nodes = [e for e in sweep_table.entries if e.method == "laminate-1"]
     assert nodes
     for e in nodes:
         xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
@@ -278,7 +331,7 @@ def _replay(density, xi, split):
     """Value of a witness tree: the density at a leaf (None), else the
     fraction-weighted values of the split's two ends."""
     if split is None:
-        return envelope._as_ext(density(xi)).as_float()
+        return float(density.batch(xi[None])[0])
     step = np.array(split["step"])
     lam = split["fraction"]
     return (lam * _replay(density, xi + (1.0 - lam) * step,
@@ -516,10 +569,6 @@ def test_evaluations_count_every_density_point(monkeypatch):
     seen = {"points": 0}
 
     class CountingDensity(ReducedDensity):
-        def __call__(self, xi):
-            seen["points"] += 1
-            return super().__call__(xi)
-
         def batch(self, xis):
             seen["points"] += len(xis)
             return super().batch(xis)
@@ -551,6 +600,29 @@ def test_depth_two_table_reproduces_its_golden_nodes():
                                  threads=1)
     got = [(e.sigma, e.value.hex(), e.evaluations) for e in table.entries]
     assert got == GOLDEN_DEPTH2
+
+
+# the 5 x 5 node values, as float.hex, of the sweep benchmark's set-up
+# table (EnergyModel(), sigma_max = 2, pitch = 0.5, depth 1), recorded
+# while the node bounds still read the scalar density; the sweep's
+# descents amplify round-off, so these must not move
+GOLDEN_SWEEP_SETUP = [
+    ["0x1.38f3d1d950af4p+2", "0x1.1000ae72bbb9fp+2", "0x1.ead2efadce25ap+1",
+     "0x1.23fe24139e414p+2", "0x1.81158af8573b2p+2"],
+    ["0x1.1000ae72bbb9fp+2", "0x1.10adb9c2a7fbbp+2", "0x1.ea8213776e316p+1",
+     "0x1.2420d4981b4a9p+2", "0x1.8000000000000p+2"],
+    ["0x1.ead2efadce25ap+1", "0x1.ea8213776e316p+1", "0x1.f1e7a3b2a15e8p+1",
+     "0x1.2c4dd12448fbdp+2", "0x1.8c31fbefb84acp+2"],
+    ["0x1.23fe24139e414p+2", "0x1.2420d4981b4a9p+2", "0x1.2c4dd12448fbdp+2",
+     "0x1.6670ece3a5d6ap+2", "0x1.ca25da15e3450p+2"],
+    ["0x1.81158af8573b2p+2", "0x1.8000000000000p+2", "0x1.8c31fbefb84acp+2",
+     "0x1.ca25da15e3450p+2", "0x1.1800000000000p+3"],
+]
+
+
+def test_sweep_setup_table_reproduces_its_golden_nodes(sweep_table):
+    got = [[v.hex() for v in row] for row in sweep_table.values.tolist()]
+    assert got == GOLDEN_SWEEP_SETUP
 
 
 def test_threaded_build_matches_serial(small_table):
@@ -604,7 +676,7 @@ def test_inexact_fractions_stay_unmatched():
 
 def _full_grid_profile(density, xi, depth, params):
     """The search with every grid pair evaluated on its own."""
-    base = envelope._as_ext(density(xi)).as_float()
+    base = float(density.batch(xi[None])[0])
     grid = envelope._pair_grid(params)
     steps, lam = grid.steps, grid.lam
     plus = xi[None] + (1.0 - lam)[:, None, None] * steps

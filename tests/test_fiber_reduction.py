@@ -209,6 +209,17 @@ def test_batch_rejects_non_finite_entries():
             w0_closed_form(m, xis[1])
 
 
+@pytest.mark.parametrize("model", [
+    EnergyModel(), EnergyModel(ShiftedLogBarrier(), p=3.0)],
+    ids=["reciprocal", "shifted-log"])
+def test_scalar_value_is_bitwise_the_batch_value(model):
+    # one W0 kernel: the scalar route reads the batch's invariants
+    xis = np.random.default_rng(17).normal(size=(2000, 3, 2))
+    for xi in xis:
+        assert w0_closed_form(model, xi).as_float() \
+            == w0_batch(model, xi[None])[0]
+
+
 # ---------------------------------------------------------------------------
 # memory layout, lane retirement and lane validation
 

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,12 +141,16 @@ def test_interpolant_continuous_across_interior_edges():
         np.testing.assert_allclose(per_cell[0], per_cell[1], atol=1e-12)
 
 
+# a density given by its batch function alone
+ONE = SimpleNamespace(batch=lambda gs: np.ones(len(gs)))
+
+
 def test_energy_integral_constant_density_gives_area():
     field = affine_field(unit_square_mesh(3), np.zeros((3, 2)))
-    assert energy_integral(field, lambda g: 1.0).finite == pytest.approx(
+    assert energy_integral(field, ONE).finite == pytest.approx(
         1.0, abs=1e-12)
     diamond = affine_field(diamond_mesh(), np.ones((3, 2)))
-    assert energy_integral(diamond, lambda g: 1.0).finite == pytest.approx(
+    assert energy_integral(diamond, ONE).finite == pytest.approx(
         2.0, abs=1e-12)
 
 
@@ -172,9 +177,10 @@ def test_energy_integral_identity_embedding():
 def test_energy_integral_offset_matches_manual_shift():
     xi = np.stack([E1, 2.0 * E2], axis=1)
     hat = build_square_hat(E3, 0.5)
-    density = lambda g: float((g * g).sum())
+    density = SimpleNamespace(batch=lambda gs: np.einsum("nij,nij->n", gs, gs))
     shifted = energy_integral(hat, density, offset=xi)
-    manual = energy_integral(hat, lambda g: density(xi + g))
+    manual = energy_integral(
+        hat, SimpleNamespace(batch=lambda gs: density.batch(xi + gs)))
     assert shifted.finite == pytest.approx(manual.finite, rel=1e-14)
 
 
