@@ -27,13 +27,11 @@ from .tensor_kernel import ExtValue, cofactors, wedge
 
 __all__ = [
     "PrismField",
-    "lift_membrane",
     "pi_eps_average",
     "thin_film_energy",
     "thin_film_total",
     "LoadPotential",
     "recovery_sequence",
-    "director_membrane_energy",
     "lp_distance",
     "MinimizeResult",
     "minimize_thin_film",
@@ -81,24 +79,6 @@ class PrismField:
     def n_layers(self) -> int:
         return self.values.shape[0]
 
-    def to_dict(self) -> dict:
-        return {"mesh": self.mesh.to_dict(), "eps": self.eps,
-                "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrismField":
-        return cls(TriMesh.from_dict(data["mesh"]),
-                   np.array(data["values"]), data["eps"])
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load_json(cls, path) -> "PrismField":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def _lift(v: PwAffineField, nodal_phi: np.ndarray, eps: float,
           layers: int) -> PrismField:
@@ -113,11 +93,6 @@ def _flat_membrane(mesh: TriMesh) -> PwAffineField:
     flat = np.zeros((mesh.n_vertices, 3))
     flat[:, :2] = mesh.vertices
     return PwAffineField(mesh, flat)
-
-
-def lift_membrane(v: PwAffineField, eps: float, layers: int = 5) -> PrismField:
-    """Layer-constant film with every layer equal to the membrane field."""
-    return _lift(v, np.zeros(3), eps, layers)
 
 
 def pi_eps_average(u: PrismField) -> PwAffineField:
@@ -189,8 +164,8 @@ class LoadPotential:
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError("load exponent must exceed 1")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("load exponent must be finite and exceed 1")
 
     def psi_at(self, pts: np.ndarray, x3) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -274,15 +249,6 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
                       f"(floor {_DET_FLOOR:.3e})", stacklevel=2)
     u = _lift(v, nodal_phi, eps, layers)
     return u, thin_film_energy(u, model)
-
-
-def director_membrane_energy(model: EnergyModel, v: PwAffineField,
-                             phi) -> float:
-    """Membrane-side target of the recovery lift: the bulk density on
-    (gradient | director) with the director sampled like the lift."""
-    phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
-    grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
-    return float(np.dot(v.mesh.areas, model.w_batch(grads)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ sharpness grow.
 """
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -159,6 +159,13 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # constrained per-cell minimization
 
+def _check_index(j) -> None:
+    """Refuse a constraint index that is not an integer: the clamp
+    1/(j a) and the stored index would disagree."""
+    if not isinstance(j, numbers.Integral):
+        raise ValueError(f"constraint index must be an integer, got {j!r}")
+
+
 def _constrained_minima(model: EnergyModel, grads: np.ndarray,
                         signs: np.ndarray, j: int):
     """Values and minimizers of the sign-pinned cell problems, batched.
@@ -180,8 +187,9 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}; the
     problem reduces to the fiber problem of :func:`solve_fiber` in the
     normal coordinate t with the clamp t >= 1/(j a). Returns the value
-    and a minimizer.
+    and a minimizer. j must be an integer >= 1 (numpy integers included).
     """
+    _check_index(j)
     if j < 1:
         raise ValueError("constraint index must be >= 1")
     if sign not in (-1, 1):
@@ -238,29 +246,17 @@ class DirectorAssignment:
     def n_cells(self) -> int:
         return self.gradients.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "j_v": self.j_v,
-            "zeta_bar": self.zeta_bar.tolist(),
-            "cells": [{
-                "gradient": self.gradients[i].tolist(),
-                "area": float(self.areas[i]),
-                "sign": int(self.signs[i]),
-                "zeta": self.zetas[i].tolist(),
-                "value": float(self.values[i]),
-            } for i in range(self.n_cells)],
-        }
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
 
 def build_assignment(model: EnergyModel, field: PwAffineField,
                      j: int | None = None) -> DirectorAssignment:
     """Assign signs and constrained minimizers to every cell of a field,
-    all cells in one batched fiber solve."""
+    all cells in one batched fiber solve.
+
+    j defaults to the feasibility index j_v; otherwise it must be an
+    integer >= j_v (numpy integers included).
+    """
+    if j is not None:
+        _check_index(j)
     grads = field.gradients()
     zeta_bar, j_v, signs = feasible_normal(grads)
     if j is None:
@@ -346,9 +342,6 @@ class BlendedDirector:
         if np.any(cells < 0):
             raise ValueError("director evaluated outside the mesh")
         return self._blend(pts, cells)
-
-    def __call__(self, point) -> np.ndarray:
-        return self.evaluate(np.asarray(point, dtype=float)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_kernel import ExtValue, as_mat33, cofactors
+from .tensor_kernel import cofactors
 
 __all__ = [
     "ReciprocalBarrier",
     "ShiftedLogBarrier",
     "EnergyModel",
-    "ConditionReport",
-    "eval_w",
-    "check_conditions",
 ]
 
 
@@ -145,111 +142,3 @@ class EnergyModel:
             raise ValueError("mat33 entries must be finite")
         dets, _ = cofactors(F)
         return self.density(np.abs(dets), np.sum(F * F, axis=(1, 2)))
-
-
-def eval_w(model: EnergyModel, F) -> ExtValue:
-    """Evaluate the stored energy at a 3x3 gradient."""
-    return ExtValue(model.w_batch(as_mat33(F))[0])
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Sampled audit of the extended-value energy conditions.
-
-    empirical_c[k] is the max of W/(1 + |F|^p) over samples with
-    |det F| >= deltas[k]; plateau_bound[k] the matching a-priori bound.
-    """
-
-    barrier: str
-    p: float
-    n_samples: int
-    deltas: tuple
-    empirical_c: tuple
-    plateau_bound: tuple
-    singular_samples: int
-    singular_all_infinite: bool
-    max_symmetry_defect: float
-
-    def as_dict(self) -> dict:
-        return {
-            "barrier": self.barrier,
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "deltas": list(self.deltas),
-            "empirical_c": list(self.empirical_c),
-            "plateau_bound": list(self.plateau_bound),
-            "singular_samples": self.singular_samples,
-            "singular_all_infinite": self.singular_all_infinite,
-            "max_symmetry_defect": self.max_symmetry_defect,
-        }
-
-
-def _sample_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Generic samples plus near-singular perturbations A + eps*B."""
-    n_generic = n // 2
-    generic = rng.uniform(-3.0, 3.0, size=(n_generic, 3, 3))
-    n_adv = n - n_generic
-    A = rng.uniform(-3.0, 3.0, size=(n_adv, 3, 3))
-    mix = rng.uniform(-1.0, 1.0, size=(n_adv, 2))
-    # force the third column into the span of the first two
-    A[:, :, 2] = A[:, :, 0] * mix[:, :1] + A[:, :, 1] * mix[:, 1:]
-    B = rng.uniform(-1.0, 1.0, size=(n_adv, 3, 3))
-    eps = 10.0 ** rng.integers(-6, 0, size=(n_adv, 1, 1)).astype(float)
-    return np.concatenate([generic, A + eps * B], axis=0)
-
-
-def _singular_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Exactly singular samples: duplicated or zeroed columns.
-
-    Column duplication cancels exactly in the expansion along row 0 that
-    :func:`cofactors` uses, so the determinant is 0.0 and not a rounding
-    residue.
-    """
-    out = rng.uniform(-3.0, 3.0, size=(n, 3, 3))
-    half = n // 2
-    out[:half, :, 2] = out[:half, :, 0]
-    out[half:, :, 1] = 0.0
-    return out
-
-
-def check_conditions(model: EnergyModel, n_samples: int = 2000,
-                     deltas=(1.0, 0.5, 0.1), seed: int = 0) -> ConditionReport:
-    """Sampled verification of blow-up, growth, and plane symmetry.
-
-    Not a proof; a randomized audit used by the test suite.
-    """
-    rng = np.random.default_rng(seed)
-    F = _sample_matrices(rng, n_samples)
-    dets = np.abs(cofactors(F)[0])
-    sq = np.sum(F * F, axis=(1, 2))
-    vals = model.density(dets, sq)
-    ratio = vals / (1.0 + model.norm_power(sq))
-
-    emp, bound = [], []
-    for d in deltas:
-        mask = dets >= d
-        emp.append(float(ratio[mask].max()) if mask.any() else 0.0)
-        bound.append(model.barrier.plateau(d) + max(1.0, 2.0 ** (model.p / 2.0 - 1.0)))
-
-    n_sing = max(16, n_samples // 20)
-    sing = _singular_matrices(rng, n_sing)
-    sing_vals = model.w_batch(sing)
-    all_inf = bool(np.all(np.isinf(sing_vals)))
-
-    # plane symmetry: flipping the third column must not change W
-    flipped = F.copy()
-    flipped[:, :, 2] *= -1.0
-    defect = np.abs(model.w_batch(flipped) - vals)
-    defect = float(np.max(defect[np.isfinite(defect)], initial=0.0))
-
-    return ConditionReport(
-        barrier=model.barrier.name,
-        p=model.p,
-        n_samples=n_samples,
-        deltas=tuple(float(d) for d in deltas),
-        empirical_c=tuple(emp),
-        plateau_bound=tuple(bound),
-        singular_samples=n_sing,
-        singular_all_infinite=all_inf,
-        max_symmetry_defect=defect,
-    )

@@ -4,8 +4,6 @@ The relaxed density at a surface gradient is the infimum of mean reduced
 energies over compactly supported piecewise-affine perturbations. This
 module approaches it from above along independent routes:
 
-* :func:`zw0_upper_from_testfn` averages the reduced density over the
-  gradients of an explicit test field;
 * :func:`four_corner_bound` evaluates the diamond construction, which is
   finite whenever the column sum and difference are both nonzero;
 * :func:`square_refine_bound` averages the four-corner bound over four
@@ -39,7 +37,6 @@ import numpy as np
 
 from .energy_models import EnergyModel
 from .fiber_reduction import ReducedDensity, w0_growth_constant
-from .pw_affine import PwAffineField, energy_integral
 from .tensor_kernel import (ExtValue, as_mat32, frob_norm, singular_values,
                             wedge)
 
@@ -76,19 +73,6 @@ def _split_direction(xi: np.ndarray, *, allow_zero: bool) -> np.ndarray:
     if allow_zero:
         return np.array([0.0, 0.0, 1.0])
     raise ValueError("zero matrix has no admissible split direction")
-
-
-def zw0_upper_from_testfn(xi, phi: PwAffineField, density) -> ExtValue:
-    """Mean of density(xi + gradient) over the test field's domain.
-
-    Any compactly supported piecewise-affine perturbation certifies an
-    upper bound for the relaxed density; phi must carry the aff0 flag.
-    """
-    if not phi.aff0:
-        raise ValueError("test field must vanish on its domain boundary")
-    xi = as_mat32(xi)
-    total = energy_integral(phi, density, offset=xi)
-    return total * (1.0 / phi.mesh.area())
 
 
 def _corners(xi: np.ndarray) -> np.ndarray:
@@ -504,50 +488,6 @@ def laminate_search(density, xi, depth: int,
     values, witness = _profile(counted, xi, depth, p)
     return LaminateResult(values=tuple(values), witness=witness,
                           evaluations=counted.points)
-
-
-# ---------------------------------------------------------------------------
-# rank-one convexity probe
-
-def rank_one_convexity_probe(f, samples: int, *, seed: int = 0,
-                             box_radius: float = 3.0,
-                             relative: bool = False) -> float:
-    """Largest violation of convexity along sampled rank-one segments.
-
-    ``f.batch`` evaluates an (N, 3, 2) stack. Draws segments whose
-    endpoints stay inside the Frobenius ball of the given radius and
-    returns max of f(center) - lam f(plus)
-    - (1-lam) f(minus), optionally divided by max(1, f(center)).
-    A function convex along rank-one lines keeps this at roundoff level.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(samples, 3, 2))
-    norms = np.linalg.norm(xi.reshape(samples, -1), axis=1)
-    radius = box_radius * 0.7 * rng.uniform(0.1, 1.0, size=samples)
-    xi *= (radius / norms)[:, None, None]
-
-    a = rng.normal(size=(samples, 3))
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    theta = rng.uniform(0.0, np.pi, size=samples)
-    n = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    r = a[:, :, None] * n[:, None, :]
-
-    margin = box_radius - radius
-    s = rng.uniform(0.05, 1.0, size=samples) * margin
-    lam = rng.uniform(0.05, 0.95, size=samples)
-    plus = xi + ((1.0 - lam) * s)[:, None, None] * r
-    minus = xi - (lam * s)[:, None, None] * r
-
-    fc = f.batch(xi)
-    fp = f.batch(plus)
-    fm = f.batch(minus)
-    viol = fc - (lam * fp + (1.0 - lam) * fm)
-    if relative:
-        viol = viol / np.maximum(1.0, np.abs(fc))
-    finite = viol[np.isfinite(viol)]
-    return float(finite.max()) if finite.size else -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
 finds it for a batch of (a, q) by bracketed Newton; every caller in
 the package goes through it.  A lane leaves the batch as soon as it has
 converged or its bracket has closed, before the next step is chosen, so
-the bracket bookkeeping runs only on lanes that go on.  An independent
-3D grid oracle over the third column cross-checks the reduction.
+the bracket bookkeeping runs only on lanes that go on.
 
 Batches of gradients are (N, 3, 2) stacks of any memory layout.  a and q
 are read from the six entry rows of ``xis.reshape(-1, 6).T``: for a
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .tensor_kernel import ExtValue, INFINITE, append_column, as_mat32, wedge
+from .tensor_kernel import ExtValue, INFINITE, as_mat32
 
 __all__ = [
     "WEDGE_FLOOR",
@@ -41,7 +40,6 @@ __all__ = [
     "solve_fiber",
     "w0_closed_form",
     "w0_batch",
-    "w0_bruteforce",
     "w0_growth_constant",
 ]
 
@@ -180,22 +178,16 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
     return t, model.density(t * a, q + t * t)
 
 
-def w0_closed_form(model: EnergyModel, xi, *, return_witness: bool = False):
+def w0_closed_form(model: EnergyModel, xi) -> ExtValue:
     """Reduced density at one surface gradient.
 
-    Returns an ExtValue, or (ExtValue, zeta) with the minimizing third
-    column when return_witness is set (zeta is None at +inf). c, a and q
-    come from :func:`_fiber_invariants` and the rank test is
+    a and q come from :func:`_fiber_invariants` and the rank test is
     :func:`w0_batch`'s, so the value is bit for bit ``w0_batch`` at xi.
     """
-    c, a, q = _fiber_invariants(as_mat32(xi)[None])
+    a, q = _fiber_invariants(as_mat32(xi)[None])[1:]
     if not a[0] > WEDGE_FLOOR:
-        return (INFINITE, None) if return_witness else INFINITE
-    t, val = solve_fiber(model, a, q)
-    value = ExtValue(float(val[0]))
-    if not return_witness:
-        return value
-    return value, t[0] * c[:, 0] / a[0]
+        return INFINITE
+    return ExtValue(float(solve_fiber(model, a, q)[1][0]))
 
 
 def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
@@ -221,115 +213,13 @@ def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReducedDensity:
-    """Callable wrapper for the reduced density of one model."""
+    """The reduced density of one model, valued through :meth:`batch`,
+    the density protocol of the envelope bounds."""
 
     model: EnergyModel
 
-    def __call__(self, xi) -> ExtValue:
-        return w0_closed_form(self.model, xi)
-
     def batch(self, xis: np.ndarray) -> np.ndarray:
         return w0_batch(self.model, xis)
-
-    def floor(self, xi) -> float:
-        """Exact lower bound |xi|^p.
-
-        Holds pointwise because the fiber penalty is nonnegative. It is
-        convex, so every rank-one laminate of the reduced density, and
-        hence the relaxed density, stays above it too.
-        """
-        m = as_mat32(xi)
-        return float(np.sum(m * m) ** (self.model.p / 2.0))
-
-
-def _sharp_radius(w_probe: float, q: float, coercivity: float, p: float) -> float:
-    """Any zeta with W(xi|zeta) <= w_probe has |zeta| <= this radius.
-
-    From W >= coercivity * (|xi|^2 + |zeta|^2)^{p/2}; strictly positive
-    because the probe itself is feasible.
-    """
-    bound = (w_probe / coercivity) ** (2.0 / p) - q
-    return float(np.sqrt(max(bound, 0.0)))
-
-
-def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
-                  p: float | None = None) -> ExtValue:
-    """Grid oracle: min of W(xi|zeta) over a uniform grid in a ball.
-
-    ``w`` is either an EnergyModel (fast vectorized path) or a callable
-    ``(xi, zeta) -> float`` returning +inf on singular arguments.  The
-    ball radius comes from coercivity and a fixed probe scan along the
-    fiber normal, so it provably contains every minimizer; the grid is
-    the restriction of linspace(-R, R, grid_n)^3 to the ball, hence
-    nested under grid_n -> 2*(grid_n-1)+1 refinement.
-    """
-    xi = as_mat32(xi)
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-
-    is_model = isinstance(w, EnergyModel)
-    if is_model:
-        coercivity = w.coercivity
-        p = w.p
-    elif coercivity is None or p is None:
-        raise ValueError("coercivity and p are required for a bare evaluator")
-
-    c = wedge(xi)
-    a = float(np.linalg.norm(c))
-    q = float(np.sum(xi * xi))
-
-    if is_model and a <= WEDGE_FLOOR:
-        # the determinant <c, zeta> vanishes identically
-        return INFINITE
-
-    # fixed probe scan, independent of the closed-form path
-    if a > WEDGE_FLOOR:
-        probe_dirs = (c / a)[None, :]
-    else:
-        probe_dirs = np.eye(3)
-    ts = np.geomspace(1e-2, 1e2, 17)
-    w_best = np.inf
-    for d in probe_dirs:
-        for t in ts:
-            val = (w.w_batch(append_column(xi, t * d))[0] if is_model
-                   else float(w(xi, t * d)))
-            w_best = min(w_best, val)
-    if not np.isfinite(w_best):
-        return INFINITE
-
-    R = _sharp_radius(w_best, q, coercivity, p)
-    axes = np.linspace(-R, R, grid_n)
-
-    if is_model:
-        cx, cy, cz = c
-        sq = axes * axes
-        rad_tol = R * R * (1.0 + 1e-12)
-        best = np.inf
-        block = max(1, 2_000_000 // (grid_n * grid_n))
-        for i0 in range(0, grid_n, block):
-            i1 = min(i0 + block, grid_n)
-            D = (cx * axes[i0:i1, None, None] + cy * axes[None, :, None]
-                 + cz * axes[None, None, :])
-            S = (sq[i0:i1, None, None] + sq[None, :, None]
-                 + sq[None, None, :])
-            V = w.density(np.abs(D), q + S)
-            V = np.where(S <= rad_tol, V, np.inf)
-            best = min(best, float(V.min()))
-    else:
-        best = np.inf
-        rad_tol = R * R * (1.0 + 1e-12)
-        for zx in axes:
-            for zy in axes:
-                for zz in axes:
-                    if zx * zx + zy * zy + zz * zz > rad_tol:
-                        continue
-                    val = float(w(xi, np.array([zx, zy, zz])))
-                    if val < best:
-                        best = val
-
-    if not np.isfinite(best):
-        return INFINITE
-    return ExtValue(best)
 
 
 def w0_growth_constant(model: EnergyModel, delta: float) -> float:

@@ -2,11 +2,9 @@
 
 A :class:`TriMesh` triangulates a polygonal domain; a :class:`PwAffineField`
 attaches a 3-vector to every vertex and interpolates affinely on each cell,
-so the gradient is a constant 3x2 matrix per cell. The module also provides
-the paper's two explicit compactly supported Aff0 test fields, the hats on
-the unit diamond and on the crossed unit square, and
-:func:`energy_integral`, which integrates a density over a field's
-gradients.
+so the gradient is a constant 3x2 matrix per cell. :func:`unit_square_mesh`
+builds the square grids the pipeline runs on, and :func:`refine_mesh` and
+:func:`refine_field` split every cell at its edge midpoints.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .tensor_kernel import INFINITE, ExtValue
 
 AREA_FLOOR = 1e-14
 
@@ -224,14 +220,6 @@ class TriMesh:
         corner[..., 2, :] = C + b
         return corner
 
-    def to_dict(self) -> dict:
-        return {"vertices": self.vertices.tolist(),
-                "triangles": self.triangles.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TriMesh":
-        return cls(data["vertices"], data["triangles"])
-
 
 class PwAffineField:
     """Continuous field with one 3-vector per mesh vertex.
@@ -282,37 +270,9 @@ class PwAffineField:
         base = self.values[self.mesh.triangles[cells, 0]]
         return base + np.einsum("nkc,nc->nk", self._grads[cells], rel)
 
-    def to_dict(self) -> dict:
-        data = self.mesh.to_dict()
-        data["values"] = self.values.tolist()
-        data["aff0"] = self.aff0
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PwAffineField":
-        mesh = TriMesh.from_dict(data)
-        return cls(mesh, data["values"], aff0=bool(data.get("aff0", False)))
-
-
-def energy_integral(field: PwAffineField, density, *,
-                    offset=None) -> ExtValue:
-    """Integral of density(offset + gradient) over the domain.
-
-    ``density.batch`` values the (m, 3, 2) stack of cell gradients in one
-    call, as floats with +inf, like
-    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`; the values
-    are summed with the cell areas. Every cell has positive area
-    (:class:`TriMesh` rejects areas at or below ``AREA_FLOOR``), so one
-    infinite value makes the integral :data:`INFINITE`.
-    """
-    grads = field._grads if offset is None \
-        else np.asarray(offset, dtype=float) + field._grads
-    total = float(np.sum(field.mesh.areas * density.batch(grads)))
-    return ExtValue(total) if math.isfinite(total) else INFINITE
-
 
 # ---------------------------------------------------------------------------
-# canonical meshes and hat fields
+# the unit square and uniform refinement
 
 def unit_square_mesh(n: int = 1) -> TriMesh:
     """(0,1)^2 as an n-by-n grid of squares, each split along one diagonal."""
@@ -330,22 +290,6 @@ def unit_square_mesh(n: int = 1) -> TriMesh:
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
     return TriMesh(V, tris)
-
-
-def crossed_square_mesh() -> TriMesh:
-    """(0,1)^2 split by both diagonals into four triangles of area 1/4."""
-    V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]
-    return TriMesh(V, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
-
-
-def diamond_mesh() -> TriMesh:
-    """Open unit diamond |x1| + |x2| < 1 as its four quadrant triangles."""
-    V = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    return TriMesh(V, [(0, 1, 4), (0, 1, 2), (0, 3, 2), (0, 3, 4)])
-
-
-def single_triangle_mesh(p0, p1, p2) -> TriMesh:
-    return TriMesh([p0, p1, p2], [(0, 1, 2)])
 
 
 def _edge_midpoints(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
@@ -386,37 +330,3 @@ def refine_field(field: PwAffineField, levels: int = 1) -> PwAffineField:
         vals = _edge_midpoints(mesh, vals)
         mesh = refine_mesh(mesh)
     return PwAffineField(mesh, vals, aff0=field.aff0)
-
-
-def _unit_vector(nu) -> np.ndarray:
-    v = np.asarray(nu, dtype=float).reshape(3)
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit 3-vector")
-    return v
-
-
-def build_diamond_hat(nu, t: float) -> PwAffineField:
-    """Compactly supported field on the unit diamond.
-
-    The apex value t*nu at the origin produces the gradient pattern
-    (-t nu | t nu), (-t nu | -t nu), (t nu | -t nu), (t nu | t nu) on the
-    quadrant cells taken counterclockwise from {x1 >= 0, x2 <= 0}.
-    """
-    v = _unit_vector(nu)
-    mesh = diamond_mesh()
-    vals = np.zeros((5, 3))
-    vals[0] = float(t) * v
-    return PwAffineField(mesh, vals, aff0=True)
-
-
-def build_square_hat(nu, t: float) -> PwAffineField:
-    """Compactly supported field on the crossed unit square.
-
-    The center value (t/2)*nu produces gradients (0 | t nu), (-t nu | 0),
-    (0 | -t nu), (t nu | 0) on the bottom, right, top, left cells.
-    """
-    v = _unit_vector(nu)
-    mesh = crossed_square_mesh()
-    vals = np.zeros((5, 3))
-    vals[4] = 0.5 * float(t) * v
-    return PwAffineField(mesh, vals, aff0=True)

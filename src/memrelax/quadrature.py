@@ -12,6 +12,7 @@ drops out once it has converged.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,10 +47,8 @@ class QuadResult:
     levels: np.ndarray
 
 
-def _triangle_stack(mesh_or_tris) -> np.ndarray:
-    if hasattr(mesh_or_tris, "vertices") and hasattr(mesh_or_tris, "triangles"):
-        return mesh_or_tris.vertices[mesh_or_tris.triangles].astype(float)
-    tris = np.asarray(mesh_or_tris, dtype=float)
+def _triangle_stack(tris) -> np.ndarray:
+    tris = np.asarray(tris, dtype=float)
     if tris.ndim != 3 or tris.shape[1:] != (3, 2):
         raise ValueError(f"expected (m, 3, 2) triangle stack, got {tris.shape}")
     return tris
@@ -97,9 +96,10 @@ def _not_nan(values: np.ndarray, level: int) -> np.ndarray:
     return values
 
 
-def integrate_adaptive(f: Integrand, mesh_or_tris, *,
+def integrate_adaptive(f: Integrand, tris, *,
                        rel_tol: float = 1e-4, max_level: int = 8) -> QuadResult:
-    """Integrate over each root triangle, refining uniformly per root.
+    """Integrate over each root triangle of an (m, 3, 2) stack, refining
+    uniformly per root.
 
     Root r stops at the first level l >= 1 with
     |I_l - I_{l-1}| <= rel_tol * max(|I_l|, 1e-300), where I_l is its
@@ -116,9 +116,9 @@ def integrate_adaptive(f: Integrand, mesh_or_tris, *,
     """
     if not 0.0 < rel_tol < np.inf:
         raise ValueError("rel_tol must be positive and finite")
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    tris = _triangle_stack(mesh_or_tris)
+    if not (isinstance(max_level, numbers.Integral) and max_level >= 0):
+        raise ValueError(f"max_level must be an integer >= 0, got {max_level!r}")
+    tris = _triangle_stack(tris)
     m = tris.shape[0]
     values = _not_nan(midpoint_rule(f, tris, np.arange(m)), 0)
     levels = np.zeros(m, dtype=int)

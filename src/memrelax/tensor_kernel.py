@@ -16,15 +16,9 @@ __all__ = [
     "ExtValue",
     "INFINITE",
     "ZERO",
-    "mat32",
-    "mat33",
     "as_mat32",
-    "as_mat33",
-    "append_column",
     "frob_norm",
     "cofactors",
-    "det3",
-    "wedge_norm",
     "wedge",
     "singular_values",
 ]
@@ -126,33 +120,8 @@ def _validated(arr, shape, name: str) -> np.ndarray:
     return out
 
 
-def mat32(col1, col2) -> np.ndarray:
-    """Stack two 3-vectors as the columns of a 3x2 matrix."""
-    out = np.column_stack([np.asarray(col1, dtype=float).reshape(3),
-                           np.asarray(col2, dtype=float).reshape(3)])
-    return _validated(out, (3, 2), "mat32")
-
-
-def mat33(col1, col2, col3) -> np.ndarray:
-    """Stack three 3-vectors as the columns of a 3x3 matrix."""
-    out = np.column_stack([np.asarray(c, dtype=float).reshape(3)
-                           for c in (col1, col2, col3)])
-    return _validated(out, (3, 3), "mat33")
-
-
 def as_mat32(arr) -> np.ndarray:
     return _validated(arr, (3, 2), "mat32")
-
-
-def as_mat33(arr) -> np.ndarray:
-    return _validated(arr, (3, 3), "mat33")
-
-
-def append_column(xi, zeta) -> np.ndarray:
-    """Adjoin a third column to a 3x2 matrix."""
-    xi = as_mat32(xi)
-    z = np.asarray(zeta, dtype=float).reshape(3)
-    return np.column_stack([xi, z])
 
 
 def frob_norm(F) -> float:
@@ -178,14 +147,6 @@ def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("ki,ki->k", F[:, 0, :], cof[:, 0, :]), cof
 
 
-def det3(F) -> float:
-    """Determinant of a 3x3 matrix by cofactor expansion (deterministic)."""
-    f = np.asarray(F, dtype=float)
-    if f.shape != (3, 3):
-        raise ValueError(f"det3 expects shape (3, 3), got {f.shape}")
-    return float(cofactors(f[None])[0][0])
-
-
 def wedge(xi) -> np.ndarray:
     """Cross product of the two columns of a 3x2 matrix or an (N, 3, 2)
     stack, shape (3,) or (N, 3).
@@ -207,11 +168,6 @@ def wedge(xi) -> np.ndarray:
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     return out
-
-
-def wedge_norm(xi) -> float:
-    """Norm of the column cross product; zero exactly at rank deficiency."""
-    return float(np.linalg.norm(wedge(xi)))
 
 
 # |w|^2 is a fourth power of the entries: below a largest singular value

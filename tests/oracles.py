@@ -1,0 +1,399 @@
+"""Reference implementations and fixtures that the tests compare against.
+
+Nothing in ``memrelax`` or the benchmark calls these, so they live with
+the tests. Each is an independent route to a quantity the package
+computes, or a fixture of the paper's constructions:
+
+* :func:`w0_bruteforce`, a grid search over the third column, checks the
+  W0 fiber formula;
+* :func:`check_conditions` audits the model conditions (blow-up at
+  det F = 0, p-growth, plane symmetry) on random samples;
+* :func:`rank_one_convexity_probe` measures convexity violations along
+  random rank-one segments;
+* the Aff0 hats on the unit diamond and the crossed unit square, with
+  :func:`energy_integral` and :func:`zw0_upper_from_testfn`, replay the
+  paper's test-field route to the relaxed density;
+* :func:`director_membrane_energy` is the membrane-side target of a
+  recovery lift;
+* :func:`mat32` and :func:`mat33` build validated matrices from columns.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from memrelax.dimension_reduction import _sample_director
+from memrelax.energy_models import EnergyModel
+from memrelax.fiber_reduction import WEDGE_FLOOR
+from memrelax.pw_affine import PwAffineField, TriMesh
+from memrelax.tensor_kernel import (INFINITE, ExtValue, _validated, as_mat32,
+                                    cofactors, wedge)
+
+
+# ---------------------------------------------------------------------------
+# 3x2 and 3x3 matrices
+
+def mat32(col1, col2) -> np.ndarray:
+    """Stack two 3-vectors as the columns of a 3x2 matrix."""
+    out = np.column_stack([np.asarray(col1, dtype=float).reshape(3),
+                           np.asarray(col2, dtype=float).reshape(3)])
+    return _validated(out, (3, 2), "mat32")
+
+
+def mat33(col1, col2, col3) -> np.ndarray:
+    """Stack three 3-vectors as the columns of a 3x3 matrix."""
+    out = np.column_stack([np.asarray(c, dtype=float).reshape(3)
+                           for c in (col1, col2, col3)])
+    return _validated(out, (3, 3), "mat33")
+
+
+def append_column(xi, zeta) -> np.ndarray:
+    """Adjoin a third column to a 3x2 matrix."""
+    xi = as_mat32(xi)
+    z = np.asarray(zeta, dtype=float).reshape(3)
+    return np.column_stack([xi, z])
+
+
+# ---------------------------------------------------------------------------
+# sampled audit of the model conditions
+
+def eval_w(model: EnergyModel, F) -> ExtValue:
+    """Evaluate the stored energy at a 3x3 gradient."""
+    return ExtValue(model.w_batch(_validated(F, (3, 3), "mat33"))[0])
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Sampled audit of the extended-value energy conditions.
+
+    empirical_c[k] is the max of W/(1 + |F|^p) over samples with
+    |det F| >= deltas[k]; plateau_bound[k] the matching a-priori bound.
+    """
+
+    barrier: str
+    p: float
+    n_samples: int
+    deltas: tuple
+    empirical_c: tuple
+    plateau_bound: tuple
+    singular_samples: int
+    singular_all_infinite: bool
+    max_symmetry_defect: float
+
+    def as_dict(self) -> dict:
+        return {
+            "barrier": self.barrier,
+            "p": self.p,
+            "n_samples": self.n_samples,
+            "deltas": list(self.deltas),
+            "empirical_c": list(self.empirical_c),
+            "plateau_bound": list(self.plateau_bound),
+            "singular_samples": self.singular_samples,
+            "singular_all_infinite": self.singular_all_infinite,
+            "max_symmetry_defect": self.max_symmetry_defect,
+        }
+
+
+def _sample_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Generic samples plus near-singular perturbations A + eps*B."""
+    n_generic = n // 2
+    generic = rng.uniform(-3.0, 3.0, size=(n_generic, 3, 3))
+    n_adv = n - n_generic
+    A = rng.uniform(-3.0, 3.0, size=(n_adv, 3, 3))
+    mix = rng.uniform(-1.0, 1.0, size=(n_adv, 2))
+    # force the third column into the span of the first two
+    A[:, :, 2] = A[:, :, 0] * mix[:, :1] + A[:, :, 1] * mix[:, 1:]
+    B = rng.uniform(-1.0, 1.0, size=(n_adv, 3, 3))
+    eps = 10.0 ** rng.integers(-6, 0, size=(n_adv, 1, 1)).astype(float)
+    return np.concatenate([generic, A + eps * B], axis=0)
+
+
+def _singular_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Exactly singular samples: duplicated or zeroed columns.
+
+    Column duplication cancels exactly in the expansion along row 0 that
+    :func:`cofactors` uses, so the determinant is 0.0 and not a rounding
+    residue.
+    """
+    out = rng.uniform(-3.0, 3.0, size=(n, 3, 3))
+    half = n // 2
+    out[:half, :, 2] = out[:half, :, 0]
+    out[half:, :, 1] = 0.0
+    return out
+
+
+def check_conditions(model: EnergyModel, n_samples: int = 2000,
+                     deltas=(1.0, 0.5, 0.1), seed: int = 0) -> ConditionReport:
+    """Sampled verification of blow-up, growth, and plane symmetry.
+
+    Not a proof; a randomized audit used by the test suite.
+    """
+    rng = np.random.default_rng(seed)
+    F = _sample_matrices(rng, n_samples)
+    dets = np.abs(cofactors(F)[0])
+    sq = np.sum(F * F, axis=(1, 2))
+    vals = model.density(dets, sq)
+    ratio = vals / (1.0 + model.norm_power(sq))
+
+    emp, bound = [], []
+    for d in deltas:
+        mask = dets >= d
+        emp.append(float(ratio[mask].max()) if mask.any() else 0.0)
+        bound.append(model.barrier.plateau(d) + max(1.0, 2.0 ** (model.p / 2.0 - 1.0)))
+
+    n_sing = max(16, n_samples // 20)
+    sing = _singular_matrices(rng, n_sing)
+    sing_vals = model.w_batch(sing)
+    all_inf = bool(np.all(np.isinf(sing_vals)))
+
+    # plane symmetry: flipping the third column must not change W
+    flipped = F.copy()
+    flipped[:, :, 2] *= -1.0
+    defect = np.abs(model.w_batch(flipped) - vals)
+    defect = float(np.max(defect[np.isfinite(defect)], initial=0.0))
+
+    return ConditionReport(
+        barrier=model.barrier.name,
+        p=model.p,
+        n_samples=n_samples,
+        deltas=tuple(float(d) for d in deltas),
+        empirical_c=tuple(emp),
+        plateau_bound=tuple(bound),
+        singular_samples=n_sing,
+        singular_all_infinite=all_inf,
+        max_symmetry_defect=defect,
+    )
+
+
+# ---------------------------------------------------------------------------
+# grid oracle for the reduced density
+
+def _sharp_radius(w_probe: float, q: float, coercivity: float, p: float) -> float:
+    """Any zeta with W(xi|zeta) <= w_probe has |zeta| <= this radius.
+
+    From W >= coercivity * (|xi|^2 + |zeta|^2)^{p/2}; strictly positive
+    because the probe itself is feasible.
+    """
+    bound = (w_probe / coercivity) ** (2.0 / p) - q
+    return float(np.sqrt(max(bound, 0.0)))
+
+
+def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
+                  p: float | None = None) -> ExtValue:
+    """Grid oracle: min of W(xi|zeta) over a uniform grid in a ball.
+
+    ``w`` is either an EnergyModel (fast vectorized path) or a callable
+    ``(xi, zeta) -> float`` returning +inf on singular arguments.  The
+    ball radius comes from coercivity and a fixed probe scan along the
+    fiber normal, so it provably contains every minimizer; the grid is
+    the restriction of linspace(-R, R, grid_n)^3 to the ball, hence
+    nested under grid_n -> 2*(grid_n-1)+1 refinement.
+    """
+    xi = as_mat32(xi)
+    if grid_n < 2:
+        raise ValueError("grid_n must be at least 2")
+
+    is_model = isinstance(w, EnergyModel)
+    if is_model:
+        coercivity = w.coercivity
+        p = w.p
+    elif coercivity is None or p is None:
+        raise ValueError("coercivity and p are required for a bare evaluator")
+
+    c = wedge(xi)
+    a = float(np.linalg.norm(c))
+    q = float(np.sum(xi * xi))
+
+    if is_model and a <= WEDGE_FLOOR:
+        # the determinant <c, zeta> vanishes identically
+        return INFINITE
+
+    # fixed probe scan, independent of the closed-form path
+    if a > WEDGE_FLOOR:
+        probe_dirs = (c / a)[None, :]
+    else:
+        probe_dirs = np.eye(3)
+    ts = np.geomspace(1e-2, 1e2, 17)
+    w_best = np.inf
+    for d in probe_dirs:
+        for t in ts:
+            val = (w.w_batch(append_column(xi, t * d))[0] if is_model
+                   else float(w(xi, t * d)))
+            w_best = min(w_best, val)
+    if not np.isfinite(w_best):
+        return INFINITE
+
+    R = _sharp_radius(w_best, q, coercivity, p)
+    axes = np.linspace(-R, R, grid_n)
+
+    if is_model:
+        cx, cy, cz = c
+        sq = axes * axes
+        rad_tol = R * R * (1.0 + 1e-12)
+        best = np.inf
+        block = max(1, 2_000_000 // (grid_n * grid_n))
+        for i0 in range(0, grid_n, block):
+            i1 = min(i0 + block, grid_n)
+            D = (cx * axes[i0:i1, None, None] + cy * axes[None, :, None]
+                 + cz * axes[None, None, :])
+            S = (sq[i0:i1, None, None] + sq[None, :, None]
+                 + sq[None, None, :])
+            V = w.density(np.abs(D), q + S)
+            V = np.where(S <= rad_tol, V, np.inf)
+            best = min(best, float(V.min()))
+    else:
+        best = np.inf
+        rad_tol = R * R * (1.0 + 1e-12)
+        for zx in axes:
+            for zy in axes:
+                for zz in axes:
+                    if zx * zx + zy * zy + zz * zz > rad_tol:
+                        continue
+                    val = float(w(xi, np.array([zx, zy, zz])))
+                    if val < best:
+                        best = val
+
+    if not np.isfinite(best):
+        return INFINITE
+    return ExtValue(best)
+
+
+# ---------------------------------------------------------------------------
+# Aff0 test fields and the test-function route
+
+def crossed_square_mesh() -> TriMesh:
+    """(0,1)^2 split by both diagonals into four triangles of area 1/4."""
+    V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)]
+    return TriMesh(V, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
+
+
+def diamond_mesh() -> TriMesh:
+    """Open unit diamond |x1| + |x2| < 1 as its four quadrant triangles."""
+    V = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    return TriMesh(V, [(0, 1, 4), (0, 1, 2), (0, 3, 2), (0, 3, 4)])
+
+
+def single_triangle_mesh(p0, p1, p2) -> TriMesh:
+    return TriMesh([p0, p1, p2], [(0, 1, 2)])
+
+
+def energy_integral(field: PwAffineField, density, *,
+                    offset=None) -> ExtValue:
+    """Integral of density(offset + gradient) over the domain.
+
+    ``density.batch`` values the (m, 3, 2) stack of cell gradients in one
+    call, as floats with +inf, like
+    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`; the values
+    are summed with the cell areas. Every cell has positive area
+    (:class:`TriMesh` rejects areas at or below ``AREA_FLOOR``), so one
+    infinite value makes the integral :data:`INFINITE`.
+    """
+    grads = field._grads if offset is None \
+        else np.asarray(offset, dtype=float) + field._grads
+    total = float(np.sum(field.mesh.areas * density.batch(grads)))
+    return ExtValue(total) if math.isfinite(total) else INFINITE
+
+
+def _unit_vector(nu) -> np.ndarray:
+    v = np.asarray(nu, dtype=float).reshape(3)
+    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit 3-vector")
+    return v
+
+
+def build_diamond_hat(nu, t: float) -> PwAffineField:
+    """Compactly supported field on the unit diamond.
+
+    The apex value t*nu at the origin produces the gradient pattern
+    (-t nu | t nu), (-t nu | -t nu), (t nu | -t nu), (t nu | t nu) on the
+    quadrant cells taken counterclockwise from {x1 >= 0, x2 <= 0}.
+    """
+    v = _unit_vector(nu)
+    mesh = diamond_mesh()
+    vals = np.zeros((5, 3))
+    vals[0] = float(t) * v
+    return PwAffineField(mesh, vals, aff0=True)
+
+
+def build_square_hat(nu, t: float) -> PwAffineField:
+    """Compactly supported field on the crossed unit square.
+
+    The center value (t/2)*nu produces gradients (0 | t nu), (-t nu | 0),
+    (0 | -t nu), (t nu | 0) on the bottom, right, top, left cells.
+    """
+    v = _unit_vector(nu)
+    mesh = crossed_square_mesh()
+    vals = np.zeros((5, 3))
+    vals[4] = 0.5 * float(t) * v
+    return PwAffineField(mesh, vals, aff0=True)
+
+
+def zw0_upper_from_testfn(xi, phi: PwAffineField, density) -> ExtValue:
+    """Mean of density(xi + gradient) over the test field's domain.
+
+    Any compactly supported piecewise-affine perturbation certifies an
+    upper bound for the relaxed density; phi must carry the aff0 flag.
+    """
+    if not phi.aff0:
+        raise ValueError("test field must vanish on its domain boundary")
+    xi = as_mat32(xi)
+    total = energy_integral(phi, density, offset=xi)
+    return total * (1.0 / phi.mesh.area())
+
+
+# ---------------------------------------------------------------------------
+# rank-one convexity probe
+
+def rank_one_convexity_probe(f, samples: int, *, seed: int = 0,
+                             box_radius: float = 3.0,
+                             relative: bool = False) -> float:
+    """Largest violation of convexity along sampled rank-one segments.
+
+    ``f.batch`` evaluates an (N, 3, 2) stack. Draws segments whose
+    endpoints stay inside the Frobenius ball of the given radius and
+    returns max of f(center) - lam f(plus)
+    - (1-lam) f(minus), optionally divided by max(1, f(center)).
+    A function convex along rank-one lines keeps this at roundoff level.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(samples, 3, 2))
+    norms = np.linalg.norm(xi.reshape(samples, -1), axis=1)
+    radius = box_radius * 0.7 * rng.uniform(0.1, 1.0, size=samples)
+    xi *= (radius / norms)[:, None, None]
+
+    a = rng.normal(size=(samples, 3))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    theta = rng.uniform(0.0, np.pi, size=samples)
+    n = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    r = a[:, :, None] * n[:, None, :]
+
+    margin = box_radius - radius
+    s = rng.uniform(0.05, 1.0, size=samples) * margin
+    lam = rng.uniform(0.05, 0.95, size=samples)
+    plus = xi + ((1.0 - lam) * s)[:, None, None] * r
+    minus = xi - (lam * s)[:, None, None] * r
+
+    fc = f.batch(xi)
+    fp = f.batch(plus)
+    fm = f.batch(minus)
+    viol = fc - (lam * fp + (1.0 - lam) * fm)
+    if relative:
+        viol = viol / np.maximum(1.0, np.abs(fc))
+    finite = viol[np.isfinite(viol)]
+    return float(finite.max()) if finite.size else -math.inf
+
+
+# ---------------------------------------------------------------------------
+# membrane side of a recovery lift
+
+def director_membrane_energy(model: EnergyModel, v: PwAffineField,
+                             phi) -> float:
+    """Membrane-side target of the recovery lift: the bulk density on
+    (gradient | director) with the director sampled like the lift."""
+    phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
+    grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
+    return float(np.dot(v.mesh.areas, model.w_batch(grads)))

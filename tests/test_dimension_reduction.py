@@ -9,17 +9,16 @@ from memrelax import dimension_reduction
 from memrelax.dimension_reduction import (
     _MEMORY, LoadPotential, MinimizeResult, PrismField, _Lbfgs,
     _MembraneObjective,
-    _ThinObjective, _default_film_start, _descent, _lift,
-    director_membrane_energy, gamma_sweep, lift_membrane, lp_distance,
-    minimize_membrane, minimize_thin_film, pi_eps_average, recovery_sequence,
-    thin_film_energy, thin_film_total,
+    _ThinObjective, _default_film_start, _descent, _lift, gamma_sweep,
+    lp_distance, minimize_membrane, minimize_thin_film, pi_eps_average,
+    recovery_sequence, thin_film_energy, thin_film_total,
 )
 from memrelax.director_field import InfeasibleError, build_assignment
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
                                build_envelope_table)
-from memrelax.pw_affine import (PwAffineField, TriMesh, single_triangle_mesh,
-                                unit_square_mesh)
+from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
+from oracles import director_membrane_energy, single_triangle_mesh
 
 
 def test_lp_distance_of_constant_offset():
@@ -205,6 +204,13 @@ def test_load_slope_of_a_zero_row_is_psi_without_a_warning():
     assert res.total <= 1.0
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+def test_load_rejects_an_exponent_that_is_not_finite_above_one(p):
+    # p = +inf made |zeta|^p read 0 below |zeta| = 1 and inf beyond it
+    with pytest.raises(ValueError, match="load exponent"):
+        LoadPotential(lambda pts, x3: np.zeros((len(pts), 3)), p=p)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_nonfinite_load_is_refused_before_any_descent(bad):
     # refused where the load is sampled, before a non-finite start total
@@ -273,22 +279,9 @@ def test_film_total_matches_the_film_objective():
 def test_thickness_average_inverts_the_membrane_lift():
     v = _curved_membrane()
     for eps in (0.3, 0.01):
-        back = pi_eps_average(lift_membrane(v, eps, layers=7))
+        back = pi_eps_average(_lift(v, np.zeros(3), eps, 7))
         np.testing.assert_allclose(back.values, v.values, rtol=0.0,
                                    atol=1e-14)
-
-
-def test_prism_field_json_round_trips(tmp_path):
-    u = recovery_sequence(EnergyModel(), _curved_membrane(),
-                          np.array([0.0, 0.1, 1.0]), 0.05)[0]
-    for clone in (PrismField.from_dict(u.to_dict()), None):
-        if clone is None:
-            u.save_json(tmp_path / "film.json")
-            clone = PrismField.load_json(tmp_path / "film.json")
-        np.testing.assert_array_equal(clone.values, u.values)
-        np.testing.assert_array_equal(clone.mesh.vertices, u.mesh.vertices)
-        np.testing.assert_array_equal(clone.mesh.triangles, u.mesh.triangles)
-        assert clone.eps == u.eps
 
 
 STOP_REASONS = ("grad_tol", "line_search_stalled", "budget")
@@ -742,7 +735,7 @@ def test_film_descent_refuses_a_start_of_infinite_energy():
     mesh = unit_square_mesh(2)
     with pytest.raises(InfeasibleError, match="infinite energy"):
         minimize_thin_film(EnergyModel(), _tilted_load(), 0.2,
-                           start=lift_membrane(_flat(mesh), 0.2, layers=3))
+                           start=_lift(_flat(mesh), np.zeros(3), 0.2, 3))
 
 
 def test_film_minimizer_returns_the_descent_from_its_start():

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -12,11 +11,9 @@ from memrelax.director_field import (
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
-from memrelax.pw_affine import (
-    PwAffineField, TriMesh, single_triangle_mesh, unit_square_mesh,
-)
+from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive
-from memrelax.tensor_kernel import mat32
+from oracles import mat32, single_triangle_mesh
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -167,6 +164,30 @@ def test_constrained_min_input_validation():
         cell_min_constrained(m, mat32([1, 0, 0], [2, 0, 0]), 1, 1)
 
 
+@pytest.mark.parametrize("j", [2.5, 2.0, math.inf, math.nan])
+def test_a_constraint_index_that_is_not_an_integer_is_refused(j):
+    # 2.5 clamped at 1/(2.5 a) but was stored as DirectorAssignment.j == 2
+    m = EnergyModel()
+    field = identity_field()
+    with pytest.raises(ValueError, match="must be an integer"):
+        cell_min_constrained(m, E1E2, 1, j)
+    with pytest.raises(ValueError, match="must be an integer"):
+        build_assignment(m, field, j)
+    with pytest.raises(ValueError, match="must be an integer"):
+        nirf_value(m, field, j, 8)
+
+
+def test_a_numpy_integer_constraint_index_is_accepted():
+    m = EnergyModel()
+    field = identity_field()
+    asn = build_assignment(m, field, np.int64(2))
+    assert asn.j == 2 and type(asn.j) is int
+    value, zeta = cell_min_constrained(m, E1E2, 1, np.int32(2))
+    assert value == cell_min_constrained(m, E1E2, 1, 2)[0]
+    assert np.array_equal(zeta, cell_min_constrained(m, E1E2, 1, 2)[1])
+    assert nirf_value(m, field, np.int64(2), 8) == nirf_value(m, field, 2, 8)
+
+
 # ---------------------------------------------------------------------------
 # assignment
 
@@ -219,20 +240,6 @@ def test_assignment_validation_catches_wrong_sign():
                            zetas=asn.zetas.copy(), values=asn.values.copy())
 
 
-def test_assignment_json_dump(tmp_path):
-    m = EnergyModel()
-    field = wiggly_field(1)
-    asn = build_assignment(m, field, 4)
-    path = tmp_path / "assignment.json"
-    asn.save_json(path)
-    data = json.loads(path.read_text())
-    assert data["j"] == 4
-    assert data["j_v"] == asn.j_v
-    assert len(data["cells"]) == asn.n_cells
-    cell = data["cells"][0]
-    assert set(cell) == {"gradient", "area", "sign", "zeta", "value"}
-
-
 def test_cellwise_energy_is_area_weighted_sum():
     m = EnergyModel()
     field = wiggly_field(2)
@@ -273,7 +280,8 @@ def test_blend_plateaus_at_cell_minimizer():
         phi = BlendedDirector(field, asn, n)
         assert np.allclose(phi.evaluate(center), asn.zetas[0][None],
                            atol=1e-12)
-    assert phi([0.25, 0.25]) == pytest.approx(asn.zetas[0], abs=1e-12)
+    assert phi.evaluate([[0.25, 0.25]])[0] == pytest.approx(asn.zetas[0],
+                                                            abs=1e-12)
 
 
 def test_blend_stays_feasible_everywhere():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from memrelax.energy_models import (
-    EnergyModel, ReciprocalBarrier, ShiftedLogBarrier, check_conditions,
-    eval_w,
+    EnergyModel, ReciprocalBarrier, ShiftedLogBarrier,
 )
 from memrelax.tensor_kernel import INFINITE
+from oracles import check_conditions, eval_w
 
 
 def test_identity_and_stretch_values():

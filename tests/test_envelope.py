@@ -10,12 +10,12 @@ from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
 from memrelax.envelope import (
     DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
     build_envelope_table, four_corner_bound,
-    growth_certificate, laminate_search,
-    rank_one_convexity_probe, square_refine_bound, zw0_upper_from_testfn,
+    growth_certificate, laminate_search, square_refine_bound,
 )
-from memrelax.fiber_reduction import ReducedDensity
-from memrelax.pw_affine import build_diamond_hat, build_square_hat
-from memrelax.tensor_kernel import frob_norm, mat32, singular_values
+from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
+from memrelax.tensor_kernel import frob_norm, singular_values
+from oracles import (build_diamond_hat, build_square_hat, mat32,
+                     rank_one_convexity_probe, zw0_upper_from_testfn)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -74,7 +74,7 @@ def test_square_hat_averages_single_column_shifts(w0):
     for col, sgn in ((1, 1.0), (0, -1.0), (1, -1.0), (0, 1.0)):
         m = np.array(E1E2, dtype=float)
         m[:, col] += sgn * nu
-        shifts.append(w0(m).finite)
+        shifts.append(w0_closed_form(w0.model, m).finite)
     assert got == pytest.approx(np.mean(shifts), abs=1e-10)
 
 
@@ -199,7 +199,8 @@ def test_bounds_sum_their_points_in_corner_order(w0):
         c1, c2, n = m[:, 0], m[:, 1], _unit_normal(m)
         total = 0.0
         for s, u in ((-1, 1), (-1, -1), (1, -1), (1, 1)):
-            total += w0(np.stack([c1 + s * n, c2 + u * n], axis=1)).finite
+            total += w0_closed_form(
+                w0.model, np.stack([c1 + s * n, c2 + u * n], axis=1)).finite
         return total * 0.25
 
     assert four_corner_bound(xi, w0).finite == corner_mean(xi)
@@ -281,7 +282,9 @@ def test_laminate_respects_floor(w0):
     for _ in range(5):
         xi = rng.uniform(-1.5, 1.5, (3, 2))
         res = laminate_search(w0, xi, 2, INNER_SEARCH)
-        assert res.values[-1] >= w0.floor(xi) - 1e-12
+        # |xi|^p is convex and below the density, so below every laminate
+        floor = float(np.sum(xi * xi) ** (w0.model.p / 2.0))
+        assert res.values[-1] >= floor - 1e-12
 
 
 def test_laminate_rejects_negative_depth(w0):
@@ -321,8 +324,10 @@ def test_depth_one_witnesses_replay_their_node_values(w0, sweep_table):
         xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
         step = np.array(e.witness["step"])
         lam = e.witness["fraction"]
-        replay = (lam * w0(xi + (1.0 - lam) * step).as_float()
-                  + (1.0 - lam) * w0(xi - lam * step).as_float())
+        replay = (lam * w0_closed_form(w0.model,
+                                       xi + (1.0 - lam) * step).as_float()
+                  + (1.0 - lam) * w0_closed_form(w0.model,
+                                                 xi - lam * step).as_float())
         assert e.witness["score"] == e.value
         assert replay == pytest.approx(e.value, rel=1e-12, abs=0.0)
 
@@ -382,7 +387,7 @@ def small_table():
 def test_table_nodes_bounded_by_density(small_table, w0):
     for e in small_table.entries:
         xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
-        assert e.value <= w0(xi).as_float() + 1e-9
+        assert e.value <= w0_closed_form(w0.model, xi).as_float() + 1e-9
 
 
 def test_table_floor_and_growth(small_table):

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memrelax import fiber_reduction
+from memrelax.director_field import cell_min_constrained
 from memrelax.energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
 from memrelax.fiber_reduction import (
-    ReducedDensity, solve_fiber, w0_batch, w0_bruteforce, w0_closed_form,
-    w0_growth_constant,
+    solve_fiber, w0_batch, w0_closed_form, w0_growth_constant,
 )
-from memrelax.tensor_kernel import INFINITE, mat32, wedge, wedge_norm
+from memrelax.tensor_kernel import INFINITE, wedge
+from oracles import mat32, w0_bruteforce
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)  # minimizer of 1/t + t^2 shifted by |xi|^2
@@ -16,17 +17,22 @@ W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)  # minimizer of 1/t + t^2 shifted by |
 
 def test_frozen_value_and_witness():
     m = EnergyModel()
-    val, zeta = w0_closed_form(m, E1E2, return_witness=True)
-    assert val.finite == pytest.approx(W0_E1E2, abs=1e-10)
+    assert w0_closed_form(m, E1E2).finite == pytest.approx(W0_E1E2, abs=1e-10)
+    # the witness t c / a comes from the constrained cell problem, whose
+    # clamp 1/(j a) = 0.01 lies far below the root t = 2^(-1/3)
+    val, zeta = cell_min_constrained(m, E1E2, 1, 100)
+    assert val == pytest.approx(W0_E1E2, abs=1e-10)
     # the abscissa is the root of the fiber slope, not a value-based argmin
     assert zeta == pytest.approx([0.0, 0.0, 2.0 ** (-1.0 / 3.0)], abs=1e-12)
 
 
 def test_rank_deficient_is_exactly_infinite():
     m = EnergyModel()
-    val, zeta = w0_closed_form(m, mat32([1, 0, 0], [2, 0, 0]), return_witness=True)
-    assert val == INFINITE
-    assert zeta is None
+    xi = mat32([1, 0, 0], [2, 0, 0])
+    assert w0_closed_form(m, xi) == INFINITE
+    # no third column exists, so the witness route refuses the cell
+    with pytest.raises(ValueError, match="full-rank"):
+        cell_min_constrained(m, xi, 1, 100)
 
 
 def test_oracle_agreement_at_fine_grid():
@@ -101,7 +107,7 @@ def test_growth_bound_sampled(seed, p):
     cbar = w0_growth_constant(model, delta)
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-3, 3, size=(3, 2))
-    if wedge_norm(xi) < delta:
+    if np.linalg.norm(wedge(xi)) < delta:
         return
     val = w0_closed_form(model, xi)
     norm_p = float(np.sum(xi * xi)) ** (p / 2.0)
@@ -127,9 +133,9 @@ def test_batch_agrees_with_scalar_and_flags_degenerate():
     xis[3, :, 1] = 2.0 * xis[3, :, 0]
     vals = w0_batch(m, xis)
     assert np.isinf(vals[3])
-    rd = ReducedDensity(m)
     for k in range(24):
-        assert vals[k] == pytest.approx(rd(xis[k]).as_float(), rel=1e-9, abs=1e-12)
+        assert vals[k] == pytest.approx(w0_closed_form(m, xis[k]).as_float(),
+                                        rel=1e-9, abs=1e-12)
 
 
 def test_reduced_density_orbit_invariance():
@@ -139,7 +145,7 @@ def test_reduced_density_orbit_invariance():
     rng = np.random.default_rng(9)
     for _ in range(20):
         xi = rng.uniform(-2, 2, size=(3, 2))
-        if wedge_norm(xi) < 0.05:
+        if np.linalg.norm(wedge(xi)) < 0.05:
             continue
         Q3, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         th = rng.uniform(0, 2 * np.pi)

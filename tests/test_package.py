@@ -8,8 +8,11 @@ import pytest
 import memrelax
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memrelax.__path__))
-SOURCES = sorted([*Path(memrelax.__path__[0]).glob("*.py"),
-                  *Path(__file__).parent.glob("*.py")])
+PACKAGE = sorted(Path(memrelax.__path__[0]).glob("*.py"))
+SOURCES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
+# the benchmark's own modules, not its tests
+BENCH = sorted(p for p in (Path(__file__).parent.parent / "bench").glob("*.py")
+               if not p.name.startswith("test_"))
 
 
 def test_package_lists_its_modules():
@@ -50,8 +53,8 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level private functions, classes and constants."""
+def _definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and constants."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,7 +65,7 @@ def _private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.add(node.target.id)
-    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+    return names
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -78,12 +81,37 @@ def _read_names(tree: ast.Module) -> set[str]:
     return read
 
 
+def _strings(tree: ast.Module) -> set[str]:
+    """String constants, which name the attributes the tracer wraps."""
+    return {n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _parse(paths) -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+
+
 def test_every_private_definition_is_used():
     # a private helper left behind after its last caller is deleted is
     # dead code; tests do not count as callers
-    trees = [ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(Path(memrelax.__path__[0]).glob("*.py"))]
-    defined = set().union(*map(_private_definitions, trees))
+    trees = _parse(PACKAGE)
+    defined = {n for n in set().union(*map(_definitions, trees))
+               if n.startswith("_") and not n.endswith("__")}
     read = set().union(*map(_read_names, trees))
     assert defined, "the scan found no private definitions"
+    assert sorted(defined - read) == []
+
+
+def test_every_public_definition_is_read():
+    # the package is the pipeline: a public name that only the tests read
+    # is an oracle or a fixture and lives in tests/oracles.py. The
+    # benchmark counts as a reader, its string constants too, since the
+    # tracer wraps attributes by name.
+    package, bench = _parse(PACKAGE), _parse(BENCH)
+    assert bench, "the scan found no benchmark modules"
+    defined = {n for n in set().union(*map(_definitions, package))
+               if not n.startswith("_")}
+    read = set().union(*map(_read_names, package + bench),
+                       *map(_strings, bench))
+    assert defined, "the scan found no public definitions"
     assert sorted(defined - read) == []

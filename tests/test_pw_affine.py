@@ -1,4 +1,3 @@
-import json
 import math
 from types import SimpleNamespace
 
@@ -11,18 +10,20 @@ from memrelax.fiber_reduction import ReducedDensity
 from memrelax.pw_affine import (
     PwAffineField,
     TriMesh,
+    refine_field,
+    refine_mesh,
+    unit_square_mesh,
+)
+from memrelax.quadrature import subdivide_triangles
+from memrelax.tensor_kernel import INFINITE
+from oracles import (
     build_diamond_hat,
     build_square_hat,
     crossed_square_mesh,
     diamond_mesh,
     energy_integral,
-    refine_field,
-    refine_mesh,
     single_triangle_mesh,
-    unit_square_mesh,
 )
-from memrelax.quadrature import subdivide_triangles
-from memrelax.tensor_kernel import INFINITE
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -196,14 +197,6 @@ def test_mesh_and_field_validation():
         PwAffineField(mesh, np.ones((3, 3)), aff0=True)  # boundary not zero
     with pytest.raises(ValueError):
         PwAffineField(mesh, np.ones((4, 3)))  # wrong shape
-
-
-def test_field_json_roundtrip():
-    hat = build_diamond_hat(E3, 0.25)
-    clone = PwAffineField.from_dict(json.loads(json.dumps(hat.to_dict())))
-    np.testing.assert_array_equal(clone.values, hat.values)
-    np.testing.assert_array_equal(clone.mesh.triangles, hat.mesh.triangles)
-    assert clone.aff0
 
 
 # ---------------------------------------------------------------------------

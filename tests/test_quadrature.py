@@ -6,9 +6,14 @@ from memrelax.pw_affine import unit_square_mesh
 from memrelax.quadrature import integrate_adaptive, midpoint_rule
 
 
+def _square(n):
+    """The cells of unit_square_mesh(n) as an (m, 3, 2) corner stack."""
+    mesh = unit_square_mesh(n)
+    return mesh.vertices[mesh.triangles]
+
+
 def test_midpoint_rule_exact_for_quadratics():
-    mesh = unit_square_mesh(1)
-    tris = mesh.vertices[mesh.triangles]
+    tris = _square(1)
     f = lambda p, roots: p[:, 0] ** 2 + p[:, 1]
     terms = midpoint_rule(f, tris, np.arange(tris.shape[0]))
     assert terms.shape == (tris.shape[0],)
@@ -16,18 +21,16 @@ def test_midpoint_rule_exact_for_quadratics():
 
 
 def test_adaptive_handles_kink():
-    mesh = unit_square_mesh(1)
     f = lambda p, roots: np.abs(p[:, 0] - 0.5)
-    res = integrate_adaptive(f, mesh, rel_tol=1e-5, max_level=10)
+    res = integrate_adaptive(f, _square(1), rel_tol=1e-5, max_level=10)
     assert res.value == pytest.approx(0.25, rel=5e-4)
     assert res.level >= 1
     assert res.n_evals > 0
 
 
 def test_adaptive_stops_early_on_smooth_integrand():
-    mesh = unit_square_mesh(2)
     f = lambda p, roots: 3.0 * np.ones(p.shape[0])
-    res = integrate_adaptive(f, mesh, rel_tol=1e-6, max_level=8)
+    res = integrate_adaptive(f, _square(2), rel_tol=1e-6, max_level=8)
     assert res.value == pytest.approx(3.0, abs=1e-12)
     assert res.level <= 2
 
@@ -36,20 +39,39 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda p, roots: p[:, 0], np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda p, roots: p[:, 0], unit_square_mesh(1),
+        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
                            rel_tol=0.0)
 
 
 def test_rejects_a_negative_max_level():
     with pytest.raises(ValueError, match="max_level"):
-        integrate_adaptive(lambda p, roots: p[:, 0], unit_square_mesh(1),
+        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
                            max_level=-1)
+
+
+@pytest.mark.parametrize("max_level", [1.5, 2.0, np.nan, np.inf])
+def test_rejects_a_max_level_that_is_not_an_integer(max_level):
+    # a fractional level was read as the next integer: a root still
+    # refining at max_level=1.5 went on to level 2, 63 samples, not 15
+    calls = []
+
+    def f(p, roots):
+        calls.append(p.shape[0])
+        return p[:, 0]
+
+    with pytest.raises(ValueError, match="max_level must be an integer"):
+        integrate_adaptive(f, _square(1)[:1], rel_tol=1e-12,
+                           max_level=max_level)
+    assert calls == []
+    res = integrate_adaptive(f, _square(1)[:1], rel_tol=1e-12,
+                             max_level=np.int64(1))
+    assert res.level == 1 and res.n_evals == 3 + 12
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
 def test_rejects_a_nonfinite_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
-        integrate_adaptive(lambda p, roots: p[:, 0], unit_square_mesh(1),
+        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
                            rel_tol=rel_tol)
 
 
@@ -115,7 +137,7 @@ def test_each_root_stops_on_its_own_as_if_integrated_alone():
 
 
 def test_a_level_past_the_triangle_budget_splits_its_roots(monkeypatch):
-    mesh = unit_square_mesh(3)  # 18 roots, the kink crosses some of them
+    mesh = _square(3)  # 18 roots, the kink crosses some of them
     f = lambda p, roots: np.abs(p[:, 0] - 0.45) * (1.0 + roots)
     whole = integrate_adaptive(f, mesh, rel_tol=1e-4, max_level=6)
     assert whole.level >= 4
