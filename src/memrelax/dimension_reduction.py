@@ -29,7 +29,6 @@ __all__ = [
     "PrismField",
     "pi_eps_average",
     "thin_film_energy",
-    "thin_film_total",
     "LoadPotential",
     "recovery_sequence",
     "lp_distance",
@@ -191,13 +190,6 @@ class LoadPotential:
         return psi + self.p * pw[..., None] * zeta
 
 
-def thin_film_total(model: EnergyModel, load: LoadPotential,
-                    u: PrismField) -> float:
-    """The value at u of the film objective started at u, +inf on a
-    vanishing determinant."""
-    return _ThinObjective(model, load, u, u.eps)(u.values.reshape(-1))[0]
-
-
 def _check_same_mesh(a: TriMesh, b: TriMesh, what: str) -> None:
     """Raise unless a and b are one object or have equal vertices and
     triangles."""
@@ -258,16 +250,19 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
 class MinimizeResult:
     """One descent run; ``iterations`` counts its accepted steps.
 
-    ``stop_reason`` is "grad_tol" (gradient vanished), "line_search_stalled"
-    (no step along the search direction was accepted) or "budget"
-    (``iters`` steps taken); ``grad_norm`` is the gradient norm where it
-    stopped. ``evaluations``, ``gradients`` and ``backtracks`` are exact
-    counts of objective values, gradient builds, and trial steps the line
-    search rejected.
+    ``start_total`` is the objective's value at the start, the first value
+    the descent computes; ``total`` is at most it. ``stop_reason`` is
+    "grad_tol" (gradient vanished), "line_search_stalled" (no step along
+    the search direction was accepted) or "budget" (``iters`` steps
+    taken); ``grad_norm`` is the gradient norm where it stopped.
+    ``evaluations``, ``gradients`` and ``backtracks`` are exact counts of
+    objective values, gradient builds, and trial steps the line search
+    rejected.
     """
 
     field: object
     total: float
+    start_total: float
     energy: float
     load_value: float
     iterations: int
@@ -367,6 +362,7 @@ class _Lbfgs:
 class _Run:
     x: np.ndarray
     value: float
+    start_value: float
     accepted: int
     stop_reason: str
     grad_norm: float
@@ -398,6 +394,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     f, state = value(x0)
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
+    f0 = f
     g = gradient(state)
     state = None  # the intermediates are spent
     x = x0
@@ -437,7 +434,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
         x, f, g, state = x1, f1, g1, None
         gradients += 1
         accepted += 1
-    return _Run(x, f, accepted, reason, math.sqrt(float(np.dot(g, g))),
+    return _Run(x, f, f0, accepted, reason, math.sqrt(float(np.dot(g, g))),
                 evaluations, gradients, backtracks)
 
 
@@ -446,26 +443,27 @@ def _minimize(obj, start, iters: int) -> MinimizeResult:
     run = _descent(obj, obj.gradient, start.values.reshape(-1), iters)
     energy, load_value, _ = obj.split(run.x)
     return MinimizeResult(
-        field=obj.unpack(run.x), total=run.value, energy=energy,
-        load_value=load_value, iterations=run.accepted,
-        stop_reason=run.stop_reason, grad_norm=run.grad_norm,
-        evaluations=run.evaluations, gradients=run.gradients,
-        backtracks=run.backtracks)
+        field=obj.unpack(run.x), total=run.value,
+        start_total=run.start_value, energy=energy, load_value=load_value,
+        iterations=run.accepted, stop_reason=run.stop_reason,
+        grad_norm=run.grad_norm, evaluations=run.evaluations,
+        gradients=run.gradients, backtracks=run.backtracks)
 
 
 class _ThinObjective:
     """Total rescaled energy and its analytic nodal gradient; ``__call__``
-    keeps the intermediates that ``gradient`` turns into the gradient. A
-    point where a prism determinant vanishes or differs in sign from the
-    start's, recorded once in ``signs``, is valued +inf."""
+    keeps the intermediates that ``gradient`` turns into the gradient. The
+    mesh, layer count and thickness are the start's. A point where a prism
+    determinant vanishes or differs in sign from the start's, recorded
+    once in ``signs``, is valued +inf."""
 
     def __init__(self, model: EnergyModel, potential: LoadPotential,
-                 start: PrismField, eps: float):
+                 start: PrismField):
         self.model = model
         self.potential = potential
         self.mesh = mesh = start.mesh
         self.layers = layers = start.n_layers
-        self.eps = eps
+        self.eps = eps = start.eps
         self.delta = 1.0 / (layers - 1)
         self.weights = _prism_weights(mesh, layers)
         self.signs = np.sign(_film_energy(model, self.weights, mesh,
@@ -544,34 +542,19 @@ class _ThinObjective:
         return d_grad, d_mean
 
 
-def _default_film_start(mesh: TriMesh, eps: float,
-                        layers: int) -> PrismField:
-    """The flat membrane lifted along the unit normal."""
-    return _lift(_flat_membrane(mesh), np.array([0.0, 0.0, 1.0]), eps,
-                 layers)
-
-
-def minimize_thin_film(model: EnergyModel, load: LoadPotential, eps: float,
-                       mesh: TriMesh | None = None, *,
-                       start: PrismField | None = None, layers: int = 5,
+def minimize_thin_film(model: EnergyModel, load: LoadPotential,
+                       start: PrismField, *,
                        iters: int = 200) -> MinimizeResult:
-    """Descend the total film energy from one feasible start.
+    """Descend the total film energy from one feasible start, on the
+    start's mesh, layers and thickness ``start.eps``.
 
     The film objective values +inf every point at which a prism
     determinant differs in sign from the start's: the barrier makes the
     zero-determinant set an infinite wall, and a step across it would
-    silently change branch. The start is the given field (default: the
-    flat film lifted along the normal); one evaluation refuses a start of
-    infinite energy with InfeasibleError. A mesh given next to a start
-    must be the start's mesh.
+    silently change branch. One evaluation refuses a start of infinite
+    energy with InfeasibleError; ``iters=0`` only values the start.
     """
-    if start is None:
-        if mesh is None:
-            raise ValueError("provide a start field or a mesh")
-        start = _default_film_start(mesh, eps, layers)
-    elif mesh is not None:
-        _check_same_mesh(start.mesh, mesh, "start and mesh")
-    return _minimize(_ThinObjective(model, load, start, eps), start, iters)
+    return _minimize(_ThinObjective(model, load, start), start, iters)
 
 
 class _MembraneObjective:
@@ -682,11 +665,12 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     lift v + eps * x3 * zeta_bar of the membrane minimizer v along the
     shared direction zeta_bar of its director assignment, which clears
     every cell's determinant bound. Mode "minimize" descends from that
-    lift; mode "recovery" scores the lift itself (its gap is the
-    recovery residual). The meta holds the assignment's feasibility
-    index ``j_v``, the membrane descent's stop reason and counts and,
-    under ``seconds``, the wall time of each phase: the membrane descent,
-    the director assignment and each film run in schedule order.
+    lift and refuses a film total above the lift's; mode "recovery"
+    scores the lift itself (its gap is the recovery residual). The meta
+    holds the assignment's feasibility index ``j_v``, the membrane
+    descent's stop reason and counts and, under ``seconds``, the wall time
+    of each phase: the membrane descent, the director assignment and each
+    film run in schedule order.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -709,22 +693,21 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         film_started = time.perf_counter()
         u0, _ = recovery_sequence(model, v_bar, assignment.zeta_bar, eps,
                                   layers=layers)
-        competitor = thin_film_total(model, load, u0)
         if mode == "recovery":
-            u, total, its, reason = u0, competitor, 0, None
+            res = minimize_thin_film(model, load, u0, iters=0)
+            its, reason = 0, None
             counts = dict.fromkeys(_COUNTS, 0)
         else:
-            res = minimize_thin_film(model, load, eps, start=u0, iters=iters)
-            u, total, its = res.field, res.total, res.iterations
-            reason = res.stop_reason
+            res = minimize_thin_film(model, load, u0, iters=iters)
+            its, reason = res.iterations, res.stop_reason
             counts = {k: getattr(res, k) for k in _COUNTS}
-            if total > competitor + 1e-9:
+            if res.total > res.start_total + 1e-9:
                 raise RuntimeError(
-                    "film minimization ended above its warm-start "
-                    "competitor; the descent contract is broken")
-        dist = lp_distance(pi_eps_average(u), v_bar, model.p)
-        row = SweepRow(eps=eps, e3d=total, emem=mem.total,
-                       gap=total - mem.total, lp_distance=dist,
+                    "film minimization ended above its warm start; the "
+                    "descent contract is broken")
+        dist = lp_distance(pi_eps_average(res.field), v_bar, model.p)
+        row = SweepRow(eps=eps, e3d=res.total, emem=mem.total,
+                       gap=res.total - mem.total, lp_distance=dist,
                        iterations=its, stop_reason=reason, **counts)
         return row, time.perf_counter() - film_started
 

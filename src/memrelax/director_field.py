@@ -293,13 +293,15 @@ class BlendedDirector:
     distance to its three side lines; each line is stored per cell as an
     inward unit normal and an offset. Both endpoints satisfy the cell's
     determinant bound and the bound is linear in the director, so every
-    blended value stays feasible.
+    blended value stays feasible. The sharpness n must be an integer
+    >= 1, numpy integers included.
     """
 
     def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
                  n: int):
-        if not (math.isfinite(n) and n == int(n) and n >= 1):
-            raise ValueError("blend sharpness must be an integer >= 1")
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError("blend sharpness must be an integer >= 1, "
+                             f"got {n!r}")
         if assignment.n_cells != field.mesh.n_cells:
             raise ValueError("assignment does not match the field's mesh")
         self.field = field
@@ -353,7 +355,8 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     """Energy of the blended continuous director over the whole mesh.
 
     Builds the assignment at index j (rejected below the feasibility
-    index) and blends with sharpness n. Along the blend
+    index) and blends with sharpness n; both must be integers, numpy
+    integers included. Along the blend
     zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c, the determinant
     is c0 + a * c1 and |xi|^2 + |zeta|^2 is q0 + a * (q1 + a * q2), with
     five coefficients per cell computed once; the integrand reads them

@@ -4,7 +4,7 @@ The shipped family is W(F) = h(|det F|) + |F|^p with p > 1, where the
 barrier h is positive, continuous on (0, inf), +inf exactly at 0, and
 bounded by a plateau r(delta) on [delta, inf).  Two barriers ship
 (reciprocal power and shifted log); anything exposing the same small
-surface plugs in: ``name``, ``plateau``, ``values``, ``derivative``,
+surface plugs in: ``plateau``, ``values``, ``derivative``,
 ``second_derivative`` and ``blowup_order``.
 """
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .tensor_kernel import cofactors
 
 __all__ = [
     "ReciprocalBarrier",
@@ -32,10 +30,6 @@ class ReciprocalBarrier:
     def __post_init__(self):
         if not 0 < self.power < math.inf:
             raise ValueError("barrier power must be finite and positive")
-
-    @property
-    def name(self) -> str:
-        return "reciprocal" if self.power == 1.0 else f"reciprocal^{self.power:g}"
 
     def plateau(self, delta: float) -> float:
         if not delta > 0:
@@ -69,10 +63,6 @@ class ReciprocalBarrier:
 class ShiftedLogBarrier:
     """h(t) = max(-log t, 0) + 1/t.  Nonincreasing with plateau h(delta)."""
 
-    @property
-    def name(self) -> str:
-        return "shifted_log"
-
     def plateau(self, delta: float) -> float:
         if not delta > 0:
             raise ValueError("plateau threshold must be positive")
@@ -105,18 +95,15 @@ class ShiftedLogBarrier:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """W(F) = h(|det F|) + |F|^p.  Coercive: W(F) >= coercivity * |F|^p."""
+    """W(F) = h(|det F|) + |F|^p.  Coercive: W(F) >= |F|^p, since h > 0."""
 
     barrier: ReciprocalBarrier | ShiftedLogBarrier = field(
         default_factory=ReciprocalBarrier)
     p: float = 2.0
-    coercivity: float = 1.0
 
     def __post_init__(self):
         if not 1 < self.p < math.inf:
             raise ValueError("growth exponent p must be finite and exceed 1")
-        if not 0 < self.coercivity <= 1:
-            raise ValueError("coercivity constant must lie in (0, 1]")
 
     # ---- numeric cores (float arrays, +inf as IEEE inf) ----------------
 
@@ -134,11 +121,3 @@ class EnergyModel:
         through here.
         """
         return self.barrier.values(adet) + self.norm_power(sq)
-
-    def w_batch(self, F: np.ndarray) -> np.ndarray:
-        """W over a stack of 3x3 matrices, as a float array with +inf."""
-        F = np.asarray(F, dtype=float).reshape(-1, 3, 3)
-        if not np.all(np.isfinite(F)):
-            raise ValueError("mat33 entries must be finite")
-        dets, _ = cofactors(F)
-        return self.density(np.abs(dets), np.sum(F * F, axis=(1, 2)))

@@ -107,7 +107,7 @@ def four_corner_bound(xi, density) -> ExtValue:
     values the four corners in one call.
     """
     vals = density.batch(_corners(as_mat32(xi)))
-    return ExtValue(np.sum(vals)) * 0.25
+    return ExtValue(np.sum(vals) * 0.25)
 
 
 def square_refine_bound(xi, density) -> ExtValue:
@@ -131,7 +131,7 @@ def square_refine_bound(xi, density) -> ExtValue:
     ]
     vals = density.batch(np.concatenate([_corners(z) for z in shifts]))
     shift_means = np.sum(vals.reshape(4, 4), axis=1) * 0.25
-    return ExtValue(np.sum(shift_means)) * 0.25
+    return ExtValue(np.sum(shift_means) * 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +589,9 @@ class EnvelopeTable:
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
-    (:meth:`TableLookup.slopes`) needs. :meth:`values_at` and
-    :meth:`slopes_at` read a fresh lookup; a caller that needs both at
-    one stack keeps the lookup instead.
+    (:meth:`TableLookup.slopes`) needs, so a caller that needs both at
+    one stack keeps the lookup. :meth:`values_at` reads the values of a
+    fresh lookup.
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
@@ -664,10 +664,6 @@ class EnvelopeTable:
     def values_at(self, xis: np.ndarray) -> np.ndarray:
         """Interpolated upper bounds for an (N, 3, 2) stack."""
         return self.lookup(xis).values
-
-    def slopes_at(self, xis: np.ndarray) -> np.ndarray:
-        """Exact derivatives of :meth:`values_at` for an (N, 3, 2) stack."""
-        return self.lookup(xis).slopes()
 
     def audit_growth(self) -> float:
         """Max ratio of node value to the certificate bound (must be <= 1)."""
@@ -779,7 +775,6 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
         values[j, i] = entry.value
         entries.append(entry)
     cert = growth_certificate(model)
-    info = {"barrier": type(model.barrier).__name__, "p": model.p,
-            "coercivity": model.coercivity}
+    info = {"barrier": type(model.barrier).__name__, "p": model.p}
     return EnvelopeTable(grid, values, entries, model.p, cert, depth,
                          model_info=info)

@@ -31,9 +31,8 @@ class TriMesh:
     Vertices are an (n, 2) float array, triangles an (m, 3) index array.
     Construction computes the cell areas, the inverse edge Jacobians and
     one edge table: ``edges`` holds each undirected edge once as a sorted
-    vertex pair, ``cell_edges`` the edge ids of the sides (a, b), (b, c),
-    (c, a) of every cell, and ``boundary_mask`` marks the vertices of edges
-    that belong to one cell only. All arrays are frozen afterwards.
+    vertex pair and ``cell_edges`` the edge ids of the sides (a, b),
+    (b, c), (c, a) of every cell. All arrays are frozen afterwards.
 
     A P1 field is an (..., n, k) array of nodal values. Its cell gradients
     and cell means (centroid values) are linear maps of those values, both
@@ -43,8 +42,8 @@ class TriMesh:
     (leading rows, k) and kept with the mesh.
     """
 
-    __slots__ = ("vertices", "triangles", "areas", "boundary_mask", "edges",
-                 "cell_edges", "_inv_jac", "_p0", "_scatter")
+    __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
+                 "_inv_jac", "_p0", "_scatter")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -82,21 +81,16 @@ class TriMesh:
         # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
         n = V.shape[0]
         sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, side_edge, counts = np.unique(
-            sides[:, 0] * n + sides[:, 1], return_inverse=True,
-            return_counts=True)
+        keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
+                                    return_inverse=True)
         edges = np.stack([keys // n, keys % n], axis=1)
         cell_edges = side_edge.reshape(-1, 3)
-        # a boundary edge belongs to exactly one triangle
-        boundary = np.zeros(n, dtype=bool)
-        boundary[edges[counts == 1]] = True
 
-        for arr in (V, T, areas, inv, p0, boundary, edges, cell_edges):
+        for arr in (V, T, areas, inv, p0, edges, cell_edges):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "triangles", T)
         object.__setattr__(self, "areas", areas)
-        object.__setattr__(self, "boundary_mask", boundary)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cell_edges", cell_edges)
         object.__setattr__(self, "_inv_jac", inv)
@@ -113,9 +107,6 @@ class TriMesh:
     @property
     def n_cells(self) -> int:
         return self.triangles.shape[0]
-
-    def area(self) -> float:
-        return float(self.areas.sum())
 
     def barycentric(self, points: np.ndarray) -> np.ndarray:
         """All barycentric coordinates, shape (N, m, 3)."""
@@ -225,30 +216,23 @@ class PwAffineField:
     """Continuous field with one 3-vector per mesh vertex.
 
     Sharing nodal values across cells makes the interpolant continuous; the
-    gradient is constant on each cell. With ``aff0=True`` the field promises
-    to vanish on the domain boundary and construction verifies it.
+    gradient is constant on each cell.
     """
 
-    __slots__ = ("mesh", "values", "aff0", "_grads")
+    __slots__ = ("mesh", "values", "_grads")
 
-    def __init__(self, mesh: TriMesh, values, *, aff0: bool = False):
+    def __init__(self, mesh: TriMesh, values):
         vals = np.array(values, dtype=float)
         if vals.shape != (mesh.n_vertices, 3):
             raise ValueError(
                 f"values must be ({mesh.n_vertices}, 3), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("nodal values must be finite")
-        if aff0:
-            worst = float(np.abs(vals[mesh.boundary_mask]).max(initial=0.0))
-            if worst > 1e-12:
-                raise ValueError(
-                    f"aff0 field has nonzero boundary values (max {worst:.3e})")
         grads = mesh.cell_gradients(vals)
         vals.setflags(write=False)
         grads.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "aff0", bool(aff0))
         object.__setattr__(self, "_grads", grads)
 
     def __setattr__(self, name, value):
@@ -257,18 +241,6 @@ class PwAffineField:
     def gradients(self) -> np.ndarray:
         """Per-cell gradients, shape (m, 3, 2), read-only."""
         return self._grads
-
-    def evaluate(self, points) -> np.ndarray:
-        """Interpolated values, shape (N, 3); points outside the domain
-        raise ValueError."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        cells = self.mesh.locate(pts)
-        miss = cells < 0
-        if np.any(miss):
-            raise ValueError(f"{int(miss.sum())} point(s) outside the domain")
-        rel = pts - self.mesh._p0[cells]
-        base = self.values[self.mesh.triangles[cells, 0]]
-        return base + np.einsum("nkc,nc->nk", self._grads[cells], rel)
 
 
 # ---------------------------------------------------------------------------
@@ -329,4 +301,4 @@ def refine_field(field: PwAffineField, levels: int = 1) -> PwAffineField:
     for _ in range(levels):
         vals = _edge_midpoints(mesh, vals)
         mesh = refine_mesh(mesh)
-    return PwAffineField(mesh, vals, aff0=field.aff0)
+    return PwAffineField(mesh, vals)

@@ -1,10 +1,10 @@
-"""Dense 3x2 / 3x3 tensor helpers and extended-value arithmetic.
+"""Dense 3x2 / 3x3 tensor helpers and extended values.
 
 Matrices are plain float64 numpy arrays: shape (3, 2) for surface
 gradients (two columns spanning a tangent plane), shape (3, 3) for bulk
-gradients.  Energy densities take values in [0, +inf]; the infinite
-value is carried by the ExtValue tag so that it never leaks into
-optimizer arithmetic as a bare float.
+gradients.  Energy densities take values in [0, +inf], carried as IEEE
+floats with +inf throughout the package; :class:`ExtValue` tags a
+scalar result as such a value, and refuses NaN and negative ones.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ExtValue",
     "INFINITE",
-    "ZERO",
     "as_mat32",
     "frob_norm",
     "cofactors",
@@ -24,91 +23,26 @@ __all__ = [
 ]
 
 
-class ExtValue:
-    """A nonnegative real extended with +inf.
+class ExtValue(float):
+    """A nonnegative float or +inf; construction refuses NaN and negative
+    values.  Arithmetic is plain float arithmetic."""
 
-    Total order, absorbing addition, scalar scaling with the measure
-    convention 0 * inf = 0.  Instances are immutable.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_value",)
-
-    def __init__(self, value: float):
+    def __new__(cls, value):
         v = float(value)
         if math.isnan(v):
             raise ValueError("extended value cannot be NaN")
         if v < 0.0:
             raise ValueError(f"extended value must be nonnegative, got {v}")
-        object.__setattr__(self, "_value", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtValue is immutable")
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self._value)
-
-    @property
-    def finite(self) -> float:
-        """The finite payload; raises if the value is +inf."""
-        if not self.is_finite:
-            raise ValueError("value is +inf; branch on is_finite before unwrapping")
-        return self._value
+        return super().__new__(cls, v)
 
     def as_float(self) -> float:
-        """Lossy view for display and numpy seams (+inf maps to math.inf)."""
-        return self._value
-
-    def __add__(self, other):
-        o = _coerce(other)
-        return ExtValue(self._value + o._value)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar):
-        s = float(scalar)
-        if math.isnan(s) or s < 0.0:
-            raise ValueError(f"scale factor must be nonnegative, got {scalar}")
-        if s == 0.0:
-            # measure convention: a zero-area region contributes nothing
-            return ZERO
-        return ExtValue(self._value * s)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other):
-        return self._value < _coerce(other)._value
-
-    def __le__(self, other):
-        return self._value <= _coerce(other)._value
-
-    def __gt__(self, other):
-        return self._value > _coerce(other)._value
-
-    def __ge__(self, other):
-        return self._value >= _coerce(other)._value
-
-    def __eq__(self, other):
-        try:
-            return self._value == _coerce(other)._value
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self._value)
-
-    def __repr__(self):
-        return "ExtValue(+inf)" if not self.is_finite else f"ExtValue({self._value!r})"
-
-
-def _coerce(x) -> ExtValue:
-    if isinstance(x, ExtValue):
-        return x
-    return ExtValue(x)
+        """The plain float, +inf included."""
+        return float(self)
 
 
 INFINITE = ExtValue(math.inf)
-ZERO = ExtValue(0.0)
 
 
 def _validated(arr, shape, name: str) -> np.ndarray:

@@ -15,7 +15,11 @@ computes, or a fixture of the paper's constructions:
   paper's test-field route to the relaxed density;
 * :func:`director_membrane_energy` is the membrane-side target of a
   recovery lift;
-* :func:`mat32` and :func:`mat33` build validated matrices from columns.
+* :func:`w_stack` and :func:`eval_w` value W itself, :func:`evaluate`
+  interpolates a P1 field and :func:`boundary_mask` marks the boundary
+  vertices of a mesh;
+* :func:`mat32` and :func:`mat33` build validated matrices from columns,
+  and :func:`finite` unwraps a value that must not be +inf.
 """
 from __future__ import annotations
 
@@ -30,6 +34,14 @@ from memrelax.fiber_reduction import WEDGE_FLOOR
 from memrelax.pw_affine import PwAffineField, TriMesh
 from memrelax.tensor_kernel import (INFINITE, ExtValue, _validated, as_mat32,
                                     cofactors, wedge)
+
+
+def finite(x) -> float:
+    """x as a float; raises ValueError if it is +inf (or NaN)."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite value, got {v}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +71,17 @@ def append_column(xi, zeta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampled audit of the model conditions
 
+def w_stack(model: EnergyModel, F) -> np.ndarray:
+    """W over an (N, 3, 3) stack, as floats with +inf: the model's
+    density at |det F| and |F|^2."""
+    F = np.asarray(F, dtype=float).reshape(-1, 3, 3)
+    dets, _ = cofactors(F)
+    return model.density(np.abs(dets), np.sum(F * F, axis=(1, 2)))
+
+
 def eval_w(model: EnergyModel, F) -> ExtValue:
     """Evaluate the stored energy at a 3x3 gradient."""
-    return ExtValue(model.w_batch(_validated(F, (3, 3), "mat33"))[0])
+    return ExtValue(w_stack(model, _validated(F, (3, 3), "mat33"))[0])
 
 
 @dataclass(frozen=True)
@@ -145,17 +165,17 @@ def check_conditions(model: EnergyModel, n_samples: int = 2000,
 
     n_sing = max(16, n_samples // 20)
     sing = _singular_matrices(rng, n_sing)
-    sing_vals = model.w_batch(sing)
+    sing_vals = w_stack(model, sing)
     all_inf = bool(np.all(np.isinf(sing_vals)))
 
     # plane symmetry: flipping the third column must not change W
     flipped = F.copy()
     flipped[:, :, 2] *= -1.0
-    defect = np.abs(model.w_batch(flipped) - vals)
+    defect = np.abs(w_stack(model, flipped) - vals)
     defect = float(np.max(defect[np.isfinite(defect)], initial=0.0))
 
     return ConditionReport(
-        barrier=model.barrier.name,
+        barrier=type(model.barrier).__name__,
         p=model.p,
         n_samples=n_samples,
         deltas=tuple(float(d) for d in deltas),
@@ -184,12 +204,13 @@ def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
                   p: float | None = None) -> ExtValue:
     """Grid oracle: min of W(xi|zeta) over a uniform grid in a ball.
 
-    ``w`` is either an EnergyModel (fast vectorized path) or a callable
-    ``(xi, zeta) -> float`` returning +inf on singular arguments.  The
-    ball radius comes from coercivity and a fixed probe scan along the
-    fiber normal, so it provably contains every minimizer; the grid is
-    the restriction of linspace(-R, R, grid_n)^3 to the ball, hence
-    nested under grid_n -> 2*(grid_n-1)+1 refinement.
+    ``w`` is either an EnergyModel (fast vectorized path, coercivity 1:
+    W >= |F|^p) or a callable ``(xi, zeta) -> float`` returning +inf on
+    singular arguments.  The ball radius comes from coercivity and a
+    fixed probe scan along the fiber normal, so it provably contains
+    every minimizer; the grid is the restriction of
+    linspace(-R, R, grid_n)^3 to the ball, hence nested under
+    grid_n -> 2*(grid_n-1)+1 refinement.
     """
     xi = as_mat32(xi)
     if grid_n < 2:
@@ -197,7 +218,7 @@ def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
 
     is_model = isinstance(w, EnergyModel)
     if is_model:
-        coercivity = w.coercivity
+        coercivity = 1.0
         p = w.p
     elif coercivity is None or p is None:
         raise ValueError("coercivity and p are required for a bare evaluator")
@@ -219,7 +240,7 @@ def w0_bruteforce(w, xi, grid_n: int, *, coercivity: float | None = None,
     w_best = np.inf
     for d in probe_dirs:
         for t in ts:
-            val = (w.w_batch(append_column(xi, t * d))[0] if is_model
+            val = (w_stack(w, append_column(xi, t * d))[0] if is_model
                    else float(w(xi, t * d)))
             w_best = min(w_best, val)
     if not np.isfinite(w_best):
@@ -279,6 +300,30 @@ def single_triangle_mesh(p0, p1, p2) -> TriMesh:
     return TriMesh([p0, p1, p2], [(0, 1, 2)])
 
 
+def boundary_mask(mesh: TriMesh) -> np.ndarray:
+    """The vertices of the edges that belong to one cell only."""
+    cells_per_edge = np.bincount(mesh.cell_edges.ravel(),
+                                 minlength=mesh.edges.shape[0])
+    mask = np.zeros(mesh.n_vertices, dtype=bool)
+    mask[mesh.edges[cells_per_edge == 1]] = True
+    return mask
+
+
+def evaluate(field: PwAffineField, points) -> np.ndarray:
+    """The P1 interpolant at (N, 2) points, (N, 3): the barycentric
+    average of the corner values of the cell :meth:`TriMesh.locate`
+    finds. Points outside the domain raise ValueError."""
+    mesh = field.mesh
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cells = mesh.locate(pts)
+    miss = cells < 0
+    if np.any(miss):
+        raise ValueError(f"{int(miss.sum())} point(s) outside the domain")
+    lam = mesh.barycentric(pts)[np.arange(pts.shape[0]), cells]
+    corners = field.values[mesh.triangles[cells]]
+    return np.einsum("nc,nck->nk", lam, corners)
+
+
 def energy_integral(field: PwAffineField, density, *,
                     offset=None) -> ExtValue:
     """Integral of density(offset + gradient) over the domain.
@@ -314,7 +359,7 @@ def build_diamond_hat(nu, t: float) -> PwAffineField:
     mesh = diamond_mesh()
     vals = np.zeros((5, 3))
     vals[0] = float(t) * v
-    return PwAffineField(mesh, vals, aff0=True)
+    return PwAffineField(mesh, vals)
 
 
 def build_square_hat(nu, t: float) -> PwAffineField:
@@ -327,20 +372,24 @@ def build_square_hat(nu, t: float) -> PwAffineField:
     mesh = crossed_square_mesh()
     vals = np.zeros((5, 3))
     vals[4] = 0.5 * float(t) * v
-    return PwAffineField(mesh, vals, aff0=True)
+    return PwAffineField(mesh, vals)
 
 
 def zw0_upper_from_testfn(xi, phi: PwAffineField, density) -> ExtValue:
     """Mean of density(xi + gradient) over the test field's domain.
 
     Any compactly supported piecewise-affine perturbation certifies an
-    upper bound for the relaxed density; phi must carry the aff0 flag.
+    upper bound for the relaxed density; phi must vanish (to 1e-12) at
+    every boundary vertex of its mesh.
     """
-    if not phi.aff0:
-        raise ValueError("test field must vanish on its domain boundary")
+    worst = float(np.abs(phi.values[boundary_mask(phi.mesh)]).max(
+        initial=0.0))
+    if worst > 1e-12:
+        raise ValueError("test field must vanish on its domain boundary "
+                         f"(max {worst:.3e})")
     xi = as_mat32(xi)
     total = energy_integral(phi, density, offset=xi)
-    return total * (1.0 / phi.mesh.area())
+    return ExtValue(total * (1.0 / phi.mesh.areas.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -396,4 +445,4 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
     (gradient | director) with the director sampled like the lift."""
     phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
     grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
-    return float(np.dot(v.mesh.areas, model.w_batch(grads)))
+    return float(np.dot(v.mesh.areas, w_stack(model, grads)))

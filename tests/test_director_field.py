@@ -13,7 +13,7 @@ from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive
-from oracles import mat32, single_triangle_mesh
+from oracles import finite, mat32, single_triangle_mesh
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -150,7 +150,7 @@ def test_value_nonincreasing_in_index():
                 for j in (1, 2, 4, 8, 16, 64)]
         for a, b in zip(vals, vals[1:]):
             assert b <= a
-        w0 = w0_closed_form(m, xi).finite
+        w0 = finite(w0_closed_form(m, xi))
         assert abs(vals[-1] - w0) <= 1e-3
 
 
@@ -341,7 +341,13 @@ def test_blend_rejects_a_fractional_or_nonfinite_sharpness(n):
     asn = build_assignment(m, field, 4)
     with pytest.raises(ValueError, match="sharpness"):
         BlendedDirector(field, asn, n)
-    assert BlendedDirector(field, asn, 8.0).n == 8
+    # one integer rule for j and n: an integral float is refused like a
+    # float index, a numpy integer is accepted like one
+    with pytest.raises(ValueError, match="sharpness"):
+        BlendedDirector(field, asn, 8.0)
+    with pytest.raises(ValueError, match="sharpness"):
+        nirf_value(m, field, 4, 8.0)
+    assert BlendedDirector(field, asn, np.int64(8)).n == 8
 
 
 def clockwise(field: PwAffineField) -> PwAffineField:
@@ -406,7 +412,7 @@ def test_nirf_single_cell_near_reduced_density():
     m = EnergyModel()
     field = identity_field()
     area = float(field.mesh.areas.sum())
-    got = nirf_value(m, field, 4, 64).finite
+    got = finite(nirf_value(m, field, 4, 64))
     target = area * W0_E1E2
     assert got >= target - 1e-12
     assert (got - target) / target <= 0.01
@@ -416,7 +422,7 @@ def test_nirf_nonincreasing_in_index():
     m = EnergyModel()
     field = wiggly_field(1)
     asn = build_assignment(m, field)
-    vals = [nirf_value(m, field, j, 64, rel_tol=1e-6).finite
+    vals = [finite(nirf_value(m, field, j, 64, rel_tol=1e-6))
             for j in (asn.j_v, 4 * asn.j_v, 16 * asn.j_v)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9
@@ -427,7 +433,7 @@ def test_nirf_converges_to_cellwise_minimum():
     field = wiggly_field(1)
     asn = build_assignment(m, field, 8)
     floor = cellwise_energy(asn)
-    got = nirf_value(m, field, 8, 10 ** 6).finite
+    got = finite(nirf_value(m, field, 8, 10 ** 6))
     assert got >= floor - 1e-12
     assert got == pytest.approx(floor, rel=1e-3)
 
@@ -450,8 +456,8 @@ def test_nirf_rejects_low_index_and_degenerate_cells():
 def test_nirf_threaded_matches_serial():
     m = EnergyModel()
     field = wiggly_field(2)
-    serial = nirf_value(m, field, 8, 32).finite
-    threaded = nirf_value(m, field, 8, 32, threads=4).finite
+    serial = finite(nirf_value(m, field, 8, 32))
+    threaded = finite(nirf_value(m, field, 8, 32, threads=4))
     assert threaded == serial
 
 
@@ -496,10 +502,10 @@ def test_nirf_matches_a_per_cell_oracle_across_slices():
     assert field.mesh.n_cells > 256  # more than one slice of cells
     _, j_v, _ = feasible_normal(field.gradients())
     asn = build_assignment(m, field, 4 * j_v)
-    got = nirf_value(m, field, 4 * j_v, 64).finite
+    got = finite(nirf_value(m, field, 4 * j_v, 64))
     want = per_cell_nirf(m, field, asn, 64)
     assert got == pytest.approx(want, rel=1e-13)
-    assert nirf_value(m, field, 4 * j_v, 64, threads=2).finite == got
+    assert finite(nirf_value(m, field, 4 * j_v, 64, threads=2)) == got
 
 
 def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):

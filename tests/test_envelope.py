@@ -13,8 +13,9 @@ from memrelax.envelope import (
     growth_certificate, laminate_search, square_refine_bound,
 )
 from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
+from memrelax.pw_affine import PwAffineField
 from memrelax.tensor_kernel import frob_norm, singular_values
-from oracles import (build_diamond_hat, build_square_hat, mat32,
+from oracles import (build_diamond_hat, build_square_hat, finite, mat32,
                      rank_one_convexity_probe, zw0_upper_from_testfn)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
@@ -46,20 +47,22 @@ class PowerDensity:
 def test_zero_testfn_reproduces_density(w0):
     phi = build_diamond_hat([0.0, 0.0, 1.0], 0.0)
     got = zw0_upper_from_testfn(E1E2, phi, w0)
-    assert got.finite == pytest.approx(W0_E1E2, abs=1e-10)
+    assert finite(got) == pytest.approx(W0_E1E2, abs=1e-10)
 
 
 def test_diamond_hat_matches_four_corner_average(w0):
     phi = build_diamond_hat([0.0, 0.0, 1.0], 1.0)
     via_field = zw0_upper_from_testfn(E1E2, phi, w0)
     via_corners = four_corner_bound(E1E2, w0)
-    assert via_field.finite == pytest.approx(via_corners.finite, abs=1e-10)
-    assert via_field.finite == pytest.approx(5.310370697104448, abs=1e-9)
+    assert finite(via_field) == pytest.approx(finite(via_corners), abs=1e-10)
+    assert finite(via_field) == pytest.approx(5.310370697104448, abs=1e-9)
 
 
 def test_testfn_requires_boundary_zero(w0):
-    phi = build_diamond_hat([0.0, 0.0, 1.0], 1.0)
-    object.__setattr__(phi, "aff0", False)
+    hat = build_diamond_hat([0.0, 0.0, 1.0], 1.0)
+    vals = hat.values.copy()
+    vals[2, 0] = 1e-9  # the corner (0, 1)
+    phi = PwAffineField(hat.mesh, vals)
     with pytest.raises(ValueError, match="vanish on its domain boundary"):
         zw0_upper_from_testfn(E1E2, phi, w0)
 
@@ -68,13 +71,13 @@ def test_square_hat_averages_single_column_shifts(w0):
     # gradients (0|+-nu), (+-nu|0) on equal-area cells: the field route
     # must equal the plain average of the four shifted densities
     phi = build_square_hat([0.0, 0.0, 1.0], 1.0)
-    got = zw0_upper_from_testfn(E1E2, phi, w0).finite
+    got = finite(zw0_upper_from_testfn(E1E2, phi, w0))
     nu = np.array([0.0, 0.0, 1.0])
     shifts = []
     for col, sgn in ((1, 1.0), (0, -1.0), (1, -1.0), (0, 1.0)):
         m = np.array(E1E2, dtype=float)
         m[:, col] += sgn * nu
-        shifts.append(w0_closed_form(w0.model, m).finite)
+        shifts.append(finite(w0_closed_form(w0.model, m)))
     assert got == pytest.approx(np.mean(shifts), abs=1e-10)
 
 
@@ -91,10 +94,10 @@ def test_four_corner_refuses_equal_columns_up_to_sign(w0):
 def test_four_corner_finite_on_rank_deficient(w0):
     # every corner of (e1|0) has wedge norm 1 and squared norm 3
     val = four_corner_bound(mat32([1, 0, 0], [0, 0, 0]), w0)
-    assert val.is_finite
-    assert val.finite == pytest.approx(3.0 + 3.0 * 2.0 ** (-2.0 / 3.0),
+    assert math.isfinite(val)
+    assert finite(val) == pytest.approx(3.0 + 3.0 * 2.0 ** (-2.0 / 3.0),
                                        abs=1e-9)
-    assert square_refine_bound(mat32([1, 0, 0], [0, 0, 0]), w0).finite \
+    assert finite(square_refine_bound(mat32([1, 0, 0], [0, 0, 0]), w0)) \
         == pytest.approx(5.405185348552224, abs=1e-9)
 
 
@@ -152,14 +155,14 @@ def test_finite_upper_bound_everywhere(w0):
     ]
     for xi in cases:
         val = square_refine_bound(xi, w0)
-        assert val.is_finite
+        assert math.isfinite(val)
 
 
 def test_finite_upper_bound_frozen_at_zero(w0):
     # all four single-column shifts of zero land on the same orbit, each
     # refined corner evaluates at wedge norm 1 and squared norm 3
     val = square_refine_bound(mat32([0, 0, 0], [0, 0, 0]), w0)
-    assert val.finite == pytest.approx(4.88988157484231, abs=1e-9)
+    assert finite(val) == pytest.approx(4.88988157484231, abs=1e-9)
 
 
 class BatchOnly:
@@ -199,17 +202,17 @@ def test_bounds_sum_their_points_in_corner_order(w0):
         c1, c2, n = m[:, 0], m[:, 1], _unit_normal(m)
         total = 0.0
         for s, u in ((-1, 1), (-1, -1), (1, -1), (1, 1)):
-            total += w0_closed_form(
-                w0.model, np.stack([c1 + s * n, c2 + u * n], axis=1)).finite
+            total += finite(w0_closed_form(
+                w0.model, np.stack([c1 + s * n, c2 + u * n], axis=1)))
         return total * 0.25
 
-    assert four_corner_bound(xi, w0).finite == corner_mean(xi)
+    assert finite(four_corner_bound(xi, w0)) == corner_mean(xi)
     total = 0.0
     for col, sgn in ((1, 1.0), (0, -1.0), (1, -1.0), (0, 1.0)):
         shift = xi.copy()
         shift[:, col] += sgn * nu
         total += corner_mean(shift)
-    assert square_refine_bound(xi, w0).finite == total * 0.25
+    assert finite(square_refine_bound(xi, w0)) == total * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ def test_certificate_dominates_constructive_bound(w0):
     for _ in range(50):
         xi = rng.uniform(-2.5, 2.5, (3, 2))
         val = square_refine_bound(xi, w0)
-        assert val.finite <= cert.bound(frob_norm(xi)) + 1e-9
+        assert finite(val) <= cert.bound(frob_norm(xi)) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +429,15 @@ def test_table_outside_ball_uses_certificate(small_table):
     # and its slope c p |xi|^(p - 2) xi
     cert = small_table.certificate
     expect = cert.c * cert.p * frob_norm(xi) ** (cert.p - 2.0) * xi
-    np.testing.assert_allclose(small_table.slopes_at(xi[None])[0], expect,
-                               rtol=1e-12)
+    np.testing.assert_allclose(small_table.lookup(xi[None]).slopes()[0],
+                               expect, rtol=1e-12)
 
 
 def test_table_lookup_rejects_non_finite_entries(small_table):
     xis = np.tile(np.array([[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]]), (4, 1, 1))
     for bad in (np.nan, np.inf):
         xis[2, 1, 1] = bad
-        for read in (small_table.lookup, small_table.values_at,
-                     small_table.slopes_at):
+        for read in (small_table.lookup, small_table.values_at):
             with pytest.raises(ValueError,
                                match="mat32 entries must be finite"):
                 read(xis)
@@ -485,7 +487,7 @@ def test_table_slope_matches_central_differences(small_table, sigma):
     unit = np.eye(6).reshape(6, 3, 2)
     fd = (small_table.values_at(xi + h * unit)
           - small_table.values_at(xi - h * unit)).reshape(3, 2) / (2 * h)
-    got = small_table.slopes_at(xi[None])[0]
+    got = small_table.lookup(xi[None]).slopes()[0]
     assert np.linalg.norm(got - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
 
@@ -535,7 +537,7 @@ def test_kept_lookup_gives_the_slopes_of_the_rotation_form(small_table):
     assert not hit.inside.all() and hit.inside.any()
     np.testing.assert_array_equal(hit.values, small_table.values_at(xis))
     got = hit.slopes()
-    np.testing.assert_array_equal(got, small_table.slopes_at(xis))
+    np.testing.assert_array_equal(got, small_table.lookup(xis).slopes())
     expect = _rotation_slopes(small_table, xis)
     scale = np.abs(expect).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(got - expect) <= 1e-12 * scale)
