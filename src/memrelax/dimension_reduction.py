@@ -23,12 +23,11 @@ import numpy as np
 from .director_field import InfeasibleError, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import ExtValue, cofactors, wedge
+from .tensor_kernel import cofactors, wedge
 
 __all__ = [
     "PrismField",
     "pi_eps_average",
-    "thin_film_energy",
     "LoadPotential",
     "recovery_sequence",
     "lp_distance",
@@ -107,11 +106,6 @@ def pi_eps_average(u: PrismField) -> PwAffineField:
 # ---------------------------------------------------------------------------
 # rescaled gradients and the film energy
 
-def _prism_weights(mesh: TriMesh, layers: int) -> np.ndarray:
-    """Prism volumes, flattened layer-major to ((layers - 1) * cells,)."""
-    return np.tile(mesh.areas, layers - 1) * (1.0 / (layers - 1))
-
-
 def _film_energy(model: EnergyModel, weights: np.ndarray, mesh: TriMesh,
                  vals: np.ndarray, eps: float):
     """Film energy at (layers, n, 3) nodal values, the prism determinants
@@ -137,13 +131,6 @@ def _film_energy(model: EnergyModel, weights: np.ndarray, mesh: TriMesh,
     sq = np.einsum("kij,kij->k", flat, flat)
     energy = float(np.dot(weights, model.density(adet, sq)))
     return energy, dets, (flat, cof, adet, sq, mid)
-
-
-def thin_film_energy(u: PrismField, model: EnergyModel) -> ExtValue:
-    """Volume integral of the bulk density on the rescaled gradient,
-    sampled at each prism's centroid: the film objective's energy."""
-    weights = _prism_weights(u.mesh, u.n_layers)
-    return ExtValue(_film_energy(model, weights, u.mesh, u.values, u.eps)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +207,18 @@ def _sample_director(phi, mesh: TriMesh) -> np.ndarray:
 # Centroid determinant of a recovery lift below which it warns
 _DET_FLOOR = 1e-6
 
+# Layers of a recovery lift through the thickness
+_LAYERS = 5
 
-def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
-                      eps: float, *,
-                      layers: int = 5) -> tuple[PrismField, ExtValue]:
-    """Film v(x) + eps * x3 * phi(x) on the rescaled slab and its energy.
+
+def recovery_sequence(v: PwAffineField, phi, eps: float) -> PrismField:
+    """Film v(x) + eps * x3 * phi(x) on the rescaled slab, in ``_LAYERS``
+    layers.
 
     The director phi is given by its values at the mesh vertices, or as
     one 3-vector. Cells whose centroid determinant falls below
-    ``_DET_FLOOR`` trigger a warning, not an error: the energy is still
-    well-defined, merely large.
+    ``_DET_FLOOR`` trigger a warning, not an error: the film energy is
+    still well-defined, merely large.
     """
     nodal_phi = _sample_director(phi, v.mesh)
     phi_cen = v.mesh.cell_means(nodal_phi)
@@ -239,8 +228,7 @@ def recovery_sequence(model: EnergyModel, v: PwAffineField, phi,
     if worst < _DET_FLOOR:
         warnings.warn(f"recovery director determinant fell to {worst:.3e} "
                       f"(floor {_DET_FLOOR:.3e})", stacklevel=2)
-    u = _lift(v, nodal_phi, eps, layers)
-    return u, thin_film_energy(u, model)
+    return _lift(v, nodal_phi, eps, _LAYERS)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +350,8 @@ class _Lbfgs:
 class _Run:
     x: np.ndarray
     value: float
+    energy: float
+    load_value: float
     start_value: float
     accepted: int
     stop_reason: str
@@ -375,12 +365,14 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     """L-BFGS descent with Armijo backtracking (Liu-Nocedal, Math. Prog.
     45, 1989), memory ``_MEMORY``.
 
-    ``value(x)`` returns (value, intermediates); ``gradient(intermediates)``
-    builds the gradient at that point from them, and may consume their
+    ``value(x)`` returns (energy, load, intermediates), and the descent
+    minimizes energy + load; ``gradient(intermediates)`` builds the
+    gradient of the sum at that point from them, and may consume their
     buffers. The line search needs values only, so the gradient is built
     at the start and at each accepted step. A trial valued +inf is
     refused like any other rise; the film objective values so every point
-    across its determinant barrier.
+    across its determinant barrier. The run keeps the energy and load of
+    the last accepted point.
 
     A step x + t d tries t = 1 (t = 1 / max(1, |g|) while the memory is
     empty) and halves t until f(x + t d) <= f + 1e-4 t g.d. A direction
@@ -391,7 +383,8 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     """
     if iters < 0:
         raise ValueError("iters must be nonnegative")
-    f, state = value(x0)
+    energy, load, state = value(x0)
+    f = energy + load
     if not math.isfinite(f):
         raise InfeasibleError("starting configuration has infinite energy")
     f0 = f
@@ -416,7 +409,8 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
         ok = False
         for _ in range(60):
             x1 = x + t * d
-            f1, state = value(x1)
+            e1, l1, state = value(x1)
+            f1 = e1 + l1
             evaluations += 1
             if math.isfinite(f1) and f1 <= f + 1e-4 * t * slope:
                 ok = True
@@ -432,30 +426,32 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
         g1 = gradient(state)
         memory.update(x1 - x, g1 - g)
         x, f, g, state = x1, f1, g1, None
+        energy, load = e1, l1
         gradients += 1
         accepted += 1
-    return _Run(x, f, f0, accepted, reason, math.sqrt(float(np.dot(g, g))),
-                evaluations, gradients, backtracks)
+    return _Run(x, f, energy, load, f0, accepted, reason,
+                math.sqrt(float(np.dot(g, g))), evaluations, gradients,
+                backtracks)
 
 
 def _minimize(obj, start, iters: int) -> MinimizeResult:
     """Descend ``obj`` from the start's nodal values."""
     run = _descent(obj, obj.gradient, start.values.reshape(-1), iters)
-    energy, load_value, _ = obj.split(run.x)
     return MinimizeResult(
         field=obj.unpack(run.x), total=run.value,
-        start_total=run.start_value, energy=energy, load_value=load_value,
+        start_total=run.start_value, energy=run.energy,
+        load_value=run.load_value,
         iterations=run.accepted, stop_reason=run.stop_reason,
         grad_norm=run.grad_norm, evaluations=run.evaluations,
         gradients=run.gradients, backtracks=run.backtracks)
 
 
 class _ThinObjective:
-    """Total rescaled energy and its analytic nodal gradient; ``__call__``
-    keeps the intermediates that ``gradient`` turns into the gradient. The
-    mesh, layer count and thickness are the start's. A point where a prism
-    determinant vanishes or differs in sign from the start's, recorded
-    once in ``signs``, is valued +inf."""
+    """Rescaled film energy plus load and the analytic nodal gradient of
+    their sum; ``__call__`` keeps the intermediates that ``gradient``
+    turns into the gradient. The mesh, layer count and thickness are the
+    start's. A point where a prism determinant vanishes or differs in
+    sign from the start's, recorded once in ``signs``, is valued +inf."""
 
     def __init__(self, model: EnergyModel, potential: LoadPotential,
                  start: PrismField):
@@ -465,7 +461,8 @@ class _ThinObjective:
         self.layers = layers = start.n_layers
         self.eps = eps = start.eps
         self.delta = 1.0 / (layers - 1)
-        self.weights = _prism_weights(mesh, layers)
+        # prism volumes, flattened layer-major to ((layers - 1) * cells,)
+        self.weights = np.tile(mesh.areas, layers - 1) * self.delta
         self.signs = np.sign(_film_energy(model, self.weights, mesh,
                                           start.values, eps)[1])
         self.vol = mesh.areas * self.delta
@@ -480,7 +477,7 @@ class _ThinObjective:
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
         return PrismField(self.mesh, vals, self.eps)
 
-    def split(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         """(energy, load value, intermediates) at x; (+inf, 0.0, None)
         where a determinant's sign differs from the start's."""
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
@@ -491,10 +488,6 @@ class _ThinObjective:
         terms, norms = self.potential.terms(self.psi_mid, parts[-1])
         load = float(np.einsum("m,lm->", self.vol, terms))
         return energy, load, parts + (norms,)
-
-    def __call__(self, x: np.ndarray):
-        energy, load, state = self.split(x)
-        return energy + load, state
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``.
@@ -560,14 +553,14 @@ def minimize_thin_film(model: EnergyModel, load: LoadPotential,
 class _MembraneObjective:
     """Tabulated envelope plus mid-surface load, and its nodal gradient.
 
-    ``__call__`` returns (value, intermediates). The table is read once
-    per point: the intermediates keep the value call's
-    :class:`~memrelax.envelope.TableLookup`, and ``gradient`` takes the
-    density slope from it (``TableLookup.slopes``) without a second
-    singular value computation or cell search. Beyond the tabulated box
-    the table returns its growth certificate, a true upper bound that
-    grows like |xi|^p, so a long trial step is rejected by the line
-    search like any other rise in value.
+    ``__call__`` returns (envelope energy, load value, intermediates).
+    The table is read once per point: the intermediates keep the value
+    call's :class:`~memrelax.envelope.TableLookup`, and ``gradient``
+    takes the density slope from it (``TableLookup.slopes``) without a
+    second singular value computation or cell search. Beyond the
+    tabulated box the table returns its growth certificate, a true upper
+    bound that grows like |xi|^p, so a long trial step is rejected by the
+    line search like any other rise in value.
     """
 
     def __init__(self, table, potential: LoadPotential, mesh: TriMesh):
@@ -579,7 +572,7 @@ class _MembraneObjective:
     def unpack(self, x: np.ndarray) -> PwAffineField:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
 
-    def split(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray):
         """(envelope energy, load value, intermediates) at x; the
         intermediates keep the table lookup of the cell gradients."""
         areas = self.mesh.areas
@@ -588,10 +581,6 @@ class _MembraneObjective:
         hit = self.table.lookup(grads)
         return (float(np.dot(areas, hit.values)),
                 float(np.dot(areas, terms)), (hit, cen, norms))
-
-    def __call__(self, x: np.ndarray):
-        energy, load, state = self.split(x)
-        return energy + load, state
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``."""
@@ -654,9 +643,8 @@ class SweepReport:
 
 
 def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
-                mesh: TriMesh, eps_schedule, *, layers: int = 5,
-                iters: int = 200, mode: str = "minimize",
-                threads: int = 1) -> SweepReport:
+                mesh: TriMesh, eps_schedule, *, iters: int = 200,
+                mode: str = "minimize", threads: int = 1) -> SweepReport:
     """Membrane minimum once, then one film run per thickness.
 
     Per thickness the report records the total film energy, the gap to
@@ -670,7 +658,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     holds the assignment's feasibility index ``j_v``, the membrane
     descent's stop reason and counts and, under ``seconds``, the wall time
     of each phase: the membrane descent, the director assignment and each
-    film run in schedule order.
+    film run in schedule order. Every lift has ``_LAYERS`` = 5 layers,
+    which the meta reports under ``layers``.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -691,8 +680,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
 
     def run(eps):
         film_started = time.perf_counter()
-        u0, _ = recovery_sequence(model, v_bar, assignment.zeta_bar, eps,
-                                  layers=layers)
+        u0 = recovery_sequence(v_bar, assignment.zeta_bar, eps)
         if mode == "recovery":
             res = minimize_thin_film(model, load, u0, iters=0)
             its, reason = 0, None
@@ -716,7 +704,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
             runs = list(pool.map(run, eps_schedule))
     else:
         runs = [run(eps) for eps in eps_schedule]
-    meta = {"mode": mode, "layers": layers, "j_v": assignment.j_v,
+    meta = {"mode": mode, "layers": _LAYERS, "j_v": assignment.j_v,
             "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)
                for k in ("total", "iterations", "stop_reason") + _COUNTS},

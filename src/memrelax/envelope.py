@@ -10,7 +10,9 @@ module approaches it from above along independent routes:
   single-column shifts, which makes it finite at every argument,
   rank-deficient ones included;
 * :func:`laminate_search` runs a rank-one splitting search of depth at
-  most two: the best single split, then the best split of its two ends.
+  most two on two fixed grids of rank-one steps and volume fractions:
+  the best single split on the outer grid, then the best split of its
+  two ends on the inner grid.
 
 Every route values the density through its ``batch`` method alone, on
 (N, 3, 2) stacks, like
@@ -167,48 +169,18 @@ def growth_certificate(model: EnergyModel) -> GrowthCertificate:
 # ---------------------------------------------------------------------------
 # lamination search
 
-@dataclass(frozen=True)
-class SearchParams:
-    """Grid for the rank-one splitting search.
-
-    Directions for the 3-vector factor come from the cube lattice (6 axes,
-    8 diagonals, 12 edge midpoints), planar directions from equally spaced
-    angles, split magnitudes from a log-spaced bracket, volume fractions
-    from the open unit interval. Depth two re-ranks the scored pairs and
-    splits both ends of the best top_k once more on the (smaller) inner
-    grid.
-
-    The cube lattice is closed under negation and the fractions are
-    symmetric about 1/2, so a grid pair (d (x) n, lam) usually has a mirror
-    (-d (x) n, 1 - lam) with the same two end points in swapped roles.
-    The search evaluates each mirror pair once; a pair whose mirror is
-    not on the grid exactly (1 - lam is not a grid fraction in floating
-    point, as for n_lambda = 5) is evaluated on its own.
-    """
-
-    n_sphere: int = 26
-    n_angles: int = 8
-    n_magnitudes: int = 7
-    s_min: float = 1e-2
-    s_max: float = 10.0
-    n_lambda: int = 7
-    top_k: int = 192
-    polish_rounds: int = 2
-    inner: "SearchParams | None" = None
-
-
-# three grid tiers: a full grid at the queried point, a reduced grid for
-# the ends of its splits, and a small leaf grid for the ends of the
-# reduced grid's splits when the reduced grid is searched on its own
-LEAF_SEARCH = SearchParams(n_sphere=6, n_angles=2, n_magnitudes=3,
-                           n_lambda=3, top_k=8, polish_rounds=0)
-INNER_SEARCH = SearchParams(n_sphere=14, n_angles=4, n_magnitudes=5,
-                            n_lambda=3, top_k=24, polish_rounds=0,
-                            inner=LEAF_SEARCH)
-DEFAULT_SEARCH = SearchParams(inner=INNER_SEARCH)
+# The search grids, as (directions, planar angles, magnitudes,
+# fractions), and the search's other constants (see laminate_search)
+_OUTER = (26, 8, 7, 7)
+_INNER = (14, 4, 5, 3)
+_TOP_K = 192
+_POLISH_ROUNDS = 2
 
 
 def _sphere_net(n: int) -> np.ndarray:
+    """The first n directions of the cube lattice: 6 axes, 8 diagonals and
+    12 edge midpoints. The first 14 and all 26 are closed under
+    negation."""
     axes = np.vstack([np.eye(3), -np.eye(3)])
     corners = np.array([(i, j, k) for i in (-1, 1) for j in (-1, 1)
                         for k in (-1, 1)], dtype=float) / math.sqrt(3.0)
@@ -221,18 +193,13 @@ def _sphere_net(n: int) -> np.ndarray:
                     v[a] = sa
                     v[b] = sb
                     edges.append(v / math.sqrt(2.0))
-    if n >= 26:
-        return np.vstack([axes, corners, np.array(edges)])
-    if n >= 14:
-        return np.vstack([axes, corners])
-    return axes
+    return np.vstack([axes, corners, np.array(edges)])[:n]
 
 
 class _PairGrid(NamedTuple):
     steps: np.ndarray    # (K, 3, 2) rank-one steps
     lam: np.ndarray      # (K,) volume fractions
-    mirror: np.ndarray   # (K,) index of the mirror pair, -1 if none
-    rep: np.ndarray      # (R,) pairs evaluated: one per mirror pair
+    rep: np.ndarray      # (K / 2,) pairs evaluated: one per mirror pair
     ends: np.ndarray     # (K, 2) ids of each pair's (plus, minus) end
 
 
@@ -258,24 +225,29 @@ def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where((keys[k] == want) & (1.0 - lam[k] == lam), k, -1)
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_grid(params: SearchParams) -> _PairGrid:
-    """Rank-one steps, volume fractions and the mirror map of one grid.
+@functools.lru_cache(maxsize=2)
+def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
+               n_lambda: int) -> _PairGrid:
+    """Rank-one steps, volume fractions and the mirror map of the grid of
+    the first ``n_sphere`` cube-lattice directions, ``n_angles`` planar
+    angles, ``n_magnitudes`` magnitudes and ``n_lambda`` fractions.
 
-    Built once per grid. A pair's mirror (-step, 1 - lam) is matched by
-    exact equality (:func:`_mirror_index`), so the two share their end
-    points bit for bit. ``rep`` lists the pairs the search evaluates,
-    the lower index of each mirror pair and every unmatched pair.
-    Numbering the ends of the representatives plus ends first,
-    0..R-1, then minus ends, R..2R-1, ``ends[j]`` gives the ids of pair
-    j's plus end xi + (1 - lam) step and minus end xi - lam step; a
-    mirror takes its representative's ids swapped.
+    Built once per grid. Every pair's mirror (-step, 1 - lam) must be on
+    the grid exactly (:func:`_mirror_index`), so that the two share their
+    end points bit for bit and the search evaluates one of them; a grid
+    with a pair that has no exact mirror raises ValueError, as fractions
+    1/6, 1/3, 2/3, 5/6 do (1 - lam is not a grid fraction in floating
+    point). ``rep`` lists the pairs the search evaluates, the lower index
+    of each mirror pair. Numbering their plus ends first, 0..R-1, then
+    their minus ends, R..2R-1, ``ends[j]`` gives the ids of pair j's plus
+    end xi + (1 - lam) step and minus end xi - lam step; a mirror takes
+    its representative's ids swapped.
     """
-    dirs = _sphere_net(params.n_sphere)
-    angles = np.pi * np.arange(params.n_angles) / params.n_angles
+    dirs = _sphere_net(n_sphere)
+    angles = np.pi * np.arange(n_angles) / n_angles
     planar = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    mags = np.geomspace(params.s_min, params.s_max, params.n_magnitudes)
-    lams = np.linspace(0.0, 1.0, params.n_lambda + 2)[1:-1]
+    mags = np.geomspace(1e-2, 10.0, n_magnitudes)
+    lams = np.linspace(0.0, 1.0, n_lambda + 2)[1:-1]
 
     rank_one = dirs[:, None, :, None] * planar[None, :, None, :]  # (A,B,3,2)
     rank_one = rank_one.reshape(-1, 3, 2)
@@ -286,15 +258,16 @@ def _pair_grid(params: SearchParams) -> _PairGrid:
     lam = np.tile(lams, K)
 
     mirror = _mirror_index(steps, lam)
-    pairs = np.arange(lam.size)
-    rep = np.flatnonzero((mirror < 0) | (pairs < mirror))
+    unmatched = np.count_nonzero(mirror < 0)
+    if unmatched:
+        raise ValueError(f"{unmatched} of {lam.size} grid pairs have no "
+                         f"exact mirror (-step, 1 - fraction)")
+    rep = np.flatnonzero(np.arange(lam.size) < mirror)
     slot = np.arange(rep.size)
     ends = np.empty((lam.size, 2), dtype=int)
     ends[rep] = np.stack([slot, rep.size + slot], axis=1)
-    mirrored = mirror[rep] >= 0
-    ends[mirror[rep[mirrored]]] = np.stack(
-        [rep.size + slot[mirrored], slot[mirrored]], axis=1)
-    grid = _PairGrid(steps, lam, mirror, rep, ends)
+    ends[mirror[rep]] = np.stack([rep.size + slot, slot], axis=1)
+    grid = _PairGrid(steps, lam, rep, ends)
     for arr in grid:
         arr.setflags(write=False)
     return grid
@@ -302,12 +275,11 @@ def _pair_grid(params: SearchParams) -> _PairGrid:
 
 @dataclass(frozen=True)
 class LaminateResult:
-    """Profile of bound values by depth, the witness of the last value
-    and the number of density points the search evaluated."""
+    """Profile of bound values by depth and the witness of the last
+    value."""
 
     values: tuple[float, ...]
     witness: dict | None
-    evaluations: int
 
 
 class _Counted:
@@ -322,8 +294,9 @@ class _Counted:
         return self.density.batch(xis)
 
 
-def _polish_pair(density, xi, step, lam0, rounds: int):
-    """Local refinement of (magnitude, fraction) for a fixed direction.
+def _polish_pair(density, xi, step, lam0):
+    """Local refinement of (magnitude, fraction) for a fixed direction,
+    ``_POLISH_ROUNDS`` rounds of a 7 x 7 grid around the best so far.
 
     Returns (value, step, fraction) of the best split it evaluated.
     """
@@ -331,7 +304,7 @@ def _polish_pair(density, xi, step, lam0, rounds: int):
     direction = step / s0
     best = math.inf
     s_center, l_center = s0, lam0
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         ss = np.geomspace(s_center / 2.0, s_center * 2.0, 7)
         ll = np.clip(np.linspace(l_center - 0.15, l_center + 0.15, 7),
                      0.02, 0.98)
@@ -363,26 +336,57 @@ def _stack_view(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(3, 2, -1).transpose(2, 0, 1)
 
 
-def _profile(density, xi: np.ndarray, depth: int,
-             params: SearchParams) -> tuple[list[float], dict | None]:
-    """Values by depth and the witness of the last one.
+def laminate_search(density, xi, depth: int) -> LaminateResult:
+    """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
 
-    Each mirror pair of the grid, matched exactly by
-    :func:`_mirror_index`, is evaluated once, on its representative, and
-    the mirror's end values are the representative's swapped; its score
-    is then bit for bit the one a separate evaluation gives, so the
-    ranking, the best pair and the polish are those of the full grid.
-    Unmatched pairs are evaluated on their own. At depth 2 each distinct
-    kept end is split on the representatives of the inner grid, whose
-    minimum is the full inner grid's. The ends are built component-major,
-    (3, 2, end) and (3, 2, child, pair), from contiguous operands, and
-    ``density.batch`` gets their (N, 3, 2) views.
+    The search runs on two fixed grids of rank-one steps d (x) n and
+    volume fractions: d from the cube lattice (6 axes, 8 diagonals, 12
+    edge midpoints), n from equally spaced planar angles, the step length
+    from a log-spaced bracket [1e-2, 10] and the fraction from the open
+    unit interval. The outer grid (26 directions, 8 angles, 7 magnitudes,
+    7 fractions) splits ``xi``; the inner grid (14, 4, 5, 3) splits the
+    ends of the outer grid's 192 best pairs at depth 2.
+
+    ``density`` is read through its ``batch`` method alone, which values
+    an (N, 3, 2) stack as floats with +inf, like
+    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. ``batch`` must
+    evaluate each matrix on its own, independently of the rest of the
+    stack: every grid pair has a mirror (-step, 1 - fraction) on the
+    grid, matched exactly (:func:`_pair_grid`), that shares its end
+    points. The search evaluates one pair of each mirror pair and reads
+    the other's end values swapped, so the scores, the ranking, the best
+    pair and the polish are those of the full grid, and at depth 2 the
+    best split of a kept end on the inner grid's representatives is the
+    full inner grid's. ``batch`` must also take any memory layout: the
+    search builds the grid ends component-major, as contiguous
+    (3, 2, ...) arrays, and passes their (N, 3, 2) views, which
+    :func:`~memrelax.fiber_reduction.w0_batch` reads without a copy.
+
+    values[0] is the density itself. values[1] is the best single split
+    along a rank-one segment, the outer grid's best pair after two rounds
+    of polishing its magnitude and fraction, or values[0] when no split
+    beats it. values[2] also splits both ends of the 192 best outer pairs
+    once on the inner grid. The sequence is nonincreasing by
+    construction.
+
+    The witness is the split that attains the last value, with its
+    ``step``, ``fraction`` and ``score``: fraction * E(xi + (1 - fraction)
+    * step) + (1 - fraction) * E(xi - fraction * step) replays ``score``.
+    At depth 1, and at depth 2 when splitting the ends does not lower
+    values[1], E is the density and ``score`` equals values[1] whenever a
+    split beats the density. When it does, the witness also holds
+    ``plus`` and ``minus``: the split of that end that attains its value,
+    itself a witness with E the density, or None where the end's own
+    density is lower; ``score`` then equals values[2].
     """
+    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= 2):
+        raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
+    xi = as_mat32(xi)
     base = float(density.batch(xi[None])[0])
     if depth == 0:
-        return [base], None
+        return LaminateResult(values=(base,), witness=None)
 
-    grid = _pair_grid(params)
+    grid = _pair_grid(*_OUTER)
     steps, lam = grid.steps, grid.lam
     rsteps, rlam = _component_major(steps[grid.rep]), lam[grid.rep]
     # ends of the representatives, (3, 2, 2R): plus ends, then minus ends
@@ -397,16 +401,14 @@ def _profile(density, xi: np.ndarray, depth: int,
     witness = None
     if math.isfinite(split):
         step, frac = steps[k_best], float(lam[k_best])
-        if params.polish_rounds > 0:
-            polished = _polish_pair(density, xi, step, frac,
-                                    params.polish_rounds)
-            if polished[0] < split:
-                split, step, frac = polished
+        polished = _polish_pair(density, xi, step, frac)
+        if polished[0] < split:
+            split, step, frac = polished
         witness = _split_record(step, frac, split)
     values = [base, min(base, split)]
 
     if depth == 2:
-        order = np.argsort(scores, kind="stable")[:params.top_k]
+        order = np.argsort(scores, kind="stable")[:_TOP_K]
         kept = order[np.isfinite(scores[order])]
         v2 = values[1]
         if kept.size:
@@ -415,8 +417,7 @@ def _profile(density, xi: np.ndarray, depth: int,
             # representative) give its best split
             ids, child_of = np.unique(grid.ends[kept].ravel(),
                                       return_inverse=True)
-            inner = _pair_grid(params.inner if params.inner is not None
-                               else params)
+            inner = _pair_grid(*_INNER)
             isteps, ilam = inner.steps[inner.rep], inner.lam[inner.rep]
             # (3, 2, child, pair) ends of every child's inner splits
             child = pts.take(ids, axis=2)[:, :, :, None]
@@ -445,49 +446,9 @@ def _profile(density, xi: np.ndarray, depth: int,
                         _split_record(isteps[b], ilam[b], c_split[c])
                         if c_split[c] < vals[ids[c]] else None)
         values.append(v2)
-    return values, witness
+    return LaminateResult(values=tuple(values), witness=witness)
 
 
-def laminate_search(density, xi, depth: int,
-                    params: SearchParams | None = None) -> LaminateResult:
-    """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
-
-    ``density`` is read through its ``batch`` method alone, which values
-    an (N, 3, 2) stack as floats with +inf, like
-    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. ``batch`` must
-    evaluate each matrix on its own, independently of the rest of the
-    stack: a grid pair and its mirror (-step, 1 - fraction), matched
-    exactly as in :class:`SearchParams`, share their end points, and
-    only one of them is evaluated. It must also take any memory layout:
-    the search builds the grid ends component-major, as contiguous
-    (3, 2, ...) arrays, and passes their (N, 3, 2) views, which
-    :func:`~memrelax.fiber_reduction.w0_batch` reads without a copy.
-
-    values[0] is the density itself. values[1] is the best single split
-    along a rank-one segment, the grid's best pair after polishing, or
-    values[0] when no split beats it. values[2] also splits both ends of
-    the best top_k grid pairs once on the inner grid. The sequence is
-    nonincreasing by construction.
-
-    The witness is the split that attains the last value, with its
-    ``step``, ``fraction`` and ``score``: fraction * E(xi + (1 - fraction)
-    * step) + (1 - fraction) * E(xi - fraction * step) replays ``score``.
-    At depth 1, and at depth 2 when splitting the ends does not lower
-    values[1], E is the density and ``score`` equals values[1] whenever a
-    split beats the density. When it does, the witness also holds
-    ``plus`` and ``minus``: the split of that end that attains its value,
-    itself a witness with E the density, or None where the end's own
-    density is lower; ``score`` then equals values[2]. ``evaluations``
-    counts the density points the search evaluated.
-    """
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= 2):
-        raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
-    xi = as_mat32(xi)
-    p = params if params is not None else DEFAULT_SEARCH
-    counted = _Counted(density)
-    values, witness = _profile(counted, xi, depth, p)
-    return LaminateResult(values=tuple(values), witness=witness,
-                          evaluations=counted.points)
 
 
 # ---------------------------------------------------------------------------
@@ -714,11 +675,10 @@ def _representative(s1: float, s2: float) -> np.ndarray:
     return np.array([[s1, 0.0], [0.0, s2], [0.0, 0.0]])
 
 
-def _node_bound(density, s1: float, s2: float, depth: int,
-                params: SearchParams) -> TableEntry:
+def _node_bound(density, s1: float, s2: float, depth: int) -> TableEntry:
     xi = _representative(s1, s2)
     density = _Counted(density)
-    lam = laminate_search(density, xi, depth, params)
+    lam = laminate_search(density, xi, depth)
     candidates: list[tuple[float, str, dict | None]] = [
         (lam.values[0], "density", None)]
 
@@ -738,7 +698,6 @@ def _node_bound(density, s1: float, s2: float, depth: int,
 
 def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
                          pitch: float = 0.25, depth: int = 2,
-                         params: SearchParams | None = None,
                          threads: int = 1) -> EnvelopeTable:
     """Tabulate the best available upper bound on the singular-value grid.
 
@@ -752,7 +711,6 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     if abs(n * pitch - sigma_max) > 1e-12:
         raise ValueError("pitch must divide sigma_max")
     grid = np.linspace(0.0, sigma_max, n + 1)
-    search = params if params is not None else DEFAULT_SEARCH
     density = ReducedDensity(model)
 
     nodes = [(i, j) for i in range(grid.size) for j in range(i + 1)]
@@ -760,7 +718,7 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     def work(node):
         i, j = node
         return node, _node_bound(density, float(grid[i]), float(grid[j]),
-                                 depth, search)
+                                 depth)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,14 +11,13 @@ from memrelax.dimension_reduction import (
     _MembraneObjective,
     _ThinObjective, _descent, _lift, gamma_sweep, lp_distance,
     minimize_membrane, minimize_thin_film, pi_eps_average, recovery_sequence,
-    thin_film_energy,
 )
 from memrelax.director_field import InfeasibleError, build_assignment
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
                                build_envelope_table)
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
-from oracles import director_membrane_energy, finite, single_triangle_mesh
+from oracles import director_membrane_energy, single_triangle_mesh
 
 
 def test_lp_distance_of_constant_offset():
@@ -63,6 +62,18 @@ def _flat_film(mesh, eps, layers):
     return _lift(_flat(mesh), np.array([0.0, 0.0, 1.0]), eps, layers)
 
 
+def _total(obj, x):
+    """An objective's value at x: its energy plus its load."""
+    energy, load, _ = obj(x)
+    return energy + load
+
+
+def _film_energy_at(model, u):
+    """The film energy of u, as a zero-step film descent values it."""
+    zero = LoadPotential(lambda pts, x3: np.zeros((len(pts), 3)))
+    return minimize_thin_film(model, zero, u, iters=0).energy
+
+
 @pytest.mark.parametrize("layers", [3, 5, 7])
 @pytest.mark.parametrize("model", [EnergyModel(),
                                    EnergyModel(ShiftedLogBarrier(), p=3.0)])
@@ -79,9 +90,9 @@ def test_film_objective_gradient_matches_central_difference(model, layers):
     x = x.reshape(-1) + 0.02 * rng.standard_normal(x.size)
     obj = _film_objective(model, load, mesh, x, 0.2)
     d = rng.standard_normal(x.shape)
-    g = obj.gradient(obj(x)[1])
+    g = obj.gradient(obj(x)[2])
     h = 1e-6
-    fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
+    fd = (_total(obj, x + h * d) - _total(obj, x - h * d)) / (2 * h)
     assert fd == pytest.approx(float(g @ d), rel=1e-6)
 
 
@@ -100,8 +111,8 @@ def test_recovery_lift_of_constant_director_is_exact():
     phi = np.array([0.1, -0.2, 1.1])
     target = director_membrane_energy(model, v, phi)
     for eps in (0.5, 0.1, 0.01):
-        _, energy = recovery_sequence(model, v, phi, eps)
-        assert finite(energy) == pytest.approx(target, rel=1e-12, abs=0.0)
+        energy = _film_energy_at(model, recovery_sequence(v, phi, eps))
+        assert energy == pytest.approx(target, rel=1e-12, abs=0.0)
 
 
 def test_recovery_lift_converges_to_director_energy():
@@ -114,8 +125,8 @@ def test_recovery_lift_converges_to_director_energy():
                            1.0 + 0.5 * x * y])
 
     target = director_membrane_energy(model, v, phi)
-    gaps = [abs(finite(recovery_sequence(model, v, phi, eps)[1]) - target)
-            / target for eps in (0.1, 0.01, 0.001)]
+    gaps = [abs(_film_energy_at(model, recovery_sequence(v, phi, eps))
+                - target) / target for eps in (0.1, 0.01, 0.001)]
     assert gaps[0] > 0.0
     for coarse, fine in zip(gaps, gaps[1:]):
         assert fine <= coarse / 50.0
@@ -143,9 +154,9 @@ def test_membrane_objective_gradient_matches_central_difference():
     flat[:, :2] = 1.3 * mesh.vertices
     x = flat.reshape(-1) + 0.02 * rng.standard_normal(flat.size)
     d = rng.standard_normal(x.shape)
-    g = obj.gradient(obj(x)[1])
+    g = obj.gradient(obj(x)[2])
     h = 1e-6
-    fd = (obj(x + h * d)[0] - obj(x - h * d)[0]) / (2 * h)
+    fd = (_total(obj, x + h * d) - _total(obj, x - h * d)) / (2 * h)
     assert fd == pytest.approx(float(g @ d), rel=1e-6)
 
 
@@ -183,7 +194,7 @@ def test_membrane_gradient_reads_each_cell_once_through_the_slopes():
     mesh = unit_square_mesh(3)
     table = _CountingTable(_linear_table())
     obj = _MembraneObjective(table, _tilted_load(), mesh)
-    state = obj(1.3 * _flat(mesh).values.reshape(-1))[1]
+    state = obj(1.3 * _flat(mesh).values.reshape(-1))[2]
     assert table.reads == {"lookups": 1, "cells": mesh.n_cells}
     obj.gradient(state)
     assert table.reads == {"lookups": 1, "cells": mesh.n_cells}
@@ -241,7 +252,7 @@ def test_a_nonfinite_load_is_refused_before_any_descent(bad):
 def test_a_negative_budget_is_refused():
     mesh = unit_square_mesh(2)
     runs = [
-        lambda: _descent(lambda x: (float(x @ x), x),
+        lambda: _descent(lambda x: (float(x @ x), 0.0, x),
                          lambda state: 2.0 * state, np.ones(2), -1),
         lambda: minimize_membrane(_linear_table(), _tilted_load(), mesh,
                                   iters=-3),
@@ -280,7 +291,7 @@ def test_film_total_matches_the_film_objective():
     u = PrismField(mesh, u0.values + 0.01 * rng.standard_normal(
         u0.values.shape), 0.1)
     obj = _ThinObjective(model, load, u0)
-    total = obj(u.values.reshape(-1))[0]
+    total = _total(obj, u.values.reshape(-1))
     res = minimize_thin_film(model, load, u, iters=0)
     assert res.total == res.start_total == total
 
@@ -353,8 +364,8 @@ def test_film_descent_is_monotone_in_the_budget():
 
 def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
     def above_start(model, load, start, *, iters):
-        start_total = _ThinObjective(model, load, start)(
-            start.values.reshape(-1))[0]
+        start_total = _total(_ThinObjective(model, load, start),
+                             start.values.reshape(-1))
         total = start_total + 1.0
         return MinimizeResult(field=start, total=total,
                               start_total=start_total, energy=total,
@@ -371,7 +382,7 @@ def test_gamma_sweep_refuses_a_film_run_above_its_warm_start(monkeypatch):
 
 def test_descent_reports_why_it_stopped():
     def bowl(x):
-        return float(x @ x), x
+        return float(x @ x), 0.0, x
 
     def slope(state):
         return 2.0 * state
@@ -398,7 +409,7 @@ def test_descent_replaces_an_ascent_direction_by_the_negative_gradient(
     # with every memory direction pointing uphill, each step clears the
     # memory and steps along -g, which still reaches the bowl's minimum
     def bowl(x):
-        return float(x @ x), x
+        return float(x @ x), 0.0, x
 
     monkeypatch.setattr(_Lbfgs, "direction", lambda self, g: g.copy())
     run = _descent(bowl, lambda state: 2.0 * state,
@@ -483,7 +494,11 @@ def test_lbfgs_direction_with_few_pairs_and_after_a_clear():
 def _bb_descent(value, gradient, x0, iters):
     # the Barzilai-Borwein steps with a monotone Armijo test that the
     # L-BFGS direction replaced; returns (accepted, evaluations, reason)
-    f, state = value(x0)
+    def total(x):
+        energy, load, state = value(x)
+        return energy + load, state
+
+    f, state = total(x0)
     g = gradient(state)
     x, prev_x, prev_g = x0, None, None
     accepted, evaluations, reason = 0, 1, "budget"
@@ -501,7 +516,7 @@ def _bb_descent(value, gradient, x0, iters):
         t = min(max(t, 1e-12), 1e3)
         for _ in range(60):
             x1 = x - t * g
-            f1, state = value(x1)
+            f1, state = total(x1)
             evaluations += 1
             if f1 <= f - 1e-4 * t * gn2:
                 break
@@ -518,7 +533,7 @@ def _diagonal_bowl(n, condition):
     c = np.logspace(0.0, math.log10(condition), n)
 
     def value(x):
-        return 0.5 * float(np.dot(c * x, x)), x
+        return 0.5 * float(np.dot(c * x, x)), 0.0, x
 
     return value, lambda state: c * state
 
@@ -613,9 +628,9 @@ def test_sweep_rows_reproduce_their_golden_values(sweep_table):
 
 @pytest.mark.parametrize("mode", ["minimize", "recovery"])
 def test_sweep_builds_one_film_objective_per_thickness(monkeypatch, mode):
-    # per film: the lift's energy, the objective's start signs, the
-    # descent's values (the start's first among them) and its final split;
-    # a second objective for the start total would add two more
+    # per film: the objective's start signs and the descent's values (the
+    # start's first among them); a second objective for the start total
+    # would add two more
     calls = []
     film_energy = dimension_reduction._film_energy
 
@@ -627,7 +642,31 @@ def test_sweep_builds_one_film_objective_per_thickness(monkeypatch, mode):
     report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
                          unit_square_mesh(2), [0.2, 0.1], iters=5, mode=mode)
     descents = sum(max(r.evaluations, 1) for r in report.rows)
-    assert len(calls) == descents + 3 * len(report.rows)
+    assert len(calls) == descents + len(report.rows)
+
+
+def test_sweep_values_each_point_once(monkeypatch):
+    # a film calls _film_energy once for its start's signs and once per
+    # descent value, which holds the end point's energy and load; the
+    # membrane looks the table up once per value
+    film_calls, lookups = {}, []
+    film_energy = dimension_reduction._film_energy
+    lookup = EnvelopeTable.lookup
+
+    def counted_film(model, weights, mesh, vals, eps):
+        film_calls[eps] = film_calls.get(eps, 0) + 1
+        return film_energy(model, weights, mesh, vals, eps)
+
+    def counted_lookup(table, xis):
+        lookups.append(1)
+        return lookup(table, xis)
+
+    monkeypatch.setattr(dimension_reduction, "_film_energy", counted_film)
+    monkeypatch.setattr(EnvelopeTable, "lookup", counted_lookup)
+    report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                         unit_square_mesh(2), [0.2, 0.1], iters=5)
+    assert film_calls == {r.eps: r.evaluations + 1 for r in report.rows}
+    assert len(lookups) == report.meta["membrane_evaluations"]
 
 
 def test_membrane_gradient_does_not_spike_at_the_table_edge(sweep_table):
@@ -638,7 +677,7 @@ def test_membrane_gradient_does_not_spike_at_the_table_edge(sweep_table):
 
     def grad_norm(stretch):
         x = _flat(mesh).values * [stretch, 1.0, 1.0]
-        return np.linalg.norm(obj.gradient(obj(x.reshape(-1))[1]))
+        return np.linalg.norm(obj.gradient(obj(x.reshape(-1))[2]))
 
     inner, edge = grad_norm(2.0 - 2e-5), grad_norm(2.0 - 3e-6)
     assert inner / 10.0 <= edge <= 10.0 * inner
@@ -648,7 +687,8 @@ def _eager_descent(obj, x0, iters):
     # the descent loop with the gradient built at every trial point,
     # rejected ones included, as it ran before the value/gradient split
     def value_grad(x):
-        f, state = obj(x)
+        energy, load, state = obj(x)
+        f = energy + load
         g = obj.gradient(state) if math.isfinite(f) else np.zeros_like(x)
         return f, g
 
@@ -770,14 +810,14 @@ def test_film_objective_refuses_a_determinant_sign_flip():
     flipped = PrismField(mesh, vals, 0.2)
     obj = _ThinObjective(model, load, start)
     assert obj.signs.tolist() == [1.0, 1.0]
-    assert math.isfinite(obj(start.values.reshape(-1))[0])
-    assert obj(vals.reshape(-1)) == (math.inf, None)
+    assert math.isfinite(_total(obj, start.values.reshape(-1)))
+    assert obj(vals.reshape(-1)) == (math.inf, 0.0, None)
     # no determinant vanishes there: the energy alone is finite, and so is
     # the objective started at the flipped film
-    assert math.isfinite(thin_film_energy(flipped, model))
+    assert math.isfinite(_film_energy_at(model, flipped))
     flipped_obj = _ThinObjective(model, load, flipped)
     assert flipped_obj.signs.tolist() == [1.0, -1.0]
-    assert math.isfinite(flipped_obj(vals.reshape(-1))[0])
+    assert math.isfinite(_total(flipped_obj, vals.reshape(-1)))
 
 
 def test_film_descent_refuses_a_start_of_infinite_energy():
@@ -797,10 +837,11 @@ def test_film_minimizer_returns_the_descent_from_its_start():
     np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
     assert res.field.eps == start.eps
     assert res.total == run.value
-    assert res.start_total == run.start_value == obj(
-        start.values.reshape(-1))[0]
+    assert res.start_total == run.start_value == _total(
+        obj, start.values.reshape(-1))
+    assert (res.energy, res.load_value) == (run.energy, run.load_value)
     assert res.energy + res.load_value == res.total
-    assert res.energy == finite(thin_film_energy(res.field, model))
+    assert res.energy == _film_energy_at(model, res.field)
 
 
 def test_membrane_minimizer_returns_the_descent_from_its_start():

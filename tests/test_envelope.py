@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,7 @@ from memrelax import envelope
 from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
-    DEFAULT_SEARCH, EnvelopeTable, INNER_SEARCH, LEAF_SEARCH, SearchParams,
-    build_envelope_table, four_corner_bound,
+    EnvelopeTable, build_envelope_table, four_corner_bound,
     growth_certificate, laminate_search, square_refine_bound,
 )
 from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
@@ -37,6 +35,10 @@ class PowerDensity:
         return frob_norm(np.asarray(xi, dtype=float)) ** self.p
 
     def batch(self, xis):
+        # einsum's summation order follows the memory layout; a contiguous
+        # copy values each matrix bit for bit alike in any layout, which
+        # the full-grid comparison of the laminate search needs
+        xis = np.ascontiguousarray(xis)
         sq = np.einsum("nij,nij->n", xis, xis)
         return sq ** (self.p / 2.0)
 
@@ -248,7 +250,7 @@ def test_laminate_profile_monotone(w0):
     rng = np.random.default_rng(6)
     for _ in range(4):
         xi = rng.uniform(-1.5, 1.5, (3, 2))
-        res = laminate_search(w0, xi, 2, INNER_SEARCH)
+        res = laminate_search(w0, xi, 2)
         vals = res.values
         assert len(vals) == 3
         for a, b in zip(vals, vals[1:]):
@@ -267,7 +269,7 @@ def test_laminate_finite_at_rank_deficient(w0):
 def test_laminate_fixed_point_of_convex_density():
     f = PowerDensity(2.0)
     for xi in (E1E2, mat32([0.5, -0.3, 1.1], [0.2, 0.8, -0.4])):
-        res = laminate_search(f, xi, 2, INNER_SEARCH)
+        res = laminate_search(f, xi, 2)
         expect = f(xi)
         for v in res.values:
             assert v == pytest.approx(expect, abs=1e-9)
@@ -284,7 +286,7 @@ def test_laminate_respects_floor(w0):
     rng = np.random.default_rng(11)
     for _ in range(5):
         xi = rng.uniform(-1.5, 1.5, (3, 2))
-        res = laminate_search(w0, xi, 2, INNER_SEARCH)
+        res = laminate_search(w0, xi, 2)
         # |xi|^p is convex and below the density, so below every laminate
         floor = float(np.sum(xi * xi) ** (w0.model.p / 2.0))
         assert res.values[-1] >= floor - 1e-12
@@ -377,14 +379,10 @@ def test_probe_detects_nonconvexity(w0):
 # ---------------------------------------------------------------------------
 # envelope table
 
-SMALL = SearchParams(n_sphere=6, n_angles=2, n_magnitudes=3, n_lambda=3,
-                     top_k=8, polish_rounds=0, inner=LEAF_SEARCH)
-
-
 @pytest.fixture(scope="module")
 def small_table():
     return build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
-                                depth=1, params=SMALL)
+                                depth=1)
 
 
 def test_table_nodes_bounded_by_density(small_table, w0):
@@ -582,13 +580,9 @@ def test_evaluations_count_every_density_point(monkeypatch):
 
     monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
     table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
-                                 depth=2, params=SMALL)
+                                 depth=2)
     assert all(e.evaluations > 0 for e in table.entries)
     assert sum(e.evaluations for e in table.entries) == seen["points"]
-
-    seen["points"] = 0
-    res = laminate_search(CountingDensity(EnergyModel()), E1E2, 2, SMALL)
-    assert res.evaluations == seen["points"]
 
 
 # node values, as float.hex, and density evaluations of the depth-2 table
@@ -634,7 +628,7 @@ def test_sweep_setup_table_reproduces_its_golden_nodes(sweep_table):
 
 def test_threaded_build_matches_serial(small_table):
     threaded = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
-                                    depth=1, params=SMALL, threads=4)
+                                    depth=1, threads=4)
     assert np.array_equal(threaded.values, small_table.values)
 
 
@@ -650,41 +644,35 @@ def test_table_validation_rejects_bad_grid(small_table):
 # ---------------------------------------------------------------------------
 # mirror pairs of the search grid
 
-# a grid whose fractions 1/6, 1/3, 2/3, 5/6 are not exact mirrors of each
-# other in floating point, at both levels of the search
-INEXACT = SearchParams(n_sphere=6, n_angles=2, n_magnitudes=3, n_lambda=5,
-                       top_k=8, polish_rounds=1,
-                       inner=dataclasses.replace(LEAF_SEARCH, n_lambda=5))
-
-
-@pytest.mark.parametrize("params", [DEFAULT_SEARCH, INNER_SEARCH,
-                                    LEAF_SEARCH, SMALL],
-                         ids=["default", "inner", "leaf", "small"])
-def test_every_grid_pair_has_an_exact_mirror(params):
-    grid = envelope._pair_grid(params)
+@pytest.mark.parametrize("sizes", [envelope._OUTER, envelope._INNER],
+                         ids=["default", "inner"])
+def test_every_grid_pair_has_an_exact_mirror(sizes):
+    grid = envelope._pair_grid(*sizes)
+    mirror = envelope._mirror_index(grid.steps, grid.lam)
     k = np.arange(grid.lam.size)
-    assert np.all(grid.mirror >= 0)
-    assert np.array_equal(grid.mirror[grid.mirror], k)
-    assert np.array_equal(grid.steps[grid.mirror], -grid.steps)
-    assert np.all(grid.lam + grid.lam[grid.mirror] == 1.0)
+    assert np.all(mirror >= 0)
+    assert np.array_equal(mirror[mirror], k)
+    assert np.array_equal(grid.steps[mirror], -grid.steps)
+    assert np.all(grid.lam + grid.lam[mirror] == 1.0)
     assert grid.rep.size * 2 == grid.lam.size
     # a mirror reads its representative's end values swapped
-    assert np.array_equal(grid.ends[grid.mirror], grid.ends[:, ::-1])
+    assert np.array_equal(grid.ends[mirror], grid.ends[:, ::-1])
 
 
-def test_inexact_fractions_stay_unmatched():
-    grid = envelope._pair_grid(INEXACT)
-    lost = grid.mirror < 0
-    assert lost.any() and not lost.all()
-    assert np.all(grid.lam[~lost] == 0.5)
-    # an unmatched pair is evaluated on its own
-    assert np.all(np.isin(np.flatnonzero(lost), grid.rep))
+@pytest.mark.parametrize("sizes", [(6, 2, 3, 5), (20, 2, 3, 3)],
+                         ids=["fractions", "directions"])
+def test_a_grid_pair_without_an_exact_mirror_is_refused(sizes):
+    # fractions 1/6, 1/3, 2/3, 5/6 are not exact mirrors of each other in
+    # floating point; the first 20 lattice directions are not closed
+    # under negation
+    with pytest.raises(ValueError, match="no exact mirror"):
+        envelope._pair_grid(*sizes)
 
 
-def _full_grid_profile(density, xi, depth, params):
+def _full_grid_profile(density, xi, depth):
     """The search with every grid pair evaluated on its own."""
     base = float(density.batch(xi[None])[0])
-    grid = envelope._pair_grid(params)
+    grid = envelope._pair_grid(*envelope._OUTER)
     steps, lam = grid.steps, grid.lam
     plus = xi[None] + (1.0 - lam)[:, None, None] * steps
     minus = xi[None] - lam[:, None, None] * steps
@@ -696,17 +684,15 @@ def _full_grid_profile(density, xi, depth, params):
     witness = None
     if math.isfinite(split):
         step, frac = steps[k_best], float(lam[k_best])
-        if params.polish_rounds > 0:
-            polished = envelope._polish_pair(density, xi, step, frac,
-                                             params.polish_rounds)
-            if polished[0] < split:
-                split, step, frac = polished
+        polished = envelope._polish_pair(density, xi, step, frac)
+        if polished[0] < split:
+            split, step, frac = polished
         witness = {"step": step.tolist(), "fraction": frac, "score": split}
     values = [base, min(base, split)]
     if depth == 2:
-        inner = envelope._pair_grid(params.inner)
+        inner = envelope._pair_grid(*envelope._INNER)
         order = np.argsort(scores, kind="stable")
-        kept = [int(k) for k in order[:params.top_k]
+        kept = [int(k) for k in order[:envelope._TOP_K]
                 if math.isfinite(float(scores[k]))]
         v2 = values[1]
         if kept:
@@ -744,29 +730,21 @@ EQUIVALENCE_DENSITIES = [
 ]
 
 
-@pytest.mark.parametrize("params", [INNER_SEARCH, INEXACT],
-                         ids=["inner", "inexact"])
+@pytest.mark.parametrize("depth", [1, 2], ids=["outer", "inner"])
 @pytest.mark.parametrize("density", EQUIVALENCE_DENSITIES,
                          ids=["reciprocal", "shifted-log", "power"])
-def test_mirror_search_equals_the_full_grid(density, params):
+def test_mirror_search_equals_the_full_grid(density, depth):
+    # depth 1 searches the outer grid, depth 2 also the inner grid
     for xi in EQUIVALENCE_POINTS:
-        want1, witness1 = _full_grid_profile(density, xi, 1, params)
-        got1 = laminate_search(density, xi, 1, params)
-        assert list(got1.values) == want1
-        assert got1.witness == witness1
-        want2, _ = _full_grid_profile(density, xi, 2, params)
-        got2 = laminate_search(density, xi, 2, params)
-        assert list(got2.values) == want2
+        want, witness = _full_grid_profile(density, xi, depth)
+        got = laminate_search(density, xi, depth)
+        assert list(got.values) == want
+        if depth == 1:
+            assert got.witness == witness
+            continue
         # the witness replays its score, the value whenever some split
         # beats the density (never for the convex power)
-        assert _replay(density, xi, got2.witness) == pytest.approx(
-            got2.witness["score"], rel=1e-12, abs=0.0)
-        if want2[2] < want2[0]:
-            assert got2.witness["score"] == want2[2]
-
-
-def test_mirror_search_equals_the_full_grid_at_the_defaults(w0):
-    xi = EQUIVALENCE_POINTS[0]
-    want, witness = _full_grid_profile(w0, xi, 2, DEFAULT_SEARCH)
-    assert list(laminate_search(w0, xi, 2).values) == want
-    assert laminate_search(w0, xi, 1).witness == witness
+        assert _replay(density, xi, got.witness) == pytest.approx(
+            got.witness["score"], rel=1e-12, abs=0.0)
+        if want[2] < want[0]:
+            assert got.witness["score"] == want[2]

@@ -10,9 +10,9 @@ import memrelax
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memrelax.__path__))
 PACKAGE = sorted(Path(memrelax.__path__[0]).glob("*.py"))
 SOURCES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
+BENCH_ALL = sorted((Path(__file__).parent.parent / "bench").glob("*.py"))
 # the benchmark's own modules, not its tests
-BENCH = sorted(p for p in (Path(__file__).parent.parent / "bench").glob("*.py")
-               if not p.name.startswith("test_"))
+BENCH = [p for p in BENCH_ALL if not p.name.startswith("test_")]
 
 
 def test_package_lists_its_modules():
@@ -153,3 +153,43 @@ def test_every_public_member_is_read():
     unread = sorted(m for m in members
                     if m.split(".")[1] not in read | EXPORTS)
     assert unread == []
+
+
+def _keyword_options(tree: ast.Module) -> set[tuple[str, str]]:
+    """(function, option) for each keyword-only option of a public
+    module-level function or a public method of a public class."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions.extend(n for n in node.body
+                             if isinstance(n, ast.FunctionDef))
+    return {(f.name, a.arg) for f in functions if not f.name.startswith("_")
+            for a in f.args.kwonlyargs}
+
+
+def _passed_keywords(tree: ast.Module) -> set[tuple[str, str]]:
+    """(callee, keyword) for each keyword a call passes, the callee named
+    by its bare name or attribute."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        passed.update((name, k.arg) for k in node.keywords
+                      if k.arg is not None)
+    return passed
+
+
+def test_every_keyword_option_is_passed():
+    # a keyword-only option that no call passes always takes its default:
+    # it is a constant of the function, and tests count as callers here,
+    # since an option they set is one they check
+    callers = _parse(SOURCES) + _parse(BENCH_ALL)
+    options = set().union(*map(_keyword_options, _parse(PACKAGE)))
+    passed = set().union(*map(_passed_keywords, callers))
+    assert options, "the scan found no keyword-only options"
+    assert sorted(options - passed) == []
