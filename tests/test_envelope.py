@@ -748,3 +748,11 @@ def test_mirror_search_equals_the_full_grid(density, depth):
             got.witness["score"], rel=1e-12, abs=0.0)
         if want[2] < want[0]:
             assert got.witness["score"] == want[2]
+
+
+def test_mirror_search_equals_the_full_grid_at_the_defaults(w0):
+    # the default call, with no depth-specific setup, on the module density
+    xi = EQUIVALENCE_POINTS[0]
+    want, witness = _full_grid_profile(w0, xi, 2)
+    assert list(laminate_search(w0, xi, 2).values) == want
+    assert laminate_search(w0, xi, 1).witness == witness
