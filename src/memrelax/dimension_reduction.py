@@ -450,8 +450,11 @@ class _ThinObjective:
     """Rescaled film energy plus load and the analytic nodal gradient of
     their sum; ``__call__`` keeps the intermediates that ``gradient``
     turns into the gradient. The mesh, layer count and thickness are the
-    start's. A point where a prism determinant vanishes or differs in
-    sign from the start's, recorded once in ``signs``, is valued +inf."""
+    start's. The first call must value the start, as :func:`_descent`'s
+    does: it records the start's prism determinant signs in ``signs``
+    (None before). A point where a determinant vanishes or differs in
+    sign from the start's is valued +inf, the start itself included when
+    one of its determinants vanishes."""
 
     def __init__(self, model: EnergyModel, potential: LoadPotential,
                  start: PrismField):
@@ -459,12 +462,11 @@ class _ThinObjective:
         self.potential = potential
         self.mesh = mesh = start.mesh
         self.layers = layers = start.n_layers
-        self.eps = eps = start.eps
+        self.eps = start.eps
         self.delta = 1.0 / (layers - 1)
         # prism volumes, flattened layer-major to ((layers - 1) * cells,)
         self.weights = np.tile(mesh.areas, layers - 1) * self.delta
-        self.signs = np.sign(_film_energy(model, self.weights, mesh,
-                                          start.values, eps)[1])
+        self.signs = None
         self.vol = mesh.areas * self.delta
         # psi at the prism centroids, like the film energy's samples
         h = np.linspace(-0.5, 0.5, layers)
@@ -483,6 +485,8 @@ class _ThinObjective:
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
         energy, dets, parts = _film_energy(self.model, self.weights,
                                            self.mesh, vals, self.eps)
+        if self.signs is None:
+            self.signs = np.sign(dets)
         if not np.all(dets * self.signs > 0.0):
             return math.inf, 0.0, None
         terms, norms = self.potential.terms(self.psi_mid, parts[-1])

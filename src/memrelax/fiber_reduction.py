@@ -17,7 +17,11 @@ or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
 finds it for a batch of (a, q) by bracketed Newton; every caller in
 the package goes through it.  A lane leaves the batch as soon as it has
 converged or its bracket has closed, before the next step is chosen, so
-the bracket bookkeeping runs only on lanes that go on.
+the bracket bookkeeping runs only on lanes that go on.  A step on which
+every lane has converged ends the solve before any bracket update: for
+the reciprocal barrier at p = 2 the start is the root, so there the
+solve stops after one slope.  Each lane's t and value are computed on
+their own, bit for bit alike whatever lanes share its batch.
 
 Batches of gradients are (N, 3, 2) stacks of any memory layout.  a and q
 are read from the six entry rows of ``xis.reshape(-1, 6).T``: for a
@@ -102,9 +106,10 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
     its step or its bracket is at most 1e-13 t; the bracket test ends
     lanes whose minimizer sits at a kink of the barrier, where phi jumps
     over zero. Stopped lanes leave before the Newton/bisection choice, so
-    only lanes that go on carry a bracket. The start is the root for
-    p = 2 and h(x) = x^-r, r the barrier's blow-up order, so for the
-    reciprocal barrier at p = 2 every lane stops after one slope.
+    only lanes that go on carry a bracket, and a step on which every lane
+    converges ends the solve before the bracket update. The start is the
+    root for p = 2 and h(x) = x^-r, r the barrier's blow-up order, so for
+    the reciprocal barrier at p = 2 every lane stops after one slope.
 
     Returns (t, value) arrays. Raises RuntimeError if a lane has not
     converged after _MAX_ITER steps.
@@ -143,12 +148,15 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
             break
         phi, dphi = _slope(model, al, ql, tl)
         step = -phi / dphi
-        below = phi < 0.0
-        lol = np.where(below, tl, lol)
-        hil = np.where(below, hil, tl)
         tol = _REL_TOL * tl
         newton = tl + step
         converged = np.abs(step) <= tol
+        if converged.all():
+            t[live] = newton
+            break
+        below = phi < 0.0
+        lol = np.where(below, tl, lol)
+        hil = np.where(below, hil, tl)
         done = converged | (hil - lol <= tol)
         if done.any():
             t[live] = np.where(converged, newton, tl)
@@ -170,7 +178,7 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
         nxt = np.where(fast, newton, bisect)
         moved = np.abs(nxt - tl)
         tl = nxt
-    if live.size:
+    else:
         raise RuntimeError(
             f"fiber solve left {live.size} lane(s) unconverged after "
             f"{_MAX_ITER} iterations")

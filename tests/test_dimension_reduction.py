@@ -291,6 +291,7 @@ def test_film_total_matches_the_film_objective():
     u = PrismField(mesh, u0.values + 0.01 * rng.standard_normal(
         u0.values.shape), 0.1)
     obj = _ThinObjective(model, load, u0)
+    _total(obj, u0.values.reshape(-1))  # the start records its signs
     total = _total(obj, u.values.reshape(-1))
     res = minimize_thin_film(model, load, u, iters=0)
     assert res.total == res.start_total == total
@@ -628,9 +629,9 @@ def test_sweep_rows_reproduce_their_golden_values(sweep_table):
 
 @pytest.mark.parametrize("mode", ["minimize", "recovery"])
 def test_sweep_builds_one_film_objective_per_thickness(monkeypatch, mode):
-    # per film: the objective's start signs and the descent's values (the
-    # start's first among them); a second objective for the start total
-    # would add two more
+    # per film: the descent's values, the start's first among them, which
+    # also records the start's signs; a second objective for the start
+    # total would add one more
     calls = []
     film_energy = dimension_reduction._film_energy
 
@@ -642,13 +643,14 @@ def test_sweep_builds_one_film_objective_per_thickness(monkeypatch, mode):
     report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
                          unit_square_mesh(2), [0.2, 0.1], iters=5, mode=mode)
     descents = sum(max(r.evaluations, 1) for r in report.rows)
-    assert len(calls) == descents + len(report.rows)
+    assert len(calls) == descents
 
 
 def test_sweep_values_each_point_once(monkeypatch):
-    # a film calls _film_energy once for its start's signs and once per
-    # descent value, which holds the end point's energy and load; the
-    # membrane looks the table up once per value
+    # a film calls _film_energy once per descent value: the first, at the
+    # start, also records its signs, and the last accepted one holds the
+    # end point's energy and load; the membrane looks the table up once
+    # per value
     film_calls, lookups = {}, []
     film_energy = dimension_reduction._film_energy
     lookup = EnvelopeTable.lookup
@@ -665,7 +667,7 @@ def test_sweep_values_each_point_once(monkeypatch):
     monkeypatch.setattr(EnvelopeTable, "lookup", counted_lookup)
     report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
                          unit_square_mesh(2), [0.2, 0.1], iters=5)
-    assert film_calls == {r.eps: r.evaluations + 1 for r in report.rows}
+    assert film_calls == {r.eps: r.evaluations for r in report.rows}
     assert len(lookups) == report.meta["membrane_evaluations"]
 
 
@@ -809,15 +811,17 @@ def test_film_objective_refuses_a_determinant_sign_flip():
     vals[2, :, 2] = -0.05
     flipped = PrismField(mesh, vals, 0.2)
     obj = _ThinObjective(model, load, start)
-    assert obj.signs.tolist() == [1.0, 1.0]
+    assert obj.signs is None
+    # the first call values the start and records its signs
     assert math.isfinite(_total(obj, start.values.reshape(-1)))
+    assert obj.signs.tolist() == [1.0, 1.0]
     assert obj(vals.reshape(-1)) == (math.inf, 0.0, None)
     # no determinant vanishes there: the energy alone is finite, and so is
     # the objective started at the flipped film
     assert math.isfinite(_film_energy_at(model, flipped))
     flipped_obj = _ThinObjective(model, load, flipped)
-    assert flipped_obj.signs.tolist() == [1.0, -1.0]
     assert math.isfinite(_total(flipped_obj, vals.reshape(-1)))
+    assert flipped_obj.signs.tolist() == [1.0, -1.0]
 
 
 def test_film_descent_refuses_a_start_of_infinite_energy():

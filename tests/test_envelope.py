@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -583,6 +584,49 @@ def test_evaluations_count_every_density_point(monkeypatch):
                                  depth=2)
     assert all(e.evaluations > 0 for e in table.entries)
     assert sum(e.evaluations for e in table.entries) == seen["points"]
+
+
+@pytest.mark.parametrize("model", [
+    EnergyModel(ReciprocalBarrier(1.0073)),
+    EnergyModel(ShiftedLogBarrier()),
+    EnergyModel(p=3.0),
+], ids=["reciprocal", "shifted-log", "p3"])
+def test_depth_two_table_does_not_depend_on_the_child_block(monkeypatch,
+                                                           model):
+    # blocks of one child, of 7, and one block holding every child give
+    # the same nodes, methods, witnesses and evaluation counts
+    calls = {}
+
+    class CountingDensity(ReducedDensity):
+        def batch(self, xis):
+            calls[block] = calls.get(block, 0) + 1
+            return super().batch(xis)
+
+    monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
+    tables = []
+    for block in (1, 7, 10 ** 6):
+        monkeypatch.setattr(envelope, "_CHILD_BLOCK", block)
+        tables.append(build_envelope_table(model, sigma_max=1.0, pitch=0.5,
+                                           depth=2).to_dict())
+    assert tables[0] == tables[1] == tables[2]
+    assert any(e["method"] == "laminate-2" for e in tables[0]["entries"])
+    # the inner sweep ran in blocks: fewer calls for larger blocks
+    assert calls[1] > calls[7] > calls[10 ** 6]
+
+
+def test_depth_two_search_memory_is_set_by_the_child_block(w0):
+    # the inner ends of all ~200 children in one block, as (3, 2, child,
+    # pair) arrays and the fiber solve's temporaries over them, peaked
+    # near 20 MB; blocks of children peak near 3 MB
+    xi = mat32([0.5, 0, 0], [0, 0.5, 0])
+    laminate_search(w0, xi, 2)  # builds the cached pair grids
+    tracemalloc.start()
+    try:
+        laminate_search(w0, xi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # node values, as float.hex, and density evaluations of the depth-2 table

@@ -305,6 +305,46 @@ def test_reciprocal_batch_with_pinned_lanes_equals_lane_by_lane():
     assert np.array_equal(t[::3], t_min[::3])
 
 
+def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
+    # shifted log, p = 2: above x = 1 the barrier is 1/x, so lanes with
+    # a >= 2 start at their root and stop on the first slope, as every
+    # reciprocal p = 2 lane does; lanes with a < 1 take Newton steps, and
+    # 1 < a^2 < 2 puts the minimizer on the kink, reached by halvings
+    slopes = []
+    slope = fiber_reduction._slope
+
+    def counted(model, a, q, t):
+        slopes.append(a.size)
+        return slope(model, a, q, t)
+
+    monkeypatch.setattr(fiber_reduction, "_slope", counted)
+    rng = np.random.default_rng(8)
+    a = np.concatenate([rng.uniform(2.0, 8.0, 20), rng.uniform(0.05, 0.9, 10),
+                        rng.uniform(1.05, 1.4, 10)])
+    q = 10.0 ** rng.uniform(-2.0, 1.0, a.size)
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    t_fast, v_fast = solve_fiber(m, a[:20], q[:20])
+    assert slopes == [20]  # every lane converged on the first slope
+    t_slow, v_slow = solve_fiber(m, a[20:], q[20:])
+    slopes.clear()
+    t, val = solve_fiber(m, a, q)
+    # together, the fast lanes leave after the first step's bracket update
+    # and the slow ones go on
+    assert len(slopes) > 2 and slopes[:2] == [40, 20]
+    assert np.array_equal(t, np.concatenate([t_fast, t_slow]))
+    assert np.array_equal(val, np.concatenate([v_fast, v_slow]))
+    # reciprocal p = 2 lanes stop on their first slope, also beside lanes
+    # that a large t_min pins to their bound before the first step
+    r = EnergyModel(barrier=ReciprocalBarrier(1.0073))
+    t_min = np.where(np.arange(a.size) < 20, 0.0, 50.0)
+    t_r, v_r = solve_fiber(r, a[:20], q[:20])
+    slopes.clear()
+    t, val = solve_fiber(r, a, q, t_min=t_min)
+    assert slopes == [40, 20]  # the pinning test, then one step
+    assert np.array_equal(t[:20], t_r) and np.array_equal(val[:20], v_r)
+    assert np.array_equal(t[20:], t_min[20:])
+
+
 def test_batch_of_empty_and_all_rank_deficient_stacks():
     m = EnergyModel()
     empty = w0_batch(m, np.zeros((0, 3, 2)))
