@@ -356,15 +356,19 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
 
     Builds the assignment at index j (rejected below the feasibility
     index) and blends with sharpness n; both must be integers, numpy
-    integers included. Along the blend
-    zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c, the determinant
-    is c0 + a * c1 and |xi|^2 + |zeta|^2 is q0 + a * (q1 + a * q2), with
-    five coefficients per cell computed once; the integrand reads them
-    and the weight a of :class:`BlendedDirector` (the side-line distance)
-    and never forms zeta. Each cell is a root of the adaptive midpoint
-    rule and refines until its own two successive levels agree; the
-    cells go through :func:`integrate_adaptive` in consecutive slices of
-    at most ``_SLICE_CELLS``, and ``threads`` maps the slices on a pool.
+    integers included; its one batched constrained fiber solve stops a
+    cell whose minimizer sits on a kink of the barrier exactly there.
+    Along the blend zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c,
+    the determinant is c0 + a * c1 and |xi|^2 + |zeta|^2 is
+    q0 + a * (q1 + a * q2), with five coefficients per cell computed
+    once; the integrand reads them and the weight a of
+    :class:`BlendedDirector` (the side-line distance) and never forms
+    zeta. Each cell is a root of the adaptive midpoint rule and refines
+    until its own two successive levels agree; the rule values each
+    distinct edge midpoint of a cell's children once, so children that
+    share an edge share its sample. The cells go through
+    :func:`integrate_adaptive` in consecutive slices of at most
+    ``_SLICE_CELLS``, and ``threads`` maps the slices on a pool.
     The per-cell values are summed once, so the result does not depend
     on ``threads``. The value decreases toward the integral of the
     reduced density as j and n grow.

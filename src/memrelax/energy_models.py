@@ -5,7 +5,9 @@ barrier h is positive, continuous on (0, inf), +inf exactly at 0, and
 bounded by a plateau r(delta) on [delta, inf).  Two barriers ship
 (reciprocal power and shifted log); anything exposing the same small
 surface plugs in: ``plateau``, ``values``, ``derivative``,
-``second_derivative`` and ``blowup_order``.
+``second_derivative``, ``blowup_order`` and the class constant ``kinks``,
+which lists each kink x of h with its one-sided slopes h'(x-) and
+h'(x+).
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ class ReciprocalBarrier:
     """h(t) = t^-power.  Nonincreasing, so the plateau on [delta, inf) is h(delta)."""
 
     power: float = 1.0
+    # (x, h'(x-), h'(x+)) of each kink of h: none, h is smooth
+    kinks = ()
 
     def __post_init__(self):
         if not 0 < self.power < math.inf:
@@ -61,7 +65,13 @@ class ReciprocalBarrier:
 
 @dataclass(frozen=True)
 class ShiftedLogBarrier:
-    """h(t) = max(-log t, 0) + 1/t.  Nonincreasing with plateau h(delta)."""
+    """h(t) = max(-log t, 0) + 1/t.  Nonincreasing with plateau h(delta).
+
+    h has one kink, at t = 1, where its slope jumps from -2 to -1.
+    """
+
+    # (x, h'(x-), h'(x+)) of each kink of h
+    kinks = ((1.0, -2.0, -1.0),)
 
     def plateau(self, delta: float) -> float:
         if not delta > 0:
@@ -69,9 +79,12 @@ class ShiftedLogBarrier:
         return float(self.values(np.array([delta]))[0])
 
     def values(self, t: np.ndarray) -> np.ndarray:
+        """h(t), +inf where t <= 0 or t is NaN."""
         t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, np.inf)
         pos = t > 0
+        if pos.all():
+            return np.maximum(-np.log(t), 0.0) + 1.0 / t
+        out = np.full(t.shape, np.inf)
         safe = np.where(pos, t, 1.0)
         val = np.maximum(-np.log(safe), 0.0) + 1.0 / safe
         out[pos] = val[pos]

@@ -229,6 +229,23 @@ def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where((keys[k] == want) & (1.0 - lam[k] == lam), k, -1)
 
 
+def _least(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k least of NaN-free scores, ties in index order:
+    ``np.argsort(scores, kind="stable")[:k]``, without the full sort.
+
+    The k-th least value v comes from one partition; the candidates are
+    every index below v and the first indices equal to v, and only they
+    are sorted.
+    """
+    if scores.size <= k:
+        return np.argsort(scores, kind="stable")
+    v = np.partition(scores, k - 1)[k - 1]
+    below = np.flatnonzero(scores < v)
+    tied = np.flatnonzero(scores == v)[:k - below.size]
+    picked = np.concatenate([below, tied])
+    return picked[np.argsort(scores[picked], kind="stable")]
+
+
 @functools.lru_cache(maxsize=2)
 def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
                n_lambda: int) -> _PairGrid:
@@ -420,7 +437,7 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     values = [base, min(base, split)]
 
     if depth == 2:
-        order = np.argsort(scores, kind="stable")[:_TOP_K]
+        order = _least(scores, _TOP_K)
         kept = order[np.isfinite(scores[order])]
         v2 = values[1]
         if kept.size:

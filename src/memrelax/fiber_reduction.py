@@ -14,10 +14,13 @@ minimizer is the only zero of the increasing slope
     phi(t) = a h'(t a) + p t (q + t^2)^{p/2 - 1},
 
 or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
-finds it for a batch of (a, q) by bracketed Newton; every caller in
-the package goes through it.  A lane leaves the batch as soon as it has
-converged or its bracket has closed, before the next step is chosen, so
-the bracket bookkeeping runs only on lanes that go on.  A step on which
+finds it for a batch of (a, q); every caller in the package goes through
+it.  A barrier lists its kinks with their one-sided slopes
+(``barrier.kinks``), and before the first step each lane tests them: a
+lane whose slope jumps over zero at a kink stops there exactly.  The
+other lanes run bracketed Newton.  A lane leaves the batch as soon as it
+has converged or its bracket has closed, before the next step is chosen,
+so the bracket bookkeeping runs only on lanes that go on.  A step on which
 every lane has converged ends the solve before any bracket update: for
 the reciprocal barrier at p = 2 the start is the root, so there the
 solve stops after one slope.  Each lane's t and value are computed on
@@ -93,23 +96,50 @@ def _slope(model: EnergyModel, a, q, t):
     return phi, dphi
 
 
+def _on_kink(model: EnergyModel, a, q, lo):
+    """Lanes whose minimizer sits on a kink of the barrier, and its t.
+
+    At t_k = x_k / a the slope jumps from phi(t_k-) to phi(t_k+), which
+    differ only in the barrier part a h'(x_k-) or a h'(x_k+). phi
+    increases, so a jump over zero, phi(t_k-) < 0 <= phi(t_k+), makes
+    t_k the minimizer, if t_k >= lo. The smooth part is that of
+    :func:`_slope`, in its arithmetic.
+    """
+    on = np.zeros(a.size, dtype=bool)
+    t = np.empty(a.size)
+    for x, left, right in model.barrier.kinks:
+        tk = x / a
+        s = q + tk * tk
+        smooth = model.p * tk * s * s ** (model.p / 2.0 - 2.0)
+        hit = ((tk >= lo) & (a * left + smooth < 0.0)
+               & (a * right + smooth >= 0.0))
+        t[hit] = tk[hit]
+        on |= hit
+    return on, t
+
+
 def solve_fiber(model: EnergyModel, a, q, t_min=None):
     """Minimize h(t a) + (q + t^2)^{p/2} over t > 0, lanewise.
 
     a and q are 1D arrays of one shape, a finite and > 0, q finite and
     >= 0; t_min, finite and >= 0, a scalar or an array of the same
     length, restricts the search to t >= t_min. Anything else raises
-    ValueError before the first step. Each lane runs Newton on
-    phi(t) = 0 inside a bracket [lo, hi] around the root, and falls back
-    to a geometric bisection whenever the Newton step would leave the
-    bracket or be longer than the lane's previous move. A lane stops when
-    its step or its bracket is at most 1e-13 t; the bracket test ends
-    lanes whose minimizer sits at a kink of the barrier, where phi jumps
-    over zero. Stopped lanes leave before the Newton/bisection choice, so
-    only lanes that go on carry a bracket, and a step on which every lane
-    converges ends the solve before the bracket update. The start is the
-    root for p = 2 and h(x) = x^-r, r the barrier's blow-up order, so for
-    the reciprocal barrier at p = 2 every lane stops after one slope.
+    ValueError before the first step. A lane whose bound pins it
+    (phi(t_min) >= 0) stops at t_min. Then each lane tests the barrier's
+    kinks x_k (``barrier.kinks``) with t_k = x_k / a >= t_min: if
+    phi(t_k-) < 0 <= phi(t_k+), the minimizer is t_k and the lane stops
+    there exactly, before the first step; a barrier without kinks skips
+    the test. Each other lane runs Newton on phi(t) = 0 inside a bracket
+    [lo, hi] around the root, and falls back to a geometric bisection
+    whenever the Newton step would leave the bracket or be longer than
+    the lane's previous move. A lane stops when its step or its bracket
+    is at most 1e-13 t; the bracket test ends a lane whose minimizer sits
+    at a kink the barrier does not list. Stopped lanes leave before the
+    Newton/bisection choice, so only lanes that go on carry a bracket,
+    and a step on which every lane converges ends the solve before the
+    bracket update. The start is the root for p = 2 and h(x) = x^-r, r
+    the barrier's blow-up order, so for the reciprocal barrier at p = 2
+    every lane stops after one slope.
 
     Returns (t, value) arrays. Raises RuntimeError if a lane has not
     converged after _MAX_ITER steps.
@@ -139,6 +169,11 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
         t = np.where(pinned, lo, np.maximum(t, lo))
         live = np.flatnonzero(~pinned)
         al, ql, lol = a[live], q[live], lo[live]
+    if model.barrier.kinks:
+        on, t_kink = _on_kink(model, al, ql, lol)
+        t[live[on]] = t_kink[on]
+        keep = np.flatnonzero(~on)
+        live, al, ql, lol = live[keep], al[keep], ql[keep], lol[keep]
 
     tl = t[live]
     hil = np.full(live.size, np.inf)

@@ -629,6 +629,21 @@ def test_depth_two_search_memory_is_set_by_the_child_block(w0):
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_least_scores_are_the_stable_sort_head(seed):
+    # the depth-2 search keeps the _TOP_K least outer scores; a partition
+    # must keep the same indices in the same order as the stable sort,
+    # ties at the cut and +inf scores included
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 40, size=10192).astype(float)
+    scores[rng.random(scores.size) < 0.3] = np.inf
+    for k in (1, 191, 192, 5000, 10191, 10192, 20000):
+        assert np.array_equal(envelope._least(scores, k),
+                              np.argsort(scores, kind="stable")[:k])
+    scores[:] = np.inf
+    assert np.array_equal(envelope._least(scores, 192), np.arange(192))
+
+
 # node values, as float.hex, and density evaluations of the depth-2 table
 # at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier, recorded
 # before the fiber solve read component-major rows

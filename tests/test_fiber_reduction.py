@@ -177,7 +177,8 @@ def test_shifted_log_kink_minimizer_terminates():
     a = np.array([1.05, 1.2, 1.4])
     q = np.array([0.5, 2.44, 9.0])
     t, val = solve_fiber(m, a, q)
-    np.testing.assert_allclose(t, 1.0 / a, rtol=1e-12)
+    # the kink test stops these lanes on t = 1/a exactly
+    assert np.array_equal(t, 1.0 / a)
     np.testing.assert_allclose(val, 1.0 + q + 1.0 / a ** 2, rtol=1e-12)
     xi = mat32([1.2, 0, 0], [0, 1, 0])
     assert finite(w0_closed_form(m, xi)) == pytest.approx(val[1], rel=1e-15)
@@ -197,11 +198,61 @@ def test_lower_clamp_pins_or_passes_through():
 
 
 def test_unconverged_lane_raises(monkeypatch):
-    # a kink minimizer needs about 40 bracket halvings, far more than 3
+    # a minimizer just left of the kink (a < 1) takes six Newton steps
+    # from its start, more than 3
     monkeypatch.setattr(fiber_reduction, "_MAX_ITER", 3)
     m = EnergyModel(barrier=ShiftedLogBarrier())
     with pytest.raises(RuntimeError, match="unconverged"):
-        solve_fiber(m, np.array([1.2]), np.array([2.44]))
+        solve_fiber(m, np.array([0.9]), np.array([2.0]))
+
+
+def test_kink_stop_takes_at_most_three_slopes_per_lane(monkeypatch):
+    # near sigma = (1, 1) the shifted log minimizer sits on the kink
+    # t = 1/a whenever 1 < a^2 <= 2; without the kink test those lanes
+    # closed their bracket by bisection, about 43 slopes each
+    rng = np.random.default_rng(0)
+    sig = 1.0 + 0.01 * rng.normal(size=(2, 20000))
+    a, q = sig[0] * sig[1], np.sum(sig * sig, axis=0)
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    slopes, tests = [], []
+    slope, on_kink = fiber_reduction._slope, fiber_reduction._on_kink
+
+    def counted(model, a, q, t):
+        slopes.append(a.size)
+        return slope(model, a, q, t)
+
+    def tested(model, a, q, lo):
+        tests.append(a.size)
+        return on_kink(model, a, q, lo)
+
+    monkeypatch.setattr(fiber_reduction, "_slope", counted)
+    monkeypatch.setattr(fiber_reduction, "_on_kink", tested)
+    t, val = solve_fiber(m, a, q)
+    kinked = (a > 1.0) & (a * a <= 2.0)
+    assert tests == [a.size]  # one kink test per lane, before the first step
+    assert slopes[0] == np.count_nonzero(~kinked)
+    assert sum(slopes) / a.size <= 3.0
+    assert np.array_equal(t[kinked], 1.0 / a[kinked])
+
+    # the bracket path, with the kink test switched off
+    monkeypatch.setattr(ShiftedLogBarrier, "kinks", ())
+    tests.clear()
+    slopes.clear()
+    t_ref, val_ref = solve_fiber(m, a, q)
+    assert tests == [] and sum(slopes) / a.size > 20.0
+    assert np.array_equal(val[~kinked], val_ref[~kinked])
+    np.testing.assert_allclose(val, val_ref, rtol=1e-13, atol=0.0)
+
+
+def test_kink_test_respects_the_lower_clamp():
+    # a kink below t_min is not the constrained minimizer: the lane is
+    # pinned to t_min (phi(t_min) >= 0) or solved on the smooth branch
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    a, q = np.array([1.2, 1.2]), np.array([2.44, 2.44])
+    t, val = solve_fiber(m, a, q, t_min=np.array([0.5, 1.0]))
+    assert t[0] == 1.0 / a[0]
+    assert t[1] == 1.0
+    assert val[1] == pytest.approx(1.0 / 1.2 + 2.44 + 1.0, rel=1e-15)
 
 
 def test_batch_rejects_non_finite_entries():
@@ -275,8 +326,9 @@ def _lane_by_lane(model, a, q, t_min):
 def test_mixed_batch_equals_lane_by_lane_solves():
     # shifted log barrier, p = 2: h(x) = 1/x + const for x >= 1, so lanes
     # with a^2 >= 2 start at their root; 1 < a^2 < 2 puts the minimizer
-    # on the kink t = 1/a, reached by bracket halvings; a large t_min
-    # pins a lane to its bound; small a needs Newton steps
+    # on the kink t = 1/a, where the kink test stops the lane before the
+    # first step; a large t_min pins a lane to its bound; small a needs
+    # Newton steps
     m = EnergyModel(barrier=ShiftedLogBarrier())
     a = np.array([1.5, 3.0, 1.05, 1.2, 1.4, 0.3, 0.7, 1.0, 2.0, 0.5])
     q = np.array([0.5, 2.0, 0.5, 2.44, 9.0, 1.0, 0.2, 3.0, 1.0, 4.0])
@@ -286,7 +338,7 @@ def test_mixed_batch_equals_lane_by_lane_solves():
     t_one, val_one = _lane_by_lane(m, a, q, t_min)
     assert np.array_equal(t, t_one)
     assert np.array_equal(val, val_one)
-    np.testing.assert_allclose(t[2:5], 1.0 / a[2:5], rtol=1e-12)
+    assert np.array_equal(t[2:5], 1.0 / a[2:5])
     assert np.array_equal(t[7:], t_min[7:])
     start = (0.5 / a[:2]) ** (1.0 / 3.0)
     np.testing.assert_allclose(t[:2], start, rtol=1e-15)
@@ -309,7 +361,8 @@ def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
     # shifted log, p = 2: above x = 1 the barrier is 1/x, so lanes with
     # a >= 2 start at their root and stop on the first slope, as every
     # reciprocal p = 2 lane does; lanes with a < 1 take Newton steps, and
-    # 1 < a^2 < 2 puts the minimizer on the kink, reached by halvings
+    # 1 < a^2 < 2 puts the minimizer on the kink, where the kink test
+    # stops the lane before the first slope
     slopes = []
     slope = fiber_reduction._slope
 
@@ -328,9 +381,9 @@ def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
     t_slow, v_slow = solve_fiber(m, a[20:], q[20:])
     slopes.clear()
     t, val = solve_fiber(m, a, q)
-    # together, the fast lanes leave after the first step's bracket update
-    # and the slow ones go on
-    assert len(slopes) > 2 and slopes[:2] == [40, 20]
+    # together, the kink lanes leave before the first slope, the fast
+    # lanes after it, and the Newton lanes go on
+    assert slopes == [30, 10, 10, 10, 10, 1]
     assert np.array_equal(t, np.concatenate([t_fast, t_slow]))
     assert np.array_equal(val, np.concatenate([v_fast, v_slow]))
     # reciprocal p = 2 lanes stop on their first slope, also beside lanes
