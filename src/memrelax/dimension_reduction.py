@@ -23,7 +23,7 @@ import numpy as np
 from .director_field import InfeasibleError, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import cofactors, wedge
+from .tensor_kernel import cofactors, sum3, wedge
 
 __all__ = [
     "PrismField",
@@ -107,30 +107,46 @@ def pi_eps_average(u: PrismField) -> PwAffineField:
 # rescaled gradients and the film energy
 
 def _film_energy(model: EnergyModel, weights: np.ndarray, mesh: TriMesh,
-                 vals: np.ndarray, eps: float):
-    """Film energy at (layers, n, 3) nodal values, the prism determinants
-    and the intermediates its gradient reads (None, with the energy +inf,
-    when a determinant vanishes).
+                 vals: np.ndarray, eps: float, signs):
+    """Film energy at (layers, n, 3) nodal values, the flat prism
+    determinants and the intermediates its gradient reads.
+
+    A point where a determinant vanishes, or differs in sign from
+    ``signs`` (where given), is valued +inf with no intermediates, before
+    the density is evaluated.
 
     The bulk density is sampled once per prism, at its centroid. The
     rescaled gradient F there averages the two layer gradients in its
     in-plane columns; its third column is the centroid difference
-    quotient across the layer, amplified by 1/eps.
+    quotient across the layer, amplified by 1/eps. Everything is held
+    component-major, prisms layer-major along the rows: F as entry rows
+    (3, 3, prisms), ``F[i, j]`` entry (i, j) of every prism, and the
+    prism centroids as (3, prisms). |F|^2 is summed on an entry-major
+    copy, in numpy's einsum order.
     """
     delta = 1.0 / (vals.shape[0] - 1)
-    g, cen = mesh.cell_gradients_and_means(vals)
-    F = np.empty((g.shape[0] - 1,) + g.shape[1:-1] + (3,))
-    F[..., :2] = 0.5 * (g[:-1] + g[1:])
-    F[..., 2] = (cen[1:] - cen[:-1]) / (delta * eps)
-    mid = 0.5 * (cen[:-1] + cen[1:])
-    flat = F.reshape(-1, 3, 3)
-    dets, cof = cofactors(flat)
-    adet = np.abs(dets)
-    if np.any(adet == 0.0):
+    g, cen = mesh.component_gradients_and_means(vals)
+    F = np.empty((3, 3, cen.shape[1] - 1, cen.shape[2]))
+    in_plane = F[:, :2].swapaxes(0, 1)
+    np.add(g[:, :, :-1], g[:, :, 1:], out=in_plane)
+    in_plane *= 0.5
+    del g, in_plane
+    np.subtract(cen[:, 1:], cen[:, :-1], out=F[:, 2])
+    F[:, 2] /= delta * eps
+    mid = np.add(cen[:, :-1], cen[:, 1:]).reshape(3, -1)
+    mid *= 0.5
+    del cen
+    F = F.reshape(3, 3, -1)
+    dets, cof = cofactors(F)
+    ref = np.sign(dets) if signs is None else signs
+    if not np.all(dets * ref > 0.0):
         return math.inf, dets, None
-    sq = np.einsum("kij,kij->k", flat, flat)
+    entries = np.ascontiguousarray(F.reshape(9, -1).T)
+    sq = np.einsum("ki,ki->k", entries, entries)
+    del entries
+    adet = np.abs(dets)
     energy = float(np.dot(weights, model.density(adet, sq)))
-    return energy, dets, (flat, cof, adet, sq, mid)
+    return energy, dets, (F, cof, adet, sq, mid)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +181,11 @@ class LoadPotential:
 
     def terms(self, psi: np.ndarray, zeta: np.ndarray):
         """Density <psi, zeta> + |zeta|^p over the last axis of sampled
-        psi and zeta, and |zeta|, which :meth:`slope` reuses."""
-        norms = np.sqrt(np.einsum("...j,...j->...", zeta, zeta))
-        return np.einsum("...j,...j->...", psi, zeta) + norms ** self.p, norms
+        psi and zeta, and |zeta|, which :meth:`slope` reuses. Both dot
+        products add their terms with :func:`~memrelax.tensor_kernel.sum3`.
+        """
+        norms = np.sqrt(sum3((zeta * zeta).T).T)
+        return sum3((psi * zeta).T).T + norms ** self.p, norms
 
     def slope(self, psi: np.ndarray, zeta: np.ndarray,
               norms: np.ndarray) -> np.ndarray:
@@ -240,9 +258,10 @@ class MinimizeResult:
 
     ``start_total`` is the objective's value at the start, the first value
     the descent computes; ``total`` is at most it. ``stop_reason`` is
-    "grad_tol" (gradient vanished), "line_search_stalled" (no step along
-    the search direction was accepted) or "budget" (``iters`` steps
-    taken); ``grad_norm`` is the gradient norm where it stopped.
+    "grad_tol" (|g| <= ``_GRAD_TOL`` (1 + |f|) at the last point),
+    "line_search_stalled" (no step along the search direction was
+    accepted) or "budget" (``iters`` steps taken); ``grad_norm`` is the
+    gradient norm where it stopped.
     ``evaluations``, ``gradients`` and ``backtracks`` are exact counts of
     objective values, gradient builds, and trial steps the line search
     rejected.
@@ -262,6 +281,10 @@ class MinimizeResult:
 
 
 _COUNTS = ("evaluations", "gradients", "backtracks")
+
+# Relative gradient tolerance of the descent: it stops on "grad_tol" once
+# |g| <= _GRAD_TOL * (1 + |f|), a gradient norm near the round-off of f
+_GRAD_TOL = 1e-10
 
 # Curvature pairs an L-BFGS direction remembers. Ten pairs end the
 # benchmark's seed-0 sweep membrane no lower than five (3.6378 against
@@ -374,9 +397,11 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     across its determinant barrier. The run keeps the energy and load of
     the last accepted point.
 
-    A step x + t d tries t = 1 (t = 1 / max(1, |g|) while the memory is
-    empty) and halves t until f(x + t d) <= f + 1e-4 t g.d. A direction
-    with g.d >= 0 clears the memory and is replaced by -g. Accepted
+    Before each step the descent stops on "grad_tol" if
+    |g| <= tau (1 + |f|), tau = ``_GRAD_TOL`` = 1e-10. A step x + t d
+    tries t = 1 (t = 1 / max(1, |g|) while the memory is empty) and
+    halves t until f(x + t d) <= f + 1e-4 t g.d. A direction with
+    g.d >= 0 clears the memory and is replaced by -g. Accepted
     energies are nonincreasing by construction, and the curvature pairs
     take a fixed (2 * _MEMORY, n) of memory. Negative ``iters`` raise
     ValueError, and a start valued +inf InfeasibleError after one call.
@@ -397,7 +422,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     reason = "budget"
     for _ in range(iters):
         gn2 = float(np.dot(g, g))
-        if gn2 <= 1e-30:
+        if math.sqrt(gn2) <= _GRAD_TOL * (1.0 + abs(f)):
             reason = "grad_tol"
             break
         d = memory.direction(g)
@@ -468,12 +493,12 @@ class _ThinObjective:
         self.weights = np.tile(mesh.areas, layers - 1) * self.delta
         self.signs = None
         self.vol = mesh.areas * self.delta
-        # psi at the prism centroids, like the film energy's samples
+        # psi at the prism centroids, like the film energy's samples, as
+        # component rows (3, prisms)
         h = np.linspace(-0.5, 0.5, layers)
         pts = np.tile(mesh.cell_means(mesh.vertices), (layers - 1, 1))
         x3 = np.repeat(0.5 * (h[:-1] + h[1:]), mesh.n_cells)
-        self.psi_mid = potential.psi_at(pts, x3).reshape(
-            layers - 1, mesh.n_cells, 3)
+        self.psi_mid = np.ascontiguousarray(potential.psi_at(pts, x3).T)
 
     def unpack(self, x: np.ndarray) -> PrismField:
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
@@ -481,61 +506,68 @@ class _ThinObjective:
 
     def __call__(self, x: np.ndarray):
         """(energy, load value, intermediates) at x; (+inf, 0.0, None)
-        where a determinant's sign differs from the start's."""
+        where a determinant's sign differs from the start's, without a
+        density evaluation."""
         vals = x.reshape(self.layers, self.mesh.n_vertices, 3)
         energy, dets, parts = _film_energy(self.model, self.weights,
-                                           self.mesh, vals, self.eps)
+                                           self.mesh, vals, self.eps,
+                                           self.signs)
         if self.signs is None:
             self.signs = np.sign(dets)
-        if not np.all(dets * self.signs > 0.0):
+        if parts is None:
             return math.inf, 0.0, None
-        terms, norms = self.potential.terms(self.psi_mid, parts[-1])
-        load = float(np.einsum("m,lm->", self.vol, terms))
+        terms, norms = self.potential.terms(self.psi_mid.T, parts[-1].T)
+        load = float(np.einsum("m,lm->", self.vol,
+                               terms.reshape(self.layers - 1, -1)))
         return energy, load, parts + (norms,)
 
     def gradient(self, state) -> np.ndarray:
         """Flat nodal gradient at the point whose call returned ``state``.
 
         Consumes the state: the density slope D is assembled in place in
-        its ``cof`` and ``flat`` buffers, and ``flat`` then holds the
+        its ``cof`` buffer, and the spent ``F`` buffer then holds the
         per-layer in-plane slopes, so ``state`` cannot be reused. Prism l
         reads layers l and l + 1 with the same in-plane part, so the
         per-cell slopes of the two prisms that touch a layer are summed
-        first (:meth:`_layer_slopes`) and one ``TriMesh.pull_back`` over
-        all layers scatters them.
+        first (:meth:`_layer_slopes`) and one
+        ``TriMesh.pull_back_components`` over all components and layers
+        scatters them.
         """
-        flat, cof, adet, sq, mid, norms = state
+        F, cof, adet, sq, mid, norms = state
         model, w = self.model, self.weights
         hp = model.barrier.derivative(adet) * self.signs
-        cof *= (w * hp)[:, None, None]
-        flat *= (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None]
-        D = np.add(cof, flat, out=cof).reshape(mid.shape + (3,))
-        d_grad, d_mean = self._layer_slopes(D, flat, mid, norms)
-        return self.mesh.pull_back(d_grad, d_mean).reshape(-1)
+        cof *= w * hp
+        F *= w * model.p * sq ** (model.p / 2.0 - 1.0)
+        D = np.add(cof, F, out=cof).reshape(3, 3, self.layers - 1, -1)
+        d_grad, d_mean = self._layer_slopes(D, F, mid, norms)
+        return self.mesh.pull_back_components(d_grad, d_mean).reshape(-1)
 
     def _layer_slopes(self, D, spare, mid, norms):
-        """The (layers, cells, 3, 2) and (layers, cells, 3) slopes in the
-        cell gradients and cell means of each layer, from the prisms'
-        density slopes D and the load.
+        """The (2, 3, layers, cells) and (3, layers, cells) slopes in the
+        cell gradient columns and cell means of each component of each
+        layer, from the prisms' density slopes D, as entry rows
+        (3, 3, layers - 1, cells), and the load.
 
         F[l] reads layers l and l + 1: half of each in-plane gradient,
         -/+ the centroids over the layer spacing, and the load half of
         each centroid. The in-plane sums go to the spent ``spare`` buffer,
         which holds (layers - 1) * 9 >= layers * 6 floats per cell.
         """
-        rows = (self.layers,) + D.shape[1:-1] + (2,)
-        d_grad = spare.reshape(-1)[:math.prod(rows)].reshape(rows)
-        d_grad[:-1] = D[..., :2]
-        d_grad[-1] = 0.0
-        d_grad[1:] += D[..., :2]
+        shape = (2, 3, self.layers) + D.shape[-1:]
+        d_grad = spare.reshape(-1)[:math.prod(shape)].reshape(shape)
+        in_plane = D[:, :2].swapaxes(0, 1)
+        d_grad[:, :, :-1] = in_plane
+        d_grad[:, :, -1] = 0.0
+        d_grad[:, :, 1:] += in_plane
         d_grad *= 0.5
-        third = D[..., 2] / (self.delta * self.eps)
-        dpsi = self.potential.slope(self.psi_mid, mid, norms)
-        dpsi *= (0.5 * self.vol)[None, :, None]
-        d_mean = np.empty((self.layers,) + dpsi.shape[1:])
-        np.subtract(dpsi, third, out=d_mean[:-1])
-        d_mean[-1] = 0.0
-        d_mean[1:] += np.add(dpsi, third, out=dpsi)
+        third = np.divide(D[:, 2], self.delta * self.eps, out=D[:, 2])
+        dpsi = self.potential.slope(self.psi_mid.T, mid.T, norms).T
+        dpsi = dpsi.reshape(third.shape)
+        dpsi *= 0.5 * self.vol
+        d_mean = np.empty(shape[1:])
+        np.subtract(dpsi, third, out=d_mean[:, :-1])
+        d_mean[:, -1] = 0.0
+        d_mean[:, 1:] += np.add(dpsi, third, out=dpsi)
         return d_grad, d_mean
 
 
@@ -616,10 +648,10 @@ def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One thickness of a sweep. ``iterations``, ``stop_reason`` and the
-    three counts are the film descent's (:class:`MinimizeResult`); in
-    recovery mode no descent runs, so the counts are 0 and the reason
-    None."""
+    """One thickness of a sweep. ``iterations``, ``stop_reason``,
+    ``grad_norm`` and the three counts are the film descent's
+    (:class:`MinimizeResult`); in recovery mode no descent runs, so the
+    counts are 0 and the reason and gradient norm None."""
 
     eps: float
     e3d: float
@@ -628,6 +660,7 @@ class SweepRow:
     lp_distance: float
     iterations: int
     stop_reason: str | None
+    grad_norm: float | None
     evaluations: int
     gradients: int
     backtracks: int
@@ -660,7 +693,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     lift and refuses a film total above the lift's; mode "recovery"
     scores the lift itself (its gap is the recovery residual). The meta
     holds the assignment's feasibility index ``j_v``, the membrane
-    descent's stop reason and counts and, under ``seconds``, the wall time
+    descent's total, stop reason, final gradient norm and counts (keys
+    ``membrane_*``) and, under ``seconds``, the wall time
     of each phase: the membrane descent, the director assignment and each
     film run in schedule order. Every lift has ``_LAYERS`` = 5 layers,
     which the meta reports under ``layers``.
@@ -687,11 +721,12 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         u0 = recovery_sequence(v_bar, assignment.zeta_bar, eps)
         if mode == "recovery":
             res = minimize_thin_film(model, load, u0, iters=0)
-            its, reason = 0, None
+            its, reason, gnorm = 0, None, None
             counts = dict.fromkeys(_COUNTS, 0)
         else:
             res = minimize_thin_film(model, load, u0, iters=iters)
-            its, reason = res.iterations, res.stop_reason
+            its, reason, gnorm = (res.iterations, res.stop_reason,
+                                  res.grad_norm)
             counts = {k: getattr(res, k) for k in _COUNTS}
             if res.total > res.start_total + 1e-9:
                 raise RuntimeError(
@@ -700,7 +735,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         dist = lp_distance(pi_eps_average(res.field), v_bar, model.p)
         row = SweepRow(eps=eps, e3d=res.total, emem=mem.total,
                        gap=res.total - mem.total, lp_distance=dist,
-                       iterations=its, stop_reason=reason, **counts)
+                       iterations=its, stop_reason=reason, grad_norm=gnorm,
+                       **counts)
         return row, time.perf_counter() - film_started
 
     if threads > 1:
@@ -711,7 +747,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     meta = {"mode": mode, "layers": _LAYERS, "j_v": assignment.j_v,
             "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)
-               for k in ("total", "iterations", "stop_reason") + _COUNTS},
+               for k in ("total", "iterations", "stop_reason", "grad_norm")
+               + _COUNTS},
             "seconds": {"membrane": assigning - started,
                         "assignment": assigned - assigning,
                         "films": [secs for _, secs in runs]}}

@@ -37,13 +37,17 @@ class TriMesh:
     A P1 field is an (..., n, k) array of nodal values. Its cell gradients
     and cell means (centroid values) are linear maps of those values, both
     read from one gather of the cell corners, and :meth:`pull_back` is
-    their exact adjoint. The scatter index of :meth:`pull_back` depends
-    only on the mesh and the shape of its input, so it is built once per
-    (leading rows, k) and kept with the mesh.
+    their exact adjoint. Both are computed component-major
+    (:meth:`component_gradients_and_means` and
+    :meth:`pull_back_components`), one row of cells per component, and the
+    (..., n, k) entry points move the component axis back. The scatter
+    index of the adjoint depends only on the mesh and the shape of the
+    nodal values, so it is built once per (leading rows, k) and kept with
+    the mesh.
     """
 
     __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
-                 "_inv_jac", "_p0", "_scatter")
+                 "_inv_jac", "_inv_rows", "_p0", "_scatter")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -71,12 +75,15 @@ class TriMesh:
         if np.any(areas <= AREA_FLOOR):
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} is degenerate (area {areas[bad]:.3e})")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
+        # the inverse Jacobians as rows, inv_rows[a, j] = inv[:, a, j],
+        # and as the (m, 2, 2) stack inv, a view of the same memory
+        inv_rows = np.empty((2, 2, T.shape[0]))
+        inv_rows[0, 0] = jac[:, 1, 1]
+        inv_rows[0, 1] = -jac[:, 0, 1]
+        inv_rows[1, 0] = -jac[:, 1, 0]
+        inv_rows[1, 1] = jac[:, 0, 0]
+        inv_rows /= det
+        inv = inv_rows.transpose(2, 0, 1)
 
         # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
         n = V.shape[0]
@@ -86,7 +93,7 @@ class TriMesh:
         edges = np.stack([keys // n, keys % n], axis=1)
         cell_edges = side_edge.reshape(-1, 3)
 
-        for arr in (V, T, areas, inv, p0, edges, cell_edges):
+        for arr in (V, T, areas, inv, inv_rows, p0, edges, cell_edges):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "triangles", T)
@@ -94,6 +101,7 @@ class TriMesh:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cell_edges", cell_edges)
         object.__setattr__(self, "_inv_jac", inv)
+        object.__setattr__(self, "_inv_rows", inv_rows)
         object.__setattr__(self, "_p0", p0)
         object.__setattr__(self, "_scatter", {})
 
@@ -133,83 +141,105 @@ class TriMesh:
             out[block][hit] = np.argmax(inside[hit], axis=1)
         return out
 
-    def _corners(self, values) -> np.ndarray:
-        """One gather of the cell corners: (..., n, k) nodal values in,
-        (..., 3, m, k) out, corner c of cell i at [..., c, i, :]."""
-        return np.take(np.asarray(values, dtype=float), self.triangles.T,
-                       axis=-2)
+    def component_gradients_and_means(self, values):
+        """Cell gradients and cell means of a P1 field, the one
+        implementation of both: (..., n, k) nodal values in, component-major
+        ((2, k, ..., m), (k, ..., m)) out, gradient column j of component
+        c at [j, c] and its centroid value at [c].
 
-    def _gradients(self, c: np.ndarray) -> np.ndarray:
-        inv = self._inv_jac
-        e1 = c[..., 1, :, :] - c[..., 0, :, :]
-        e2 = c[..., 2, :, :] - c[..., 0, :, :]
-        out = np.empty(e1.shape + (2,))
-        for col in range(2):
-            out[..., col] = (e1 * inv[:, 0, col, None]
-                             + e2 * inv[:, 1, col, None])
-        return out
+        One gather of the corners, moved to (k, ..., m, 3), so every
+        operation runs over rows of cells; it is freed before the gradients
+        are formed.
+        """
+        c = np.take(np.asarray(values, dtype=float), self.triangles, axis=-2)
+        c = np.ascontiguousarray(c.transpose((c.ndim - 1,)
+                                             + tuple(range(c.ndim - 1))))
+        lead, m = c.shape[1:-2], self.n_cells
+        e1 = c[..., 1] - c[..., 0]
+        e2 = c[..., 2] - c[..., 0]
+        means = (c[..., 0] + c[..., 1] + c[..., 2]) / 3.0
+        del c
+        inv = self._inv_rows.reshape((2, 2, 1) + (1,) * len(lead) + (m,))
+        grads = e1 * inv[0]
+        grads += e2 * inv[1]
+        return grads, means
 
-    @staticmethod
-    def _means(c: np.ndarray) -> np.ndarray:
-        return (c[..., 0, :, :] + c[..., 1, :, :] + c[..., 2, :, :]) / 3.0
+    def pull_back_components(self, d_grad, d_mean) -> np.ndarray:
+        """Adjoint of :meth:`component_gradients_and_means`.
+
+        Maps (2, k, ..., m) and (k, ..., m) to the nodal (..., n, k) array
+        v* with <grads(v), d_grad> + <means(v), d_mean> = <v, v*> for
+        every v. One ``np.bincount`` over :meth:`_scatter_index` adds each
+        cell's three corner terms, laid out (k, ..., m, 3), so every nodal
+        sum takes its terms in (cell, corner) order.
+        """
+        G = np.asarray(d_grad, dtype=float)
+        C = np.asarray(d_mean, dtype=float) / 3.0
+        inv = self._inv_rows.reshape((2, 2) + (1,) * (C.ndim - 1)
+                                     + C.shape[-1:])
+        corner = np.empty(C.shape + (3,))
+        # the weights a and b of the edge differences v1 - v0 and v2 - v0,
+        # b in a's buffer
+        a = G[0] * inv[0, 0]
+        a += G[1] * inv[0, 1]
+        np.add(C, a, out=corner[..., 1])
+        np.subtract(C, a, out=corner[..., 0])
+        b = np.multiply(G[0], inv[1, 0], out=a)
+        b += G[1] * inv[1, 1]
+        np.add(C, b, out=corner[..., 2])
+        corner[..., 0] -= b
+        k, lead, n = C.shape[0], C.shape[1:-1], self.n_vertices
+        del C, a, b
+        rows = math.prod(lead)
+        out = np.bincount(self._scatter_index(rows, k), corner.ravel(),
+                          minlength=rows * n * k)
+        return out.reshape(lead + (n, k))
+
+    def _scatter_index(self, rows: int, k: int) -> np.ndarray:
+        """Flat nodal slot of every (component, row, cell, corner) of
+        (rows, n, k) nodal values: (row * n + triangles[cell, corner]) * k
+        + component. Built once per (rows, k) and kept with the mesh."""
+        idx = self._scatter.get((rows, k))
+        if idx is None:
+            r = np.arange(rows)[:, None, None] * self.n_vertices
+            idx = ((r + self.triangles) * k
+                   + np.arange(k)[:, None, None, None]).ravel()
+            idx.setflags(write=False)
+            self._scatter[(rows, k)] = idx
+        return idx
+
+    def cell_gradients_and_means(self, values):
+        """Cell gradients and cell means: (..., n, k) nodal values in,
+        C-contiguous (..., m, k, 2) and (..., m, k) out, moved from
+        :meth:`component_gradients_and_means`."""
+        g, means = self.component_gradients_and_means(values)
+        cells = tuple(range(1, means.ndim))
+        g = g.transpose(tuple(range(2, g.ndim)) + (1, 0))
+        return (np.ascontiguousarray(g),
+                np.ascontiguousarray(means.transpose(cells + (0,))))
 
     def cell_gradients(self, values) -> np.ndarray:
         """Constant gradient per cell: (..., n, k) nodal values in,
         (..., m, k, 2) out."""
-        return self._gradients(self._corners(values))
+        return self.cell_gradients_and_means(values)[0]
 
     def cell_means(self, values) -> np.ndarray:
         """Centroid value per cell, the mean of its three corners:
         (..., n, k) in, (..., m, k) out."""
-        return self._means(self._corners(values))
-
-    def cell_gradients_and_means(self, values):
-        """(cell_gradients(values), cell_means(values)) from one gather of
-        the corners, equal to the two calls bit for bit."""
-        c = self._corners(values)
-        return self._gradients(c), self._means(c)
-
-    def _scatter_index(self, rows: int, k: int) -> np.ndarray:
-        """Flat output slot of every (row, cell, corner, component) term:
-        (row * n + triangles[cell, corner]) * k + component."""
-        idx = self._scatter.get((rows, k))
-        if idx is None:
-            r = np.arange(rows)[:, None, None, None]
-            idx = ((r * self.n_vertices + self.triangles[..., None]) * k
-                   + np.arange(k)).ravel()
-            idx.setflags(write=False)
-            self._scatter[(rows, k)] = idx
-        return idx
+        return self.cell_gradients_and_means(values)[1]
 
     def pull_back(self, d_grad, d_mean) -> np.ndarray:
         """Adjoint of (cell_gradients, cell_means).
 
         Maps (..., m, k, 2) and (..., m, k) to the nodal (..., n, k) array
         v* with <cell_gradients(v), d_grad> + <cell_means(v), d_mean> =
-        <v, v*> for every v. One ``np.bincount`` call; its index is cached
-        per (leading rows, k) on the mesh.
+        <v, v*> for every v, through :meth:`pull_back_components`.
         """
-        corner = self._corner_terms(d_grad, d_mean)
-        lead, k, n = corner.shape[:-3], corner.shape[-1], self.n_vertices
-        rows = math.prod(lead)
-        out = np.bincount(self._scatter_index(rows, k), corner.ravel(),
-                          minlength=rows * n * k)
-        return out.reshape(lead + (n, k))
-
-    def _corner_terms(self, d_grad, d_mean) -> np.ndarray:
-        """The (..., m, 3, k) terms :meth:`pull_back` adds at the cell
-        corners; its temporaries are gone before the scatter."""
         G = np.asarray(d_grad, dtype=float)
-        C = np.asarray(d_mean, dtype=float) / 3.0
-        inv = self._inv_jac
-        # weights of the edge differences v1 - v0 and v2 - v0
-        a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
-        b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
-        corner = np.empty(C.shape[:-1] + (3,) + C.shape[-1:])
-        corner[..., 0, :] = C - a - b
-        corner[..., 1, :] = C + a
-        corner[..., 2, :] = C + b
-        return corner
+        cells = tuple(range(G.ndim - 2))
+        return self.pull_back_components(
+            G.transpose((G.ndim - 1, G.ndim - 2) + cells),
+            np.asarray(d_mean, dtype=float).transpose((G.ndim - 2,) + cells))
 
 
 class PwAffineField:

@@ -18,6 +18,7 @@ __all__ = [
     "as_mat32",
     "frob_norm",
     "cofactors",
+    "sum3",
     "wedge",
     "singular_values",
 ]
@@ -64,21 +65,45 @@ def frob_norm(F) -> float:
     return float(np.sqrt(np.sum(a * a)))
 
 
-def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants and cofactor matrices of an (N, 3, 3) stack.
+# rows (r, r + 1, r + 2) mod 3 as slices, for r = 0 and r = 1, 2
+_ROW_BLOCKS = ((slice(0, 1), slice(1, 2), slice(2, 3)),
+               (slice(1, 3), slice(2, None, -2), slice(0, 2)))
 
-    Column k of the cofactor matrix is the cross product of the other two
-    columns in cyclic order, so F^T cof = det I.  The determinant is the
-    expansion along row 0; when two columns are equal their products
-    cancel exactly and det is 0.0, not a rounding residue.
+# columns k + 1 for k = 0, 1, 2, then column 1: k + 2 is one further
+_NEXT_COLUMNS = np.array([1, 2, 0, 1])
+
+
+def cofactors(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and cofactor matrices of 3x3 matrices held as entry
+    rows: ``F[i, j]`` holds entry (i, j) of every matrix, shape
+    (3, 3, ...), and the cofactors come back in the same layout.
+
+    Column k of the cofactor matrix is the cross product of columns k + 1
+    and k + 2 (cyclic), so F^T cof = det I, written with the products and
+    differences of ``np.cross`` on a cyclic copy of the columns, for row 0
+    and rows 1 and 2 in turn. The determinant is the expansion along row
+    0, its terms F[0, j] cof[0, j] added by :func:`sum3`; when two columns
+    are equal their products cancel exactly and det is 0.0, not a
+    rounding residue.
     """
     F = np.asarray(F, dtype=float)
+    cols = np.take(F, _NEXT_COLUMNS, axis=1)
     cof = np.empty_like(F)
-    # column pairs (1, 2), (2, 0), (0, 1) as strided views, no copies
-    cof[:, :, 0] = wedge(F[:, :, 1:])
-    cof[:, :, 1] = wedge(F[:, :, 2::-2])
-    cof[:, :, 2] = wedge(F[:, :, :2])
-    return np.einsum("ki,ki->k", F[:, 0, :], cof[:, 0, :]), cof
+    for rows, r1, r2 in _ROW_BLOCKS:
+        block = cof[rows]
+        np.multiply(cols[r1, :3], cols[r2, 1:], out=block)
+        block -= cols[r2, :3] * cols[r1, 1:]
+    del cols
+    return sum3(F[0] * cof[0]), cof
+
+
+def sum3(q: np.ndarray) -> np.ndarray:
+    """q[0] + q[1] + q[2], added as (q[0] + q[2]) + q[1]: the order in
+    which numpy's einsum adds three products, so a three-term dot product
+    written with it equals its einsum bit for bit."""
+    out = q[0] + q[2]
+    out += q[1]
+    return out
 
 
 def wedge(xi) -> np.ndarray:

@@ -15,9 +15,15 @@ computes, or a fixture of the paper's constructions:
   paper's test-field route to the relaxed density;
 * :func:`director_membrane_energy` is the membrane-side target of a
   recovery lift;
+* :func:`strided_film_value` and :func:`strided_film_gradient` are the
+  film objective in the strided (..., 3, 3) layout it had before it went
+  component-major, with :func:`strided_gradients_and_means`,
+  :func:`strided_pull_back` and :func:`strided_cofactors`; the
+  component-major objective must equal them bit for bit;
 * :func:`w_stack` and :func:`eval_w` value W itself, :func:`evaluate`
-  interpolates a P1 field and :func:`boundary_mask` marks the boundary
-  vertices of a mesh;
+  interpolates a P1 field, :func:`boundary_mask` marks the boundary
+  vertices of a mesh and :func:`perturbed_square_mesh` moves the interior
+  ones of a unit-square grid at random;
 * :func:`mat32` and :func:`mat33` build validated matrices from columns,
   and :func:`finite` unwraps a value that must not be +inf.
 """
@@ -31,7 +37,7 @@ import numpy as np
 from memrelax.dimension_reduction import _sample_director
 from memrelax.energy_models import EnergyModel
 from memrelax.fiber_reduction import WEDGE_FLOOR
-from memrelax.pw_affine import PwAffineField, TriMesh
+from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from memrelax.tensor_kernel import (INFINITE, ExtValue, _validated, as_mat32,
                                     cofactors, wedge)
 
@@ -75,7 +81,7 @@ def w_stack(model: EnergyModel, F) -> np.ndarray:
     """W over an (N, 3, 3) stack, as floats with +inf: the model's
     density at |det F| and |F|^2."""
     F = np.asarray(F, dtype=float).reshape(-1, 3, 3)
-    dets, _ = cofactors(F)
+    dets, _ = cofactors(F.transpose(1, 2, 0))
     return model.density(np.abs(dets), np.sum(F * F, axis=(1, 2)))
 
 
@@ -152,7 +158,7 @@ def check_conditions(model: EnergyModel, n_samples: int = 2000,
     """
     rng = np.random.default_rng(seed)
     F = _sample_matrices(rng, n_samples)
-    dets = np.abs(cofactors(F)[0])
+    dets = np.abs(cofactors(F.transpose(1, 2, 0))[0])
     sq = np.sum(F * F, axis=(1, 2))
     vals = model.density(dets, sq)
     ratio = vals / (1.0 + model.norm_power(sq))
@@ -309,6 +315,17 @@ def boundary_mask(mesh: TriMesh) -> np.ndarray:
     return mask
 
 
+def perturbed_square_mesh(n: int = 3, seed: int = 5) -> TriMesh:
+    """unit_square_mesh(n) with each interior vertex moved by up to 0.1 / n
+    in each coordinate, at random."""
+    mesh = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    moved = mesh.vertices.copy()
+    inner = ~boundary_mask(mesh)
+    moved[inner] += 0.1 / n * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2))
+    return TriMesh(moved, mesh.triangles)
+
+
 def evaluate(field: PwAffineField, points) -> np.ndarray:
     """The P1 interpolant at (N, 2) points, (N, 3): the barycentric
     average of the corner values of the cell :meth:`TriMesh.locate`
@@ -446,3 +463,100 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
     phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
     grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
     return float(np.dot(v.mesh.areas, w_stack(model, grads)))
+
+
+# ---------------------------------------------------------------------------
+# the film objective in its strided layout
+
+def strided_gradients_and_means(mesh: TriMesh, values):
+    """Cell gradients (..., m, k, 2) and cell means (..., m, k) of
+    (..., n, k) nodal values, from one (..., 3, m, k) corner gather."""
+    c = np.take(np.asarray(values, dtype=float), mesh.triangles.T, axis=-2)
+    inv = mesh._inv_jac
+    e1 = c[..., 1, :, :] - c[..., 0, :, :]
+    e2 = c[..., 2, :, :] - c[..., 0, :, :]
+    grads = np.empty(e1.shape + (2,))
+    for col in range(2):
+        grads[..., col] = (e1 * inv[:, 0, col, None]
+                           + e2 * inv[:, 1, col, None])
+    return grads, (c[..., 0, :, :] + c[..., 1, :, :] + c[..., 2, :, :]) / 3.0
+
+
+def strided_pull_back(mesh: TriMesh, d_grad, d_mean) -> np.ndarray:
+    """Adjoint of :func:`strided_gradients_and_means`: the (..., m, 3, k)
+    corner terms, scattered by one ``np.bincount``."""
+    G, C, inv = d_grad, d_mean / 3.0, mesh._inv_jac
+    a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
+    b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
+    corner = np.stack([C - a - b, C + a, C + b], axis=-2)
+    lead, k, n = corner.shape[:-3], corner.shape[-1], mesh.n_vertices
+    rows = np.arange(math.prod(lead))[:, None, None, None]
+    idx = (rows * n + mesh.triangles[..., None]) * k + np.arange(k)
+    out = np.bincount(idx.ravel(), corner.ravel(),
+                      minlength=rows.shape[0] * n * k)
+    return out.reshape(lead + (n, k))
+
+
+def strided_cofactors(F: np.ndarray):
+    """Determinants (row-0 expansion, numpy's einsum order) and cofactor
+    matrices of an (N, 3, 3) stack, one cross product per column."""
+    cof = np.empty_like(F)
+    cof[:, :, 0] = wedge(F[:, :, 1:])
+    cof[:, :, 1] = wedge(F[:, :, 2::-2])
+    cof[:, :, 2] = wedge(F[:, :, :2])
+    return np.einsum("ki,ki->k", F[:, 0, :], cof[:, 0, :]), cof
+
+
+def strided_film_value(obj, x: np.ndarray):
+    """(energy, load, dets, state) of a film objective at x, in the
+    strided layout: F as a (prisms, 3, 3) stack, state None where a
+    determinant vanishes or differs in sign from ``obj.signs``."""
+    vals = x.reshape(obj.layers, obj.mesh.n_vertices, 3)
+    g, cen = strided_gradients_and_means(obj.mesh, vals)
+    F = np.empty((g.shape[0] - 1,) + g.shape[1:-1] + (3,))
+    F[..., :2] = 0.5 * (g[:-1] + g[1:])
+    F[..., 2] = (cen[1:] - cen[:-1]) / (obj.delta * obj.eps)
+    mid = 0.5 * (cen[:-1] + cen[1:])
+    flat = F.reshape(-1, 3, 3)
+    dets, cof = strided_cofactors(flat)
+    adet = np.abs(dets)
+    if np.any(adet == 0.0) or not np.all(dets * obj.signs > 0.0):
+        return math.inf, 0.0, dets, None
+    sq = np.einsum("kij,kij->k", flat, flat)
+    energy = float(np.dot(obj.weights, obj.model.density(adet, sq)))
+    psi = _strided_psi(obj, mid)
+    norms = np.sqrt(np.einsum("...j,...j->...", mid, mid))
+    terms = np.einsum("...j,...j->...", psi, mid) + norms ** obj.potential.p
+    load = float(np.einsum("m,lm->", obj.vol, terms))
+    return energy, load, dets, (flat, cof, adet, sq, mid, norms)
+
+
+def _strided_psi(obj, mid: np.ndarray) -> np.ndarray:
+    """The objective's load samples at the prism centroids, shaped like
+    the (layers - 1, cells, 3) centroids."""
+    return np.ascontiguousarray(np.asarray(obj.psi_mid).T).reshape(mid.shape)
+
+
+def strided_film_gradient(obj, state) -> np.ndarray:
+    """Flat nodal gradient from a :func:`strided_film_value` state: the
+    prisms' density slopes D, the two prisms' slopes summed per layer, one
+    scatter over all layers."""
+    flat, cof, adet, sq, mid, norms = state
+    model, w = obj.model, obj.weights
+    hp = model.barrier.derivative(adet) * obj.signs
+    cof = cof * (w * hp)[:, None, None]
+    flat = flat * (w * model.p * sq ** (model.p / 2.0 - 1.0))[:, None, None]
+    D = (cof + flat).reshape(mid.shape + (3,))
+    d_grad = np.zeros((obj.layers,) + D.shape[1:-1] + (2,))
+    d_grad[:-1] = D[..., :2]
+    d_grad[1:] += D[..., :2]
+    d_grad *= 0.5
+    third = D[..., 2] / (obj.delta * obj.eps)
+    pw = np.power(norms, obj.potential.p - 2.0, out=np.zeros_like(norms),
+                  where=norms > 0.0)
+    dpsi = _strided_psi(obj, mid) + obj.potential.p * pw[..., None] * mid
+    dpsi *= (0.5 * obj.vol)[None, :, None]
+    d_mean = np.zeros((obj.layers,) + dpsi.shape[1:])
+    d_mean[:-1] = dpsi - third
+    d_mean[1:] += dpsi + third
+    return strided_pull_back(obj.mesh, d_grad, d_mean).reshape(-1)

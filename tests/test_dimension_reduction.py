@@ -7,17 +7,20 @@ import pytest
 
 from memrelax import dimension_reduction
 from memrelax.dimension_reduction import (
-    _MEMORY, LoadPotential, MinimizeResult, PrismField, _Lbfgs,
+    _GRAD_TOL, _MEMORY, LoadPotential, MinimizeResult, PrismField, _Lbfgs,
     _MembraneObjective,
-    _ThinObjective, _descent, _lift, gamma_sweep, lp_distance,
+    _ThinObjective, _descent, _film_energy, _lift, gamma_sweep, lp_distance,
     minimize_membrane, minimize_thin_film, pi_eps_average, recovery_sequence,
 )
 from memrelax.director_field import InfeasibleError, build_assignment
-from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
+from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
+                                    ShiftedLogBarrier)
 from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
                                build_envelope_table)
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
-from oracles import director_membrane_energy, single_triangle_mesh
+from oracles import (director_membrane_energy, perturbed_square_mesh,
+                     single_triangle_mesh, strided_film_gradient,
+                     strided_film_value)
 
 
 def test_lp_distance_of_constant_offset():
@@ -335,7 +338,8 @@ def test_gamma_sweep_rows_are_consistent():
     out = report.to_dict()
     assert list(out) == ["meta", "rows"]
     keys = ["eps", "e3d", "emem", "gap", "lp_distance", "iterations",
-            "stop_reason", "evaluations", "gradients", "backtracks"]
+            "stop_reason", "grad_norm", "evaluations", "gradients",
+            "backtracks"]
     for row, r in zip(out["rows"], report.rows):
         assert list(row) == keys
         assert [row[k] for k in keys] == [getattr(r, k) for k in keys]
@@ -416,6 +420,21 @@ def test_descent_replaces_an_ascent_direction_by_the_negative_gradient(
     run = _descent(bowl, lambda state: 2.0 * state,
                    np.array([3.0, -4.0]), 100)
     assert run.stop_reason == "grad_tol" and run.accepted > 1
+
+
+def test_descent_stops_on_the_scaled_gradient_test():
+    # a bowl 1e6 high: its gradient falls to |g| <= 1e-10 (1 + |f|), about
+    # 1e-4, long before |g|^2 <= 1e-30, which steps of a few ulps of x
+    # around the minimizer 0.1 (not a float) would never reach
+    c = np.logspace(0.0, 3.0, 8)
+
+    def value(x):
+        return 1e6 + float(np.dot(c * (x - 0.1), x - 0.1)), 0.0, x
+
+    run = _descent(value, lambda x: 2.0 * c * (x - 0.1), np.zeros(8), 500)
+    assert run.stop_reason == "grad_tol" and 0 < run.accepted < 500
+    assert run.grad_norm <= _GRAD_TOL * (1.0 + abs(run.value))
+    assert run.grad_norm ** 2 > 1e-30
 
 
 def test_lbfgs_direction_is_the_two_loop_recursion():
@@ -505,7 +524,7 @@ def _bb_descent(value, gradient, x0, iters):
     accepted, evaluations, reason = 0, 1, "budget"
     for _ in range(iters):
         gn2 = float(np.dot(g, g))
-        if gn2 <= 1e-30:
+        if math.sqrt(gn2) <= _GRAD_TOL * (1.0 + abs(f)):
             reason = "grad_tol"
             break
         if prev_x is None:
@@ -655,9 +674,9 @@ def test_sweep_values_each_point_once(monkeypatch):
     film_energy = dimension_reduction._film_energy
     lookup = EnvelopeTable.lookup
 
-    def counted_film(model, weights, mesh, vals, eps):
+    def counted_film(model, weights, mesh, vals, eps, signs):
         film_calls[eps] = film_calls.get(eps, 0) + 1
-        return film_energy(model, weights, mesh, vals, eps)
+        return film_energy(model, weights, mesh, vals, eps, signs)
 
     def counted_lookup(table, xis):
         lookups.append(1)
@@ -703,7 +722,7 @@ def _eager_descent(obj, x0, iters):
     reason = "budget"
     for _ in range(iters):
         gn2 = float(np.dot(g, g))
-        if gn2 <= 1e-30:
+        if math.sqrt(gn2) <= _GRAD_TOL * (1.0 + abs(f)):
             reason = "grad_tol"
             break
         d = memory.direction(g)
@@ -824,6 +843,65 @@ def test_film_objective_refuses_a_determinant_sign_flip():
     assert flipped_obj.signs.tolist() == [1.0, -1.0]
 
 
+def test_a_refused_trial_evaluates_no_density(monkeypatch):
+    # the sign test comes before the density: the flipped film of the test
+    # above is refused at the cost of its determinants alone
+    model, load = EnergyModel(), _tilted_load()
+    mesh = single_triangle_mesh((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    start = _flat_film(mesh, 0.2, 3)
+    vals = start.values.copy()
+    vals[2, :, 2] = -0.05
+    calls = []
+    density = EnergyModel.density
+
+    def counted(self, adet, sq):
+        calls.append(len(adet))
+        return density(self, adet, sq)
+
+    monkeypatch.setattr(EnergyModel, "density", counted)
+    obj = _ThinObjective(model, load, start)
+    assert math.isfinite(_total(obj, start.values.reshape(-1)))
+    assert calls == [2]
+    assert obj(vals.reshape(-1)) == (math.inf, 0.0, None)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("load_p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("barrier", [ReciprocalBarrier(), ShiftedLogBarrier()],
+                         ids=["reciprocal", "shifted_log"])
+@pytest.mark.parametrize("layers", [3, 5, 7])
+def test_film_objective_equals_the_strided_oracle_bit_for_bit(
+        layers, barrier, p, load_p):
+    # the component-major objective against the strided one it replaced:
+    # the same energy, load, determinants and gradient, to the last bit,
+    # at the start and at random feasible points around it
+    model = EnergyModel(barrier, p=p)
+    mesh = perturbed_square_mesh(3, layers)
+    load = LoadPotential(lambda pts, x3: np.column_stack(
+        [np.sin(3.0 * pts[:, 0]), pts[:, 1] * x3 - 0.2, np.cos(x3) - 1.5]),
+        p=load_p)
+    rng = np.random.default_rng(layers)
+    vals = _flat_film(mesh, 0.2, layers).values.copy()
+    vals[:, :, :2] *= 1.5
+    # noise of a tenth of the layer spacing keeps every prism upright
+    scale = 0.02 / (layers - 1)
+    start = vals.reshape(-1) + scale * rng.standard_normal(vals.size)
+    obj = _film_objective(model, load, mesh, start, 0.2)
+    for k in range(4):
+        x = start if k == 0 else (start
+                                  + scale * rng.standard_normal(start.size))
+        energy, load_value, state = obj(x)
+        want = strided_film_value(obj, x)
+        assert math.isfinite(energy) and want[3] is not None
+        assert (energy, load_value) == want[:2]
+        dets = _film_energy(model, obj.weights, mesh,
+                            x.reshape(layers, -1, 3), 0.2, None)[1]
+        np.testing.assert_array_equal(dets, want[2])
+        np.testing.assert_array_equal(obj.gradient(state),
+                                      strided_film_gradient(obj, want[3]))
+
+
 def test_film_descent_refuses_a_start_of_infinite_energy():
     # a layer-constant start has zero prism determinants
     mesh = unit_square_mesh(2)
@@ -903,3 +981,24 @@ def test_recovery_sweep_rows_count_no_descent():
         assert (r.iterations, r.stop_reason) == (0, None)
         assert (r.evaluations, r.gradients, r.backtracks) == (0, 0, 0)
     assert len(report.meta["seconds"]["films"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["minimize", "recovery"])
+def test_sweep_reports_the_final_gradient_norms(mode):
+    model, table, load = EnergyModel(), _linear_table(), _down_load()
+    mesh = unit_square_mesh(2)
+    report = gamma_sweep(model, table, load, mesh, [0.2, 0.1], iters=5,
+                         mode=mode)
+    mem = minimize_membrane(table, load, mesh, iters=5)
+    assert report.meta["membrane_grad_norm"] == mem.grad_norm > 0.0
+    zeta_bar = build_assignment(model, mem.field).zeta_bar
+    out = report.to_dict()
+    assert out["meta"]["membrane_grad_norm"] == mem.grad_norm
+    for r, row in zip(report.rows, out["rows"]):
+        if mode == "recovery":
+            assert r.grad_norm is None
+        else:
+            lift = _lift(mem.field, zeta_bar, r.eps, 5)
+            res = minimize_thin_film(model, load, lift, iters=5)
+            assert r.grad_norm == res.grad_norm > 0.0
+        assert row["grad_norm"] == r.grad_norm

@@ -25,7 +25,9 @@ from oracles import (
     energy_integral,
     evaluate,
     finite,
+    perturbed_square_mesh,
     single_triangle_mesh,
+    strided_pull_back,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -203,17 +205,8 @@ def test_mesh_and_field_validation():
 # ---------------------------------------------------------------------------
 # P1 operators and the edge table
 
-def _perturbed_mesh(n=3, seed=5):
-    mesh = unit_square_mesh(n)
-    rng = np.random.default_rng(seed)
-    moved = mesh.vertices.copy()
-    inner = ~boundary_mask(mesh)
-    moved[inner] += 0.1 / n * rng.uniform(-1.0, 1.0, size=(inner.sum(), 2))
-    return TriMesh(moved, mesh.triangles)
-
-
 def test_edge_table_lists_each_side_once():
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     T = mesh.triangles
     sides = np.stack([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]], axis=1)
     np.testing.assert_array_equal(mesh.edges[mesh.cell_edges],
@@ -231,7 +224,7 @@ def test_edge_table_lists_each_side_once():
 
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_pull_back_is_adjoint_of_gradients_and_means(lead):
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     rng = np.random.default_rng(11)
     k = 3
     v = rng.standard_normal(lead + (mesh.n_vertices, k))
@@ -245,7 +238,7 @@ def test_pull_back_is_adjoint_of_gradients_and_means(lead):
 
 
 def test_cell_gradients_and_means_of_an_affine_map():
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     xi = np.array([[1.0, 2.0], [-0.5, 0.3], [0.2, 0.0]])
     vals = mesh.vertices @ xi.T
     np.testing.assert_allclose(mesh.cell_gradients(vals),
@@ -261,7 +254,7 @@ def test_cell_gradients_and_means_of_an_affine_map():
 @pytest.mark.parametrize("k", [1, 3])
 def test_one_corner_gather_equals_the_per_corner_formulas(lead, k):
     # the three-gather formulas the mesh used before it shared one gather
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     v = np.random.default_rng(12).standard_normal(lead + (mesh.n_vertices, k))
     T, inv = mesh.triangles, mesh._inv_jac
     v0 = v[..., T[:, 0], :]
@@ -278,22 +271,8 @@ def test_one_corner_gather_equals_the_per_corner_formulas(lead, k):
         np.testing.assert_array_equal(got, want)
 
 
-def _uncached_pull_back(mesh, d_grad, d_mean):
-    # the formula that rebuilt its scatter index on every call
-    G, C, inv = d_grad, d_mean / 3.0, mesh._inv_jac
-    a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
-    b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
-    corner = np.stack([C - a - b, C + a, C + b], axis=-2)
-    lead, k, n = corner.shape[:-3], corner.shape[-1], mesh.n_vertices
-    rows = np.arange(int(np.prod(lead, dtype=int)))[:, None, None, None]
-    idx = (rows * n + mesh.triangles[..., None]) * k + np.arange(k)
-    out = np.bincount(idx.ravel(), corner.ravel(),
-                      minlength=rows.shape[0] * n * k)
-    return out.reshape(lead + (n, k))
-
-
 def test_cached_pull_back_equals_the_uncached_formula():
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     rng = np.random.default_rng(13)
     # alternate the shapes twice, so an index reused for the wrong shape
     # would show on the second round
@@ -302,13 +281,13 @@ def test_cached_pull_back_equals_the_uncached_formula():
         C = rng.standard_normal(lead + (mesh.n_cells, k))
         got = mesh.pull_back(G, C)
         assert got.shape == lead + (mesh.n_vertices, k)
-        np.testing.assert_array_equal(got, _uncached_pull_back(mesh, G, C))
+        np.testing.assert_array_equal(got, strided_pull_back(mesh, G, C))
 
 
 @pytest.mark.parametrize("block", [1, 16, 1000])
 def test_blocked_locate_equals_one_full_scan(monkeypatch, block):
     monkeypatch.setattr(pw_affine, "_LOCATE_POINTS", block)
-    mesh = _perturbed_mesh()
+    mesh = perturbed_square_mesh()
     a, b = mesh.edges.T
     rng = np.random.default_rng(14)
     pts = np.concatenate([
@@ -336,7 +315,7 @@ def _curved_field(mesh):
 
 
 def test_refine_field_agrees_with_the_original_field():
-    field = _curved_field(_perturbed_mesh())
+    field = _curved_field(perturbed_square_mesh())
     pts = np.random.default_rng(2).uniform(0.02, 0.98, size=(200, 2))
     # the interpolant reads the nodal values at the vertices
     np.testing.assert_allclose(evaluate(field, field.mesh.vertices),
