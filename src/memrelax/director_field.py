@@ -12,7 +12,6 @@ sharpness grow.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .energy_models import EnergyModel
 from .fiber_reduction import WEDGE_FLOOR, _fiber_invariants, solve_fiber
 from .pw_affine import PwAffineField
 from .quadrature import integrate_adaptive
-from .tensor_kernel import ExtValue, as_mat32, wedge
+from .tensor_kernel import ExtValue, as_mat32, is_integer, wedge
 
 __all__ = [
     "InfeasibleError",
@@ -162,7 +161,7 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
 def _check_index(j) -> None:
     """Refuse a constraint index that is not an integer: the clamp
     1/(j a) and the stored index would disagree."""
-    if not isinstance(j, numbers.Integral):
+    if not is_integer(j):
         raise ValueError(f"constraint index must be an integer, got {j!r}")
 
 
@@ -187,7 +186,8 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}; the
     problem reduces to the fiber problem of :func:`solve_fiber` in the
     normal coordinate t with the clamp t >= 1/(j a). Returns the value
-    and a minimizer. j must be an integer >= 1 (numpy integers included).
+    and a minimizer. j must be an integer >= 1 (numpy integers included,
+    bools refused).
     """
     _check_index(j)
     if j < 1:
@@ -253,7 +253,7 @@ def build_assignment(model: EnergyModel, field: PwAffineField,
     all cells in one batched fiber solve.
 
     j defaults to the feasibility index j_v; otherwise it must be an
-    integer >= j_v (numpy integers included).
+    integer >= j_v (numpy integers included, bools refused).
     """
     if j is not None:
         _check_index(j)
@@ -294,12 +294,12 @@ class BlendedDirector:
     inward unit normal and an offset. Both endpoints satisfy the cell's
     determinant bound and the bound is linear in the director, so every
     blended value stays feasible. The sharpness n must be an integer
-    >= 1, numpy integers included.
+    >= 1, numpy integers included, bools refused.
     """
 
     def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
                  n: int):
-        if not (isinstance(n, numbers.Integral) and n >= 1):
+        if not (is_integer(n) and n >= 1):
             raise ValueError("blend sharpness must be an integer >= 1, "
                              f"got {n!r}")
         if assignment.n_cells != field.mesh.n_cells:
@@ -356,8 +356,9 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
 
     Builds the assignment at index j (rejected below the feasibility
     index) and blends with sharpness n; both must be integers, numpy
-    integers included; its one batched constrained fiber solve stops a
-    cell whose minimizer sits on a kink of the barrier exactly there.
+    integers included and bools refused; its one batched constrained
+    fiber solve stops a cell whose minimizer sits on a kink of the
+    barrier exactly there.
     Along the blend zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c,
     the determinant is c0 + a * c1 and |xi|^2 + |zeta|^2 is
     q0 + a * (q1 + a * q2), with five coefficients per cell computed

@@ -16,7 +16,12 @@ module approaches it from above along independent routes:
 
 Every route values the density through its ``batch`` method alone, on
 (N, 3, 2) stacks, like
-:meth:`~memrelax.fiber_reduction.ReducedDensity.batch`.
+:meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. The laminate
+search values one point of each set of grid points the density values
+alike: one end of each mirror pair of splits, and at a matrix with a zero
+third row, such as every table node diag(s1, s2), one end of each orbit
+of the reflection R = diag(1, 1, -1). Point counts (``_Counted``,
+:attr:`TableEntry.evaluations`) are of the points actually valued.
 
 :func:`build_envelope_table` combines the routes on a grid of singular
 values (the reduced density is invariant under left and right rotations,
@@ -30,7 +35,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -39,8 +43,8 @@ import numpy as np
 
 from .energy_models import EnergyModel
 from .fiber_reduction import ReducedDensity, w0_growth_constant
-from .tensor_kernel import (ExtValue, as_mat32, frob_norm, singular_values,
-                            wedge)
+from .tensor_kernel import (ExtValue, as_mat32, frob_norm, is_integer,
+                            singular_values, wedge)
 
 _COL_TOL = 1e-12
 
@@ -200,11 +204,39 @@ def _sphere_net(n: int) -> np.ndarray:
     return np.vstack([axes, corners, np.array(edges)])[:n]
 
 
+class _Orbits(NamedTuple):
+    built: np.ndarray    # (E,) end ids the search builds and values
+    slot: np.ndarray     # (2R,) each end's orbit, as an index into built
+    ends: np.ndarray     # (K, 2) slots of each pair's (plus, minus) end
+
+
 class _PairGrid(NamedTuple):
     steps: np.ndarray    # (K, 3, 2) rank-one steps
     lam: np.ndarray      # (K,) volume fractions
-    rep: np.ndarray      # (K / 2,) pairs evaluated: one per mirror pair
+    rep: np.ndarray      # (R,) pairs evaluated, one per mirror pair
     ends: np.ndarray     # (K, 2) ids of each pair's (plus, minus) end
+    twin: np.ndarray     # (2R,) id of each end's reflection by R
+    turn: np.ndarray     # (R,) the representative with the reflected score
+    plain: _Orbits       # every end on its own
+    flat: _Orbits        # one end per reflection orbit
+
+
+# R = diag(1, 1, -1), as a factor of the rows of a (..., 3, 2) stack
+_REFLECT = np.array([[1.0], [1.0], [-1.0]])
+
+
+def _pair_keys(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """One byte string per pair; adding 0.0 turns -0.0 into 0.0, so equal
+    zeros give equal bytes."""
+    flat = np.column_stack([steps.reshape(-1, 6) + 0.0, lam])
+    return flat.view(np.dtype((np.void, flat.itemsize * 7))).ravel()
+
+
+def _match(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index k with keys[k] == want[i], for each i, or -1 if none."""
+    order = np.argsort(keys)
+    k = order[np.minimum(np.searchsorted(keys[order], want), keys.size - 1)]
+    return np.where(keys[k] == want, k, -1)
 
 
 def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -216,17 +248,20 @@ def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
     are bit for bit the pair's ends xi - lam[j] steps[j] and
     xi + (1 - lam[j]) steps[j], and its score is bit for bit the pair's.
     """
-    def rows(step, frac):
-        # one byte string per pair; adding 0.0 turns -0.0 into 0.0, so
-        # equal zeros give equal bytes
-        flat = np.column_stack([step.reshape(-1, 6) + 0.0, frac])
-        return flat.view(np.dtype((np.void, flat.itemsize * 7))).ravel()
+    k = _match(_pair_keys(steps, lam), _pair_keys(-steps, 1.0 - lam))
+    return np.where((k >= 0) & (1.0 - lam[k] == lam), k, -1)
 
-    keys = rows(steps, lam)
-    want = rows(-steps, 1.0 - lam)
-    order = np.argsort(keys)
-    k = order[np.minimum(np.searchsorted(keys[order], want), lam.size - 1)]
-    return np.where((keys[k] == want) & (1.0 - lam[k] == lam), k, -1)
+
+def _reflection_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Index k of each pair's reflection (R steps, lam), -1 if none.
+
+    R = diag(1, 1, -1) negates a step's third row. Matched by exact
+    equality, signed zeros equal. When the third row of xi is zero, R
+    fixes xi, and the reflection's ends are those of the pair with their
+    third rows negated: xi + (1 - lam) R step = R (xi + (1 - lam) step)
+    entrywise, zero entries up to sign, and likewise the minus ends.
+    """
+    return _match(_pair_keys(steps, lam), _pair_keys(steps * _REFLECT, lam))
 
 
 def _least(scores: np.ndarray, k: int) -> np.ndarray:
@@ -249,9 +284,10 @@ def _least(scores: np.ndarray, k: int) -> np.ndarray:
 @functools.lru_cache(maxsize=2)
 def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
                n_lambda: int) -> _PairGrid:
-    """Rank-one steps, volume fractions and the mirror map of the grid of
-    the first ``n_sphere`` cube-lattice directions, ``n_angles`` planar
-    angles, ``n_magnitudes`` magnitudes and ``n_lambda`` fractions.
+    """Rank-one steps, volume fractions and the mirror and reflection maps
+    of the grid of the first ``n_sphere`` cube-lattice directions,
+    ``n_angles`` planar angles, ``n_magnitudes`` magnitudes and
+    ``n_lambda`` fractions.
 
     Built once per grid. Every pair's mirror (-step, 1 - lam) must be on
     the grid exactly (:func:`_mirror_index`), so that the two share their
@@ -263,6 +299,16 @@ def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
     their minus ends, R..2R-1, ``ends[j]`` gives the ids of pair j's plus
     end xi + (1 - lam) step and minus end xi - lam step; a mirror takes
     its representative's ids swapped.
+
+    Every pair's reflection (R step, lam), R = diag(1, 1, -1), must be on
+    the grid exactly as well (:func:`_reflection_index`), or ValueError
+    is raised. ``twin[e]`` is the id of the end that reflects end e (e
+    itself when the step's third row is zero), an involution, and
+    ``turn[j]`` the representative of the mirror pair that holds rep[j]'s
+    reflection: pair rep[j] scores at R X what pair rep[turn[j]] scores
+    at X. ``flat`` numbers one end per orbit {e, twin[e]}, the lower id,
+    in ``built``; ``plain`` numbers every end on its own. The maps are
+    int32 arrays.
     """
     dirs = _sphere_net(n_sphere)
     angles = np.pi * np.arange(n_angles) / n_angles
@@ -283,15 +329,45 @@ def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
     if unmatched:
         raise ValueError(f"{unmatched} of {lam.size} grid pairs have no "
                          f"exact mirror (-step, 1 - fraction)")
-    rep = np.flatnonzero(np.arange(lam.size) < mirror)
-    slot = np.arange(rep.size)
-    ends = np.empty((lam.size, 2), dtype=int)
+    reflection = _reflection_index(steps, lam)
+    unmatched = np.count_nonzero(reflection < 0)
+    if unmatched:
+        raise ValueError(f"{unmatched} of {lam.size} grid pairs have no "
+                         f"exact reflection (R step, fraction)")
+    idx = np.int32
+    rep = np.flatnonzero(np.arange(lam.size) < mirror).astype(idx)
+    slot = np.arange(rep.size, dtype=idx)
+    ends = np.empty((lam.size, 2), dtype=idx)
     ends[rep] = np.stack([slot, rep.size + slot], axis=1)
     ends[mirror[rep]] = np.stack([rep.size + slot, slot], axis=1)
-    grid = _PairGrid(steps, lam, rep, ends)
-    for arr in grid:
+    # end j (< R) is rep[j]'s plus end, R + j its minus end; their
+    # reflections are the plus and minus ends of the pair reflecting
+    # rep[j], whose mirror class has representative twin[j] mod R
+    twin = ends[reflection[rep]].T.ravel()
+    turn = twin[:rep.size] % rep.size
+    every = np.arange(2 * rep.size, dtype=idx)
+    built = np.flatnonzero(every <= twin).astype(idx)
+    orbit = np.searchsorted(built, np.minimum(every, twin)).astype(idx)
+    grid = _PairGrid(steps, lam, rep, ends, twin, turn,
+                     _Orbits(every, every, ends),
+                     _Orbits(built, orbit, orbit[ends]))
+    for arr in (*grid[:6], *grid.plain, *grid.flat):
         arr.setflags(write=False)
     return grid
+
+
+def _grid_ends(xi: np.ndarray, grid: _PairGrid, ids: np.ndarray):
+    """The ends with the given ids, as contiguous (3, 2, n) rows.
+
+    End j < R is xi + (1 - lam) step of pair rep[j], end R + j is
+    xi - lam step, formed as (-lam) step + xi: bit for bit the same.
+    """
+    pair = grid.rep[ids % grid.rep.size]
+    frac = grid.lam[pair]
+    pts = _component_major(grid.steps[pair])
+    pts *= np.where(ids < grid.rep.size, 1.0 - frac, -frac)
+    pts += xi[:, :, None]
+    return pts
 
 
 @dataclass(frozen=True)
@@ -304,7 +380,9 @@ class LaminateResult:
 
 
 class _Counted:
-    """Density proxy that counts the points it evaluates."""
+    """Density proxy that counts the points it evaluates: the points
+    passed to ``batch``, after the search's mirror and reflection
+    quotients, not the points of the full grids."""
 
     def __init__(self, density):
         self.density = density
@@ -378,13 +456,30 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     the other's end values swapped, so the scores, the ranking, the best
     pair and the polish are those of the full grid, and at depth 2 the
     best split of a kept end on the inner grid's representatives is the
-    full inner grid's. ``batch`` must also take any memory layout: the
-    search builds the grid ends component-major, as contiguous
-    (3, 2, ...) arrays, and passes their (N, 3, 2) views, which
+    full inner grid's.
+
+    ``batch`` must also value R xi, xi with its third row negated
+    (R = diag(1, 1, -1)), bit for bit like xi, whatever the signs of its
+    zero entries. When the third row of ``xi`` is zero (-0.0 included),
+    R fixes ``xi``, and every grid pair has a reflection (R step,
+    fraction) on the grid, matched exactly, whose ends are the pair's
+    ends reflected. The search then values one end of each orbit {end,
+    reflected end}: 6,664 of the outer grid's 10,192 distinct ends. At
+    depth 2 it splits, once on the inner grid, the valued end of each
+    kept end's (child's) orbit; a child that is the reflection of that
+    end scores by inner pair j what the valued end scores by the
+    reflection of j, read through a permutation of the inner
+    representatives cached with the grid. So the values and the witness
+    are those of the full search. For any other ``xi`` every end is
+    valued.
+
+    ``batch`` must also take any memory layout: the search builds the
+    grid ends component-major, as contiguous (3, 2, ...) arrays, and
+    passes their (N, 3, 2) views, which
     :func:`~memrelax.fiber_reduction.w0_batch` reads without a copy.
 
-    At depth 2 the inner splits are built and valued in blocks of 20 kept
-    ends (children), two ``batch`` calls per block, one for the plus and
+    At depth 2 the inner splits are built and valued in blocks of 20
+    split children, two ``batch`` calls per block, one for the plus and
     one for the minus ends of its 420 inner representatives. That keeps
     each call's working set in cache and the search's peak memory
     independent of the number of children. As ``batch`` values each
@@ -408,7 +503,7 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     itself a witness with E the density, or None where the end's own
     density is lower; ``score`` then equals values[2].
     """
-    if not (isinstance(depth, numbers.Integral) and 0 <= depth <= 2):
+    if not (is_integer(depth) and 0 <= depth <= 2):
         raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     xi = as_mat32(xi)
     base = float(density.batch(xi[None])[0])
@@ -417,12 +512,12 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
 
     grid = _pair_grid(*_OUTER)
     steps, lam = grid.steps, grid.lam
-    rsteps, rlam = _component_major(steps[grid.rep]), lam[grid.rep]
-    # ends of the representatives, (3, 2, 2R): plus ends, then minus ends
-    pts = np.concatenate([xi[:, :, None] + (1.0 - rlam) * rsteps,
-                          xi[:, :, None] - rlam * rsteps], axis=2)
+    # R = diag(1, 1, -1) fixes a flat xi, whose reflected ends share
+    # their values: value one end of each orbit
+    orbits = grid.plain if np.any(xi[2]) else grid.flat
+    pts = _grid_ends(xi, grid, orbits.built)
     vals = density.batch(_stack_view(pts))
-    vp, vm = vals[grid.ends[:, 0]], vals[grid.ends[:, 1]]
+    vp, vm = vals[orbits.ends[:, 0]], vals[orbits.ends[:, 1]]
     scores = lam * vp + (1.0 - lam) * vm
 
     k_best = int(np.argmin(scores))
@@ -442,26 +537,37 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
         v2 = values[1]
         if kept.size:
             # every child needs only its depth-1 value: its own value is
-            # in vals, and two batched sweeps over (distinct child, inner
-            # representative) give its best split
+            # in vals, and two batched sweeps over (valued child, inner
+            # representative) give its best split; a child that is the
+            # reflection of its orbit's valued end reads that end's
+            # scores at the reflected inner pairs
             ids, child_of = np.unique(grid.ends[kept].ravel(),
                                       return_inverse=True)
+            slot = orbits.slot[ids]
+            swept, row = np.unique(slot, return_inverse=True)
+            turned = orbits.built[slot] != ids
             inner = _pair_grid(*_INNER)
             isteps, ilam = inner.steps[inner.rep], inner.lam[inner.rep]
             cstep = _component_major(isteps)[:, :, None, :]
             up, down = (1.0 - ilam) * cstep, ilam * cstep
-            csc = np.empty((ids.size, ilam.size))
-            for lo in range(0, ids.size, _CHILD_BLOCK):
+            csc = np.empty((swept.size, ilam.size))
+            for lo in range(0, swept.size, _CHILD_BLOCK):
                 # (3, 2, child, pair) ends of one block's inner splits
-                child = pts.take(ids[lo:lo + _CHILD_BLOCK], axis=2)[..., None]
+                block = swept[lo:lo + _CHILD_BLOCK]
+                child = pts.take(block, axis=2)[..., None]
                 cvp = density.batch(_stack_view(child + up))
                 cvm = density.batch(_stack_view(child - down))
                 csc[lo:lo + child.shape[2]] = (
                     ilam * cvp.reshape(-1, ilam.size)
                     + (1.0 - ilam) * cvm.reshape(-1, ilam.size))
-            c_best = np.argmin(csc, axis=1)
-            c_split = csc[np.arange(ids.size), c_best]
-            child_l1 = np.minimum(vals[ids], c_split)[child_of]
+            c_best = np.argmin(csc, axis=1)[row]
+            twins = np.flatnonzero(turned)
+            c_best[twins] = np.argmin(csc[np.ix_(row[twins], inner.turn)],
+                                      axis=1)
+            col = np.where(turned, inner.turn[c_best], c_best)
+            c_split = csc[row, col]
+            child_l0 = vals[slot]
+            child_l1 = np.minimum(child_l0, c_split)[child_of]
             child_l1 = child_l1.reshape(kept.size, 2)
             frac = lam[kept]
             pairs = frac * child_l1[:, 0] + (1.0 - frac) * child_l1[:, 1]
@@ -475,7 +581,7 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
                     b = int(c_best[c])
                     witness[side] = (
                         _split_record(isteps[b], ilam[b], c_split[c])
-                        if c_split[c] < vals[ids[c]] else None)
+                        if c_split[c] < child_l0[c] else None)
         values.append(v2)
     return LaminateResult(values=tuple(values), witness=witness)
 
@@ -489,7 +595,9 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
 class TableEntry:
     """One node: its bound, the route that gave it, that route's witness
     and the density points all the node's bounds evaluated (None when
-    read from a table saved without the count)."""
+    read from a table saved without the count). The count is of points
+    actually valued: the laminate search values one end per mirror pair
+    and, at a node diag(s1, s2), one per reflection orbit."""
 
     sigma: tuple[float, float]
     value: float

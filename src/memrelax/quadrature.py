@@ -21,11 +21,12 @@ per-root sums are those of valuing every side on its own.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .tensor_kernel import is_integer
 
 # integrand: (N, 2) points and the (N,) root index of each point -> (N,)
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -159,11 +160,12 @@ def integrate_adaptive(f: Integrand, tris, *,
 
     Raises ValueError at the first level at which a root's value is
     NaN; +inf values pass through, and a root equal at two successive
-    levels (+inf included) has converged.
+    levels (+inf included) has converged. max_level must be an integer
+    >= 0, numpy integers included, bools refused.
     """
     if not 0.0 < rel_tol < np.inf:
         raise ValueError("rel_tol must be positive and finite")
-    if not (isinstance(max_level, numbers.Integral) and max_level >= 0):
+    if not (is_integer(max_level) and max_level >= 0):
         raise ValueError(f"max_level must be an integer >= 0, got {max_level!r}")
     tris = _triangle_stack(tris)
     m = tris.shape[0]

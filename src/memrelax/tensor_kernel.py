@@ -9,6 +9,7 @@ scalar result as such a value, and refuses NaN and negative ones.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -16,6 +17,7 @@ __all__ = [
     "ExtValue",
     "INFINITE",
     "as_mat32",
+    "is_integer",
     "frob_norm",
     "cofactors",
     "sum3",
@@ -57,6 +59,14 @@ def _validated(arr, shape, name: str) -> np.ndarray:
 
 def as_mat32(arr) -> np.ndarray:
     return _validated(arr, (3, 2), "mat32")
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, False for anything else: a
+    float, even an integral one, and a bool, which counts as an integer
+    in Python but is never a count, a depth or an index here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value,
+                                                                  bool)
 
 
 def frob_norm(F) -> float:

@@ -164,9 +164,10 @@ def test_constrained_min_input_validation():
         cell_min_constrained(m, mat32([1, 0, 0], [2, 0, 0]), 1, 1)
 
 
-@pytest.mark.parametrize("j", [2.5, 2.0, math.inf, math.nan])
+@pytest.mark.parametrize("j", [2.5, 2.0, math.inf, math.nan, True])
 def test_a_constraint_index_that_is_not_an_integer_is_refused(j):
-    # 2.5 clamped at 1/(2.5 a) but was stored as DirectorAssignment.j == 2
+    # 2.5 clamped at 1/(2.5 a) but was stored as DirectorAssignment.j == 2;
+    # True passed as j = 1
     m = EnergyModel()
     field = identity_field()
     with pytest.raises(ValueError, match="must be an integer"):
@@ -334,7 +335,7 @@ def test_blend_input_validation():
         BlendedDirector(other, asn, 8)
 
 
-@pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+@pytest.mark.parametrize("n", [1.5, math.nan, math.inf, True])
 def test_blend_rejects_a_fractional_or_nonfinite_sharpness(n):
     m = EnergyModel()
     field = identity_field()

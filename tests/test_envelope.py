@@ -314,6 +314,19 @@ def test_table_rejects_a_fractional_depth():
                              depth=1.5)
 
 
+@pytest.mark.parametrize("depth", [True, False, np.True_])
+def test_a_bool_depth_is_refused(w0, depth):
+    # depth=True passed as 1 and wrote methods "laminate-True" and
+    # "depth": true into the table's JSON
+    with pytest.raises(ValueError, match="the integer 0, 1 or 2"):
+        laminate_search(w0, E1E2, depth)
+    with pytest.raises(ValueError, match="the integer 0, 1 or 2"):
+        build_envelope_table(EnergyModel(), sigma_max=0.5, pitch=0.5,
+                             depth=depth)
+    assert laminate_search(w0, E1E2, np.int64(1)).values \
+        == laminate_search(w0, E1E2, 1).values
+
+
 @pytest.fixture(scope="module")
 def sweep_table():
     # the set-up table of the sweep benchmark
@@ -645,12 +658,13 @@ def test_least_scores_are_the_stable_sort_head(seed):
 
 
 # node values, as float.hex, and density evaluations of the depth-2 table
-# at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier, recorded
-# before the fiber solve read component-major rows
+# at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier; the values
+# were recorded before the fiber solve read component-major rows, the
+# counts once the search valued one end per reflection orbit
 GOLDEN_DEPTH2 = [
-    ((0.0, 0.0), "0x1.38f3d1d950af4p+2", 10209),
-    ((0.5, 0.0), "0x1.1000ae72bbb9fp+2", 178409),
-    ((0.5, 0.5), "0x1.ef5adf0195e84p+1", 171689),
+    ((0.0, 0.0), "0x1.38f3d1d950af4p+2", 6681),
+    ((0.5, 0.0), "0x1.1000ae72bbb9fp+2", 104321),
+    ((0.5, 0.5), "0x1.ef5adf0195e84p+1", 100961),
 ]
 
 
@@ -764,23 +778,42 @@ def _full_grid_profile(density, xi, depth):
             shape = (pts.shape[0], inner.lam.size)
             cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
             cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
-            csc = (inner.lam * cvp + (1.0 - inner.lam) * cvm).min(axis=1)
+            full = inner.lam * cvp + (1.0 - inner.lam) * cvm
+            csc = full.min(axis=1)
+            # the witness names the first best representative
+            c_best = np.argmin(full[:, inner.rep], axis=1)
             child_l1 = np.minimum(child_l0, csc)
             frac = lam[kept]
             half = len(kept)
             pairs = (frac * child_l1[:half]
                      + (1.0 - frac) * child_l1[half:])
-            v2 = min(v2, float(pairs.min()))
+            i = int(np.argmin(pairs))
+            if pairs[i] < v2:
+                v2 = float(pairs[i])
+                k = kept[i]
+                witness = {"step": steps[k].tolist(),
+                           "fraction": float(lam[k]), "score": v2}
+                for side, c in (("plus", i), ("minus", half + i)):
+                    b = inner.rep[c_best[c]]
+                    witness[side] = (
+                        {"step": inner.steps[b].tolist(),
+                         "fraction": float(inner.lam[b]),
+                         "score": float(csc[c])}
+                        if csc[c] < child_l0[c] else None)
         values.append(v2)
     return values, witness
 
 
-# small arguments, where splitting the ends of a split pays off
+# small arguments, where splitting the ends of a split pays off; the
+# last three have a zero third row, where the search values one end per
+# reflection orbit
 EQUIVALENCE_POINTS = [
     np.random.default_rng(21).uniform(-0.5, 0.5, (3, 2)),
     mat32([0.3, 0.06, -0.12], [0.15, 0.03 + 3e-8, -0.06]),  # nearly parallel
-    mat32([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),                # rank one
     mat32([0.1, -0.4, 0.25], [0.1, -0.4, 0.25]),            # equal columns
+    mat32([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),    # rank one: diag(0.5, 0)
+    mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]),   # a laminate-2 node
+    mat32([0.3, -0.2, -0.0], [0.1, 0.4, 0.0]),  # a -0.0 in the third row
 ]
 EQUIVALENCE_DENSITIES = [
     ReducedDensity(EnergyModel()),
@@ -798,8 +831,8 @@ def test_mirror_search_equals_the_full_grid(density, depth):
         want, witness = _full_grid_profile(density, xi, depth)
         got = laminate_search(density, xi, depth)
         assert list(got.values) == want
+        assert got.witness == witness
         if depth == 1:
-            assert got.witness == witness
             continue
         # the witness replays its score, the value whenever some split
         # beats the density (never for the convex power)
@@ -813,5 +846,93 @@ def test_mirror_search_equals_the_full_grid_at_the_defaults(w0):
     # the default call, with no depth-specific setup, on the module density
     xi = EQUIVALENCE_POINTS[0]
     want, witness = _full_grid_profile(w0, xi, 2)
-    assert list(laminate_search(w0, xi, 2).values) == want
-    assert laminate_search(w0, xi, 1).witness == witness
+    got = laminate_search(w0, xi, 2)
+    assert list(got.values) == want
+    assert got.witness == witness
+    assert laminate_search(w0, xi, 1).witness \
+        == _full_grid_profile(w0, xi, 1)[1]
+
+
+# ---------------------------------------------------------------------------
+# reflection orbits of the search grid at a flat matrix
+
+@pytest.mark.parametrize("density", EQUIVALENCE_DENSITIES,
+                         ids=["reciprocal", "shifted-log", "power"])
+def test_densities_value_a_reflected_stack_bit_for_bit(density):
+    # the search reads R xi's value, R = diag(1, 1, -1), off xi's; zero
+    # entries change sign under R, and rank-deficient rows are +inf
+    rng = np.random.default_rng(25)
+    xis = rng.uniform(-1.5, 1.5, (600, 3, 2))
+    xis[::5, 2, rng.integers(0, 2)] = 0.0
+    xis[::7, 2] = 0.0
+    xis[::11, 2, 1] = -0.0
+    xis[::13, :, 1] = 0.0
+    reflected = xis * envelope._REFLECT
+    got = density.batch(xis)
+    assert got.tobytes() == density.batch(reflected).tobytes()
+    assert np.all(got > 0.0)
+
+
+def _outer_call_size(density, xi) -> int:
+    sizes = []
+
+    class Recording:
+        def batch(self, xis):
+            sizes.append(len(xis))
+            return density.batch(xis)
+
+    laminate_search(Recording(), xi, 1)
+    return sizes[1]  # after the density at xi itself
+
+
+@pytest.mark.parametrize("xi, points", [
+    (mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]), 6664),
+    (mat32([0.5, 0.0, -0.0], [0.0, 0.25, -0.0]), 6664),
+    (mat32([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 6664),
+    (mat32([0.5, 0.0, 1e-300], [0.0, 0.25, 0.0]), 10192),
+    (EQUIVALENCE_POINTS[0], 10192),
+], ids=["flat", "negative-zero", "zero", "tiny-third-row", "random"])
+def test_the_outer_grid_values_one_end_per_orbit(w0, xi, points):
+    # 10,192 distinct ends, one per mirror pair of the 10,192 pairs; a
+    # flat matrix values one of each {end, reflected end}: the 3,136 ends
+    # of steps with a zero third row and half of the other 7,056
+    assert _outer_call_size(w0, xi) == points
+
+
+@pytest.mark.parametrize("sizes", [envelope._OUTER, envelope._INNER],
+                         ids=["default", "inner"])
+def test_the_reflection_maps_are_exact_involutions(sizes):
+    grid = envelope._pair_grid(*sizes)
+    refl = envelope._reflection_index(grid.steps, grid.lam)
+    assert np.all(refl >= 0)
+    assert np.array_equal(refl[refl], np.arange(grid.lam.size))
+    assert np.array_equal(grid.steps[refl], grid.steps * envelope._REFLECT)
+    assert np.array_equal(grid.lam[refl], grid.lam)
+    ends = np.arange(2 * grid.rep.size)
+    assert np.array_equal(grid.twin[grid.twin], ends)
+    # an end's twin is its reflection at a flat matrix, zeros up to sign
+    xi = mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0])
+    pts = envelope._grid_ends(xi, grid, ends)
+    assert np.array_equal(pts[:, :, grid.twin],
+                          pts * envelope._REFLECT[:, :, None])
+    # pair rep[j]'s reflection is rep[turn[j]] or its mirror
+    mirror = envelope._mirror_index(grid.steps, grid.lam)
+    turned = grid.rep[grid.turn]
+    assert np.all((refl[grid.rep] == turned)
+                  | (refl[grid.rep] == mirror[turned]))
+    # the flat numbering keeps the lower end of each orbit
+    flat = grid.flat
+    assert np.array_equal(flat.built[flat.slot],
+                          np.minimum(ends, grid.twin))
+    assert np.array_equal(flat.ends, flat.slot[grid.ends])
+    assert np.array_equal(grid.plain.ends, grid.ends)
+    for arr in (grid.ends, grid.twin, grid.turn, *grid.flat):
+        assert arr.dtype == np.int32
+
+
+def test_a_grid_pair_without_an_exact_reflection_is_refused(monkeypatch):
+    # two directions closed under negation but not under R = diag(1, 1, -1)
+    tilted = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]]) / math.sqrt(2.0)
+    monkeypatch.setattr(envelope, "_sphere_net", lambda n: tilted[:n])
+    with pytest.raises(ValueError, match="no exact reflection"):
+        envelope._pair_grid.__wrapped__(2, 2, 3, 3)

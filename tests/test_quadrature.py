@@ -49,10 +49,12 @@ def test_rejects_a_negative_max_level():
                            max_level=-1)
 
 
-@pytest.mark.parametrize("max_level", [1.5, 2.0, np.nan, np.inf])
+@pytest.mark.parametrize("max_level", [1.5, 2.0, np.nan, np.inf, True,
+                                       False])
 def test_rejects_a_max_level_that_is_not_an_integer(max_level):
     # a fractional level was read as the next integer: a root still
-    # refining at max_level=1.5 went on to level 2, 42 samples, not 12
+    # refining at max_level=1.5 went on to level 2, 42 samples, not 12;
+    # a bool passed as level 0 or 1
     calls = []
 
     def f(p, roots):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memrelax.tensor_kernel import (
-    ExtValue, INFINITE, as_mat32, cofactors, frob_norm, singular_values,
-    wedge,
+    ExtValue, INFINITE, as_mat32, cofactors, frob_norm, is_integer,
+    singular_values, wedge,
 )
 from oracles import append_column, finite, mat32, mat33
 
@@ -17,6 +17,12 @@ vec3 = st.tuples(coord, coord, coord)
 def test_cross_hand_value():
     assert np.array_equal(wedge(mat32([1, 0, -1], [0, 1, 1])),
                           [1.0, -1.0, 1.0])
+
+
+def test_is_integer_takes_ints_and_refuses_bools_and_floats():
+    assert all(is_integer(v) for v in (0, 3, -2, np.int32(2), np.int64(7)))
+    assert not any(is_integer(v) for v in (True, False, np.True_, 2.0,
+                                           np.float64(1.0), "1", None))
 
 
 def _stack_cofactors(F):
