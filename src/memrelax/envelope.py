@@ -1,8 +1,15 @@
-"""Upper approximations of the relaxed membrane density.
+"""The relaxed membrane density and upper bounds of it.
 
 The relaxed density at a surface gradient is the infimum of mean reduced
-energies over compactly supported piecewise-affine perturbations. This
-module approaches it from above along independent routes:
+energies over compactly supported piecewise-affine perturbations. For
+W = h(|det F|) + |F|^p it has a closed form on singular values, the
+tension-field density (Pipkin, IMA J. Appl. Math. 36, 1986; Steigmann,
+Proc. R. Soc. Lond. A 429, 1990): :func:`relaxed_density` values it from
+batched one-dimensional minimizations of W0 on diagonal matrices, and
+:func:`build_envelope_table` tabulates it on a grid of singular values,
+each node with the laminate of at most two axis splits that attains it.
+
+The module also keeps the constructions the density is never above:
 
 * :func:`four_corner_bound` evaluates the diamond construction, which is
   finite whenever the column sum and difference are both nonzero;
@@ -14,35 +21,34 @@ module approaches it from above along independent routes:
   the best single split on the outer grid, then the best split of its
   two ends on the inner grid.
 
-Every route values the density through its ``batch`` method alone, on
+Every density is valued through its ``batch`` method alone, on
 (N, 3, 2) stacks, like
 :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. The laminate
 search values one point of each set of grid points the density values
 alike: one end of each mirror pair of splits, and at a matrix with a zero
 third row, such as every table node diag(s1, s2), one end of each orbit
-of the reflection R = diag(1, 1, -1). Point counts (``_Counted``,
-:attr:`TableEntry.evaluations`) are of the points actually valued.
+of the reflection R = diag(1, 1, -1).
 
-:func:`build_envelope_table` combines the routes on a grid of singular
-values (the reduced density is invariant under left and right rotations,
-so two singular values determine it), and :class:`EnvelopeTable`
-interpolates the tabulated bounds. :func:`growth_certificate` produces the
-explicit polynomial-growth constant attached to the constructions.
+:class:`EnvelopeTable` interpolates the tabulated density (the reduced
+density is invariant under left and right rotations, so two singular
+values determine it). :func:`growth_certificate` produces the explicit
+polynomial-growth constant attached to the constructions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .energy_models import EnergyModel
-from .fiber_reduction import ReducedDensity, w0_growth_constant
+from .energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
+from .fiber_reduction import (ReducedDensity, fiber_slopes, solve_fiber,
+                              w0_growth_constant)
 from .tensor_kernel import (ExtValue, as_mat32, frob_norm, is_integer,
                             singular_values, wedge)
 
@@ -168,6 +174,142 @@ def growth_certificate(model: EnergyModel) -> GrowthCertificate:
     r1 = cbar1 * 2.0 ** (2.0 * p + 1.0)
     c = r1 * 2.0 ** (p + 1.0)
     return GrowthCertificate(c=c, p=p, r1=r1, cbar1=cbar1)
+
+
+# ---------------------------------------------------------------------------
+# the tension-field density
+
+# node regions, in the order of their codes
+_REGIONS = ("slack", "wrinkled", "taut")
+_SLACK, _WRINKLED, _TAUT = range(3)
+# bracket probes of a one-dimensional minimization, in units of its scale
+_PROBES = 4.0 ** np.arange(-12, 13)
+# a minimization stops once its bracket is this small relative to its end
+_BRACKET_TOL = 1e-13
+_MAX_STEPS = 100
+
+
+def _tau_slope(model: EnergyModel, sigma, tau):
+    """d/dtau of g(sigma, tau) = W0(diag(sigma, tau)) = F(sigma tau,
+    sigma^2 + tau^2), lanewise: sigma dF/da + 2 tau dF/dq, with the slopes
+    of :func:`~memrelax.fiber_reduction.fiber_slopes`. At tau = sigma it is
+    half the slope of s -> g(s, s)."""
+    _, da, dq = fiber_slopes(model, sigma * tau, sigma * sigma + tau * tau)
+    return sigma * da + 2.0 * tau * dq
+
+
+def _argmin(slope, scale: np.ndarray) -> np.ndarray:
+    """Lanewise minimizer x > 0 of a function with a continuous slope that
+    changes sign once, from < 0 to >= 0.
+
+    ``slope(x, lanes)`` values the slope at x for the lanes with the given
+    indices into ``scale``. One call at ``scale * _PROBES`` brackets each
+    lane's zero (ValueError if the slope keeps its sign over the probes);
+    false position with the Illinois rule, one call per step over the
+    lanes that go on, closes each bracket to ``_BRACKET_TOL`` of its upper
+    end. Returns the last point of each lane.
+    """
+    probes = scale[:, None] * _PROBES
+    lanes = np.repeat(np.arange(scale.size), _PROBES.size)
+    f = slope(probes.ravel(), lanes).reshape(probes.shape)
+    up = f >= 0.0
+    if up[:, 0].any() or not up[:, -1].all():
+        raise ValueError("the slope keeps its sign over the bracket probes")
+    k = np.argmax(up, axis=1)
+    rows = np.arange(scale.size)
+    lo, hi = probes[rows, k - 1], probes[rows, k]
+    flo, fhi = f[rows, k - 1], f[rows, k]
+    # a probe on a zero is the lane's minimizer
+    out = hi.copy()
+    live = np.flatnonzero(fhi != 0.0)
+    lo, hi, flo, fhi = lo[live], hi[live], flo[live], fhi[live]
+    moved = np.zeros(live.size)  # -1: lo moved last, +1: hi moved last
+    for _ in range(_MAX_STEPS):
+        if live.size == 0:
+            return out
+        x = (lo * fhi - hi * flo) / (fhi - flo)
+        # a point that rounds onto an end puts the zero within half an ulp
+        # of it: the lane stops there
+        ends = (x <= lo) | (x >= hi)
+        x = np.minimum(np.maximum(x, lo), hi)
+        fx = slope(x, live)
+        below = fx < 0.0
+        # Illinois: the end that stays twice in a row has its slope halved
+        flo = np.where(below, fx, np.where(moved > 0.0, 0.5 * flo, flo))
+        fhi = np.where(below, np.where(moved < 0.0, 0.5 * fhi, fhi), fx)
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        moved = np.where(below, -1.0, 1.0)
+        done = ends | (fx == 0.0) | (hi - lo <= _BRACKET_TOL * hi)
+        out[live[done]] = x[done]
+        keep = np.flatnonzero(~done)
+        live, lo, hi, flo, fhi, moved = (live[keep], lo[keep], hi[keep],
+                                         flo[keep], fhi[keep], moved[keep])
+    raise RuntimeError(f"{live.size} one-dimensional minimization(s) left "
+                       f"unconverged after {_MAX_STEPS} steps")
+
+
+@dataclass(frozen=True)
+class RelaxedDensity:
+    """The tension-field density of one model, valued through
+    :meth:`batch`, the density protocol of the envelope bounds.
+
+    Write g(s1, s2) = W0(diag(s1, s2)), s* for the minimizer of
+    s -> g(s, s), W* = g(s*, s*) = inf W0, and m(s1) for the minimizer of
+    tau -> g(s1, tau), the width a strip stretched to s1 takes. At
+    singular values s1 >= s2 the density is
+
+    * slack, W*, where s1 <= s*;
+    * wrinkled, g(s1, m(s1)), where s1 > s* and s2 <= m(s1);
+    * taut, g(s1, s2), otherwise.
+
+    Each value is attained by a laminate of at most two axis splits, so
+    the density is an upper bound of the quasiconvex envelope QW0. Where
+    its even extension in (s1, s2) is convex, as it is for h = 1/x, p = 2
+    (each piece is convex and the pieces join C^1), it is also a lower
+    bound, and QW0 is this density of the singular values.
+    """
+
+    model: EnergyModel
+    s_star: float
+    w_star: float
+
+    def width(self, s1: np.ndarray) -> np.ndarray:
+        """m(s1) for each s1 > 0: one lane-batched minimization."""
+        s1 = np.asarray(s1, dtype=float)
+        return _argmin(lambda tau, lanes: _tau_slope(self.model, s1[lanes],
+                                                     tau), s1)
+
+    def regions(self, s1: np.ndarray, s2: np.ndarray):
+        """The region of each pair of singular values s1 >= s2, 0 (slack),
+        1 (wrinkled) or 2 (taut), and m(s1), NaN where s1 <= s*."""
+        region = np.full(s1.shape, _SLACK)
+        m = np.full(s1.shape, np.nan)
+        far = np.flatnonzero(s1 > self.s_star)
+        if far.size:
+            m[far] = self.width(s1[far])
+            region[far] = np.where(s2[far] <= m[far], _WRINKLED, _TAUT)
+        return region, m
+
+    def batch(self, xis: np.ndarray) -> np.ndarray:
+        """The density over an (N, 3, 2) stack of any memory layout."""
+        sig = singular_values(np.asarray(xis, dtype=float).reshape(-1, 3, 2))
+        s1, s2 = sig[:, 0], sig[:, 1]
+        region, m = self.regions(s1, s2)
+        out = np.full(s1.size, self.w_star)
+        far = np.flatnonzero(region != _SLACK)
+        if far.size:
+            s, tau = s1[far], np.where(region == _WRINKLED, m, s2)[far]
+            out[far] = solve_fiber(self.model, s * tau, s * s + tau * tau)[1]
+        return out
+
+
+def relaxed_density(model: EnergyModel) -> RelaxedDensity:
+    """The tension-field density of ``model``: s* from one minimization
+    of s -> g(s, s), and W* = g(s*, s*)."""
+    s = _argmin(lambda x, lanes: _tau_slope(model, x, x), np.ones(1))
+    w = solve_fiber(model, s * s, 2.0 * s * s)[1]
+    return RelaxedDensity(model, float(s[0]), float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +521,6 @@ class LaminateResult:
     witness: dict | None
 
 
-class _Counted:
-    """Density proxy that counts the points it evaluates: the points
-    passed to ``batch``, after the search's mirror and reflection
-    quotients, not the points of the full grids."""
-
-    def __init__(self, density):
-        self.density = density
-        self.points = 0
-
-    def batch(self, xis):
-        self.points += len(xis)
-        return self.density.batch(xis)
-
-
 def _polish_pair(density, xi, step, lam0):
     """Local refinement of (magnitude, fraction) for a fixed direction,
     ``_POLISH_ROUNDS`` rounds of a 7 x 7 grid around the best so far.
@@ -593,18 +721,77 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One node: its bound, the route that gave it, that route's witness
-    and the density points all the node's bounds evaluated (None when
-    read from a table saved without the count). The count is of points
-    actually valued: the laminate search values one end per mirror pair
-    and, at a node diag(s1, s2), one per reflection orbit."""
+    """One node: its value, its region (``method``) and its laminate
+    (``witness``): a split {"step", "fraction", "plus", "minus"} of
+    xi = diag(s1, s2) into its plus end xi + (1 - fraction) step, of
+    weight fraction, and its minus end xi - fraction step, each end a split
+    of the same form or a leaf (None or no key). A taut node is its own
+    leaf (None)."""
 
     sigma: tuple[float, float]
     value: float
     method: str
-    depth: int
     witness: dict | None = None
-    evaluations: int | None = None
+
+
+# the largest relative gap between a node and its replayed laminate that
+# a loaded table may show
+_REPLAY_TOL = 1e-12
+_BARRIERS = {cls.__name__: cls for cls in (ReciprocalBarrier,
+                                           ShiftedLogBarrier)}
+
+
+def _representative(s1, s2) -> np.ndarray:
+    return np.array([[s1, 0.0], [0.0, s2], [0.0, 0.0]])
+
+
+def _replay(model: EnergyModel, sigma, witnesses) -> np.ndarray:
+    """Fraction-weighted mean W0 over the leaves of each node's laminate.
+
+    The leaves of every node diag(s1, s2) are valued in one ``batch``
+    call of the reduced density. Raises ValueError on a split whose step
+    is not rank one or whose fraction lies outside [0, 1].
+    """
+    leaves, weights, owner = [], [], []
+
+    def walk(node, xi, split, weight):
+        if split is None:
+            leaves.append(xi)
+            weights.append(weight)
+            owner.append(node)
+            return
+        step = np.asarray(split["step"], dtype=float)
+        lam = split["fraction"]
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"split fraction {lam!r} lies outside [0, 1]")
+        if np.any(wedge(step)) or not np.any(step):
+            raise ValueError(f"split step {step.tolist()} is not rank one")
+        walk(node, xi + (1.0 - lam) * step, split.get("plus"), weight * lam)
+        walk(node, xi - lam * step, split.get("minus"),
+             weight * (1.0 - lam))
+
+    for node, ((s1, s2), split) in enumerate(zip(sigma, witnesses)):
+        walk(node, _representative(s1, s2), split, 1.0)
+    vals = ReducedDensity(model).batch(np.array(leaves))
+    return np.bincount(owner, np.array(weights) * vals,
+                       minlength=len(witnesses))
+
+
+def _model_record(model: EnergyModel | None) -> dict | None:
+    if model is None:
+        return None
+    return {"barrier": type(model.barrier).__name__,
+            "params": dataclasses.asdict(model.barrier), "p": model.p}
+
+
+def _model_from_record(record: dict | None) -> EnergyModel | None:
+    """The model of a saved record, None for a record without one or with
+    a barrier the module does not ship."""
+    if not record or record.get("barrier") not in _BARRIERS \
+            or "params" not in record:
+        return None
+    barrier = _BARRIERS[record["barrier"]](**record["params"])
+    return EnergyModel(barrier, record["p"])
 
 
 class TableLookup(NamedTuple):
@@ -696,8 +883,8 @@ class EnvelopeTable:
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
                  entries: Sequence[TableEntry], p: float,
-                 certificate: GrowthCertificate, depth: int,
-                 model_info: dict | None = None):
+                 certificate: GrowthCertificate,
+                 model: EnergyModel | None = None):
         grid = np.asarray(sigma_grid, dtype=float)
         vals = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
@@ -720,8 +907,7 @@ class EnvelopeTable:
         self.entries = tuple(entries)
         self.p = float(p)
         self.certificate = certificate
-        self.depth = int(depth)
-        self.model_info = dict(model_info or {})
+        self.model = model
 
     @property
     def sigma_max(self) -> float:
@@ -771,34 +957,55 @@ class EnvelopeTable:
         bound = self.certificate.bound(np.sqrt(s1 ** 2 + s2 ** 2))
         return float((self.values / bound).max())
 
+    def audit(self) -> float:
+        """Largest relative gap between a node's value and its witness
+        replayed to W0 leaves, all leaves in one ``batch`` call of the
+        reduced density.
+
+        Raises ValueError when a split step is not rank one, a fraction
+        lies outside [0, 1], or the table holds no model to replay with.
+        """
+        if self.model is None:
+            raise ValueError("the table holds no model to replay its "
+                             "witnesses with")
+        replayed = _replay(self.model, [e.sigma for e in self.entries],
+                           [e.witness for e in self.entries])
+        values = np.array([e.value for e in self.entries])
+        return float(np.max(np.abs(replayed - values) / np.abs(values)))
+
     def to_dict(self) -> dict:
         return {
             "sigma_grid": self.sigma_grid.tolist(),
             "values": self.values.tolist(),
             "p": self.p,
-            "depth": self.depth,
             "certificate": {"c": self.certificate.c, "p": self.certificate.p,
                             "r1": self.certificate.r1,
                             "cbar1": self.certificate.cbar1},
-            "model_info": self.model_info,
+            "model": _model_record(self.model),
             "entries": [{"sigma": list(e.sigma), "value": e.value,
-                         "method": e.method, "depth": e.depth,
-                         "witness": e.witness,
-                         "evaluations": e.evaluations}
+                         "method": e.method, "witness": e.witness}
                         for e in self.entries],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnvelopeTable":
+        """The table of :meth:`to_dict`'s record. A table saved with its
+        model must replay its nodes (:meth:`audit`) within 1e-12, or
+        ValueError is raised; keys of older records (``depth``,
+        ``evaluations``, ``model_info``) are ignored."""
         cert = GrowthCertificate(**data["certificate"])
         entries = [TableEntry(sigma=tuple(e["sigma"]), value=e["value"],
-                              method=e["method"], depth=e["depth"],
-                              witness=e.get("witness"),
-                              evaluations=e.get("evaluations"))
+                              method=e["method"], witness=e.get("witness"))
                    for e in data["entries"]]
-        return cls(np.array(data["sigma_grid"]), np.array(data["values"]),
-                   entries, data["p"], cert, data["depth"],
-                   data.get("model_info"))
+        table = cls(np.array(data["sigma_grid"]), np.array(data["values"]),
+                    entries, data["p"], cert,
+                    _model_from_record(data.get("model")))
+        if table.model is not None:
+            gap = table.audit()
+            if not gap <= _REPLAY_TOL:
+                raise ValueError(f"table nodes miss their replayed "
+                                 f"laminates by {gap!r} relative")
+        return table
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -810,68 +1017,75 @@ class EnvelopeTable:
             return cls.from_dict(json.load(fh))
 
 
-def _representative(s1: float, s2: float) -> np.ndarray:
-    return np.array([[s1, 0.0], [0.0, s2], [0.0, 0.0]])
-
-
-def _node_bound(density, s1: float, s2: float, depth: int) -> TableEntry:
-    xi = _representative(s1, s2)
-    density = _Counted(density)
-    lam = laminate_search(density, xi, depth)
-    candidates: list[tuple[float, str, dict | None]] = [
-        (lam.values[0], "density", None)]
-
-    # diag(s1, s2) with s1 >= s2: column sum and difference of norm |s|
-    if s1 > 0.0:
-        fc = four_corner_bound(xi, density)
-        candidates.append((fc.as_float(), "four-corner", None))
-    sq = square_refine_bound(xi, density)
-    candidates.append((sq.as_float(), "square-refine", None))
-    candidates.append((lam.values[-1], f"laminate-{depth}", lam.witness))
-
-    value, method, witness = min(candidates, key=lambda c: c[0])
-    return TableEntry(sigma=(s1, s2), value=value, method=method,
-                      depth=depth, witness=witness,
-                      evaluations=density.points)
+def _axis_split(axis: int, end: float, s: float, inner=None) -> dict:
+    """The split of a diagonal entry s along e_axis (x) e_axis into +end
+    and -end: step 2 end e_axis (x) e_axis, fraction (end + s) / (2 end)
+    on the plus end; both ends split by ``inner``."""
+    step = np.zeros((3, 2))
+    step[axis, axis] = 2.0 * end
+    split = {"step": step.tolist(),
+             "fraction": float((end + s) / (2.0 * end))}
+    if inner is not None:
+        split["plus"] = split["minus"] = inner
+    return split
 
 
 def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
                          pitch: float = 0.25, depth: int = 2,
                          threads: int = 1) -> EnvelopeTable:
-    """Tabulate the best available upper bound on the singular-value grid.
+    """Tabulate the relaxed density on the singular-value grid.
 
-    Only the lower triangle s1 >= s2 is computed; the value matrix is
-    completed by the swap symmetry of the density. Per-node work is
-    independent, so it parallelizes over a thread pool when asked.
+    Every node diag(s1, s2), s1 >= s2, takes the tension-field density
+    (:func:`relaxed_density`) in one pass: one minimization for s*, one
+    lane-batched minimization for m(s1) at the rows beyond s*. Its
+    ``method`` is its region and its ``witness`` the laminate that attains
+    the density: diag(s1, s2) -> diag(+-s*, s2) -> diag(+-s*, +-s*) when
+    slack, diag(s1, s2) -> diag(s1, +-m) when wrinkled, none when taut.
+    The node value is that laminate's fraction-weighted mean of W0 at its
+    leaves, all leaves in one ``batch`` call, so every node is an upper
+    bound of the relaxation that :meth:`EnvelopeTable.audit` replays, even
+    where a minimization misses its argmin by round-off. Only the lower
+    triangle is computed; the value matrix is completed by the swap
+    symmetry of the density.
+
+    ``depth`` (the integer 0, 1 or 2) and ``threads`` are accepted, and
+    ``depth`` is checked, as when a laminate search of that depth valued
+    each node, optionally on a thread pool. The closed form needs neither
+    a search depth nor a pool, so neither changes the table.
     """
     if sigma_max <= 0.0 or pitch <= 0.0:
         raise ValueError("sigma_max and pitch must be positive")
     n = int(round(sigma_max / pitch))
     if abs(n * pitch - sigma_max) > 1e-12:
         raise ValueError("pitch must divide sigma_max")
+    if not (is_integer(depth) and 0 <= depth <= 2):
+        raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     grid = np.linspace(0.0, sigma_max, n + 1)
-    density = ReducedDensity(model)
+    density = relaxed_density(model)
+    s_star = density.s_star
 
-    nodes = [(i, j) for i in range(grid.size) for j in range(i + 1)]
+    i, j = np.tril_indices(grid.size)
+    s1, s2 = grid[i], grid[j]
+    region, m = density.regions(s1, s2)
 
-    def work(node):
-        i, j = node
-        return node, _node_bound(density, float(grid[i]), float(grid[j]),
-                                 depth)
+    def witness(k):
+        if region[k] == _SLACK:
+            return _axis_split(0, s_star, s1[k],
+                               _axis_split(1, s_star, s2[k]))
+        if region[k] == _WRINKLED:
+            return _axis_split(1, m[k], s2[k])
+        return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, nodes))
-    else:
-        results = [work(node) for node in nodes]
+    witnesses = [witness(k) for k in range(region.size)]
+    sigma = [(float(a), float(b)) for a, b in zip(s1, s2)]
+    node_values = _replay(model, sigma, witnesses)
 
     values = np.empty((grid.size, grid.size))
-    entries = []
-    for (i, j), entry in results:
-        values[i, j] = entry.value
-        values[j, i] = entry.value
-        entries.append(entry)
-    cert = growth_certificate(model)
-    info = {"barrier": type(model.barrier).__name__, "p": model.p}
-    return EnvelopeTable(grid, values, entries, model.p, cert, depth,
-                         model_info=info)
+    values[i, j] = node_values
+    values[j, i] = node_values
+    entries = [TableEntry(sigma=sig, value=float(v), method=_REGIONS[r],
+                          witness=w)
+               for sig, v, r, w in zip(sigma, node_values, region,
+                                       witnesses)]
+    return EnvelopeTable(grid, values, entries, model.p,
+                         growth_certificate(model), model)

@@ -15,7 +15,7 @@ minimizer is the only zero of the increasing slope
 
 or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
 finds it for a batch of (a, q); every caller in the package goes through
-it.  A barrier lists its kinks with their one-sided slopes
+it, and :func:`fiber_slopes` adds the slopes of the minimum in a and q.  A barrier lists its kinks with their one-sided slopes
 (``barrier.kinks``), and before the first step each lane tests them: a
 lane whose slope jumps over zero at a kink stops there exactly.  The
 other lanes run bracketed Newton.  A lane leaves the batch as soon as it
@@ -44,6 +44,7 @@ from .tensor_kernel import ExtValue, INFINITE, as_mat32
 __all__ = [
     "WEDGE_FLOOR",
     "ReducedDensity",
+    "fiber_slopes",
     "solve_fiber",
     "w0_closed_form",
     "w0_batch",
@@ -56,6 +57,9 @@ WEDGE_FLOOR = 1e-14
 # a lane stops once its Newton step or its bracket is this small relative to t
 _REL_TOL = 1e-13
 _MAX_ITER = 100
+# fiber_slopes pins the slope of a lane whose t a is this close to a kink,
+# relative to the kink: ten times the solve's tolerance
+_KINK_BAND = 1e-12
 
 
 def _fiber_invariants(xis: np.ndarray):
@@ -219,6 +223,33 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
             f"{_MAX_ITER} iterations")
 
     return t, model.density(t * a, q + t * t)
+
+
+def fiber_slopes(model: EnergyModel, a, q):
+    """F(a, q) = min_t h(t a) + (q + t^2)^{p/2} and its two slopes,
+    lanewise, from one :func:`solve_fiber` call on the same a and q.
+
+    By the envelope theorem dF/da = t* h'(t* a) and dF/dq = (p/2)
+    (q + t*^2)^{p/2 - 1}. Where t* a sits on a barrier kink x_k, h' is
+    undefined and t* = x_k / a is pinned there, so the slope in a is that
+    of the pinned value, dF/da = -p t*^2 / a (q + t*^2)^{p/2 - 1}. That
+    holds on every lane the solve stops on a kink, and it is taken on
+    every lane with t* a within ``_KINK_BAND`` of x_k: a Newton lane that
+    ends there may sit on either side of the kink by its tolerance, where
+    h' jumps, while the pinned slope is the limit of both sides' slopes as
+    the minimizer reaches the kink. Returns (value, dF/da, dF/dq) arrays.
+    """
+    a = np.asarray(a, dtype=float)
+    q = np.asarray(q, dtype=float)
+    t, value = solve_fiber(model, a, q)
+    tt = t * t
+    x = t * a
+    dq = 0.5 * model.p * (q + tt) ** (model.p / 2.0 - 1.0)
+    da = t * model.barrier.derivative(x)
+    for kink, _, _ in model.barrier.kinks:
+        on = np.abs(x - kink) <= _KINK_BAND * kink
+        da[on] = -2.0 * (tt * dq / a)[on]
+    return value, da, dq
 
 
 def w0_closed_form(model: EnergyModel, xi) -> ExtValue:

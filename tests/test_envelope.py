@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -9,9 +10,11 @@ from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
     EnvelopeTable, build_envelope_table, four_corner_bound,
-    growth_certificate, laminate_search, square_refine_bound,
+    growth_certificate, laminate_search, relaxed_density,
+    square_refine_bound,
 )
-from memrelax.fiber_reduction import ReducedDensity, w0_closed_form
+from memrelax.fiber_reduction import (ReducedDensity, fiber_slopes,
+                                      solve_fiber, w0_closed_form)
 from memrelax.pw_affine import PwAffineField
 from memrelax.tensor_kernel import frob_norm, singular_values
 from oracles import (build_diamond_hat, build_square_hat, finite, mat32,
@@ -327,28 +330,56 @@ def test_a_bool_depth_is_refused(w0, depth):
         == laminate_search(w0, E1E2, 1).values
 
 
-@pytest.fixture(scope="module")
-def sweep_table():
-    # the set-up table of the sweep benchmark
-    return build_envelope_table(EnergyModel(), sigma_max=2.0, pitch=0.5,
-                                depth=1)
+def _nodes(sigma_max, pitch):
+    """The nodes (s1, s2), s1 >= s2, of a table grid, in table order."""
+    grid = np.linspace(0.0, sigma_max, int(round(sigma_max / pitch)) + 1)
+    return [(float(grid[i]), float(grid[j])) for i in range(grid.size)
+            for j in range(i + 1)]
 
 
-def test_depth_one_witnesses_replay_their_node_values(w0, sweep_table):
-    # the polished splits must replay to the claimed node value, not only
-    # the grid split before it
-    nodes = [e for e in sweep_table.entries if e.method == "laminate-1"]
-    assert nodes
-    for e in nodes:
-        xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
-        step = np.array(e.witness["step"])
-        lam = e.witness["fraction"]
+def _diag(s1, s2):
+    return mat32([s1, 0, 0], [0, s2, 0])
+
+
+def _search_node(density, s1, s2, depth):
+    """The bound a table node took while the laminate search built the
+    table: the least of the density, the four-corner bound (s1 > 0), the
+    square-refine bound and the search of the given depth, first in that
+    order on ties, as (value, method, witness, density points valued)."""
+    counted = BatchOnly(density)
+    xi = _diag(s1, s2)
+    lam = laminate_search(counted, xi, depth)
+    candidates = [(lam.values[0], "density", None)]
+    if s1 > 0.0:
+        candidates.append((four_corner_bound(xi, counted).as_float(),
+                           "four-corner", None))
+    candidates.append((square_refine_bound(xi, counted).as_float(),
+                       "square-refine", None))
+    candidates.append((lam.values[-1], f"laminate-{depth}", lam.witness))
+    value, method, witness = min(candidates, key=lambda c: c[0])
+    return value, method, witness, sum(counted.calls)
+
+
+def test_depth_one_witnesses_replay_their_node_values(w0):
+    # at the nodes of the sweep benchmark's set-up grid, the polished
+    # splits must replay to the search's value, not only the grid split
+    # before it
+    replayed = 0
+    for s1, s2 in _nodes(2.0, 0.5):
+        xi = _diag(s1, s2)
+        res = laminate_search(w0, xi, 1)
+        if res.witness is None or not res.values[1] < res.values[0]:
+            continue
+        step = np.array(res.witness["step"])
+        lam = res.witness["fraction"]
         replay = (lam * w0_closed_form(w0.model,
                                        xi + (1.0 - lam) * step).as_float()
                   + (1.0 - lam) * w0_closed_form(w0.model,
                                                  xi - lam * step).as_float())
-        assert e.witness["score"] == e.value
-        assert replay == pytest.approx(e.value, rel=1e-12, abs=0.0)
+        assert res.witness["score"] == res.values[1]
+        assert replay == pytest.approx(res.values[1], rel=1e-12, abs=0.0)
+        replayed += 1
+    assert replayed
 
 
 def _replay(density, xi, split):
@@ -365,16 +396,18 @@ def _replay(density, xi, split):
 
 
 def test_depth_two_witnesses_replay_their_node_values(w0):
-    table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
-                                 depth=2)
-    nodes = [e for e in table.entries if e.method == "laminate-2"]
+    split_ends = []
+    for s1, s2 in _nodes(1.0, 0.5):
+        xi = _diag(s1, s2)
+        res = laminate_search(w0, xi, 2)
+        if res.witness is None or not res.values[2] < res.values[0]:
+            continue
+        assert res.witness["score"] == res.values[2]
+        assert _replay(w0, xi, res.witness) == pytest.approx(
+            res.values[2], rel=1e-12, abs=0.0)
+        split_ends.append("plus" in res.witness)
     # (0.5, 0.5) is attained only by splitting the ends of a first split
-    assert any("plus" in e.witness for e in nodes)
-    for e in nodes:
-        xi = mat32([e.sigma[0], 0, 0], [0, e.sigma[1], 0])
-        assert e.witness["score"] == e.value
-        assert _replay(w0, xi, e.witness) == pytest.approx(
-            e.value, rel=1e-12, abs=0.0)
+    assert any(split_ends)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +451,7 @@ def test_table_rejects_floor_violation(small_table):
     bad[-1, -1] = 0.5  # below (1 + 1)^1 = 2
     with pytest.raises(ValueError, match="coercivity floor"):
         EnvelopeTable(small_table.sigma_grid, bad, small_table.entries,
-                      small_table.p, small_table.certificate,
-                      small_table.depth)
+                      small_table.p, small_table.certificate)
 
 
 def test_table_invariance_under_rotations(small_table):
@@ -567,24 +599,32 @@ def test_table_json_roundtrip(small_table, tmp_path):
 
 
 def test_table_entry_methods_are_labelled(small_table):
-    allowed = {"density", "four-corner", "square-refine", "laminate-1"}
-    assert {e.method for e in small_table.entries} <= allowed
+    # (0, 0) and (0.5, *) are slack, (1, 0) and (1, 0.5) wrinkled and
+    # (1, 1) taut: m(1) = 2^(-1/4) for h = 1/x, p = 2
+    assert [e.method for e in small_table.entries] == [
+        "slack", "slack", "slack", "wrinkled", "wrinkled", "taut"]
 
 
-def test_table_json_keeps_evaluations(small_table):
+def test_table_json_loads_a_table_saved_with_search_fields(small_table):
+    # a table saved while the laminate search built it carried a depth
+    # and per-node evaluation counts; it still loads
     data = small_table.to_dict()
-    back = EnvelopeTable.from_dict(data)
-    assert [e.evaluations for e in back.entries] \
-        == [e.evaluations for e in small_table.entries]
-    # a table saved before the count existed still loads
+    assert "depth" not in data and "model_info" not in data
+    assert all(set(e) == {"sigma", "value", "method", "witness"}
+               for e in data["entries"])
+    data["depth"] = 1
+    data["model_info"] = {"barrier": "ReciprocalBarrier", "p": 2.0}
     for e in data["entries"]:
-        del e["evaluations"]
+        e["depth"], e["evaluations"] = 1, 6681
     old = EnvelopeTable.from_dict(data)
-    assert all(e.evaluations is None for e in old.entries)
     assert np.array_equal(old.values, small_table.values)
+    assert old.entries == small_table.entries
+    assert old.model == small_table.model
 
 
-def test_evaluations_count_every_density_point(monkeypatch):
+def test_evaluations_count_every_density_point():
+    # each node's search and bounds count the points they pass to batch;
+    # together they are every point the density values
     seen = {"points": 0}
 
     class CountingDensity(ReducedDensity):
@@ -592,11 +632,11 @@ def test_evaluations_count_every_density_point(monkeypatch):
             seen["points"] += len(xis)
             return super().batch(xis)
 
-    monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
-    table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5,
-                                 depth=2)
-    assert all(e.evaluations > 0 for e in table.entries)
-    assert sum(e.evaluations for e in table.entries) == seen["points"]
+    density = CountingDensity(EnergyModel())
+    counts = [_search_node(density, s1, s2, 2)[3]
+              for s1, s2 in _nodes(1.0, 0.5)]
+    assert all(c > 0 for c in counts)
+    assert sum(counts) == seen["points"]
 
 
 @pytest.mark.parametrize("model", [
@@ -606,8 +646,9 @@ def test_evaluations_count_every_density_point(monkeypatch):
 ], ids=["reciprocal", "shifted-log", "p3"])
 def test_depth_two_table_does_not_depend_on_the_child_block(monkeypatch,
                                                            model):
-    # blocks of one child, of 7, and one block holding every child give
-    # the same nodes, methods, witnesses and evaluation counts
+    # at the nodes of a sigma_max 1, pitch 0.5 grid, blocks of one child,
+    # of 7, and one block holding every child give the same node bounds,
+    # methods, witnesses and evaluation counts
     calls = {}
 
     class CountingDensity(ReducedDensity):
@@ -615,14 +656,14 @@ def test_depth_two_table_does_not_depend_on_the_child_block(monkeypatch,
             calls[block] = calls.get(block, 0) + 1
             return super().batch(xis)
 
-    monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
+    density = CountingDensity(model)
     tables = []
     for block in (1, 7, 10 ** 6):
         monkeypatch.setattr(envelope, "_CHILD_BLOCK", block)
-        tables.append(build_envelope_table(model, sigma_max=1.0, pitch=0.5,
-                                           depth=2).to_dict())
+        tables.append([_search_node(density, s1, s2, 2)
+                       for s1, s2 in _nodes(1.0, 0.5)])
     assert tables[0] == tables[1] == tables[2]
-    assert any(e["method"] == "laminate-2" for e in tables[0]["entries"])
+    assert any(method == "laminate-2" for _, method, _, _ in tables[0])
     # the inner sweep ran in blocks: fewer calls for larger blocks
     assert calls[1] > calls[7] > calls[10 ** 6]
 
@@ -658,7 +699,8 @@ def test_least_scores_are_the_stable_sort_head(seed):
 
 
 # node values, as float.hex, and density evaluations of the depth-2 table
-# at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier; the values
+# at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier, while the
+# laminate search and the two bounds built it (_search_node); the values
 # were recorded before the fiber solve read component-major rows, the
 # counts once the search valued one end per reflection orbit
 GOLDEN_DEPTH2 = [
@@ -669,32 +711,35 @@ GOLDEN_DEPTH2 = [
 
 
 def test_depth_two_table_reproduces_its_golden_nodes():
-    table = build_envelope_table(EnergyModel(ReciprocalBarrier(1.0)),
-                                 sigma_max=0.5, pitch=0.5, depth=2,
-                                 threads=1)
-    got = [(e.sigma, e.value.hex(), e.evaluations) for e in table.entries]
+    density = ReducedDensity(EnergyModel(ReciprocalBarrier(1.0)))
+    got = []
+    for sigma in _nodes(0.5, 0.5):
+        value, _, _, points = _search_node(density, *sigma, 2)
+        got.append((sigma, value.hex(), points))
     assert got == GOLDEN_DEPTH2
 
 
 # the 5 x 5 node values, as float.hex, of the sweep benchmark's set-up
-# table (EnergyModel(), sigma_max = 2, pitch = 0.5, depth 1), recorded
-# while the node bounds still read the scalar density; the sweep's
-# descents amplify round-off, so these must not move
+# table (EnergyModel(), sigma_max = 2, pitch = 0.5), the tension-field
+# density replayed through each node's laminate; the sweep's descents
+# amplify round-off, so these must not move
 GOLDEN_SWEEP_SETUP = [
-    ["0x1.38f3d1d950af4p+2", "0x1.1000ae72bbb9fp+2", "0x1.ead2efadce25ap+1",
-     "0x1.23fe24139e414p+2", "0x1.81158af8573b2p+2"],
-    ["0x1.1000ae72bbb9fp+2", "0x1.10adb9c2a7fbbp+2", "0x1.ea8213776e316p+1",
-     "0x1.2420d4981b4a9p+2", "0x1.8000000000000p+2"],
-    ["0x1.ead2efadce25ap+1", "0x1.ea8213776e316p+1", "0x1.f1e7a3b2a15e8p+1",
+    ["0x1.e5078049f59f4p+1", "0x1.e5078049f59f4p+1", "0x1.ea09e667f3bccp+1",
+     "0x1.23cd3a2c8198ep+2", "0x1.8000000000000p+2"],
+    ["0x1.e5078049f59f4p+1", "0x1.e5078049f59f3p+1", "0x1.ea09e667f3bccp+1",
+     "0x1.23cd3a2c8198ep+2", "0x1.8000000000000p+2"],
+    ["0x1.ea09e667f3bccp+1", "0x1.ea09e667f3bccp+1", "0x1.f1e7a3b2a15e8p+1",
      "0x1.2c4dd12448fbdp+2", "0x1.8c31fbefb84acp+2"],
-    ["0x1.23fe24139e414p+2", "0x1.2420d4981b4a9p+2", "0x1.2c4dd12448fbdp+2",
+    ["0x1.23cd3a2c8198ep+2", "0x1.23cd3a2c8198ep+2", "0x1.2c4dd12448fbdp+2",
      "0x1.6670ece3a5d6ap+2", "0x1.ca25da15e3450p+2"],
-    ["0x1.81158af8573b2p+2", "0x1.8000000000000p+2", "0x1.8c31fbefb84acp+2",
+    ["0x1.8000000000000p+2", "0x1.8000000000000p+2", "0x1.8c31fbefb84acp+2",
      "0x1.ca25da15e3450p+2", "0x1.1800000000000p+3"],
 ]
 
 
-def test_sweep_setup_table_reproduces_its_golden_nodes(sweep_table):
+def test_sweep_setup_table_reproduces_its_golden_nodes():
+    sweep_table = build_envelope_table(EnergyModel(), sigma_max=2.0,
+                                       pitch=0.5, depth=1)
     got = [[v.hex() for v in row] for row in sweep_table.values.tolist()]
     assert got == GOLDEN_SWEEP_SETUP
 
@@ -709,7 +754,7 @@ def test_table_validation_rejects_bad_grid(small_table):
     with pytest.raises(ValueError, match="start at zero"):
         EnvelopeTable(np.array([0.5, 1.0]),
                       small_table.values[:2, :2], (), 2.0,
-                      small_table.certificate, 1)
+                      small_table.certificate)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
 
@@ -936,3 +981,199 @@ def test_a_grid_pair_without_an_exact_reflection_is_refused(monkeypatch):
     monkeypatch.setattr(envelope, "_sphere_net", lambda n: tilted[:n])
     with pytest.raises(ValueError, match="no exact reflection"):
         envelope._pair_grid.__wrapped__(2, 2, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# the tension-field density and the table that holds it
+
+FOUR_MODELS = {
+    "reciprocal": EnergyModel(),
+    "shifted-log": EnergyModel(ShiftedLogBarrier(), p=2.0),
+    "p3": EnergyModel(p=3.0),
+    "x-2": EnergyModel(ReciprocalBarrier(2.0), p=2.5),
+}
+# (s*, W*) of each model, from a plain bisection on the central-difference
+# slope of s -> W0(diag(s, s)); for h = 1/x, p = 2 they are 2^(-1/5) and
+# 5 * 2^(-2/5), and the shifted log's minimizer sits on its kink det = 1
+CLOSED_MINIMA = {
+    "reciprocal": (0.870550563, 3.789291416),
+    "shifted-log": (1.0, 4.0),
+    "p3": (0.759835686, 4.559014114),
+    "x-2": (0.943117588, 4.831520800),
+}
+
+
+@pytest.fixture(scope="module")
+def default_tables():
+    return {name: build_envelope_table(model)
+            for name, model in FOUR_MODELS.items()}
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_relaxed_density_finds_the_minimum_of_w0(name):
+    density = relaxed_density(FOUR_MODELS[name])
+    s_star, w_star = CLOSED_MINIMA[name]
+    assert abs(density.s_star - s_star) <= 1e-6
+    assert abs(density.w_star - w_star) <= 1e-6
+    if name == "reciprocal":
+        assert density.s_star == pytest.approx(2.0 ** -0.2, rel=1e-12)
+        assert density.w_star == pytest.approx(5.0 * 2.0 ** -0.4, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_every_default_node_replays_its_laminate(default_tables, name):
+    # the default table (sigma_max 3, pitch 0.25): each node's witness
+    # replays to its value, and the value is the density's own solve
+    table = default_tables[name]
+    assert table.audit() <= 1e-12
+    density = relaxed_density(FOUR_MODELS[name])
+    nodes = np.array([_diag(*e.sigma) for e in table.entries])
+    values = np.array([e.value for e in table.entries])
+    np.testing.assert_allclose(values, density.batch(nodes), rtol=1e-12,
+                               atol=0.0)
+    assert table.values[0, 0] == pytest.approx(density.w_star, rel=1e-15)
+
+
+def test_default_nodes_take_the_closed_form_of_the_reciprocal_barrier(
+        default_tables):
+    # h = 1/x, p = 2: W0 = q + 3 * 2^(-2/3) a^(-2/3), s* = 2^(-1/5) and
+    # m(s) = 2^(-1/4) s^(-1/4); slack nodes take 5 * 2^(-2/5), wrinkled
+    # ones s1^2 + 2 sqrt(2) s1^(-1/2) and taut ones W0
+    regions = {"slack": 0, "wrinkled": 0, "taut": 0}
+    for e in default_tables["reciprocal"].entries:
+        s1, s2 = e.sigma
+        if s1 <= 2.0 ** -0.2:
+            method, want = "slack", 5.0 * 2.0 ** -0.4
+        elif s2 <= 2.0 ** -0.25 * s1 ** -0.25:
+            method, want = "wrinkled", s1 * s1 + 2.0 * 2.0 ** 0.5 / s1 ** 0.5
+        else:
+            method = "taut"
+            want = s1 * s1 + s2 * s2 + 3.0 * 2.0 ** (-2.0 / 3.0) * (
+                s1 * s2) ** (-2.0 / 3.0)
+        assert e.method == method
+        assert abs(e.value - want) <= 1e-12 * want
+        regions[method] += 1
+    assert regions == {"slack": 10, "wrinkled": 30, "taut": 51}
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_no_node_rises_above_the_search_or_the_bounds(name):
+    # the relaxation lies below every laminate and every Aff0 average
+    model = FOUR_MODELS[name]
+    w0 = ReducedDensity(model)
+    table = build_envelope_table(model, sigma_max=1.0, pitch=0.5)
+    for e in table.entries:
+        xi = _diag(*e.sigma)
+        assert e.value <= laminate_search(w0, xi, 2).values[-1] + 1e-12
+        if e.sigma[0] > 0.0:
+            assert e.value <= four_corner_bound(xi, w0).as_float() + 1e-12
+        assert e.value <= square_refine_bound(xi, w0).as_float() + 1e-12
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_relaxed_density_is_midpoint_convex(name):
+    # the even, symmetric extension f(x, y) = F(|x|, |y|) sorted, read at
+    # diag(x, y), is convex along random segments in the plane: the
+    # certificate that the density is the quasiconvex envelope of W0
+    density = relaxed_density(FOUR_MODELS[name])
+    rng = np.random.default_rng(26)
+    ends = rng.uniform(-2.5, 2.5, (2, 400, 2))
+    ends[:, :100] *= 0.4  # near the slack square and its rim
+    pts = np.concatenate([ends[0], ends[1], 0.5 * (ends[0] + ends[1])])
+    xis = np.zeros((pts.shape[0], 3, 2))
+    xis[:, 0, 0], xis[:, 1, 1] = pts[:, 0], pts[:, 1]
+    f = density.batch(xis).reshape(3, -1)
+    chord = 0.5 * (f[0] + f[1])
+    assert np.all(f[2] <= chord + 1e-12 * chord)
+
+
+def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
+    calls = []
+
+    class CountingDensity(ReducedDensity):
+        def batch(self, xis):
+            calls.append(len(xis))
+            return super().batch(xis)
+
+    monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
+    table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5)
+    # 3 slack nodes of 4 leaves, 2 wrinkled of 2 and the taut node itself
+    assert calls == [3 * 4 + 2 * 2 + 1]
+    assert [e.witness is None for e in table.entries] \
+        == [e.method == "taut" for e in table.entries]
+
+
+@pytest.mark.parametrize("sigma, tau", [
+    (1.2, 0.7),                  # a = 0.84: left of the kink t a = 1
+    (1.2, 1.0),                  # a = 1.2: the solve stops on the kink
+    (1.5, 1.2),                  # a = 1.8 > sqrt(2): right of the kink
+    (1.0, 1.0),                  # a = 1: s* itself, where both sides meet
+    (1.0, 1.0 + 1e-14),          # next to s*, where Newton may end on
+    (1.0, 1.0 - 1e-14),          # either side of the kink
+], ids=["left", "on", "right", "s-star", "above-s-star", "below-s-star"])
+def test_outer_slope_takes_the_kink_pinned_slope(sigma, tau):
+    # the shifted log has a kink at det = 1, where h' jumps from -2 to -1:
+    # d/dtau W0(diag(sigma, tau)) against a central difference of W0
+    model = EnergyModel(ShiftedLogBarrier(), p=2.0)
+
+    def g(t):
+        return w0_closed_form(model, _diag(sigma, t)).as_float()
+
+    # the slope itself has a corner at s*, where the difference errs by
+    # O(h)
+    h = 1e-7
+    fd = (g(tau + h) - g(tau - h)) / (2.0 * h)
+    got = envelope._tau_slope(model, np.array([sigma]), np.array([tau]))[0]
+    assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
+    a, q = np.array([sigma * tau]), np.array([sigma ** 2 + tau ** 2])
+    t = solve_fiber(model, a, q)[0]
+    if (sigma, tau) == (1.2, 1.0):
+        assert t[0] == 1.0 / a[0]  # stopped on the kink
+    # dF/da and dF/dq on their own
+    for da, dq in ((1e-6, 0.0), (0.0, 1e-6)):
+        up = solve_fiber(model, a + da, q + dq)[1]
+        down = solve_fiber(model, a - da, q - dq)[1]
+        slope = fiber_slopes(model, a, q)[1 if da else 2][0]
+        assert abs(slope - (up - down)[0] / 2e-6) <= 1e-6
+
+
+def test_audit_refuses_a_broken_laminate(small_table):
+    # node 1 is the slack node (0.5, 0): diag(0.5, 0) -> diag(+-s*, 0) ->
+    # diag(+-s*, +-s*), both ends split alike
+    data = small_table.to_dict()
+
+    def broken(edit):
+        record = json.loads(json.dumps(data))
+        edit(record["entries"][1])
+        return record
+
+    def outside(e):
+        e["witness"]["fraction"] = 1.5
+
+    def rank_two(e):
+        e["witness"]["plus"]["step"] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+
+    def moved(e):
+        e["value"] *= 1.0 + 1e-9
+
+    for edit, match in ((outside, "outside \\[0, 1\\]"),
+                        (rank_two, "not rank one"),
+                        (moved, "replayed laminates")):
+        with pytest.raises(ValueError, match=match):
+            EnvelopeTable.from_dict(broken(edit))
+    # a table without its model cannot be replayed
+    with pytest.raises(ValueError, match="no model"):
+        EnvelopeTable(small_table.sigma_grid, small_table.values,
+                      small_table.entries, small_table.p,
+                      small_table.certificate).audit()
+
+
+def test_table_json_keeps_its_model(tmp_path):
+    model = EnergyModel(ReciprocalBarrier(1.0073), p=2.5)
+    table = build_envelope_table(model, sigma_max=1.0, pitch=0.5)
+    path = tmp_path / "table.json"
+    table.save_json(path)
+    back = EnvelopeTable.load_json(path)
+    assert back.model == model
+    assert back.audit() == table.audit() <= 1e-12
+    assert back.entries == table.entries
