@@ -103,24 +103,41 @@ def _cell_crosses(cells) -> tuple[np.ndarray, np.ndarray]:
     return crosses.T, norms
 
 
+def _abs_dots(dirs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|d . c| for each row d of ``dirs`` and column c of ``cols`` (3, M),
+    summed as (d0 c0 + d1 c1) + d2 c2 whatever the shapes, so a subset of
+    the rows or columns reads the very same values."""
+    return np.abs((dirs[:, :1] * cols[0] + dirs[:, 1:2] * cols[1])
+                  + dirs[:, 2:] * cols[2])
+
+
 def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     """Shared direction with a certified determinant margin on every cell.
 
     Scans a deterministic sequence of unit vectors (coordinate axes,
     icosahedron vertices, Fibonacci spheres, then spiral refinement around
-    the best cap) and keeps the direction maximizing the smallest
+    the best cap) and keeps the first direction maximizing the smallest
     unsigned determinant. Directions closer than the angular tolerance to
-    any cell's degeneracy plane are rejected outright.
+    any cell's degeneracy plane are rejected outright. A direction's
+    least |det| over a few sentinel cells (the argmin cells of the
+    directions scanned so far) bounds its margin from above, from the
+    same products; a direction whose bound does not beat the best margin
+    cannot win and is skipped, and only the rest are valued against
+    every cell.
 
     Returns (direction, index, signs) where index is the smallest integer
     j with min_i |det| >= 1/j and signs holds the per-cell determinant
-    signs at the returned direction.
+    signs at the returned direction. An empty stack is refused.
     """
     crosses, norms = _cell_crosses(cells)
-    unit = crosses / norms[:, None]
+    if not norms.size:
+        raise ValueError("feasible_normal needs at least one cell")
+    cols = crosses.T
+    unit = cols / norms
 
     best_margin = -1.0
     best = None
+    sentinel = np.zeros(norms.size, dtype=bool)
 
     def consider(batch: np.ndarray):
         # blocks of directions bound the memory; the strict ">" keeps the
@@ -128,9 +145,14 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
         nonlocal best_margin, best
         for start in range(0, batch.shape[0], _SCAN_DIRECTIONS):
             block = batch[start:start + _SCAN_DIRECTIONS]
-            angular = np.abs(block @ unit.T).min(axis=1)
-            margin = np.abs(block @ crosses.T).min(axis=1)
-            margin[angular < _ANGULAR_TOL] = -1.0
+            bound = _abs_dots(block, cols[:, sentinel])
+            block = block[bound.min(axis=1, initial=np.inf) > best_margin]
+            if not block.shape[0]:
+                continue
+            dots = _abs_dots(block, cols)
+            margin = dots.min(axis=1)
+            margin[_abs_dots(block, unit).min(axis=1) < _ANGULAR_TOL] = -1.0
+            sentinel[dots.argmin(axis=1)] = True
             k = int(np.argmax(margin))
             if margin[k] > best_margin:
                 best_margin = float(margin[k])

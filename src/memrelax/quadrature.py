@@ -1,21 +1,20 @@
 """Batched composite midpoint quadrature on triangles.
 
 The three-point edge-midpoint rule is exact for quadratics on a triangle.
-Integrals that need more resolution are handled by uniform fourfold
-subdivision: every triangle splits into its four midpoint children and
-the rule is reapplied. Each root triangle of the stack refines on its
-own until its two successive levels agree to the requested relative
-tolerance; all roots still refining at a level share one integrand call
-(split once a level grows past a fixed number of triangles), and a root
-drops out once it has converged.
+Integrals that need more resolution apply it to the 4**l children of l
+uniform fourfold midpoint subdivisions. Each root triangle of the stack
+refines on its own until its two successive levels agree to the
+requested relative tolerance; all roots still refining at a level share
+one integrand call (split once a level stands for more than a fixed
+number of children), and a root drops out once it has converged.
 
-Neighbouring children share an edge, and its two ends are the same
-floats in both, so its midpoint 0.5 * (p + q) has one value. A root
-refined l times has 4**l children and 3 * 4**l child sides but only
+No child triangle is formed. Neighbouring children share an edge, so a
+root refined l times has 3 * 4**l child sides but only
 3 * 2**(l - 1) * (2**l + 1) distinct edges (3, 9, 30, 108 for
-l = 0 ... 3); the integrand is called once per distinct edge and its
-values are gathered back to every side. The per-child means and the
-per-root sums are those of valuing every side on its own.
+l = 0 ... 3), and its level-l value is one weighted sum over their
+midpoints: A / (3 * 4**l) * sum_e mult_e f(mid_e), mult_e 1 on the
+root's boundary and 2 inside. The midpoints are fixed barycentric
+combinations of the root's corners, exact dyadic numbers per level.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from .tensor_kernel import is_integer
 # integrand: (N, 2) points and the (N,) root index of each point -> (N,)
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Triangles one refinement step may create. A larger step splits its roots
-# in halves that refine one after the other, so memory does not grow with
-# the number of roots; one root still refines whole, as it would alone.
+# Children one refinement step may stand for. A larger step splits its
+# roots in halves that refine one after the other, so memory does not grow
+# with the number of roots; one root still refines whole, as it would alone.
 _MAX_TRIS = 1 << 14
 
 
@@ -86,31 +85,27 @@ def subdivide_triangles(tris: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _edge_map(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct edges of one root triangle refined ``level`` times.
+def _edge_map(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-``level`` rule on one root: its distinct edge midpoints
+    in barycentric coordinates (E, 3) and their multiplicities (E,).
 
-    In a root's block of 4**level children, in the order of
-    :func:`subdivide_triangles`, corner k of child c is flat corner
-    3c + k, and side k runs from corner k to corner k + 1. Returns the
-    flat corners ``(start, end)`` of one representative side of each
-    distinct edge and the (4**level, 3) edge id of every child side. The
-    map is read off a root with integer corners, on which every midpoint
-    is exact.
+    The root's 4**level children of :func:`subdivide_triangles` have
+    3 * 4**level sides; an edge on the root's boundary is a side of one
+    child (mult 1), any other edge a side of two (mult 2), so edge e
+    weighs mult_e / (3 * 4**level). The map is read off a root with
+    integer corners (0, 0), (2**level, 0), (0, 2**level); every midpoint
+    and coordinate there is dyadic, hence exact.
     """
     n = 1 << level
     tris = np.array([[[0.0, 0.0], [n, 0.0], [0.0, n]]])
     for _ in range(level):
         tris = subdivide_triangles(tris)
-    corner = (tris[..., 0] * (n + 1) + tris[..., 1]).astype(np.int64)
-    corner = corner.ravel()
-    start = np.arange(corner.size)
-    end = (start - start % 3) + _NEXT[start % 3]
-    lo = np.minimum(corner[start], corner[end])
-    hi = np.maximum(corner[start], corner[end])
-    keys = lo * (n + 1) ** 2 + hi
-    _, rep, side_edge = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    maps = start[rep], end[rep], side_edge.reshape(-1, 3)
+    ends = np.stack([tris, tris.take(_NEXT, axis=1)], axis=2).reshape(-1, 2, 2)
+    keys = np.sort((ends[..., 0] * (n + 1) + ends[..., 1]).astype(np.int64))
+    _, rep, mult = np.unique(keys[:, 0] * (n + 1) ** 2 + keys[:, 1],
+                             return_index=True, return_counts=True)
+    mid = ends[rep].mean(axis=1) / n
+    maps = np.column_stack([1.0 - mid.sum(axis=1), mid]), mult.astype(float)
     for arr in maps:
         arr.setflags(write=False)
     return maps
@@ -118,24 +113,25 @@ def _edge_map(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def midpoint_rule(f: Integrand, tris: np.ndarray, roots: np.ndarray,
                   level: int = 0) -> np.ndarray:
-    """Edge-midpoint terms (area times mean) of each triangle of a stack.
+    """Level-``level`` composite midpoint value of each root in ``roots``.
 
-    ``tris`` holds one block of 4**level children per entry of ``roots``,
-    each block the ``level``-fold :func:`subdivide_triangles` refinement of
-    its root, and ``roots`` gives each block's root index. The integrand
-    receives the distinct edge midpoints of all blocks as one (N, 2)
-    array together with the (N,) root index of each point and must return
-    (N,) values; each child side reads the value of its edge.
+    Root r of the (m, 3, 2) stack ``tris`` refined ``level`` times has
+    the value A_r / (3 * 4**level) * sum_e mult_e f(mid_e) over the
+    distinct edges of its children (:func:`_edge_map`). The midpoints
+    are formed as one (E, 3) @ (3, 2) product per root, and the
+    integrand receives those of all roots as one (N, 2) array together
+    with the (N,) root index of each point and must return (N,) values.
+    The weighted row sum runs in an order that does not depend on the
+    number of roots, so neither does a root's value.
     """
-    start, end, side_edge = _edge_map(level)
-    corners = tris.reshape(roots.size, side_edge.size, 2)
-    mids = 0.5 * (corners.take(start, axis=1) + corners.take(end, axis=1))
-    vals = np.asarray(f(mids.reshape(-1, 2), np.repeat(roots, start.size)),
-                      dtype=float).reshape(roots.size, start.size)
-    sides = vals[:, side_edge].reshape(-1, 3)
-    e = tris[:, 1:] - tris[:, :1]
+    bary, mult = _edge_map(level)
+    corners = tris[roots]
+    mids = bary @ corners
+    vals = np.asarray(f(mids.reshape(-1, 2), np.repeat(roots, mult.size)),
+                      dtype=float).reshape(roots.size, mult.size)
+    e = corners[:, 1:] - corners[:, :1]
     areas = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    return areas * ((sides[:, 0] + sides[:, 1] + sides[:, 2]) / 3)
+    return areas * np.einsum("re,e->r", vals, mult) / (3 * 4 ** level)
 
 
 def _not_nan(values: np.ndarray, level: int) -> np.ndarray:
@@ -151,12 +147,12 @@ def integrate_adaptive(f: Integrand, tris, *,
 
     Root r stops at the first level l >= 1 with
     |I_l - I_{l-1}| <= rel_tol * max(|I_l|, 1e-300), where I_l is its
-    composite value over its 4**l children, or at max_level. Every level
-    makes one call ``f(points, roots)`` over the roots still refining
-    (more calls once that level would exceed ``_MAX_TRIS`` triangles);
-    ``roots`` indexes the stack passed in. Descendants of a root stay
-    contiguous, so I_l is a row sum of the children's terms, and each
-    root's value does not depend on the roots refined with it.
+    composite value over its 4**l children (:func:`midpoint_rule`), or at
+    max_level. Every level makes one call ``f(points, roots)`` over the
+    roots still refining (more calls once they would stand for more than
+    ``_MAX_TRIS`` children); ``roots`` indexes the stack passed in. Only
+    root ids and levels are tracked, and each root's value does not
+    depend on the roots refined with it.
 
     Raises ValueError at the first level at which a root's value is
     NaN; +inf values pass through, and a root equal at two successive
@@ -172,24 +168,20 @@ def integrate_adaptive(f: Integrand, tris, *,
     values = _not_nan(midpoint_rule(f, tris, np.arange(m)), 0)
     levels = np.zeros(m, dtype=int)
     errors = np.full(m, np.inf)
-    evals = _edge_map(0)[0].size * m
-    # groups of roots still refining: (their children, root ids, level)
-    groups = [(tris, np.arange(m), 0)]
+    evals = _edge_map(0)[1].size * m
+    # groups of roots still refining: (root ids, level)
+    groups = [(np.arange(m), 0)]
     while groups:
-        tris, active, level = groups.pop()
+        active, level = groups.pop()
         while active.size and level < max_level:
-            if 4 * tris.shape[0] > _MAX_TRIS and active.size > 1:
+            if active.size * 4 ** (level + 1) > _MAX_TRIS and active.size > 1:
                 half = active.size // 2
-                cut = half * 4 ** level
-                groups.append((tris[cut:], active[half:], level))
-                tris, active = tris[:cut], active[:half]
+                groups.append((active[half:], level))
+                active = active[:half]
                 continue
-            tris = subdivide_triangles(tris)
             level += 1
-            k = 4 ** level
-            new = midpoint_rule(f, tris, active, level)
-            new = _not_nan(new.reshape(-1, k).sum(axis=1), level)
-            evals += _edge_map(level)[0].size * active.size
+            new = _not_nan(midpoint_rule(f, tris, active, level), level)
+            evals += _edge_map(level)[1].size * active.size
             # equal levels have converged, +inf ones too (inf - inf is NaN)
             old = values[active]
             errors[active] = np.abs(np.subtract(new, old, where=new != old,
@@ -199,7 +191,6 @@ def integrate_adaptive(f: Integrand, tris, *,
             going = ~(errors[active]
                       <= rel_tol * np.maximum(np.abs(new), 1e-300))
             active = active[going]
-            tris = tris.reshape(-1, k, 3, 2)[going].reshape(-1, 3, 2)
     return QuadResult(value=float(np.sum(values)),
                       error_estimate=float(errors.max(initial=0.0)),
                       level=int(levels.max(initial=0)), n_evals=evals,

@@ -15,6 +15,9 @@ computes, or a fixture of the paper's constructions:
   paper's test-field route to the relaxed density;
 * :func:`director_membrane_energy` is the membrane-side target of a
   recovery lift;
+* :func:`scanned_normal` is the shared-direction scan valuing every
+  direction against every cell, which ``feasible_normal``'s bounded scan
+  must reproduce exactly;
 * :func:`strided_film_value` and :func:`strided_film_gradient` are the
   film objective in the strided (..., 3, 3) layout it had before it went
   component-major, with :func:`strided_gradients_and_means`,
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from memrelax import director_field
 from memrelax.dimension_reduction import _sample_director
 from memrelax.energy_models import EnergyModel
 from memrelax.fiber_reduction import WEDGE_FLOOR
@@ -463,6 +467,43 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
     phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
     grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
     return float(np.dot(v.mesh.areas, w_stack(model, grads)))
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive shared-direction scan
+
+def scanned_normal(cells, block: int = 64):
+    """(direction, j_v, signs) of ``feasible_normal`` by the full scan:
+    every direction of the same sequence is valued against every cell,
+    ``block`` directions at a time, and the first best margin wins."""
+    df = director_field
+    crosses, norms = df._cell_crosses(cells)
+    unit = crosses / norms[:, None]
+    best_margin, best = -1.0, None
+
+    def consider(batch):
+        nonlocal best_margin, best
+        for start in range(0, batch.shape[0], block):
+            rows = batch[start:start + block]
+            angular = np.abs(rows @ unit.T).min(axis=1)
+            margin = np.abs(rows @ crosses.T).min(axis=1)
+            margin[angular < df._ANGULAR_TOL] = -1.0
+            k = int(np.argmax(margin))
+            if margin[k] > best_margin:
+                best_margin, best = float(margin[k]), rows[k]
+
+    consider(df._axes())
+    consider(df._icosahedron())
+    for n in (64, 256, 1024):
+        consider(df._fibonacci_sphere(n))
+    radius = 0.3
+    for _ in range(4):
+        consider(df._cap(best, radius, 128))
+        radius /= 3.0
+    j_v = max(1, math.ceil(1.0 / best_margin))
+    while 1.0 / j_v > best_margin:
+        j_v += 1
+    return best, j_v, np.sign(crosses @ best).astype(int)
 
 
 # ---------------------------------------------------------------------------

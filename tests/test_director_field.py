@@ -11,9 +11,10 @@ from memrelax.director_field import (
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
-from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
+from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
+                                unit_square_mesh)
 from memrelax.quadrature import integrate_adaptive
-from oracles import finite, mat32, single_triangle_mesh
+from oracles import finite, mat32, scanned_normal, single_triangle_mesh
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -83,6 +84,111 @@ def test_direction_scan_does_not_depend_on_its_block_size(monkeypatch):
             assert np.array_equal(got[0], zeta)
             assert got[1] == j_v
             assert np.array_equal(got[2], signs)
+
+
+def _assert_scan(cells):
+    zeta, j_v, signs = scanned_normal(cells)
+    got = feasible_normal(cells)
+    assert np.array_equal(got[0], zeta)
+    assert got[1] == j_v
+    assert np.array_equal(got[2], signs)
+
+
+def _mirrored(cells, axis):
+    """cells followed by their images under the reflection of one axis."""
+    flip = np.ones(3)
+    flip[axis] = -1.0
+    return np.concatenate([cells, flip[:, None] * cells])
+
+
+def _tilted(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]) @ E1E2
+
+
+def _curved_field(n):
+    mesh = unit_square_mesh(n)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    vals = np.column_stack([x + 0.1 * np.sin(y), y + 0.1 * np.cos(x),
+                            0.2 * x * y])
+    return PwAffineField(mesh, vals)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_bounded_scan_returns_the_exhaustive_scan(monkeypatch, block):
+    monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
+    rng = np.random.default_rng(12)
+    stacks = [np.array(random_cells(rng, rng.integers(1, 7)))
+              for _ in range(12)]
+    stacks += [wiggly_field(6).gradients(),
+               refine_field(_curved_field(6), 1).gradients()]
+    for cells in stacks:
+        _assert_scan(cells)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_bounded_scan_keeps_the_first_of_tied_directions(monkeypatch,
+                                                         block):
+    # the flat cell ties +e3 with -e3; a stack and its mirror image tie
+    # every direction with its reflection
+    monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
+    rng = np.random.default_rng(3)
+    stacks = [np.array([E1E2]), np.array([E1E2, E1E2]),
+              _mirrored(np.array([_tilted(0.5)]), 2),
+              _mirrored(np.array([_tilted(0.5)]), 0),
+              _mirrored(_mirrored(np.array([_tilted(0.3), E1E2]), 0), 1),
+              _mirrored(np.array(random_cells(rng, 3)), 2),
+              _mirrored(wiggly_field(3).gradients(), 2)]
+    for cells in stacks:
+        _assert_scan(cells)
+
+
+def _near_tie_cell(delta):
+    """One cell whose normal leans from the bisector of the Fibonacci
+    directions 593 and 627 toward 627 by delta: those two are its nearest
+    scanned directions, and 627 comes later and is better by a few ulps."""
+    fib = director_field._fibonacci_sphere(1024)
+    d1, d2 = fib[593], fib[627]
+    c = d1 + d2 + delta * (d2 - d1)
+    c /= np.linalg.norm(c)
+    u = np.cross(c, [0.0, 0.0, 1.0])
+    u /= np.linalg.norm(u)
+    return np.column_stack([u, np.cross(c, u)])[None], np.stack([d1, d2])
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_bounded_scan_takes_a_later_direction_better_by_ulps(monkeypatch,
+                                                             block):
+    # the later direction wins the sphere stage by 10 ulps and centres the
+    # caps; a bound that skipped it for a gap that small would move them
+    monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
+    cells, pair = _near_tie_cell(2e-13)
+    crosses, _ = director_field._cell_crosses(cells)
+    m1, m2 = director_field._abs_dots(pair, crosses.T)[:, 0]
+    assert 4 <= (m2 - m1) / np.spacing(m1) <= 16
+    _assert_scan(cells)
+
+
+def test_bounded_scan_values_few_directions_against_every_cell(monkeypatch):
+    # 17 of the 1,874 scanned directions reach the full scan on this field
+    cells = refine_field(_curved_field(6), 1).gradients()
+    full = []
+    abs_dots = director_field._abs_dots
+
+    def spy(dirs, cols):
+        if cols.shape[1] == cells.shape[0]:
+            full.append(dirs.shape[0])
+        return abs_dots(dirs, cols)
+
+    monkeypatch.setattr(director_field, "_abs_dots", spy)
+    _assert_scan(cells)
+    # each valued block reads both the normals and the unit normals
+    assert sum(full) // 2 <= 50
+
+
+def test_feasible_normal_refuses_an_empty_stack():
+    with pytest.raises(ValueError, match="at least one cell"):
+        feasible_normal(np.zeros((0, 3, 2)))
 
 
 def test_rank_deficient_cell_rejected():

@@ -1,8 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from memrelax import quadrature
-from memrelax.pw_affine import unit_square_mesh
+from memrelax.pw_affine import refine_mesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive, midpoint_rule
 
 
@@ -162,42 +165,91 @@ def test_a_level_past_the_triangle_budget_splits_its_roots(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# distinct edge midpoints
+# the level rule: weighted distinct edge midpoints
 
 @pytest.mark.parametrize("level", range(6))
 def test_edge_map_counts_the_distinct_edges(level):
-    # a triangle cut into N^2 children, N = 2^l, has 3N(N + 1)/2 edges
+    # a triangle cut into N^2 children, N = 2^l, has 3N(N + 1)/2 edges;
+    # one on the root's boundary is a side of one child, any other a side
+    # of two, so 3N edges weigh 1/(3 * 4^l) and the rest 2/(3 * 4^l)
     n = 2 ** level
-    start, end, side_edge = quadrature._edge_map(level)
-    assert start.size == end.size == 3 * n * (n + 1) // 2
-    assert side_edge.shape == (4 ** level, 3)
-    assert np.array_equal(np.unique(side_edge), np.arange(start.size))
-    # an edge on the root's boundary is a side of one child, any other
-    # edge a side of two
-    counts = np.bincount(side_edge.ravel())
-    assert np.count_nonzero(counts == 1) == 3 * n
-    assert np.count_nonzero(counts == 2) == start.size - 3 * n
+    bary, mult = quadrature._edge_map(level)
+    assert bary.shape == (3 * n * (n + 1) // 2, 3)
+    assert mult.shape == (bary.shape[0],)
+    assert np.unique(bary, axis=0).shape == bary.shape
+    # dyadic rows: multiples of 1/(2N) in [0, 1] that sum to 1 exactly
+    assert np.array_equal(bary * 2 * n, np.round(bary * 2 * n))
+    assert bary.min() >= 0.0 and bary.max() <= 1.0
+    assert np.array_equal(bary.sum(axis=1), np.ones(bary.shape[0]))
+    # a boundary midpoint has a zero coordinate, an interior one none
+    assert np.array_equal(mult == 1, (bary == 0.0).any(axis=1))
+    unit = 1 / (3 * 4 ** level)
+    weights = mult * unit
+    assert np.count_nonzero(weights == unit) == 3 * n
+    assert np.count_nonzero(weights == 2 * unit) == mult.size - 3 * n
+    assert mult.sum() == 3 * 4 ** level
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("level", range(5))
-def test_every_child_side_has_its_edge_ends_as_floats(level):
-    # the shared midpoint 0.5 * (p + q) has one value only if both
-    # children hold the same two floats p and q
+def test_every_child_side_midpoint_is_one_weighted_edge(level):
+    # the side midpoints of the subdivided children land on the map's
+    # midpoints, each edge as often as its multiplicity
     rng = np.random.default_rng(level)
     roots = rng.uniform(-3.0, 3.0, size=(5, 3, 2))
     tris = roots
     for _ in range(level):
         tris = quadrature.subdivide_triangles(tris)
-    corners = tris.reshape(5, -1, 2)
-    start, end, side_edge = quadrature._edge_map(level)
-    k = np.arange(3)
-    side_start = corners[:, 3 * np.arange(4 ** level)[:, None] + k]
-    side_end = corners[:, 3 * np.arange(4 ** level)[:, None] + (k + 1) % 3]
-    rep_start = corners[:, start][:, side_edge]
-    rep_end = corners[:, end][:, side_edge]
-    same = (side_start == rep_start).all(-1) & (side_end == rep_end).all(-1)
-    turned = (side_start == rep_end).all(-1) & (side_end == rep_start).all(-1)
-    assert (same | turned).all()
+    sides = 0.5 * (tris + np.roll(tris, -1, axis=1))
+    sides = sides.reshape(5, -1, 1, 2)
+    bary, mult = quadrature._edge_map(level)
+    mids = (bary @ roots)[:, None]
+    dist = np.abs(sides - mids).max(axis=-1)
+    hit = dist.argmin(axis=2)
+    assert dist.min(axis=2).max() <= 1e-14
+    for r in range(5):
+        assert np.array_equal(np.bincount(hit[r], minlength=mult.size), mult)
+
+
+def _quadratic_integral(tri):
+    """Closed form of f = 1 + 2x - y + 3x^2 - xy + 2y^2 over a triangle."""
+    (x1, y1), (x2, y2), (x3, y3) = tri
+    area = 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
+    xx = (x1 * x1 + x2 * x2 + x3 * x3 + x1 * x2 + x2 * x3 + x3 * x1) / 6
+    yy = (y1 * y1 + y2 * y2 + y3 * y3 + y1 * y2 + y2 * y3 + y3 * y1) / 6
+    xy = (2 * (x1 * y1 + x2 * y2 + x3 * y3) + x1 * y2 + x2 * y1 + x1 * y3
+          + x3 * y1 + x2 * y3 + x3 * y2) / 12
+    mean_x, mean_y = (x1 + x2 + x3) / 3, (y1 + y2 + y3) / 3
+    return area * (1 + 2 * mean_x - mean_y + 3 * xx - xy + 2 * yy)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_level_rule_is_exact_for_quadratics(level):
+    f = lambda p, r: (1 + 2 * p[:, 0] - p[:, 1] + 3 * p[:, 0] ** 2
+                      - p[:, 0] * p[:, 1] + 2 * p[:, 1] ** 2)
+    rng = np.random.default_rng(40 + level)
+    tris = rng.uniform(-2.0, 2.0, size=(6, 3, 2))
+    got = midpoint_rule(f, tris, np.arange(6), level)
+    want = [_quadratic_integral(t) for t in tris]
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+
+def test_refinement_keeps_no_child_stack():
+    # 256 cells of the refined nirf mesh, all refined to level 3 in one
+    # call: the rule holds (roots, E) midpoints and values only; the 64
+    # children per root as corners alone would be 0.79 MB more. Measured
+    # 1.13 MB; the bound leaves a third of that as margin.
+    mesh = refine_mesh(unit_square_mesh(12))
+    tris = mesh.vertices[mesh.triangles][:256]
+    f = lambda p, r: np.exp(p[:, 0] * p[:, 1])
+    tracemalloc.start()
+    try:
+        res = integrate_adaptive(f, tris, rel_tol=1e-15, max_level=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.levels.tolist() == [3] * 256
+    assert peak < 1.5e6
 
 
 def _reference_integrate(f, tris, rel_tol, max_level):
@@ -257,20 +309,43 @@ _INTEGRANDS = {
 
 @pytest.mark.parametrize("budget", [None, 64])
 @pytest.mark.parametrize("name", sorted(_INTEGRANDS))
-def test_distinct_edges_give_the_all_sides_rule_bit_for_bit(
+def test_level_sums_give_the_all_sides_rule_to_round_off(
         monkeypatch, name, budget):
+    # one weighted sum per root and level is the all-sides rule up to
+    # round-off; every refinement decision and sample count is the same
     f = _INTEGRANDS[name]
     tris = _square(3)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
     res = integrate_adaptive(f, tris, rel_tol=1e-4, max_level=5)
     values, levels, errors, samples = _reference_integrate(f, tris, 1e-4, 5)
+    assert res.levels.tolist() == levels.tolist()
+    assert res.level == levels.max()
+    assert res.n_evals == _distinct_samples(levels, 5) < samples
+    assert np.array_equal(np.isinf(res.values), np.isinf(values))
+    finite = np.isfinite(values)
+    assert res.values[finite] == pytest.approx(values[finite], rel=1e-13)
+    scale = np.abs(values[finite]).max()
+    assert abs(res.error_estimate - errors.max()) <= 1e-13 * scale
+    assert res.value == pytest.approx(float(np.sum(values)), rel=1e-13)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_level_sums_give_the_all_sides_rule_bit_for_bit_on_dyadic_input(
+        monkeypatch, budget):
+    # dyadic corners and an integrand with dyadic values, multiples of 3:
+    # every midpoint, sum and the division by 3 are exact in both rules;
+    # the kink x = 13/32 lies on the subdivision lines from level 3 on
+    f = lambda p, r: 3.0 * (np.abs(p[:, 0] - 0.40625) + 2.0 * p[:, 1])
+    tris = _square(4)
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
+    res = integrate_adaptive(f, tris, rel_tol=1e-12, max_level=5)
+    values, levels, errors, _ = _reference_integrate(f, tris, 1e-12, 5)
+    assert res.levels.max() == 4
     assert res.values.tolist() == values.tolist()
     assert res.levels.tolist() == levels.tolist()
     assert res.error_estimate == errors.max()
-    assert res.value == float(np.sum(values))
-    assert res.level == levels.max()
-    assert res.n_evals == _distinct_samples(levels, 5) < samples
 
 
 def test_distinct_edges_raise_nan_at_the_same_level():
