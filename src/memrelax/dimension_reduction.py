@@ -15,7 +15,6 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -697,7 +696,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     ``membrane_*``) and, under ``seconds``, the wall time
     of each phase: the membrane descent, the director assignment and each
     film run in schedule order. Every lift has ``_LAYERS`` = 5 layers,
-    which the meta reports under ``layers``.
+    which the meta reports under ``layers``. ``threads`` is accepted and
+    unused: the film runs go one after another.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -739,11 +739,7 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                        **counts)
         return row, time.perf_counter() - film_started
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run, eps_schedule))
-    else:
-        runs = [run(eps) for eps in eps_schedule]
+    runs = [run(eps) for eps in eps_schedule]
     meta = {"mode": mode, "layers": _LAYERS, "j_v": assignment.j_v,
             "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)

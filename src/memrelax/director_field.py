@@ -12,7 +12,6 @@ sharpness grow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,10 +390,10 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     distinct edge midpoint of a cell's children once, so children that
     share an edge share its sample. The cells go through
     :func:`integrate_adaptive` in consecutive slices of at most
-    ``_SLICE_CELLS``, and ``threads`` maps the slices on a pool.
-    The per-cell values are summed once, so the result does not depend
-    on ``threads``. The value decreases toward the integral of the
-    reduced density as j and n grow.
+    ``_SLICE_CELLS``, and the per-cell values are summed once. The value
+    decreases toward the integral of the reduced density as j and n grow.
+
+    ``threads`` is accepted and unused: the slices run one after another.
     """
     asn = build_assignment(model, field, j)
     director = BlendedDirector(field, asn, n)
@@ -419,10 +418,5 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
                                   rel_tol=rel_tol,
                                   max_level=max_level).values
 
-    starts = range(0, asn.n_cells, _SLICE_CELLS)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
-    else:
-        parts = [work(s) for s in starts]
+    parts = [work(s) for s in range(0, asn.n_cells, _SLICE_CELLS)]
     return ExtValue(float(np.sum(np.concatenate(parts))))

@@ -4,10 +4,14 @@ The relaxed density at a surface gradient is the infimum of mean reduced
 energies over compactly supported piecewise-affine perturbations. For
 W = h(|det F|) + |F|^p it has a closed form on singular values, the
 tension-field density (Pipkin, IMA J. Appl. Math. 36, 1986; Steigmann,
-Proc. R. Soc. Lond. A 429, 1990): :func:`relaxed_density` values it from
-batched one-dimensional minimizations of W0 on diagonal matrices, and
-:func:`build_envelope_table` tabulates it on a grid of singular values,
-each node with the laminate of at most two axis splits that attains it.
+Proc. R. Soc. Lond. A 429, 1990). :func:`relaxed_density` values it with
+two constants, each a fiber solve over equal free stretches
+(:func:`~memrelax.fiber_reduction.solve_fiber` with k = 3 and k = 2): the
+isotropic stretch s* that minimizes W(t I), and the width m(s1), the
+equal transverse and thickness stretch of W(diag(s1, t, t)) at its
+minimum. :func:`build_envelope_table` tabulates it on a grid of singular
+values, each node with the laminate of at most two axis splits that
+attains it.
 
 The module also keeps the constructions the density is never above:
 
@@ -47,8 +51,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
-from .fiber_reduction import (ReducedDensity, fiber_slopes, solve_fiber,
-                              w0_growth_constant)
+from .fiber_reduction import ReducedDensity, solve_fiber, w0_growth_constant
 from .tensor_kernel import (ExtValue, as_mat32, frob_norm, is_integer,
                             singular_values, wedge)
 
@@ -182,71 +185,6 @@ def growth_certificate(model: EnergyModel) -> GrowthCertificate:
 # node regions, in the order of their codes
 _REGIONS = ("slack", "wrinkled", "taut")
 _SLACK, _WRINKLED, _TAUT = range(3)
-# bracket probes of a one-dimensional minimization, in units of its scale
-_PROBES = 4.0 ** np.arange(-12, 13)
-# a minimization stops once its bracket is this small relative to its end
-_BRACKET_TOL = 1e-13
-_MAX_STEPS = 100
-
-
-def _tau_slope(model: EnergyModel, sigma, tau):
-    """d/dtau of g(sigma, tau) = W0(diag(sigma, tau)) = F(sigma tau,
-    sigma^2 + tau^2), lanewise: sigma dF/da + 2 tau dF/dq, with the slopes
-    of :func:`~memrelax.fiber_reduction.fiber_slopes`. At tau = sigma it is
-    half the slope of s -> g(s, s)."""
-    _, da, dq = fiber_slopes(model, sigma * tau, sigma * sigma + tau * tau)
-    return sigma * da + 2.0 * tau * dq
-
-
-def _argmin(slope, scale: np.ndarray) -> np.ndarray:
-    """Lanewise minimizer x > 0 of a function with a continuous slope that
-    changes sign once, from < 0 to >= 0.
-
-    ``slope(x, lanes)`` values the slope at x for the lanes with the given
-    indices into ``scale``. One call at ``scale * _PROBES`` brackets each
-    lane's zero (ValueError if the slope keeps its sign over the probes);
-    false position with the Illinois rule, one call per step over the
-    lanes that go on, closes each bracket to ``_BRACKET_TOL`` of its upper
-    end. Returns the last point of each lane.
-    """
-    probes = scale[:, None] * _PROBES
-    lanes = np.repeat(np.arange(scale.size), _PROBES.size)
-    f = slope(probes.ravel(), lanes).reshape(probes.shape)
-    up = f >= 0.0
-    if up[:, 0].any() or not up[:, -1].all():
-        raise ValueError("the slope keeps its sign over the bracket probes")
-    k = np.argmax(up, axis=1)
-    rows = np.arange(scale.size)
-    lo, hi = probes[rows, k - 1], probes[rows, k]
-    flo, fhi = f[rows, k - 1], f[rows, k]
-    # a probe on a zero is the lane's minimizer
-    out = hi.copy()
-    live = np.flatnonzero(fhi != 0.0)
-    lo, hi, flo, fhi = lo[live], hi[live], flo[live], fhi[live]
-    moved = np.zeros(live.size)  # -1: lo moved last, +1: hi moved last
-    for _ in range(_MAX_STEPS):
-        if live.size == 0:
-            return out
-        x = (lo * fhi - hi * flo) / (fhi - flo)
-        # a point that rounds onto an end puts the zero within half an ulp
-        # of it: the lane stops there
-        ends = (x <= lo) | (x >= hi)
-        x = np.minimum(np.maximum(x, lo), hi)
-        fx = slope(x, live)
-        below = fx < 0.0
-        # Illinois: the end that stays twice in a row has its slope halved
-        flo = np.where(below, fx, np.where(moved > 0.0, 0.5 * flo, flo))
-        fhi = np.where(below, np.where(moved < 0.0, 0.5 * fhi, fhi), fx)
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        moved = np.where(below, -1.0, 1.0)
-        done = ends | (fx == 0.0) | (hi - lo <= _BRACKET_TOL * hi)
-        out[live[done]] = x[done]
-        keep = np.flatnonzero(~done)
-        live, lo, hi, flo, fhi, moved = (live[keep], lo[keep], hi[keep],
-                                         flo[keep], fhi[keep], moved[keep])
-    raise RuntimeError(f"{live.size} one-dimensional minimization(s) left "
-                       f"unconverged after {_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -254,10 +192,14 @@ class RelaxedDensity:
     """The tension-field density of one model, valued through
     :meth:`batch`, the density protocol of the envelope bounds.
 
-    Write g(s1, s2) = W0(diag(s1, s2)), s* for the minimizer of
-    s -> g(s, s), W* = g(s*, s*) = inf W0, and m(s1) for the minimizer of
-    tau -> g(s1, tau), the width a strip stretched to s1 takes. At
-    singular values s1 >= s2 the density is
+    Write g(s1, s2) = W0(diag(s1, s2)). s* is the isotropic stretch, the
+    minimizer of t -> W(t I), and W* = W(s* I) = g(s*, s*) = inf W0. m(s1)
+    is the width a strip stretched to s1 takes, the minimizer of
+    tau -> g(s1, tau): for a fixed product of the transverse stretch tau
+    and the thickness stretch t, tau^2 + t^2 is least at tau = t, so m(s1)
+    minimizes t -> W(diag(s1, t, t)), the transverse and thickness
+    stretches equal, and the fiber optimum of W0 at diag(s1, m) is m
+    itself. At singular values s1 >= s2 the density is
 
     * slack, W*, where s1 <= s*;
     * wrinkled, g(s1, m(s1)), where s1 > s* and s2 <= m(s1);
@@ -274,41 +216,45 @@ class RelaxedDensity:
     s_star: float
     w_star: float
 
-    def width(self, s1: np.ndarray) -> np.ndarray:
-        """m(s1) for each s1 > 0: one lane-batched minimization."""
+    def width(self, s1: np.ndarray):
+        """m(s1) and g(s1, m(s1)) = W(diag(s1, m, m)) for each s1 > 0: one
+        fiber solve over two equal free stretches at (a, q) = (s1, s1^2)."""
         s1 = np.asarray(s1, dtype=float)
-        return _argmin(lambda tau, lanes: _tau_slope(self.model, s1[lanes],
-                                                     tau), s1)
+        return solve_fiber(self.model, s1, s1 * s1, k=2)
 
     def regions(self, s1: np.ndarray, s2: np.ndarray):
         """The region of each pair of singular values s1 >= s2, 0 (slack),
-        1 (wrinkled) or 2 (taut), and m(s1), NaN where s1 <= s*."""
+        1 (wrinkled) or 2 (taut), m(s1) and g(s1, m(s1)), both NaN where
+        s1 <= s*."""
         region = np.full(s1.shape, _SLACK)
         m = np.full(s1.shape, np.nan)
+        g = np.full(s1.shape, np.nan)
         far = np.flatnonzero(s1 > self.s_star)
         if far.size:
-            m[far] = self.width(s1[far])
+            m[far], g[far] = self.width(s1[far])
             region[far] = np.where(s2[far] <= m[far], _WRINKLED, _TAUT)
-        return region, m
+        return region, m, g
 
     def batch(self, xis: np.ndarray) -> np.ndarray:
-        """The density over an (N, 3, 2) stack of any memory layout."""
+        """The density over an (N, 3, 2) stack of any memory layout: W*
+        where slack, the width solve's value where wrinkled, and one fiber
+        solve over the taut lanes."""
         sig = singular_values(np.asarray(xis, dtype=float).reshape(-1, 3, 2))
         s1, s2 = sig[:, 0], sig[:, 1]
-        region, m = self.regions(s1, s2)
-        out = np.full(s1.size, self.w_star)
-        far = np.flatnonzero(region != _SLACK)
-        if far.size:
-            s, tau = s1[far], np.where(region == _WRINKLED, m, s2)[far]
-            out[far] = solve_fiber(self.model, s * tau, s * s + tau * tau)[1]
+        region, _, g = self.regions(s1, s2)
+        out = np.where(region == _WRINKLED, g, self.w_star)
+        taut = np.flatnonzero(region == _TAUT)
+        if taut.size:
+            s, tau = s1[taut], s2[taut]
+            out[taut] = solve_fiber(self.model, s * tau, s * s + tau * tau)[1]
         return out
 
 
 def relaxed_density(model: EnergyModel) -> RelaxedDensity:
-    """The tension-field density of ``model``: s* from one minimization
-    of s -> g(s, s), and W* = g(s*, s*)."""
-    s = _argmin(lambda x, lanes: _tau_slope(model, x, x), np.ones(1))
-    w = solve_fiber(model, s * s, 2.0 * s * s)[1]
+    """The tension-field density of ``model``: the isotropic stretch s*
+    and W* = W(s* I) from one fiber solve over three equal free stretches
+    at (a, q) = (1, 0)."""
+    s, w = solve_fiber(model, np.ones(1), np.zeros(1), k=3)
     return RelaxedDensity(model, float(s[0]), float(w[0]))
 
 
@@ -1036,15 +982,15 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     """Tabulate the relaxed density on the singular-value grid.
 
     Every node diag(s1, s2), s1 >= s2, takes the tension-field density
-    (:func:`relaxed_density`) in one pass: one minimization for s*, one
-    lane-batched minimization for m(s1) at the rows beyond s*. Its
+    (:func:`relaxed_density`) in one pass: one fiber solve for s*, one
+    lane-batched fiber solve for m(s1) at the rows beyond s*. Its
     ``method`` is its region and its ``witness`` the laminate that attains
     the density: diag(s1, s2) -> diag(+-s*, s2) -> diag(+-s*, +-s*) when
     slack, diag(s1, s2) -> diag(s1, +-m) when wrinkled, none when taut.
     The node value is that laminate's fraction-weighted mean of W0 at its
     leaves, all leaves in one ``batch`` call, so every node is an upper
     bound of the relaxation that :meth:`EnvelopeTable.audit` replays, even
-    where a minimization misses its argmin by round-off. Only the lower
+    where a fiber solve misses its argmin by round-off. Only the lower
     triangle is computed; the value matrix is completed by the swap
     symmetry of the density.
 
@@ -1066,7 +1012,7 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
 
     i, j = np.tril_indices(grid.size)
     s1, s2 = grid[i], grid[j]
-    region, m = density.regions(s1, s2)
+    region, m, _ = density.regions(s1, s2)
 
     def witness(k):
         if region[k] == _SLACK:

@@ -8,14 +8,25 @@ inflates the norm.  With q = |xi|^2 the reduced density is
 
     w0(xi) = min_{t > 0}  h(t a) + (q + t^2)^{p/2},
 
-+inf exactly when a = 0.  The barrier is convex and p > 1, so the
-minimizer is the only zero of the increasing slope
++inf exactly when a = 0.  The same problem with k equal free stretches,
 
-    phi(t) = a h'(t a) + p t (q + t^2)^{p/2 - 1},
+    min_{t > 0}  h(a t^k) + (q + k t^2)^{p/2},   k = 1, 2, 3,
+
+is W at diag(s1, t, t) for k = 2, (a, q) = (s1, s1^2), and W at t I for
+k = 3, (a, q) = (1, 0): the relaxed density reads its constants s* and
+m(s1) from these.  With p > 1, t -> (q + k t^2)^{p/2} is convex.  The
+barrier h is convex and nonincreasing, so t -> h(a t) is convex; for
+k >= 2, t -> h(a t^k) is convex where also x h''(x) >= (1 - 1/k)|h'(x)|,
+since its second derivative is k x (k x h''(x) - (k - 1)|h'(x)|) / t^2
+at x = a t^k.  Both shipped barriers meet this: x^-r with room to spare, and
+max(-log x, 0) + 1/x on each side of its kink, where its slope jumps up.
+Then the minimizer is the only zero of the increasing slope
+
+    phi(t) = k a t^(k-1) h'(a t^k) + p k t (q + k t^2)^{p/2 - 1},
 
 or sits at a kink of h where phi jumps across zero.  :func:`solve_fiber`
 finds it for a batch of (a, q); every caller in the package goes through
-it, and :func:`fiber_slopes` adds the slopes of the minimum in a and q.  A barrier lists its kinks with their one-sided slopes
+it.  A barrier lists its kinks with their one-sided slopes
 (``barrier.kinks``), and before the first step each lane tests them: a
 lane whose slope jumps over zero at a kink stops there exactly.  The
 other lanes run bracketed Newton.  A lane leaves the batch as soon as it
@@ -39,12 +50,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .tensor_kernel import ExtValue, INFINITE, as_mat32
+from .tensor_kernel import ExtValue, INFINITE, as_mat32, is_integer
 
 __all__ = [
     "WEDGE_FLOOR",
     "ReducedDensity",
-    "fiber_slopes",
     "solve_fiber",
     "w0_closed_form",
     "w0_batch",
@@ -57,9 +67,6 @@ WEDGE_FLOOR = 1e-14
 # a lane stops once its Newton step or its bracket is this small relative to t
 _REL_TOL = 1e-13
 _MAX_ITER = 100
-# fiber_slopes pins the slope of a lane whose t a is this close to a kink,
-# relative to the kink: ten times the solve's tolerance
-_KINK_BAND = 1e-12
 
 
 def _fiber_invariants(xis: np.ndarray):
@@ -89,65 +96,83 @@ def _fiber_invariants(xis: np.ndarray):
     return c, a, q
 
 
-def _slope(model: EnergyModel, a, q, t):
-    """phi(t) and phi'(t) of the fiber objective, elementwise."""
-    x = t * a
-    s = q + t * t
-    u = s ** (model.p / 2.0 - 2.0)
-    phi = a * model.barrier.derivative(x) + model.p * t * s * u
-    dphi = (a * a * model.barrier.second_derivative(x)
-            + model.p * u * (q + (model.p - 1.0) * t * t))
+def _stretches(a, q, t, k):
+    """a t^k and q + k t^2, |det F| and |F|^2 at k free stretches t."""
+    return a * t ** k, q + k * t * t
+
+
+def _slope(model: EnergyModel, a, q, t, k):
+    """phi(t) and phi'(t) of the fiber objective over k free stretches,
+    elementwise; k (k - 1) a t^(k-2) h' in phi' is the curvature of
+    t -> a t^k."""
+    x, s = _stretches(a, q, t, k)
+    c = k * a * t ** (k - 1)
+    p = model.p
+    u = s ** (p / 2.0 - 2.0)
+    h1 = model.barrier.derivative(x)
+    phi = c * h1 + p * k * t * s * u
+    dphi = (c * c * model.barrier.second_derivative(x)
+            + p * k * u * (q + (p - 1.0) * k * t * t)
+            + k * (k - 1) * a * t ** (k - 2) * h1)
     return phi, dphi
 
 
-def _on_kink(model: EnergyModel, a, q, lo):
+def _on_kink(model: EnergyModel, a, q, lo, k):
     """Lanes whose minimizer sits on a kink of the barrier, and its t.
 
-    At t_k = x_k / a the slope jumps from phi(t_k-) to phi(t_k+), which
-    differ only in the barrier part a h'(x_k-) or a h'(x_k+). phi
-    increases, so a jump over zero, phi(t_k-) < 0 <= phi(t_k+), makes
-    t_k the minimizer, if t_k >= lo. The smooth part is that of
-    :func:`_slope`, in its arithmetic.
+    At t_k = (x_k / a)^(1/k) the slope jumps from phi(t_k-) to phi(t_k+),
+    which differ only in the barrier part c h'(x_k-) or c h'(x_k+), c =
+    k a t_k^(k-1). phi increases, so a jump over zero, phi(t_k-) < 0 <=
+    phi(t_k+), makes t_k the minimizer, if t_k >= lo. The smooth part is
+    that of :func:`_slope`, in its arithmetic.
     """
     on = np.zeros(a.size, dtype=bool)
     t = np.empty(a.size)
+    p = model.p
     for x, left, right in model.barrier.kinks:
-        tk = x / a
-        s = q + tk * tk
-        smooth = model.p * tk * s * s ** (model.p / 2.0 - 2.0)
-        hit = ((tk >= lo) & (a * left + smooth < 0.0)
-               & (a * right + smooth >= 0.0))
+        tk = (x / a) ** (1.0 / k)
+        c = k * a * tk ** (k - 1)
+        s = _stretches(a, q, tk, k)[1]
+        smooth = p * k * tk * s * s ** (p / 2.0 - 2.0)
+        hit = ((tk >= lo) & (c * left + smooth < 0.0)
+               & (c * right + smooth >= 0.0))
         t[hit] = tk[hit]
         on |= hit
     return on, t
 
 
-def solve_fiber(model: EnergyModel, a, q, t_min=None):
-    """Minimize h(t a) + (q + t^2)^{p/2} over t > 0, lanewise.
+def solve_fiber(model: EnergyModel, a, q, t_min=None, *, k=1):
+    """Minimize h(a t^k) + (q + k t^2)^{p/2} over t > 0, lanewise.
 
-    a and q are 1D arrays of one shape, a finite and > 0, q finite and
-    >= 0; t_min, finite and >= 0, a scalar or an array of the same
-    length, restricts the search to t >= t_min. Anything else raises
-    ValueError before the first step. A lane whose bound pins it
-    (phi(t_min) >= 0) stops at t_min. Then each lane tests the barrier's
-    kinks x_k (``barrier.kinks``) with t_k = x_k / a >= t_min: if
-    phi(t_k-) < 0 <= phi(t_k+), the minimizer is t_k and the lane stops
-    there exactly, before the first step; a barrier without kinks skips
-    the test. Each other lane runs Newton on phi(t) = 0 inside a bracket
-    [lo, hi] around the root, and falls back to a geometric bisection
-    whenever the Newton step would leave the bracket or be longer than
-    the lane's previous move. A lane stops when its step or its bracket
-    is at most 1e-13 t; the bracket test ends a lane whose minimizer sits
-    at a kink the barrier does not list. Stopped lanes leave before the
-    Newton/bisection choice, so only lanes that go on carry a bracket,
-    and a step on which every lane converges ends the solve before the
-    bracket update. The start is the root for p = 2 and h(x) = x^-r, r
-    the barrier's blow-up order, so for the reciprocal barrier at p = 2
-    every lane stops after one slope.
+    k is the number of equal free stretches t, the integer 1, 2 or 3.
+    k = 1 is the fiber problem of W0, the third column t times the unit
+    normal; k = 2 at (a, q) = (s1, s1^2) is W at diag(s1, t, t), and
+    k = 3 at (1, 0) is W at t I. a and q are 1D arrays of one shape, a
+    finite and > 0, q finite and >= 0; t_min, finite and >= 0, a scalar
+    or an array of the same length, restricts the search to t >= t_min.
+    Anything else, a bool k included, raises ValueError before the first
+    step. A lane whose bound pins it (phi(t_min) >= 0) stops at t_min.
+    Then each lane tests the barrier's kinks x_k (``barrier.kinks``) with
+    t_k = (x_k / a)^(1/k) >= t_min: if phi(t_k-) < 0 <= phi(t_k+), the
+    minimizer is t_k and the lane stops there exactly, before the first
+    step; a barrier without kinks skips the test. Each other lane runs
+    Newton on phi(t) = 0 inside a bracket [lo, hi] around the root, and
+    falls back to a geometric bisection whenever the Newton step would
+    leave the bracket or be longer than the lane's previous move. A lane
+    stops when its step or its bracket is at most 1e-13 t; the bracket
+    test ends a lane whose minimizer sits at a kink the barrier does not
+    list. Stopped lanes leave before the Newton/bisection choice, so only
+    lanes that go on carry a bracket, and a step on which every lane
+    converges ends the solve before the bracket update. The start
+    (r a^-r / 2)^(1/(r k + 2)), r the barrier's blow-up order, is the
+    root for p = 2 and h(x) = x^-r, so for the reciprocal barrier at
+    p = 2 every lane stops after one slope, whatever k is.
 
     Returns (t, value) arrays. Raises RuntimeError if a lane has not
     converged after _MAX_ITER steps.
     """
+    if not (is_integer(k) and 1 <= k <= 3):
+        raise ValueError(f"k must be the integer 1, 2 or 3, got {k!r}")
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.ndim != 1 or a.shape != q.shape:
@@ -158,7 +183,7 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
     if not np.all((q >= 0.0) & (q < np.inf)):
         raise ValueError("q must be finite and >= 0")
     r = model.barrier.blowup_order
-    t = (0.5 * r * a ** -r) ** (1.0 / (r + 2.0))
+    t = (0.5 * r * a ** -r) ** (1.0 / (r * k + 2.0))
     live = np.arange(t.size)
     al, ql, lol = a, q, np.zeros_like(t)
     if t_min is not None:
@@ -169,12 +194,12 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
         # phi increases, so phi(t_min) >= 0 pins the minimizer to the bound;
         # the barrier blows up at 0, where phi is -inf or nan, never pinned
         with np.errstate(divide="ignore", invalid="ignore"):
-            pinned = _slope(model, a, q, lo)[0] >= 0.0
+            pinned = _slope(model, a, q, lo, k)[0] >= 0.0
         t = np.where(pinned, lo, np.maximum(t, lo))
         live = np.flatnonzero(~pinned)
         al, ql, lol = a[live], q[live], lo[live]
     if model.barrier.kinks:
-        on, t_kink = _on_kink(model, al, ql, lol)
+        on, t_kink = _on_kink(model, al, ql, lol, k)
         t[live[on]] = t_kink[on]
         keep = np.flatnonzero(~on)
         live, al, ql, lol = live[keep], al[keep], ql[keep], lol[keep]
@@ -185,7 +210,7 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
     for _ in range(_MAX_ITER):
         if live.size == 0:
             break
-        phi, dphi = _slope(model, al, ql, tl)
+        phi, dphi = _slope(model, al, ql, tl, k)
         step = -phi / dphi
         tol = _REL_TOL * tl
         newton = tl + step
@@ -222,34 +247,7 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None):
             f"fiber solve left {live.size} lane(s) unconverged after "
             f"{_MAX_ITER} iterations")
 
-    return t, model.density(t * a, q + t * t)
-
-
-def fiber_slopes(model: EnergyModel, a, q):
-    """F(a, q) = min_t h(t a) + (q + t^2)^{p/2} and its two slopes,
-    lanewise, from one :func:`solve_fiber` call on the same a and q.
-
-    By the envelope theorem dF/da = t* h'(t* a) and dF/dq = (p/2)
-    (q + t*^2)^{p/2 - 1}. Where t* a sits on a barrier kink x_k, h' is
-    undefined and t* = x_k / a is pinned there, so the slope in a is that
-    of the pinned value, dF/da = -p t*^2 / a (q + t*^2)^{p/2 - 1}. That
-    holds on every lane the solve stops on a kink, and it is taken on
-    every lane with t* a within ``_KINK_BAND`` of x_k: a Newton lane that
-    ends there may sit on either side of the kink by its tolerance, where
-    h' jumps, while the pinned slope is the limit of both sides' slopes as
-    the minimizer reaches the kink. Returns (value, dF/da, dF/dq) arrays.
-    """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    t, value = solve_fiber(model, a, q)
-    tt = t * t
-    x = t * a
-    dq = 0.5 * model.p * (q + tt) ** (model.p / 2.0 - 1.0)
-    da = t * model.barrier.derivative(x)
-    for kink, _, _ in model.barrier.kinks:
-        on = np.abs(x - kink) <= _KINK_BAND * kink
-        da[on] = -2.0 * (tt * dq / a)[on]
-    return value, da, dq
+    return t, model.density(*_stretches(a, q, t, k))
 
 
 def w0_closed_form(model: EnergyModel, xi) -> ExtValue:

@@ -560,14 +560,6 @@ def test_nirf_rejects_low_index_and_degenerate_cells():
         nirf_value(m, field, 4, 8, max_level=-3)
 
 
-def test_nirf_threaded_matches_serial():
-    m = EnergyModel()
-    field = wiggly_field(2)
-    serial = finite(nirf_value(m, field, 8, 32))
-    threaded = finite(nirf_value(m, field, 8, 32, threads=4))
-    assert threaded == serial
-
-
 def curved_field() -> PwAffineField:
     mesh = unit_square_mesh(12)
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -612,7 +604,6 @@ def test_nirf_matches_a_per_cell_oracle_across_slices():
     got = finite(nirf_value(m, field, 4 * j_v, 64))
     want = per_cell_nirf(m, field, asn, 64)
     assert got == pytest.approx(want, rel=1e-13)
-    assert finite(nirf_value(m, field, 4 * j_v, 64, threads=2)) == got
 
 
 def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):

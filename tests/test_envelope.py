@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memrelax import envelope
+from memrelax import envelope, fiber_reduction
 from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
@@ -13,8 +13,8 @@ from memrelax.envelope import (
     growth_certificate, laminate_search, relaxed_density,
     square_refine_bound,
 )
-from memrelax.fiber_reduction import (ReducedDensity, fiber_slopes,
-                                      solve_fiber, w0_closed_form)
+from memrelax.fiber_reduction import (ReducedDensity, solve_fiber,
+                                      w0_closed_form)
 from memrelax.pw_affine import PwAffineField
 from memrelax.tensor_kernel import frob_norm, singular_values
 from oracles import (build_diamond_hat, build_square_hat, finite, mat32,
@@ -1087,6 +1087,90 @@ def test_relaxed_density_is_midpoint_convex(name):
     assert np.all(f[2] <= chord + 1e-12 * chord)
 
 
+def test_reciprocal_isotropic_stretch_and_width_are_exact():
+    # h = 1/x, p = 2: s* = 2^(-1/5) and m(s) = 2^(-1/4) s^(-1/4), the
+    # starts of the k = 3 and k = 2 fiber solves
+    density = relaxed_density(EnergyModel())
+    assert density.s_star == 2.0 ** -0.2
+    grid = np.linspace(0.0, 3.0, 13)
+    s1 = grid[grid > density.s_star]
+    want = 2.0 ** -0.25 * s1 ** -0.25
+    assert np.all(np.abs(density.width(s1)[0] - want) <= 4e-16 * want)
+
+
+def test_shifted_log_width_on_the_kink_is_exact():
+    # at p = 2 the width sits on the kink s m^2 = 1 for 1 < s <= 2, where
+    # the k = 2 kink test stops it on m = (1/s)^(1/2) before any step
+    density = relaxed_density(FOUR_MODELS["shifted-log"])
+    s1 = np.linspace(1.01, 3.0, 200)
+    m = density.width(s1)[0]
+    on = np.abs(s1 * m * m - 1.0) <= 1e-12
+    assert np.count_nonzero(on) == 100
+    assert np.array_equal(m[on], (1.0 / s1[on]) ** 0.5)
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_w0_fiber_optimum_at_equal_stretches_is_that_stretch(name):
+    # the k = 1 fiber solve at diag(s, s) and at diag(s1, m(s1)) returns
+    # the equal stretch itself: s* with W*, and m(s1) with the width
+    # solve's own value at every default row beyond s*, where the table
+    # wrinkles
+    model = FOUR_MODELS[name]
+    density = relaxed_density(model)
+    s, w = density.s_star, density.w_star
+    t, value = solve_fiber(model, np.array([s * s]), np.array([2.0 * s * s]))
+    assert abs(t[0] - s) <= 1e-13 * s
+    assert abs(value[0] - w) <= 1e-15 * w
+    grid = np.linspace(0.0, 3.0, 13)
+    s1 = grid[grid > s]
+    m, g = density.width(s1)
+    t, value = solve_fiber(model, s1 * m, s1 * s1 + m * m)
+    assert np.all(np.abs(t - m) <= 1e-13 * m)
+    assert np.all(np.abs(value - g) <= 1e-15 * g)
+
+
+@pytest.mark.parametrize("r", [1.0, 0.9937, 2.0])
+def test_reciprocal_constants_take_one_slope_each(monkeypatch, r):
+    # at p = 2 under h = x^-r the start of every fiber solve is its root,
+    # so s* and each batch of widths cost one slope
+    calls = []
+    slope = fiber_reduction._slope
+
+    def counted(model, a, q, t, k):
+        calls.append((k, a.size))
+        return slope(model, a, q, t, k)
+
+    monkeypatch.setattr(fiber_reduction, "_slope", counted)
+    density = relaxed_density(EnergyModel(ReciprocalBarrier(r)))
+    assert calls == [(3, 1)]
+    calls.clear()
+    density.width(np.linspace(0.25, 3.0, 12))
+    assert calls == [(2, 12)]
+
+
+def test_density_batch_solves_only_its_taut_lanes_again(monkeypatch):
+    # wrinkled lanes take the width solve's value; only taut lanes run a
+    # k = 1 solve, and under h = 1/x at p = 2 each solve is one slope
+    calls = []
+    slope = fiber_reduction._slope
+
+    def counted(model, a, q, t, k):
+        calls.append((k, a.size))
+        return slope(model, a, q, t, k)
+
+    density = relaxed_density(EnergyModel())
+    # slack, wrinkled, wrinkled, taut
+    xis = np.array([_diag(0.5, 0.25), _diag(1.5, 0.25), _diag(2.0, 0.5),
+                    _diag(1.5, 1.25)])
+    monkeypatch.setattr(fiber_reduction, "_slope", counted)
+    got = density.batch(xis)
+    assert calls == [(2, 3), (1, 1)]
+    s1 = np.array([1.5, 2.0])
+    want = s1 * s1 + 2.0 * 2.0 ** 0.5 / s1 ** 0.5
+    assert got[0] == density.w_star
+    assert np.all(np.abs(got[1:3] - want) <= 1e-15 * want)
+
+
 def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
     calls = []
 
@@ -1111,30 +1195,19 @@ def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
     (1.0, 1.0 + 1e-14),          # next to s*, where Newton may end on
     (1.0, 1.0 - 1e-14),          # either side of the kink
 ], ids=["left", "on", "right", "s-star", "above-s-star", "below-s-star"])
-def test_outer_slope_takes_the_kink_pinned_slope(sigma, tau):
+def test_fiber_solve_stops_on_the_kink_where_its_slope_jumps_over_zero(
+        sigma, tau):
     # the shifted log has a kink at det = 1, where h' jumps from -2 to -1:
-    # d/dtau W0(diag(sigma, tau)) against a central difference of W0
+    # at p = 2 the fiber slope at t = 1/a jumps from 2/a - 2a to 2/a - a,
+    # over zero exactly when 1 < a <= sqrt(2)
     model = EnergyModel(ShiftedLogBarrier(), p=2.0)
-
-    def g(t):
-        return w0_closed_form(model, _diag(sigma, t)).as_float()
-
-    # the slope itself has a corner at s*, where the difference errs by
-    # O(h)
-    h = 1e-7
-    fd = (g(tau + h) - g(tau - h)) / (2.0 * h)
-    got = envelope._tau_slope(model, np.array([sigma]), np.array([tau]))[0]
-    assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
     a, q = np.array([sigma * tau]), np.array([sigma ** 2 + tau ** 2])
-    t = solve_fiber(model, a, q)[0]
-    if (sigma, tau) == (1.2, 1.0):
+    t, value = solve_fiber(model, a, q)
+    if 1.0 < a[0] <= math.sqrt(2.0):
         assert t[0] == 1.0 / a[0]  # stopped on the kink
-    # dF/da and dF/dq on their own
-    for da, dq in ((1e-6, 0.0), (0.0, 1e-6)):
-        up = solve_fiber(model, a + da, q + dq)[1]
-        down = solve_fiber(model, a - da, q - dq)[1]
-        slope = fiber_slopes(model, a, q)[1 if da else 2][0]
-        assert abs(slope - (up - down)[0] / 2e-6) <= 1e-6
+    # t is the minimizer, on the kink or off it
+    near = t * np.array([1.0 - 1e-6, 1.0 + 1e-6])
+    assert np.all(model.density(near * a, q + near * near) >= value)
 
 
 def test_audit_refuses_a_broken_laminate(small_table):

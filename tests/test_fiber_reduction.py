@@ -217,13 +217,13 @@ def test_kink_stop_takes_at_most_three_slopes_per_lane(monkeypatch):
     slopes, tests = [], []
     slope, on_kink = fiber_reduction._slope, fiber_reduction._on_kink
 
-    def counted(model, a, q, t):
+    def counted(model, a, q, t, k):
         slopes.append(a.size)
-        return slope(model, a, q, t)
+        return slope(model, a, q, t, k)
 
-    def tested(model, a, q, lo):
+    def tested(model, a, q, lo, k):
         tests.append(a.size)
-        return on_kink(model, a, q, lo)
+        return on_kink(model, a, q, lo, k)
 
     monkeypatch.setattr(fiber_reduction, "_slope", counted)
     monkeypatch.setattr(fiber_reduction, "_on_kink", tested)
@@ -366,9 +366,9 @@ def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
     slopes = []
     slope = fiber_reduction._slope
 
-    def counted(model, a, q, t):
+    def counted(model, a, q, t, k):
         slopes.append(a.size)
-        return slope(model, a, q, t)
+        return slope(model, a, q, t, k)
 
     monkeypatch.setattr(fiber_reduction, "_slope", counted)
     rng = np.random.default_rng(8)
@@ -434,3 +434,67 @@ def test_solve_fiber_refuses_bad_lanes(monkeypatch, a, q, t_min, match):
     monkeypatch.setattr(fiber_reduction, "_slope", no_slope)
     with pytest.raises(ValueError, match=match):
         solve_fiber(EnergyModel(), np.array(a), np.array(q), t_min=t_min)
+
+
+@pytest.mark.parametrize("k", [0, 4, -1, True, 2.0, "2", None])
+def test_solve_fiber_refuses_a_stretch_count_outside_one_to_three(
+        monkeypatch, k):
+    def no_slope(*args):
+        raise AssertionError("a bad k reached the slope")
+
+    monkeypatch.setattr(fiber_reduction, "_slope", no_slope)
+    with pytest.raises(ValueError, match="k must be the integer 1, 2 or 3"):
+        solve_fiber(EnergyModel(), np.ones(1), np.ones(1), k=k)
+
+
+# ---------------------------------------------------------------------------
+# k equal free stretches: min_t h(a t^k) + (q + k t^2)^{p/2}
+
+EQUAL_STRETCH_MODELS = [
+    EnergyModel(), EnergyModel(ShiftedLogBarrier()), EnergyModel(p=3.0),
+    EnergyModel(ReciprocalBarrier(2.0), p=2.5)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("model", EQUAL_STRETCH_MODELS,
+                         ids=["reciprocal", "shifted-log", "p3", "x-2"])
+def test_equal_stretch_solve_is_the_minimum_of_its_objective(
+        monkeypatch, model, k):
+    # against a scan of t in [t*/e, t* e]; the shifted log lanes near
+    # a t^k = 1 end on its kink. Newton on the exact phi' takes at most 7
+    # slopes a lane here; without the curvature of t -> a t^k, 15 to 29
+    slopes = []
+    slope = fiber_reduction._slope
+
+    def counted(model, a, q, t, k):
+        slopes.append(a.size)
+        return slope(model, a, q, t, k)
+
+    monkeypatch.setattr(fiber_reduction, "_slope", counted)
+    rng = np.random.default_rng(k)
+    a = 10.0 ** rng.uniform(-1.0, 1.0, 60)
+    q = rng.uniform(0.0, 4.0, 60)
+    t, value = solve_fiber(model, a, q, k=k)
+    assert len(slopes) <= 8
+    np.testing.assert_array_equal(
+        value, model.density(a * t ** k, q + k * t * t))
+    scan = t[:, None] * np.exp(np.linspace(-1.0, 1.0, 2001))
+    objective = model.density(a[:, None] * scan ** k,
+                              q[:, None] + k * scan * scan)
+    assert np.all(value <= objective.min(axis=1) * (1.0 + 1e-14))
+
+
+def test_k_accepts_a_numpy_integer_and_solves_lanes_alike():
+    # a mixed shifted log batch over two equal stretches: kink, Newton and
+    # pinned lanes, each bit for bit its own solve
+    m = EnergyModel(barrier=ShiftedLogBarrier())
+    a = np.array([1.2, 0.3, 3.0, 1.5, 0.8, 2.0])
+    q = a * a
+    t_min = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
+    t, val = solve_fiber(m, a, q, t_min=t_min, k=np.int64(2))
+    for i in range(a.size):
+        t_i, v_i = solve_fiber(m, a[i:i + 1], q[i:i + 1],
+                               t_min=t_min[i:i + 1], k=2)
+        assert t[i] == t_i[0] and val[i] == v_i[0]
+    assert t[0] == (1.0 / a[0]) ** 0.5 and t[3] == (1.0 / a[3]) ** 0.5
+    assert t[4] == 2.0
