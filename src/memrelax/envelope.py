@@ -27,11 +27,7 @@ The module also keeps the constructions the density is never above:
 
 Every density is valued through its ``batch`` method alone, on
 (N, 3, 2) stacks, like
-:meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. The laminate
-search values one point of each set of grid points the density values
-alike: one end of each mirror pair of splits, and at a matrix with a zero
-third row, such as every table node diag(s1, s2), one end of each orbit
-of the reflection R = diag(1, 1, -1).
+:meth:`~memrelax.fiber_reduction.ReducedDensity.batch`.
 
 :class:`EnvelopeTable` interpolates the tabulated density (the reduced
 density is invariant under left and right rotations, so two singular
@@ -267,16 +263,11 @@ _OUTER = (26, 8, 7, 7)
 _INNER = (14, 4, 5, 3)
 _TOP_K = 192
 _POLISH_ROUNDS = 2
-# kept ends (children) per pair of density calls in the depth-2 inner
-# sweep, chosen by measurement: 20 x 420 lanes stay in cache, blocks of
-# 4 pay per-call overhead and one block of all ~200 streams from memory
-_CHILD_BLOCK = 20
 
 
 def _sphere_net(n: int) -> np.ndarray:
     """The first n directions of the cube lattice: 6 axes, 8 diagonals and
-    12 edge midpoints. The first 14 and all 26 are closed under
-    negation."""
+    12 edge midpoints."""
     axes = np.vstack([np.eye(3), -np.eye(3)])
     corners = np.array([(i, j, k) for i in (-1, 1) for j in (-1, 1)
                         for k in (-1, 1)], dtype=float) / math.sqrt(3.0)
@@ -292,112 +283,13 @@ def _sphere_net(n: int) -> np.ndarray:
     return np.vstack([axes, corners, np.array(edges)])[:n]
 
 
-class _Orbits(NamedTuple):
-    built: np.ndarray    # (E,) end ids the search builds and values
-    slot: np.ndarray     # (2R,) each end's orbit, as an index into built
-    ends: np.ndarray     # (K, 2) slots of each pair's (plus, minus) end
-
-
-class _PairGrid(NamedTuple):
-    steps: np.ndarray    # (K, 3, 2) rank-one steps
-    lam: np.ndarray      # (K,) volume fractions
-    rep: np.ndarray      # (R,) pairs evaluated, one per mirror pair
-    ends: np.ndarray     # (K, 2) ids of each pair's (plus, minus) end
-    twin: np.ndarray     # (2R,) id of each end's reflection by R
-    turn: np.ndarray     # (R,) the representative with the reflected score
-    plain: _Orbits       # every end on its own
-    flat: _Orbits        # one end per reflection orbit
-
-
-# R = diag(1, 1, -1), as a factor of the rows of a (..., 3, 2) stack
-_REFLECT = np.array([[1.0], [1.0], [-1.0]])
-
-
-def _pair_keys(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """One byte string per pair; adding 0.0 turns -0.0 into 0.0, so equal
-    zeros give equal bytes."""
-    flat = np.column_stack([steps.reshape(-1, 6) + 0.0, lam])
-    return flat.view(np.dtype((np.void, flat.itemsize * 7))).ravel()
-
-
-def _match(keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """Index k with keys[k] == want[i], for each i, or -1 if none."""
-    order = np.argsort(keys)
-    k = order[np.minimum(np.searchsorted(keys[order], want), keys.size - 1)]
-    return np.where(keys[k] == want, k, -1)
-
-
-def _mirror_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Index k of each pair's mirror (-steps, 1 - lam), -1 if none.
-
-    Matched by exact equality: steps[k] == -steps[j] entrywise (signed
-    zeros equal), 1 - lam[j] == lam[k] and 1 - lam[k] == lam[j]. Then
-    the mirror's ends xi + (1 - lam[k]) steps[k] and xi - lam[k] steps[k]
-    are bit for bit the pair's ends xi - lam[j] steps[j] and
-    xi + (1 - lam[j]) steps[j], and its score is bit for bit the pair's.
-    """
-    k = _match(_pair_keys(steps, lam), _pair_keys(-steps, 1.0 - lam))
-    return np.where((k >= 0) & (1.0 - lam[k] == lam), k, -1)
-
-
-def _reflection_index(steps: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Index k of each pair's reflection (R steps, lam), -1 if none.
-
-    R = diag(1, 1, -1) negates a step's third row. Matched by exact
-    equality, signed zeros equal. When the third row of xi is zero, R
-    fixes xi, and the reflection's ends are those of the pair with their
-    third rows negated: xi + (1 - lam) R step = R (xi + (1 - lam) step)
-    entrywise, zero entries up to sign, and likewise the minus ends.
-    """
-    return _match(_pair_keys(steps, lam), _pair_keys(steps * _REFLECT, lam))
-
-
-def _least(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k least of NaN-free scores, ties in index order:
-    ``np.argsort(scores, kind="stable")[:k]``, without the full sort.
-
-    The k-th least value v comes from one partition; the candidates are
-    every index below v and the first indices equal to v, and only they
-    are sorted.
-    """
-    if scores.size <= k:
-        return np.argsort(scores, kind="stable")
-    v = np.partition(scores, k - 1)[k - 1]
-    below = np.flatnonzero(scores < v)
-    tied = np.flatnonzero(scores == v)[:k - below.size]
-    picked = np.concatenate([below, tied])
-    return picked[np.argsort(scores[picked], kind="stable")]
-
-
 @functools.lru_cache(maxsize=2)
-def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
-               n_lambda: int) -> _PairGrid:
-    """Rank-one steps, volume fractions and the mirror and reflection maps
-    of the grid of the first ``n_sphere`` cube-lattice directions,
-    ``n_angles`` planar angles, ``n_magnitudes`` magnitudes and
-    ``n_lambda`` fractions.
-
-    Built once per grid. Every pair's mirror (-step, 1 - lam) must be on
-    the grid exactly (:func:`_mirror_index`), so that the two share their
-    end points bit for bit and the search evaluates one of them; a grid
-    with a pair that has no exact mirror raises ValueError, as fractions
-    1/6, 1/3, 2/3, 5/6 do (1 - lam is not a grid fraction in floating
-    point). ``rep`` lists the pairs the search evaluates, the lower index
-    of each mirror pair. Numbering their plus ends first, 0..R-1, then
-    their minus ends, R..2R-1, ``ends[j]`` gives the ids of pair j's plus
-    end xi + (1 - lam) step and minus end xi - lam step; a mirror takes
-    its representative's ids swapped.
-
-    Every pair's reflection (R step, lam), R = diag(1, 1, -1), must be on
-    the grid exactly as well (:func:`_reflection_index`), or ValueError
-    is raised. ``twin[e]`` is the id of the end that reflects end e (e
-    itself when the step's third row is zero), an involution, and
-    ``turn[j]`` the representative of the mirror pair that holds rep[j]'s
-    reflection: pair rep[j] scores at R X what pair rep[turn[j]] scores
-    at X. ``flat`` numbers one end per orbit {e, twin[e]}, the lower id,
-    in ``built``; ``plain`` numbers every end on its own. The maps are
-    int32 arrays.
-    """
+def _split_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
+                n_lambda: int):
+    """Rank-one steps (K, 3, 2) and volume fractions (K,) of the grid of
+    the first ``n_sphere`` cube-lattice directions, ``n_angles`` planar
+    angles, ``n_magnitudes`` magnitudes and ``n_lambda`` fractions, each
+    step repeated over the fractions. Built once per grid, read-only."""
     dirs = _sphere_net(n_sphere)
     angles = np.pi * np.arange(n_angles) / n_angles
     planar = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -411,51 +303,32 @@ def _pair_grid(n_sphere: int, n_angles: int, n_magnitudes: int,
     K = steps.shape[0]
     steps = np.repeat(steps, lams.shape[0], axis=0)
     lam = np.tile(lams, K)
-
-    mirror = _mirror_index(steps, lam)
-    unmatched = np.count_nonzero(mirror < 0)
-    if unmatched:
-        raise ValueError(f"{unmatched} of {lam.size} grid pairs have no "
-                         f"exact mirror (-step, 1 - fraction)")
-    reflection = _reflection_index(steps, lam)
-    unmatched = np.count_nonzero(reflection < 0)
-    if unmatched:
-        raise ValueError(f"{unmatched} of {lam.size} grid pairs have no "
-                         f"exact reflection (R step, fraction)")
-    idx = np.int32
-    rep = np.flatnonzero(np.arange(lam.size) < mirror).astype(idx)
-    slot = np.arange(rep.size, dtype=idx)
-    ends = np.empty((lam.size, 2), dtype=idx)
-    ends[rep] = np.stack([slot, rep.size + slot], axis=1)
-    ends[mirror[rep]] = np.stack([rep.size + slot, slot], axis=1)
-    # end j (< R) is rep[j]'s plus end, R + j its minus end; their
-    # reflections are the plus and minus ends of the pair reflecting
-    # rep[j], whose mirror class has representative twin[j] mod R
-    twin = ends[reflection[rep]].T.ravel()
-    turn = twin[:rep.size] % rep.size
-    every = np.arange(2 * rep.size, dtype=idx)
-    built = np.flatnonzero(every <= twin).astype(idx)
-    orbit = np.searchsorted(built, np.minimum(every, twin)).astype(idx)
-    grid = _PairGrid(steps, lam, rep, ends, twin, turn,
-                     _Orbits(every, every, ends),
-                     _Orbits(built, orbit, orbit[ends]))
-    for arr in (*grid[:6], *grid.plain, *grid.flat):
-        arr.setflags(write=False)
-    return grid
+    steps.setflags(write=False)
+    lam.setflags(write=False)
+    return steps, lam
 
 
-def _grid_ends(xi: np.ndarray, grid: _PairGrid, ids: np.ndarray):
-    """The ends with the given ids, as contiguous (3, 2, n) rows.
+def _values(density, xis: np.ndarray) -> np.ndarray:
+    """``density.batch`` at an (N, 3, 2) stack; ValueError on a NaN."""
+    vals = density.batch(xis)
+    if np.isnan(vals).any():
+        raise ValueError("density.batch returned NaN")
+    return vals
 
-    End j < R is xi + (1 - lam) step of pair rep[j], end R + j is
-    xi - lam step, formed as (-lam) step + xi: bit for bit the same.
+
+def _split_scores(density, xis: np.ndarray, grid):
+    """Every grid split of each matrix X of an (n, 3, 2) stack.
+
+    Returns the scores lam E(X + (1 - lam) step) + (1 - lam) E(X - lam
+    step), (n, K), and the values of the plus and minus ends, (2, n, K),
+    E the density. All 2nK ends go in one ``batch`` call.
     """
-    pair = grid.rep[ids % grid.rep.size]
-    frac = grid.lam[pair]
-    pts = _component_major(grid.steps[pair])
-    pts *= np.where(ids < grid.rep.size, 1.0 - frac, -frac)
-    pts += xi[:, :, None]
-    return pts
+    steps, lam = grid
+    plus = xis[:, None] + (1.0 - lam)[:, None, None] * steps
+    minus = xis[:, None] - lam[:, None, None] * steps
+    vals = _values(density, np.stack([plus, minus]).reshape(-1, 3, 2))
+    vals = vals.reshape(2, len(xis), lam.size)
+    return lam * vals[0] + (1.0 - lam) * vals[1], vals
 
 
 @dataclass(frozen=True)
@@ -486,7 +359,7 @@ def _polish_pair(density, xi, step, lam0):
         L = L.ravel()
         P = xi[None] + ((1.0 - L) * S)[:, None, None] * direction[None]
         M = xi[None] - (L * S)[:, None, None] * direction[None]
-        vals = L * density.batch(P) + (1.0 - L) * density.batch(M)
+        vals = L * _values(density, P) + (1.0 - L) * _values(density, M)
         k = int(np.argmin(vals))
         if vals[k] < best:
             best = float(vals[k])
@@ -499,16 +372,6 @@ def _split_record(step, frac, score) -> dict:
             "score": float(score)}
 
 
-def _component_major(xis: np.ndarray) -> np.ndarray:
-    """An (N, 3, 2) stack as contiguous (3, 2, N) component rows."""
-    return np.ascontiguousarray(xis.transpose(1, 2, 0))
-
-
-def _stack_view(rows: np.ndarray) -> np.ndarray:
-    """The (N, 3, 2) view of contiguous (3, 2, ...) component rows."""
-    return rows.reshape(3, 2, -1).transpose(2, 0, 1)
-
-
 def laminate_search(density, xi, depth: int) -> LaminateResult:
     """Rank-one splitting from a matrix, all depths up to depth (0, 1 or 2).
 
@@ -517,55 +380,24 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     edge midpoints), n from equally spaced planar angles, the step length
     from a log-spaced bracket [1e-2, 10] and the fraction from the open
     unit interval. The outer grid (26 directions, 8 angles, 7 magnitudes,
-    7 fractions) splits ``xi``; the inner grid (14, 4, 5, 3) splits the
-    ends of the outer grid's 192 best pairs at depth 2.
+    7 fractions: 10,192 pairs) splits ``xi``; the inner grid (14, 4, 5, 3:
+    840 pairs) splits the ends of the outer grid's 192 best pairs at
+    depth 2. Every grid split is valued: the outer grid's 20,384 ends in
+    one ``batch`` call, and at depth 2 one call per kept pair, for the
+    3,360 ends of both its ends' inner splits.
 
     ``density`` is read through its ``batch`` method alone, which values
-    an (N, 3, 2) stack as floats with +inf, like
-    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`. ``batch`` must
-    evaluate each matrix on its own, independently of the rest of the
-    stack: every grid pair has a mirror (-step, 1 - fraction) on the
-    grid, matched exactly (:func:`_pair_grid`), that shares its end
-    points. The search evaluates one pair of each mirror pair and reads
-    the other's end values swapped, so the scores, the ranking, the best
-    pair and the polish are those of the full grid, and at depth 2 the
-    best split of a kept end on the inner grid's representatives is the
-    full inner grid's.
-
-    ``batch`` must also value R xi, xi with its third row negated
-    (R = diag(1, 1, -1)), bit for bit like xi, whatever the signs of its
-    zero entries. When the third row of ``xi`` is zero (-0.0 included),
-    R fixes ``xi``, and every grid pair has a reflection (R step,
-    fraction) on the grid, matched exactly, whose ends are the pair's
-    ends reflected. The search then values one end of each orbit {end,
-    reflected end}: 6,664 of the outer grid's 10,192 distinct ends. At
-    depth 2 it splits, once on the inner grid, the valued end of each
-    kept end's (child's) orbit; a child that is the reflection of that
-    end scores by inner pair j what the valued end scores by the
-    reflection of j, read through a permutation of the inner
-    representatives cached with the grid. So the values and the witness
-    are those of the full search. For any other ``xi`` every end is
-    valued.
-
-    ``batch`` must also take any memory layout: the search builds the
-    grid ends component-major, as contiguous (3, 2, ...) arrays, and
-    passes their (N, 3, 2) views, which
-    :func:`~memrelax.fiber_reduction.w0_batch` reads without a copy.
-
-    At depth 2 the inner splits are built and valued in blocks of 20
-    split children, two ``batch`` calls per block, one for the plus and
-    one for the minus ends of its 420 inner representatives. That keeps
-    each call's working set in cache and the search's peak memory
-    independent of the number of children. As ``batch`` values each
-    matrix on its own, the values, the witness and the number of points
-    valued do not depend on the block size.
+    an (N, 3, 2) stack as floats with +inf and never NaN, like
+    :meth:`~memrelax.fiber_reduction.ReducedDensity.batch`; a NaN at any
+    point the search values raises ValueError.
 
     values[0] is the density itself. values[1] is the best single split
     along a rank-one segment, the outer grid's best pair after two rounds
     of polishing its magnitude and fraction, or values[0] when no split
     beats it. values[2] also splits both ends of the 192 best outer pairs
     once on the inner grid. The sequence is nonincreasing by
-    construction.
+    construction. Ties go to the lower grid index, in the ranking and in
+    every best split.
 
     The witness is the split that attains the last value, with its
     ``step``, ``fraction`` and ``score``: fraction * E(xi + (1 - fraction)
@@ -580,20 +412,13 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     if not (is_integer(depth) and 0 <= depth <= 2):
         raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     xi = as_mat32(xi)
-    base = float(density.batch(xi[None])[0])
+    base = float(_values(density, xi[None])[0])
     if depth == 0:
         return LaminateResult(values=(base,), witness=None)
 
-    grid = _pair_grid(*_OUTER)
-    steps, lam = grid.steps, grid.lam
-    # R = diag(1, 1, -1) fixes a flat xi, whose reflected ends share
-    # their values: value one end of each orbit
-    orbits = grid.plain if np.any(xi[2]) else grid.flat
-    pts = _grid_ends(xi, grid, orbits.built)
-    vals = density.batch(_stack_view(pts))
-    vp, vm = vals[orbits.ends[:, 0]], vals[orbits.ends[:, 1]]
-    scores = lam * vp + (1.0 - lam) * vm
-
+    steps, lam = grid = _split_grid(*_OUTER)
+    scores, vals = _split_scores(density, xi[None], grid)
+    scores, vals = scores[0], vals[:, 0]
     k_best = int(np.argmin(scores))
     split = float(scores[k_best])
     witness = None
@@ -606,60 +431,29 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
     values = [base, min(base, split)]
 
     if depth == 2:
-        order = _least(scores, _TOP_K)
-        kept = order[np.isfinite(scores[order])]
+        order = np.argsort(scores, kind="stable")[:_TOP_K]
+        isteps, ilam = inner = _split_grid(*_INNER)
         v2 = values[1]
-        if kept.size:
-            # every child needs only its depth-1 value: its own value is
-            # in vals, and two batched sweeps over (valued child, inner
-            # representative) give its best split; a child that is the
-            # reflection of its orbit's valued end reads that end's
-            # scores at the reflected inner pairs
-            ids, child_of = np.unique(grid.ends[kept].ravel(),
-                                      return_inverse=True)
-            slot = orbits.slot[ids]
-            swept, row = np.unique(slot, return_inverse=True)
-            turned = orbits.built[slot] != ids
-            inner = _pair_grid(*_INNER)
-            isteps, ilam = inner.steps[inner.rep], inner.lam[inner.rep]
-            cstep = _component_major(isteps)[:, :, None, :]
-            up, down = (1.0 - ilam) * cstep, ilam * cstep
-            csc = np.empty((swept.size, ilam.size))
-            for lo in range(0, swept.size, _CHILD_BLOCK):
-                # (3, 2, child, pair) ends of one block's inner splits
-                block = swept[lo:lo + _CHILD_BLOCK]
-                child = pts.take(block, axis=2)[..., None]
-                cvp = density.batch(_stack_view(child + up))
-                cvm = density.batch(_stack_view(child - down))
-                csc[lo:lo + child.shape[2]] = (
-                    ilam * cvp.reshape(-1, ilam.size)
-                    + (1.0 - ilam) * cvm.reshape(-1, ilam.size))
-            c_best = np.argmin(csc, axis=1)[row]
-            twins = np.flatnonzero(turned)
-            c_best[twins] = np.argmin(csc[np.ix_(row[twins], inner.turn)],
-                                      axis=1)
-            col = np.where(turned, inner.turn[c_best], c_best)
-            c_split = csc[row, col]
-            child_l0 = vals[slot]
-            child_l1 = np.minimum(child_l0, c_split)[child_of]
-            child_l1 = child_l1.reshape(kept.size, 2)
-            frac = lam[kept]
-            pairs = frac * child_l1[:, 0] + (1.0 - frac) * child_l1[:, 1]
-            i = int(np.argmin(pairs))
-            if pairs[i] < v2:
-                v2 = float(pairs[i])
-                k = int(kept[i])
+        for k in order[np.isfinite(scores[order])]:
+            # each end's depth-1 value: its own, or its best inner split
+            children = np.stack([xi + (1.0 - lam[k]) * steps[k],
+                                 xi - lam[k] * steps[k]])
+            csc = _split_scores(density, children, inner)[0]
+            c_best = np.argmin(csc, axis=1)
+            c_split = csc[(0, 1), c_best]
+            own = vals[:, k]
+            l1 = np.minimum(own, c_split)
+            pair = lam[k] * l1[0] + (1.0 - lam[k]) * l1[1]
+            if pair < v2:
+                v2 = float(pair)
                 witness = _split_record(steps[k], lam[k], v2)
-                for side, c in zip(("plus", "minus"),
-                                   child_of[2 * i:2 * i + 2]):
-                    b = int(c_best[c])
+                for c, side in enumerate(("plus", "minus")):
+                    b = c_best[c]
                     witness[side] = (
                         _split_record(isteps[b], ilam[b], c_split[c])
-                        if c_split[c] < child_l0[c] else None)
+                        if c_split[c] < own[c] else None)
         values.append(v2)
     return LaminateResult(values=tuple(values), witness=witness)
-
-
 
 
 # ---------------------------------------------------------------------------

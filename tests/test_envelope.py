@@ -39,10 +39,6 @@ class PowerDensity:
         return frob_norm(np.asarray(xi, dtype=float)) ** self.p
 
     def batch(self, xis):
-        # einsum's summation order follows the memory layout; a contiguous
-        # copy values each matrix bit for bit alike in any layout, which
-        # the full-grid comparison of the laminate search needs
-        xis = np.ascontiguousarray(xis)
         sq = np.einsum("nij,nij->n", xis, xis)
         return sq ** (self.p / 2.0)
 
@@ -410,6 +406,301 @@ def test_depth_two_witnesses_replay_their_node_values(w0):
     assert any(split_ends)
 
 
+# two depth-2 searches, ReducedDensity(EnergyModel()) at diag(0.5, 0.25)
+# and ReducedDensity(EnergyModel(ShiftedLogBarrier(), p=3.0)) at a random
+# matrix: values and witness entries as float.hex, signed zeros included,
+# recorded while the search valued one end of each mirror pair (-step,
+# 1 - fraction) and, at the flat matrix, of each orbit of the reflection
+# diag(1, 1, -1); every grid split valued on its own names the same splits
+RANDOM_XI = np.random.default_rng(21).uniform(-0.5, 0.5, (3, 2))
+GOLDEN_WITNESSES = {
+    "flat": (
+        ["0x1.f7cf476542bd0p+2", "0x1.106e1ec3154ecp+2",
+         "0x1.0418fb3868acep+2"],
+        {"step": [["0x0.0p+0", "0x0.0p+0"], ["0x0.0p+0", "0x0.0p+0"],
+                  ["0x1.87de2a6aea964p-2", "0x1.d906bcf328d46p-1"]],
+         "fraction": "0x1.0000000000000p-1",
+         "score": "0x1.0418fb3868acep+2",
+         "plus": {"step": [["0x1.73b396be3b9fep-1", "-0x1.73b396be3b9ffp-1"],
+                           ["-0x1.73b396be3b9fep-1", "0x1.73b396be3b9ffp-1"],
+                           ["-0x1.73b396be3b9fep-1", "0x1.73b396be3b9ffp-1"]],
+                  "fraction": "0x1.8000000000000p-1",
+                  "score": "0x1.0418fb3868acep+2"},
+         "minus": {"step": [["0x1.73b396be3b9fep-1", "-0x1.73b396be3b9ffp-1"],
+                            ["-0x1.73b396be3b9fep-1", "0x1.73b396be3b9ffp-1"],
+                            ["0x1.73b396be3b9fep-1", "-0x1.73b396be3b9ffp-1"]],
+                   "fraction": "0x1.8000000000000p-1",
+                   "score": "0x1.0418fb3868acep+2"}}),
+    "random": (
+        ["0x1.dd4ec43e87cdep+2", "0x1.5d845ca42e2ccp+2",
+         "0x1.564c528093ffap+2"],
+        {"step": [["0x1.c47d709fa4fd3p-3", "-0x1.111a1462b2982p-1"],
+                  ["-0x1.c47d709fa4fd3p-3", "0x1.111a1462b2982p-1"],
+                  ["-0x1.c47d709fa4fd3p-3", "0x1.111a1462b2982p-1"]],
+         "fraction": "0x1.0000000000000p-1",
+         "score": "0x1.564c528093ffap+2",
+         "plus": {"step": [["0x1.c73d51c54470ep+0", "0x0.0p+0"],
+                           ["0x0.0p+0", "0x0.0p+0"],
+                           ["0x0.0p+0", "0x0.0p+0"]],
+                  "fraction": "0x1.8000000000000p-1",
+                  "score": "0x1.573e8eadf083cp+2"},
+         "minus": {"step": [["-0x1.06d52981cacb3p+0", "-0x0.0p+0"],
+                            ["-0x1.06d52981cacb3p+0", "-0x0.0p+0"],
+                            ["-0x1.06d52981cacb3p+0", "-0x0.0p+0"]],
+                   "fraction": "0x1.0000000000000p-2",
+                   "score": "0x1.555a1653377b8p+2"}}),
+}
+GOLDEN_SEARCHES = {
+    "flat": (ReducedDensity(EnergyModel()), _diag(0.5, 0.25)),
+    "random": (ReducedDensity(EnergyModel(ShiftedLogBarrier(), p=3.0)),
+               RANDOM_XI),
+}
+
+
+def _hexed(x):
+    """Every float of a nested witness as float.hex."""
+    if isinstance(x, dict):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_hexed(v) for v in x]
+    return x.hex()
+
+
+@pytest.mark.parametrize("case", GOLDEN_WITNESSES)
+def test_depth_two_search_reproduces_its_golden_witnesses(case):
+    res = laminate_search(*GOLDEN_SEARCHES[case], 2)
+    values, witness = GOLDEN_WITNESSES[case]
+    assert _hexed(res.values) == values
+    assert _hexed(res.witness) == witness
+
+
+# the same two cases at depth 1, recorded beside the depth-2 witnesses
+GOLDEN_DEPTH1_WITNESSES = {
+    "flat": (
+        ["0x1.f7cf476542bd0p+2", "0x1.106e1ec3154ecp+2"],
+        {"step": [["0x0.0p+0", "0x0.0p+0"],
+                  ["0x1.1945348fd3e7dp-53", "0x1.fdfaed5b52ae8p+0"],
+                  ["0x0.0p+0", "0x0.0p+0"]],
+         "fraction": "0x1.3333333333333p-1",
+         "score": "0x1.106e1ec3154ecp+2"}),
+    "random": (
+        ["0x1.dd4ec43e87cdep+2", "0x1.5d845ca42e2ccp+2"],
+        {"step": [["-0x1.d53db56a55a87p-1", "-0x0.0p+0"],
+                  ["0x1.d53db56a55a87p-1", "0x0.0p+0"],
+                  ["0x1.d53db56a55a87p-1", "0x0.0p+0"]],
+         "fraction": "0x1.0000000000000p-1",
+         "score": "0x1.5d845ca42e2ccp+2"}),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_DEPTH1_WITNESSES)
+def test_depth_one_search_reproduces_its_golden_witnesses(case):
+    res = laminate_search(*GOLDEN_SEARCHES[case], 1)
+    values, witness = GOLDEN_DEPTH1_WITNESSES[case]
+    assert _hexed(res.values) == values
+    assert _hexed(res.witness) == witness
+
+
+@pytest.mark.parametrize("xi", [
+    mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]),
+    mat32([0.5, 0.0, -0.0], [0.0, 0.25, -0.0]),
+    mat32([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    mat32([0.5, 0.0, 1e-300], [0.0, 0.25, 0.0]),
+    RANDOM_XI,
+], ids=["flat", "negative-zero", "zero", "tiny-third-row", "random"])
+def test_the_outer_grid_values_every_end(w0, xi):
+    # a plus and a minus end for each of the 10,192 outer pairs, in one
+    # call after the density at xi, whether or not xi's third row is zero
+    counted = BatchOnly(w0)
+    laminate_search(counted, xi, 1)
+    assert counted.calls[1] == 20384
+
+
+@pytest.mark.parametrize("depth, call", [
+    (0, 0), (1, 0), (1, 1), (1, 2), (1, -1),
+    (2, 0), (2, 1), (2, 2), (2, 2 + 2 * envelope._POLISH_ROUNDS), (2, -1),
+], ids=["depth0-base", "depth1-base", "depth1-outer", "depth1-polish",
+        "depth1-last-polish", "base", "outer", "polish", "first-inner",
+        "inner"])
+def test_a_nan_density_value_is_refused(w0, depth, call):
+    # np.argmin takes a NaN for the least score: a NaN at one outer end of
+    # diag(0.5, 0.05) made values[1] the density's own 22.357 in place of
+    # 4.25, with no witness and no error. The calls are the density at
+    # xi, the outer grid, a plus and a minus call per polishing round and
+    # at depth 2 one call per kept pair; -1 is the search's last call
+    xi = _diag(0.5, 0.05)
+    if call < 0:
+        counted = BatchOnly(w0)
+        laminate_search(counted, xi, depth)
+        call += len(counted.calls)
+    seen = []
+
+    class NanOnce:
+        def batch(self, xis):
+            vals = w0.batch(xis)
+            if len(seen) == call:
+                vals[-1] = np.nan
+            seen.append(len(xis))
+            return vals
+
+    with pytest.raises(ValueError, match="NaN"):
+        laminate_search(NanOnce(), xi, depth)
+    assert len(seen) == call + 1
+
+
+# ---------------------------------------------------------------------------
+# the search against a reference built split by split
+
+def _reference_grid(n_sphere, n_angles, n_magnitudes, n_lambda):
+    """The split grid as laminate_search documents it, one step at a
+    time: each direction, then each planar angle, then each magnitude,
+    each step listed once per fraction."""
+    angles = np.pi * np.arange(n_angles) / n_angles
+    normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    mags = np.geomspace(1e-2, 10.0, n_magnitudes)
+    fractions = np.linspace(0.0, 1.0, n_lambda + 2)[1:-1]
+    steps, lam = [], []
+    for d in envelope._sphere_net(n_sphere):
+        for n in normals:
+            for m in mags:
+                for f in fractions:
+                    steps.append(np.outer(d, n) * m)
+                    lam.append(f)
+    return np.array(steps), np.array(lam)
+
+
+@pytest.mark.parametrize("sizes, pairs", [
+    (envelope._OUTER, 10192), (envelope._INNER, 840)],
+    ids=["outer", "inner"])
+def test_the_split_grid_lists_each_step_once_per_fraction(sizes, pairs):
+    steps, lam = envelope._split_grid(*sizes)
+    want_steps, want_lam = _reference_grid(*sizes)
+    assert steps.shape == (pairs, 3, 2) and lam.shape == (pairs,)
+    assert steps.tobytes() == want_steps.tobytes()
+    assert lam.tobytes() == want_lam.tobytes()
+    # cached and shared between searches, so read-only
+    assert not steps.flags.writeable and not lam.flags.writeable
+    assert envelope._split_grid(*sizes)[0] is steps
+
+
+def _full_grid_profile(density, xi, depth):
+    """The search on the reference grids, the inner splits of all kept
+    pairs' ends valued in one call and the plus and minus ends apart."""
+    base = float(density.batch(xi[None])[0])
+    steps, lam = _reference_grid(*envelope._OUTER)
+    plus = xi[None] + (1.0 - lam)[:, None, None] * steps
+    minus = xi[None] - lam[:, None, None] * steps
+    vp = density.batch(plus)
+    vm = density.batch(minus)
+    scores = lam * vp + (1.0 - lam) * vm
+    k_best = int(np.argmin(scores))
+    split = float(scores[k_best])
+    witness = None
+    if math.isfinite(split):
+        step, frac = steps[k_best], float(lam[k_best])
+        polished = envelope._polish_pair(density, xi, step, frac)
+        if polished[0] < split:
+            split, step, frac = polished
+        witness = {"step": step.tolist(), "fraction": frac, "score": split}
+    values = [base, min(base, split)]
+    if depth == 2:
+        isteps, ilam = _reference_grid(*envelope._INNER)
+        order = np.argsort(scores, kind="stable")
+        kept = [int(k) for k in order[:envelope._TOP_K]
+                if math.isfinite(float(scores[k]))]
+        v2 = values[1]
+        if kept:
+            pts = np.concatenate([plus[kept], minus[kept]])
+            child_l0 = np.concatenate([vp[kept], vm[kept]])
+            cp = pts[:, None] + (1.0 - ilam)[None, :, None, None] * isteps
+            cm = pts[:, None] - ilam[None, :, None, None] * isteps
+            shape = (pts.shape[0], ilam.size)
+            cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
+            cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
+            full = ilam * cvp + (1.0 - ilam) * cvm
+            c_best = np.argmin(full, axis=1)
+            csc = full[np.arange(shape[0]), c_best]
+            child_l1 = np.minimum(child_l0, csc)
+            half = len(kept)
+            pairs = (lam[kept] * child_l1[:half]
+                     + (1.0 - lam[kept]) * child_l1[half:])
+            i = int(np.argmin(pairs))
+            if pairs[i] < v2:
+                v2 = float(pairs[i])
+                k = kept[i]
+                witness = {"step": steps[k].tolist(),
+                           "fraction": float(lam[k]), "score": v2}
+                for side, c in (("plus", i), ("minus", half + i)):
+                    b = c_best[c]
+                    witness[side] = (
+                        {"step": isteps[b].tolist(),
+                         "fraction": float(ilam[b]),
+                         "score": float(csc[c])}
+                        if csc[c] < child_l0[c] else None)
+        values.append(v2)
+    return values, witness
+
+
+# small arguments, where splitting the ends of a split pays off
+REFERENCE_POINTS = [
+    RANDOM_XI,
+    mat32([0.3, 0.06, -0.12], [0.15, 0.03 + 3e-8, -0.06]),  # nearly parallel
+    mat32([0.1, -0.4, 0.25], [0.1, -0.4, 0.25]),            # equal columns
+    mat32([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),    # rank one: diag(0.5, 0)
+    mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]),   # a laminate-2 node
+    mat32([0.3, -0.2, -0.0], [0.1, 0.4, 0.0]),  # a -0.0 in the third row
+]
+REFERENCE_DENSITIES = [
+    ReducedDensity(EnergyModel()),
+    ReducedDensity(EnergyModel(ShiftedLogBarrier(), p=3.0)),
+    PowerDensity(3.0),
+]
+DENSITY_IDS = ["reciprocal", "shifted-log", "power"]
+
+
+@pytest.mark.parametrize("depth", [1, 2], ids=["outer", "inner"])
+@pytest.mark.parametrize("density", REFERENCE_DENSITIES, ids=DENSITY_IDS)
+def test_the_search_equals_the_reference_full_grid(density, depth):
+    # depth 1 searches the outer grid, depth 2 also the inner grid
+    for xi in REFERENCE_POINTS:
+        want, witness = _full_grid_profile(density, xi, depth)
+        got = laminate_search(density, xi, depth)
+        assert list(got.values) == want
+        assert got.witness == witness
+        if depth == 1:
+            continue
+        # the witness replays its score, the value whenever some split
+        # beats the density (never for the convex power)
+        assert _replay(density, xi, got.witness) == pytest.approx(
+            got.witness["score"], rel=1e-12, abs=0.0)
+        if want[2] < want[0]:
+            assert got.witness["score"] == want[2]
+
+
+def test_the_search_equals_the_reference_full_grid_at_the_defaults(w0):
+    # the default call, with no depth-specific setup, on the module density
+    xi = REFERENCE_POINTS[0]
+    want, witness = _full_grid_profile(w0, xi, 2)
+    got = laminate_search(w0, xi, 2)
+    assert list(got.values) == want
+    assert got.witness == witness
+    assert laminate_search(w0, xi, 1).witness \
+        == _full_grid_profile(w0, xi, 1)[1]
+
+
+@pytest.mark.parametrize("density", REFERENCE_DENSITIES, ids=DENSITY_IDS)
+def test_the_search_values_a_reflected_matrix_alike(density):
+    # the reflection diag(1, 1, -1) of R^3 leaves each density and the
+    # split grid as a set unchanged, so the search at R xi values R's
+    # image of every split at xi and finds the same values to the bit
+    reflect = np.array([1.0, 1.0, -1.0])[:, None]
+    for xi in REFERENCE_POINTS[:2]:
+        got = laminate_search(density, xi, 2)
+        mirrored = laminate_search(density, reflect * xi, 2)
+        assert mirrored.values == got.values
+        assert mirrored.witness["score"] == got.witness["score"]
+
+
 # ---------------------------------------------------------------------------
 # rank-one convexity probe
 
@@ -639,39 +930,11 @@ def test_evaluations_count_every_density_point():
     assert sum(counts) == seen["points"]
 
 
-@pytest.mark.parametrize("model", [
-    EnergyModel(ReciprocalBarrier(1.0073)),
-    EnergyModel(ShiftedLogBarrier()),
-    EnergyModel(p=3.0),
-], ids=["reciprocal", "shifted-log", "p3"])
-def test_depth_two_table_does_not_depend_on_the_child_block(monkeypatch,
-                                                           model):
-    # at the nodes of a sigma_max 1, pitch 0.5 grid, blocks of one child,
-    # of 7, and one block holding every child give the same node bounds,
-    # methods, witnesses and evaluation counts
-    calls = {}
-
-    class CountingDensity(ReducedDensity):
-        def batch(self, xis):
-            calls[block] = calls.get(block, 0) + 1
-            return super().batch(xis)
-
-    density = CountingDensity(model)
-    tables = []
-    for block in (1, 7, 10 ** 6):
-        monkeypatch.setattr(envelope, "_CHILD_BLOCK", block)
-        tables.append([_search_node(density, s1, s2, 2)
-                       for s1, s2 in _nodes(1.0, 0.5)])
-    assert tables[0] == tables[1] == tables[2]
-    assert any(method == "laminate-2" for _, method, _, _ in tables[0])
-    # the inner sweep ran in blocks: fewer calls for larger blocks
-    assert calls[1] > calls[7] > calls[10 ** 6]
-
-
-def test_depth_two_search_memory_is_set_by_the_child_block(w0):
-    # the inner ends of all ~200 children in one block, as (3, 2, child,
-    # pair) arrays and the fiber solve's temporaries over them, peaked
-    # near 20 MB; blocks of children peak near 3 MB
+def test_depth_two_search_memory_is_set_by_one_kept_pair(w0):
+    # the inner ends of all ~200 children in one call, with the fiber
+    # solve's temporaries over them, peaked near 20 MB, and those of all
+    # 192 kept pairs would hold about 31 MB of ends alone; one call per
+    # kept pair, 3,360 ends, peaks near 5 MB
     xi = mat32([0.5, 0, 0], [0, 0.5, 0])
     laminate_search(w0, xi, 2)  # builds the cached pair grids
     tracemalloc.start()
@@ -683,30 +946,15 @@ def test_depth_two_search_memory_is_set_by_the_child_block(w0):
     assert peak < 8e6
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_least_scores_are_the_stable_sort_head(seed):
-    # the depth-2 search keeps the _TOP_K least outer scores; a partition
-    # must keep the same indices in the same order as the stable sort,
-    # ties at the cut and +inf scores included
-    rng = np.random.default_rng(seed)
-    scores = rng.integers(0, 40, size=10192).astype(float)
-    scores[rng.random(scores.size) < 0.3] = np.inf
-    for k in (1, 191, 192, 5000, 10191, 10192, 20000):
-        assert np.array_equal(envelope._least(scores, k),
-                              np.argsort(scores, kind="stable")[:k])
-    scores[:] = np.inf
-    assert np.array_equal(envelope._least(scores, 192), np.arange(192))
-
-
 # node values, as float.hex, and density evaluations of the depth-2 table
 # at sigma_max = 0.5, pitch = 0.5 under the reciprocal barrier, while the
 # laminate search and the two bounds built it (_search_node); the values
 # were recorded before the fiber solve read component-major rows, the
-# counts once the search valued one end per reflection orbit
+# counts once the search valued every grid split
 GOLDEN_DEPTH2 = [
-    ((0.0, 0.0), "0x1.38f3d1d950af4p+2", 6681),
-    ((0.5, 0.0), "0x1.1000ae72bbb9fp+2", 104321),
-    ((0.5, 0.5), "0x1.ef5adf0195e84p+1", 100961),
+    ((0.0, 0.0), "0x1.38f3d1d950af4p+2", 20401),
+    ((0.5, 0.0), "0x1.1000ae72bbb9fp+2", 665721),
+    ((0.5, 0.5), "0x1.ef5adf0195e84p+1", 665721),
 ]
 
 
@@ -757,230 +1005,6 @@ def test_table_validation_rejects_bad_grid(small_table):
                       small_table.certificate)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
-
-
-# ---------------------------------------------------------------------------
-# mirror pairs of the search grid
-
-@pytest.mark.parametrize("sizes", [envelope._OUTER, envelope._INNER],
-                         ids=["default", "inner"])
-def test_every_grid_pair_has_an_exact_mirror(sizes):
-    grid = envelope._pair_grid(*sizes)
-    mirror = envelope._mirror_index(grid.steps, grid.lam)
-    k = np.arange(grid.lam.size)
-    assert np.all(mirror >= 0)
-    assert np.array_equal(mirror[mirror], k)
-    assert np.array_equal(grid.steps[mirror], -grid.steps)
-    assert np.all(grid.lam + grid.lam[mirror] == 1.0)
-    assert grid.rep.size * 2 == grid.lam.size
-    # a mirror reads its representative's end values swapped
-    assert np.array_equal(grid.ends[mirror], grid.ends[:, ::-1])
-
-
-@pytest.mark.parametrize("sizes", [(6, 2, 3, 5), (20, 2, 3, 3)],
-                         ids=["fractions", "directions"])
-def test_a_grid_pair_without_an_exact_mirror_is_refused(sizes):
-    # fractions 1/6, 1/3, 2/3, 5/6 are not exact mirrors of each other in
-    # floating point; the first 20 lattice directions are not closed
-    # under negation
-    with pytest.raises(ValueError, match="no exact mirror"):
-        envelope._pair_grid(*sizes)
-
-
-def _full_grid_profile(density, xi, depth):
-    """The search with every grid pair evaluated on its own."""
-    base = float(density.batch(xi[None])[0])
-    grid = envelope._pair_grid(*envelope._OUTER)
-    steps, lam = grid.steps, grid.lam
-    plus = xi[None] + (1.0 - lam)[:, None, None] * steps
-    minus = xi[None] - lam[:, None, None] * steps
-    vp = density.batch(plus)
-    vm = density.batch(minus)
-    scores = lam * vp + (1.0 - lam) * vm
-    k_best = int(np.argmin(scores))
-    split = float(scores[k_best])
-    witness = None
-    if math.isfinite(split):
-        step, frac = steps[k_best], float(lam[k_best])
-        polished = envelope._polish_pair(density, xi, step, frac)
-        if polished[0] < split:
-            split, step, frac = polished
-        witness = {"step": step.tolist(), "fraction": frac, "score": split}
-    values = [base, min(base, split)]
-    if depth == 2:
-        inner = envelope._pair_grid(*envelope._INNER)
-        order = np.argsort(scores, kind="stable")
-        kept = [int(k) for k in order[:envelope._TOP_K]
-                if math.isfinite(float(scores[k]))]
-        v2 = values[1]
-        if kept:
-            pts = np.concatenate([plus[kept], minus[kept]])
-            child_l0 = np.concatenate([vp[kept], vm[kept]])
-            cp = (pts[:, None] + (1.0 - inner.lam)[None, :, None, None]
-                  * inner.steps[None])
-            cm = (pts[:, None] - inner.lam[None, :, None, None]
-                  * inner.steps[None])
-            shape = (pts.shape[0], inner.lam.size)
-            cvp = density.batch(cp.reshape(-1, 3, 2)).reshape(shape)
-            cvm = density.batch(cm.reshape(-1, 3, 2)).reshape(shape)
-            full = inner.lam * cvp + (1.0 - inner.lam) * cvm
-            csc = full.min(axis=1)
-            # the witness names the first best representative
-            c_best = np.argmin(full[:, inner.rep], axis=1)
-            child_l1 = np.minimum(child_l0, csc)
-            frac = lam[kept]
-            half = len(kept)
-            pairs = (frac * child_l1[:half]
-                     + (1.0 - frac) * child_l1[half:])
-            i = int(np.argmin(pairs))
-            if pairs[i] < v2:
-                v2 = float(pairs[i])
-                k = kept[i]
-                witness = {"step": steps[k].tolist(),
-                           "fraction": float(lam[k]), "score": v2}
-                for side, c in (("plus", i), ("minus", half + i)):
-                    b = inner.rep[c_best[c]]
-                    witness[side] = (
-                        {"step": inner.steps[b].tolist(),
-                         "fraction": float(inner.lam[b]),
-                         "score": float(csc[c])}
-                        if csc[c] < child_l0[c] else None)
-        values.append(v2)
-    return values, witness
-
-
-# small arguments, where splitting the ends of a split pays off; the
-# last three have a zero third row, where the search values one end per
-# reflection orbit
-EQUIVALENCE_POINTS = [
-    np.random.default_rng(21).uniform(-0.5, 0.5, (3, 2)),
-    mat32([0.3, 0.06, -0.12], [0.15, 0.03 + 3e-8, -0.06]),  # nearly parallel
-    mat32([0.1, -0.4, 0.25], [0.1, -0.4, 0.25]),            # equal columns
-    mat32([0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),    # rank one: diag(0.5, 0)
-    mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]),   # a laminate-2 node
-    mat32([0.3, -0.2, -0.0], [0.1, 0.4, 0.0]),  # a -0.0 in the third row
-]
-EQUIVALENCE_DENSITIES = [
-    ReducedDensity(EnergyModel()),
-    ReducedDensity(EnergyModel(ShiftedLogBarrier(), p=3.0)),
-    PowerDensity(3.0),
-]
-
-
-@pytest.mark.parametrize("depth", [1, 2], ids=["outer", "inner"])
-@pytest.mark.parametrize("density", EQUIVALENCE_DENSITIES,
-                         ids=["reciprocal", "shifted-log", "power"])
-def test_mirror_search_equals_the_full_grid(density, depth):
-    # depth 1 searches the outer grid, depth 2 also the inner grid
-    for xi in EQUIVALENCE_POINTS:
-        want, witness = _full_grid_profile(density, xi, depth)
-        got = laminate_search(density, xi, depth)
-        assert list(got.values) == want
-        assert got.witness == witness
-        if depth == 1:
-            continue
-        # the witness replays its score, the value whenever some split
-        # beats the density (never for the convex power)
-        assert _replay(density, xi, got.witness) == pytest.approx(
-            got.witness["score"], rel=1e-12, abs=0.0)
-        if want[2] < want[0]:
-            assert got.witness["score"] == want[2]
-
-
-def test_mirror_search_equals_the_full_grid_at_the_defaults(w0):
-    # the default call, with no depth-specific setup, on the module density
-    xi = EQUIVALENCE_POINTS[0]
-    want, witness = _full_grid_profile(w0, xi, 2)
-    got = laminate_search(w0, xi, 2)
-    assert list(got.values) == want
-    assert got.witness == witness
-    assert laminate_search(w0, xi, 1).witness \
-        == _full_grid_profile(w0, xi, 1)[1]
-
-
-# ---------------------------------------------------------------------------
-# reflection orbits of the search grid at a flat matrix
-
-@pytest.mark.parametrize("density", EQUIVALENCE_DENSITIES,
-                         ids=["reciprocal", "shifted-log", "power"])
-def test_densities_value_a_reflected_stack_bit_for_bit(density):
-    # the search reads R xi's value, R = diag(1, 1, -1), off xi's; zero
-    # entries change sign under R, and rank-deficient rows are +inf
-    rng = np.random.default_rng(25)
-    xis = rng.uniform(-1.5, 1.5, (600, 3, 2))
-    xis[::5, 2, rng.integers(0, 2)] = 0.0
-    xis[::7, 2] = 0.0
-    xis[::11, 2, 1] = -0.0
-    xis[::13, :, 1] = 0.0
-    reflected = xis * envelope._REFLECT
-    got = density.batch(xis)
-    assert got.tobytes() == density.batch(reflected).tobytes()
-    assert np.all(got > 0.0)
-
-
-def _outer_call_size(density, xi) -> int:
-    sizes = []
-
-    class Recording:
-        def batch(self, xis):
-            sizes.append(len(xis))
-            return density.batch(xis)
-
-    laminate_search(Recording(), xi, 1)
-    return sizes[1]  # after the density at xi itself
-
-
-@pytest.mark.parametrize("xi, points", [
-    (mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0]), 6664),
-    (mat32([0.5, 0.0, -0.0], [0.0, 0.25, -0.0]), 6664),
-    (mat32([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), 6664),
-    (mat32([0.5, 0.0, 1e-300], [0.0, 0.25, 0.0]), 10192),
-    (EQUIVALENCE_POINTS[0], 10192),
-], ids=["flat", "negative-zero", "zero", "tiny-third-row", "random"])
-def test_the_outer_grid_values_one_end_per_orbit(w0, xi, points):
-    # 10,192 distinct ends, one per mirror pair of the 10,192 pairs; a
-    # flat matrix values one of each {end, reflected end}: the 3,136 ends
-    # of steps with a zero third row and half of the other 7,056
-    assert _outer_call_size(w0, xi) == points
-
-
-@pytest.mark.parametrize("sizes", [envelope._OUTER, envelope._INNER],
-                         ids=["default", "inner"])
-def test_the_reflection_maps_are_exact_involutions(sizes):
-    grid = envelope._pair_grid(*sizes)
-    refl = envelope._reflection_index(grid.steps, grid.lam)
-    assert np.all(refl >= 0)
-    assert np.array_equal(refl[refl], np.arange(grid.lam.size))
-    assert np.array_equal(grid.steps[refl], grid.steps * envelope._REFLECT)
-    assert np.array_equal(grid.lam[refl], grid.lam)
-    ends = np.arange(2 * grid.rep.size)
-    assert np.array_equal(grid.twin[grid.twin], ends)
-    # an end's twin is its reflection at a flat matrix, zeros up to sign
-    xi = mat32([0.5, 0.0, 0.0], [0.0, 0.25, 0.0])
-    pts = envelope._grid_ends(xi, grid, ends)
-    assert np.array_equal(pts[:, :, grid.twin],
-                          pts * envelope._REFLECT[:, :, None])
-    # pair rep[j]'s reflection is rep[turn[j]] or its mirror
-    mirror = envelope._mirror_index(grid.steps, grid.lam)
-    turned = grid.rep[grid.turn]
-    assert np.all((refl[grid.rep] == turned)
-                  | (refl[grid.rep] == mirror[turned]))
-    # the flat numbering keeps the lower end of each orbit
-    flat = grid.flat
-    assert np.array_equal(flat.built[flat.slot],
-                          np.minimum(ends, grid.twin))
-    assert np.array_equal(flat.ends, flat.slot[grid.ends])
-    assert np.array_equal(grid.plain.ends, grid.ends)
-    for arr in (grid.ends, grid.twin, grid.turn, *grid.flat):
-        assert arr.dtype == np.int32
-
-
-def test_a_grid_pair_without_an_exact_reflection_is_refused(monkeypatch):
-    # two directions closed under negation but not under R = diag(1, 1, -1)
-    tilted = np.array([[1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]]) / math.sqrt(2.0)
-    monkeypatch.setattr(envelope, "_sphere_net", lambda n: tilted[:n])
-    with pytest.raises(ValueError, match="no exact reflection"):
-        envelope._pair_grid.__wrapped__(2, 2, 3, 3)
 
 
 # ---------------------------------------------------------------------------
