@@ -15,7 +15,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -205,8 +205,8 @@ def _check_same_mesh(a: TriMesh, b: TriMesh, what: str) -> None:
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
     """L^p distance of two fields on one mesh, centroid quadrature."""
     _check_same_mesh(a.mesh, b.mesh, "fields")
-    cen = a.mesh.cell_means(a.values - b.values)
-    norms = np.linalg.norm(cen, axis=1)
+    cen = a.mesh.component_gradients_and_means(a.values - b.values)[1]
+    norms = np.linalg.norm(cen, axis=0)
     return float(np.dot(a.mesh.areas, norms ** p) ** (1.0 / p))
 
 
@@ -238,9 +238,8 @@ def recovery_sequence(v: PwAffineField, phi, eps: float) -> PrismField:
     still well-defined, merely large.
     """
     nodal_phi = _sample_director(phi, v.mesh)
-    phi_cen = v.mesh.cell_means(nodal_phi)
-    grads = v.gradients()
-    dets = np.einsum("kj,kj->k", wedge(grads), phi_cen)
+    phi_cen = v.mesh.component_gradients_and_means(nodal_phi)[1]
+    dets = np.einsum("kj,jk->k", wedge(v.gradients()), phi_cen)
     worst = float(np.abs(dets).min())
     if worst < _DET_FLOOR:
         warnings.warn(f"recovery director determinant fell to {worst:.3e} "
@@ -368,22 +367,7 @@ class _Lbfgs:
         return np.negative(d, out=d)
 
 
-@dataclass(frozen=True)
-class _Run:
-    x: np.ndarray
-    value: float
-    energy: float
-    load_value: float
-    start_value: float
-    accepted: int
-    stop_reason: str
-    grad_norm: float
-    evaluations: int
-    gradients: int
-    backtracks: int
-
-
-def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
+def _descent(value, gradient, x0: np.ndarray, iters: int) -> MinimizeResult:
     """L-BFGS descent with Armijo backtracking (Liu-Nocedal, Math. Prog.
     45, 1989), memory ``_MEMORY``.
 
@@ -394,7 +378,7 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
     at the start and at each accepted step. A trial valued +inf is
     refused like any other rise; the film objective values so every point
     across its determinant barrier. The run keeps the energy and load of
-    the last accepted point.
+    the last accepted point; the result's ``field`` is that flat point.
 
     Before each step the descent stops on "grad_tol" if
     |g| <= tau (1 + |f|), tau = ``_GRAD_TOL`` = 1e-10. A step x + t d
@@ -453,21 +437,17 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> _Run:
         energy, load = e1, l1
         gradients += 1
         accepted += 1
-    return _Run(x, f, energy, load, f0, accepted, reason,
-                math.sqrt(float(np.dot(g, g))), evaluations, gradients,
-                backtracks)
+    return MinimizeResult(
+        field=x, total=f, start_total=f0, energy=energy, load_value=load,
+        iterations=accepted, stop_reason=reason,
+        grad_norm=math.sqrt(float(np.dot(g, g))), evaluations=evaluations,
+        gradients=gradients, backtracks=backtracks)
 
 
 def _minimize(obj, start, iters: int) -> MinimizeResult:
     """Descend ``obj`` from the start's nodal values."""
     run = _descent(obj, obj.gradient, start.values.reshape(-1), iters)
-    return MinimizeResult(
-        field=obj.unpack(run.x), total=run.value,
-        start_total=run.start_value, energy=run.energy,
-        load_value=run.load_value,
-        iterations=run.accepted, stop_reason=run.stop_reason,
-        grad_norm=run.grad_norm, evaluations=run.evaluations,
-        gradients=run.gradients, backtracks=run.backtracks)
+    return replace(run, field=obj.unpack(run.field))
 
 
 class _ThinObjective:
@@ -495,7 +475,8 @@ class _ThinObjective:
         # psi at the prism centroids, like the film energy's samples, as
         # component rows (3, prisms)
         h = np.linspace(-0.5, 0.5, layers)
-        pts = np.tile(mesh.cell_means(mesh.vertices), (layers - 1, 1))
+        cen = mesh.component_gradients_and_means(mesh.vertices)[1]
+        pts = np.tile(cen.T, (layers - 1, 1))
         x3 = np.repeat(0.5 * (h[:-1] + h[1:]), mesh.n_cells)
         self.psi_mid = np.ascontiguousarray(potential.psi_at(pts, x3).T)
 
@@ -602,7 +583,8 @@ class _MembraneObjective:
         self.table = table
         self.potential = potential
         self.mesh = mesh
-        self.psi0 = potential.psi_at(mesh.cell_means(mesh.vertices), 0.0)
+        cen = mesh.component_gradients_and_means(mesh.vertices)[1]
+        self.psi0 = potential.psi_at(cen.T, 0.0)
 
     def unpack(self, x: np.ndarray) -> PwAffineField:
         return PwAffineField(self.mesh, x.reshape(-1, 3))
@@ -611,9 +593,10 @@ class _MembraneObjective:
         """(envelope energy, load value, intermediates) at x; the
         intermediates keep the table lookup of the cell gradients."""
         areas = self.mesh.areas
-        grads, cen = self.mesh.cell_gradients_and_means(x.reshape(-1, 3))
-        terms, norms = self.potential.terms(self.psi0, cen)
-        hit = self.table.lookup(grads)
+        grads, cen = self.mesh.component_gradients_and_means(
+            x.reshape(-1, 3))
+        terms, norms = self.potential.terms(self.psi0, cen.T)
+        hit = self.table.lookup(grads.T)
         return (float(np.dot(areas, hit.values)),
                 float(np.dot(areas, terms)), (hit, cen, norms))
 
@@ -622,8 +605,8 @@ class _MembraneObjective:
         hit, cen, norms = state
         areas = self.mesh.areas
         dT = hit.slopes() * areas[:, None, None]
-        dl = self.potential.slope(self.psi0, cen, norms) * areas[:, None]
-        return self.mesh.pull_back(dT, dl).reshape(-1)
+        dl = self.potential.slope(self.psi0, cen.T, norms) * areas[:, None]
+        return self.mesh.pull_back_components(dT.T, dl.T).reshape(-1)
 
 
 def minimize_membrane(table, load: LoadPotential, mesh: TriMesh, *,
@@ -716,7 +699,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     assignment = build_assignment(model, v_bar)
     assigned = time.perf_counter()
 
-    def run(eps):
+    rows, films = [], []
+    for eps in eps_schedule:
         film_started = time.perf_counter()
         u0 = recovery_sequence(v_bar, assignment.zeta_bar, eps)
         if mode == "recovery":
@@ -733,13 +717,12 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                     "film minimization ended above its warm start; the "
                     "descent contract is broken")
         dist = lp_distance(pi_eps_average(res.field), v_bar, model.p)
-        row = SweepRow(eps=eps, e3d=res.total, emem=mem.total,
-                       gap=res.total - mem.total, lp_distance=dist,
-                       iterations=its, stop_reason=reason, grad_norm=gnorm,
-                       **counts)
-        return row, time.perf_counter() - film_started
-
-    runs = [run(eps) for eps in eps_schedule]
+        rows.append(SweepRow(eps=eps, e3d=res.total, emem=mem.total,
+                             gap=res.total - mem.total, lp_distance=dist,
+                             iterations=its, stop_reason=reason,
+                             grad_norm=gnorm, **counts))
+        films.append(time.perf_counter() - film_started)
+        del u0, res  # no film's fields live on into the next descent
     meta = {"mode": mode, "layers": _LAYERS, "j_v": assignment.j_v,
             "iters": iters,
             **{f"membrane_{k}": getattr(mem, k)
@@ -747,5 +730,5 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
                + _COUNTS},
             "seconds": {"membrane": assigning - started,
                         "assignment": assigned - assigning,
-                        "films": [secs for _, secs in runs]}}
-    return SweepReport(rows=tuple(row for row, _ in runs), meta=meta)
+                        "films": films}}
+    return SweepReport(rows=tuple(rows), meta=meta)

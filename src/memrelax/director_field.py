@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 _ANGULAR_TOL = 1e-6
-# cells per integrate_adaptive call in nirf_value
-_SLICE_CELLS = 256
 # directions per (directions x cells) block in feasible_normal's scan
 _SCAN_DIRECTIONS = 64
 
@@ -388,12 +386,12 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     zeta. Each cell is a root of the adaptive midpoint rule and refines
     until its own two successive levels agree; the rule values each
     distinct edge midpoint of a cell's children once, so children that
-    share an edge share its sample. The cells go through
-    :func:`integrate_adaptive` in consecutive slices of at most
-    ``_SLICE_CELLS``, and the per-cell values are summed once. The value
-    decreases toward the integral of the reduced density as j and n grow.
+    share an edge share its sample. All cells go through one
+    :func:`integrate_adaptive` call, which bounds its own memory, and the
+    per-cell values are summed once. The value decreases toward the
+    integral of the reduced density as j and n grow.
 
-    ``threads`` is accepted and unused: the slices run one after another.
+    ``threads`` is accepted and unused.
     """
     asn = build_assignment(model, field, j)
     director = BlendedDirector(field, asn, n)
@@ -412,11 +410,6 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
         return model.density(np.abs(c0[cells] + a * c1[cells]),
                              q0[cells] + a * (q1[cells] + a * q2[cells]))
 
-    def work(start: int) -> np.ndarray:
-        tris = director._corners[start:start + _SLICE_CELLS]
-        return integrate_adaptive(lambda p, r: integrand(p, r + start), tris,
-                                  rel_tol=rel_tol,
-                                  max_level=max_level).values
-
-    parts = [work(s) for s in range(0, asn.n_cells, _SLICE_CELLS)]
-    return ExtValue(float(np.sum(np.concatenate(parts))))
+    return ExtValue(integrate_adaptive(integrand, director._corners,
+                                       rel_tol=rel_tol,
+                                       max_level=max_level).value)

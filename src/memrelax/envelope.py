@@ -613,6 +613,8 @@ class EnvelopeTable:
     interpolation error of the grid. Outside the tabulated box the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
     a true upper bound of the polynomial-growth kind.
+    The certificate's p is the table's one growth exponent: a node value
+    below the coercivity floor (s1^2 + s2^2)^(p/2) is refused.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -622,7 +624,7 @@ class EnvelopeTable:
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
-                 entries: Sequence[TableEntry], p: float,
+                 entries: Sequence[TableEntry],
                  certificate: GrowthCertificate,
                  model: EnergyModel | None = None):
         grid = np.asarray(sigma_grid, dtype=float)
@@ -638,14 +640,13 @@ class EnvelopeTable:
         if not np.allclose(vals, vals.T, atol=1e-9):
             raise ValueError("value matrix must be symmetric")
         s1, s2 = np.meshgrid(grid, grid, indexing="ij")
-        floor = (s1 ** 2 + s2 ** 2) ** (p / 2.0)
+        floor = (s1 ** 2 + s2 ** 2) ** (certificate.p / 2.0)
         if np.any(vals < floor - 1e-9):
             raise ValueError("table value below the coercivity floor")
         self.sigma_grid = grid
         self._widths = np.diff(grid)
         self.values = vals
         self.entries = tuple(entries)
-        self.p = float(p)
         self.certificate = certificate
         self.model = model
 
@@ -717,7 +718,6 @@ class EnvelopeTable:
         return {
             "sigma_grid": self.sigma_grid.tolist(),
             "values": self.values.tolist(),
-            "p": self.p,
             "certificate": {"c": self.certificate.c, "p": self.certificate.p,
                             "r1": self.certificate.r1,
                             "cbar1": self.certificate.cbar1},
@@ -732,13 +732,14 @@ class EnvelopeTable:
         """The table of :meth:`to_dict`'s record. A table saved with its
         model must replay its nodes (:meth:`audit`) within 1e-12, or
         ValueError is raised; keys of older records (``depth``,
-        ``evaluations``, ``model_info``) are ignored."""
+        ``evaluations``, ``model_info`` and a top-level ``p``, which the
+        certificate holds) are ignored."""
         cert = GrowthCertificate(**data["certificate"])
         entries = [TableEntry(sigma=tuple(e["sigma"]), value=e["value"],
                               method=e["method"], witness=e.get("witness"))
                    for e in data["entries"]]
         table = cls(np.array(data["sigma_grid"]), np.array(data["values"]),
-                    entries, data["p"], cert,
+                    entries, cert,
                     _model_from_record(data.get("model")))
         if table.model is not None:
             gap = table.audit()
@@ -827,5 +828,5 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
                           witness=w)
                for sig, v, r, w in zip(sigma, node_values, region,
                                        witnesses)]
-    return EnvelopeTable(grid, values, entries, model.p,
-                         growth_certificate(model), model)
+    return EnvelopeTable(grid, values, entries, growth_certificate(model),
+                         model)

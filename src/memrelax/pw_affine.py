@@ -2,7 +2,10 @@
 
 A :class:`TriMesh` triangulates a polygonal domain; a :class:`PwAffineField`
 attaches a 3-vector to every vertex and interpolates affinely on each cell,
-so the gradient is a constant 3x2 matrix per cell. :func:`unit_square_mesh`
+so the gradient is a constant 3x2 matrix per cell. The mesh's P1
+operators, the cell gradients and cell means and their adjoint, are
+computed component-major, one row of cells per component, and callers
+read them in that layout. :func:`unit_square_mesh`
 builds the square grids the pipeline runs on, and :func:`refine_mesh` and
 :func:`refine_field` split every cell at its edge midpoints.
 """
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .tensor_kernel import is_integer
 
 AREA_FLOOR = 1e-14
 
@@ -36,14 +41,13 @@ class TriMesh:
 
     A P1 field is an (..., n, k) array of nodal values. Its cell gradients
     and cell means (centroid values) are linear maps of those values, both
-    read from one gather of the cell corners, and :meth:`pull_back` is
-    their exact adjoint. Both are computed component-major
-    (:meth:`component_gradients_and_means` and
-    :meth:`pull_back_components`), one row of cells per component, and the
-    (..., n, k) entry points move the component axis back. The scatter
-    index of the adjoint depends only on the mesh and the shape of the
-    nodal values, so it is built once per (leading rows, k) and kept with
-    the mesh.
+    read from one gather of the cell corners by
+    :meth:`component_gradients_and_means`, and
+    :meth:`pull_back_components` is their exact adjoint. Both hold the
+    cell values component-major, one row of cells per component. The
+    scatter index of the adjoint depends only on the mesh and the shape of
+    the nodal values, so it is built once per (leading rows, k) and kept
+    with the mesh.
     """
 
     __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
@@ -208,45 +212,14 @@ class TriMesh:
             self._scatter[(rows, k)] = idx
         return idx
 
-    def cell_gradients_and_means(self, values):
-        """Cell gradients and cell means: (..., n, k) nodal values in,
-        C-contiguous (..., m, k, 2) and (..., m, k) out, moved from
-        :meth:`component_gradients_and_means`."""
-        g, means = self.component_gradients_and_means(values)
-        cells = tuple(range(1, means.ndim))
-        g = g.transpose(tuple(range(2, g.ndim)) + (1, 0))
-        return (np.ascontiguousarray(g),
-                np.ascontiguousarray(means.transpose(cells + (0,))))
-
-    def cell_gradients(self, values) -> np.ndarray:
-        """Constant gradient per cell: (..., n, k) nodal values in,
-        (..., m, k, 2) out."""
-        return self.cell_gradients_and_means(values)[0]
-
-    def cell_means(self, values) -> np.ndarray:
-        """Centroid value per cell, the mean of its three corners:
-        (..., n, k) in, (..., m, k) out."""
-        return self.cell_gradients_and_means(values)[1]
-
-    def pull_back(self, d_grad, d_mean) -> np.ndarray:
-        """Adjoint of (cell_gradients, cell_means).
-
-        Maps (..., m, k, 2) and (..., m, k) to the nodal (..., n, k) array
-        v* with <cell_gradients(v), d_grad> + <cell_means(v), d_mean> =
-        <v, v*> for every v, through :meth:`pull_back_components`.
-        """
-        G = np.asarray(d_grad, dtype=float)
-        cells = tuple(range(G.ndim - 2))
-        return self.pull_back_components(
-            G.transpose((G.ndim - 1, G.ndim - 2) + cells),
-            np.asarray(d_mean, dtype=float).transpose((G.ndim - 2,) + cells))
-
 
 class PwAffineField:
     """Continuous field with one 3-vector per mesh vertex.
 
     Sharing nodal values across cells makes the interpolant continuous; the
-    gradient is constant on each cell.
+    gradient is constant on each cell. :meth:`gradients` is a C-ordered
+    (m, 3, 2) copy of :meth:`TriMesh.component_gradients_and_means`'s,
+    so a sum over a cell's entries adds them in one fixed order.
     """
 
     __slots__ = ("mesh", "values", "_grads")
@@ -258,7 +231,8 @@ class PwAffineField:
                 f"values must be ({mesh.n_vertices}, 3), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("nodal values must be finite")
-        grads = mesh.cell_gradients(vals)
+        grads = np.ascontiguousarray(
+            mesh.component_gradients_and_means(vals)[0].T)
         vals.setflags(write=False)
         grads.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
@@ -277,9 +251,12 @@ class PwAffineField:
 # the unit square and uniform refinement
 
 def unit_square_mesh(n: int = 1) -> TriMesh:
-    """(0,1)^2 as an n-by-n grid of squares, each split along one diagonal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """(0,1)^2 as an n-by-n grid of squares, each split along one diagonal.
+
+    n must be an integer >= 1, numpy integers included and bools refused.
+    """
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     xs = np.linspace(0.0, 1.0, n + 1)
     V = np.array([(x, y) for y in xs for x in xs])
     tris = []
@@ -300,15 +277,21 @@ def _edge_midpoints(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
     return np.concatenate([values, 0.5 * (values[a] + values[b])])
 
 
+def _check_levels(levels) -> None:
+    if not (is_integer(levels) and levels >= 0):
+        raise ValueError(f"levels must be an integer >= 0, got {levels!r}")
+
+
 def refine_mesh(mesh: TriMesh, levels: int = 1) -> TriMesh:
     """Uniform refinement: each triangle splits at its edge midpoints.
 
     Per level the old vertices keep their indices and edge e's midpoint
     is appended as vertex n + e. Each cell's four children stay
     contiguous in the corner order of ``quadrature.subdivide_triangles``.
+    levels must be an integer >= 0, numpy integers included and bools
+    refused.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
+    _check_levels(levels)
     for _ in range(levels):
         a, b, c = mesh.triangles.T
         ab, bc, ca = (mesh.n_vertices + mesh.cell_edges).T
@@ -323,10 +306,10 @@ def refine_field(field: PwAffineField, levels: int = 1) -> PwAffineField:
 
     A new vertex takes the average of its edge's end values, which is
     the P1 interpolant there, so the refined field is pointwise the
-    original; no point is located.
+    original; no point is located. levels is checked as by
+    :func:`refine_mesh`.
     """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
+    _check_levels(levels)
     mesh, vals = field.mesh, field.values
     for _ in range(levels):
         vals = _edge_midpoints(mesh, vals)

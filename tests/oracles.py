@@ -464,8 +464,9 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
                              phi) -> float:
     """Membrane-side target of the recovery lift: the bulk density on
     (gradient | director) with the director sampled like the lift."""
-    phi_cen = v.mesh.cell_means(_sample_director(phi, v.mesh))
-    grads = np.concatenate([v.gradients(), phi_cen[:, :, None]], axis=2)
+    phi_cen = v.mesh.component_gradients_and_means(
+        _sample_director(phi, v.mesh))[1]
+    grads = np.concatenate([v.gradients(), phi_cen.T[:, :, None]], axis=2)
     return float(np.dot(v.mesh.areas, w_stack(model, grads)))
 
 

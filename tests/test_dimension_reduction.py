@@ -141,7 +141,7 @@ def _linear_table():
     grid = np.linspace(0.0, 3.0, 7)
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")
     cert = GrowthCertificate(c=10.0, p=2.0, r1=1.0, cbar1=1.0)
-    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), [], 2.0, cert)
+    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), [], cert)
 
 
 def _tilted_load():
@@ -397,7 +397,7 @@ def test_descent_reports_why_it_stopped():
         return -2.0 * state
 
     def stop(run):
-        return run.accepted, run.stop_reason, run.grad_norm
+        return run.iterations, run.stop_reason, run.grad_norm
 
     x0 = np.array([3.0, -4.0])
     assert stop(_descent(bowl, slope, x0, 0)) == (0, "budget", 10.0)
@@ -419,7 +419,7 @@ def test_descent_replaces_an_ascent_direction_by_the_negative_gradient(
     monkeypatch.setattr(_Lbfgs, "direction", lambda self, g: g.copy())
     run = _descent(bowl, lambda state: 2.0 * state,
                    np.array([3.0, -4.0]), 100)
-    assert run.stop_reason == "grad_tol" and run.accepted > 1
+    assert run.stop_reason == "grad_tol" and run.iterations > 1
 
 
 def test_descent_stops_on_the_scaled_gradient_test():
@@ -432,8 +432,8 @@ def test_descent_stops_on_the_scaled_gradient_test():
         return 1e6 + float(np.dot(c * (x - 0.1), x - 0.1)), 0.0, x
 
     run = _descent(value, lambda x: 2.0 * c * (x - 0.1), np.zeros(8), 500)
-    assert run.stop_reason == "grad_tol" and 0 < run.accepted < 500
-    assert run.grad_norm <= _GRAD_TOL * (1.0 + abs(run.value))
+    assert run.stop_reason == "grad_tol" and 0 < run.iterations < 500
+    assert run.grad_norm <= _GRAD_TOL * (1.0 + abs(run.total))
     assert run.grad_norm ** 2 > 1e-30
 
 
@@ -564,7 +564,7 @@ def test_descent_beats_barzilai_borwein_on_an_ill_conditioned_bowl():
     bb_steps, bb_evals, bb_reason = _bb_descent(value, slope, x0, 5000)
     run = _descent(value, slope, x0, 5000)
     assert bb_reason == run.stop_reason == "grad_tol"
-    assert run.accepted < bb_steps and run.evaluations < bb_evals
+    assert run.iterations < bb_steps and run.evaluations < bb_evals
 
 
 def test_descent_memory_stays_bounded():
@@ -580,7 +580,7 @@ def test_descent_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (run.accepted, run.stop_reason) == (20, "budget")
+    assert (run.iterations, run.stop_reason) == (20, "budget")
     assert peak < (2 * _MEMORY + 8) * 8 * n
 
 
@@ -786,14 +786,14 @@ def _check_against_eager(obj, x0, iters):
     counted = _Counted(obj)
     run = _descent(counted, counted.gradient, x0, iters)
     x, f, accepted, reason, gnorm = _eager_descent(obj, x0, iters)
-    np.testing.assert_array_equal(run.x, x)
-    assert (run.value, run.accepted, run.stop_reason, run.grad_norm) == (
+    np.testing.assert_array_equal(run.field, x)
+    assert (run.total, run.iterations, run.stop_reason, run.grad_norm) == (
         f, accepted, reason, gnorm)
     # gradients only at the start and at accepted steps; every other
     # value was a rejected trial
-    assert counted.gradients == run.gradients == run.accepted + 1
+    assert counted.gradients == run.gradients == run.iterations + 1
     assert counted.values == run.evaluations
-    assert run.evaluations == 1 + run.accepted + run.backtracks
+    assert run.evaluations == 1 + run.iterations + run.backtracks
     assert run.backtracks > 0
     return run
 
@@ -806,7 +806,7 @@ def test_film_descent_matches_the_eager_reference(eps):
     x0 = x0 + 0.01 * rng.standard_normal(x0.shape)
     obj = _film_objective(EnergyModel(), _tilted_load(), mesh, x0, eps)
     run = _check_against_eager(obj, x0, 40)
-    assert run.accepted == 40
+    assert run.iterations == 40
 
 
 def test_membrane_descent_matches_the_eager_reference():
@@ -932,10 +932,10 @@ def test_film_minimizer_returns_the_descent_from_its_start():
     res = minimize_thin_film(model, load, start, iters=20)
     obj = _ThinObjective(model, load, start)
     run = _descent(obj, obj.gradient, start.values.reshape(-1), 20)
-    np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
+    np.testing.assert_array_equal(res.field.values.reshape(-1), run.field)
     assert res.field.eps == start.eps
-    assert res.total == run.value
-    assert res.start_total == run.start_value == _total(
+    assert res.total == run.total
+    assert res.start_total == run.start_total == _total(
         obj, start.values.reshape(-1))
     assert (res.energy, res.load_value) == (run.energy, run.load_value)
     assert res.energy + res.load_value == res.total
@@ -947,8 +947,8 @@ def test_membrane_minimizer_returns_the_descent_from_its_start():
     res = minimize_membrane(table, load, mesh, iters=20)
     obj = _MembraneObjective(table, load, mesh)
     run = _descent(obj, obj.gradient, _flat(mesh).values.reshape(-1), 20)
-    np.testing.assert_array_equal(res.field.values.reshape(-1), run.x)
-    assert res.total == run.value
+    np.testing.assert_array_equal(res.field.values.reshape(-1), run.field)
+    assert res.total == run.total
     assert res.energy + res.load_value == res.total
     assert res.energy == pytest.approx(float(np.dot(
         mesh.areas, table.values_at(res.field.gradients()))), rel=1e-12)

@@ -595,10 +595,9 @@ def per_cell_nirf(model, field, asn, n):
     return total
 
 
-def test_nirf_matches_a_per_cell_oracle_across_slices():
+def test_nirf_matches_a_per_cell_oracle():
     m = EnergyModel(ShiftedLogBarrier())
     field = curved_field()
-    assert field.mesh.n_cells > 256  # more than one slice of cells
     _, j_v, _ = feasible_normal(field.gradients())
     asn = build_assignment(m, field, 4 * j_v)
     got = finite(nirf_value(m, field, 4 * j_v, 64))
@@ -623,19 +622,31 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     phi = BlendedDirector(field, asn, 64)
     crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
     sq = np.sum(asn.gradients ** 2, axis=(1, 2))
+    (f, tris), = seen  # one call over every cell
+    assert tris.shape[0] == asn.n_cells
     rng = np.random.default_rng(16)
-    start = 0
-    for f, tris in seen:
-        roots = rng.integers(0, tris.shape[0], 3000)
-        bary = rng.dirichlet(np.full(3, 0.3), roots.size)
-        points = np.einsum("nk,nkj->nj", bary, tris[roots])
-        cells = roots + start
-        zeta = phi._blend(points, cells)
-        want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[cells])),
-                         sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
-        np.testing.assert_allclose(f(points, roots), want, rtol=1e-13)
-        start += tris.shape[0]
-    assert start == asn.n_cells
+    cells = rng.integers(0, asn.n_cells, 3000)
+    bary = rng.dirichlet(np.full(3, 0.3), cells.size)
+    points = np.einsum("nk,nkj->nj", bary, tris[cells])
+    zeta = phi._blend(points, cells)
+    want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[cells])),
+                     sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
+    np.testing.assert_allclose(f(points, cells), want, rtol=1e-13)
+
+
+def test_nirf_value_is_pinned_on_the_refined_curved_sheet():
+    # (x + 0.1 sin y, y + 0.1 cos x, 0.2 x y) on a 12 x 12 grid, refined
+    # once, j four times the coarse field's feasibility index: the nirf
+    # job of the benchmark at seed 0, pinned bit for bit
+    mesh = unit_square_mesh(12)
+    x, y = mesh.vertices.T
+    coarse = PwAffineField(mesh, np.column_stack(
+        [x + 0.1 * np.sin(y), y + 0.1 * np.cos(x), 0.2 * x * y]))
+    _, j_v, _ = feasible_normal(coarse.gradients())
+    assert 4 * j_v == 4
+    value = nirf_value(EnergyModel(ShiftedLogBarrier()),
+                       refine_field(coarse, 1), 4 * j_v, 64)
+    assert value.as_float().hex() == "0x1.0153c17fca5d6p+2"
 
 
 def test_nirf_memory_stays_per_point_scalar():

@@ -9,7 +9,7 @@ from memrelax import envelope, fiber_reduction
 from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
-    EnvelopeTable, build_envelope_table, four_corner_bound,
+    EnvelopeTable, GrowthCertificate, build_envelope_table, four_corner_bound,
     growth_certificate, laminate_search, relaxed_density,
     square_refine_bound,
 )
@@ -732,7 +732,7 @@ def test_table_nodes_bounded_by_density(small_table, w0):
 def test_table_floor_and_growth(small_table):
     g = small_table.sigma_grid
     s1, s2 = np.meshgrid(g, g, indexing="ij")
-    floor = (s1 ** 2 + s2 ** 2) ** (small_table.p / 2.0)
+    floor = (s1 ** 2 + s2 ** 2) ** (small_table.certificate.p / 2.0)
     assert np.all(small_table.values >= floor - 1e-9)
     assert small_table.audit_growth() <= 1.0
 
@@ -742,7 +742,20 @@ def test_table_rejects_floor_violation(small_table):
     bad[-1, -1] = 0.5  # below (1 + 1)^1 = 2
     with pytest.raises(ValueError, match="coercivity floor"):
         EnvelopeTable(small_table.sigma_grid, bad, small_table.entries,
-                      small_table.p, small_table.certificate)
+                      small_table.certificate)
+
+
+def test_table_floor_reads_the_certificate_exponent():
+    # s1^2 + s2^2 + 1 clears the p = 2 floor on [0, 3]^2 but not the
+    # p = 3 one at its far corner
+    grid = np.linspace(0.0, 3.0, 7)
+    s1, s2 = np.meshgrid(grid, grid, indexing="ij")
+    vals = s1 ** 2 + s2 ** 2 + 1.0
+    square = GrowthCertificate(c=100.0, p=2.0, r1=1.0, cbar1=1.0)
+    assert EnvelopeTable(grid, vals, [], square).certificate.p == 2.0
+    cube = GrowthCertificate(c=100.0, p=3.0, r1=1.0, cbar1=1.0)
+    with pytest.raises(ValueError, match="coercivity floor"):
+        EnvelopeTable(grid, vals, [], cube)
 
 
 def test_table_invariance_under_rotations(small_table):
@@ -758,11 +771,11 @@ def test_table_invariance_under_rotations(small_table):
 
 def test_table_outside_ball_uses_certificate(small_table):
     xi = mat32([5.0, 0, 0], [0, 5.0, 0])
-    expect = small_table.certificate.c * (1.0 + frob_norm(xi) ** small_table.p)
+    cert = small_table.certificate
+    expect = cert.c * (1.0 + frob_norm(xi) ** cert.p)
     got = small_table.values_at(xi[None])[0]
     assert got == pytest.approx(expect, rel=1e-12)
     # and its slope c p |xi|^(p - 2) xi
-    cert = small_table.certificate
     expect = cert.c * cert.p * frob_norm(xi) ** (cert.p - 2.0) * xi
     np.testing.assert_allclose(small_table.lookup(xi[None]).slopes()[0],
                                expect, rtol=1e-12)
@@ -784,7 +797,8 @@ def test_table_lookup_at_the_edge_of_the_exponent_range(small_table):
     # far outside the ball: the certificate on the SVD's norm
     big = xis * 1e150
     norms = np.linalg.norm(np.linalg.svd(big, compute_uv=False), axis=1)
-    expect = small_table.certificate.c * (1.0 + norms ** small_table.p)
+    cert = small_table.certificate
+    expect = cert.c * (1.0 + norms ** cert.p)
     got = small_table.values_at(big)
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, expect, rtol=1e-12)
@@ -897,13 +911,13 @@ def test_table_entry_methods_are_labelled(small_table):
 
 
 def test_table_json_loads_a_table_saved_with_search_fields(small_table):
-    # a table saved while the laminate search built it carried a depth
-    # and per-node evaluation counts; it still loads
+    # a table saved while the laminate search built it carried a depth,
+    # per-node evaluation counts and a top-level p; it still loads
     data = small_table.to_dict()
-    assert "depth" not in data and "model_info" not in data
+    assert not {"depth", "model_info", "p"} & set(data)
     assert all(set(e) == {"sigma", "value", "method", "witness"}
                for e in data["entries"])
-    data["depth"] = 1
+    data["depth"], data["p"] = 1, 3.0
     data["model_info"] = {"barrier": "ReciprocalBarrier", "p": 2.0}
     for e in data["entries"]:
         e["depth"], e["evaluations"] = 1, 6681
@@ -911,6 +925,7 @@ def test_table_json_loads_a_table_saved_with_search_fields(small_table):
     assert np.array_equal(old.values, small_table.values)
     assert old.entries == small_table.entries
     assert old.model == small_table.model
+    assert old.certificate == small_table.certificate
 
 
 def test_evaluations_count_every_density_point():
@@ -1001,7 +1016,7 @@ def test_threaded_build_matches_serial(small_table):
 def test_table_validation_rejects_bad_grid(small_table):
     with pytest.raises(ValueError, match="start at zero"):
         EnvelopeTable(np.array([0.5, 1.0]),
-                      small_table.values[:2, :2], (), 2.0,
+                      small_table.values[:2, :2], (),
                       small_table.certificate)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
@@ -1261,7 +1276,7 @@ def test_audit_refuses_a_broken_laminate(small_table):
     # a table without its model cannot be replayed
     with pytest.raises(ValueError, match="no model"):
         EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.entries, small_table.p,
+                      small_table.entries,
                       small_table.certificate).audit()
 
 

@@ -222,17 +222,26 @@ def test_edge_table_lists_each_side_once():
     assert np.all(on_side[mesh.edges[owners == 1]])
 
 
+def _component_major(d_grad, d_mean):
+    """Entry-major (..., m, k, 2) and (..., m, k) cell values moved to the
+    component-major (2, k, ..., m) and (k, ..., m) of the mesh's
+    operators."""
+    cells = tuple(range(d_mean.ndim - 1))
+    return (d_grad.transpose((d_grad.ndim - 1, d_grad.ndim - 2) + cells),
+            d_mean.transpose((d_mean.ndim - 1,) + cells))
+
+
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_pull_back_is_adjoint_of_gradients_and_means(lead):
     mesh = perturbed_square_mesh()
     rng = np.random.default_rng(11)
     k = 3
     v = rng.standard_normal(lead + (mesh.n_vertices, k))
-    G = rng.standard_normal(lead + (mesh.n_cells, k, 2))
-    C = rng.standard_normal(lead + (mesh.n_cells, k))
-    lhs = (np.sum(mesh.cell_gradients(v) * G)
-           + np.sum(mesh.cell_means(v) * C))
-    back = mesh.pull_back(G, C)
+    G = rng.standard_normal((2, k) + lead + (mesh.n_cells,))
+    C = rng.standard_normal((k,) + lead + (mesh.n_cells,))
+    grads, means = mesh.component_gradients_and_means(v)
+    lhs = np.sum(grads * G) + np.sum(means * C)
+    back = mesh.pull_back_components(G, C)
     assert back.shape == v.shape
     assert np.sum(v * back) == pytest.approx(lhs, rel=1e-12)
 
@@ -241,13 +250,13 @@ def test_cell_gradients_and_means_of_an_affine_map():
     mesh = perturbed_square_mesh()
     xi = np.array([[1.0, 2.0], [-0.5, 0.3], [0.2, 0.0]])
     vals = mesh.vertices @ xi.T
-    np.testing.assert_allclose(mesh.cell_gradients(vals),
+    grads, means = mesh.component_gradients_and_means(vals)
+    assert grads.shape == (2, 3, mesh.n_cells)
+    np.testing.assert_allclose(grads.T,
                                np.broadcast_to(xi, (mesh.n_cells, 3, 2)),
                                atol=1e-12)
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    np.testing.assert_allclose(mesh.cell_means(vals), centroids @ xi.T,
-                               atol=1e-14)
-
+    np.testing.assert_allclose(means.T, centroids @ xi.T, atol=1e-14)
 
 
 @pytest.mark.parametrize("lead", [(), (4,)])
@@ -264,9 +273,8 @@ def test_one_corner_gather_equals_the_per_corner_formulas(lead, k):
     for c in range(2):
         grads[..., c] = e1 * inv[:, 0, c, None] + e2 * inv[:, 1, c, None]
     means = (v0 + v[..., T[:, 1], :] + v[..., T[:, 2], :]) / 3.0
-    both = mesh.cell_gradients_and_means(v)
-    for got, want in ((mesh.cell_gradients(v), grads), (both[0], grads),
-                      (mesh.cell_means(v), means), (both[1], means)):
+    for got, want in zip(mesh.component_gradients_and_means(v),
+                         _component_major(grads, means)):
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
 
@@ -279,7 +287,7 @@ def test_cached_pull_back_equals_the_uncached_formula():
     for lead, k in [((), 1), ((4,), 3), ((), 3), ((4,), 1)] * 2:
         G = rng.standard_normal(lead + (mesh.n_cells, k, 2))
         C = rng.standard_normal(lead + (mesh.n_cells, k))
-        got = mesh.pull_back(G, C)
+        got = mesh.pull_back_components(*_component_major(G, C))
         assert got.shape == lead + (mesh.n_vertices, k)
         np.testing.assert_array_equal(got, strided_pull_back(mesh, G, C))
 
@@ -369,6 +377,23 @@ def test_refine_levels():
         refine_field(field, -1)
     with pytest.raises(ValueError):
         refine_mesh(field.mesh, -1)
+
+
+@pytest.mark.parametrize("count", [True, 2.0, np.int64(2)])
+@pytest.mark.parametrize("build", [
+    unit_square_mesh,
+    lambda n: refine_mesh(unit_square_mesh(1), n),
+    lambda n: refine_field(_curved_field(unit_square_mesh(1)), n).mesh,
+], ids=["unit_square_mesh", "refine_mesh", "refine_field"])
+def test_mesh_counts_take_integers_and_refuse_bools_and_floats(build, count):
+    if isinstance(count, np.integer):
+        np.testing.assert_array_equal(build(count).vertices,
+                                      build(2).vertices)
+        np.testing.assert_array_equal(build(count).triangles,
+                                      build(2).triangles)
+    else:
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(count)
 
 
 def test_refined_nirf_job_never_locates_points(monkeypatch):
