@@ -11,6 +11,7 @@ sharpness grow.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,26 +56,34 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 def _icosahedron() -> np.ndarray:
     g = (1.0 + math.sqrt(5.0)) / 2.0
-    pts = []
-    for a in (-1.0, 1.0):
-        for b in (-g, g):
-            pts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
-    arr = np.array(pts)
+    arr = np.array([p for a in (-1.0, 1.0) for b in (-g, g)
+                    for p in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))])
     return arr / np.linalg.norm(arr, axis=1)[:, None]
 
 
-def _axes() -> np.ndarray:
-    eye = np.eye(3)
-    return np.concatenate([eye, -eye])
+@functools.cache
+def _fixed_directions() -> tuple[np.ndarray, ...]:
+    """The scan's stages before the caps, built once, read-only."""
+    stages = (np.concatenate([np.eye(3), -np.eye(3)]), _icosahedron(),
+              *map(_fibonacci_sphere, (64, 256, 1024)))
+    for arr in stages:
+        arr.setflags(write=False)
+    return stages
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, written out as :func:`wedge` does."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def _cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
     """Deterministic spiral of directions within an angular cap."""
     e = np.zeros(3)
     e[int(np.argmin(np.abs(center)))] = 1.0
-    u = np.cross(center, e)
+    u = _cross(center, e)
     u /= np.linalg.norm(u)
-    w = np.cross(center, u)
+    w = _cross(center, u)
     k = np.arange(n, dtype=float)
     theta = radius * np.sqrt((k + 1.0) / n)
     phi = math.pi * (3.0 - math.sqrt(5.0)) * k
@@ -155,10 +164,8 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
                 best_margin = float(margin[k])
                 best = block[k]
 
-    consider(_axes())
-    consider(_icosahedron())
-    for n in (64, 256, 1024):
-        consider(_fibonacci_sphere(n))
+    for stage in _fixed_directions():
+        consider(stage)
     if best is None:
         raise InfeasibleError(
             "no direction clears the angular tolerance on all cells")
@@ -205,14 +212,14 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}; the
     problem reduces to the fiber problem of :func:`solve_fiber` in the
     normal coordinate t with the clamp t >= 1/(j a). Returns the value
-    and a minimizer. j must be an integer >= 1 (numpy integers included,
-    bools refused).
+    and a minimizer. sign must be the integer -1 or +1 and j an integer
+    >= 1 (numpy integers included, bools and floats refused).
     """
     _check_index(j)
     if j < 1:
         raise ValueError("constraint index must be >= 1")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
+    if not (is_integer(sign) and sign in (-1, 1)):
+        raise ValueError(f"sign must be the integer -1 or +1, got {sign!r}")
     m = as_mat32(xi)
     if not _fiber_invariants(m[None])[1][0] > WEDGE_FLOOR:
         raise ValueError("constrained minimization needs a full-rank cell")
@@ -310,10 +317,13 @@ class BlendedDirector:
     minimizer on the interior plateau. A cell is a triangle, hence
     convex, and inside it the distance to its boundary is the least
     distance to its three side lines; each line is stored per cell as an
-    inward unit normal and an offset. Both endpoints satisfy the cell's
-    determinant bound and the bound is linear in the director, so every
-    blended value stays feasible. The sharpness n must be an integer
-    >= 1, numpy integers included, bools refused.
+    inward unit normal and an offset. That distance is affine and 0 on
+    the side, so the weight is clip(min_k lambda_k n h_k, 0, 1) in
+    barycentric coordinates, h_k corner k's height over the side
+    opposite, exactly 0 on the skeleton. Both endpoints satisfy the
+    cell's determinant bound, linear in the director, so every blended
+    value is feasible. n must be an integer >= 1, numpy integers
+    included, bools refused.
     """
 
     def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
@@ -342,6 +352,10 @@ class BlendedDirector:
         # (side, coefficient, cell): each gather reads one contiguous row
         self._lines = np.ascontiguousarray(np.stack([nx.T, ny.T, offset.T],
                                                     axis=1))
+        # n h_k, h_k corner k's height over side k + 1 read off its line
+        nx1, ny1, o1 = (c[:, [1, 2, 0]] for c in (nx, ny, offset))
+        self._heights = self.n * (nx1 * corners[..., 0]
+                                  + ny1 * corners[..., 1] + o1)
 
     def _weight(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Blend weight at (N, 2) points, each inside its given cell."""
@@ -350,6 +364,13 @@ class BlendedDirector:
                       for nx, ny, o in self._lines)
         return np.clip(self.n * np.minimum(np.minimum(d0, d1), d2),
                        0.0, 1.0)
+
+    def _bary_weight(self, bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Blend weight (R, E) at barycentric rows (E, 3) of cells (R,)."""
+        h = self._heights[cells]
+        a = functools.reduce(np.minimum, (h[:, k, None] * bary[:, k]
+                                          for k in range(3)))
+        return np.clip(a, 0.0, 1.0, out=a)
 
     def _blend(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Director at (N, 2) points, each inside its given cell."""
@@ -381,15 +402,15 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     Along the blend zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c,
     the determinant is c0 + a * c1 and |xi|^2 + |zeta|^2 is
     q0 + a * (q1 + a * q2), with five coefficients per cell computed
-    once; the integrand reads them and the weight a of
-    :class:`BlendedDirector` (the side-line distance) and never forms
-    zeta. Each cell is a root of the adaptive midpoint rule and refines
-    until its own two successive levels agree; the rule values each
-    distinct edge midpoint of a cell's children once, so children that
-    share an edge share its sample. All cells go through one
-    :func:`integrate_adaptive` call, which bounds its own memory, and the
-    per-cell values are summed once. The value decreases toward the
-    integral of the reduced density as j and n grow.
+    once. The weight a of :class:`BlendedDirector` is affine in the
+    barycentric coordinates and exactly 0 on the skeleton: the integrand
+    reads (R,) cells' scaled heights and coefficients once and forms a
+    and W at the rule's (E, 3) barycentric rows as (R, E) arrays, with
+    no point and no zeta. Each cell is a root of the adaptive midpoint
+    rule and refines until its own two successive levels agree, all in
+    one :func:`integrate_adaptive` call, which bounds its own memory.
+    The value decreases toward the integral of the reduced density as j
+    and n grow.
 
     ``threads`` is accepted and unused.
     """
@@ -399,16 +420,16 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     crosses = wedge(grads)
     zeta_bar = asn.zeta_bar
     delta = asn.zetas - zeta_bar
-    c0 = crosses @ zeta_bar
-    c1 = np.einsum("ij,ij->i", crosses, delta)
-    q0 = np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar
-    q1 = 2.0 * (delta @ zeta_bar)
-    q2 = np.einsum("ij,ij->i", delta, delta)
+    coef = np.stack([crosses @ zeta_bar,
+                     np.einsum("ij,ij->i", crosses, delta),
+                     np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar,
+                     2.0 * (delta @ zeta_bar),
+                     np.einsum("ij,ij->i", delta, delta)])
 
-    def integrand(points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        a = director._weight(points, cells)
-        return model.density(np.abs(c0[cells] + a * c1[cells]),
-                             q0[cells] + a * (q1[cells] + a * q2[cells]))
+    def integrand(bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        a = director._bary_weight(bary, cells)
+        c0, c1, q0, q1, q2 = coef[:, cells, None]
+        return model.density(np.abs(c0 + a * c1), q0 + a * (q1 + a * q2))
 
     return ExtValue(integrate_adaptive(integrand, director._corners,
                                        rel_tol=rel_tol,

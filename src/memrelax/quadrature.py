@@ -14,7 +14,9 @@ root refined l times has 3 * 4**l child sides but only
 l = 0 ... 3), and its level-l value is one weighted sum over their
 midpoints: A / (3 * 4**l) * sum_e mult_e f(mid_e), mult_e 1 on the
 root's boundary and 2 inside. The midpoints are fixed barycentric
-combinations of the root's corners, exact dyadic numbers per level.
+combinations of the root's corners, exact dyadic numbers per level. The
+integrand receives these rows, not points: an affine one reads its
+coefficients once per root, any other forms ``bary @ tris[roots]``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .tensor_kernel import is_integer
 
-# integrand: (N, 2) points and the (N,) root index of each point -> (N,)
+# integrand: (E, 3) barycentric rows and (R,) root ids -> (R, E) values
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Children one refinement step may stand for. A larger step splits its
@@ -117,21 +119,17 @@ def midpoint_rule(f: Integrand, tris: np.ndarray, roots: np.ndarray,
 
     Root r of the (m, 3, 2) stack ``tris`` refined ``level`` times has
     the value A_r / (3 * 4**level) * sum_e mult_e f(mid_e) over the
-    distinct edges of its children (:func:`_edge_map`). The midpoints
-    are formed as one (E, 3) @ (3, 2) product per root, and the
-    integrand receives those of all roots as one (N, 2) array together
-    with the (N,) root index of each point and must return (N,) values.
+    distinct edges of its children (:func:`_edge_map`). The integrand
+    receives the level's barycentric rows (E, 3) and ``roots`` (R,) and
+    returns the (R, E) values at the midpoints ``bary @ tris[roots]``.
     The weighted row sum runs in an order that does not depend on the
     number of roots, so neither does a root's value.
     """
     bary, mult = _edge_map(level)
-    corners = tris[roots]
-    mids = bary @ corners
-    vals = np.asarray(f(mids.reshape(-1, 2), np.repeat(roots, mult.size)),
-                      dtype=float).reshape(roots.size, mult.size)
-    e = corners[:, 1:] - corners[:, :1]
+    e = tris[roots, 1:] - tris[roots, :1]
     areas = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    return areas * np.einsum("re,e->r", vals, mult) / (3 * 4 ** level)
+    return (areas * np.einsum("re,e->r", f(bary, roots), mult)
+            / (3 * 4 ** level))
 
 
 def _not_nan(values: np.ndarray, level: int) -> np.ndarray:
@@ -148,7 +146,7 @@ def integrate_adaptive(f: Integrand, tris, *,
     Root r stops at the first level l >= 1 with
     |I_l - I_{l-1}| <= rel_tol * max(|I_l|, 1e-300), where I_l is its
     composite value over its 4**l children (:func:`midpoint_rule`), or at
-    max_level. Every level makes one call ``f(points, roots)`` over the
+    max_level. Every level makes one call ``f(bary, roots)`` over the
     roots still refining (more calls once they would stand for more than
     ``_MAX_TRIS`` children); ``roots`` indexes the stack passed in. Only
     root ids and levels are tracked, and each root's value does not

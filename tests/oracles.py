@@ -27,6 +27,9 @@ computes, or a fixture of the paper's constructions:
   interpolates a P1 field, :func:`boundary_mask` marks the boundary
   vertices of a mesh and :func:`perturbed_square_mesh` moves the interior
   ones of a unit-square grid at random;
+* :func:`point_integrand` turns an integrand of points into one of the
+  quadrature rule's barycentric rows, by the product the rule itself
+  formed before it handed over the rows;
 * :func:`mat32` and :func:`mat33` build validated matrices from columns,
   and :func:`finite` unwraps a value that must not be +inf.
 """
@@ -52,6 +55,18 @@ def finite(x) -> float:
     if not math.isfinite(v):
         raise ValueError(f"expected a finite value, got {v}")
     return v
+
+
+def point_integrand(g, tris):
+    """The quadrature integrand ``f(bary, roots) -> (R, E)`` of a point
+    integrand ``g(points, roots) -> (N,)`` over the (m, 3, 2) stack
+    ``tris``: ``g`` receives the midpoints ``bary @ tris[roots]`` of all
+    roots as one (N, 2) array with the root id of each point."""
+    def f(bary, roots):
+        points = (bary @ tris[roots]).reshape(-1, 2)
+        values = g(points, np.repeat(roots, bary.shape[0]))
+        return np.asarray(values).reshape(roots.size, bary.shape[0])
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +508,7 @@ def scanned_normal(cells, block: int = 64):
             if margin[k] > best_margin:
                 best_margin, best = float(margin[k]), rows[k]
 
-    consider(df._axes())
+    consider(np.concatenate([np.eye(3), -np.eye(3)]))
     consider(df._icosahedron())
     for n in (64, 256, 1024):
         consider(df._fibonacci_sphere(n))

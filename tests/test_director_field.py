@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memrelax import director_field
+from memrelax import director_field, quadrature
 from memrelax.director_field import (
     BlendedDirector, DirectorAssignment, build_assignment,
     cell_min_constrained, cellwise_energy, feasible_normal, nirf_value,
@@ -14,7 +14,8 @@ from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
 from memrelax.quadrature import integrate_adaptive
-from oracles import finite, mat32, scanned_normal, single_triangle_mesh
+from oracles import (finite, mat32, point_integrand, scanned_normal,
+                     single_triangle_mesh)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -205,6 +206,30 @@ def test_feasible_normal_rejects_nonfinite_and_misshapen_stacks():
         feasible_normal(np.zeros((2, 3, 3)))
 
 
+def test_the_fixed_directions_are_built_once_and_read_only():
+    # the axes, the icosahedron and three Fibonacci spheres, bit for bit
+    stages = director_field._fixed_directions()
+    assert director_field._fixed_directions() is stages
+    want = [np.concatenate([np.eye(3), -np.eye(3)]),
+            director_field._icosahedron(),
+            *(director_field._fibonacci_sphere(n) for n in (64, 256, 1024))]
+    assert [s.shape[0] for s in stages] == [6, 12, 64, 256, 1024]
+    for got, fresh in zip(stages, want):
+        assert got.tobytes() == fresh.tobytes()
+        assert not got.flags.writeable
+
+
+def test_the_cap_cross_product_is_np_cross_bit_for_bit():
+    # signed zeros included: _cap crosses a unit center with a unit axis
+    rng = np.random.default_rng(17)
+    rows = np.concatenate([rng.normal(size=(400, 3)), np.eye(3), -np.eye(3),
+                           np.zeros((1, 3))])
+    for a in rows[::7]:
+        for b in rows:
+            got = director_field._cross(a, b)
+            assert got.tobytes() == np.cross(a, b).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # constrained cell minimum
 
@@ -270,6 +295,13 @@ def test_constrained_min_input_validation():
         cell_min_constrained(m, mat32([1, 0, 0], [2, 0, 0]), 1, 1)
 
 
+@pytest.mark.parametrize("sign", [True, False, 1.0, -1.0, 0, 2])
+def test_a_sign_that_is_not_the_integer_one_or_minus_one_is_refused(sign):
+    # True and 1.0 passed as +1: True in (-1, 1) holds
+    with pytest.raises(ValueError, match="sign must be the integer"):
+        cell_min_constrained(EnergyModel(), E1E2, sign, 1)
+
+
 @pytest.mark.parametrize("j", [2.5, 2.0, math.inf, math.nan, True])
 def test_a_constraint_index_that_is_not_an_integer_is_refused(j):
     # 2.5 clamped at 1/(2.5 a) but was stored as DirectorAssignment.j == 2;
@@ -292,6 +324,9 @@ def test_a_numpy_integer_constraint_index_is_accepted():
     value, zeta = cell_min_constrained(m, E1E2, 1, np.int32(2))
     assert value == cell_min_constrained(m, E1E2, 1, 2)[0]
     assert np.array_equal(zeta, cell_min_constrained(m, E1E2, 1, 2)[1])
+    value, zeta = cell_min_constrained(m, E1E2, np.int64(-1), 2)
+    assert value == cell_min_constrained(m, E1E2, -1, 2)[0]
+    assert np.array_equal(zeta, cell_min_constrained(m, E1E2, -1, 2)[1])
     assert nirf_value(m, field, np.int64(2), 8) == nirf_value(m, field, 2, 8)
 
 
@@ -512,6 +547,29 @@ def test_weight_is_zero_at_every_corner_of_every_cell(orient):
                                   (field.mesh.n_vertices, 1)))
 
 
+@pytest.mark.parametrize("orient", [lambda f: f, clockwise],
+                         ids=["counterclockwise", "clockwise"])
+def test_barycentric_weight_is_the_side_line_weight_at_the_rule_points(
+        orient):
+    # n d_{k+1}(x) = lambda_k(x) n h_k, h_k the height of corner k over
+    # side k + 1; the quadrature's levels 0-3 on the nirf sheet
+    m = EnergyModel(ShiftedLogBarrier())
+    field = orient(curved_field())
+    phi = BlendedDirector(field, build_assignment(m, field), 64)
+    cells = np.arange(field.mesh.n_cells)
+    for level in range(4):
+        bary = quadrature._edge_map(level)[0]
+        got = phi._bary_weight(bary, cells)
+        points = (bary @ phi._corners[cells]).reshape(-1, 2)
+        want = phi._weight(points, np.repeat(cells, bary.shape[0]))
+        assert got.shape == (cells.size, bary.shape[0])
+        assert np.abs(got.ravel() - want).max() <= 2e-14
+    assert np.any(got == 1.0) and np.any((got > 0.0) & (got < 1.0))
+    # the level-0 midpoints lie on the skeleton, where a side line's
+    # distance reads a few ulps
+    assert np.all(phi._bary_weight(quadrature._edge_map(0)[0], cells) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # blended energy
 
@@ -591,7 +649,8 @@ def per_cell_nirf(model, field, asn, n):
             return model.density(np.abs(zeta @ cross),
                                  sq + np.sum(zeta * zeta, axis=1))
 
-        total += integrate_adaptive(integrand, tri[None]).value
+        total += integrate_adaptive(point_integrand(integrand, tri[None]),
+                                    tri[None]).value
     return total
 
 
@@ -625,19 +684,30 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     (f, tris), = seen  # one call over every cell
     assert tris.shape[0] == asn.n_cells
     rng = np.random.default_rng(16)
-    cells = rng.integers(0, asn.n_cells, 3000)
-    bary = rng.dirichlet(np.full(3, 0.3), cells.size)
-    points = np.einsum("nk,nkj->nj", bary, tris[cells])
-    zeta = phi._blend(points, cells)
-    want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[cells])),
-                     sq[cells] + np.einsum("ij,ij->i", zeta, zeta))
-    np.testing.assert_allclose(f(points, cells), want, rtol=1e-13)
+    cells = rng.integers(0, asn.n_cells, 60)
+    bary = rng.dirichlet(np.full(3, 0.3), 50)
+    points = (bary @ tris[cells]).reshape(-1, 2)
+    every = np.repeat(cells, bary.shape[0])
+    zeta = phi._blend(points, every)
+    want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[every])),
+                     sq[every] + np.einsum("ij,ij->i", zeta, zeta))
+    got = f(bary, cells)
+    assert got.shape == (cells.size, bary.shape[0])
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-13)
 
 
-def test_nirf_value_is_pinned_on_the_refined_curved_sheet():
+def test_nirf_value_is_pinned_on_the_refined_curved_sheet(monkeypatch):
     # (x + 0.1 sin y, y + 0.1 cos x, 0.2 x y) on a 12 x 12 grid, refined
     # once, j four times the coarse field's feasibility index: the nirf
-    # job of the benchmark at seed 0, pinned bit for bit
+    # job of the benchmark at seed 0, pinned bit for bit with the samples
+    # and the level at which each cell stops
+    seen = []
+
+    def spy(f, tris, **kw):
+        seen.append(integrate_adaptive(f, tris, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(director_field, "integrate_adaptive", spy)
     mesh = unit_square_mesh(12)
     x, y = mesh.vertices.T
     coarse = PwAffineField(mesh, np.column_stack(
@@ -647,6 +717,9 @@ def test_nirf_value_is_pinned_on_the_refined_curved_sheet():
     value = nirf_value(EnergyModel(ShiftedLogBarrier()),
                        refine_field(coarse, 1), 4 * j_v, 64)
     assert value.as_float().hex() == "0x1.0153c17fca5d6p+2"
+    res, = seen
+    assert res.n_evals == 127_080
+    assert np.bincount(res.levels).tolist() == [0, 12, 408, 732]
 
 
 def test_nirf_memory_stays_per_point_scalar():

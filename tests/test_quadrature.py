@@ -7,6 +7,7 @@ import pytest
 from memrelax import quadrature
 from memrelax.pw_affine import refine_mesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive, midpoint_rule
+from oracles import point_integrand
 
 
 def _square(n):
@@ -18,21 +19,24 @@ def _square(n):
 def test_midpoint_rule_exact_for_quadratics():
     tris = _square(1)
     f = lambda p, roots: p[:, 0] ** 2 + p[:, 1]
-    terms = midpoint_rule(f, tris, np.arange(tris.shape[0]))
+    terms = midpoint_rule(point_integrand(f, tris), tris,
+                          np.arange(tris.shape[0]))
     assert terms.shape == (tris.shape[0],)
     assert terms.sum() == pytest.approx(1.0 / 3.0 + 0.5, abs=1e-14)
 
 
 def test_adaptive_handles_kink():
     f = lambda p, roots: np.abs(p[:, 0] - 0.5)
-    res = integrate_adaptive(f, _square(1), rel_tol=1e-5, max_level=10)
+    tris = _square(1)
+    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-5,
+                             max_level=10)
     assert res.value == pytest.approx(0.25, rel=5e-4)
     assert res.level >= 1
     assert res.n_evals > 0
 
 
 def test_adaptive_stops_early_on_smooth_integrand():
-    f = lambda p, roots: 3.0 * np.ones(p.shape[0])
+    f = lambda bary, roots: np.full((roots.size, bary.shape[0]), 3.0)
     res = integrate_adaptive(f, _square(2), rel_tol=1e-6, max_level=8)
     assert res.value == pytest.approx(3.0, abs=1e-12)
     assert res.level <= 2
@@ -40,15 +44,15 @@ def test_adaptive_stops_early_on_smooth_integrand():
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda p, roots: p[:, 0], np.zeros((3, 2)))
+        integrate_adaptive(lambda bary, roots: bary[:, 0], np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
                            rel_tol=0.0)
 
 
 def test_rejects_a_negative_max_level():
     with pytest.raises(ValueError, match="max_level"):
-        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
                            max_level=-1)
 
 
@@ -59,24 +63,24 @@ def test_rejects_a_max_level_that_is_not_an_integer(max_level):
     # refining at max_level=1.5 went on to level 2, 42 samples, not 12;
     # a bool passed as level 0 or 1
     calls = []
+    tri = _square(1)[:1]
 
-    def f(p, roots):
+    def g(p, roots):
         calls.append(p.shape[0])
         return p[:, 0]
 
+    f = point_integrand(g, tri)
     with pytest.raises(ValueError, match="max_level must be an integer"):
-        integrate_adaptive(f, _square(1)[:1], rel_tol=1e-12,
-                           max_level=max_level)
+        integrate_adaptive(f, tri, rel_tol=1e-12, max_level=max_level)
     assert calls == []
-    res = integrate_adaptive(f, _square(1)[:1], rel_tol=1e-12,
-                             max_level=np.int64(1))
+    res = integrate_adaptive(f, tri, rel_tol=1e-12, max_level=np.int64(1))
     assert res.level == 1 and res.n_evals == 3 + 9
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
 def test_rejects_a_nonfinite_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
-        integrate_adaptive(lambda p, roots: p[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
                            rel_tol=rel_tol)
 
 
@@ -91,18 +95,20 @@ def test_nan_raises_at_its_first_level_and_inf_passes():
     # 0.0625 at level 2
     tri = np.array([[[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="NaN at refinement level 2"):
-        integrate_adaptive(f, tri, rel_tol=1e-12, max_level=8)
+        integrate_adaptive(point_integrand(f, tri), tri, rel_tol=1e-12,
+                           max_level=8)
     assert len(calls) == 3
 
     infinite = lambda p, roots: np.where(p[:, 0] < 0.1, np.inf,
                                          np.exp(p[:, 0]))
-    res = integrate_adaptive(infinite, tri, rel_tol=1e-12, max_level=2)
+    res = integrate_adaptive(point_integrand(infinite, tri), tri,
+                             rel_tol=1e-12, max_level=2)
     assert res.value == np.inf
     assert res.levels.tolist() == [2]
 
     # +inf at every level: levels 0 and 1 agree, so the root stops at 1;
     # level 1 has 9 distinct edge midpoints
-    always = lambda p, roots: np.full(p.shape[0], np.inf)
+    always = lambda bary, roots: np.full((roots.size, bary.shape[0]), np.inf)
     res = integrate_adaptive(always, tri, rel_tol=1e-12, max_level=8)
     assert res.value == np.inf
     assert res.levels.tolist() == [1] and res.n_evals == 3 + 9
@@ -123,10 +129,12 @@ def test_each_root_stops_on_its_own_as_if_integrated_alone():
         calls.append(np.unique(roots))
         return _flat_or_kinked(points, roots == 1)
 
-    res = integrate_adaptive(f, tris, rel_tol=1e-4, max_level=9)
-    alone = [integrate_adaptive(
+    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-4,
+                             max_level=9)
+    alone = [integrate_adaptive(point_integrand(
         lambda p, roots, kinked=bool(r): _flat_or_kinked(p, kinked),
-        tris[r:r + 1], rel_tol=1e-4, max_level=9) for r in (0, 1)]
+        tris[r:r + 1]), tris[r:r + 1], rel_tol=1e-4, max_level=9)
+        for r in (0, 1)]
 
     assert res.values.tolist() == [a.value for a in alone]
     assert res.levels.tolist() == [a.level for a in alone]
@@ -144,15 +152,16 @@ def test_each_root_stops_on_its_own_as_if_integrated_alone():
 
 def test_a_level_past_the_triangle_budget_splits_its_roots(monkeypatch):
     mesh = _square(3)  # 18 roots, the kink crosses some of them
-    f = lambda p, roots: np.abs(p[:, 0] - 0.45) * (1.0 + roots)
+    f = point_integrand(lambda p, roots: np.abs(p[:, 0] - 0.45)
+                        * (1.0 + roots), mesh)
     whole = integrate_adaptive(f, mesh, rel_tol=1e-4, max_level=6)
     assert whole.level >= 4
 
     sizes = []
 
-    def spy(p, roots):
-        sizes.append((p.shape[0], np.unique(roots).size))
-        return f(p, roots)
+    def spy(bary, roots):
+        sizes.append((roots.size * bary.shape[0], np.unique(roots).size))
+        return f(bary, roots)
 
     monkeypatch.setattr(quadrature, "_MAX_TRIS", 64)
     split = integrate_adaptive(spy, mesh, rel_tol=1e-4, max_level=6)
@@ -211,6 +220,25 @@ def test_every_child_side_midpoint_is_one_weighted_edge(level):
         assert np.array_equal(np.bincount(hit[r], minlength=mult.size), mult)
 
 
+def test_the_integrand_receives_the_rule_rows_and_the_root_ids():
+    # one call per level: the level's own read-only barycentric rows and
+    # the ids of the roots still refining, values back as (roots, rows)
+    tris = _square(2)
+    calls = []
+
+    def f(bary, roots):
+        calls.append((bary, roots.copy()))
+        return np.abs((bary @ tris[roots])[..., 0] - 0.45)
+
+    res = integrate_adaptive(f, tris, rel_tol=1e-3, max_level=4)
+    assert len(calls) == res.level + 1
+    for level, (bary, roots) in enumerate(calls):
+        assert bary is quadrature._edge_map(level)[0]
+        assert not bary.flags.writeable
+        assert np.array_equal(roots, np.flatnonzero(res.levels >= level))
+    assert res.levels.min() == 1 and res.level > 2
+
+
 def _quadratic_integral(tri):
     """Closed form of f = 1 + 2x - y + 3x^2 - xy + 2y^2 over a triangle."""
     (x1, y1), (x2, y2), (x3, y3) = tri
@@ -229,7 +257,7 @@ def test_level_rule_is_exact_for_quadratics(level):
                       - p[:, 0] * p[:, 1] + 2 * p[:, 1] ** 2)
     rng = np.random.default_rng(40 + level)
     tris = rng.uniform(-2.0, 2.0, size=(6, 3, 2))
-    got = midpoint_rule(f, tris, np.arange(6), level)
+    got = midpoint_rule(point_integrand(f, tris), tris, np.arange(6), level)
     want = [_quadratic_integral(t) for t in tris]
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
 
@@ -241,7 +269,7 @@ def test_refinement_keeps_no_child_stack():
     # 1.13 MB; the bound leaves a third of that as margin.
     mesh = refine_mesh(unit_square_mesh(12))
     tris = mesh.vertices[mesh.triangles][:256]
-    f = lambda p, r: np.exp(p[:, 0] * p[:, 1])
+    f = point_integrand(lambda p, r: np.exp(p[:, 0] * p[:, 1]), tris)
     tracemalloc.start()
     try:
         res = integrate_adaptive(f, tris, rel_tol=1e-15, max_level=3)
@@ -317,7 +345,8 @@ def test_level_sums_give_the_all_sides_rule_to_round_off(
     tris = _square(3)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
-    res = integrate_adaptive(f, tris, rel_tol=1e-4, max_level=5)
+    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-4,
+                             max_level=5)
     values, levels, errors, samples = _reference_integrate(f, tris, 1e-4, 5)
     assert res.levels.tolist() == levels.tolist()
     assert res.level == levels.max()
@@ -340,7 +369,8 @@ def test_level_sums_give_the_all_sides_rule_bit_for_bit_on_dyadic_input(
     tris = _square(4)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
-    res = integrate_adaptive(f, tris, rel_tol=1e-12, max_level=5)
+    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-12,
+                             max_level=5)
     values, levels, errors, _ = _reference_integrate(f, tris, 1e-12, 5)
     assert res.levels.max() == 4
     assert res.values.tolist() == values.tolist()
@@ -351,6 +381,7 @@ def test_level_sums_give_the_all_sides_rule_bit_for_bit_on_dyadic_input(
 def test_distinct_edges_raise_nan_at_the_same_level():
     f = lambda p, r: np.where(p[:, 0] < 0.1, np.nan, np.exp(p[:, 0]))
     tri = np.array([[[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    for rule in (integrate_adaptive, _reference_integrate):
+    for rule, g in ((integrate_adaptive, point_integrand(f, tri)),
+                    (_reference_integrate, f)):
         with pytest.raises(ValueError, match="NaN at refinement level 2"):
-            rule(f, tri, rel_tol=1e-12, max_level=8)
+            rule(g, tri, rel_tol=1e-12, max_level=8)
