@@ -61,14 +61,11 @@ def _icosahedron() -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1)[:, None]
 
 
-@functools.cache
-def _fixed_directions() -> tuple[np.ndarray, ...]:
-    """The scan's stages before the caps, built once, read-only."""
-    stages = (np.concatenate([np.eye(3), -np.eye(3)]), _icosahedron(),
-              *map(_fibonacci_sphere, (64, 256, 1024)))
-    for arr in stages:
-        arr.setflags(write=False)
-    return stages
+# the scan's stages before the caps, built once at import, read-only
+_FIXED_DIRECTIONS = (np.concatenate([np.eye(3), -np.eye(3)]), _icosahedron(),
+                     *map(_fibonacci_sphere, (64, 256, 1024)))
+for _stage in _FIXED_DIRECTIONS:
+    _stage.setflags(write=False)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +161,7 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
                 best_margin = float(margin[k])
                 best = block[k]
 
-    for stage in _fixed_directions():
+    for stage in _FIXED_DIRECTIONS:
         consider(stage)
     if best is None:
         raise InfeasibleError(
@@ -316,14 +313,16 @@ class BlendedDirector:
     shared direction on the mesh skeleton and the per-cell constrained
     minimizer on the interior plateau. A cell is a triangle, hence
     convex, and inside it the distance to its boundary is the least
-    distance to its three side lines; each line is stored per cell as an
-    inward unit normal and an offset. That distance is affine and 0 on
-    the side, so the weight is clip(min_k lambda_k n h_k, 0, 1) in
-    barycentric coordinates, h_k corner k's height over the side
-    opposite, exactly 0 on the skeleton. Both endpoints satisfy the
-    cell's determinant bound, linear in the director, so every blended
-    value is feasible. n must be an integer >= 1, numpy integers
-    included, bools refused.
+    distance to its three side lines. The distance to the side opposite
+    corner k is lambda_k h_k, lambda_k the barycentric coordinate and
+    h_k = 2 A / |side| the corner's height, read off the mesh's cell area
+    whatever the cell's orientation; so the weight is
+    clip(min_k lambda_k n h_k, 0, 1), 0 wherever a coordinate is. Only
+    the scaled heights n h_k are stored. :meth:`evaluate` reads the
+    coordinates of a point in the cell that contains it, the quadrature
+    its rule's rows. Both endpoints satisfy the cell's determinant
+    bound, linear in the director, so every blended value is feasible.
+    n must be an integer >= 1, numpy integers included, bools refused.
     """
 
     def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
@@ -336,54 +335,29 @@ class BlendedDirector:
         self.field = field
         self.assignment = assignment
         self.n = int(n)
-        self._corners = corners = field.mesh.vertices[field.mesh.triangles]
-        # side k runs from corner k to corner k + 1; its normal is turned
-        # toward corner k + 2, so clockwise cells work too
-        side = np.roll(corners, -1, axis=1) - corners
-        normal = np.stack([-side[..., 1], side[..., 0]], axis=-1)
-        normal /= np.linalg.norm(normal, axis=2)[..., None]
-        opposite = np.roll(corners, -2, axis=1) - corners
-        normal *= np.sign(np.einsum("mkj,mkj->mk", normal,
-                                    opposite))[..., None]
-        nx, ny = normal[..., 0], normal[..., 1]
-        # the offset repeats _weight's arithmetic, so the line of the side
-        # that starts at a corner reads exactly 0.0 there
-        offset = -(nx * corners[..., 0] + ny * corners[..., 1])
-        # (side, coefficient, cell): each gather reads one contiguous row
-        self._lines = np.ascontiguousarray(np.stack([nx.T, ny.T, offset.T],
-                                                    axis=1))
-        # n h_k, h_k corner k's height over side k + 1 read off its line
-        nx1, ny1, o1 = (c[:, [1, 2, 0]] for c in (nx, ny, offset))
-        self._heights = self.n * (nx1 * corners[..., 0]
-                                  + ny1 * corners[..., 1] + o1)
-
-    def _weight(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Blend weight at (N, 2) points, each inside its given cell."""
-        x, y = points[:, 0], points[:, 1]
-        d0, d1, d2 = (nx[cells] * x + ny[cells] * y + o[cells]
-                      for nx, ny, o in self._lines)
-        return np.clip(self.n * np.minimum(np.minimum(d0, d1), d2),
-                       0.0, 1.0)
+        corners = field.mesh.vertices[field.mesh.triangles]
+        opposite = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
+        self._heights = (2.0 * self.n * field.mesh.areas[:, None]
+                         / np.linalg.norm(opposite, axis=2))
 
     def _bary_weight(self, bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Blend weight (R, E) at barycentric rows (E, 3) of cells (R,)."""
+        """Blend weight at barycentric rows (..., 3) of cells whose ids
+        broadcast against the rows' leading shape."""
         h = self._heights[cells]
-        a = functools.reduce(np.minimum, (h[:, k, None] * bary[:, k]
+        a = functools.reduce(np.minimum, (h[..., k] * bary[..., k]
                                           for k in range(3)))
         return np.clip(a, 0.0, 1.0, out=a)
 
-    def _blend(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Director at (N, 2) points, each inside its given cell."""
-        a = self._weight(points, cells)[:, None]
-        return ((1.0 - a) * self.assignment.zeta_bar[None]
-                + a * self.assignment.zetas[cells])
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """Director (N, 3) at (N, 2) points of the mesh."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         cells = self.field.mesh.locate(pts)
         if np.any(cells < 0):
             raise ValueError("director evaluated outside the mesh")
-        return self._blend(pts, cells)
+        bary = self.field.mesh.barycentric(pts, cells)
+        a = self._bary_weight(bary, cells)[:, None]
+        return ((1.0 - a) * self.assignment.zeta_bar[None]
+                + a * self.assignment.zetas[cells])
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +381,9 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     reads (R,) cells' scaled heights and coefficients once and forms a
     and W at the rule's (E, 3) barycentric rows as (R, E) arrays, with
     no point and no zeta. Each cell is a root of the adaptive midpoint
-    rule and refines until its own two successive levels agree, all in
-    one :func:`integrate_adaptive` call, which bounds its own memory.
+    rule, which reads the mesh's cell areas and no corner, and refines
+    until its own two successive levels agree, all in one
+    :func:`integrate_adaptive` call, which bounds its own memory.
     The value decreases toward the integral of the reduced density as j
     and n grow.
 
@@ -427,10 +402,10 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
                      np.einsum("ij,ij->i", delta, delta)])
 
     def integrand(bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        a = director._bary_weight(bary, cells)
+        a = director._bary_weight(bary, cells[:, None])
         c0, c1, q0, q1, q2 = coef[:, cells, None]
         return model.density(np.abs(c0 + a * c1), q0 + a * (q1 + a * q2))
 
-    return ExtValue(integrate_adaptive(integrand, director._corners,
+    return ExtValue(integrate_adaptive(integrand, field.mesh.areas,
                                        rel_tol=rel_tol,
                                        max_level=max_level).value)

@@ -730,10 +730,11 @@ class EnvelopeTable:
     @classmethod
     def from_dict(cls, data: dict) -> "EnvelopeTable":
         """The table of :meth:`to_dict`'s record. A table saved with its
-        model must replay its nodes (:meth:`audit`) within 1e-12, or
-        ValueError is raised; keys of older records (``depth``,
-        ``evaluations``, ``model_info`` and a top-level ``p``, which the
-        certificate holds) are ignored."""
+        model must replay its nodes (:meth:`audit`) within 1e-12, and
+        every entry must sit on a grid node and hold the value matrix's
+        value there, read either way round, or ValueError is raised. Keys
+        of older records (``depth``, ``evaluations``, ``model_info`` and a
+        top-level ``p``, which the certificate holds) are ignored."""
         cert = GrowthCertificate(**data["certificate"])
         entries = [TableEntry(sigma=tuple(e["sigma"]), value=e["value"],
                               method=e["method"], witness=e.get("witness"))
@@ -746,6 +747,13 @@ class EnvelopeTable:
             if not gap <= _REPLAY_TOL:
                 raise ValueError(f"table nodes miss their replayed "
                                  f"laminates by {gap!r} relative")
+        node = {s: k for k, s in enumerate(table.sigma_grid.tolist())}
+        for e in table.entries:
+            i, j = (node.get(s, -1) for s in e.sigma)
+            if min(i, j) < 0 or not (e.value == table.values[i, j]
+                                     == table.values[j, i]):
+                raise ValueError(f"table entry at {e.sigma} differs from "
+                                 "the value matrix")
         return table
 
     def save_json(self, path) -> None:

@@ -51,7 +51,7 @@ class TriMesh:
     """
 
     __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
-                 "_inv_jac", "_inv_rows", "_p0", "_scatter")
+                 "_inv_rows", "_p0", "_scatter")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -79,15 +79,14 @@ class TriMesh:
         if np.any(areas <= AREA_FLOOR):
             bad = int(np.argmin(areas))
             raise ValueError(f"triangle {bad} is degenerate (area {areas[bad]:.3e})")
-        # the inverse Jacobians as rows, inv_rows[a, j] = inv[:, a, j],
-        # and as the (m, 2, 2) stack inv, a view of the same memory
+        # the inverse Jacobians as rows: inv_rows[a, j] holds entry (a, j)
+        # of every cell's inverse
         inv_rows = np.empty((2, 2, T.shape[0]))
         inv_rows[0, 0] = jac[:, 1, 1]
         inv_rows[0, 1] = -jac[:, 0, 1]
         inv_rows[1, 0] = -jac[:, 1, 0]
         inv_rows[1, 1] = jac[:, 0, 0]
         inv_rows /= det
-        inv = inv_rows.transpose(2, 0, 1)
 
         # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
         n = V.shape[0]
@@ -97,14 +96,13 @@ class TriMesh:
         edges = np.stack([keys // n, keys % n], axis=1)
         cell_edges = side_edge.reshape(-1, 3)
 
-        for arr in (V, T, areas, inv, inv_rows, p0, edges, cell_edges):
+        for arr in (V, T, areas, inv_rows, p0, edges, cell_edges):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "triangles", T)
         object.__setattr__(self, "areas", areas)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "cell_edges", cell_edges)
-        object.__setattr__(self, "_inv_jac", inv)
         object.__setattr__(self, "_inv_rows", inv_rows)
         object.__setattr__(self, "_p0", p0)
         object.__setattr__(self, "_scatter", {})
@@ -120,13 +118,15 @@ class TriMesh:
     def n_cells(self) -> int:
         return self.triangles.shape[0]
 
-    def barycentric(self, points: np.ndarray) -> np.ndarray:
-        """All barycentric coordinates, shape (N, m, 3)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        rel = pts[:, None, :] - self._p0[None, :, :]           # (N,m,2)
-        lam = np.einsum("mij,nmj->nmi", self._inv_jac, rel)    # (N,m,2)
-        lam0 = 1.0 - lam[:, :, 0] - lam[:, :, 1]
-        return np.concatenate([lam0[:, :, None], lam], axis=2)
+    def barycentric(self, points: np.ndarray,
+                    cells: np.ndarray) -> np.ndarray:
+        """Barycentric coordinates (..., 3) of points (..., 2) in cells
+        whose ids broadcast against the points' leading shape."""
+        rel = np.asarray(points, dtype=float) - self._p0[cells]
+        inv = self._inv_rows[..., cells]
+        lam1 = inv[0, 0] * rel[..., 0] + inv[0, 1] * rel[..., 1]
+        lam2 = inv[1, 0] * rel[..., 0] + inv[1, 1] * rel[..., 1]
+        return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Index of the lowest-index cell containing each point, -1 if the
@@ -135,11 +135,12 @@ class TriMesh:
         Points are scanned in blocks of ``_LOCATE_POINTS``, so at most a
         (block, m, 3) barycentric stack is held at once.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = np.asarray(points, dtype=float).reshape(-1, 1, 2)
         out = np.full(pts.shape[0], -1, dtype=int)
+        every = np.arange(self.n_cells)
         for start in range(0, pts.shape[0], _LOCATE_POINTS):
             block = slice(start, start + _LOCATE_POINTS)
-            inside = np.all(self.barycentric(pts[block]) >= -_BARY_TOL,
+            inside = np.all(self.barycentric(pts[block], every) >= -_BARY_TOL,
                             axis=2)
             hit = inside.any(axis=1)
             out[block][hit] = np.argmax(inside[hit], axis=1)

@@ -14,9 +14,10 @@ root refined l times has 3 * 4**l child sides but only
 l = 0 ... 3), and its level-l value is one weighted sum over their
 midpoints: A / (3 * 4**l) * sum_e mult_e f(mid_e), mult_e 1 on the
 root's boundary and 2 inside. The midpoints are fixed barycentric
-combinations of the root's corners, exact dyadic numbers per level. The
-integrand receives these rows, not points: an affine one reads its
-coefficients once per root, any other forms ``bary @ tris[roots]``.
+combinations of the root's corners, exact dyadic numbers per level, so
+the rule needs only each root's area A and these rows. The integrand
+receives the rows, not points: an affine one reads its coefficients once
+per root, any other forms ``bary @ tris[roots]`` from its own corners.
 """
 
 from __future__ import annotations
@@ -57,13 +58,6 @@ class QuadResult:
     n_evals: int
     values: np.ndarray
     levels: np.ndarray
-
-
-def _triangle_stack(tris) -> np.ndarray:
-    tris = np.asarray(tris, dtype=float)
-    if tris.ndim != 3 or tris.shape[1:] != (3, 2):
-        raise ValueError(f"expected (m, 3, 2) triangle stack, got {tris.shape}")
-    return tris
 
 
 # corners of the four children among a triangle's corners a, b, c (0-2)
@@ -113,22 +107,20 @@ def _edge_map(level: int) -> tuple[np.ndarray, np.ndarray]:
     return maps
 
 
-def midpoint_rule(f: Integrand, tris: np.ndarray, roots: np.ndarray,
+def midpoint_rule(f: Integrand, areas: np.ndarray, roots: np.ndarray,
                   level: int = 0) -> np.ndarray:
     """Level-``level`` composite midpoint value of each root in ``roots``.
 
-    Root r of the (m, 3, 2) stack ``tris`` refined ``level`` times has
-    the value A_r / (3 * 4**level) * sum_e mult_e f(mid_e) over the
-    distinct edges of its children (:func:`_edge_map`). The integrand
-    receives the level's barycentric rows (E, 3) and ``roots`` (R,) and
-    returns the (R, E) values at the midpoints ``bary @ tris[roots]``.
-    The weighted row sum runs in an order that does not depend on the
-    number of roots, so neither does a root's value.
+    Root r, of area ``areas[r]``, refined ``level`` times has the value
+    A_r / (3 * 4**level) * sum_e mult_e f(mid_e) over the distinct edges
+    of its children (:func:`_edge_map`). The integrand receives the
+    level's barycentric rows (E, 3) and ``roots`` (R,) and returns the
+    (R, E) values at those midpoints of the roots. The weighted row sum
+    runs in an order that does not depend on the number of roots, so
+    neither does a root's value.
     """
     bary, mult = _edge_map(level)
-    e = tris[roots, 1:] - tris[roots, :1]
-    areas = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
-    return (areas * np.einsum("re,e->r", f(bary, roots), mult)
+    return (areas[roots] * np.einsum("re,e->r", f(bary, roots), mult)
             / (3 * 4 ** level))
 
 
@@ -138,9 +130,9 @@ def _not_nan(values: np.ndarray, level: int) -> np.ndarray:
     return values
 
 
-def integrate_adaptive(f: Integrand, tris, *,
+def integrate_adaptive(f: Integrand, areas, *,
                        rel_tol: float = 1e-4, max_level: int = 8) -> QuadResult:
-    """Integrate over each root triangle of an (m, 3, 2) stack, refining
+    """Integrate over m root triangles of the given (m,) areas, refining
     uniformly per root.
 
     Root r stops at the first level l >= 1 with
@@ -148,22 +140,26 @@ def integrate_adaptive(f: Integrand, tris, *,
     composite value over its 4**l children (:func:`midpoint_rule`), or at
     max_level. Every level makes one call ``f(bary, roots)`` over the
     roots still refining (more calls once they would stand for more than
-    ``_MAX_TRIS`` children); ``roots`` indexes the stack passed in. Only
+    ``_MAX_TRIS`` children); ``roots`` indexes the areas passed in. Only
     root ids and levels are tracked, and each root's value does not
     depend on the roots refined with it.
 
     Raises ValueError at the first level at which a root's value is
     NaN; +inf values pass through, and a root equal at two successive
-    levels (+inf included) has converged. max_level must be an integer
-    >= 0, numpy integers included, bools refused.
+    levels (+inf included) has converged. The areas must be one finite
+    positive number per root, and max_level an integer >= 0, numpy
+    integers included, bools refused.
     """
     if not 0.0 < rel_tol < np.inf:
         raise ValueError("rel_tol must be positive and finite")
     if not (is_integer(max_level) and max_level >= 0):
         raise ValueError(f"max_level must be an integer >= 0, got {max_level!r}")
-    tris = _triangle_stack(tris)
-    m = tris.shape[0]
-    values = _not_nan(midpoint_rule(f, tris, np.arange(m)), 0)
+    areas = np.asarray(areas, dtype=float)
+    if areas.ndim != 1 or not np.all((areas > 0.0) & (areas < np.inf)):
+        raise ValueError("areas must be a 1-D array of finite positive "
+                         "numbers")
+    m = areas.size
+    values = _not_nan(midpoint_rule(f, areas, np.arange(m)), 0)
     levels = np.zeros(m, dtype=int)
     errors = np.full(m, np.inf)
     evals = _edge_map(0)[1].size * m
@@ -178,7 +174,7 @@ def integrate_adaptive(f: Integrand, tris, *,
                 active = active[:half]
                 continue
             level += 1
-            new = _not_nan(midpoint_rule(f, tris, active, level), level)
+            new = _not_nan(midpoint_rule(f, areas, active, level), level)
             evals += _edge_map(level)[1].size * active.size
             # equal levels have converged, +inf ones too (inf - inf is NaN)
             old = values[active]

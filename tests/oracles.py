@@ -29,7 +29,8 @@ computes, or a fixture of the paper's constructions:
   ones of a unit-square grid at random;
 * :func:`point_integrand` turns an integrand of points into one of the
   quadrature rule's barycentric rows, by the product the rule itself
-  formed before it handed over the rows;
+  formed before it handed over the rows, and :func:`corner_areas` gives
+  the rule the areas of a corner stack;
 * :func:`mat32` and :func:`mat33` build validated matrices from columns,
   and :func:`finite` unwraps a value that must not be +inf.
 """
@@ -67,6 +68,13 @@ def point_integrand(g, tris):
         values = g(points, np.repeat(roots, bary.shape[0]))
         return np.asarray(values).reshape(roots.size, bary.shape[0])
     return f
+
+
+def corner_areas(tris) -> np.ndarray:
+    """The (m,) areas of an (m, 3, 2) corner stack, by the two products
+    the quadrature rule took from the corners before it took areas."""
+    e = tris[:, 1:] - tris[:, :1]
+    return 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def evaluate(field: PwAffineField, points) -> np.ndarray:
     miss = cells < 0
     if np.any(miss):
         raise ValueError(f"{int(miss.sum())} point(s) outside the domain")
-    lam = mesh.barycentric(pts)[np.arange(pts.shape[0]), cells]
+    lam = mesh.barycentric(pts, cells)
     corners = field.values[mesh.triangles[cells]]
     return np.einsum("nc,nck->nk", lam, corners)
 
@@ -529,7 +537,7 @@ def strided_gradients_and_means(mesh: TriMesh, values):
     """Cell gradients (..., m, k, 2) and cell means (..., m, k) of
     (..., n, k) nodal values, from one (..., 3, m, k) corner gather."""
     c = np.take(np.asarray(values, dtype=float), mesh.triangles.T, axis=-2)
-    inv = mesh._inv_jac
+    inv = mesh._inv_rows.transpose(2, 0, 1)
     e1 = c[..., 1, :, :] - c[..., 0, :, :]
     e2 = c[..., 2, :, :] - c[..., 0, :, :]
     grads = np.empty(e1.shape + (2,))
@@ -542,7 +550,7 @@ def strided_gradients_and_means(mesh: TriMesh, values):
 def strided_pull_back(mesh: TriMesh, d_grad, d_mean) -> np.ndarray:
     """Adjoint of :func:`strided_gradients_and_means`: the (..., m, 3, k)
     corner terms, scattered by one ``np.bincount``."""
-    G, C, inv = d_grad, d_mean / 3.0, mesh._inv_jac
+    G, C, inv = d_grad, d_mean / 3.0, mesh._inv_rows.transpose(2, 0, 1)
     a = G[..., 0] * inv[:, 0, 0, None] + G[..., 1] * inv[:, 0, 1, None]
     b = G[..., 0] * inv[:, 1, 0, None] + G[..., 1] * inv[:, 1, 1, None]
     corner = np.stack([C - a - b, C + a, C + b], axis=-2)

@@ -14,8 +14,8 @@ from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
 from memrelax.quadrature import integrate_adaptive
-from oracles import (finite, mat32, point_integrand, scanned_normal,
-                     single_triangle_mesh)
+from oracles import (corner_areas, finite, mat32, point_integrand,
+                     scanned_normal, single_triangle_mesh)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -206,10 +206,10 @@ def test_feasible_normal_rejects_nonfinite_and_misshapen_stacks():
         feasible_normal(np.zeros((2, 3, 3)))
 
 
-def test_the_fixed_directions_are_built_once_and_read_only():
-    # the axes, the icosahedron and three Fibonacci spheres, bit for bit
-    stages = director_field._fixed_directions()
-    assert director_field._fixed_directions() is stages
+def test_the_fixed_directions_are_built_once_and_read_only(monkeypatch):
+    # the axes, the icosahedron and three Fibonacci spheres, bit for bit,
+    # built at import: a scan builds none of them
+    stages = director_field._FIXED_DIRECTIONS
     want = [np.concatenate([np.eye(3), -np.eye(3)]),
             director_field._icosahedron(),
             *(director_field._fibonacci_sphere(n) for n in (64, 256, 1024))]
@@ -217,6 +217,13 @@ def test_the_fixed_directions_are_built_once_and_read_only():
     for got, fresh in zip(stages, want):
         assert got.tobytes() == fresh.tobytes()
         assert not got.flags.writeable
+
+    def refuse(*args):
+        raise AssertionError("a fixed stage built during a scan")
+
+    for name in ("_icosahedron", "_fibonacci_sphere"):
+        monkeypatch.setattr(director_field, name, refuse)
+    assert feasible_normal([E1E2])[1] == 1
 
 
 def test_the_cap_cross_product_is_np_cross_bit_for_bit():
@@ -526,8 +533,9 @@ def test_weight_matches_the_segment_distance(orient):
                              mids.reshape(-1, 2), corners.reshape(-1, 2)])
     dist = segment_distance(corners[cells], points)
     assert dist.max() > 0.05  # the weight is checked away from the edges
+    bary = field.mesh.barycentric(points, cells)
     for n in (1, 4, 64):
-        got = BlendedDirector(field, asn, n)._weight(points, cells)
+        got = BlendedDirector(field, asn, n)._bary_weight(bary, cells)
         np.testing.assert_allclose(got, np.minimum(n * dist, 1.0),
                                    rtol=0.0, atol=1e-14)
 
@@ -540,8 +548,8 @@ def test_weight_is_zero_at_every_corner_of_every_cell(orient):
     phi = BlendedDirector(field, build_assignment(m, field), 10 ** 6)
     corners = field.mesh.vertices[field.mesh.triangles]
     cells = np.repeat(np.arange(field.mesh.n_cells), 3)
-    weights = phi._weight(corners.reshape(-1, 2), cells)
-    assert np.all(weights == 0.0)
+    bary = field.mesh.barycentric(corners.reshape(-1, 2), cells)
+    assert np.all(phi._bary_weight(bary, cells) == 0.0)
     assert np.array_equal(phi.evaluate(field.mesh.vertices),
                           np.tile(phi.assignment.zeta_bar,
                                   (field.mesh.n_vertices, 1)))
@@ -549,25 +557,28 @@ def test_weight_is_zero_at_every_corner_of_every_cell(orient):
 
 @pytest.mark.parametrize("orient", [lambda f: f, clockwise],
                          ids=["counterclockwise", "clockwise"])
-def test_barycentric_weight_is_the_side_line_weight_at_the_rule_points(
+def test_barycentric_weight_is_the_segment_distance_at_the_rule_points(
         orient):
-    # n d_{k+1}(x) = lambda_k(x) n h_k, h_k the height of corner k over
-    # side k + 1; the quadrature's levels 0-3 on the nirf sheet
+    # n dist(x) = min_k lambda_k(x) n h_k, h_k the height of corner k over
+    # the side opposite; the quadrature's levels 0-3 on the nirf sheet
     m = EnergyModel(ShiftedLogBarrier())
     field = orient(curved_field())
     phi = BlendedDirector(field, build_assignment(m, field), 64)
     cells = np.arange(field.mesh.n_cells)
+    corners = field.mesh.vertices[field.mesh.triangles]
     for level in range(4):
         bary = quadrature._edge_map(level)[0]
-        got = phi._bary_weight(bary, cells)
-        points = (bary @ phi._corners[cells]).reshape(-1, 2)
-        want = phi._weight(points, np.repeat(cells, bary.shape[0]))
+        got = phi._bary_weight(bary, cells[:, None])
+        points = (bary @ corners).reshape(-1, 2)
+        every = np.repeat(cells, bary.shape[0])
+        want = np.minimum(64 * segment_distance(corners[every], points), 1.0)
         assert got.shape == (cells.size, bary.shape[0])
         assert np.abs(got.ravel() - want).max() <= 2e-14
     assert np.any(got == 1.0) and np.any((got > 0.0) & (got < 1.0))
-    # the level-0 midpoints lie on the skeleton, where a side line's
-    # distance reads a few ulps
-    assert np.all(phi._bary_weight(quadrature._edge_map(0)[0], cells) == 0.0)
+    # the level-0 midpoints lie on the skeleton: a zero coordinate there
+    # makes the weight exactly 0
+    level0 = quadrature._edge_map(0)[0]
+    assert np.all(phi._bary_weight(level0, cells[:, None]) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +661,7 @@ def per_cell_nirf(model, field, asn, n):
                                  sq + np.sum(zeta * zeta, axis=1))
 
         total += integrate_adaptive(point_integrand(integrand, tri[None]),
-                                    tri[None]).value
+                                    corner_areas(tri[None])).value
     return total
 
 
@@ -664,6 +675,17 @@ def test_nirf_matches_a_per_cell_oracle():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_nirf_value_does_not_depend_on_the_cells_orientation():
+    # heights and areas carry no orientation, so listing every cell
+    # clockwise changes only the round-off of the coefficients
+    m = EnergyModel(ShiftedLogBarrier())
+    field = curved_field()
+    _, j_v, _ = feasible_normal(field.gradients())
+    want = finite(nirf_value(m, field, 4 * j_v, 64))
+    got = finite(nirf_value(m, clockwise(field), 4 * j_v, 64))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     # the per-cell polynomial in the weight against W at the blended zeta
     m = EnergyModel(ShiftedLogBarrier())
@@ -671,9 +693,9 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     _, j_v, _ = feasible_normal(field.gradients())
     seen = []
 
-    def spy(f, tris, **kw):
-        seen.append((f, tris))
-        return integrate_adaptive(f, tris, **kw)
+    def spy(f, areas, **kw):
+        seen.append((f, areas))
+        return integrate_adaptive(f, areas, **kw)
 
     monkeypatch.setattr(director_field, "integrate_adaptive", spy)
     nirf_value(m, field, 4 * j_v, 64)
@@ -681,14 +703,16 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     phi = BlendedDirector(field, asn, 64)
     crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
     sq = np.sum(asn.gradients ** 2, axis=(1, 2))
-    (f, tris), = seen  # one call over every cell
-    assert tris.shape[0] == asn.n_cells
+    (f, areas), = seen  # one call over every cell, the mesh's areas
+    assert areas is field.mesh.areas
+    corners = field.mesh.vertices[field.mesh.triangles]
     rng = np.random.default_rng(16)
     cells = rng.integers(0, asn.n_cells, 60)
     bary = rng.dirichlet(np.full(3, 0.3), 50)
-    points = (bary @ tris[cells]).reshape(-1, 2)
+    points = (bary @ corners[cells]).reshape(-1, 2)
     every = np.repeat(cells, bary.shape[0])
-    zeta = phi._blend(points, every)
+    assert np.array_equal(field.mesh.locate(points), every)
+    zeta = phi.evaluate(points)
     want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[every])),
                      sq[every] + np.einsum("ij,ij->i", zeta, zeta))
     got = f(bary, cells)

@@ -1256,21 +1256,26 @@ def test_audit_refuses_a_broken_laminate(small_table):
 
     def broken(edit):
         record = json.loads(json.dumps(data))
-        edit(record["entries"][1])
+        edit(record["entries"][1], record["values"])
         return record
 
-    def outside(e):
+    def outside(e, values):
         e["witness"]["fraction"] = 1.5
 
-    def rank_two(e):
+    def rank_two(e, values):
         e["witness"]["plus"]["step"] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 
-    def moved(e):
+    def moved(e, values):
         e["value"] *= 1.0 + 1e-9
+
+    def served(e, values):
+        # the matrix is what a lookup reads: node (0.5, 0) at (0, 1)
+        values[0][1] *= 1.0 + 1e-9
 
     for edit, match in ((outside, "outside \\[0, 1\\]"),
                         (rank_two, "not rank one"),
-                        (moved, "replayed laminates")):
+                        (moved, "replayed laminates"),
+                        (served, "differs from the value matrix")):
         with pytest.raises(ValueError, match=match):
             EnvelopeTable.from_dict(broken(edit))
     # a table without its model cannot be replayed

@@ -68,6 +68,36 @@ def _definitions(tree: ast.Module) -> set[str]:
     return names
 
 
+def _stored_members(tree: ast.Module) -> set[str]:
+    """Methods of every class and the attributes it stores, as
+    ``self._x = ...`` or ``object.__setattr__(self, "_x", ...)``."""
+    names = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names.update(n.name for n in cls.body
+                     if isinstance(n, ast.FunctionDef))
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__"
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                names.add(node.args[1].value)
+    return names
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names the code reads, as ``obj.name`` loads."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def _read_names(tree: ast.Module) -> set[str]:
     """Names the code reads, as a bare name, an attribute or an import."""
     read = set()
@@ -91,15 +121,22 @@ def _parse(paths) -> list[ast.Module]:
     return [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
 
 
+def _private(names: set[str]) -> set[str]:
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
 def test_every_private_definition_is_used():
-    # a private helper left behind after its last caller is deleted is
-    # dead code; tests do not count as callers
+    # a private helper, method or stored attribute left behind after its
+    # last reader is deleted is dead code; tests do not count as readers,
+    # and a member counts as read only as an attribute, so a module-level
+    # function of the same name does not hide it
     trees = _parse(PACKAGE)
-    defined = {n for n in set().union(*map(_definitions, trees))
-               if n.startswith("_") and not n.endswith("__")}
+    defined = _private(set().union(*map(_definitions, trees)))
+    members = _private(set().union(*map(_stored_members, trees)))
     read = set().union(*map(_read_names, trees))
-    assert defined, "the scan found no private definitions"
-    assert sorted(defined - read) == []
+    attributes = set().union(*map(_read_attributes, trees))
+    assert defined and members, "the scan found no private definitions"
+    assert sorted((defined - read) | (members - attributes)) == []
 
 
 def test_every_public_definition_is_read():

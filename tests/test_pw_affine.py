@@ -265,7 +265,7 @@ def test_one_corner_gather_equals_the_per_corner_formulas(lead, k):
     # the three-gather formulas the mesh used before it shared one gather
     mesh = perturbed_square_mesh()
     v = np.random.default_rng(12).standard_normal(lead + (mesh.n_vertices, k))
-    T, inv = mesh.triangles, mesh._inv_jac
+    T, inv = mesh.triangles, mesh._inv_rows.transpose(2, 0, 1)
     v0 = v[..., T[:, 0], :]
     e1 = v[..., T[:, 1], :] - v0
     e2 = v[..., T[:, 2], :] - v0
@@ -306,11 +306,29 @@ def test_blocked_locate_equals_one_full_scan(monkeypatch, block):
     ])
     assert pts.shape[0] < 1000  # so the largest block scans all at once
     # one (N, m, 3) scan: the lowest-index containing cell, -1 outside
-    inside = np.all(mesh.barycentric(pts) >= -pw_affine._BARY_TOL, axis=2)
+    every = np.arange(mesh.n_cells)
+    inside = np.all(mesh.barycentric(pts[:, None], every)
+                    >= -pw_affine._BARY_TOL, axis=2)
     want = np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
     got = mesh.locate(pts)
     np.testing.assert_array_equal(got, want)
     assert np.all(got[-4:] == -1) and np.all(got[:-4] >= 0)
+
+
+def test_barycentric_coordinates_broadcast_the_cell_ids():
+    # one point per cell reads the same bits as the all-cells scan, and
+    # the coordinates rebuild the point from the cell's corners
+    mesh = perturbed_square_mesh()
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(0.0, 1.0, size=(50, 2))
+    cells = rng.integers(0, mesh.n_cells, pts.shape[0])
+    full = mesh.barycentric(pts[:, None], np.arange(mesh.n_cells))
+    assert full.shape == (pts.shape[0], mesh.n_cells, 3)
+    lam = mesh.barycentric(pts, cells)
+    np.testing.assert_array_equal(lam, full[np.arange(pts.shape[0]), cells])
+    corners = mesh.vertices[mesh.triangles[cells]]
+    np.testing.assert_allclose(np.einsum("nk,nkj->nj", lam, corners), pts,
+                               rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from memrelax import quadrature
-from memrelax.pw_affine import refine_mesh, unit_square_mesh
+from memrelax.pw_affine import TriMesh, refine_mesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive, midpoint_rule
-from oracles import point_integrand
+from oracles import corner_areas, point_integrand
 
 
 def _square(n):
@@ -19,7 +19,7 @@ def _square(n):
 def test_midpoint_rule_exact_for_quadratics():
     tris = _square(1)
     f = lambda p, roots: p[:, 0] ** 2 + p[:, 1]
-    terms = midpoint_rule(point_integrand(f, tris), tris,
+    terms = midpoint_rule(point_integrand(f, tris), corner_areas(tris),
                           np.arange(tris.shape[0]))
     assert terms.shape == (tris.shape[0],)
     assert terms.sum() == pytest.approx(1.0 / 3.0 + 0.5, abs=1e-14)
@@ -28,8 +28,8 @@ def test_midpoint_rule_exact_for_quadratics():
 def test_adaptive_handles_kink():
     f = lambda p, roots: np.abs(p[:, 0] - 0.5)
     tris = _square(1)
-    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-5,
-                             max_level=10)
+    res = integrate_adaptive(point_integrand(f, tris), corner_areas(tris),
+                             rel_tol=1e-5, max_level=10)
     assert res.value == pytest.approx(0.25, rel=5e-4)
     assert res.level >= 1
     assert res.n_evals > 0
@@ -37,7 +37,8 @@ def test_adaptive_handles_kink():
 
 def test_adaptive_stops_early_on_smooth_integrand():
     f = lambda bary, roots: np.full((roots.size, bary.shape[0]), 3.0)
-    res = integrate_adaptive(f, _square(2), rel_tol=1e-6, max_level=8)
+    res = integrate_adaptive(f, corner_areas(_square(2)), rel_tol=1e-6,
+                             max_level=8)
     assert res.value == pytest.approx(3.0, abs=1e-12)
     assert res.level <= 2
 
@@ -46,13 +47,30 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda bary, roots: bary[:, 0], np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], [0.5, 0.5],
                            rel_tol=0.0)
+
+
+@pytest.mark.parametrize("areas", [[0.5, np.nan], [0.5, -0.5], [0.5, 0.0],
+                                   [0.5, np.inf], [[0.5, 0.5]],
+                                   _square(1)],
+                         ids=["nan", "negative", "zero", "infinite", "2d",
+                              "corners"])
+def test_rejects_areas_that_are_not_finite_positive_numbers(areas):
+    calls = []
+
+    def f(bary, roots):
+        calls.append(roots)
+        return np.ones((roots.size, bary.shape[0]))
+
+    with pytest.raises(ValueError, match="areas must be a 1-D array"):
+        integrate_adaptive(f, areas)
+    assert calls == []
 
 
 def test_rejects_a_negative_max_level():
     with pytest.raises(ValueError, match="max_level"):
-        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], [0.5, 0.5],
                            max_level=-1)
 
 
@@ -71,16 +89,16 @@ def test_rejects_a_max_level_that_is_not_an_integer(max_level):
 
     f = point_integrand(g, tri)
     with pytest.raises(ValueError, match="max_level must be an integer"):
-        integrate_adaptive(f, tri, rel_tol=1e-12, max_level=max_level)
+        integrate_adaptive(f, [0.5], rel_tol=1e-12, max_level=max_level)
     assert calls == []
-    res = integrate_adaptive(f, tri, rel_tol=1e-12, max_level=np.int64(1))
+    res = integrate_adaptive(f, [0.5], rel_tol=1e-12, max_level=np.int64(1))
     assert res.level == 1 and res.n_evals == 3 + 9
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf])
 def test_rejects_a_nonfinite_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
-        integrate_adaptive(lambda bary, roots: bary[:, 0], _square(1),
+        integrate_adaptive(lambda bary, roots: bary[:, 0], [0.5, 0.5],
                            rel_tol=rel_tol)
 
 
@@ -95,21 +113,22 @@ def test_nan_raises_at_its_first_level_and_inf_passes():
     # 0.0625 at level 2
     tri = np.array([[[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]])
     with pytest.raises(ValueError, match="NaN at refinement level 2"):
-        integrate_adaptive(point_integrand(f, tri), tri, rel_tol=1e-12,
-                           max_level=8)
+        integrate_adaptive(point_integrand(f, tri), corner_areas(tri),
+                           rel_tol=1e-12, max_level=8)
     assert len(calls) == 3
 
     infinite = lambda p, roots: np.where(p[:, 0] < 0.1, np.inf,
                                          np.exp(p[:, 0]))
-    res = integrate_adaptive(point_integrand(infinite, tri), tri,
-                             rel_tol=1e-12, max_level=2)
+    res = integrate_adaptive(point_integrand(infinite, tri),
+                             corner_areas(tri), rel_tol=1e-12, max_level=2)
     assert res.value == np.inf
     assert res.levels.tolist() == [2]
 
     # +inf at every level: levels 0 and 1 agree, so the root stops at 1;
     # level 1 has 9 distinct edge midpoints
     always = lambda bary, roots: np.full((roots.size, bary.shape[0]), np.inf)
-    res = integrate_adaptive(always, tri, rel_tol=1e-12, max_level=8)
+    res = integrate_adaptive(always, corner_areas(tri), rel_tol=1e-12,
+                             max_level=8)
     assert res.value == np.inf
     assert res.levels.tolist() == [1] and res.n_evals == 3 + 9
     assert res.error_estimate == 0.0
@@ -129,12 +148,12 @@ def test_each_root_stops_on_its_own_as_if_integrated_alone():
         calls.append(np.unique(roots))
         return _flat_or_kinked(points, roots == 1)
 
-    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-4,
-                             max_level=9)
+    res = integrate_adaptive(point_integrand(f, tris), corner_areas(tris),
+                             rel_tol=1e-4, max_level=9)
     alone = [integrate_adaptive(point_integrand(
         lambda p, roots, kinked=bool(r): _flat_or_kinked(p, kinked),
-        tris[r:r + 1]), tris[r:r + 1], rel_tol=1e-4, max_level=9)
-        for r in (0, 1)]
+        tris[r:r + 1]), corner_areas(tris[r:r + 1]), rel_tol=1e-4,
+        max_level=9) for r in (0, 1)]
 
     assert res.values.tolist() == [a.value for a in alone]
     assert res.levels.tolist() == [a.level for a in alone]
@@ -152,9 +171,10 @@ def test_each_root_stops_on_its_own_as_if_integrated_alone():
 
 def test_a_level_past_the_triangle_budget_splits_its_roots(monkeypatch):
     mesh = _square(3)  # 18 roots, the kink crosses some of them
+    areas = corner_areas(mesh)
     f = point_integrand(lambda p, roots: np.abs(p[:, 0] - 0.45)
                         * (1.0 + roots), mesh)
-    whole = integrate_adaptive(f, mesh, rel_tol=1e-4, max_level=6)
+    whole = integrate_adaptive(f, areas, rel_tol=1e-4, max_level=6)
     assert whole.level >= 4
 
     sizes = []
@@ -164,7 +184,7 @@ def test_a_level_past_the_triangle_budget_splits_its_roots(monkeypatch):
         return f(bary, roots)
 
     monkeypatch.setattr(quadrature, "_MAX_TRIS", 64)
-    split = integrate_adaptive(spy, mesh, rel_tol=1e-4, max_level=6)
+    split = integrate_adaptive(spy, areas, rel_tol=1e-4, max_level=6)
     assert split.values.tolist() == whole.values.tolist()
     assert split.levels.tolist() == whole.levels.tolist()
     assert split.n_evals == whole.n_evals
@@ -230,7 +250,8 @@ def test_the_integrand_receives_the_rule_rows_and_the_root_ids():
         calls.append((bary, roots.copy()))
         return np.abs((bary @ tris[roots])[..., 0] - 0.45)
 
-    res = integrate_adaptive(f, tris, rel_tol=1e-3, max_level=4)
+    res = integrate_adaptive(f, corner_areas(tris), rel_tol=1e-3,
+                             max_level=4)
     assert len(calls) == res.level + 1
     for level, (bary, roots) in enumerate(calls):
         assert bary is quadrature._edge_map(level)[0]
@@ -257,9 +278,32 @@ def test_level_rule_is_exact_for_quadratics(level):
                       - p[:, 0] * p[:, 1] + 2 * p[:, 1] ** 2)
     rng = np.random.default_rng(40 + level)
     tris = rng.uniform(-2.0, 2.0, size=(6, 3, 2))
-    got = midpoint_rule(point_integrand(f, tris), tris, np.arange(6), level)
+    got = midpoint_rule(point_integrand(f, tris), corner_areas(tris),
+                        np.arange(6), level)
     want = [_quadratic_integral(t) for t in tris]
     assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_mesh_areas_give_the_corner_rule_bit_for_bit(level):
+    # TriMesh.areas takes the two products the rule once took from each
+    # root's corners, so a mesh's values keep their bits on the unit
+    # squares, the refined nirf mesh and the random stacks above
+    rng = np.random.default_rng(40 + level)
+    fine = refine_mesh(unit_square_mesh(12))
+    stacks = [_square(3), _square(4), fine.vertices[fine.triangles],
+              rng.uniform(-2.0, 2.0, size=(6, 3, 2))]
+    bary, mult = quadrature._edge_map(level)
+    for tris in stacks:
+        m = tris.shape[0]
+        mesh = TriMesh(tris.reshape(-1, 2), np.arange(3 * m).reshape(m, 3))
+        f = point_integrand(lambda p, r: np.exp(p[:, 0] * p[:, 1]) + r,
+                            tris)
+        roots = np.arange(m)
+        want = (corner_areas(tris) * np.einsum("re,e->r", f(bary, roots),
+                                               mult) / (3 * 4 ** level))
+        got = midpoint_rule(f, mesh.areas, roots, level)
+        assert got.tolist() == want.tolist()
 
 
 def test_refinement_keeps_no_child_stack():
@@ -272,7 +316,8 @@ def test_refinement_keeps_no_child_stack():
     f = point_integrand(lambda p, r: np.exp(p[:, 0] * p[:, 1]), tris)
     tracemalloc.start()
     try:
-        res = integrate_adaptive(f, tris, rel_tol=1e-15, max_level=3)
+        res = integrate_adaptive(f, corner_areas(tris), rel_tol=1e-15,
+                                 max_level=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -288,10 +333,7 @@ def _reference_integrate(f, tris, rel_tol, max_level):
     def terms(tris, roots):
         mids = 0.5 * (tris + np.roll(tris, -1, axis=1))
         vals = f(mids.reshape(-1, 2), np.repeat(roots, 3)).reshape(-1, 3)
-        e1 = tris[:, 1] - tris[:, 0]
-        e2 = tris[:, 2] - tris[:, 0]
-        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        return areas * vals.mean(axis=1)
+        return corner_areas(tris) * vals.mean(axis=1)
 
     values = terms(tris, np.arange(m))
     if np.isnan(values).any():
@@ -345,8 +387,8 @@ def test_level_sums_give_the_all_sides_rule_to_round_off(
     tris = _square(3)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
-    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-4,
-                             max_level=5)
+    res = integrate_adaptive(point_integrand(f, tris), corner_areas(tris),
+                             rel_tol=1e-4, max_level=5)
     values, levels, errors, samples = _reference_integrate(f, tris, 1e-4, 5)
     assert res.levels.tolist() == levels.tolist()
     assert res.level == levels.max()
@@ -369,8 +411,8 @@ def test_level_sums_give_the_all_sides_rule_bit_for_bit_on_dyadic_input(
     tris = _square(4)
     if budget is not None:
         monkeypatch.setattr(quadrature, "_MAX_TRIS", budget)
-    res = integrate_adaptive(point_integrand(f, tris), tris, rel_tol=1e-12,
-                             max_level=5)
+    res = integrate_adaptive(point_integrand(f, tris), corner_areas(tris),
+                             rel_tol=1e-12, max_level=5)
     values, levels, errors, _ = _reference_integrate(f, tris, 1e-12, 5)
     assert res.levels.max() == 4
     assert res.values.tolist() == values.tolist()
@@ -381,7 +423,8 @@ def test_level_sums_give_the_all_sides_rule_bit_for_bit_on_dyadic_input(
 def test_distinct_edges_raise_nan_at_the_same_level():
     f = lambda p, r: np.where(p[:, 0] < 0.1, np.nan, np.exp(p[:, 0]))
     tri = np.array([[[0.5, 0.0], [1.0, 0.0], [0.0, 1.0]]])
-    for rule, g in ((integrate_adaptive, point_integrand(f, tri)),
-                    (_reference_integrate, f)):
+    for rule, g, stack in ((integrate_adaptive, point_integrand(f, tri),
+                            corner_areas(tri)),
+                           (_reference_integrate, f, tri)):
         with pytest.raises(ValueError, match="NaN at refinement level 2"):
-            rule(g, tri, rel_tol=1e-12, max_level=8)
+            rule(g, stack, rel_tol=1e-12, max_level=8)
