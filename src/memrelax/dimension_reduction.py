@@ -658,7 +658,7 @@ class SweepReport:
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(self.to_dict(), fh, allow_nan=False)
 
 
 def gamma_sweep(model: EnergyModel, table, load: LoadPotential,

@@ -10,8 +10,9 @@ two constants, each a fiber solve over equal free stretches
 isotropic stretch s* that minimizes W(t I), and the width m(s1), the
 equal transverse and thickness stretch of W(diag(s1, t, t)) at its
 minimum. :func:`build_envelope_table` tabulates it on a grid of singular
-values, each node with the laminate of at most two axis splits that
-attains it.
+values. Each node's laminate of at most two axis splits follows from its
+region and the two constants alone, so the table keeps s* and the width
+of each grid value beyond s* and replays every node from those.
 
 The module also keeps the constructions the density is never above:
 
@@ -42,7 +43,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,6 +184,13 @@ _REGIONS = ("slack", "wrinkled", "taut")
 _SLACK, _WRINKLED, _TAUT = range(3)
 
 
+def _region(s1, s2, s_star, m):
+    """The region code of singular values s1 >= s2: slack where s1 <= s*,
+    wrinkled where s2 <= m, the width m(s1), taut otherwise."""
+    return np.where(s1 <= s_star, _SLACK,
+                    np.where(s2 <= m, _WRINKLED, _TAUT))
+
+
 @dataclass(frozen=True)
 class RelaxedDensity:
     """The tension-field density of one model, valued through
@@ -218,28 +226,18 @@ class RelaxedDensity:
         s1 = np.asarray(s1, dtype=float)
         return solve_fiber(self.model, s1, s1 * s1, k=2)
 
-    def regions(self, s1: np.ndarray, s2: np.ndarray):
-        """The region of each pair of singular values s1 >= s2, 0 (slack),
-        1 (wrinkled) or 2 (taut), m(s1) and g(s1, m(s1)), both NaN where
-        s1 <= s*."""
-        region = np.full(s1.shape, _SLACK)
-        m = np.full(s1.shape, np.nan)
-        g = np.full(s1.shape, np.nan)
-        far = np.flatnonzero(s1 > self.s_star)
-        if far.size:
-            m[far], g[far] = self.width(s1[far])
-            region[far] = np.where(s2[far] <= m[far], _WRINKLED, _TAUT)
-        return region, m, g
-
     def batch(self, xis: np.ndarray) -> np.ndarray:
         """The density over an (N, 3, 2) stack of any memory layout: W*
         where slack, the width solve's value where wrinkled, and one fiber
         solve over the taut lanes."""
         sig = singular_values(np.asarray(xis, dtype=float).reshape(-1, 3, 2))
         s1, s2 = sig[:, 0], sig[:, 1]
-        region, _, g = self.regions(s1, s2)
-        out = np.where(region == _WRINKLED, g, self.w_star)
-        taut = np.flatnonzero(region == _TAUT)
+        m = np.full(s1.shape, np.nan)
+        out = np.full(s1.shape, self.w_star)
+        far = np.flatnonzero(s1 > self.s_star)
+        if far.size:
+            m[far], out[far] = self.width(s1[far])
+        taut = np.flatnonzero(_region(s1, s2, self.s_star, m) == _TAUT)
         if taut.size:
             s, tau = s1[taut], s2[taut]
             out[taut] = solve_fiber(self.model, s * tau, s * s + tau * tau)[1]
@@ -461,77 +459,60 @@ def laminate_search(density, xi, depth: int) -> LaminateResult:
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One node: its value, its region (``method``) and its laminate
-    (``witness``): a split {"step", "fraction", "plus", "minus"} of
-    xi = diag(s1, s2) into its plus end xi + (1 - fraction) step, of
-    weight fraction, and its minus end xi - fraction step, each end a split
-    of the same form or a leaf (None or no key). A taut node is its own
-    leaf (None)."""
+    """One node of the lower triangle: its singular values s1 >= s2, its
+    value and its region (``method``), which fixes its laminate."""
 
     sigma: tuple[float, float]
     value: float
     method: str
-    witness: dict | None = None
 
 
-# the largest relative gap between a node and its replayed laminate that
-# a loaded table may show
-_REPLAY_TOL = 1e-12
 _BARRIERS = {cls.__name__: cls for cls in (ReciprocalBarrier,
                                            ShiftedLogBarrier)}
 
 
-def _representative(s1, s2) -> np.ndarray:
-    return np.array([[s1, 0.0], [0.0, s2], [0.0, 0.0]])
+def _nodes(grid: np.ndarray, s_star: float, widths: np.ndarray):
+    """The lower-triangle nodes in ``np.tril_indices`` order: indices
+    (i, j), region codes and widths m(s1), NaN where s1 <= s*."""
+    i, j = np.tril_indices(grid.size)
+    m = np.concatenate([np.full(grid.size - widths.size, np.nan), widths])
+    return i, j, _region(grid[i], grid[j], s_star, m[i]), m[i]
 
 
-def _replay(model: EnergyModel, sigma, witnesses) -> np.ndarray:
-    """Fraction-weighted mean W0 over the leaves of each node's laminate.
+def _replay(model: EnergyModel, grid: np.ndarray, s_star: float,
+            widths: np.ndarray) -> np.ndarray:
+    """The value matrix of the nodes' laminates, each node the weighted
+    mean of W0 over its leaves, all leaves in one ``batch`` call.
 
-    The leaves of every node diag(s1, s2) are valued in one ``batch``
-    call of the reduced density. Raises ValueError on a split whose step
-    is not rank one or whose fraction lies outside [0, 1].
+    A slack node diag(s1, s2) splits s1 into +-s*, then both ends split
+    s2 into +-s*; a wrinkled node splits s2 into +-m(s1); a taut node is
+    its own leaf. Splitting s into +-e gives the plus end s + (1 - lam) 2e,
+    of weight lam = (e + s) / (2e), and the minus end s - lam 2e. A node
+    sums its leaves plus end first, the s1 split outside the s2 split.
     """
-    leaves, weights, owner = [], [], []
-
-    def walk(node, xi, split, weight):
-        if split is None:
-            leaves.append(xi)
-            weights.append(weight)
-            owner.append(node)
-            return
-        step = np.asarray(split["step"], dtype=float)
-        lam = split["fraction"]
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"split fraction {lam!r} lies outside [0, 1]")
-        if np.any(wedge(step)) or not np.any(step):
-            raise ValueError(f"split step {step.tolist()} is not rank one")
-        walk(node, xi + (1.0 - lam) * step, split.get("plus"), weight * lam)
-        walk(node, xi - lam * step, split.get("minus"),
-             weight * (1.0 - lam))
-
-    for node, ((s1, s2), split) in enumerate(zip(sigma, witnesses)):
-        walk(node, _representative(s1, s2), split, 1.0)
-    vals = ReducedDensity(model).batch(np.array(leaves))
-    return np.bincount(owner, np.array(weights) * vals,
-                       minlength=len(witnesses))
-
-
-def _model_record(model: EnergyModel | None) -> dict | None:
-    if model is None:
-        return None
-    return {"barrier": type(model.barrier).__name__,
-            "params": dataclasses.asdict(model.barrier), "p": model.p}
-
-
-def _model_from_record(record: dict | None) -> EnergyModel | None:
-    """The model of a saved record, None for a record without one or with
-    a barrier the module does not ship."""
-    if not record or record.get("barrier") not in _BARRIERS \
-            or "params" not in record:
-        return None
-    barrier = _BARRIERS[record["barrier"]](**record["params"])
-    return EnergyModel(barrier, record["p"])
+    i, j, region, m = _nodes(grid, s_star, widths)
+    end = np.where(region == _SLACK, s_star, m)
+    sig = np.stack([grid[i], grid[j]], axis=1)
+    w, owner = np.ones(i.size), np.arange(i.size)
+    # the inner split first, so that the outer one's ends lead the order
+    for axis, split in ((1, region != _TAUT), (0, region == _SLACK)):
+        cut = split[owner]
+        e = end[owner[cut]]
+        lam = (e + sig[cut, axis]) / (2.0 * e)
+        plus, minus = sig[cut], sig[cut]
+        plus[:, axis] += (1.0 - lam) * (2.0 * e)
+        minus[:, axis] -= lam * (2.0 * e)
+        sig = np.concatenate([sig[~cut], plus, minus])
+        w = np.concatenate([w[~cut], w[cut] * lam, w[cut] * (1.0 - lam)])
+        owner = np.concatenate([owner[~cut], owner[cut], owner[cut]])
+    xis = np.zeros((len(sig), 3, 2))
+    xis[:, (0, 1), (0, 1)] = sig
+    node = np.bincount(owner, w * ReducedDensity(model).batch(xis),
+                       minlength=i.size)
+    out = np.empty((grid.size, grid.size))
+    out[i, j] = node
+    out[j, i] = node
+    return out
 
 
 class TableLookup(NamedTuple):
@@ -575,10 +556,10 @@ class TableLookup(NamedTuple):
         pts, sig, inside = self.xis, self.sigma, self.inside
         (i1, i2), (f1, f2) = self.cells, self.fractions
         v00, v10, v01, v11 = self.corners
-        widths, cert = self.table._widths, self.table.certificate
+        steps, cert = self.table._steps, self.table.certificate
         s1, s2 = sig[:, 0], sig[:, 1]
-        b1 = ((v10 - v00) * (1 - f2) + (v11 - v01) * f2) / widths[i1]
-        b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / widths[i2]
+        b1 = ((v10 - v00) * (1 - f2) + (v11 - v01) * f2) / steps[i1]
+        b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / steps[i2]
         q1 = np.divide(b1, s1, out=np.zeros_like(b1), where=s1 > 0.0)
         q2 = np.divide(b2, s2, out=np.zeros_like(b2), where=s2 > 0.0)
         unit = pts / np.maximum(s1, np.finfo(float).tiny)[:, None, None]
@@ -614,7 +595,10 @@ class EnvelopeTable:
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
     a true upper bound of the polynomial-growth kind.
     The certificate's p is the table's one growth exponent: a node value
-    below the coercivity floor (s1^2 + s2^2)^(p/2) is refused.
+    below the coercivity floor (s1^2 + s2^2)^(p/2) is refused, and so is
+    a model of another p. A table built from a model keeps the model, s*
+    and ``widths``, m(s) at each grid value s > s*: all three or none.
+    They fix every node's laminate, which :meth:`audit` replays.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -624,9 +608,9 @@ class EnvelopeTable:
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
-                 entries: Sequence[TableEntry],
                  certificate: GrowthCertificate,
-                 model: EnergyModel | None = None):
+                 model: EnergyModel | None = None,
+                 s_star: float | None = None, widths=None):
         grid = np.asarray(sigma_grid, dtype=float)
         vals = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
@@ -637,18 +621,34 @@ class EnvelopeTable:
             raise ValueError("value matrix must be square on the grid")
         if not np.all(np.isfinite(vals)):
             raise ValueError("table values must be finite")
-        if not np.allclose(vals, vals.T, atol=1e-9):
+        # a corner lookup on the diagonal reads the upper triangle
+        if not np.array_equal(vals, vals.T):
             raise ValueError("value matrix must be symmetric")
         s1, s2 = np.meshgrid(grid, grid, indexing="ij")
         floor = (s1 ** 2 + s2 ** 2) ** (certificate.p / 2.0)
         if np.any(vals < floor - 1e-9):
             raise ValueError("table value below the coercivity floor")
+        if len({model is None, s_star is None, widths is None}) > 1:
+            raise ValueError("model, s_star and widths are set together "
+                             "or not at all")
+        if model is not None:
+            if model.p != certificate.p:
+                raise ValueError(f"model p {model.p!r} differs from the "
+                                 f"certificate's {certificate.p!r}")
+            widths = np.array(widths, dtype=float)
+            if not (0.0 < s_star < math.inf and widths.shape == (
+                    np.count_nonzero(grid > s_star),)
+                    and np.all((0.0 < widths) & (widths < math.inf))):
+                raise ValueError("s_star and the widths must be positive "
+                                 "and finite, one width per grid value "
+                                 "above s_star")
         self.sigma_grid = grid
-        self._widths = np.diff(grid)
+        self._steps = np.diff(grid)
         self.values = vals
-        self.entries = tuple(entries)
         self.certificate = certificate
         self.model = model
+        self.s_star = s_star
+        self.widths = widths
 
     @property
     def sigma_max(self) -> float:
@@ -664,7 +664,7 @@ class EnvelopeTable:
         g = self.sigma_grid
         idx = np.minimum(np.maximum(np.searchsorted(g, s, side="right") - 1,
                                     0), g.size - 2)
-        return inside, idx.T, ((s - g[idx]) / self._widths[idx]).T
+        return inside, idx.T, ((s - g[idx]) / self._steps[idx]).T
 
     def lookup(self, xis: np.ndarray) -> TableLookup:
         """Interpolated upper bounds for an (N, 3, 2) stack, with what
@@ -698,85 +698,79 @@ class EnvelopeTable:
         bound = self.certificate.bound(np.sqrt(s1 ** 2 + s2 ** 2))
         return float((self.values / bound).max())
 
-    def audit(self) -> float:
-        """Largest relative gap between a node's value and its witness
-        replayed to W0 leaves, all leaves in one ``batch`` call of the
-        reduced density.
+    @property
+    def entries(self) -> tuple[TableEntry, ...]:
+        """The lower-triangle nodes read off the value matrix, in
+        ``np.tril_indices`` order; none for a table without a model."""
+        if self.model is None:
+            return ()
+        grid = self.sigma_grid
+        i, j, region, _ = _nodes(grid, self.s_star, self.widths)
+        return tuple(TableEntry((a, b), v, _REGIONS[r]) for a, b, v, r in
+                     zip(grid[i].tolist(), grid[j].tolist(),
+                         self.values[i, j].tolist(), region.tolist()))
 
-        Raises ValueError when a split step is not rank one, a fraction
-        lies outside [0, 1], or the table holds no model to replay with.
+    def audit(self) -> float:
+        """Largest relative gap between a node's value and its laminate
+        replayed to W0 leaves (:func:`_replay`), all leaves in one
+        ``batch`` call of the reduced density.
+
+        Raises ValueError when the table holds no model to replay with.
         """
         if self.model is None:
             raise ValueError("the table holds no model to replay its "
-                             "witnesses with")
-        replayed = _replay(self.model, [e.sigma for e in self.entries],
-                           [e.witness for e in self.entries])
-        values = np.array([e.value for e in self.entries])
-        return float(np.max(np.abs(replayed - values) / np.abs(values)))
+                             "laminates with")
+        replayed = _replay(self.model, self.sigma_grid, self.s_star,
+                           self.widths)
+        return float(np.max(np.abs(replayed - self.values) / self.values))
 
     def to_dict(self) -> dict:
         return {
             "sigma_grid": self.sigma_grid.tolist(),
             "values": self.values.tolist(),
-            "certificate": {"c": self.certificate.c, "p": self.certificate.p,
-                            "r1": self.certificate.r1,
-                            "cbar1": self.certificate.cbar1},
-            "model": _model_record(self.model),
-            "entries": [{"sigma": list(e.sigma), "value": e.value,
-                         "method": e.method, "witness": e.witness}
-                        for e in self.entries],
+            "certificate": dataclasses.asdict(self.certificate),
+            "model": None if self.model is None else {
+                "barrier": type(self.model.barrier).__name__,
+                "params": dataclasses.asdict(self.model.barrier),
+                "p": self.model.p},
+            "s_star": self.s_star,
+            "widths": None if self.widths is None else self.widths.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnvelopeTable":
-        """The table of :meth:`to_dict`'s record. A table saved with its
-        model must replay its nodes (:meth:`audit`) within 1e-12, and
-        every entry must sit on a grid node and hold the value matrix's
-        value there, read either way round, or ValueError is raised. Keys
-        of older records (``depth``, ``evaluations``, ``model_info`` and a
-        top-level ``p``, which the certificate holds) are ignored."""
-        cert = GrowthCertificate(**data["certificate"])
-        entries = [TableEntry(sigma=tuple(e["sigma"]), value=e["value"],
-                              method=e["method"], witness=e.get("witness"))
-                   for e in data["entries"]]
+        """The table of :meth:`to_dict`'s record. A record with a model
+        must hold s* and the widths (one that holds none was saved with a
+        laminate per node and must be rebuilt) and replay its nodes
+        (:meth:`audit`) within 1e-12, or ValueError is raised; a barrier
+        the module does not ship raises KeyError. Keys of older records
+        (``depth``, ``model_info``, a top-level ``p`` and ``entries``) are
+        ignored."""
+        record = data.get("model")
+        model = None if record is None else EnergyModel(
+            _BARRIERS[record["barrier"]](**record["params"]), record["p"])
+        if model is not None and "s_star" not in data:
+            raise ValueError("the record holds no s_star: it was saved with "
+                             "a laminate per node; rebuild the table")
+        laminate = () if model is None else (model, data["s_star"],
+                                             data["widths"])
         table = cls(np.array(data["sigma_grid"]), np.array(data["values"]),
-                    entries, cert,
-                    _model_from_record(data.get("model")))
-        if table.model is not None:
+                    GrowthCertificate(**data["certificate"]), *laminate)
+        if model is not None:
             gap = table.audit()
-            if not gap <= _REPLAY_TOL:
+            if not gap <= 1e-12:
                 raise ValueError(f"table nodes miss their replayed "
                                  f"laminates by {gap!r} relative")
-        node = {s: k for k, s in enumerate(table.sigma_grid.tolist())}
-        for e in table.entries:
-            i, j = (node.get(s, -1) for s in e.sigma)
-            if min(i, j) < 0 or not (e.value == table.values[i, j]
-                                     == table.values[j, i]):
-                raise ValueError(f"table entry at {e.sigma} differs from "
-                                 "the value matrix")
         return table
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+            json.dump(self.to_dict(), fh, allow_nan=False)
 
     @classmethod
     def load_json(cls, path) -> "EnvelopeTable":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _axis_split(axis: int, end: float, s: float, inner=None) -> dict:
-    """The split of a diagonal entry s along e_axis (x) e_axis into +end
-    and -end: step 2 end e_axis (x) e_axis, fraction (end + s) / (2 end)
-    on the plus end; both ends split by ``inner``."""
-    step = np.zeros((3, 2))
-    step[axis, axis] = 2.0 * end
-    split = {"step": step.tolist(),
-             "fraction": float((end + s) / (2.0 * end))}
-    if inner is not None:
-        split["plus"] = split["minus"] = inner
-    return split
 
 
 def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
@@ -785,17 +779,18 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     """Tabulate the relaxed density on the singular-value grid.
 
     Every node diag(s1, s2), s1 >= s2, takes the tension-field density
-    (:func:`relaxed_density`) in one pass: one fiber solve for s*, one
-    lane-batched fiber solve for m(s1) at the rows beyond s*. Its
-    ``method`` is its region and its ``witness`` the laminate that attains
-    the density: diag(s1, s2) -> diag(+-s*, s2) -> diag(+-s*, +-s*) when
-    slack, diag(s1, s2) -> diag(s1, +-m) when wrinkled, none when taut.
-    The node value is that laminate's fraction-weighted mean of W0 at its
-    leaves, all leaves in one ``batch`` call, so every node is an upper
-    bound of the relaxation that :meth:`EnvelopeTable.audit` replays, even
-    where a fiber solve misses its argmin by round-off. Only the lower
-    triangle is computed; the value matrix is completed by the swap
-    symmetry of the density.
+    (:func:`relaxed_density`): one fiber solve for s*, and one
+    lane-batched fiber solve for the width m(s) at the grid values
+    s > s*, one lane per grid row. A node's region (its entry's
+    ``method``) and its laminate follow from s* and m(s1):
+    diag(s1, s2) -> diag(+-s*, s2) -> diag(+-s*, +-s*) when slack,
+    diag(s1, s2) -> diag(s1, +-m) when wrinkled, none when taut. The node
+    value is that laminate's weighted mean of W0 at its leaves
+    (:func:`_replay`), all leaves in one ``batch`` call, so every node is
+    an upper bound of the relaxation that :meth:`EnvelopeTable.audit`
+    replays, even where a fiber solve misses its argmin by round-off.
+    Only the lower triangle is computed; the value matrix is completed by
+    the swap symmetry of the density.
 
     ``depth`` (the integer 0, 1 or 2) and ``threads`` are accepted, and
     ``depth`` is checked, as when a laminate search of that depth valued
@@ -812,29 +807,6 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     grid = np.linspace(0.0, sigma_max, n + 1)
     density = relaxed_density(model)
     s_star = density.s_star
-
-    i, j = np.tril_indices(grid.size)
-    s1, s2 = grid[i], grid[j]
-    region, m, _ = density.regions(s1, s2)
-
-    def witness(k):
-        if region[k] == _SLACK:
-            return _axis_split(0, s_star, s1[k],
-                               _axis_split(1, s_star, s2[k]))
-        if region[k] == _WRINKLED:
-            return _axis_split(1, m[k], s2[k])
-        return None
-
-    witnesses = [witness(k) for k in range(region.size)]
-    sigma = [(float(a), float(b)) for a, b in zip(s1, s2)]
-    node_values = _replay(model, sigma, witnesses)
-
-    values = np.empty((grid.size, grid.size))
-    values[i, j] = node_values
-    values[j, i] = node_values
-    entries = [TableEntry(sigma=sig, value=float(v), method=_REGIONS[r],
-                          witness=w)
-               for sig, v, r, w in zip(sigma, node_values, region,
-                                       witnesses)]
-    return EnvelopeTable(grid, values, entries, growth_certificate(model),
-                         model)
+    widths = density.width(grid[grid > s_star])[0]
+    return EnvelopeTable(grid, _replay(model, grid, s_star, widths),
+                         growth_certificate(model), model, s_star, widths)

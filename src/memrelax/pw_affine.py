@@ -21,7 +21,7 @@ from .tensor_kernel import is_integer
 AREA_FLOOR = 1e-14
 
 # Barycentric slack for point-in-triangle tests. Large enough to absorb
-# roundoff from the affine solve, far below any mesh feature size we accept.
+# roundoff in the coordinates, far below any mesh feature size we accept.
 _BARY_TOL = 1e-12
 
 # Points per block of :meth:`TriMesh.locate`'s scan. A block holds a
@@ -51,7 +51,7 @@ class TriMesh:
     """
 
     __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
-                 "_inv_rows", "_p0", "_scatter")
+                 "_inv_rows", "_scatter")
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
@@ -90,21 +90,16 @@ class TriMesh:
 
         # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
         n = V.shape[0]
-        sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
+        pairs = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, side_edge = np.unique(pairs[:, 0] * n + pairs[:, 1],
                                     return_inverse=True)
-        edges = np.stack([keys // n, keys % n], axis=1)
-        cell_edges = side_edge.reshape(-1, 3)
-
-        for arr in (V, T, areas, inv_rows, p0, edges, cell_edges):
+        slots = {"vertices": V, "triangles": T, "areas": areas,
+                 "edges": np.stack([keys // n, keys % n], axis=1),
+                 "cell_edges": side_edge.reshape(-1, 3),
+                 "_inv_rows": inv_rows}
+        for name, arr in slots.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "vertices", V)
-        object.__setattr__(self, "triangles", T)
-        object.__setattr__(self, "areas", areas)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "cell_edges", cell_edges)
-        object.__setattr__(self, "_inv_rows", inv_rows)
-        object.__setattr__(self, "_p0", p0)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "_scatter", {})
 
     def __setattr__(self, name, value):
@@ -121,12 +116,19 @@ class TriMesh:
     def barycentric(self, points: np.ndarray,
                     cells: np.ndarray) -> np.ndarray:
         """Barycentric coordinates (..., 3) of points (..., 2) in cells
-        whose ids broadcast against the points' leading shape."""
-        rel = np.asarray(points, dtype=float) - self._p0[cells]
-        inv = self._inv_rows[..., cells]
-        lam1 = inv[0, 0] * rel[..., 0] + inv[0, 1] * rel[..., 1]
-        lam2 = inv[1, 0] * rel[..., 0] + inv[1, 1] * rel[..., 1]
-        return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
+        whose ids broadcast against the points' leading shape.
+
+        lambda_k is the cross product of the side opposite corner k, from
+        corner k + 1 to k + 2, with p - corner k + 1 over the signed 2A, so
+        a corner's other two coordinates are exactly 0.
+        """
+        corners = self.vertices[self.triangles[cells]]
+        starts = corners[..., [1, 2, 0], :]
+        s = corners[..., [2, 0, 1], :] - starts
+        rel = np.asarray(points, dtype=float)[..., None, :] - starts
+        cross = s[..., 0] * rel[..., 1] - s[..., 1] * rel[..., 0]
+        twice_area = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
+        return cross / twice_area[..., None]
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Index of the lowest-index cell containing each point, -1 if the

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -135,13 +136,32 @@ def test_recovery_lift_converges_to_director_energy():
         assert fine <= coarse / 50.0
 
 
+def test_sweep_json_is_strict(tmp_path):
+    # the report writes no NaN or infinity: a strict reader loads it back,
+    # and a report holding one is refused
+    report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                         unit_square_mesh(2), [0.2], iters=2)
+    path = tmp_path / "sweep.json"
+    report.save_json(path)
+
+    def refuse(name):
+        raise AssertionError(f"the JSON holds {name}")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) \
+        == json.loads(json.dumps(report.to_dict()))
+    broken = dimension_reduction.SweepReport(report.rows,
+                                             {"membrane_total": math.nan})
+    with pytest.raises(ValueError):
+        broken.save_json(tmp_path / "nan.json")
+
+
 def _linear_table():
     # 1 + 3 (s1 + s2) is bilinear, so the interpolant reproduces it, and
     # it stays above the p = 2 floor s1^2 + s2^2 on [0, 3]^2
     grid = np.linspace(0.0, 3.0, 7)
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")
     cert = GrowthCertificate(c=10.0, p=2.0, r1=1.0, cbar1=1.0)
-    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), [], cert)
+    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), cert)
 
 
 def _tilted_load():

@@ -14,8 +14,8 @@ from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
 from memrelax.quadrature import integrate_adaptive
-from oracles import (corner_areas, finite, mat32, point_integrand,
-                     scanned_normal, single_triangle_mesh)
+from oracles import (corner_areas, finite, mat32, perturbed_square_mesh,
+                     point_integrand, scanned_normal, single_triangle_mesh)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -553,6 +553,30 @@ def test_weight_is_zero_at_every_corner_of_every_cell(orient):
     assert np.array_equal(phi.evaluate(field.mesh.vertices),
                           np.tile(phi.assignment.zeta_bar,
                                   (field.mesh.n_vertices, 1)))
+
+
+@pytest.mark.parametrize("orient", [lambda f: f, clockwise],
+                         ids=["counterclockwise", "clockwise"])
+def test_weight_is_zero_at_every_corner_of_perturbed_meshes(orient):
+    # on non-dyadic corners a coordinate formed as 1 - l1 - l2 missed 0 by
+    # a few ulps, which n = 10^6 scaled to a nonzero weight; the cross
+    # product of the opposite side with p - corner k + 1 is exactly 0
+    m = EnergyModel()
+    for seed in range(20):
+        mesh = perturbed_square_mesh(6, seed)
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        field = orient(PwAffineField(mesh, np.column_stack(
+            [x + 0.1 * y * y, y - 0.05 * x * x, 0.3 * x - 0.2 * y])))
+        phi = BlendedDirector(field, build_assignment(m, field), 10 ** 6)
+        corners = field.mesh.vertices[field.mesh.triangles]
+        cells = np.repeat(np.arange(field.mesh.n_cells), 3)
+        bary = field.mesh.barycentric(corners.reshape(-1, 2), cells)
+        off = bary.reshape(-1, 3, 3)[:, ~np.eye(3, dtype=bool)]
+        assert np.all(off == 0.0)
+        assert np.all(phi._bary_weight(bary, cells) == 0.0)
+        assert np.array_equal(phi.evaluate(field.mesh.vertices),
+                              np.tile(phi.assignment.zeta_bar,
+                                      (field.mesh.n_vertices, 1)))
 
 
 @pytest.mark.parametrize("orient", [lambda f: f, clockwise],

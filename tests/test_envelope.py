@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -741,8 +742,7 @@ def test_table_rejects_floor_violation(small_table):
     bad = small_table.values.copy()
     bad[-1, -1] = 0.5  # below (1 + 1)^1 = 2
     with pytest.raises(ValueError, match="coercivity floor"):
-        EnvelopeTable(small_table.sigma_grid, bad, small_table.entries,
-                      small_table.certificate)
+        EnvelopeTable(small_table.sigma_grid, bad, small_table.certificate)
 
 
 def test_table_floor_reads_the_certificate_exponent():
@@ -752,10 +752,10 @@ def test_table_floor_reads_the_certificate_exponent():
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")
     vals = s1 ** 2 + s2 ** 2 + 1.0
     square = GrowthCertificate(c=100.0, p=2.0, r1=1.0, cbar1=1.0)
-    assert EnvelopeTable(grid, vals, [], square).certificate.p == 2.0
+    assert EnvelopeTable(grid, vals, square).certificate.p == 2.0
     cube = GrowthCertificate(c=100.0, p=3.0, r1=1.0, cbar1=1.0)
     with pytest.raises(ValueError, match="coercivity floor"):
-        EnvelopeTable(grid, vals, [], cube)
+        EnvelopeTable(grid, vals, cube)
 
 
 def test_table_invariance_under_rotations(small_table):
@@ -892,15 +892,38 @@ def test_kept_lookup_gives_the_slopes_of_the_rotation_form(small_table):
     assert np.all(np.abs(got - expect) <= 1e-12 * scale)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the JSON holds {name}")
+
+
 def test_table_json_roundtrip(small_table, tmp_path):
+    # grid values 0 and 0.5 lie below s* and have no width: the record
+    # leaves them out and holds no NaN
     path = tmp_path / "table.json"
     small_table.save_json(path)
+    data = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert data["widths"] == small_table.widths.tolist()
+    assert len(data["widths"]) == 1
     back = EnvelopeTable.load_json(path)
     assert np.array_equal(back.sigma_grid, small_table.sigma_grid)
     assert np.array_equal(back.values, small_table.values)
-    assert back.certificate.c == small_table.certificate.c
-    assert len(back.entries) == len(small_table.entries)
-    assert back.entries[0].method == small_table.entries[0].method
+    assert back.certificate == small_table.certificate
+    assert back.model == small_table.model
+    assert back.s_star == small_table.s_star
+    assert np.array_equal(back.widths, small_table.widths)
+    assert back.entries == small_table.entries
+    assert back.audit() == small_table.audit() == 0.0
+
+
+def test_table_without_a_model_has_no_entries(small_table, tmp_path):
+    bare = EnvelopeTable(small_table.sigma_grid, small_table.values,
+                         small_table.certificate)
+    assert bare.entries == ()
+    path = tmp_path / "bare.json"
+    bare.save_json(path)
+    back = EnvelopeTable.load_json(path)
+    assert back.model is None and back.s_star is None and back.widths is None
+    assert np.array_equal(back.values, small_table.values)
 
 
 def test_table_entry_methods_are_labelled(small_table):
@@ -910,22 +933,48 @@ def test_table_entry_methods_are_labelled(small_table):
         "slack", "slack", "slack", "wrinkled", "wrinkled", "taut"]
 
 
-def test_table_json_loads_a_table_saved_with_search_fields(small_table):
-    # a table saved while the laminate search built it carried a depth,
-    # per-node evaluation counts and a top-level p; it still loads
+def test_table_json_ignores_the_keys_of_older_records(small_table):
+    # tables saved while the laminate search built them carried a depth,
+    # a top-level p, model info and per-node entries; beside s* and the
+    # widths those keys are ignored
     data = small_table.to_dict()
-    assert not {"depth", "model_info", "p"} & set(data)
-    assert all(set(e) == {"sigma", "value", "method", "witness"}
-               for e in data["entries"])
+    assert set(data) == {"sigma_grid", "values", "certificate", "model",
+                         "s_star", "widths"}
     data["depth"], data["p"] = 1, 3.0
     data["model_info"] = {"barrier": "ReciprocalBarrier", "p": 2.0}
-    for e in data["entries"]:
-        e["depth"], e["evaluations"] = 1, 6681
+    data["entries"] = [{"sigma": [0.0, 0.0], "value": 0.0, "method": "taut",
+                        "witness": None, "depth": 1, "evaluations": 6681}]
     old = EnvelopeTable.from_dict(data)
     assert np.array_equal(old.values, small_table.values)
     assert old.entries == small_table.entries
     assert old.model == small_table.model
     assert old.certificate == small_table.certificate
+
+
+def test_a_record_with_a_model_but_no_s_star_must_be_rebuilt(small_table):
+    # a record saved with a laminate per node holds no s* and no widths
+    data = small_table.to_dict()
+    del data["s_star"], data["widths"]
+    with pytest.raises(ValueError, match="rebuild the table"):
+        EnvelopeTable.from_dict(data)
+
+
+def test_a_barrier_the_module_does_not_ship_is_refused(small_table):
+    data = small_table.to_dict()
+    data["model"]["barrier"] = "CubicBarrier"
+    with pytest.raises(KeyError, match="CubicBarrier"):
+        EnvelopeTable.from_dict(data)
+
+
+def test_a_model_of_another_p_than_the_certificate_is_refused(small_table):
+    data = small_table.to_dict()
+    data["model"]["p"] = 2.5
+    with pytest.raises(ValueError, match="differs from the certificate"):
+        EnvelopeTable.from_dict(data)
+    with pytest.raises(ValueError, match="differs from the certificate"):
+        EnvelopeTable(small_table.sigma_grid, small_table.values,
+                      small_table.certificate, EnergyModel(p=2.5),
+                      small_table.s_star, small_table.widths)
 
 
 def test_evaluations_count_every_density_point():
@@ -1015,8 +1064,7 @@ def test_threaded_build_matches_serial(small_table):
 
 def test_table_validation_rejects_bad_grid(small_table):
     with pytest.raises(ValueError, match="start at zero"):
-        EnvelopeTable(np.array([0.5, 1.0]),
-                      small_table.values[:2, :2], (),
+        EnvelopeTable(np.array([0.5, 1.0]), small_table.values[:2, :2],
                       small_table.certificate)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
@@ -1061,7 +1109,7 @@ def test_relaxed_density_finds_the_minimum_of_w0(name):
 
 @pytest.mark.parametrize("name", FOUR_MODELS)
 def test_every_default_node_replays_its_laminate(default_tables, name):
-    # the default table (sigma_max 3, pitch 0.25): each node's witness
+    # the default table (sigma_max 3, pitch 0.25): each node's laminate
     # replays to its value, and the value is the density's own solve
     table = default_tables[name]
     assert table.audit() <= 1e-12
@@ -1210,7 +1258,7 @@ def test_density_batch_solves_only_its_taut_lanes_again(monkeypatch):
     assert np.all(np.abs(got[1:3] - want) <= 1e-15 * want)
 
 
-def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
+def _counted_batches(monkeypatch):
     calls = []
 
     class CountingDensity(ReducedDensity):
@@ -1219,11 +1267,66 @@ def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
             return super().batch(xis)
 
     monkeypatch.setattr(envelope, "ReducedDensity", CountingDensity)
+    return calls
+
+
+def test_table_build_values_every_leaf_in_one_batch_call(monkeypatch):
+    calls = _counted_batches(monkeypatch)
     table = build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.5)
     # 3 slack nodes of 4 leaves, 2 wrinkled of 2 and the taut node itself
     assert calls == [3 * 4 + 2 * 2 + 1]
-    assert [e.witness is None for e in table.entries] \
-        == [e.method == "taut" for e in table.entries]
+    assert [e.method for e in table.entries].count("taut") == 1
+
+
+def test_table_build_solves_each_width_once_per_grid_row(monkeypatch):
+    # the k = 2 width solve runs once, one lane per grid value beyond s*,
+    # not one per node
+    solves = []
+    solve = envelope.solve_fiber
+
+    def counted(model, a, q, *args, k=1):
+        solves.append((k, a.size))
+        return solve(model, a, q, *args, k=k)
+
+    monkeypatch.setattr(envelope, "solve_fiber", counted)
+    table = build_envelope_table(EnergyModel(), sigma_max=3.0, pitch=0.25)
+    # s* = 2^(-1/5): the nine grid values 1, 1.25, ..., 3 lie beyond it
+    assert solves == [(3, 1), (2, 9)]
+    assert np.array_equal(table.widths, relaxed_density(EnergyModel()).width(
+        np.linspace(1.0, 3.0, 9))[0])
+
+
+# SHA-256 of the joined float.hex node values, in np.tril_indices order,
+# of each default table (sigma_max 3, pitch 0.25, 91 nodes), recorded while
+# the table stored a dict laminate per node and replayed it node by node
+GOLDEN_DEFAULT_TABLES = {
+    "reciprocal":
+        "77e3e768ae8143a8f5a6c336c450a254631610909584ad8dc00d965a542314e3",
+    "shifted-log":
+        "5bf96528a997533d936fbbb0bba5872712a295845ee54b9faf6bee199da8a5bc",
+    "p3": "a2981d8a910375adb244d23368f0c0494537561c7a51f7f2aed94a1e93da508d",
+    "x-2": "760109a61be2e5a5f26f3737b00d28a9d6f22609c968f2aef859e84d46137436",
+}
+
+
+@pytest.mark.parametrize("name", FOUR_MODELS)
+def test_default_tables_reproduce_their_golden_nodes(default_tables, name):
+    table = default_tables[name]
+    values = [e.value for e in table.entries]
+    assert len(values) == 91
+    joined = ",".join(v.hex() for v in values)
+    assert hashlib.sha256(joined.encode()).hexdigest() \
+        == GOLDEN_DEFAULT_TABLES[name]
+
+
+def test_a_fine_table_replays_in_one_batch_call(monkeypatch):
+    calls = _counted_batches(monkeypatch)
+    table = build_envelope_table(FOUR_MODELS["p3"], sigma_max=3.0,
+                                 pitch=0.02)
+    assert len(table.entries) == 11476
+    assert len(calls) == 1
+    assert table.audit() <= 1e-12
+    assert len(calls) == 2  # the audit's own replay
 
 
 @pytest.mark.parametrize("sigma, tau", [
@@ -1250,39 +1353,62 @@ def test_fiber_solve_stops_on_the_kink_where_its_slope_jumps_over_zero(
 
 
 def test_audit_refuses_a_broken_laminate(small_table):
-    # node 1 is the slack node (0.5, 0): diag(0.5, 0) -> diag(+-s*, 0) ->
-    # diag(+-s*, +-s*), both ends split alike
+    # grid 0, 0.5, 1 with s* = 2^(-1/5) and m(1) = 2^(-1/4): nodes (0, 0),
+    # (0.5, *) slack, (1, 0) and (1, 0.5) wrinkled, (1, 1) taut
     data = small_table.to_dict()
 
     def broken(edit):
         record = json.loads(json.dumps(data))
-        edit(record["entries"][1], record["values"])
+        edit(record)
         return record
 
-    def outside(e, values):
-        e["witness"]["fraction"] = 1.5
+    def moved_s_star(r):
+        r["s_star"] *= 1.01
 
-    def rank_two(e, values):
-        e["witness"]["plus"]["step"] = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    def moved_width(r):
+        r["widths"][0] *= 1.01
 
-    def moved(e, values):
-        e["value"] *= 1.0 + 1e-9
+    def zero_s_star(r):
+        r["s_star"] = 0.0
 
-    def served(e, values):
-        # the matrix is what a lookup reads: node (0.5, 0) at (0, 1)
-        values[0][1] *= 1.0 + 1e-9
+    def negative_s_star(r):
+        r["s_star"] = -0.5
 
-    for edit, match in ((outside, "outside \\[0, 1\\]"),
-                        (rank_two, "not rank one"),
-                        (moved, "replayed laminates"),
-                        (served, "differs from the value matrix")):
+    def zero_width(r):
+        r["widths"][0] = 0.0
+
+    def negative_width(r):
+        r["widths"][0] = -r["widths"][0]
+
+    def nan_width(r):
+        r["widths"][0] = math.nan
+
+    def extra_width(r):
+        r["widths"].append(1.0)
+
+    def asymmetric(r):
+        # one ulp off: a corner lookup at i1 = i2 reads the upper triangle
+        r["values"][0][1] = math.nextafter(r["values"][0][1], math.inf)
+
+    for edit, match in ((moved_s_star, "replayed laminates"),
+                        (moved_width, "replayed laminates"),
+                        (zero_s_star, "must be positive"),
+                        (negative_s_star, "must be positive"),
+                        (zero_width, "must be positive"),
+                        (negative_width, "must be positive"),
+                        (nan_width, "must be positive"),
+                        (extra_width, "one width per grid value"),
+                        (asymmetric, "must be symmetric")):
         with pytest.raises(ValueError, match=match):
             EnvelopeTable.from_dict(broken(edit))
     # a table without its model cannot be replayed
     with pytest.raises(ValueError, match="no model"):
         EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.entries,
                       small_table.certificate).audit()
+    # the model, s* and the widths come together or not at all
+    with pytest.raises(ValueError, match="together or not at all"):
+        EnvelopeTable(small_table.sigma_grid, small_table.values,
+                      small_table.certificate, small_table.model)
 
 
 def test_table_json_keeps_its_model(tmp_path):
