@@ -11,8 +11,8 @@ isotropic stretch s* that minimizes W(t I), and the width m(s1), the
 equal transverse and thickness stretch of W(diag(s1, t, t)) at its
 minimum. :func:`build_envelope_table` tabulates it on a grid of singular
 values. Each node's laminate of at most two axis splits follows from its
-region and the two constants alone, so the table keeps s* and the width
-of each grid value beyond s* and replays every node from those.
+region and the two constants alone, so the table keeps only its model
+and replays every node from the model's s* and widths.
 
 The module also keeps the constructions the density is never above:
 
@@ -471,16 +471,22 @@ _BARRIERS = {cls.__name__: cls for cls in (ReciprocalBarrier,
                                            ShiftedLogBarrier)}
 
 
-def _nodes(grid: np.ndarray, s_star: float, widths: np.ndarray):
+def _nodes(model: EnergyModel, grid: np.ndarray):
     """The lower-triangle nodes in ``np.tril_indices`` order: indices
-    (i, j), region codes and widths m(s1), NaN where s1 <= s*."""
+    (i, j), region codes and the end e of each node's splits, s* where
+    slack, m(s1) where wrinkled, NaN where taut. s* and the widths m(s)
+    of the grid values s > s* come from two fiber solves, one lane per
+    grid value in the second."""
+    density = relaxed_density(model)
+    far = grid > density.s_star
+    m = np.full(grid.size, np.nan)
+    m[far] = density.width(grid[far])[0]
     i, j = np.tril_indices(grid.size)
-    m = np.concatenate([np.full(grid.size - widths.size, np.nan), widths])
-    return i, j, _region(grid[i], grid[j], s_star, m[i]), m[i]
+    region = _region(grid[i], grid[j], density.s_star, m[i])
+    return i, j, region, np.where(region == _SLACK, density.s_star, m[i])
 
 
-def _replay(model: EnergyModel, grid: np.ndarray, s_star: float,
-            widths: np.ndarray) -> np.ndarray:
+def _replay(model: EnergyModel, grid: np.ndarray) -> np.ndarray:
     """The value matrix of the nodes' laminates, each node the weighted
     mean of W0 over its leaves, all leaves in one ``batch`` call.
 
@@ -490,8 +496,7 @@ def _replay(model: EnergyModel, grid: np.ndarray, s_star: float,
     of weight lam = (e + s) / (2e), and the minus end s - lam 2e. A node
     sums its leaves plus end first, the s1 split outside the s2 split.
     """
-    i, j, region, m = _nodes(grid, s_star, widths)
-    end = np.where(region == _SLACK, s_star, m)
+    i, j, region, end = _nodes(model, grid)
     sig = np.stack([grid[i], grid[j]], axis=1)
     w, owner = np.ones(i.size), np.arange(i.size)
     # the inner split first, so that the outer one's ends lead the order
@@ -556,10 +561,10 @@ class TableLookup(NamedTuple):
         pts, sig, inside = self.xis, self.sigma, self.inside
         (i1, i2), (f1, f2) = self.cells, self.fractions
         v00, v10, v01, v11 = self.corners
-        steps, cert = self.table._steps, self.table.certificate
+        widths, cert = self.table._widths, self.table.certificate
         s1, s2 = sig[:, 0], sig[:, 1]
-        b1 = ((v10 - v00) * (1 - f2) + (v11 - v01) * f2) / steps[i1]
-        b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / steps[i2]
+        b1 = ((v10 - v00) * (1 - f2) + (v11 - v01) * f2) / widths[i1]
+        b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / widths[i2]
         q1 = np.divide(b1, s1, out=np.zeros_like(b1), where=s1 > 0.0)
         q2 = np.divide(b2, s2, out=np.zeros_like(b2), where=s2 > 0.0)
         unit = pts / np.maximum(s1, np.finfo(float).tiny)[:, None, None]
@@ -596,9 +601,9 @@ class EnvelopeTable:
     a true upper bound of the polynomial-growth kind.
     The certificate's p is the table's one growth exponent: a node value
     below the coercivity floor (s1^2 + s2^2)^(p/2) is refused, and so is
-    a model of another p. A table built from a model keeps the model, s*
-    and ``widths``, m(s) at each grid value s > s*: all three or none.
-    They fix every node's laminate, which :meth:`audit` replays.
+    a model of another p. A table built from a model keeps the model,
+    whose s* and widths m(s) fix every node's laminate, which
+    :meth:`audit` replays.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -609,8 +614,7 @@ class EnvelopeTable:
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
                  certificate: GrowthCertificate,
-                 model: EnergyModel | None = None,
-                 s_star: float | None = None, widths=None):
+                 model: EnergyModel | None = None):
         grid = np.asarray(sigma_grid, dtype=float)
         vals = np.asarray(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
@@ -628,27 +632,14 @@ class EnvelopeTable:
         floor = (s1 ** 2 + s2 ** 2) ** (certificate.p / 2.0)
         if np.any(vals < floor - 1e-9):
             raise ValueError("table value below the coercivity floor")
-        if len({model is None, s_star is None, widths is None}) > 1:
-            raise ValueError("model, s_star and widths are set together "
-                             "or not at all")
-        if model is not None:
-            if model.p != certificate.p:
-                raise ValueError(f"model p {model.p!r} differs from the "
-                                 f"certificate's {certificate.p!r}")
-            widths = np.array(widths, dtype=float)
-            if not (0.0 < s_star < math.inf and widths.shape == (
-                    np.count_nonzero(grid > s_star),)
-                    and np.all((0.0 < widths) & (widths < math.inf))):
-                raise ValueError("s_star and the widths must be positive "
-                                 "and finite, one width per grid value "
-                                 "above s_star")
+        if model is not None and model.p != certificate.p:
+            raise ValueError(f"model p {model.p!r} differs from the "
+                             f"certificate's {certificate.p!r}")
         self.sigma_grid = grid
-        self._steps = np.diff(grid)
+        self._widths = np.diff(grid)
         self.values = vals
         self.certificate = certificate
         self.model = model
-        self.s_star = s_star
-        self.widths = widths
 
     @property
     def sigma_max(self) -> float:
@@ -664,7 +655,7 @@ class EnvelopeTable:
         g = self.sigma_grid
         idx = np.minimum(np.maximum(np.searchsorted(g, s, side="right") - 1,
                                     0), g.size - 2)
-        return inside, idx.T, ((s - g[idx]) / self._steps[idx]).T
+        return inside, idx.T, ((s - g[idx]) / self._widths[idx]).T
 
     def lookup(self, xis: np.ndarray) -> TableLookup:
         """Interpolated upper bounds for an (N, 3, 2) stack, with what
@@ -701,11 +692,12 @@ class EnvelopeTable:
     @property
     def entries(self) -> tuple[TableEntry, ...]:
         """The lower-triangle nodes read off the value matrix, in
-        ``np.tril_indices`` order; none for a table without a model."""
+        ``np.tril_indices`` order, each with the region the model's s* and
+        widths give it; none for a table without a model."""
         if self.model is None:
             return ()
         grid = self.sigma_grid
-        i, j, region, _ = _nodes(grid, self.s_star, self.widths)
+        i, j, region, _ = _nodes(self.model, grid)
         return tuple(TableEntry((a, b), v, _REGIONS[r]) for a, b, v, r in
                      zip(grid[i].tolist(), grid[j].tolist(),
                          self.values[i, j].tolist(), region.tolist()))
@@ -713,16 +705,17 @@ class EnvelopeTable:
     def audit(self) -> float:
         """Largest relative gap between a node's value and its laminate
         replayed to W0 leaves (:func:`_replay`), all leaves in one
-        ``batch`` call of the reduced density.
+        ``batch`` call of the reduced density. The laminates are the
+        model's own: s* and the widths are solved again, not read.
 
         Raises ValueError when the table holds no model to replay with.
         """
         if self.model is None:
             raise ValueError("the table holds no model to replay its "
                              "laminates with")
-        replayed = _replay(self.model, self.sigma_grid, self.s_star,
-                           self.widths)
-        return float(np.max(np.abs(replayed - self.values) / self.values))
+        replayed = _replay(self.model, self.sigma_grid)
+        return float(np.max(np.abs(replayed - self.values)
+                            / np.abs(self.values)))
 
     def to_dict(self) -> dict:
         return {
@@ -733,29 +726,22 @@ class EnvelopeTable:
                 "barrier": type(self.model.barrier).__name__,
                 "params": dataclasses.asdict(self.model.barrier),
                 "p": self.model.p},
-            "s_star": self.s_star,
-            "widths": None if self.widths is None else self.widths.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnvelopeTable":
         """The table of :meth:`to_dict`'s record. A record with a model
-        must hold s* and the widths (one that holds none was saved with a
-        laminate per node and must be rebuilt) and replay its nodes
-        (:meth:`audit`) within 1e-12, or ValueError is raised; a barrier
-        the module does not ship raises KeyError. Keys of older records
-        (``depth``, ``model_info``, a top-level ``p`` and ``entries``) are
-        ignored."""
+        must replay its nodes (:meth:`audit`) within 1e-12, or ValueError
+        is raised; a barrier the module does not ship raises KeyError.
+        Keys of older records (``depth``, ``model_info``, a top-level
+        ``p`` and the per-node ``entries`` with their dict laminates) are
+        ignored, so those records load and are audited against the
+        model."""
         record = data.get("model")
         model = None if record is None else EnergyModel(
             _BARRIERS[record["barrier"]](**record["params"]), record["p"])
-        if model is not None and "s_star" not in data:
-            raise ValueError("the record holds no s_star: it was saved with "
-                             "a laminate per node; rebuild the table")
-        laminate = () if model is None else (model, data["s_star"],
-                                             data["widths"])
         table = cls(np.array(data["sigma_grid"]), np.array(data["values"]),
-                    GrowthCertificate(**data["certificate"]), *laminate)
+                    GrowthCertificate(**data["certificate"]), model)
         if model is not None:
             gap = table.audit()
             if not gap <= 1e-12:
@@ -805,8 +791,5 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     if not (is_integer(depth) and 0 <= depth <= 2):
         raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     grid = np.linspace(0.0, sigma_max, n + 1)
-    density = relaxed_density(model)
-    s_star = density.s_star
-    widths = density.width(grid[grid > s_star])[0]
-    return EnvelopeTable(grid, _replay(model, grid, s_star, widths),
-                         growth_certificate(model), model, s_star, widths)
+    return EnvelopeTable(grid, _replay(model, grid),
+                         growth_certificate(model), model)

@@ -24,9 +24,9 @@ AREA_FLOOR = 1e-14
 # roundoff in the coordinates, far below any mesh feature size we accept.
 _BARY_TOL = 1e-12
 
-# Points per block of :meth:`TriMesh.locate`'s scan. A block holds a
-# (points, cells, 3) barycentric stack, so the scan's memory grows with
-# the mesh, not with the product of mesh and point count.
+# Points per block of :meth:`TriMesh.locate`'s scan. A block holds two
+# (points, cells, 3) stacks of barycentric terms, so the scan's memory
+# grows with the mesh, not with the product of mesh and point count.
 _LOCATE_POINTS = 16
 
 
@@ -90,16 +90,20 @@ class TriMesh:
 
         # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
         n = V.shape[0]
-        pairs = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, side_edge = np.unique(pairs[:, 0] * n + pairs[:, 1],
+        sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
                                     return_inverse=True)
-        slots = {"vertices": V, "triangles": T, "areas": areas,
-                 "edges": np.stack([keys // n, keys % n], axis=1),
-                 "cell_edges": side_edge.reshape(-1, 3),
-                 "_inv_rows": inv_rows}
-        for name, arr in slots.items():
+        edges = np.stack([keys // n, keys % n], axis=1)
+        cell_edges = side_edge.reshape(-1, 3)
+
+        for arr in (V, T, areas, inv_rows, edges, cell_edges):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "vertices", V)
+        object.__setattr__(self, "triangles", T)
+        object.__setattr__(self, "areas", areas)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "cell_edges", cell_edges)
+        object.__setattr__(self, "_inv_rows", inv_rows)
         object.__setattr__(self, "_scatter", {})
 
     def __setattr__(self, name, value):
@@ -125,17 +129,23 @@ class TriMesh:
         corners = self.vertices[self.triangles[cells]]
         starts = corners[..., [1, 2, 0], :]
         s = corners[..., [2, 0, 1], :] - starts
-        rel = np.asarray(points, dtype=float)[..., None, :] - starts
-        cross = s[..., 0] * rel[..., 1] - s[..., 1] * rel[..., 0]
         twice_area = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
-        return cross / twice_area[..., None]
+        pts = np.asarray(points, dtype=float)[..., None, :]
+        # (..., 3) stacks only: s_x (p - start)_y - s_y (p - start)_x
+        cross = pts[..., 1] - starts[..., 1]
+        cross *= s[..., 0]
+        rel_x = pts[..., 0] - starts[..., 0]
+        rel_x *= s[..., 1]
+        cross -= rel_x
+        cross /= twice_area[..., None]
+        return cross
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Index of the lowest-index cell containing each point, -1 if the
         point lies outside the domain.
 
-        Points are scanned in blocks of ``_LOCATE_POINTS``, so at most a
-        (block, m, 3) barycentric stack is held at once.
+        Points are scanned in blocks of ``_LOCATE_POINTS``, so at most two
+        (block, m, 3) stacks are held at once.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 1, 2)
         out = np.full(pts.shape[0], -1, dtype=int)

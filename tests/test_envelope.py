@@ -897,20 +897,17 @@ def _refuse_constant(name):
 
 
 def test_table_json_roundtrip(small_table, tmp_path):
-    # grid values 0 and 0.5 lie below s* and have no width: the record
-    # leaves them out and holds no NaN
+    # the record holds no NaN; s* and the widths are the model's, so the
+    # loaded table gives every node the same region and replays it alike
     path = tmp_path / "table.json"
     small_table.save_json(path)
     data = json.loads(path.read_text(), parse_constant=_refuse_constant)
-    assert data["widths"] == small_table.widths.tolist()
-    assert len(data["widths"]) == 1
+    assert data == json.loads(json.dumps(small_table.to_dict()))
     back = EnvelopeTable.load_json(path)
     assert np.array_equal(back.sigma_grid, small_table.sigma_grid)
     assert np.array_equal(back.values, small_table.values)
     assert back.certificate == small_table.certificate
     assert back.model == small_table.model
-    assert back.s_star == small_table.s_star
-    assert np.array_equal(back.widths, small_table.widths)
     assert back.entries == small_table.entries
     assert back.audit() == small_table.audit() == 0.0
 
@@ -922,7 +919,7 @@ def test_table_without_a_model_has_no_entries(small_table, tmp_path):
     path = tmp_path / "bare.json"
     bare.save_json(path)
     back = EnvelopeTable.load_json(path)
-    assert back.model is None and back.s_star is None and back.widths is None
+    assert back.model is None and back.entries == ()
     assert np.array_equal(back.values, small_table.values)
 
 
@@ -935,28 +932,23 @@ def test_table_entry_methods_are_labelled(small_table):
 
 def test_table_json_ignores_the_keys_of_older_records(small_table):
     # tables saved while the laminate search built them carried a depth,
-    # a top-level p, model info and per-node entries; beside s* and the
-    # widths those keys are ignored
+    # a top-level p, model info and per-node entries, and later ones a
+    # dict laminate per entry; those keys are ignored and the nodes are
+    # audited against the model
     data = small_table.to_dict()
-    assert set(data) == {"sigma_grid", "values", "certificate", "model",
-                         "s_star", "widths"}
+    assert set(data) == {"sigma_grid", "values", "certificate", "model"}
     data["depth"], data["p"] = 1, 3.0
     data["model_info"] = {"barrier": "ReciprocalBarrier", "p": 2.0}
+    split = {"step": [[0.0, 0.0], [0.0, 2.0], [0.0, 0.0]], "fraction": 0.5}
     data["entries"] = [{"sigma": [0.0, 0.0], "value": 0.0, "method": "taut",
-                        "witness": None, "depth": 1, "evaluations": 6681}]
+                        "witness": None, "depth": 1, "evaluations": 6681},
+                       {"sigma": [1.0, 0.0], "value": 1.0,
+                        "method": "wrinkled", "witness": split}]
     old = EnvelopeTable.from_dict(data)
     assert np.array_equal(old.values, small_table.values)
     assert old.entries == small_table.entries
     assert old.model == small_table.model
     assert old.certificate == small_table.certificate
-
-
-def test_a_record_with_a_model_but_no_s_star_must_be_rebuilt(small_table):
-    # a record saved with a laminate per node holds no s* and no widths
-    data = small_table.to_dict()
-    del data["s_star"], data["widths"]
-    with pytest.raises(ValueError, match="rebuild the table"):
-        EnvelopeTable.from_dict(data)
 
 
 def test_a_barrier_the_module_does_not_ship_is_refused(small_table):
@@ -973,8 +965,7 @@ def test_a_model_of_another_p_than_the_certificate_is_refused(small_table):
         EnvelopeTable.from_dict(data)
     with pytest.raises(ValueError, match="differs from the certificate"):
         EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.certificate, EnergyModel(p=2.5),
-                      small_table.s_star, small_table.widths)
+                      small_table.certificate, EnergyModel(p=2.5))
 
 
 def test_evaluations_count_every_density_point():
@@ -1292,8 +1283,7 @@ def test_table_build_solves_each_width_once_per_grid_row(monkeypatch):
     table = build_envelope_table(EnergyModel(), sigma_max=3.0, pitch=0.25)
     # s* = 2^(-1/5): the nine grid values 1, 1.25, ..., 3 lie beyond it
     assert solves == [(3, 1), (2, 9)]
-    assert np.array_equal(table.widths, relaxed_density(EnergyModel()).width(
-        np.linspace(1.0, 3.0, 9))[0])
+    assert [e.method for e in table.entries].count("slack") == 4 * 5 // 2
 
 
 # SHA-256 of the joined float.hex node values, in np.tril_indices order,
@@ -1362,42 +1352,27 @@ def test_audit_refuses_a_broken_laminate(small_table):
         edit(record)
         return record
 
-    def moved_s_star(r):
-        r["s_star"] *= 1.01
+    def moved(r):
+        # node (0.5, 0), both ways round, so the matrix stays symmetric
+        r["values"][1][0] *= 1.0 + 1e-9
+        r["values"][0][1] = r["values"][1][0]
 
-    def moved_width(r):
-        r["widths"][0] *= 1.01
+    def moved_model(r):
+        # s* and the widths follow the model and move with it
+        r["model"]["params"]["power"] *= 1.01
 
-    def zero_s_star(r):
-        r["s_star"] = 0.0
-
-    def negative_s_star(r):
-        r["s_star"] = -0.5
-
-    def zero_width(r):
-        r["widths"][0] = 0.0
-
-    def negative_width(r):
-        r["widths"][0] = -r["widths"][0]
-
-    def nan_width(r):
-        r["widths"][0] = math.nan
-
-    def extra_width(r):
-        r["widths"].append(1.0)
+    def below_zero(r):
+        # the coercivity floor at (0, 0) is 0 and admits -1e-10, a lookup
+        # near 0 would then read about 0 instead of W* > 0
+        r["values"][0][0] = -1e-10
 
     def asymmetric(r):
         # one ulp off: a corner lookup at i1 = i2 reads the upper triangle
         r["values"][0][1] = math.nextafter(r["values"][0][1], math.inf)
 
-    for edit, match in ((moved_s_star, "replayed laminates"),
-                        (moved_width, "replayed laminates"),
-                        (zero_s_star, "must be positive"),
-                        (negative_s_star, "must be positive"),
-                        (zero_width, "must be positive"),
-                        (negative_width, "must be positive"),
-                        (nan_width, "must be positive"),
-                        (extra_width, "one width per grid value"),
+    for edit, match in ((moved, "replayed laminates"),
+                        (moved_model, "replayed laminates"),
+                        (below_zero, "replayed laminates"),
                         (asymmetric, "must be symmetric")):
         with pytest.raises(ValueError, match=match):
             EnvelopeTable.from_dict(broken(edit))
@@ -1405,10 +1380,6 @@ def test_audit_refuses_a_broken_laminate(small_table):
     with pytest.raises(ValueError, match="no model"):
         EnvelopeTable(small_table.sigma_grid, small_table.values,
                       small_table.certificate).audit()
-    # the model, s* and the widths come together or not at all
-    with pytest.raises(ValueError, match="together or not at all"):
-        EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.certificate, small_table.model)
 
 
 def test_table_json_keeps_its_model(tmp_path):
