@@ -32,6 +32,7 @@ __all__ = [
     "cellwise_energy",
     "BlendedDirector",
     "nirf_value",
+    "integrate_adaptive",  # only bench/spans.py reads it; ROADMAP item 1
 ]
 
 _ANGULAR_TOL = 1e-6
@@ -66,6 +67,22 @@ _FIXED_DIRECTIONS = (np.concatenate([np.eye(3), -np.eye(3)]), _icosahedron(),
                      *map(_fibonacci_sphere, (64, 256, 1024)))
 for _stage in _FIXED_DIRECTIONS:
     _stage.setflags(write=False)
+
+
+def _gauss_legendre(m: int) -> np.ndarray:
+    """m-point Gauss-Legendre nodes and weights on [0, 1], read-only (m, 1)
+    columns: by Golub-Welsch, the eigenvalues and squared first eigenvector
+    entries of the Legendre Jacobi matrix, whose lower triangle eigh reads."""
+    k = np.arange(1.0, m)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    rule = np.array([(x + 1.0) / 2.0, v[0] ** 2])[..., None]
+    rule.setflags(write=False)
+    return rule
+
+
+# the rule on each smooth piece of the blend, built once at import; four
+# nodes miss by up to 3.8e-8 (p = 3, n = 64), eight are within 4e-14 of 32
+_GAUSS = _gauss_legendre(8)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,9 +336,13 @@ class BlendedDirector:
     whatever the cell's orientation; so the weight is
     clip(min_k lambda_k n h_k, 0, 1), 0 wherever a coordinate is. Only
     the scaled heights n h_k are stored. :meth:`evaluate` reads the
-    coordinates of a point in the cell that contains it, the quadrature
-    its rule's rows. Both endpoints satisfy the cell's determinant
-    bound, linear in the director, so every blended value is feasible.
+    coordinates of a point in the cell that contains it. Both endpoints
+    satisfy the cell's determinant bound, linear in the director, so
+    every blended value is feasible. In a cell of area A and inradius r,
+    {dist = d} is the inner parallel triangle of perimeter 2A (1 - d/r)/r,
+    so by the coarea formula a function f of the weight integrates to
+    A [(2/rho) int_0^min(1, rho) f(a) (1 - a/rho) da
+    + max(0, 1 - 1/rho)^2 f(1)], rho = n r, 1/rho = sum_k 1/(n h_k).
     n must be an integer >= 1, numpy integers included, bools refused.
     """
 
@@ -359,13 +380,28 @@ class BlendedDirector:
         return ((1.0 - a) * self.assignment.zeta_bar[None]
                 + a * self.assignment.zetas[cells])
 
+    def _coarea_rule(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Samples a and weights w, both (8 (K + 1) + 1, M), with
+        sum w f(a) the integral of f(weight) over each cell: a Gauss rule
+        on each piece of the band cut at the (K, M) ``cuts``, then a = 1."""
+        rho = 1.0 / np.sum(1.0 / self._heights, axis=1)
+        top = np.minimum(rho, 1.0)
+        ends = np.vstack([np.zeros_like(top),
+                          np.sort(np.clip(cuts, 0.0, top), axis=0), top])
+        width = np.diff(ends, axis=0)[:, None]
+        a = (ends[:-1, None] + width * _GAUSS[0]).reshape(-1, top.size)
+        w = (width * _GAUSS[1]).reshape(-1, top.size)
+        areas = self.field.mesh.areas
+        return (np.vstack([a, np.ones_like(top)]),
+                np.vstack([2.0 * areas / rho * (1.0 - a / rho) * w,
+                           areas * np.maximum(1.0 - 1.0 / rho, 0.0) ** 2]))
+
 
 # ---------------------------------------------------------------------------
 # energy of the blended director
 
 def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
-               *, rel_tol: float = 1e-4, max_level: int = 8,
-               threads: int = 1) -> ExtValue:
+               *, threads: int = 1) -> ExtValue:
     """Energy of the blended continuous director over the whole mesh.
 
     Builds the assignment at index j (rejected below the feasibility
@@ -376,14 +412,11 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     Along the blend zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c,
     the determinant is c0 + a * c1 and |xi|^2 + |zeta|^2 is
     q0 + a * (q1 + a * q2), with five coefficients per cell computed
-    once. The weight a of :class:`BlendedDirector` is affine in the
-    barycentric coordinates and exactly 0 on the skeleton: the integrand
-    reads (R,) cells' scaled heights and coefficients once and forms a
-    and W at the rule's (E, 3) barycentric rows as (R, E) arrays, with
-    no point and no zeta. Each cell is a root of the adaptive midpoint
-    rule, which reads the mesh's cell areas and no corner, and refines
-    until its own two successive levels agree, all in one
-    :func:`integrate_adaptive` call, which bounds its own memory.
+    once. W_c(a) depends on a point only through the blend weight a, so
+    the coarea formula of :class:`BlendedDirector` makes each cell's
+    integral exactly one in a. The band splits where |c0 + a c1|
+    crosses a kink of the barrier, and each smooth piece takes an 8-point
+    Gauss-Legendre rule, all samples of all cells in one density call.
     The value decreases toward the integral of the reduced density as j
     and n grow.
 
@@ -395,17 +428,17 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     crosses = wedge(grads)
     zeta_bar = asn.zeta_bar
     delta = asn.zetas - zeta_bar
-    coef = np.stack([crosses @ zeta_bar,
-                     np.einsum("ij,ij->i", crosses, delta),
-                     np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar,
-                     2.0 * (delta @ zeta_bar),
-                     np.einsum("ij,ij->i", delta, delta)])
-
-    def integrand(bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        a = director._bary_weight(bary, cells[:, None])
-        c0, c1, q0, q1, q2 = coef[:, cells, None]
-        return model.density(np.abs(c0 + a * c1), q0 + a * (q1 + a * q2))
-
-    return ExtValue(integrate_adaptive(integrand, field.mesh.areas,
-                                       rel_tol=rel_tol,
-                                       max_level=max_level).value)
+    c0 = crosses @ zeta_bar
+    c1 = np.einsum("ij,ij->i", crosses, delta)
+    q0 = np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar
+    q1 = 2.0 * (delta @ zeta_bar)
+    q2 = np.einsum("ij,ij->i", delta, delta)
+    # c0 + a c1 keeps the cell's sign on the blend: it meets kink x at sign x
+    kinks = np.array([x for x, _, _ in model.barrier.kinks]).reshape(-1, 1)
+    cuts = np.divide(asn.signs * kinks - c0, c1, where=c1 != 0.0,
+                     out=np.zeros((kinks.shape[0], c1.size)))
+    a, weights = director._coarea_rule(cuts)
+    sq = q0 + a * (q1 + a * q2)
+    # |det| takes a's buffer, which nothing reads after: one array less
+    values = model.density(np.abs(c0 + a * c1, out=a), sq)
+    return ExtValue(float(np.sum(weights * values)))

@@ -15,6 +15,9 @@ computes, or a fixture of the paper's constructions:
   paper's test-field route to the relaxed density;
 * :func:`director_membrane_energy` is the membrane-side target of a
   recovery lift;
+* :func:`adaptive_nirf` is the blended energy by the adaptive midpoint
+  rule over each cell, the blend weight sampled at the rule's points,
+  which ``nirf_value``'s one-dimensional coarea rule must match;
 * :func:`scanned_normal` is the shared-direction scan valuing every
   direction against every cell, which ``feasible_normal``'s bounded scan
   must reproduce exactly;
@@ -32,7 +35,8 @@ computes, or a fixture of the paper's constructions:
   formed before it handed over the rows, and :func:`corner_areas` gives
   the rule the areas of a corner stack;
 * :func:`mat32` and :func:`mat33` build validated matrices from columns,
-  and :func:`finite` unwraps a value that must not be +inf.
+  and :func:`finite` unwraps a value that must not be +inf;
+* ``FOUR_MODELS`` are the four shipped energy models the tests sweep.
 """
 from __future__ import annotations
 
@@ -43,11 +47,21 @@ import numpy as np
 
 from memrelax import director_field
 from memrelax.dimension_reduction import _sample_director
-from memrelax.energy_models import EnergyModel
+from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
+                                    ShiftedLogBarrier)
 from memrelax.fiber_reduction import WEDGE_FLOOR
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
+from memrelax.quadrature import integrate_adaptive
 from memrelax.tensor_kernel import (INFINITE, ExtValue, _validated, as_mat32,
                                     cofactors, wedge)
+
+
+FOUR_MODELS = {
+    "reciprocal": EnergyModel(),
+    "shifted-log": EnergyModel(ShiftedLogBarrier(), p=2.0),
+    "p3": EnergyModel(p=3.0),
+    "x-2": EnergyModel(ReciprocalBarrier(2.0), p=2.5),
+}
 
 
 def finite(x) -> float:
@@ -491,6 +505,34 @@ def director_membrane_energy(model: EnergyModel, v: PwAffineField,
         _sample_director(phi, v.mesh))[1]
     grads = np.concatenate([v.gradients(), phi_cen.T[:, :, None]], axis=2)
     return float(np.dot(v.mesh.areas, w_stack(model, grads)))
+
+
+def adaptive_nirf(model: EnergyModel, field: PwAffineField, j: int, n: int,
+                  *, rel_tol: float, max_level: int) -> float:
+    """The blended energy of ``nirf_value`` by :func:`integrate_adaptive`
+    over every cell: the blend weight ``BlendedDirector._bary_weight`` at
+    the rule's barycentric rows and W along the blend from the five
+    per-cell coefficients, each cell refined until two levels agree to
+    ``rel_tol`` or it reaches ``max_level``."""
+    asn = director_field.build_assignment(model, field, j)
+    director = director_field.BlendedDirector(field, asn, n)
+    grads = asn.gradients
+    crosses = wedge(grads)
+    zeta_bar = asn.zeta_bar
+    delta = asn.zetas - zeta_bar
+    coef = np.stack([crosses @ zeta_bar,
+                     np.einsum("ij,ij->i", crosses, delta),
+                     np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar,
+                     2.0 * (delta @ zeta_bar),
+                     np.einsum("ij,ij->i", delta, delta)])
+
+    def integrand(bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        a = director._bary_weight(bary, cells[:, None])
+        c0, c1, q0, q1, q2 = coef[:, cells, None]
+        return model.density(np.abs(c0 + a * c1), q0 + a * (q1 + a * q2))
+
+    return integrate_adaptive(integrand, field.mesh.areas, rel_tol=rel_tol,
+                              max_level=max_level).value
 
 
 # ---------------------------------------------------------------------------

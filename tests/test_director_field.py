@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
-from memrelax.quadrature import integrate_adaptive
-from oracles import (corner_areas, finite, mat32, perturbed_square_mesh,
-                     point_integrand, scanned_normal, single_triangle_mesh)
+from oracles import (FOUR_MODELS, adaptive_nirf, finite, mat32,
+                     perturbed_square_mesh, scanned_normal,
+                     single_triangle_mesh)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -107,12 +108,12 @@ def _tilted(angle):
     return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]]) @ E1E2
 
 
-def _curved_field(n):
+def curved_field(n: int = 12, scale: float = 1.0) -> PwAffineField:
     mesh = unit_square_mesh(n)
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     vals = np.column_stack([x + 0.1 * np.sin(y), y + 0.1 * np.cos(x),
                             0.2 * x * y])
-    return PwAffineField(mesh, vals)
+    return PwAffineField(mesh, scale * vals)
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -122,7 +123,7 @@ def test_bounded_scan_returns_the_exhaustive_scan(monkeypatch, block):
     stacks = [np.array(random_cells(rng, rng.integers(1, 7)))
               for _ in range(12)]
     stacks += [wiggly_field(6).gradients(),
-               refine_field(_curved_field(6), 1).gradients()]
+               refine_field(curved_field(6), 1).gradients()]
     for cells in stacks:
         _assert_scan(cells)
 
@@ -172,7 +173,7 @@ def test_bounded_scan_takes_a_later_direction_better_by_ulps(monkeypatch,
 
 def test_bounded_scan_values_few_directions_against_every_cell(monkeypatch):
     # 17 of the 1,874 scanned directions reach the full scan on this field
-    cells = refine_field(_curved_field(6), 1).gradients()
+    cells = refine_field(curved_field(6), 1).gradients()
     full = []
     abs_dots = director_field._abs_dots
 
@@ -622,7 +623,7 @@ def test_nirf_nonincreasing_in_index():
     m = EnergyModel()
     field = wiggly_field(1)
     asn = build_assignment(m, field)
-    vals = [finite(nirf_value(m, field, j, 64, rel_tol=1e-6))
+    vals = [finite(nirf_value(m, field, j, 64))
             for j in (asn.j_v, 4 * asn.j_v, 16 * asn.j_v)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-9
@@ -635,7 +636,7 @@ def test_nirf_converges_to_cellwise_minimum():
     floor = cellwise_energy(asn)
     got = finite(nirf_value(m, field, 8, 10 ** 6))
     assert got >= floor - 1e-12
-    assert got == pytest.approx(floor, rel=1e-3)
+    assert got == pytest.approx(floor, rel=1e-6)
 
 
 def test_nirf_rejects_low_index_and_degenerate_cells():
@@ -649,54 +650,19 @@ def test_nirf_rejects_low_index_and_degenerate_cells():
                                                 np.zeros(3)]))
     with pytest.raises(ValueError, match="rank-deficient"):
         nirf_value(m, flat, 1, 8)
-    with pytest.raises(ValueError, match="max_level"):
-        nirf_value(m, field, 4, 8, max_level=-3)
-
-
-def curved_field() -> PwAffineField:
-    mesh = unit_square_mesh(12)
-    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    vals = np.column_stack([x + 0.1 * np.sin(y), y + 0.1 * np.cos(x),
-                            0.2 * x * y])
-    return PwAffineField(mesh, vals)
-
-
-def per_cell_nirf(model, field, asn, n):
-    """The blended energy cell by cell, blend weight written out."""
-    corners = field.mesh.vertices[field.mesh.triangles]
-    total = 0.0
-    for c in range(asn.n_cells):
-        tri = corners[c]
-        g = asn.gradients[c]
-        cross = np.cross(g[:, 0], g[:, 1])
-        sq = float(np.sum(g * g))
-
-        def integrand(p, roots, tri=tri, c=c, cross=cross, sq=sq):
-            dist = np.inf
-            for k in range(3):
-                a, b = tri[k], tri[(k + 1) % 3]
-                s = np.clip(((p - a) @ (b - a)) / ((b - a) @ (b - a)),
-                            0.0, 1.0)
-                dist = np.minimum(dist, np.hypot(*(p - a - s[:, None]
-                                                   * (b - a)).T))
-            w = np.minimum(n * dist, 1.0)[:, None]
-            zeta = (1.0 - w) * asn.zeta_bar + w * asn.zetas[c]
-            return model.density(np.abs(zeta @ cross),
-                                 sq + np.sum(zeta * zeta, axis=1))
-
-        total += integrate_adaptive(point_integrand(integrand, tri[None]),
-                                    corner_areas(tri[None])).value
-    return total
+    for n in (True, 8.0, 0, -4):
+        with pytest.raises(ValueError, match="sharpness"):
+            nirf_value(m, field, 4, n)
 
 
 def test_nirf_matches_a_per_cell_oracle():
+    # the adaptive midpoint rule over each cell, refined to 1e-10 or level 8
     m = EnergyModel(ShiftedLogBarrier())
     field = curved_field()
     _, j_v, _ = feasible_normal(field.gradients())
-    asn = build_assignment(m, field, 4 * j_v)
     got = finite(nirf_value(m, field, 4 * j_v, 64))
-    want = per_cell_nirf(m, field, asn, 64)
-    assert got == pytest.approx(want, rel=1e-13)
+    want = adaptive_nirf(m, field, 4 * j_v, 64, rel_tol=1e-10, max_level=8)
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_nirf_value_does_not_depend_on_the_cells_orientation():
@@ -715,47 +681,44 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     m = EnergyModel(ShiftedLogBarrier())
     field = curved_field()
     _, j_v, _ = feasible_normal(field.gradients())
-    seen = []
+    rule, density = [], []
+    coarea_rule = BlendedDirector._coarea_rule
+    model_density = EnergyModel.density
 
-    def spy(f, areas, **kw):
-        seen.append((f, areas))
-        return integrate_adaptive(f, areas, **kw)
+    def rule_spy(self, cuts):
+        a, weights = coarea_rule(self, cuts)
+        rule.append(a.copy())  # nirf_value reuses the buffer
+        return a, weights
 
-    monkeypatch.setattr(director_field, "integrate_adaptive", spy)
+    def density_spy(self, adet, sq):
+        density.append(model_density(self, adet, sq))
+        return density[-1]
+
+    monkeypatch.setattr(BlendedDirector, "_coarea_rule", rule_spy)
+    monkeypatch.setattr(EnergyModel, "density", density_spy)
     nirf_value(m, field, 4 * j_v, 64)
+    a, = rule
+    got = density[-1]  # one call over every sample of every cell
+    assert got.shape == a.shape == (17, field.mesh.n_cells)
     asn = build_assignment(m, field, 4 * j_v)
-    phi = BlendedDirector(field, asn, 64)
+    zeta = asn.zeta_bar + a[..., None] * (asn.zetas - asn.zeta_bar)
     crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
     sq = np.sum(asn.gradients ** 2, axis=(1, 2))
-    (f, areas), = seen  # one call over every cell, the mesh's areas
-    assert areas is field.mesh.areas
-    corners = field.mesh.vertices[field.mesh.triangles]
-    rng = np.random.default_rng(16)
-    cells = rng.integers(0, asn.n_cells, 60)
-    bary = rng.dirichlet(np.full(3, 0.3), 50)
-    points = (bary @ corners[cells]).reshape(-1, 2)
-    every = np.repeat(cells, bary.shape[0])
-    assert np.array_equal(field.mesh.locate(points), every)
-    zeta = phi.evaluate(points)
-    want = m.density(np.abs(np.einsum("ij,ij->i", zeta, crosses[every])),
-                     sq[every] + np.einsum("ij,ij->i", zeta, zeta))
-    got = f(bary, cells)
-    assert got.shape == (cells.size, bary.shape[0])
-    np.testing.assert_allclose(got.ravel(), want, rtol=1e-13)
+    want = model_density(m, np.abs(np.einsum("scj,cj->sc", zeta, crosses)),
+                         sq + np.einsum("scj,scj->sc", zeta, zeta))
+    np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 def test_nirf_value_is_pinned_on_the_refined_curved_sheet(monkeypatch):
     # (x + 0.1 sin y, y + 0.1 cos x, 0.2 x y) on a 12 x 12 grid, refined
     # once, j four times the coarse field's feasibility index: the nirf
-    # job of the benchmark at seed 0, pinned bit for bit with the samples
-    # and the level at which each cell stops
-    seen = []
+    # job of the benchmark at seed 0, pinned bit for bit; the 2D adaptive
+    # rule is not called
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("integrate_adaptive called")
 
-    def spy(f, tris, **kw):
-        seen.append(integrate_adaptive(f, tris, **kw))
-        return seen[-1]
-
-    monkeypatch.setattr(director_field, "integrate_adaptive", spy)
+    monkeypatch.setattr(director_field, "integrate_adaptive", no_quadrature)
+    monkeypatch.setattr(quadrature, "integrate_adaptive", no_quadrature)
     mesh = unit_square_mesh(12)
     x, y = mesh.vertices.T
     coarse = PwAffineField(mesh, np.column_stack(
@@ -764,15 +727,102 @@ def test_nirf_value_is_pinned_on_the_refined_curved_sheet(monkeypatch):
     assert 4 * j_v == 4
     value = nirf_value(EnergyModel(ShiftedLogBarrier()),
                        refine_field(coarse, 1), 4 * j_v, 64)
-    assert value.as_float().hex() == "0x1.0153c17fca5d6p+2"
-    res, = seen
-    assert res.n_evals == 127_080
-    assert np.bincount(res.levels).tolist() == [0, 12, 408, 732]
+    assert value.as_float().hex() == "0x1.015370adb990dp+2"
+
+
+def inradii(field: PwAffineField) -> np.ndarray:
+    """2 A / P of each cell, from its side lengths."""
+    corners = field.mesh.vertices[field.mesh.triangles]
+    sides = np.linalg.norm(np.roll(corners, -1, axis=1) - corners, axis=2)
+    return 2.0 * field.mesh.areas / sides.sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_coarea_weights_sum_to_each_cell_area(n):
+    # with f = 1 the band and the plateau hold the whole cell, whether the
+    # band fills it (rho < 1 at n = 4) or leaves a plateau (n = 64), and
+    # wherever the band is cut
+    field = curved_field(6)
+    phi = BlendedDirector(field, build_assignment(EnergyModel(), field), n)
+    rho = n * inradii(field)
+    assert np.all(rho < 1.0) if n == 4 else np.all(rho >= 1.0)
+    cells = field.mesh.n_cells
+    cuts = np.random.default_rng(17).uniform(-0.5, 1.5, (2, cells))
+    for k in range(3):
+        a, weights = phi._coarea_rule(cuts[:k])
+        assert a.shape == weights.shape == (8 * (k + 1) + 1, cells)
+        assert np.all((a >= 0.0) & (a <= 1.0))
+        np.testing.assert_allclose(weights.sum(axis=0), field.mesh.areas,
+                                   rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("model", FOUR_MODELS.values(), ids=FOUR_MODELS)
+def test_nirf_matches_the_adaptive_oracle_for_every_model(model, n):
+    field = curved_field(6)
+    _, j_v, _ = feasible_normal(field.gradients())
+    got = finite(nirf_value(model, field, 4 * j_v, n))
+    want = adaptive_nirf(model, field, 4 * j_v, n, rel_tol=1e-10,
+                         max_level=8)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+def coarea_midpoint(model, field, asn, n, points=20_000) -> float:
+    """The coarea integral cell by cell by a composite midpoint rule in
+    the weight, blind to kinks: W at the blended zeta, rho = n 2 A / P."""
+    rho = n * inradii(field)
+    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    sq = np.sum(asn.gradients ** 2, axis=(1, 2))
+    total = 0.0
+    for c, area in enumerate(field.mesh.areas):
+        top = min(rho[c], 1.0)
+        a = top * (np.arange(points) + 0.5) / points
+        zeta = asn.zeta_bar + a[:, None] * (asn.zetas[c] - asn.zeta_bar)
+        w = model.density(np.abs(zeta @ crosses[c]),
+                          sq[c] + np.sum(zeta * zeta, axis=1))
+        plateau = model.density(np.abs(asn.zetas[c] @ crosses[c]),
+                                sq[c] + asn.zetas[c] @ asn.zetas[c])
+        total += area * (2.0 / rho[c] * top * np.mean(w * (1.0 - a / rho[c]))
+                         + max(0.0, 1.0 - 1.0 / rho[c]) ** 2 * plateau)
+    return total
+
+
+def test_nirf_splits_the_band_where_the_determinant_crosses_the_kink():
+    # p = 3 on a sheet stretched by 1.25: the shared direction has
+    # |det| > 1 and each cell's minimizer |det| < 1, so the shifted log's
+    # kink at |det| = 1 lies inside the band; one Gauss rule across it
+    # misses by about 1e-6
+    m = EnergyModel(ShiftedLogBarrier(), p=3.0)
+    field = curved_field(6, scale=1.25)
+    _, j_v, _ = feasible_normal(field.gradients())
+    asn = build_assignment(m, field, 4 * j_v)
+    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    ends = np.abs([crosses @ asn.zeta_bar,
+                   np.einsum("ij,ij->i", crosses, asn.zetas)])
+    assert np.all(64 * inradii(field) >= 1.0)
+    assert np.sum((ends[0] - 1.0) * (ends[1] - 1.0) < 0.0) > 0
+    got = finite(nirf_value(m, field, 4 * j_v, 64))
+    assert got == pytest.approx(coarea_midpoint(m, field, asn, 64), rel=1e-9)
+
+
+def test_nirf_of_a_cell_whose_minimizer_is_the_shared_direction():
+    # the identity cell under the shifted log at j = 1: the clamp puts the
+    # minimizer on zeta_bar = e3, so c1 = 0 (and 0 / 0 at the kink cut) and
+    # W is constant on the cell
+    m = EnergyModel(ShiftedLogBarrier())
+    field = identity_field()
+    asn = build_assignment(m, field, 1)
+    assert np.array_equal(asn.zetas[0], asn.zeta_bar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nirf_value(m, field, 1, 8)
+    want = field.mesh.areas[0] * m.density(np.float64(1.0), np.float64(3.0))
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 def test_nirf_memory_stays_per_point_scalar():
-    # the integrand holds (N,) arrays per sample point; an (N, 3, 2)
-    # stack per point at the deepest level peaks near 14 MB on this mesh
+    # the rule holds a few (17, M) arrays, about 0.33 MB on this mesh; an
+    # (N, 3, 2) stack per sample point would take megabytes
     m = EnergyModel(ShiftedLogBarrier())
     field = curved_field()
     _, j_v, _ = feasible_normal(field.gradients())

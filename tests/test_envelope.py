@@ -18,8 +18,9 @@ from memrelax.fiber_reduction import (ReducedDensity, solve_fiber,
                                       w0_closed_form)
 from memrelax.pw_affine import PwAffineField
 from memrelax.tensor_kernel import frob_norm, singular_values
-from oracles import (build_diamond_hat, build_square_hat, finite, mat32,
-                     rank_one_convexity_probe, zw0_upper_from_testfn)
+from oracles import (FOUR_MODELS, build_diamond_hat, build_square_hat,
+                     finite, mat32, rank_one_convexity_probe,
+                     zw0_upper_from_testfn)
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)
@@ -1064,12 +1065,6 @@ def test_table_validation_rejects_bad_grid(small_table):
 # ---------------------------------------------------------------------------
 # the tension-field density and the table that holds it
 
-FOUR_MODELS = {
-    "reciprocal": EnergyModel(),
-    "shifted-log": EnergyModel(ShiftedLogBarrier(), p=2.0),
-    "p3": EnergyModel(p=3.0),
-    "x-2": EnergyModel(ReciprocalBarrier(2.0), p=2.5),
-}
 # (s*, W*) of each model, from a plain bisection on the central-difference
 # slope of s -> W0(diag(s, s)); for h = 1/x, p = 2 they are 2^(-1/5) and
 # 5 * 2^(-2/5), and the shifted log's minimizer sits on its kink det = 1
