@@ -153,7 +153,6 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     if not norms.size:
         raise ValueError("feasible_normal needs at least one cell")
     cols = crosses.T
-    unit = cols / norms
 
     best_margin = -1.0
     best = None
@@ -171,7 +170,7 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
                 continue
             dots = _abs_dots(block, cols)
             margin = dots.min(axis=1)
-            margin[_abs_dots(block, unit).min(axis=1) < _ANGULAR_TOL] = -1.0
+            margin[(dots / norms).min(axis=1) < _ANGULAR_TOL] = -1.0
             sentinel[dots.argmin(axis=1)] = True
             k = int(np.argmax(margin))
             if margin[k] > best_margin:
@@ -212,10 +211,15 @@ def _constrained_minima(model: EnergyModel, grads: np.ndarray,
     Splitting zeta along the cell normal c shows the tangential part only
     inflates |zeta|, so each problem is the fiber problem in the normal
     coordinate t with the clamp t >= 1/(j a), a = |c|.  The fiber slope
-    increases, so the clamped minimizer is max(t*, 1/(j a)).
+    increases, so the clamped minimizer is max(t*, 1/(j a)): the free
+    :func:`solve_fiber` minimizer t*, raised to the bound where below it.
     """
     crosses, a, q = _fiber_invariants(grads)
-    t, values = solve_fiber(model, a, q, t_min=1.0 / (j * a))
+    t, values = solve_fiber(model, a, q)
+    low = t < 1.0 / (j * a)
+    lo = 1.0 / (j * a[low])
+    t[low] = lo
+    values[low] = model.density(a[low] * lo, q[low] + lo * lo)
     return values, np.ascontiguousarray(((signs * t / a) * crosses).T)
 
 
@@ -225,9 +229,9 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
 
     The constraint set is {zeta : sign * det(xi|zeta) >= 1/j}; the
     problem reduces to the fiber problem of :func:`solve_fiber` in the
-    normal coordinate t with the clamp t >= 1/(j a). Returns the value
-    and a minimizer. sign must be the integer -1 or +1 and j an integer
-    >= 1 (numpy integers included, bools and floats refused).
+    normal coordinate t, its minimizer clamped to t >= 1/(j a). Returns
+    the value and a minimizer. sign must be the integer -1 or +1 and j an
+    integer >= 1 (numpy integers included, bools and floats refused).
     """
     _check_index(j)
     if j < 1:
@@ -406,9 +410,9 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
 
     Builds the assignment at index j (rejected below the feasibility
     index) and blends with sharpness n; both must be integers, numpy
-    integers included and bools refused; its one batched constrained
-    fiber solve stops a cell whose minimizer sits on a kink of the
-    barrier exactly there.
+    integers included and bools refused; its one batched fiber solve
+    stops a cell whose free minimizer sits on a kink of the barrier
+    exactly there, before the clamp to the cell's bound.
     Along the blend zeta = zeta_bar + a * (zeta_c - zeta_bar) of cell c,
     the determinant is c0 + a * c1 and |xi|^2 + |zeta|^2 is
     q0 + a * (q1 + a * q2), with five coefficients per cell computed

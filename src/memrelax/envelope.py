@@ -603,7 +603,7 @@ class EnvelopeTable:
     below the coercivity floor (s1^2 + s2^2)^(p/2) is refused, and so is
     a model of another p. A table built from a model keeps the model,
     whose s* and widths m(s) fix every node's laminate, which
-    :meth:`audit` replays.
+    :meth:`audit` replays. The grid and the value matrix are frozen copies.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -615,12 +615,14 @@ class EnvelopeTable:
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
                  certificate: GrowthCertificate,
                  model: EnergyModel | None = None):
-        grid = np.asarray(sigma_grid, dtype=float)
-        vals = np.asarray(values, dtype=float)
+        grid = np.array(sigma_grid, dtype=float)
+        vals = np.array(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("sigma grid must hold at least two points")
-        if np.any(np.diff(grid) <= 0.0) or grid[0] != 0.0:
-            raise ValueError("sigma grid must start at zero and increase")
+        if not (np.all(np.isfinite(grid)) and grid[0] == 0.0
+                and np.all(np.diff(grid) > 0.0)):
+            raise ValueError("sigma grid must be finite, start at zero and "
+                             "increase")
         if vals.shape != (grid.size, grid.size):
             raise ValueError("value matrix must be square on the grid")
         if not np.all(np.isfinite(vals)):
@@ -635,6 +637,8 @@ class EnvelopeTable:
         if model is not None and model.p != certificate.p:
             raise ValueError(f"model p {model.p!r} differs from the "
                              f"certificate's {certificate.p!r}")
+        for arr in (grid, vals):
+            arr.setflags(write=False)
         self.sigma_grid = grid
         self._widths = np.diff(grid)
         self.values = vals
@@ -740,7 +744,7 @@ class EnvelopeTable:
         record = data.get("model")
         model = None if record is None else EnergyModel(
             _BARRIERS[record["barrier"]](**record["params"]), record["p"])
-        table = cls(np.array(data["sigma_grid"]), np.array(data["values"]),
+        table = cls(data["sigma_grid"], data["values"],
                     GrowthCertificate(**data["certificate"]), model)
         if model is not None:
             gap = table.audit()

@@ -117,14 +117,14 @@ def _slope(model: EnergyModel, a, q, t, k):
     return phi, dphi
 
 
-def _on_kink(model: EnergyModel, a, q, lo, k):
+def _on_kink(model: EnergyModel, a, q, k):
     """Lanes whose minimizer sits on a kink of the barrier, and its t.
 
     At t_k = (x_k / a)^(1/k) the slope jumps from phi(t_k-) to phi(t_k+),
     which differ only in the barrier part c h'(x_k-) or c h'(x_k+), c =
     k a t_k^(k-1). phi increases, so a jump over zero, phi(t_k-) < 0 <=
-    phi(t_k+), makes t_k the minimizer, if t_k >= lo. The smooth part is
-    that of :func:`_slope`, in its arithmetic.
+    phi(t_k+), makes t_k the minimizer. The smooth part is that of
+    :func:`_slope`, in its arithmetic.
     """
     on = np.zeros(a.size, dtype=bool)
     t = np.empty(a.size)
@@ -134,39 +134,36 @@ def _on_kink(model: EnergyModel, a, q, lo, k):
         c = k * a * tk ** (k - 1)
         s = _stretches(a, q, tk, k)[1]
         smooth = p * k * tk * s * s ** (p / 2.0 - 2.0)
-        hit = ((tk >= lo) & (c * left + smooth < 0.0)
-               & (c * right + smooth >= 0.0))
+        hit = (c * left + smooth < 0.0) & (c * right + smooth >= 0.0)
         t[hit] = tk[hit]
         on |= hit
     return on, t
 
 
-def solve_fiber(model: EnergyModel, a, q, t_min=None, *, k=1):
+def solve_fiber(model: EnergyModel, a, q, *, k=1):
     """Minimize h(a t^k) + (q + k t^2)^{p/2} over t > 0, lanewise.
 
     k is the number of equal free stretches t, the integer 1, 2 or 3.
     k = 1 is the fiber problem of W0, the third column t times the unit
     normal; k = 2 at (a, q) = (s1, s1^2) is W at diag(s1, t, t), and
     k = 3 at (1, 0) is W at t I. a and q are 1D arrays of one shape, a
-    finite and > 0, q finite and >= 0; t_min, finite and >= 0, a scalar
-    or an array of the same length, restricts the search to t >= t_min.
-    Anything else, a bool k included, raises ValueError before the first
-    step. A lane whose bound pins it (phi(t_min) >= 0) stops at t_min.
-    Then each lane tests the barrier's kinks x_k (``barrier.kinks``) with
-    t_k = (x_k / a)^(1/k) >= t_min: if phi(t_k-) < 0 <= phi(t_k+), the
-    minimizer is t_k and the lane stops there exactly, before the first
-    step; a barrier without kinks skips the test. Each other lane runs
-    Newton on phi(t) = 0 inside a bracket [lo, hi] around the root, and
-    falls back to a geometric bisection whenever the Newton step would
-    leave the bracket or be longer than the lane's previous move. A lane
-    stops when its step or its bracket is at most 1e-13 t; the bracket
-    test ends a lane whose minimizer sits at a kink the barrier does not
-    list. Stopped lanes leave before the Newton/bisection choice, so only
-    lanes that go on carry a bracket, and a step on which every lane
-    converges ends the solve before the bracket update. The start
-    (r a^-r / 2)^(1/(r k + 2)), r the barrier's blow-up order, is the
-    root for p = 2 and h(x) = x^-r, so for the reciprocal barrier at
-    p = 2 every lane stops after one slope, whatever k is.
+    finite and > 0, q finite and >= 0. Anything else, a bool k included,
+    raises ValueError before the first step. Each lane tests the
+    barrier's kinks x_k (``barrier.kinks``) at t_k = (x_k / a)^(1/k): if
+    phi(t_k-) < 0 <= phi(t_k+), the minimizer is t_k and the lane stops
+    there exactly, before the first step; a barrier without kinks skips
+    the test. Each other lane runs Newton on phi(t) = 0 inside a bracket
+    [lo, hi] around the root, and falls back to a geometric bisection
+    whenever the Newton step would leave the bracket or be longer than
+    the lane's previous move. A lane stops when its step or its bracket
+    is at most 1e-13 t; the bracket test ends a lane whose minimizer sits
+    at a kink the barrier does not list. Stopped lanes leave before the
+    Newton/bisection choice, so only lanes that go on carry a bracket,
+    and a step on which every lane converges ends the solve before the
+    bracket update. The start (r a^-r / 2)^(1/(r k + 2)), r the barrier's
+    blow-up order, is the root for p = 2 and h(x) = x^-r, so for the
+    reciprocal barrier at p = 2 every lane stops after one slope,
+    whatever k is.
 
     Returns (t, value) arrays. Raises RuntimeError if a lane has not
     converged after _MAX_ITER steps.
@@ -185,26 +182,13 @@ def solve_fiber(model: EnergyModel, a, q, t_min=None, *, k=1):
     r = model.barrier.blowup_order
     t = (0.5 * r * a ** -r) ** (1.0 / (r * k + 2.0))
     live = np.arange(t.size)
-    al, ql, lol = a, q, np.zeros_like(t)
-    if t_min is not None:
-        t_min = np.asarray(t_min, dtype=float)
-        if not np.all((t_min >= 0.0) & (t_min < np.inf)):
-            raise ValueError("t_min must be finite and >= 0")
-        lo = np.broadcast_to(t_min, t.shape)
-        # phi increases, so phi(t_min) >= 0 pins the minimizer to the bound;
-        # the barrier blows up at 0, where phi is -inf or nan, never pinned
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pinned = _slope(model, a, q, lo, k)[0] >= 0.0
-        t = np.where(pinned, lo, np.maximum(t, lo))
-        live = np.flatnonzero(~pinned)
-        al, ql, lol = a[live], q[live], lo[live]
     if model.barrier.kinks:
-        on, t_kink = _on_kink(model, al, ql, lol, k)
-        t[live[on]] = t_kink[on]
-        keep = np.flatnonzero(~on)
-        live, al, ql, lol = live[keep], al[keep], ql[keep], lol[keep]
+        on, t_kink = _on_kink(model, a, q, k)
+        t[on] = t_kink[on]
+        live = np.flatnonzero(~on)
 
-    tl = t[live]
+    al, ql, tl = a[live], q[live], t[live]
+    lol = np.zeros(live.size)
     hil = np.full(live.size, np.inf)
     moved = np.full(live.size, np.inf)
     for _ in range(_MAX_ITER):

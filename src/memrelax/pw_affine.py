@@ -33,7 +33,7 @@ _LOCATE_POINTS = 16
 class TriMesh:
     """Triangulation of a polygonal domain and its P1 operators.
 
-    Vertices are an (n, 2) float array, triangles an (m, 3) index array.
+    Vertices are an (n, 2) float array, triangles an (m, 3) integer array.
     Construction computes the cell areas, the inverse edge Jacobians and
     one edge table: ``edges`` holds each undirected edge once as a sorted
     vertex pair and ``cell_edges`` the edge ids of the sides (a, b),
@@ -55,7 +55,7 @@ class TriMesh:
 
     def __init__(self, vertices, triangles):
         V = np.array(vertices, dtype=float)
-        T = np.array(triangles, dtype=int)
+        T = np.array(triangles)
         if V.ndim != 2 or V.shape[1] != 2:
             raise ValueError(f"vertices must be (n, 2), got {V.shape}")
         if not np.all(np.isfinite(V)):
@@ -64,6 +64,9 @@ class TriMesh:
             raise ValueError(f"triangles must be (m, 3), got {T.shape}")
         if T.shape[0] == 0:
             raise ValueError("mesh needs at least one triangle")
+        if T.dtype.kind not in "iu":
+            raise ValueError(f"triangle indices must be integers: {T.dtype}")
+        T = T.astype(int, copy=False)
         if T.min() < 0 or T.max() >= V.shape[0]:
             raise ValueError("triangle index out of range")
         repeats = ((T[:, 0] == T[:, 1]) | (T[:, 1] == T[:, 2])

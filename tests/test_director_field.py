@@ -11,7 +11,7 @@ from memrelax.director_field import (
     cell_min_constrained, cellwise_energy, feasible_normal, nirf_value,
 )
 from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
-from memrelax.fiber_reduction import w0_closed_form
+from memrelax.fiber_reduction import solve_fiber, w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
 from oracles import (FOUR_MODELS, adaptive_nirf, finite, mat32,
@@ -29,6 +29,16 @@ def wiggly_field(n: int) -> PwAffineField:
     vals = np.column_stack([x + 0.1 * y * y, y - 0.05 * x * x,
                             0.3 * x - 0.2 * y + 0.1 * x * y])
     return PwAffineField(mesh, vals)
+
+
+def stretched_field(n: int = 4) -> PwAffineField:
+    """Sheet whose cells stretch along x from about 1.25 to 2.75: at the
+    feasibility index the least stretched cells' free minimizers lie
+    below the bound 1/(j a), the others above it."""
+    mesh = unit_square_mesh(n)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    return PwAffineField(mesh, np.column_stack([x + x * x, y + 0.1 * x * y,
+                                                0.2 * x * y]))
 
 
 def random_cells(rng, count):
@@ -254,8 +264,59 @@ def test_active_constraint_boundary_value():
     # the constraint with value 2 + 1 + 1
     m = EnergyModel()
     value, zeta = cell_min_constrained(m, E1E2, 1, 1)
-    assert value == pytest.approx(4.0, abs=1e-12)
-    assert zeta == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
+    assert value == 4.0
+    assert np.array_equal(zeta, [0.0, 0.0, 1.0])
+    # a = 3/4, q = 5/2: 1/(a t) + q + t^2 has its root at (2/3)^(1/3),
+    # below the bound 1/(j a) = 4/3 at j = 1, which the cell takes with
+    # the density there; at j = 2 the bound 2/3 lies below the root
+    xi = mat32([1.5, 0, 0], [0, 0.5, 0])
+    a, q, lo = 0.75, 2.5, 1.0 / 0.75
+    t, free = solve_fiber(m, np.array([a]), np.array([q]))
+    at_bound = m.density(np.array([a * lo]), np.array([q + lo * lo]))[0]
+    assert t[0] < lo and at_bound > free[0]
+    for sign in (1, -1):
+        value, zeta = cell_min_constrained(m, xi, sign, 1)
+        assert value == at_bound
+        assert np.array_equal(zeta, [0.0, 0.0, sign * lo / a * a])
+    value, zeta = cell_min_constrained(m, xi, 1, 2)
+    assert value == free[0]
+    assert np.array_equal(zeta, [0.0, 0.0, t[0] / a * a])
+
+
+class KinkAtQuarter:
+    """The shifted log read at 4x: h(x) = max(-log 4x, 0) + 1/(4x), whose
+    kink sits at x = 1/4, where its slope jumps from -8 to -4."""
+
+    kinks = ((0.25, -8.0, -4.0),)
+    blowup_order = 1.0
+
+    def values(self, x):
+        return ShiftedLogBarrier().values(4.0 * np.asarray(x))
+
+    def derivative(self, x):
+        return 4.0 * ShiftedLogBarrier().derivative(4.0 * np.asarray(x))
+
+    def second_derivative(self, x):
+        return 16.0 * ShiftedLogBarrier().second_derivative(
+            4.0 * np.asarray(x))
+
+
+def test_a_kink_below_the_bound_does_not_stop_the_cell():
+    # a = 5/16 puts the free minimizer on the kink, t = 1/(4a) = 0.8
+    # (1/4 < a < 2^(1/2)/4); the bound 1/(j a) is 0.4 at j = 8, where the
+    # cell keeps the kink, and 1.6 at j = 2, where it takes the bound
+    m = EnergyModel(KinkAtQuarter())
+    xi = mat32([1, 0, 0], [0, 0.3125, 0])
+    a, q = 0.3125, 1.09765625
+    t, free = solve_fiber(m, np.array([a]), np.array([q]))
+    assert t[0] == 0.25 / a
+    value, zeta = cell_min_constrained(m, xi, 1, 8)
+    assert value == free[0] and np.array_equal(zeta, [0.0, 0.0, t[0] / a * a])
+    lo = 1.0 / (2 * a)
+    value, zeta = cell_min_constrained(m, xi, 1, 2)
+    assert value == m.density(np.array([a * lo]), np.array([q + lo * lo]))[0]
+    assert np.array_equal(zeta, [0.0, 0.0, lo / a * a])
+    assert value > free[0]
 
 
 def test_active_constraint_against_grid_oracle():
@@ -355,17 +416,25 @@ def test_assignment_invariants_on_wiggly_mesh():
 
 @pytest.mark.parametrize("model", [EnergyModel(),
                                    EnergyModel(ShiftedLogBarrier(), p=3.0)])
-def test_batched_assignment_matches_per_cell_minima(model):
-    field = wiggly_field(3)
+@pytest.mark.parametrize("field, mixed", [(wiggly_field(3), False),
+                                          (stretched_field(), True)],
+                         ids=["wiggly", "stretched"])
+def test_batched_assignment_matches_per_cell_minima(model, field, mixed):
+    # each cell of the batch, clamped to its bound or free, is bit for
+    # bit its own solve; the stretched sheet holds both kinds at j_v
     _, j_v, _ = feasible_normal(field.gradients())
     for j in (j_v, 4 * j_v):
         asn = build_assignment(model, field, j)
+        crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+        dets = asn.signs * np.einsum("ij,ij->i", crosses, asn.zetas)
+        on_bound = np.isclose(dets, 1.0 / j, rtol=1e-12, atol=0.0)
+        if mixed and j == j_v:
+            assert on_bound.any() and not on_bound.all()
         for i in range(asn.n_cells):
             value, zeta = cell_min_constrained(model, asn.gradients[i],
                                                int(asn.signs[i]), j)
-            assert asn.values[i] == pytest.approx(value, rel=1e-13)
-            np.testing.assert_allclose(asn.zetas[i], zeta, rtol=1e-13,
-                                       atol=1e-15)
+            assert asn.values[i] == value
+            assert np.array_equal(asn.zetas[i], zeta)
 
 
 def test_assignment_rejects_low_index():

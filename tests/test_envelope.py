@@ -1062,6 +1062,35 @@ def test_table_validation_rejects_bad_grid(small_table):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 3.0], [0.0, 1.0, np.inf]],
+                         ids=["nan", "inf"])
+def test_table_refuses_a_non_finite_grid(small_table, grid):
+    # NaN fails every comparison, so 0 < NaN < 3 passed the increase test
+    # and every lookup read NaN; JSON parses NaN and Infinity, so a record
+    # without a model must meet the same test
+    vals = np.full((3, 3), 10.0)
+    with pytest.raises(ValueError, match="sigma grid must be finite"):
+        EnvelopeTable(grid, vals, small_table.certificate)
+    record = dict(small_table.to_dict(), sigma_grid=grid,
+                  values=vals.tolist(), model=None)
+    with pytest.raises(ValueError, match="sigma grid must be finite"):
+        EnvelopeTable.from_dict(json.loads(json.dumps(record)))
+
+
+def test_table_arrays_are_frozen_copies(small_table):
+    # a write would skip the finite, symmetric and floor checks, and one
+    # to the grid would leave the cell widths behind
+    grid, vals = small_table.sigma_grid.copy(), small_table.values.copy()
+    table = EnvelopeTable(grid, vals, small_table.certificate)
+    grid[1] = 0.7
+    vals[0, 0] = -5.0
+    assert table.sigma_grid[1] == 0.5 and table.values[0, 0] > 0.0
+    for arr in (table.sigma_grid, table.values, small_table.sigma_grid,
+                small_table.values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = -5.0
+
+
 # ---------------------------------------------------------------------------
 # the tension-field density and the table that holds it
 

@@ -184,19 +184,6 @@ def test_shifted_log_kink_minimizer_terminates():
     assert finite(w0_closed_form(m, xi)) == pytest.approx(val[1], rel=1e-15)
 
 
-def test_lower_clamp_pins_or_passes_through():
-    m = EnergyModel()
-    a = np.array([1.0, 1.0])
-    t_free, v_free = solve_fiber(m, a, np.array([2.0, 2.0]))
-    t, val = solve_fiber(m, a, np.array([2.0, 2.0]),
-                         t_min=np.array([0.5, 1.0]))
-    assert t[0] == pytest.approx(t_free[0], rel=1e-15)
-    assert val[0] == pytest.approx(v_free[0], rel=1e-15)
-    # above the root the clamp is the constrained minimizer: 1/1 + 2 + 1
-    assert t[1] == 1.0
-    assert val[1] == 4.0
-
-
 def test_unconverged_lane_raises(monkeypatch):
     # a minimizer just left of the kink (a < 1) takes six Newton steps
     # from its start, more than 3
@@ -221,9 +208,9 @@ def test_kink_stop_takes_at_most_three_slopes_per_lane(monkeypatch):
         slopes.append(a.size)
         return slope(model, a, q, t, k)
 
-    def tested(model, a, q, lo, k):
+    def tested(model, a, q, k):
         tests.append(a.size)
-        return on_kink(model, a, q, lo, k)
+        return on_kink(model, a, q, k)
 
     monkeypatch.setattr(fiber_reduction, "_slope", counted)
     monkeypatch.setattr(fiber_reduction, "_on_kink", tested)
@@ -242,17 +229,6 @@ def test_kink_stop_takes_at_most_three_slopes_per_lane(monkeypatch):
     assert tests == [] and sum(slopes) / a.size > 20.0
     assert np.array_equal(val[~kinked], val_ref[~kinked])
     np.testing.assert_allclose(val, val_ref, rtol=1e-13, atol=0.0)
-
-
-def test_kink_test_respects_the_lower_clamp():
-    # a kink below t_min is not the constrained minimizer: the lane is
-    # pinned to t_min (phi(t_min) >= 0) or solved on the smooth branch
-    m = EnergyModel(barrier=ShiftedLogBarrier())
-    a, q = np.array([1.2, 1.2]), np.array([2.44, 2.44])
-    t, val = solve_fiber(m, a, q, t_min=np.array([0.5, 1.0]))
-    assert t[0] == 1.0 / a[0]
-    assert t[1] == 1.0
-    assert val[1] == pytest.approx(1.0 / 1.2 + 2.44 + 1.0, rel=1e-15)
 
 
 def test_batch_rejects_non_finite_entries():
@@ -316,9 +292,8 @@ def test_row_invariants_equal_wedge_norm_and_square_sum(seed):
         assert np.array_equal(q, q_ref)
 
 
-def _lane_by_lane(model, a, q, t_min):
-    out = [solve_fiber(model, a[i:i + 1], q[i:i + 1], t_min=t_min[i:i + 1])
-           for i in range(a.size)]
+def _lane_by_lane(model, a, q):
+    out = [solve_fiber(model, a[i:i + 1], q[i:i + 1]) for i in range(a.size)]
     return (np.concatenate([t for t, _ in out]),
             np.concatenate([v for _, v in out]))
 
@@ -327,34 +302,29 @@ def test_mixed_batch_equals_lane_by_lane_solves():
     # shifted log barrier, p = 2: h(x) = 1/x + const for x >= 1, so lanes
     # with a^2 >= 2 start at their root; 1 < a^2 < 2 puts the minimizer
     # on the kink t = 1/a, where the kink test stops the lane before the
-    # first step; a large t_min pins a lane to its bound; small a needs
-    # Newton steps
+    # first step; small a needs Newton steps
     m = EnergyModel(barrier=ShiftedLogBarrier())
     a = np.array([1.5, 3.0, 1.05, 1.2, 1.4, 0.3, 0.7, 1.0, 2.0, 0.5])
     q = np.array([0.5, 2.0, 0.5, 2.44, 9.0, 1.0, 0.2, 3.0, 1.0, 4.0])
-    t_min = np.full(a.size, 1e-3)
-    t_min[[7, 8, 9]] = [5.0, 2.0, 10.0]
-    t, val = solve_fiber(m, a, q, t_min=t_min)
-    t_one, val_one = _lane_by_lane(m, a, q, t_min)
+    t, val = solve_fiber(m, a, q)
+    t_one, val_one = _lane_by_lane(m, a, q)
     assert np.array_equal(t, t_one)
     assert np.array_equal(val, val_one)
     assert np.array_equal(t[2:5], 1.0 / a[2:5])
-    assert np.array_equal(t[7:], t_min[7:])
     start = (0.5 / a[:2]) ** (1.0 / 3.0)
     np.testing.assert_allclose(t[:2], start, rtol=1e-15)
 
 
-def test_reciprocal_batch_with_pinned_lanes_equals_lane_by_lane():
-    m = EnergyModel(barrier=ReciprocalBarrier(1.0))
+def test_reciprocal_batch_equals_lane_by_lane():
+    # p = 3 keeps the lanes off their start, so each takes Newton steps
+    m = EnergyModel(barrier=ReciprocalBarrier(1.0), p=3.0)
     rng = np.random.default_rng(4)
     a = 10.0 ** rng.uniform(-2.0, 1.0, 40)
     q = 10.0 ** rng.uniform(-2.0, 1.0, 40)
-    t_min = np.where(np.arange(40) % 3 == 0, 20.0, 0.0)
-    t, val = solve_fiber(m, a, q, t_min=t_min)
-    t_one, val_one = _lane_by_lane(m, a, q, t_min)
+    t, val = solve_fiber(m, a, q)
+    t_one, val_one = _lane_by_lane(m, a, q)
     assert np.array_equal(t, t_one)
     assert np.array_equal(val, val_one)
-    assert np.array_equal(t[::3], t_min[::3])
 
 
 def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
@@ -386,16 +356,13 @@ def test_lanes_solve_alike_whatever_batch_they_share(monkeypatch):
     assert slopes == [30, 10, 10, 10, 10, 1]
     assert np.array_equal(t, np.concatenate([t_fast, t_slow]))
     assert np.array_equal(val, np.concatenate([v_fast, v_slow]))
-    # reciprocal p = 2 lanes stop on their first slope, also beside lanes
-    # that a large t_min pins to their bound before the first step
+    # reciprocal p = 2 lanes all stop on their first slope
     r = EnergyModel(barrier=ReciprocalBarrier(1.0073))
-    t_min = np.where(np.arange(a.size) < 20, 0.0, 50.0)
     t_r, v_r = solve_fiber(r, a[:20], q[:20])
     slopes.clear()
-    t, val = solve_fiber(r, a, q, t_min=t_min)
-    assert slopes == [40, 20]  # the pinning test, then one step
+    t, val = solve_fiber(r, a, q)
+    assert slopes == [40]
     assert np.array_equal(t[:20], t_r) and np.array_equal(val[:20], v_r)
-    assert np.array_equal(t[20:], t_min[20:])
 
 
 def test_batch_of_empty_and_all_rank_deficient_stacks():
@@ -411,29 +378,26 @@ def test_batch_of_empty_and_all_rank_deficient_stacks():
     assert t.shape == val.shape == (0,)
 
 
-@pytest.mark.parametrize("a, q, t_min, match", [
-    ([1.0], [np.nan], None, "q must be finite"),
-    ([1.0], [np.inf], None, "q must be finite"),
-    ([1.0], [-5.0], None, "q must be finite and >= 0"),
-    ([-1.0], [1.0], None, "a must be finite and > 0"),
-    ([0.0], [1.0], None, "a must be finite and > 0"),
-    ([np.nan], [1.0], None, "a must be finite and > 0"),
-    ([np.inf], [1.0], None, "a must be finite and > 0"),
-    ([1.0, 2.0], [1.0], None, "one shape"),
-    ([[1.0]], [[1.0]], None, "one shape"),
-    (1.0, 1.0, None, "one shape"),
-    ([1.0], [1.0], -0.5, "t_min must be finite and >= 0"),
-    ([1.0], [1.0], np.nan, "t_min must be finite and >= 0"),
-    ([1.0], [1.0], np.inf, "t_min must be finite and >= 0"),
+@pytest.mark.parametrize("a, q, match", [
+    ([1.0], [np.nan], "q must be finite"),
+    ([1.0], [np.inf], "q must be finite"),
+    ([1.0], [-5.0], "q must be finite and >= 0"),
+    ([-1.0], [1.0], "a must be finite and > 0"),
+    ([0.0], [1.0], "a must be finite and > 0"),
+    ([np.nan], [1.0], "a must be finite and > 0"),
+    ([np.inf], [1.0], "a must be finite and > 0"),
+    ([1.0, 2.0], [1.0], "one shape"),
+    ([[1.0]], [[1.0]], "one shape"),
+    (1.0, 1.0, "one shape"),
 ])
-def test_solve_fiber_refuses_bad_lanes(monkeypatch, a, q, t_min, match):
+def test_solve_fiber_refuses_bad_lanes(monkeypatch, a, q, match):
     # the refusal comes before the first slope
     def no_slope(*args):
         raise AssertionError("a bad lane reached the slope")
 
     monkeypatch.setattr(fiber_reduction, "_slope", no_slope)
     with pytest.raises(ValueError, match=match):
-        solve_fiber(EnergyModel(), np.array(a), np.array(q), t_min=t_min)
+        solve_fiber(EnergyModel(), np.array(a), np.array(q))
 
 
 @pytest.mark.parametrize("k", [0, 4, -1, True, 2.0, "2", None])
@@ -485,16 +449,13 @@ def test_equal_stretch_solve_is_the_minimum_of_its_objective(
 
 
 def test_k_accepts_a_numpy_integer_and_solves_lanes_alike():
-    # a mixed shifted log batch over two equal stretches: kink, Newton and
-    # pinned lanes, each bit for bit its own solve
+    # a mixed shifted log batch over two equal stretches: kink and Newton
+    # lanes, each bit for bit its own solve
     m = EnergyModel(barrier=ShiftedLogBarrier())
     a = np.array([1.2, 0.3, 3.0, 1.5, 0.8, 2.0])
     q = a * a
-    t_min = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 0.0])
-    t, val = solve_fiber(m, a, q, t_min=t_min, k=np.int64(2))
+    t, val = solve_fiber(m, a, q, k=np.int64(2))
     for i in range(a.size):
-        t_i, v_i = solve_fiber(m, a[i:i + 1], q[i:i + 1],
-                               t_min=t_min[i:i + 1], k=2)
+        t_i, v_i = solve_fiber(m, a[i:i + 1], q[i:i + 1], k=2)
         assert t[i] == t_i[0] and val[i] == v_i[0]
     assert t[0] == (1.0 / a[0]) ** 0.5 and t[3] == (1.0 / a[3]) ** 0.5
-    assert t[4] == 2.0

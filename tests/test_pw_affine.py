@@ -197,6 +197,14 @@ def test_mesh_and_field_validation():
         TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)])  # bad index
     with pytest.raises(ValueError, match=r"triangle \[0, 1, 1\] repeats"):
         TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 1, 1)])
+    # a float index was truncated: 1.7 read as 1
+    for tris in ([(0, 1.7, 2)], np.array([[0.0, 1.0, 2.0]])):
+        with pytest.raises(ValueError, match="must be integers"):
+            TriMesh([(0, 0), (1, 0), (0, 1)], tris)
+    for tris in ([(0, 1, 2)], np.array([[0, 1, 2]], dtype=np.uint32)):
+        mesh = TriMesh([(0, 0), (1, 0), (0, 1)], tris)
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        assert mesh.triangles.dtype == int
     mesh = single_triangle_mesh((0, 0), (1, 0), (0, 1))
     with pytest.raises(ValueError):
         PwAffineField(mesh, np.ones((4, 3)))  # wrong shape
