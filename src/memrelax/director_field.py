@@ -139,11 +139,13 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     the best cap) and keeps the first direction maximizing the smallest
     unsigned determinant. Directions closer than the angular tolerance to
     any cell's degeneracy plane are rejected outright. A direction's
-    least |det| over a few sentinel cells (the argmin cells of the
-    directions scanned so far) bounds its margin from above, from the
-    same products; a direction whose bound does not beat the best margin
-    cannot win and is skipped, and only the rest are valued against
-    every cell.
+    least |det| over the sentinel cells (the argmin cells of the directions
+    valued so far) bounds its margin. Each batch is bounded once, in chunks
+    of B max(1, M // S) directions for B = ``_SCAN_DIRECTIONS``, M cells
+    and S sentinels, so no call outgrows one (B, M) block of products. A
+    direction whose bound does not beat the best margin is skipped; the
+    rest are valued against every cell B at a time, each block bounded
+    again by the sentinels added since.
 
     Returns (direction, index, signs) where index is the smallest integer
     j with min_i |det| >= 1/j and signs holds the per-cell determinant
@@ -159,13 +161,23 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
     sentinel = np.zeros(norms.size, dtype=bool)
 
     def consider(batch: np.ndarray):
-        # blocks of directions bound the memory; the strict ">" keeps the
-        # first maximum across blocks, as argmax does within one
+        # the strict ">" keeps the first maximum across blocks, as argmax
+        # does within one
         nonlocal best_margin, best
+        seen = sentinel.copy()
+        bound = np.full(batch.shape[0], np.inf)
+        if seen.any():
+            near = cols[:, seen]
+            step = _SCAN_DIRECTIONS * max(1, norms.size // near.shape[1])
+            for i in range(0, batch.shape[0], step):
+                bound[i:i + step] = _abs_dots(batch[i:i + step], near).min(1)
+        batch, bound = batch[bound > best_margin], bound[bound > best_margin]
         for start in range(0, batch.shape[0], _SCAN_DIRECTIONS):
-            block = batch[start:start + _SCAN_DIRECTIONS]
-            bound = _abs_dots(block, cols[:, sentinel])
-            block = block[bound.min(axis=1, initial=np.inf) > best_margin]
+            rows = slice(start, start + _SCAN_DIRECTIONS)
+            if np.any(sentinel > seen):
+                bound[rows] = np.minimum(bound[rows], _abs_dots(
+                    batch[rows], cols[:, sentinel > seen]).min(axis=1))
+            block = batch[rows][bound[rows] > best_margin]
             if not block.shape[0]:
                 continue
             dots = _abs_dots(block, cols)
@@ -175,7 +187,7 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
             k = int(np.argmax(margin))
             if margin[k] > best_margin:
                 best_margin = float(margin[k])
-                best = block[k]
+                best = block[k].copy()
 
     for stage in _FIXED_DIRECTIONS:
         consider(stage)
@@ -282,9 +294,10 @@ class DirectorAssignment:
             dets = np.einsum("ij,ij->i", crosses, vecs)
             if np.any(self.signs * dets < need - 1e-12):
                 raise ValueError(f"{label} violates its determinant bound")
-        for arr in (self.gradients, self.areas, self.signs, self.zeta_bar,
-                    self.zetas, self.values):
-            arr.setflags(write=False)
+        for name, arr in list(vars(self).items()):
+            if isinstance(arr, np.ndarray) and arr.flags.writeable:
+                object.__setattr__(self, name, arr.copy())
+                vars(self)[name].setflags(write=False)
 
     @property
     def n_cells(self) -> int:
@@ -308,7 +321,9 @@ def build_assignment(model: EnergyModel, field: PwAffineField,
     if j < j_v:
         raise ValueError(f"index {j} is below the feasibility index {j_v}")
     values, zetas = _constrained_minima(model, grads, signs, j)
-    return DirectorAssignment(gradients=grads, areas=field.mesh.areas.copy(),
+    for arr in (signs, zeta_bar, zetas, values):
+        arr.setflags(write=False)
+    return DirectorAssignment(gradients=grads, areas=field.mesh.areas,
                               j=int(j), j_v=int(j_v), signs=signs,
                               zeta_bar=zeta_bar, zetas=zetas, values=values)
 

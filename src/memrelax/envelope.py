@@ -603,7 +603,7 @@ class EnvelopeTable:
     below the coercivity floor (s1^2 + s2^2)^(p/2) is refused, and so is
     a model of another p. A table built from a model keeps the model,
     whose s* and widths m(s) fix every node's laminate, which
-    :meth:`audit` replays. The grid and the value matrix are frozen copies.
+    :meth:`audit` replays. It is immutable, its arrays frozen copies.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -639,11 +639,11 @@ class EnvelopeTable:
                              f"certificate's {certificate.p!r}")
         for arr in (grid, vals):
             arr.setflags(write=False)
-        self.sigma_grid = grid
-        self._widths = np.diff(grid)
-        self.values = vals
-        self.certificate = certificate
-        self.model = model
+        vars(self).update(sigma_grid=grid, _widths=np.diff(grid), values=vals,
+                          certificate=certificate, model=model)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EnvelopeTable is immutable")
 
     @property
     def sigma_max(self) -> float:

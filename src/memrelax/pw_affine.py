@@ -34,10 +34,10 @@ class TriMesh:
     """Triangulation of a polygonal domain and its P1 operators.
 
     Vertices are an (n, 2) float array, triangles an (m, 3) integer array.
-    Construction computes the cell areas, the inverse edge Jacobians and
-    one edge table: ``edges`` holds each undirected edge once as a sorted
-    vertex pair and ``cell_edges`` the edge ids of the sides (a, b),
-    (b, c), (c, a) of every cell. All arrays are frozen afterwards.
+    Construction computes the cell areas and the inverse edge Jacobians;
+    the edge table is built on first read: ``edges`` holds each undirected
+    edge once as a sorted vertex pair and ``cell_edges`` the edge ids of
+    the sides (a, b), (b, c), (c, a) of every cell. All arrays are frozen.
 
     A P1 field is an (..., n, k) array of nodal values. Its cell gradients
     and cell means (centroid values) are linear maps of those values, both
@@ -50,7 +50,7 @@ class TriMesh:
     with the mesh.
     """
 
-    __slots__ = ("vertices", "triangles", "areas", "edges", "cell_edges",
+    __slots__ = ("vertices", "triangles", "areas", "_edge_table",
                  "_inv_rows", "_scatter")
 
     def __init__(self, vertices, triangles):
@@ -91,26 +91,35 @@ class TriMesh:
         inv_rows[1, 1] = jac[:, 0, 0]
         inv_rows /= det
 
-        # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
-        n = V.shape[0]
-        sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
-                                    return_inverse=True)
-        edges = np.stack([keys // n, keys % n], axis=1)
-        cell_edges = side_edge.reshape(-1, 3)
-
-        for arr in (V, T, areas, inv_rows, edges, cell_edges):
+        for arr in (V, T, areas, inv_rows):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "triangles", T)
         object.__setattr__(self, "areas", areas)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "cell_edges", cell_edges)
+        object.__setattr__(self, "_edge_table", None)
         object.__setattr__(self, "_inv_rows", inv_rows)
         object.__setattr__(self, "_scatter", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TriMesh is immutable")
+
+    edges = property(lambda self: self._edges()[0])
+    cell_edges = property(lambda self: self._edges()[1])
+
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge table, built and frozen on its first read."""
+        if self._edge_table is None:
+            # sides (a, b), (b, c), (c, a) keyed by their sorted vertex pair
+            n, sides = self.n_vertices, self.triangles[:, [0, 1, 1, 2, 2, 0]]
+            sides = np.sort(sides.reshape(-1, 2), axis=1)
+            keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
+                                        return_inverse=True)
+            table = (np.stack([keys // n, keys % n], axis=1),
+                     side_edge.reshape(-1, 3))
+            for arr in table:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_edge_table", table)
+        return self._edge_table
 
     @property
     def n_vertices(self) -> int:

@@ -194,8 +194,71 @@ def test_bounded_scan_values_few_directions_against_every_cell(monkeypatch):
 
     monkeypatch.setattr(director_field, "_abs_dots", spy)
     _assert_scan(cells)
-    # each valued block reads both the normals and the unit normals
-    assert sum(full) // 2 <= 50
+    assert sum(full) <= 25
+
+
+def nirf_sheet(seed: int) -> PwAffineField:
+    """The benchmark's nirf sheet at a seed: (x + c1 sin y, y + c2 cos x,
+    c3 x y) on a 12 x 12 grid, refined once."""
+    rng = np.random.default_rng(seed)
+    c1, c2, c3 = 0.1, 0.1, 0.2
+    if seed:
+        c1, c2 = rng.uniform(0.09, 0.11, size=2)
+        c3 = rng.uniform(0.18, 0.22)
+    mesh = unit_square_mesh(12)
+    x, y = mesh.vertices.T
+    return refine_field(PwAffineField(mesh, np.column_stack(
+        [x + c1 * np.sin(y), y + c2 * np.cos(x), c3 * x * y])), 1)
+
+
+def _spied_scan(monkeypatch, cells):
+    """feasible_normal's triple and its _abs_dots calls as (directions,
+    cells, whether the cells are every cell's column)."""
+    calls = []
+    abs_dots = director_field._abs_dots
+
+    def spy(dirs, cols):
+        # the scan's first call values the axes against every cell
+        every = calls[0][3] if calls else cols
+        calls.append((dirs.shape[0], cols.shape[1], cols is every, every))
+        return abs_dots(dirs, cols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(director_field, "_abs_dots", spy)
+        got = feasible_normal(cells)
+    return got, [call[:3] for call in calls]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bounded_scan_returns_the_exhaustive_scan_on_the_nirf_sheet(seed):
+    _assert_scan(nirf_sheet(seed).gradients())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_scan_of_the_nirf_sheet_makes_few_calls(monkeypatch, seed):
+    # one bound per batch: nine batches, four of them valued blocks
+    _, calls = _spied_scan(monkeypatch, nirf_sheet(seed).gradients())
+    assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_no_scan_call_outgrows_one_block_of_products(monkeypatch, block):
+    # the three-cell stack makes every cell a sentinel, so its batch
+    # bounds are cut into chunks
+    rng = np.random.default_rng(12)
+    small = np.array(random_cells(rng, 3))
+    monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
+    for cells in (small, np.array([E1E2, E1E2]),
+                  _mirrored(np.array([_tilted(0.5)]), 2),
+                  nirf_sheet(0).gradients()):
+        (zeta, j_v, signs), calls = _spied_scan(monkeypatch, cells)
+        m = cells.shape[0]
+        assert max(rows * width for rows, width, _ in calls) <= block * m
+        want = scanned_normal(cells)
+        assert np.array_equal(zeta, want[0]) and j_v == want[1]
+        assert np.array_equal(signs, want[2])
+        if cells is small:
+            assert max(w for _, w, every in calls if not every) == m
 
 
 def test_feasible_normal_refuses_an_empty_stack():
@@ -457,6 +520,47 @@ def test_assignment_validation_catches_wrong_sign():
                            areas=asn.areas.copy(), j=asn.j, j_v=asn.j_v,
                            signs=-asn.signs, zeta_bar=asn.zeta_bar.copy(),
                            zetas=asn.zetas.copy(), values=asn.values.copy())
+
+
+def test_direct_assignment_stores_read_only_copies():
+    # the caller's writeable arrays stay theirs and writeable; read-only
+    # ones are kept as they are
+    asn = build_assignment(EnergyModel(), wiggly_field(1))
+    mine = {name: getattr(asn, name).copy() for name in
+            ("gradients", "signs", "zeta_bar", "zetas", "values")}
+    made = DirectorAssignment(areas=asn.areas, j=asn.j, j_v=asn.j_v, **mine)
+    for name, arr in mine.items():
+        assert arr.flags.writeable
+        assert getattr(made, name) is not arr
+        assert not getattr(made, name).flags.writeable
+        assert np.array_equal(getattr(made, name), arr)
+    assert made.areas is asn.areas
+
+
+def test_build_assignment_copies_none_of_its_arrays(monkeypatch):
+    # the assignment holds the very arrays the scan and the fiber solve made
+    made = {}
+
+    def keep(name):
+        fn = getattr(director_field, name)
+
+        def kept(*args):
+            made[name] = fn(*args)
+            return made[name]
+        return kept
+
+    for name in ("feasible_normal", "_constrained_minima"):
+        monkeypatch.setattr(director_field, name, keep(name))
+    field = wiggly_field(2)
+    asn = build_assignment(EnergyModel(), field)
+    zeta_bar, _, signs = made["feasible_normal"]
+    values, zetas = made["_constrained_minima"]
+    assert asn.areas is field.mesh.areas
+    assert asn.gradients is field.gradients()
+    assert asn.zeta_bar is zeta_bar and asn.signs is signs
+    assert asn.values is values and asn.zetas is zetas
+    for arr in (asn.signs, asn.zeta_bar, asn.zetas, asn.values):
+        assert not arr.flags.writeable
 
 
 def test_cellwise_energy_is_area_weighted_sum():

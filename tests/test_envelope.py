@@ -1091,6 +1091,23 @@ def test_table_arrays_are_frozen_copies(small_table):
             arr[0] = -5.0
 
 
+def test_table_attributes_cannot_be_rebound(small_table, tmp_path):
+    # a rebound value matrix would skip every constructor check
+    for table in (small_table, EnvelopeTable.from_dict(small_table.to_dict())):
+        for name, value in (("values", -np.ones((3, 3))),
+                            ("sigma_grid", np.array([0.0, 0.7, 1.0])),
+                            ("model", None), ("certificate", None)):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(table, name, value)
+        assert table.values_at(np.zeros((1, 3, 2)))[0] == table.values[0, 0]
+    path = tmp_path / "table.json"
+    small_table.save_json(path)
+    back = EnvelopeTable.load_json(path)
+    assert back.to_dict() == small_table.to_dict()
+    with pytest.raises(AttributeError, match="immutable"):
+        back.values = -back.values
+
+
 # ---------------------------------------------------------------------------
 # the tension-field density and the table that holds it
 

@@ -230,6 +230,51 @@ def test_edge_table_lists_each_side_once():
     assert np.all(on_side[mesh.edges[owners == 1]])
 
 
+def _eager_edge_table(mesh):
+    """The edge table as the constructor once built it."""
+    n, T = mesh.n_vertices, mesh.triangles
+    sides = np.sort(T[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, side_edge = np.unique(sides[:, 0] * n + sides[:, 1],
+                                return_inverse=True)
+    return np.stack([keys // n, keys % n], axis=1), side_edge.reshape(-1, 3)
+
+
+def test_lazy_edge_table_is_the_eager_one():
+    for mesh in (unit_square_mesh(1), unit_square_mesh(5),
+                 perturbed_square_mesh(), crossed_square_mesh(),
+                 diamond_mesh(), refine_mesh(perturbed_square_mesh(), 2)):
+        edges, cell_edges = _eager_edge_table(mesh)
+        for got, want in ((mesh.edges, edges), (mesh.cell_edges, cell_edges)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        # built once, then read back
+        assert mesh.edges is mesh.edges and mesh.cell_edges is mesh.cell_edges
+
+
+def test_a_mesh_builds_its_edge_table_only_when_read(monkeypatch):
+    unique = np.unique
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    mesh = unit_square_mesh(4)
+    TriMesh(mesh.vertices, mesh.triangles)
+    assert built == []
+    # refinement reads the parent's table three times and builds it once;
+    # the child's is never built
+    field = PwAffineField(mesh, np.column_stack([mesh.vertices,
+                                                 mesh.vertices[:, 0]]))
+    fine = refine_field(field, 1)
+    assert built == [3 * mesh.n_cells]
+    assert fine.mesh.n_cells == 4 * mesh.n_cells
+    with pytest.raises(AttributeError, match="immutable"):
+        mesh.edges = np.zeros((1, 2), dtype=int)
+
+
 def _component_major(d_grad, d_mean):
     """Entry-major (..., m, k, 2) and (..., m, k) cell values moved to the
     component-major (2, k, ..., m) and (k, ..., m) of the mesh's
