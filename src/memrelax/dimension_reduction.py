@@ -22,7 +22,7 @@ import numpy as np
 from .director_field import InfeasibleError, build_assignment
 from .energy_models import EnergyModel
 from .pw_affine import PwAffineField, TriMesh
-from .tensor_kernel import cofactors, sum3, wedge
+from .tensor_kernel import cofactors, is_integer, sum3, wedge
 
 __all__ = [
     "PrismField",
@@ -203,7 +203,10 @@ def _check_same_mesh(a: TriMesh, b: TriMesh, what: str) -> None:
 
 
 def lp_distance(a: PwAffineField, b: PwAffineField, p: float) -> float:
-    """L^p distance of two fields on one mesh, centroid quadrature."""
+    """L^p distance of two fields on one mesh, centroid quadrature, for
+    p in [1, inf)."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p!r}")
     _check_same_mesh(a.mesh, b.mesh, "fields")
     cen = a.mesh.component_gradients_and_means(a.values - b.values)[1]
     norms = np.linalg.norm(cen, axis=0)
@@ -386,11 +389,14 @@ def _descent(value, gradient, x0: np.ndarray, iters: int) -> MinimizeResult:
     halves t until f(x + t d) <= f + 1e-4 t g.d. A direction with
     g.d >= 0 clears the memory and is replaced by -g. Accepted
     energies are nonincreasing by construction, and the curvature pairs
-    take a fixed (2 * _MEMORY, n) of memory. Negative ``iters`` raise
-    ValueError, and a start valued +inf InfeasibleError after one call.
+    take a fixed (2 * _MEMORY, n) of memory. ``iters`` other than an
+    integer >= 0 (numpy integers included, bools and floats refused)
+    raises ValueError, and a start valued +inf InfeasibleError after one
+    call.
     """
-    if iters < 0:
-        raise ValueError("iters must be nonnegative")
+    if not (is_integer(iters) and iters >= 0):
+        raise ValueError(
+            f"iters must be nonnegative and an integer, got {iters!r}")
     energy, load, state = value(x0)
     f = energy + load
     if not math.isfinite(f):
@@ -676,11 +682,12 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
     scores the lift itself (its gap is the recovery residual). The meta
     holds the assignment's feasibility index ``j_v``, the membrane
     descent's total, stop reason, final gradient norm and counts (keys
-    ``membrane_*``) and, under ``seconds``, the wall time
-    of each phase: the membrane descent, the director assignment and each
-    film run in schedule order. Every lift has ``_LAYERS`` = 5 layers,
-    which the meta reports under ``layers``. ``threads`` is accepted and
-    unused: the film runs go one after another.
+    ``membrane_*``) and, under ``seconds``, the wall time of each phase:
+    the membrane descent, the director assignment and each film run in
+    schedule order. Every lift has ``_LAYERS`` = 5 layers, which the meta
+    reports under ``layers``. The table must hold ``model``, so that the
+    film and the membrane read one W. ``threads`` is accepted and unused:
+    the film runs go one after another.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
@@ -691,6 +698,8 @@ def gamma_sweep(model: EnergyModel, table, load: LoadPotential,
         raise ValueError('mode must be "minimize" or "recovery"')
     if not all(0.0 < e < math.inf for e in eps_schedule):
         raise ValueError("thicknesses must be finite and positive")
+    if model != table.model:
+        raise ValueError("the table's model is not the sweep's")
 
     started = time.perf_counter()
     mem = minimize_membrane(table, load, mesh, iters=iters)

@@ -264,8 +264,7 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
 class DirectorAssignment:
     """Immutable per-cell data backing a continuous director.
 
-    gradients: (M, 3, 2) cell gradients
-    areas: (M,) cell areas
+    field: the membrane field whose M cells it assigns
     j: active constraint index (>= j_v)
     j_v: smallest feasible index for the shared direction
     signs: (M,) determinant signs, +-1
@@ -274,8 +273,7 @@ class DirectorAssignment:
     values: (M,) per-cell constrained minimum energies at index j
     """
 
-    gradients: np.ndarray
-    areas: np.ndarray
+    field: PwAffineField
     j: int
     j_v: int
     signs: np.ndarray
@@ -284,7 +282,7 @@ class DirectorAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        crosses = wedge(self.gradients)
+        crosses = wedge(self.field.gradients())
         margin = 1.0 / self.j
         for label, vecs, need in (("shared direction",
                                    np.broadcast_to(self.zeta_bar,
@@ -301,7 +299,7 @@ class DirectorAssignment:
 
     @property
     def n_cells(self) -> int:
-        return self.gradients.shape[0]
+        return self.field.mesh.n_cells
 
 
 def build_assignment(model: EnergyModel, field: PwAffineField,
@@ -323,9 +321,9 @@ def build_assignment(model: EnergyModel, field: PwAffineField,
     values, zetas = _constrained_minima(model, grads, signs, j)
     for arr in (signs, zeta_bar, zetas, values):
         arr.setflags(write=False)
-    return DirectorAssignment(gradients=grads, areas=field.mesh.areas,
-                              j=int(j), j_v=int(j_v), signs=signs,
-                              zeta_bar=zeta_bar, zetas=zetas, values=values)
+    return DirectorAssignment(field=field, j=int(j), j_v=int(j_v),
+                              signs=signs, zeta_bar=zeta_bar, zetas=zetas,
+                              values=values)
 
 
 def cellwise_energy(assignment: DirectorAssignment) -> float:
@@ -334,7 +332,7 @@ def cellwise_energy(assignment: DirectorAssignment) -> float:
     This is the energy of the discontinuous cellwise-optimal director and
     the exact limit of the blended integral as the sharpness grows.
     """
-    return float(np.dot(assignment.areas, assignment.values))
+    return float(np.dot(assignment.field.mesh.areas, assignment.values))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +351,9 @@ class BlendedDirector:
     corner k is lambda_k h_k, lambda_k the barycentric coordinate and
     h_k = 2 A / |side| the corner's height, read off the mesh's cell area
     whatever the cell's orientation; so the weight is
-    clip(min_k lambda_k n h_k, 0, 1), 0 wherever a coordinate is. Only
-    the scaled heights n h_k are stored. :meth:`evaluate` reads the
+    clip(min_k lambda_k n h_k, 0, 1), 0 wherever a coordinate is. The
+    cells are those of the assignment's field, and only their scaled
+    heights n h_k are stored. :meth:`evaluate` reads the
     coordinates of a point in the cell that contains it. Both endpoints
     satisfy the cell's determinant bound, linear in the director, so
     every blended value is feasible. In a cell of area A and inradius r,
@@ -365,19 +364,16 @@ class BlendedDirector:
     n must be an integer >= 1, numpy integers included, bools refused.
     """
 
-    def __init__(self, field: PwAffineField, assignment: DirectorAssignment,
-                 n: int):
+    def __init__(self, assignment: DirectorAssignment, n: int):
         if not (is_integer(n) and n >= 1):
             raise ValueError("blend sharpness must be an integer >= 1, "
                              f"got {n!r}")
-        if assignment.n_cells != field.mesh.n_cells:
-            raise ValueError("assignment does not match the field's mesh")
-        self.field = field
         self.assignment = assignment
         self.n = int(n)
-        corners = field.mesh.vertices[field.mesh.triangles]
+        mesh = assignment.field.mesh
+        corners = mesh.vertices[mesh.triangles]
         opposite = corners[:, [2, 0, 1]] - corners[:, [1, 2, 0]]
-        self._heights = (2.0 * self.n * field.mesh.areas[:, None]
+        self._heights = (2.0 * self.n * mesh.areas[:, None]
                          / np.linalg.norm(opposite, axis=2))
 
     def _bary_weight(self, bary: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -391,10 +387,11 @@ class BlendedDirector:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Director (N, 3) at (N, 2) points of the mesh."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        cells = self.field.mesh.locate(pts)
+        mesh = self.assignment.field.mesh
+        cells = mesh.locate(pts)
         if np.any(cells < 0):
             raise ValueError("director evaluated outside the mesh")
-        bary = self.field.mesh.barycentric(pts, cells)
+        bary = mesh.barycentric(pts, cells)
         a = self._bary_weight(bary, cells)[:, None]
         return ((1.0 - a) * self.assignment.zeta_bar[None]
                 + a * self.assignment.zetas[cells])
@@ -410,7 +407,7 @@ class BlendedDirector:
         width = np.diff(ends, axis=0)[:, None]
         a = (ends[:-1, None] + width * _GAUSS[0]).reshape(-1, top.size)
         w = (width * _GAUSS[1]).reshape(-1, top.size)
-        areas = self.field.mesh.areas
+        areas = self.assignment.field.mesh.areas
         return (np.vstack([a, np.ones_like(top)]),
                 np.vstack([2.0 * areas / rho * (1.0 - a / rho) * w,
                            areas * np.maximum(1.0 - 1.0 / rho, 0.0) ** 2]))
@@ -442,8 +439,8 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     ``threads`` is accepted and unused.
     """
     asn = build_assignment(model, field, j)
-    director = BlendedDirector(field, asn, n)
-    grads = asn.gradients
+    director = BlendedDirector(asn, n)
+    grads = field.gradients()
     crosses = wedge(grads)
     zeta_bar = asn.zeta_bar
     delta = asn.zetas - zeta_bar

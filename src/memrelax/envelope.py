@@ -4,7 +4,7 @@ The relaxed density at a surface gradient is the infimum of mean reduced
 energies over compactly supported piecewise-affine perturbations. For
 W = h(|det F|) + |F|^p it has a closed form on singular values, the
 tension-field density (Pipkin, IMA J. Appl. Math. 36, 1986; Steigmann,
-Proc. R. Soc. Lond. A 429, 1990). :func:`relaxed_density` values it with
+Proc. R. Soc. Lond. A 429, 1990). :class:`RelaxedDensity` values it with
 two constants, each a fiber solve over equal free stretches
 (:func:`~memrelax.fiber_reduction.solve_fiber` with k = 3 and k = 2): the
 isotropic stretch s* that minimizes W(t I), and the width m(s1), the
@@ -217,8 +217,15 @@ class RelaxedDensity:
     """
 
     model: EnergyModel
-    s_star: float
-    w_star: float
+    s_star: float = dataclasses.field(init=False)
+    w_star: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        """s* and W* = W(s* I): one fiber solve over three equal free
+        stretches at (a, q) = (1, 0)."""
+        s, w = solve_fiber(self.model, np.ones(1), np.zeros(1), k=3)
+        object.__setattr__(self, "s_star", float(s[0]))
+        object.__setattr__(self, "w_star", float(w[0]))
 
     def width(self, s1: np.ndarray):
         """m(s1) and g(s1, m(s1)) = W(diag(s1, m, m)) for each s1 > 0: one
@@ -242,14 +249,6 @@ class RelaxedDensity:
             s, tau = s1[taut], s2[taut]
             out[taut] = solve_fiber(self.model, s * tau, s * s + tau * tau)[1]
         return out
-
-
-def relaxed_density(model: EnergyModel) -> RelaxedDensity:
-    """The tension-field density of ``model``: the isotropic stretch s*
-    and W* = W(s* I) from one fiber solve over three equal free stretches
-    at (a, q) = (1, 0)."""
-    s, w = solve_fiber(model, np.ones(1), np.zeros(1), k=3)
-    return RelaxedDensity(model, float(s[0]), float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ def _nodes(model: EnergyModel, grid: np.ndarray):
     slack, m(s1) where wrinkled, NaN where taut. s* and the widths m(s)
     of the grid values s > s* come from two fiber solves, one lane per
     grid value in the second."""
-    density = relaxed_density(model)
+    density = RelaxedDensity(model)
     far = grid > density.s_star
     m = np.full(grid.size, np.nan)
     m[far] = density.width(grid[far])[0]
@@ -599,11 +598,11 @@ class EnvelopeTable:
     interpolation error of the grid. Outside the tabulated box the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
     a true upper bound of the polynomial-growth kind.
-    The certificate's p is the table's one growth exponent: a node value
-    below the coercivity floor (s1^2 + s2^2)^(p/2) is refused, and so is
-    a model of another p. A table built from a model keeps the model,
-    whose s* and widths m(s) fix every node's laminate, which
-    :meth:`audit` replays. It is immutable, its arrays frozen copies.
+    The table takes its model, which fixes the rest: the certificate is
+    :func:`growth_certificate` of it, a node value below the coercivity
+    floor (s1^2 + s2^2)^(p/2) of its p is refused, and its s* and widths
+    m(s) fix every node's laminate, which :meth:`audit` replays. It is
+    immutable, its arrays frozen copies.
 
     :meth:`lookup` is the one read: it finds the box and the cell, forms
     the bilinear interpolant and keeps what the exact derivative
@@ -613,8 +612,7 @@ class EnvelopeTable:
     """
 
     def __init__(self, sigma_grid: np.ndarray, values: np.ndarray,
-                 certificate: GrowthCertificate,
-                 model: EnergyModel | None = None):
+                 model: EnergyModel):
         grid = np.array(sigma_grid, dtype=float)
         vals = np.array(values, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
@@ -631,16 +629,13 @@ class EnvelopeTable:
         if not np.array_equal(vals, vals.T):
             raise ValueError("value matrix must be symmetric")
         s1, s2 = np.meshgrid(grid, grid, indexing="ij")
-        floor = (s1 ** 2 + s2 ** 2) ** (certificate.p / 2.0)
+        floor = (s1 ** 2 + s2 ** 2) ** (model.p / 2.0)
         if np.any(vals < floor - 1e-9):
             raise ValueError("table value below the coercivity floor")
-        if model is not None and model.p != certificate.p:
-            raise ValueError(f"model p {model.p!r} differs from the "
-                             f"certificate's {certificate.p!r}")
         for arr in (grid, vals):
             arr.setflags(write=False)
         vars(self).update(sigma_grid=grid, _widths=np.diff(grid), values=vals,
-                          certificate=certificate, model=model)
+                          certificate=growth_certificate(model), model=model)
 
     def __setattr__(self, name, value):
         raise AttributeError("EnvelopeTable is immutable")
@@ -697,9 +692,7 @@ class EnvelopeTable:
     def entries(self) -> tuple[TableEntry, ...]:
         """The lower-triangle nodes read off the value matrix, in
         ``np.tril_indices`` order, each with the region the model's s* and
-        widths give it; none for a table without a model."""
-        if self.model is None:
-            return ()
+        widths give it."""
         grid = self.sigma_grid
         i, j, region, _ = _nodes(self.model, grid)
         return tuple(TableEntry((a, b), v, _REGIONS[r]) for a, b, v, r in
@@ -710,13 +703,7 @@ class EnvelopeTable:
         """Largest relative gap between a node's value and its laminate
         replayed to W0 leaves (:func:`_replay`), all leaves in one
         ``batch`` call of the reduced density. The laminates are the
-        model's own: s* and the widths are solved again, not read.
-
-        Raises ValueError when the table holds no model to replay with.
-        """
-        if self.model is None:
-            raise ValueError("the table holds no model to replay its "
-                             "laminates with")
+        model's own: s* and the widths are solved again, not read."""
         replayed = _replay(self.model, self.sigma_grid)
         return float(np.max(np.abs(replayed - self.values)
                             / np.abs(self.values)))
@@ -725,32 +712,31 @@ class EnvelopeTable:
         return {
             "sigma_grid": self.sigma_grid.tolist(),
             "values": self.values.tolist(),
-            "certificate": dataclasses.asdict(self.certificate),
-            "model": None if self.model is None else {
-                "barrier": type(self.model.barrier).__name__,
-                "params": dataclasses.asdict(self.model.barrier),
-                "p": self.model.p},
+            "model": {"barrier": type(self.model.barrier).__name__,
+                      "params": dataclasses.asdict(self.model.barrier),
+                      "p": self.model.p},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnvelopeTable":
-        """The table of :meth:`to_dict`'s record. A record with a model
-        must replay its nodes (:meth:`audit`) within 1e-12, or ValueError
-        is raised; a barrier the module does not ship raises KeyError.
-        Keys of older records (``depth``, ``model_info``, a top-level
-        ``p`` and the per-node ``entries`` with their dict laminates) are
-        ignored, so those records load and are audited against the
-        model."""
+        """The table of :meth:`to_dict`'s record, which must replay its
+        nodes (:meth:`audit`) within 1e-12, or ValueError is raised; so is
+        a record without a model, which nothing could audit. A barrier the
+        module does not ship raises KeyError. Keys of older records
+        (``certificate``, ``depth``, ``model_info``, a top-level ``p`` and
+        the per-node ``entries`` with their dict laminates) are ignored,
+        so those records load and are audited against the model."""
         record = data.get("model")
-        model = None if record is None else EnergyModel(
-            _BARRIERS[record["barrier"]](**record["params"]), record["p"])
-        table = cls(data["sigma_grid"], data["values"],
-                    GrowthCertificate(**data["certificate"]), model)
-        if model is not None:
-            gap = table.audit()
-            if not gap <= 1e-12:
-                raise ValueError(f"table nodes miss their replayed "
-                                 f"laminates by {gap!r} relative")
+        if record is None:
+            raise ValueError("a table record without a model cannot be "
+                             "audited")
+        model = EnergyModel(_BARRIERS[record["barrier"]](**record["params"]),
+                            record["p"])
+        table = cls(data["sigma_grid"], data["values"], model)
+        gap = table.audit()
+        if not gap <= 1e-12:
+            raise ValueError(f"table nodes miss their replayed laminates by "
+                             f"{gap!r} relative")
         return table
 
     def save_json(self, path) -> None:
@@ -769,7 +755,7 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     """Tabulate the relaxed density on the singular-value grid.
 
     Every node diag(s1, s2), s1 >= s2, takes the tension-field density
-    (:func:`relaxed_density`): one fiber solve for s*, and one
+    (:class:`RelaxedDensity`): one fiber solve for s*, and one
     lane-batched fiber solve for the width m(s) at the grid values
     s > s*, one lane per grid row. A node's region (its entry's
     ``method``) and its laminate follow from s* and m(s1):
@@ -787,13 +773,12 @@ def build_envelope_table(model: EnergyModel, *, sigma_max: float = 3.0,
     each node, optionally on a thread pool. The closed form needs neither
     a search depth nor a pool, so neither changes the table.
     """
-    if sigma_max <= 0.0 or pitch <= 0.0:
-        raise ValueError("sigma_max and pitch must be positive")
+    if not (0.0 < sigma_max < math.inf and 0.0 < pitch < math.inf):
+        raise ValueError("sigma_max and pitch must be finite and positive")
     n = int(round(sigma_max / pitch))
     if abs(n * pitch - sigma_max) > 1e-12:
         raise ValueError("pitch must divide sigma_max")
     if not (is_integer(depth) and 0 <= depth <= 2):
         raise ValueError(f"depth must be the integer 0, 1 or 2, got {depth!r}")
     grid = np.linspace(0.0, sigma_max, n + 1)
-    return EnvelopeTable(grid, _replay(model, grid),
-                         growth_certificate(model), model)
+    return EnvelopeTable(grid, _replay(model, grid), model)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .tensor_kernel import ExtValue, INFINITE, as_mat32, is_integer
+from .tensor_kernel import ExtValue, as_mat32, is_integer
 
 __all__ = [
     "WEDGE_FLOOR",
@@ -235,15 +235,9 @@ def solve_fiber(model: EnergyModel, a, q, *, k=1):
 
 
 def w0_closed_form(model: EnergyModel, xi) -> ExtValue:
-    """Reduced density at one surface gradient.
-
-    a and q come from :func:`_fiber_invariants` and the rank test is
-    :func:`w0_batch`'s, so the value is bit for bit ``w0_batch`` at xi.
-    """
-    a, q = _fiber_invariants(as_mat32(xi)[None])[1:]
-    if not a[0] > WEDGE_FLOOR:
-        return INFINITE
-    return ExtValue(float(solve_fiber(model, a, q)[1][0]))
+    """Reduced density at one surface gradient: :func:`w0_batch` on its
+    one matrix, so the value is bit for bit ``w0_batch`` at xi."""
+    return ExtValue(w0_batch(model, as_mat32(xi)[None])[0])
 
 
 def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "ExtValue",
-    "INFINITE",
     "as_mat32",
     "is_integer",
     "frob_norm",
@@ -43,9 +42,6 @@ class ExtValue(float):
     def as_float(self) -> float:
         """The plain float, +inf included."""
         return float(self)
-
-
-INFINITE = ExtValue(math.inf)
 
 
 def _validated(arr, shape, name: str) -> np.ndarray:

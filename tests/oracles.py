@@ -35,7 +35,8 @@ computes, or a fixture of the paper's constructions:
   formed before it handed over the rows, and :func:`corner_areas` gives
   the rule the areas of a corner stack;
 * :func:`mat32` and :func:`mat33` build validated matrices from columns,
-  and :func:`finite` unwraps a value that must not be +inf;
+  :func:`finite` unwraps a value that must not be +inf, and
+  ``INFINITE`` is +inf as an extended value;
 * ``FOUR_MODELS`` are the four shipped energy models the tests sweep.
 """
 from __future__ import annotations
@@ -52,9 +53,12 @@ from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
 from memrelax.fiber_reduction import WEDGE_FLOOR
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive
-from memrelax.tensor_kernel import (INFINITE, ExtValue, _validated, as_mat32,
-                                    cofactors, wedge)
+from memrelax.tensor_kernel import (ExtValue, _validated, as_mat32, cofactors,
+                                    wedge)
 
+
+# the extended value +inf, which the oracles return where a density blows up
+INFINITE = ExtValue(math.inf)
 
 FOUR_MODELS = {
     "reciprocal": EnergyModel(),
@@ -515,8 +519,8 @@ def adaptive_nirf(model: EnergyModel, field: PwAffineField, j: int, n: int,
     per-cell coefficients, each cell refined until two levels agree to
     ``rel_tol`` or it reaches ``max_level``."""
     asn = director_field.build_assignment(model, field, j)
-    director = director_field.BlendedDirector(field, asn, n)
-    grads = asn.gradients
+    director = director_field.BlendedDirector(asn, n)
+    grads = field.gradients()
     crosses = wedge(grads)
     zeta_bar = asn.zeta_bar
     delta = asn.zetas - zeta_bar

@@ -16,8 +16,7 @@ from memrelax.dimension_reduction import (
 from memrelax.director_field import InfeasibleError, build_assignment
 from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
-from memrelax.envelope import (EnvelopeTable, GrowthCertificate,
-                               build_envelope_table)
+from memrelax.envelope import EnvelopeTable, build_envelope_table
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from oracles import (director_membrane_energy, perturbed_square_mesh,
                      single_triangle_mesh, strided_film_gradient,
@@ -53,6 +52,16 @@ def test_lp_distance_rejects_a_different_mesh_of_the_same_size():
         b = PwAffineField(other, np.zeros((mesh.n_vertices, 3)))
         with pytest.raises(ValueError, match="share a mesh"):
             lp_distance(a, b, 2.0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.0, -1.0, 0.5])
+def test_lp_distance_refuses_an_exponent_outside_one_to_infinity(p):
+    # for two equal fields p = inf read 1.0, NaN read NaN, 0 divided by
+    # zero and -1 read 0.0 after a divide-by-zero warning
+    mesh = unit_square_mesh(2)
+    a = PwAffineField(mesh, np.zeros((mesh.n_vertices, 3)))
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+        lp_distance(a, a, p)
 
 
 def _film_objective(model, load, mesh, x, eps):
@@ -160,8 +169,7 @@ def _linear_table():
     # it stays above the p = 2 floor s1^2 + s2^2 on [0, 3]^2
     grid = np.linspace(0.0, 3.0, 7)
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")
-    cert = GrowthCertificate(c=10.0, p=2.0, r1=1.0, cbar1=1.0)
-    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), cert)
+    return EnvelopeTable(grid, 1.0 + 3.0 * (s1 + s2), EnergyModel())
 
 
 def _tilted_load():
@@ -287,6 +295,43 @@ def test_a_negative_budget_is_refused():
     for run in runs:
         with pytest.raises(ValueError, match="iters must be nonnegative"):
             run()
+
+
+@pytest.mark.parametrize("iters", [True, False, 2.0, 1.5])
+def test_a_budget_that_is_not_an_integer_is_refused(iters):
+    # True ran one step and 2.0 raised TypeError from range
+    mesh = unit_square_mesh(2)
+    runs = [
+        lambda: minimize_membrane(_linear_table(), _tilted_load(), mesh,
+                                  iters=iters),
+        lambda: minimize_thin_film(EnergyModel(), _tilted_load(),
+                                   _flat_film(mesh, 0.2, 5), iters=iters),
+        lambda: gamma_sweep(EnergyModel(), _linear_table(), _down_load(),
+                            mesh, [0.2], iters=iters),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="an integer"):
+            run()
+    res = minimize_membrane(_linear_table(), _tilted_load(), mesh,
+                            iters=np.int64(2))
+    assert res.iterations <= 2
+
+
+def test_gamma_sweep_refuses_a_model_that_is_not_its_tables(monkeypatch):
+    # the film reads the sweep's model and the membrane the table's, so
+    # the two must be one W; the check runs before the membrane descent
+    def never(*args, **kwargs):
+        raise AssertionError("the membrane descent ran")
+
+    mesh = unit_square_mesh(2)
+    with monkeypatch.context() as patched:
+        patched.setattr(dimension_reduction, "minimize_membrane", never)
+        with pytest.raises(ValueError, match="table's model"):
+            gamma_sweep(EnergyModel(ShiftedLogBarrier(), p=2.0),
+                        _linear_table(), _down_load(), mesh, [0.2], iters=5)
+    report = gamma_sweep(EnergyModel(), _linear_table(), _down_load(), mesh,
+                         [0.2], iters=5)
+    assert len(report.rows) == 1
 
 
 @pytest.mark.parametrize("schedule", [[math.nan], [math.inf], [-0.1],

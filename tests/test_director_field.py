@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -469,7 +470,7 @@ def test_assignment_invariants_on_wiggly_mesh():
     m = EnergyModel()
     field = wiggly_field(2)
     asn = build_assignment(m, field, None)
-    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
     assert set(asn.signs.tolist()) <= {-1, 1}
     dets_bar = asn.signs * (crosses @ asn.zeta_bar)
     assert np.all(dets_bar >= 1.0 / asn.j_v - 1e-15)
@@ -488,13 +489,13 @@ def test_batched_assignment_matches_per_cell_minima(model, field, mixed):
     _, j_v, _ = feasible_normal(field.gradients())
     for j in (j_v, 4 * j_v):
         asn = build_assignment(model, field, j)
-        crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+        crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
         dets = asn.signs * np.einsum("ij,ij->i", crosses, asn.zetas)
         on_bound = np.isclose(dets, 1.0 / j, rtol=1e-12, atol=0.0)
         if mixed and j == j_v:
             assert on_bound.any() and not on_bound.all()
         for i in range(asn.n_cells):
-            value, zeta = cell_min_constrained(model, asn.gradients[i],
+            value, zeta = cell_min_constrained(model, asn.field.gradients()[i],
                                                int(asn.signs[i]), j)
             assert asn.values[i] == value
             assert np.array_equal(asn.zetas[i], zeta)
@@ -516,8 +517,7 @@ def test_assignment_validation_catches_wrong_sign():
     field = wiggly_field(1)
     asn = build_assignment(m, field)
     with pytest.raises(ValueError, match="determinant bound"):
-        DirectorAssignment(gradients=asn.gradients.copy(),
-                           areas=asn.areas.copy(), j=asn.j, j_v=asn.j_v,
+        DirectorAssignment(field=asn.field, j=asn.j, j_v=asn.j_v,
                            signs=-asn.signs, zeta_bar=asn.zeta_bar.copy(),
                            zetas=asn.zetas.copy(), values=asn.values.copy())
 
@@ -527,14 +527,14 @@ def test_direct_assignment_stores_read_only_copies():
     # ones are kept as they are
     asn = build_assignment(EnergyModel(), wiggly_field(1))
     mine = {name: getattr(asn, name).copy() for name in
-            ("gradients", "signs", "zeta_bar", "zetas", "values")}
-    made = DirectorAssignment(areas=asn.areas, j=asn.j, j_v=asn.j_v, **mine)
+            ("signs", "zeta_bar", "zetas", "values")}
+    made = DirectorAssignment(field=asn.field, j=asn.j, j_v=asn.j_v, **mine)
     for name, arr in mine.items():
         assert arr.flags.writeable
         assert getattr(made, name) is not arr
         assert not getattr(made, name).flags.writeable
         assert np.array_equal(getattr(made, name), arr)
-    assert made.areas is asn.areas
+    assert made.field is asn.field
 
 
 def test_build_assignment_copies_none_of_its_arrays(monkeypatch):
@@ -555,8 +555,7 @@ def test_build_assignment_copies_none_of_its_arrays(monkeypatch):
     asn = build_assignment(EnergyModel(), field)
     zeta_bar, _, signs = made["feasible_normal"]
     values, zetas = made["_constrained_minima"]
-    assert asn.areas is field.mesh.areas
-    assert asn.gradients is field.gradients()
+    assert asn.field is field
     assert asn.zeta_bar is zeta_bar and asn.signs is signs
     assert asn.values is values and asn.zetas is zetas
     for arr in (asn.signs, asn.zeta_bar, asn.zetas, asn.values):
@@ -568,7 +567,7 @@ def test_cellwise_energy_is_area_weighted_sum():
     field = wiggly_field(2)
     asn = build_assignment(m, field, 8)
     manual = sum(float(a) * float(v)
-                 for a, v in zip(asn.areas, asn.values))
+                 for a, v in zip(asn.field.mesh.areas, asn.values))
     assert cellwise_energy(asn) == pytest.approx(manual, rel=1e-15)
 
 
@@ -586,7 +585,7 @@ def test_blend_is_shared_direction_on_edges():
     m = EnergyModel()
     field = identity_field()
     asn = build_assignment(m, field, 4)
-    phi = BlendedDirector(field, asn, 16)
+    phi = BlendedDirector(asn, 16)
     edge_pts = np.array([[0.5, 0.0], [0.0, 0.3], [0.5, 0.5]])
     got = phi.evaluate(edge_pts)
     assert np.allclose(got, asn.zeta_bar[None], atol=1e-12)
@@ -600,7 +599,7 @@ def test_blend_plateaus_at_cell_minimizer():
     d = 0.25 * (1.0 - math.sqrt(0.5))  # distance to the hypotenuse
     for n in (64, 256):
         assert n * d > 1.0
-        phi = BlendedDirector(field, asn, n)
+        phi = BlendedDirector(asn, n)
         assert np.allclose(phi.evaluate(center), asn.zetas[0][None],
                            atol=1e-12)
     assert phi.evaluate([[0.25, 0.25]])[0] == pytest.approx(asn.zetas[0],
@@ -611,12 +610,12 @@ def test_blend_stays_feasible_everywhere():
     m = EnergyModel()
     field = wiggly_field(2)
     asn = build_assignment(m, field, asn_j := None)
-    phi = BlendedDirector(field, asn, 32)
+    phi = BlendedDirector(asn, 32)
     rng = np.random.default_rng(14)
     pts = rng.uniform(0.0, 1.0, (10000, 2))
     cells = field.mesh.locate(pts)
     zeta = phi.evaluate(pts)
-    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
     dets = np.einsum("ij,ij->i", crosses[cells], zeta)
     assert np.all(asn.signs[cells] * dets >= 1.0 / asn.j - 1e-12)
 
@@ -626,7 +625,7 @@ def test_blend_is_exact_at_vertices_and_on_the_plateau():
     field = wiggly_field(4)
     asn = build_assignment(m, field)
     n = 64
-    phi = BlendedDirector(field, asn, n)
+    phi = BlendedDirector(asn, n)
     at_vertices = phi.evaluate(field.mesh.vertices)
     assert np.array_equal(at_vertices,
                           np.tile(asn.zeta_bar, (field.mesh.n_vertices, 1)))
@@ -641,7 +640,7 @@ def test_blend_is_exact_at_vertices_and_on_the_plateau():
 def test_blend_rejects_points_outside_the_mesh():
     m = EnergyModel()
     field = identity_field()
-    phi = BlendedDirector(field, build_assignment(m, field, 4), 8)
+    phi = BlendedDirector(build_assignment(m, field, 4), 8)
     with pytest.raises(ValueError, match="outside the mesh"):
         phi.evaluate(np.array([[0.2, 0.2], [0.9, 0.9]]))
 
@@ -651,10 +650,13 @@ def test_blend_input_validation():
     field = identity_field()
     asn = build_assignment(m, field, 4)
     with pytest.raises(ValueError, match="sharpness"):
-        BlendedDirector(field, asn, 0)
-    other = wiggly_field(2)
-    with pytest.raises(ValueError, match="does not match"):
-        BlendedDirector(other, asn, 8)
+        BlendedDirector(asn, 0)
+    # the director blends the cells of the assignment's own field, so it
+    # takes no field of its own that could disagree with them
+    params = inspect.signature(BlendedDirector).parameters
+    assert list(params) == ["assignment", "n"]
+    with pytest.raises(TypeError):
+        BlendedDirector(wiggly_field(2), asn, 8)
 
 
 @pytest.mark.parametrize("n", [1.5, math.nan, math.inf, True])
@@ -663,14 +665,14 @@ def test_blend_rejects_a_fractional_or_nonfinite_sharpness(n):
     field = identity_field()
     asn = build_assignment(m, field, 4)
     with pytest.raises(ValueError, match="sharpness"):
-        BlendedDirector(field, asn, n)
+        BlendedDirector(asn, n)
     # one integer rule for j and n: an integral float is refused like a
     # float index, a numpy integer is accepted like one
     with pytest.raises(ValueError, match="sharpness"):
-        BlendedDirector(field, asn, 8.0)
+        BlendedDirector(asn, 8.0)
     with pytest.raises(ValueError, match="sharpness"):
         nirf_value(m, field, 4, 8.0)
-    assert BlendedDirector(field, asn, np.int64(8)).n == 8
+    assert BlendedDirector(asn, np.int64(8)).n == 8
 
 
 def clockwise(field: PwAffineField) -> PwAffineField:
@@ -709,7 +711,7 @@ def test_weight_matches_the_segment_distance(orient):
     assert dist.max() > 0.05  # the weight is checked away from the edges
     bary = field.mesh.barycentric(points, cells)
     for n in (1, 4, 64):
-        got = BlendedDirector(field, asn, n)._bary_weight(bary, cells)
+        got = BlendedDirector(asn, n)._bary_weight(bary, cells)
         np.testing.assert_allclose(got, np.minimum(n * dist, 1.0),
                                    rtol=0.0, atol=1e-14)
 
@@ -719,7 +721,7 @@ def test_weight_matches_the_segment_distance(orient):
 def test_weight_is_zero_at_every_corner_of_every_cell(orient):
     m = EnergyModel()
     field = orient(wiggly_field(4))
-    phi = BlendedDirector(field, build_assignment(m, field), 10 ** 6)
+    phi = BlendedDirector(build_assignment(m, field), 10 ** 6)
     corners = field.mesh.vertices[field.mesh.triangles]
     cells = np.repeat(np.arange(field.mesh.n_cells), 3)
     bary = field.mesh.barycentric(corners.reshape(-1, 2), cells)
@@ -741,7 +743,7 @@ def test_weight_is_zero_at_every_corner_of_perturbed_meshes(orient):
         x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         field = orient(PwAffineField(mesh, np.column_stack(
             [x + 0.1 * y * y, y - 0.05 * x * x, 0.3 * x - 0.2 * y])))
-        phi = BlendedDirector(field, build_assignment(m, field), 10 ** 6)
+        phi = BlendedDirector(build_assignment(m, field), 10 ** 6)
         corners = field.mesh.vertices[field.mesh.triangles]
         cells = np.repeat(np.arange(field.mesh.n_cells), 3)
         bary = field.mesh.barycentric(corners.reshape(-1, 2), cells)
@@ -761,7 +763,7 @@ def test_barycentric_weight_is_the_segment_distance_at_the_rule_points(
     # the side opposite; the quadrature's levels 0-3 on the nirf sheet
     m = EnergyModel(ShiftedLogBarrier())
     field = orient(curved_field())
-    phi = BlendedDirector(field, build_assignment(m, field), 64)
+    phi = BlendedDirector(build_assignment(m, field), 64)
     cells = np.arange(field.mesh.n_cells)
     corners = field.mesh.vertices[field.mesh.triangles]
     for level in range(4):
@@ -875,8 +877,8 @@ def test_nirf_integrand_is_the_density_along_the_blend(monkeypatch):
     assert got.shape == a.shape == (17, field.mesh.n_cells)
     asn = build_assignment(m, field, 4 * j_v)
     zeta = asn.zeta_bar + a[..., None] * (asn.zetas - asn.zeta_bar)
-    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
-    sq = np.sum(asn.gradients ** 2, axis=(1, 2))
+    crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
+    sq = np.sum(asn.field.gradients() ** 2, axis=(1, 2))
     want = model_density(m, np.abs(np.einsum("scj,cj->sc", zeta, crosses)),
                          sq + np.einsum("scj,scj->sc", zeta, zeta))
     np.testing.assert_allclose(got, want, rtol=1e-13)
@@ -916,7 +918,7 @@ def test_coarea_weights_sum_to_each_cell_area(n):
     # band fills it (rho < 1 at n = 4) or leaves a plateau (n = 64), and
     # wherever the band is cut
     field = curved_field(6)
-    phi = BlendedDirector(field, build_assignment(EnergyModel(), field), n)
+    phi = BlendedDirector(build_assignment(EnergyModel(), field), n)
     rho = n * inradii(field)
     assert np.all(rho < 1.0) if n == 4 else np.all(rho >= 1.0)
     cells = field.mesh.n_cells
@@ -944,8 +946,8 @@ def coarea_midpoint(model, field, asn, n, points=20_000) -> float:
     """The coarea integral cell by cell by a composite midpoint rule in
     the weight, blind to kinks: W at the blended zeta, rho = n 2 A / P."""
     rho = n * inradii(field)
-    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
-    sq = np.sum(asn.gradients ** 2, axis=(1, 2))
+    crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
+    sq = np.sum(asn.field.gradients() ** 2, axis=(1, 2))
     total = 0.0
     for c, area in enumerate(field.mesh.areas):
         top = min(rho[c], 1.0)
@@ -969,7 +971,7 @@ def test_nirf_splits_the_band_where_the_determinant_crosses_the_kink():
     field = curved_field(6, scale=1.25)
     _, j_v, _ = feasible_normal(field.gradients())
     asn = build_assignment(m, field, 4 * j_v)
-    crosses = np.cross(asn.gradients[:, :, 0], asn.gradients[:, :, 1])
+    crosses = np.cross(asn.field.gradients()[:, :, 0], asn.field.gradients()[:, :, 1])
     ends = np.abs([crosses @ asn.zeta_bar,
                    np.einsum("ij,ij->i", crosses, asn.zetas)])
     assert np.all(64 * inradii(field) >= 1.0)

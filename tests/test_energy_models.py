@@ -6,8 +6,7 @@ import pytest
 from memrelax.energy_models import (
     EnergyModel, ReciprocalBarrier, ShiftedLogBarrier,
 )
-from memrelax.tensor_kernel import INFINITE
-from oracles import check_conditions, eval_w, finite, w_stack
+from oracles import INFINITE, check_conditions, eval_w, finite, w_stack
 
 
 def test_identity_and_stretch_values():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -10,9 +11,8 @@ from memrelax import envelope, fiber_reduction
 from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
                                     ShiftedLogBarrier)
 from memrelax.envelope import (
-    EnvelopeTable, GrowthCertificate, build_envelope_table, four_corner_bound,
-    growth_certificate, laminate_search, relaxed_density,
-    square_refine_bound,
+    EnvelopeTable, RelaxedDensity, build_envelope_table, four_corner_bound,
+    growth_certificate, laminate_search, square_refine_bound,
 )
 from memrelax.fiber_reduction import (ReducedDensity, solve_fiber,
                                       w0_closed_form)
@@ -743,20 +743,20 @@ def test_table_rejects_floor_violation(small_table):
     bad = small_table.values.copy()
     bad[-1, -1] = 0.5  # below (1 + 1)^1 = 2
     with pytest.raises(ValueError, match="coercivity floor"):
-        EnvelopeTable(small_table.sigma_grid, bad, small_table.certificate)
+        EnvelopeTable(small_table.sigma_grid, bad, small_table.model)
 
 
 def test_table_floor_reads_the_certificate_exponent():
     # s1^2 + s2^2 + 1 clears the p = 2 floor on [0, 3]^2 but not the
-    # p = 3 one at its far corner
+    # p = 3 one at its far corner; the certificate is the model's
     grid = np.linspace(0.0, 3.0, 7)
     s1, s2 = np.meshgrid(grid, grid, indexing="ij")
     vals = s1 ** 2 + s2 ** 2 + 1.0
-    square = GrowthCertificate(c=100.0, p=2.0, r1=1.0, cbar1=1.0)
-    assert EnvelopeTable(grid, vals, square).certificate.p == 2.0
-    cube = GrowthCertificate(c=100.0, p=3.0, r1=1.0, cbar1=1.0)
+    square = EnvelopeTable(grid, vals, EnergyModel())
+    assert square.certificate == growth_certificate(EnergyModel())
+    assert square.certificate.p == 2.0
     with pytest.raises(ValueError, match="coercivity floor"):
-        EnvelopeTable(grid, vals, cube)
+        EnvelopeTable(grid, vals, EnergyModel(p=3.0))
 
 
 def test_table_invariance_under_rotations(small_table):
@@ -773,6 +773,7 @@ def test_table_invariance_under_rotations(small_table):
 def test_table_outside_ball_uses_certificate(small_table):
     xi = mat32([5.0, 0, 0], [0, 5.0, 0])
     cert = small_table.certificate
+    assert cert == growth_certificate(small_table.model)
     expect = cert.c * (1.0 + frob_norm(xi) ** cert.p)
     got = small_table.values_at(xi[None])[0]
     assert got == pytest.approx(expect, rel=1e-12)
@@ -913,15 +914,24 @@ def test_table_json_roundtrip(small_table, tmp_path):
     assert back.audit() == small_table.audit() == 0.0
 
 
-def test_table_without_a_model_has_no_entries(small_table, tmp_path):
-    bare = EnvelopeTable(small_table.sigma_grid, small_table.values,
-                         small_table.certificate)
-    assert bare.entries == ()
-    path = tmp_path / "bare.json"
-    bare.save_json(path)
-    back = EnvelopeTable.load_json(path)
-    assert back.model is None and back.entries == ()
-    assert np.array_equal(back.values, small_table.values)
+def test_a_table_takes_its_model_and_no_certificate(small_table):
+    # the model fixes the certificate, the floor's p and every laminate,
+    # so the table takes nothing else and refuses to go without it
+    params = inspect.signature(EnvelopeTable).parameters
+    assert list(params) == ["sigma_grid", "values", "model"]
+    assert params["model"].default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        EnvelopeTable(small_table.sigma_grid, small_table.values)
+    with pytest.raises(TypeError):
+        EnvelopeTable(small_table.sigma_grid, small_table.values,
+                      certificate=small_table.certificate)
+    # a record without a model is refused: nothing could audit it
+    record = dict(small_table.to_dict(), model=None)
+    with pytest.raises(ValueError, match="without a model"):
+        EnvelopeTable.from_dict(record)
+    del record["model"]
+    with pytest.raises(ValueError, match="without a model"):
+        EnvelopeTable.from_dict(record)
 
 
 def test_table_entry_methods_are_labelled(small_table):
@@ -937,8 +947,10 @@ def test_table_json_ignores_the_keys_of_older_records(small_table):
     # dict laminate per entry; those keys are ignored and the nodes are
     # audited against the model
     data = small_table.to_dict()
-    assert set(data) == {"sigma_grid", "values", "certificate", "model"}
+    assert set(data) == {"sigma_grid", "values", "model"}
     data["depth"], data["p"] = 1, 3.0
+    # a certificate in the record, edited or not, is the model's on load
+    data["certificate"] = {"c": 1e-9, "p": 2.0, "r1": 1.0, "cbar1": 1.0}
     data["model_info"] = {"barrier": "ReciprocalBarrier", "p": 2.0}
     split = {"step": [[0.0, 0.0], [0.0, 2.0], [0.0, 0.0]], "fraction": 0.5}
     data["entries"] = [{"sigma": [0.0, 0.0], "value": 0.0, "method": "taut",
@@ -957,16 +969,6 @@ def test_a_barrier_the_module_does_not_ship_is_refused(small_table):
     data["model"]["barrier"] = "CubicBarrier"
     with pytest.raises(KeyError, match="CubicBarrier"):
         EnvelopeTable.from_dict(data)
-
-
-def test_a_model_of_another_p_than_the_certificate_is_refused(small_table):
-    data = small_table.to_dict()
-    data["model"]["p"] = 2.5
-    with pytest.raises(ValueError, match="differs from the certificate"):
-        EnvelopeTable.from_dict(data)
-    with pytest.raises(ValueError, match="differs from the certificate"):
-        EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.certificate, EnergyModel(p=2.5))
 
 
 def test_evaluations_count_every_density_point():
@@ -1057,9 +1059,18 @@ def test_threaded_build_matches_serial(small_table):
 def test_table_validation_rejects_bad_grid(small_table):
     with pytest.raises(ValueError, match="start at zero"):
         EnvelopeTable(np.array([0.5, 1.0]), small_table.values[:2, :2],
-                      small_table.certificate)
+                      small_table.model)
     with pytest.raises(ValueError, match="pitch must divide"):
         build_envelope_table(EnergyModel(), sigma_max=1.0, pitch=0.3)
+
+
+@pytest.mark.parametrize("sigma_max, pitch", [
+    (math.inf, 0.25), (math.nan, 0.25), (3.0, math.inf), (3.0, math.nan)])
+def test_build_refuses_a_non_finite_box_or_pitch(sigma_max, pitch):
+    # inf raised OverflowError from round and NaN "cannot convert float
+    # NaN to integer"
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_envelope_table(EnergyModel(), sigma_max=sigma_max, pitch=pitch)
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan, 3.0], [0.0, 1.0, np.inf]],
@@ -1067,12 +1078,12 @@ def test_table_validation_rejects_bad_grid(small_table):
 def test_table_refuses_a_non_finite_grid(small_table, grid):
     # NaN fails every comparison, so 0 < NaN < 3 passed the increase test
     # and every lookup read NaN; JSON parses NaN and Infinity, so a record
-    # without a model must meet the same test
+    # meets the same test, before its audit
     vals = np.full((3, 3), 10.0)
     with pytest.raises(ValueError, match="sigma grid must be finite"):
-        EnvelopeTable(grid, vals, small_table.certificate)
+        EnvelopeTable(grid, vals, small_table.model)
     record = dict(small_table.to_dict(), sigma_grid=grid,
-                  values=vals.tolist(), model=None)
+                  values=vals.tolist())
     with pytest.raises(ValueError, match="sigma grid must be finite"):
         EnvelopeTable.from_dict(json.loads(json.dumps(record)))
 
@@ -1081,7 +1092,7 @@ def test_table_arrays_are_frozen_copies(small_table):
     # a write would skip the finite, symmetric and floor checks, and one
     # to the grid would leave the cell widths behind
     grid, vals = small_table.sigma_grid.copy(), small_table.values.copy()
-    table = EnvelopeTable(grid, vals, small_table.certificate)
+    table = EnvelopeTable(grid, vals, small_table.model)
     grid[1] = 0.7
     vals[0, 0] = -5.0
     assert table.sigma_grid[1] == 0.5 and table.values[0, 0] > 0.0
@@ -1130,7 +1141,7 @@ def default_tables():
 
 @pytest.mark.parametrize("name", FOUR_MODELS)
 def test_relaxed_density_finds_the_minimum_of_w0(name):
-    density = relaxed_density(FOUR_MODELS[name])
+    density = RelaxedDensity(FOUR_MODELS[name])
     s_star, w_star = CLOSED_MINIMA[name]
     assert abs(density.s_star - s_star) <= 1e-6
     assert abs(density.w_star - w_star) <= 1e-6
@@ -1139,13 +1150,30 @@ def test_relaxed_density_finds_the_minimum_of_w0(name):
         assert density.w_star == pytest.approx(5.0 * 2.0 ** -0.4, rel=1e-15)
 
 
+def test_the_density_solves_its_own_constants():
+    # s* and W* are the model's k = 3 solve, so no caller can give others
+    model = EnergyModel()
+    with pytest.raises(TypeError):
+        RelaxedDensity(model, 0.5, 1.0)
+    with pytest.raises(TypeError):
+        RelaxedDensity(model, s_star=0.5, w_star=1.0)
+    assert not hasattr(envelope, "relaxed_density")
+    density = RelaxedDensity(model)
+    s, w = solve_fiber(model, np.ones(1), np.zeros(1), k=3)
+    assert (density.s_star, density.w_star) == (s[0], w[0])
+    assert density == RelaxedDensity(model)
+    # the slack value at diag(0.6, 0.3) is W*
+    assert density.batch(_diag(0.6, 0.3)[None])[0] == w[0]
+    assert w[0] == pytest.approx(3.789291416, abs=1e-9)
+
+
 @pytest.mark.parametrize("name", FOUR_MODELS)
 def test_every_default_node_replays_its_laminate(default_tables, name):
     # the default table (sigma_max 3, pitch 0.25): each node's laminate
     # replays to its value, and the value is the density's own solve
     table = default_tables[name]
     assert table.audit() <= 1e-12
-    density = relaxed_density(FOUR_MODELS[name])
+    density = RelaxedDensity(FOUR_MODELS[name])
     nodes = np.array([_diag(*e.sigma) for e in table.entries])
     values = np.array([e.value for e in table.entries])
     np.testing.assert_allclose(values, density.batch(nodes), rtol=1e-12,
@@ -1194,7 +1222,7 @@ def test_relaxed_density_is_midpoint_convex(name):
     # the even, symmetric extension f(x, y) = F(|x|, |y|) sorted, read at
     # diag(x, y), is convex along random segments in the plane: the
     # certificate that the density is the quasiconvex envelope of W0
-    density = relaxed_density(FOUR_MODELS[name])
+    density = RelaxedDensity(FOUR_MODELS[name])
     rng = np.random.default_rng(26)
     ends = rng.uniform(-2.5, 2.5, (2, 400, 2))
     ends[:, :100] *= 0.4  # near the slack square and its rim
@@ -1209,7 +1237,7 @@ def test_relaxed_density_is_midpoint_convex(name):
 def test_reciprocal_isotropic_stretch_and_width_are_exact():
     # h = 1/x, p = 2: s* = 2^(-1/5) and m(s) = 2^(-1/4) s^(-1/4), the
     # starts of the k = 3 and k = 2 fiber solves
-    density = relaxed_density(EnergyModel())
+    density = RelaxedDensity(EnergyModel())
     assert density.s_star == 2.0 ** -0.2
     grid = np.linspace(0.0, 3.0, 13)
     s1 = grid[grid > density.s_star]
@@ -1220,7 +1248,7 @@ def test_reciprocal_isotropic_stretch_and_width_are_exact():
 def test_shifted_log_width_on_the_kink_is_exact():
     # at p = 2 the width sits on the kink s m^2 = 1 for 1 < s <= 2, where
     # the k = 2 kink test stops it on m = (1/s)^(1/2) before any step
-    density = relaxed_density(FOUR_MODELS["shifted-log"])
+    density = RelaxedDensity(FOUR_MODELS["shifted-log"])
     s1 = np.linspace(1.01, 3.0, 200)
     m = density.width(s1)[0]
     on = np.abs(s1 * m * m - 1.0) <= 1e-12
@@ -1235,7 +1263,7 @@ def test_w0_fiber_optimum_at_equal_stretches_is_that_stretch(name):
     # solve's own value at every default row beyond s*, where the table
     # wrinkles
     model = FOUR_MODELS[name]
-    density = relaxed_density(model)
+    density = RelaxedDensity(model)
     s, w = density.s_star, density.w_star
     t, value = solve_fiber(model, np.array([s * s]), np.array([2.0 * s * s]))
     assert abs(t[0] - s) <= 1e-13 * s
@@ -1260,7 +1288,7 @@ def test_reciprocal_constants_take_one_slope_each(monkeypatch, r):
         return slope(model, a, q, t, k)
 
     monkeypatch.setattr(fiber_reduction, "_slope", counted)
-    density = relaxed_density(EnergyModel(ReciprocalBarrier(r)))
+    density = RelaxedDensity(EnergyModel(ReciprocalBarrier(r)))
     assert calls == [(3, 1)]
     calls.clear()
     density.width(np.linspace(0.25, 3.0, 12))
@@ -1277,7 +1305,7 @@ def test_density_batch_solves_only_its_taut_lanes_again(monkeypatch):
         calls.append((k, a.size))
         return slope(model, a, q, t, k)
 
-    density = relaxed_density(EnergyModel())
+    density = RelaxedDensity(EnergyModel())
     # slack, wrinkled, wrinkled, taut
     xis = np.array([_diag(0.5, 0.25), _diag(1.5, 0.25), _diag(2.0, 0.5),
                     _diag(1.5, 1.25)])
@@ -1417,10 +1445,6 @@ def test_audit_refuses_a_broken_laminate(small_table):
                         (asymmetric, "must be symmetric")):
         with pytest.raises(ValueError, match=match):
             EnvelopeTable.from_dict(broken(edit))
-    # a table without its model cannot be replayed
-    with pytest.raises(ValueError, match="no model"):
-        EnvelopeTable(small_table.sigma_grid, small_table.values,
-                      small_table.certificate).audit()
 
 
 def test_table_json_keeps_its_model(tmp_path):

@@ -8,8 +8,8 @@ from memrelax.energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBar
 from memrelax.fiber_reduction import (
     solve_fiber, w0_batch, w0_closed_form, w0_growth_constant,
 )
-from memrelax.tensor_kernel import INFINITE, wedge
-from oracles import finite, mat32, w0_bruteforce, w_stack
+from memrelax.tensor_kernel import wedge
+from oracles import INFINITE, finite, mat32, w0_bruteforce, w_stack
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
 W0_E1E2 = 2.0 + 3.0 * 2.0 ** (-2.0 / 3.0)  # minimizer of 1/t + t^2 shifted by |xi|^2

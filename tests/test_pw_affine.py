@@ -15,8 +15,8 @@ from memrelax.pw_affine import (
     unit_square_mesh,
 )
 from memrelax.quadrature import subdivide_triangles
-from memrelax.tensor_kernel import INFINITE
 from oracles import (
+    INFINITE,
     boundary_mask,
     build_diamond_hat,
     build_square_hat,

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memrelax.tensor_kernel import (
-    ExtValue, INFINITE, as_mat32, cofactors, frob_norm, is_integer,
-    singular_values, wedge,
+    ExtValue, as_mat32, cofactors, frob_norm, is_integer, singular_values,
+    wedge,
 )
-from oracles import append_column, finite, mat32, mat33
+from oracles import INFINITE, append_column, finite, mat32, mat33
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vec3 = st.tuples(coord, coord, coord)
