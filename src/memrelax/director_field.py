@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .fiber_reduction import WEDGE_FLOOR, _fiber_invariants, solve_fiber
+from .fiber_reduction import WEDGE_FLOOR, solve_fiber
 from .pw_affine import PwAffineField
 from .quadrature import integrate_adaptive
-from .tensor_kernel import ExtValue, as_mat32, is_integer, wedge
+from .tensor_kernel import (ExtValue, as_mat32, as_stack, column_invariants,
+                            cross3, is_integer, sum3)
 
 __all__ = [
     "InfeasibleError",
@@ -85,42 +86,19 @@ def _gauss_legendre(m: int) -> np.ndarray:
 _GAUSS = _gauss_legendre(8)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, written out as :func:`wedge` does."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 def _cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
     """Deterministic spiral of directions within an angular cap."""
     e = np.zeros(3)
     e[int(np.argmin(np.abs(center)))] = 1.0
-    u = _cross(center, e)
+    u = cross3(center, e)
     u /= np.linalg.norm(u)
-    w = _cross(center, u)
+    w = cross3(center, u)
     k = np.arange(n, dtype=float)
     theta = radius * np.sqrt((k + 1.0) / n)
     phi = math.pi * (3.0 - math.sqrt(5.0)) * k
     return (np.cos(theta)[:, None] * center
             + (np.sin(theta) * np.cos(phi))[:, None] * u
             + (np.sin(theta) * np.sin(phi))[:, None] * w)
-
-
-def _cell_crosses(cells) -> tuple[np.ndarray, np.ndarray]:
-    """Column cross products (M, 3) and norms (M,) of a full-rank stack."""
-    grads = np.asarray(cells, dtype=float)
-    if grads.ndim != 3 or grads.shape[1:] != (3, 2):
-        raise ValueError(
-            f"mat32 stack must have shape (M, 3, 2), got {grads.shape}")
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("mat32 entries must be finite")
-    crosses, norms, _ = _fiber_invariants(grads)
-    if np.any(norms <= WEDGE_FLOOR):
-        bad = int(np.argmin(norms))
-        raise ValueError(
-            f"cell {bad} has rank-deficient gradient; "
-            "a full-rank plane requires independent columns")
-    return crosses.T, norms
 
 
 def _abs_dots(dirs: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -149,12 +127,16 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
 
     Returns (direction, index, signs) where index is the smallest integer
     j with min_i |det| >= 1/j and signs holds the per-cell determinant
-    signs at the returned direction. An empty stack is refused.
+    signs at the returned direction. The cells are read by ``as_stack``;
+    an empty stack or a rank-deficient cell is refused.
     """
-    crosses, norms = _cell_crosses(cells)
+    cols, norms, _ = column_invariants(as_stack(cells))
     if not norms.size:
         raise ValueError("feasible_normal needs at least one cell")
-    cols = crosses.T
+    if np.any(norms <= WEDGE_FLOOR):
+        raise ValueError(
+            f"cell {int(np.argmin(norms))} has rank-deficient gradient; "
+            "a full-rank plane requires independent columns")
 
     best_margin = -1.0
     best = None
@@ -199,7 +181,7 @@ def feasible_normal(cells) -> tuple[np.ndarray, int, np.ndarray]:
         consider(_cap(best, radius, 128))
         radius /= 3.0
 
-    dets = crosses @ best
+    dets = cols.T @ best
     j_v = max(1, math.ceil(1.0 / best_margin))
     while 1.0 / j_v > best_margin:
         j_v += 1
@@ -226,7 +208,7 @@ def _constrained_minima(model: EnergyModel, grads: np.ndarray,
     increases, so the clamped minimizer is max(t*, 1/(j a)): the free
     :func:`solve_fiber` minimizer t*, raised to the bound where below it.
     """
-    crosses, a, q = _fiber_invariants(grads)
+    crosses, a, q = column_invariants(grads)
     t, values = solve_fiber(model, a, q)
     low = t < 1.0 / (j * a)
     lo = 1.0 / (j * a[low])
@@ -251,7 +233,7 @@ def cell_min_constrained(model: EnergyModel, xi, sign: int,
     if not (is_integer(sign) and sign in (-1, 1)):
         raise ValueError(f"sign must be the integer -1 or +1, got {sign!r}")
     m = as_mat32(xi)
-    if not _fiber_invariants(m[None])[1][0] > WEDGE_FLOOR:
+    if not column_invariants(m[None])[1][0] > WEDGE_FLOOR:
         raise ValueError("constrained minimization needs a full-rank cell")
     values, zetas = _constrained_minima(model, m[None], np.array([sign]), j)
     return float(values[0]), zetas[0]
@@ -282,15 +264,18 @@ class DirectorAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        crosses = wedge(self.field.gradients())
-        margin = 1.0 / self.j
-        for label, vecs, need in (("shared direction",
-                                   np.broadcast_to(self.zeta_bar,
-                                                   crosses.shape),
+        m = self.n_cells
+        for name, shape in (("signs", (m,)), ("values", (m,)),
+                            ("zetas", (m, 3)), ("zeta_bar", (3,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}, got "
+                                 f"{np.shape(getattr(self, name))}")
+        crosses = column_invariants(self.field.gradients())[0]
+        for label, vecs, need in (("shared direction", self.zeta_bar[:, None],
                                    1.0 / self.j_v),
-                                  ("cell minimizer", self.zetas, margin)):
-            dets = np.einsum("ij,ij->i", crosses, vecs)
-            if np.any(self.signs * dets < need - 1e-12):
+                                  ("cell minimizer", self.zetas.T,
+                                   1.0 / self.j)):
+            if np.any(self.signs * sum3(crosses * vecs) < need - 1e-12):
                 raise ValueError(f"{label} violates its determinant bound")
         for name, arr in list(vars(self).items()):
             if isinstance(arr, np.ndarray) and arr.flags.writeable:
@@ -440,13 +425,13 @@ def nirf_value(model: EnergyModel, field: PwAffineField, j: int, n: int,
     """
     asn = build_assignment(model, field, j)
     director = BlendedDirector(asn, n)
-    grads = field.gradients()
-    crosses = wedge(grads)
+    crosses, q0 = column_invariants(field.gradients())[::2]  # c, |xi|^2
     zeta_bar = asn.zeta_bar
     delta = asn.zetas - zeta_bar
-    c0 = crosses @ zeta_bar
-    c1 = np.einsum("ij,ij->i", crosses, delta)
-    q0 = np.sum(grads ** 2, axis=(1, 2)) + zeta_bar @ zeta_bar
+    # the matrix product's sums follow its operand's layout: (M, 3) rows
+    c0 = np.ascontiguousarray(crosses.T) @ zeta_bar
+    c1 = sum3(crosses * delta.T)
+    q0 += zeta_bar @ zeta_bar
     q1 = 2.0 * (delta @ zeta_bar)
     q2 = np.einsum("ij,ij->i", delta, delta)
     # c0 + a c1 keeps the cell's sign on the blend: it meets kink x at sign x

@@ -49,8 +49,8 @@ import numpy as np
 
 from .energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
 from .fiber_reduction import ReducedDensity, solve_fiber, w0_growth_constant
-from .tensor_kernel import (ExtValue, as_mat32, frob_norm, is_integer,
-                            singular_values, wedge)
+from .tensor_kernel import (ExtValue, as_mat32, cross3, frob_norm,
+                            is_integer, singular_values, wedge)
 
 _COL_TOL = 1e-12
 
@@ -60,7 +60,7 @@ def _unit_orthogonal(v: np.ndarray) -> np.ndarray:
     probe = np.array([1.0, 0.0, 0.0])
     if abs(v[0]) > 0.9 * float(np.linalg.norm(v)):
         probe = np.array([0.0, 1.0, 0.0])
-    out = np.cross(v, probe)
+    out = cross3(v, probe)
     return out / np.linalg.norm(out)
 
 
@@ -237,7 +237,7 @@ class RelaxedDensity:
         """The density over an (N, 3, 2) stack of any memory layout: W*
         where slack, the width solve's value where wrinkled, and one fiber
         solve over the taut lanes."""
-        sig = singular_values(np.asarray(xis, dtype=float).reshape(-1, 3, 2))
+        sig = singular_values(xis)
         s1, s2 = sig[:, 0], sig[:, 1]
         m = np.full(s1.shape, np.nan)
         out = np.full(s1.shape, self.w_star)
@@ -660,10 +660,11 @@ class EnvelopeTable:
         """Interpolated upper bounds for an (N, 3, 2) stack, with what
         their slopes read.
 
-        Raises ValueError on NaN or infinite entries.
+        The stack is read once, by :func:`singular_values`, which refuses
+        anything but an (N, 3, 2) stack of finite entries.
         """
-        pts = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
-        sig = singular_values(pts)
+        sig = singular_values(xis)
+        pts = np.asarray(xis, dtype=float)
         inside, (i1, i2), (f1, f2) = self._cells(sig)
         v, n = self.values.ravel(), self.sigma_grid.size
         node = i1 * n + i2
@@ -704,9 +705,12 @@ class EnvelopeTable:
         replayed to W0 leaves (:func:`_replay`), all leaves in one
         ``batch`` call of the reduced density. The laminates are the
         model's own: s* and the widths are solved again, not read."""
-        replayed = _replay(self.model, self.sigma_grid)
-        return float(np.max(np.abs(replayed - self.values)
-                            / np.abs(self.values)))
+        gap = np.abs(_replay(self.model, self.sigma_grid) - self.values)
+        # a node of 0 (the coercivity floor admits one at the origin)
+        # reads any gap as infinite
+        return float(np.max(np.divide(
+            gap, np.abs(self.values), where=self.values != 0.0,
+            out=np.where(gap == 0.0, 0.0, np.inf))))
 
     def to_dict(self) -> dict:
         return {

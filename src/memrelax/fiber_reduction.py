@@ -37,11 +37,11 @@ the reciprocal barrier at p = 2 the start is the root, so there the
 solve stops after one slope.  Each lane's t and value are computed on
 their own, bit for bit alike whatever lanes share its batch.
 
-Batches of gradients are (N, 3, 2) stacks of any memory layout.  a and q
-are read from the six entry rows of ``xis.reshape(-1, 6).T``: for a
-component-major stack, the (N, 3, 2) view of contiguous (3, 2, N)
-memory, these rows are contiguous; for a C-ordered stack they are
-strided views.  Neither layout is copied.
+Batches of gradients are (N, 3, 2) stacks of any memory layout, read by
+:func:`~memrelax.tensor_kernel.as_stack`; a and q come from the six entry
+rows (:func:`~memrelax.tensor_kernel.column_invariants`), contiguous for
+a component-major stack and strided for a C-ordered one.  Neither layout
+is copied.
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_models import EnergyModel
-from .tensor_kernel import ExtValue, as_mat32, is_integer
+from .tensor_kernel import (ExtValue, as_mat32, as_stack,
+                            column_invariants, is_integer)
 
 __all__ = [
     "WEDGE_FLOOR",
@@ -67,33 +68,6 @@ WEDGE_FLOOR = 1e-14
 # a lane stops once its Newton step or its bracket is this small relative to t
 _REL_TOL = 1e-13
 _MAX_ITER = 100
-
-
-def _fiber_invariants(xis: np.ndarray):
-    """Column cross product c, a = |c| and q = |xi|^2 of an (N, 3, 2) stack.
-
-    Reads the six entry rows of ``xis.reshape(-1, 6).T`` in place:
-    contiguous for a component-major stack, strided for a C-ordered one
-    (reshape copies only a stack it cannot view that way). c comes back
-    as (3, N) rows. The products and sums are those of :func:`wedge`,
-    ``np.linalg.norm(c, axis=1)`` and ``np.sum(xis * xis, axis=(1, 2))``
-    in their order, so all three are bit-identical to those.
-    """
-    rows = xis.reshape(-1, 6).T
-    x0, x1, y0, y1, z0, z1 = rows
-    c = np.empty((3, rows.shape[1]))
-    np.subtract(y0 * z1, z0 * y1, out=c[0])
-    np.subtract(z0 * x1, x0 * z1, out=c[1])
-    np.subtract(x0 * y1, y0 * x1, out=c[2])
-    sq = np.empty(rows.shape[1])
-    a = np.multiply(c[0], c[0])
-    for k in (1, 2):
-        a += np.multiply(c[k], c[k], out=sq)
-    np.sqrt(a, out=a)
-    q = np.multiply(x0, x0)
-    for r in rows[1:]:
-        q += np.multiply(r, r, out=sq)
-    return c, a, q
 
 
 def _stretches(a, q, t, k):
@@ -243,16 +217,11 @@ def w0_closed_form(model: EnergyModel, xi) -> ExtValue:
 def w0_batch(model: EnergyModel, xis: np.ndarray) -> np.ndarray:
     """Reduced density over a stack (N, 3, 2), as floats with +inf.
 
-    Any (N, 3, 2) stack is accepted and none is copied: a component-major
-    one, the (N, 3, 2) view of contiguous (3, 2, N) memory, is read in
-    contiguous entry rows, a C-ordered one in strided rows. Rank-deficient
-    rows (a <= WEDGE_FLOOR) are +inf; the rest go to one
-    :func:`solve_fiber` call.
+    The stack is read by :func:`~memrelax.tensor_kernel.as_stack`, of any
+    memory layout and not copied. Rank-deficient rows (a <= WEDGE_FLOOR)
+    are +inf; the rest go to one :func:`solve_fiber` call.
     """
-    xis = np.asarray(xis, dtype=float).reshape(-1, 3, 2)
-    if not np.all(np.isfinite(xis)):
-        raise ValueError("mat32 entries must be finite")
-    a, q = _fiber_invariants(xis)[1:]
+    a, q = column_invariants(as_stack(xis))[1:]
     ok = a > WEDGE_FLOOR
     if np.all(ok):
         return solve_fiber(model, a, q)[1]

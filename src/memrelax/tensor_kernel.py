@@ -5,6 +5,10 @@ gradients (two columns spanning a tangent plane), shape (3, 3) for bulk
 gradients.  Energy densities take values in [0, +inf], carried as IEEE
 floats with +inf throughout the package; :class:`ExtValue` tags a
 scalar result as such a value, and refuses NaN and negative ones.
+
+Every (N, 3, 2) stack a public function takes is read by :func:`as_stack`
+and every column cross product of a stack is formed by
+:func:`column_invariants`; :func:`cross3` is its form for two 3-vectors.
 """
 from __future__ import annotations
 
@@ -16,10 +20,13 @@ import numpy as np
 __all__ = [
     "ExtValue",
     "as_mat32",
+    "as_stack",
     "is_integer",
     "frob_norm",
     "cofactors",
     "sum3",
+    "column_invariants",
+    "cross3",
     "wedge",
     "singular_values",
 ]
@@ -44,17 +51,29 @@ class ExtValue(float):
         return float(self)
 
 
-def _validated(arr, shape, name: str) -> np.ndarray:
+def _read(arr, stack: bool) -> np.ndarray:
+    """arr as floats: one (3, 2) matrix, or an (N, 3, 2) stack, of finite
+    entries, or ValueError. A float array of that shape, of any memory
+    layout, is returned as it is."""
     out = np.asarray(arr, dtype=float)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} entries must be finite")
+    if out.shape[-2:] != (3, 2) or out.ndim != 2 + stack:
+        want = "stack must have shape (N, 3, 2)" if stack else (
+            "must have shape (3, 2)")
+        raise ValueError(f"mat32 {want}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError("mat32 entries must be finite")
     return out
 
 
 def as_mat32(arr) -> np.ndarray:
-    return _validated(arr, (3, 2), "mat32")
+    return _read(arr, stack=False)
+
+
+def as_stack(arr) -> np.ndarray:
+    """The one reader of (N, 3, 2) stacks: a lone (3, 2) matrix is refused
+    (pass ``xi[None]``), and so is any other shape or a NaN or infinite
+    entry, all with ValueError. A float stack is never copied."""
+    return _read(arr, stack=True)
 
 
 def is_integer(value) -> bool:
@@ -112,27 +131,52 @@ def sum3(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def column_invariants(xis: np.ndarray):
+    """Column cross products c, their norms |c| and the squared norms
+    |xi|^2 of a stack that :func:`as_stack` has read; c comes back as
+    contiguous (3, N) rows.
+
+    Reads the six entry rows ``xis[:, i, j]`` in place, whatever the
+    stack's layout: they are contiguous for a component-major stack, the
+    (N, 3, 2) view of contiguous (3, 2, N) memory, and strided for a
+    C-ordered one. The products and sums are those of ``np.cross``,
+    ``np.linalg.norm(..., axis=1)`` and ``np.sum(xis * xis, axis=(1, 2))``
+    in their order, so all three are bit-identical to those.
+    """
+    rows = [xis[:, i, j] for i in range(3) for j in range(2)]
+    x0, x1, y0, y1, z0, z1 = rows
+    c = np.empty((3, xis.shape[0]))
+    np.subtract(y0 * z1, z0 * y1, out=c[0])
+    np.subtract(z0 * x1, x0 * z1, out=c[1])
+    np.subtract(x0 * y1, y0 * x1, out=c[2])
+    sq = np.empty(xis.shape[0])
+    a = np.multiply(c[0], c[0])
+    for k in (1, 2):
+        a += np.multiply(c[k], c[k], out=sq)
+    np.sqrt(a, out=a)
+    q = np.multiply(x0, x0)
+    for r in rows[1:]:
+        q += np.multiply(r, r, out=sq)
+    return c, a, q
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors bit for bit, in the products and
+    differences of :func:`column_invariants`; scalar and unchecked, for
+    callers that cross one pair at a time."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def wedge(xi) -> np.ndarray:
     """Cross product of the two columns of a 3x2 matrix or an (N, 3, 2)
-    stack, shape (3,) or (N, 3).
-
-    Written out component by component with the products and differences
-    of ``np.cross``, so the result is bit-identical to it.  A single matrix
-    is validated like :func:`as_mat32`; a stack only by its shape.
-    """
+    stack, shape (3,) or (N, 3): the rows c of :func:`column_invariants`,
+    transposed, so bit-identical to ``np.cross``. Both are read like
+    :func:`as_stack`."""
     x = np.asarray(xi, dtype=float)
-    if x.ndim == 2:
-        x = as_mat32(x)
-    elif x.ndim != 3 or x.shape[1:] != (3, 2):
-        raise ValueError(
-            f"wedge expects shape (3, 2) or (N, 3, 2), got {x.shape}")
-    a = x[..., 0]
-    b = x[..., 1]
-    out = np.empty(a.shape)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+    if x.shape == (3, 2):
+        return wedge(x[None])[0]
+    return column_invariants(as_stack(x))[0].T
 
 
 # |w|^2 is a fourth power of the entries: below a largest singular value
@@ -148,10 +192,11 @@ def _gram_singular(x: np.ndarray) -> np.ndarray:
     a = np.einsum("ni,ni->n", c1, c1)
     d = np.einsum("ni,ni->n", c2, c2)
     b = np.einsum("ni,ni->n", c1, c2)
-    w = wedge(x)
+    w = column_invariants(x)[0]
     s1 = np.sqrt(0.5 * (a + d + np.hypot(a - d, 2.0 * b)))
-    # |w| = s1 s2 exactly; s1 = 0 only for the zero matrix, where w = 0
-    s2 = np.sqrt(np.einsum("ni,ni->n", w, w)) / np.where(s1 > 0.0, s1, 1.0)
+    # |w| = s1 s2 exactly; s1 = 0 only for the zero matrix, where w = 0.
+    # sum3 adds |w|^2 in the order of the einsums above
+    s2 = np.sqrt(sum3(w * w)) / np.where(s1 > 0.0, s1, 1.0)
     return np.column_stack([s1, np.minimum(s2, s1)])
 
 
@@ -168,16 +213,10 @@ def singular_values(xis) -> np.ndarray:
     Squares must stay in the normal range: a stack with an entry beyond
     2^240 is scaled row by row by powers of two (exact), and otherwise
     only the rows with s1 below 2^-240 are, so the common case pays one
-    max over the stack.  Raises ValueError on NaN or infinite entries.
+    max over the stack.  The stack is read by :func:`as_stack`.
     """
-    x = np.asarray(xis, dtype=float)
-    if x.ndim != 3 or x.shape[1:] != (3, 2):
-        raise ValueError(
-            f"mat32 stack must have shape (N, 3, 2), got {x.shape}")
-    top = float(np.abs(x).max(initial=0.0))
-    if not math.isfinite(top):
-        raise ValueError("mat32 entries must be finite")
-    if top > _GRAM_MAX:
+    x = as_stack(xis)
+    if float(np.abs(x).max(initial=0.0)) > _GRAM_MAX:
         sig = np.empty((x.shape[0], 2))
         far = np.ones(x.shape[0], dtype=bool)
     else:

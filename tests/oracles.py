@@ -53,8 +53,8 @@ from memrelax.energy_models import (EnergyModel, ReciprocalBarrier,
 from memrelax.fiber_reduction import WEDGE_FLOOR
 from memrelax.pw_affine import PwAffineField, TriMesh, unit_square_mesh
 from memrelax.quadrature import integrate_adaptive
-from memrelax.tensor_kernel import (ExtValue, _validated, as_mat32, cofactors,
-                                    wedge)
+from memrelax.tensor_kernel import (ExtValue, as_mat32, as_stack, cofactors,
+                                    column_invariants, wedge)
 
 
 # the extended value +inf, which the oracles return where a density blows up
@@ -102,14 +102,22 @@ def mat32(col1, col2) -> np.ndarray:
     """Stack two 3-vectors as the columns of a 3x2 matrix."""
     out = np.column_stack([np.asarray(col1, dtype=float).reshape(3),
                            np.asarray(col2, dtype=float).reshape(3)])
-    return _validated(out, (3, 2), "mat32")
+    return as_mat32(out)
+
+
+def _as_mat33(arr) -> np.ndarray:
+    out = np.asarray(arr, dtype=float)
+    if out.shape != (3, 3):
+        raise ValueError(f"mat33 must have shape (3, 3), got {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("mat33 entries must be finite")
+    return out
 
 
 def mat33(col1, col2, col3) -> np.ndarray:
     """Stack three 3-vectors as the columns of a 3x3 matrix."""
-    out = np.column_stack([np.asarray(c, dtype=float).reshape(3)
-                           for c in (col1, col2, col3)])
-    return _validated(out, (3, 3), "mat33")
+    return _as_mat33(np.column_stack([np.asarray(c, dtype=float).reshape(3)
+                                      for c in (col1, col2, col3)]))
 
 
 def append_column(xi, zeta) -> np.ndarray:
@@ -132,7 +140,7 @@ def w_stack(model: EnergyModel, F) -> np.ndarray:
 
 def eval_w(model: EnergyModel, F) -> ExtValue:
     """Evaluate the stored energy at a 3x3 gradient."""
-    return ExtValue(w_stack(model, _validated(F, (3, 3), "mat33"))[0])
+    return ExtValue(w_stack(model, _as_mat33(F))[0])
 
 
 @dataclass(frozen=True)
@@ -547,7 +555,8 @@ def scanned_normal(cells, block: int = 64):
     every direction of the same sequence is valued against every cell,
     ``block`` directions at a time, and the first best margin wins."""
     df = director_field
-    crosses, norms = df._cell_crosses(cells)
+    cols, norms, _ = column_invariants(as_stack(cells))
+    crosses = cols.T
     unit = crosses / norms[:, None]
     best_margin, best = -1.0, None
 

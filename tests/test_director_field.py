@@ -15,6 +15,7 @@ from memrelax.energy_models import EnergyModel, ShiftedLogBarrier
 from memrelax.fiber_reduction import solve_fiber, w0_closed_form
 from memrelax.pw_affine import (PwAffineField, TriMesh, refine_field,
                                 unit_square_mesh)
+from memrelax.tensor_kernel import column_invariants, cross3
 from oracles import (FOUR_MODELS, adaptive_nirf, finite, mat32,
                      perturbed_square_mesh, scanned_normal,
                      single_triangle_mesh)
@@ -176,8 +177,8 @@ def test_bounded_scan_takes_a_later_direction_better_by_ulps(monkeypatch,
     # caps; a bound that skipped it for a gap that small would move them
     monkeypatch.setattr(director_field, "_SCAN_DIRECTIONS", block)
     cells, pair = _near_tie_cell(2e-13)
-    crosses, _ = director_field._cell_crosses(cells)
-    m1, m2 = director_field._abs_dots(pair, crosses.T)[:, 0]
+    cols = column_invariants(cells)[0]
+    m1, m2 = director_field._abs_dots(pair, cols)[:, 0]
     assert 4 <= (m2 - m1) / np.spacing(m1) <= 16
     _assert_scan(cells)
 
@@ -302,14 +303,14 @@ def test_the_fixed_directions_are_built_once_and_read_only(monkeypatch):
 
 
 def test_the_cap_cross_product_is_np_cross_bit_for_bit():
-    # signed zeros included: _cap crosses a unit center with a unit axis
+    # signed zeros included: _cap crosses a unit center with a unit axis,
+    # through the kernel's two-vector form
     rng = np.random.default_rng(17)
     rows = np.concatenate([rng.normal(size=(400, 3)), np.eye(3), -np.eye(3),
                            np.zeros((1, 3))])
     for a in rows[::7]:
         for b in rows:
-            got = director_field._cross(a, b)
-            assert got.tobytes() == np.cross(a, b).tobytes()
+            assert cross3(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +521,22 @@ def test_assignment_validation_catches_wrong_sign():
         DirectorAssignment(field=asn.field, j=asn.j, j_v=asn.j_v,
                            signs=-asn.signs, zeta_bar=asn.zeta_bar.copy(),
                            zetas=asn.zetas.copy(), values=asn.values.copy())
+
+
+@pytest.mark.parametrize("name, shape", [("signs", (7,)), ("values", (7,)),
+                                         ("zetas", (7, 3)), ("zetas", (8, 2)),
+                                         ("zeta_bar", (2,))])
+def test_assignment_refuses_per_cell_arrays_of_the_wrong_shape(name, shape):
+    # unit_square_mesh(2) has 8 cells: signs and values are (8,), zetas
+    # (8, 3) and zeta_bar (3,), each refused by name before any product
+    field = wiggly_field(2)
+    asn = build_assignment(EnergyModel(), field)
+    assert asn.n_cells == 8
+    arrays = {n: getattr(asn, n).copy() for n in
+              ("signs", "zeta_bar", "zetas", "values")}
+    arrays[name] = np.resize(arrays[name], shape)
+    with pytest.raises(ValueError, match=rf"^{name} must have shape"):
+        DirectorAssignment(field=field, j=asn.j, j_v=asn.j_v, **arrays)
 
 
 def test_direct_assignment_stores_read_only_copies():

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1445,6 +1446,20 @@ def test_audit_refuses_a_broken_laminate(small_table):
                         (asymmetric, "must be symmetric")):
         with pytest.raises(ValueError, match=match):
             EnvelopeTable.from_dict(broken(edit))
+
+
+def test_audit_reads_a_gap_at_a_zero_node_as_infinite(small_table):
+    # the coercivity floor admits a node of 0 at the origin; its gap is
+    # refused as infinite, with no division by zero warned about
+    record = json.loads(json.dumps(small_table.to_dict()))
+    record["values"][0][0] = 0.0
+    zeroed = EnvelopeTable(record["sigma_grid"], record["values"],
+                           small_table.model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeroed.audit() == math.inf
+        with pytest.raises(ValueError, match="by inf relative"):
+            EnvelopeTable.from_dict(record)
 
 
 def test_table_json_keeps_its_model(tmp_path):

@@ -8,7 +8,7 @@ from memrelax.energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBar
 from memrelax.fiber_reduction import (
     solve_fiber, w0_batch, w0_closed_form, w0_growth_constant,
 )
-from memrelax.tensor_kernel import wedge
+from memrelax.tensor_kernel import column_invariants, wedge
 from oracles import INFINITE, finite, mat32, w0_bruteforce, w_stack
 
 E1E2 = mat32([1, 0, 0], [0, 1, 0])
@@ -282,14 +282,18 @@ def test_row_invariants_equal_wedge_norm_and_square_sum(seed):
     n = 2000
     mags = 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 3, 2))
     xis = rng.choice([-1.0, 1.0], size=(n, 3, 2)) * mags
-    c_ref = wedge(xis)
+    c_ref = np.cross(xis[:, :, 0], xis[:, :, 1])
     a_ref = np.linalg.norm(c_ref, axis=1)
     q_ref = np.sum(xis * xis, axis=(1, 2))
-    for stack in (xis, _component_major_view(xis)):
-        c, a, q = fiber_reduction._fiber_invariants(stack)
-        assert np.array_equal(c.T, c_ref)
-        assert np.array_equal(a, a_ref)
-        assert np.array_equal(q, q_ref)
+    # C-ordered, component-major and entry-major, the membrane's layout
+    entry_major = np.ascontiguousarray(xis.transpose(2, 1, 0)).T
+    for stack in (xis, _component_major_view(xis), entry_major):
+        c, a, q = column_invariants(stack)
+        assert c.flags.c_contiguous and c.shape == (3, n)
+        assert c.T.tobytes() == c_ref.tobytes()
+        assert a.tobytes() == a_ref.tobytes()
+        assert q.tobytes() == q_ref.tobytes()
+        assert wedge(stack).tobytes() == c_ref.tobytes()
 
 
 def _lane_by_lane(model, a, q):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,39 @@ def _parse(paths) -> list[ast.Module]:
 
 def _private(names: set[str]) -> set[str]:
     return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private helper has one home: a second module that needs it needs
+    # a public name
+    imported = {(path.name, alias.name) for path, tree in
+                zip(PACKAGE, _parse(PACKAGE)) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("memrelax"))
+                for alias in node.names}
+    assert imported, "the scan found no package imports"
+    assert sorted(i for i in imported if i[1].startswith("_")) == []
+
+
+def test_no_module_calls_np_cross():
+    # every stack cross product is tensor_kernel.column_invariants, and
+    # every cross of two 3-vectors its two-vector form cross3
+    calls = [path.name for path, tree in zip(PACKAGE, _parse(PACKAGE))
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "cross"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                 and any(a.name == "cross" for a in node.names))]
+    assert calls == []
+
+
+def test_only_the_tensor_kernel_words_the_stack_shape_refusal():
+    # the one reader of (N, 3, 2) stacks is tensor_kernel.as_stack
+    homes = {path.name for path, tree in zip(PACKAGE, _parse(PACKAGE))
+             if any(re.search(r"must have shape \(\w, 3, 2\)", text)
+                    for text in _strings(tree))}
+    assert homes == {"tensor_kernel.py"}
 
 
 def test_every_private_definition_is_used():

@@ -1,12 +1,18 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from memrelax.director_field import feasible_normal
+from memrelax.energy_models import EnergyModel
+from memrelax.envelope import RelaxedDensity, build_envelope_table
+from memrelax.fiber_reduction import ReducedDensity, w0_batch
 from memrelax.tensor_kernel import (
-    ExtValue, as_mat32, cofactors, frob_norm, is_integer, singular_values,
-    wedge,
+    ExtValue, as_mat32, as_stack, cofactors, frob_norm, is_integer,
+    singular_values, wedge,
 )
 from oracles import INFINITE, append_column, finite, mat32, mat33
 
@@ -201,3 +207,70 @@ def test_cofactors_are_bit_identical_to_a_cross_reference():
     dets, cof = _stack_cofactors(F)
     assert np.array_equal(cof, ref)
     assert np.array_equal(dets, np.einsum("ki,ki->k", F[:, 0], ref[:, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the one stack reader
+
+XI = np.array([[1.2, 0.1], [0.0, 0.9], [0.3, 0.2]])
+
+
+def _with_entry(value):
+    xis = np.tile(XI, (3, 1, 1))
+    xis[1, 2, 0] = value
+    return xis
+
+
+SHAPE = "mat32 stack must have shape (N, 3, 2), got {}"
+MALFORMED = [(XI.T, SHAPE.format((2, 3))),
+             (XI.ravel(), SHAPE.format((6,))),
+             (np.ones((2, 3, 3)), SHAPE.format((2, 3, 3))),
+             *((_with_entry(v), "mat32 entries must be finite")
+               for v in (np.nan, np.inf, -np.inf))]
+
+
+@pytest.fixture(scope="module")
+def stack_entry_points():
+    model = EnergyModel()
+    table = build_envelope_table(model, sigma_max=1.0, pitch=0.5, depth=1)
+    return {"w0_batch": functools.partial(w0_batch, model),
+            "ReducedDensity.batch": ReducedDensity(model).batch,
+            "RelaxedDensity.batch": RelaxedDensity(model).batch,
+            "EnvelopeTable.lookup": table.lookup,
+            "EnvelopeTable.values_at": table.values_at,
+            "singular_values": singular_values,
+            "wedge": wedge,
+            "feasible_normal": feasible_normal}
+
+
+@pytest.mark.parametrize("name", [
+    "w0_batch", "ReducedDensity.batch", "RelaxedDensity.batch",
+    "EnvelopeTable.lookup", "EnvelopeTable.values_at", "singular_values",
+    "wedge", "feasible_normal"])
+def test_every_stack_entry_point_refuses_what_is_not_a_stack(
+        stack_entry_points, name):
+    # a (2, 3) matrix, a flat vector and a (2, 3, 3) array are not
+    # reshaped into matrices, and a non-finite entry is refused; a lone
+    # (3, 2) matrix is a stack of one only for wedge
+    read = stack_entry_points[name]
+    malformed = list(MALFORMED)
+    if name == "wedge":
+        assert read(XI).shape == (3,)
+    else:
+        malformed.append((XI, SHAPE.format((3, 2))))
+    for arr, message in malformed:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(arr)
+    # the same matrix as a stack of one is read
+    read(XI[None])
+
+
+def test_the_reader_returns_a_float_stack_itself():
+    # C-ordered, component-major and entry-major stacks alike; a list is
+    # converted once
+    xis = np.random.default_rng(5).normal(size=(7, 3, 2))
+    for stack in (xis, np.ascontiguousarray(xis.transpose(1, 2, 0))
+                  .transpose(2, 0, 1),
+                  np.ascontiguousarray(xis.transpose(2, 1, 0)).T):
+        assert as_stack(stack) is stack
+    assert np.array_equal(as_stack(xis.tolist()), xis)
