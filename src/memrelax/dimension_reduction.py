@@ -53,6 +53,8 @@ class PrismField:
     __slots__ = ("mesh", "values", "eps")
 
     def __init__(self, mesh: TriMesh, values, eps: float):
+        if not 0.0 < eps < math.inf:
+            raise ValueError("thickness must be finite and positive")
         vals = np.array(values, dtype=float)
         if vals.ndim != 3 or vals.shape[1:] != (mesh.n_vertices, 3):
             raise ValueError(
@@ -62,8 +64,6 @@ class PrismField:
             raise ValueError("layer count must be odd and at least 3")
         if not np.all(np.isfinite(vals)):
             raise ValueError("nodal values must be finite")
-        if not eps > 0.0:
-            raise ValueError("thickness must be positive")
         vals.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)
         object.__setattr__(self, "values", vals)
@@ -240,6 +240,8 @@ def recovery_sequence(v: PwAffineField, phi, eps: float) -> PrismField:
     ``_DET_FLOOR`` trigger a warning, not an error: the film energy is
     still well-defined, merely large.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError("thickness must be finite and positive")
     nodal_phi = _sample_director(phi, v.mesh)
     phi_cen = v.mesh.component_gradients_and_means(nodal_phi)[1]
     dets = np.einsum("kj,jk->k", wedge(v.gradients()), phi_cen)
@@ -579,10 +581,10 @@ class _MembraneObjective:
     The table is read once per point: the intermediates keep the value
     call's :class:`~memrelax.envelope.TableLookup`, and ``gradient``
     takes the density slope from it (``TableLookup.slopes``) without a
-    second singular value computation or cell search. Beyond the
-    tabulated box the table returns its growth certificate, a true upper
-    bound that grows like |xi|^p, so a long trial step is rejected by the
-    line search like any other rise in value.
+    second Gram matrix or cell search. Beyond the tabulated box the table
+    returns its growth certificate, a true upper bound that grows like
+    |xi|^p, so a long trial step is rejected by the line search like any
+    other rise in value.
     """
 
     def __init__(self, table, potential: LoadPotential, mesh: TriMesh):

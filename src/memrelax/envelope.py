@@ -50,7 +50,7 @@ import numpy as np
 from .energy_models import EnergyModel, ReciprocalBarrier, ShiftedLogBarrier
 from .fiber_reduction import ReducedDensity, solve_fiber, w0_growth_constant
 from .tensor_kernel import (ExtValue, as_mat32, cross3, frob_norm,
-                            is_integer, singular_values, wedge)
+                            is_integer, singular_frame, wedge)
 
 _COL_TOL = 1e-12
 
@@ -160,8 +160,6 @@ class GrowthCertificate:
 
     c: float
     p: float
-    r1: float
-    cbar1: float
 
     def bound(self, norms):
         """c (1 + |xi|^p), elementwise in the Frobenius norms |xi|."""
@@ -169,11 +167,9 @@ class GrowthCertificate:
 
 
 def growth_certificate(model: EnergyModel) -> GrowthCertificate:
-    cbar1 = w0_growth_constant(model, 1.0)
     p = model.p
-    r1 = cbar1 * 2.0 ** (2.0 * p + 1.0)
-    c = r1 * 2.0 ** (p + 1.0)
-    return GrowthCertificate(c=c, p=p, r1=r1, cbar1=cbar1)
+    r1 = w0_growth_constant(model, 1.0) * 2.0 ** (2.0 * p + 1.0)
+    return GrowthCertificate(c=r1 * 2.0 ** (p + 1.0), p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +233,7 @@ class RelaxedDensity:
         """The density over an (N, 3, 2) stack of any memory layout: W*
         where slack, the width solve's value where wrinkled, and one fiber
         solve over the taut lanes."""
-        sig = singular_values(xis)
-        s1, s2 = sig[:, 0], sig[:, 1]
+        s1, s2 = singular_frame(xis)[0].T
         m = np.full(s1.shape, np.nan)
         out = np.full(s1.shape, self.w_star)
         far = np.flatnonzero(s1 > self.s_star)
@@ -523,9 +518,10 @@ class TableLookup(NamedTuple):
     """One read of an :class:`EnvelopeTable` at an (N, 3, 2) stack.
 
     ``values`` are the bounds. The rest is what :meth:`slopes` reads, so
-    that the derivative at the same stack needs no second singular value
-    computation or cell search: the singular values, their Frobenius
-    norms, the box mask and, row by row, the lower node indices and
+    that the derivative at the same stack needs no second Gram matrix or
+    cell search: the singular values, the Frobenius norms and the
+    principal frame of :func:`~memrelax.tensor_kernel.singular_frame`,
+    the box mask and, row by row, the lower node indices and
     fractions of the cell and its four corner values (ordered (0, 0),
     (1, 0), (0, 1), (1, 1) in (s1, s2)). A row beyond the box reads the
     cell of its clipped singular values, which neither ``values`` nor
@@ -537,6 +533,7 @@ class TableLookup(NamedTuple):
     values: np.ndarray     # (N,)
     sigma: np.ndarray      # (N, 2), descending
     norms: np.ndarray      # (N,)
+    frame: tuple           # (cos, sin) of twice the top angle, each (N,)
     inside: np.ndarray     # (N,) box mask
     cells: tuple           # (i1, i2), each (N,)
     fractions: tuple       # (f1, f2), each (N,)
@@ -548,16 +545,15 @@ class TableLookup(NamedTuple):
         Inside the box the isotropic B(s1, s2) has the derivative
         xi (b1 / s1 P + b2 / s2 (I - P)) (Lewis, J. Convex Anal. 2, 1995):
         bk is B's sk-slope on the looked-up cell, b / s is read as 0 where
-        s = 0, and P = v1 v1^T projects onto the top eigenvector of
-        xi^T xi. From the Gram invariants a = |c1|^2, d = |c2|^2,
-        b = c1.c2 of xi / s1 (scale-free), P = [[1 + C, S], [S, 1 - C]] / 2
-        with (C, S) = (a - d, 2b) / hypot(a - d, 2b), and (1, 0) where
-        that vanishes (s1 = s2). Beyond the box the slope is the
+        s = 0, and P = v1 v1^T = [[1 + C, S], [S, 1 - C]] / 2 projects
+        onto the top eigenvector of xi^T xi, (C, S) the kept ``frame``
+        ((1, 0) where s1 = s2). Beyond the box the slope is the
         certificate's, c p |xi|^(p - 2) xi. Both are xi (m I + h [[C, S],
         [S, -C]]), m and h the mean and half difference of b1 / s1 and
         b2 / s2 inside the box, and h = 0 beyond it.
         """
-        pts, sig, inside = self.xis, self.sigma, self.inside
+        pts, sig, (cos, sin), inside = (self.xis, self.sigma, self.frame,
+                                        self.inside)
         (i1, i2), (f1, f2) = self.cells, self.fractions
         v00, v10, v01, v11 = self.corners
         widths, cert = self.table._widths, self.table.certificate
@@ -566,14 +562,6 @@ class TableLookup(NamedTuple):
         b2 = ((v01 - v00) * (1 - f1) + (v11 - v10) * f1) / widths[i2]
         q1 = np.divide(b1, s1, out=np.zeros_like(b1), where=s1 > 0.0)
         q2 = np.divide(b2, s2, out=np.zeros_like(b2), where=s2 > 0.0)
-        unit = pts / np.maximum(s1, np.finfo(float).tiny)[:, None, None]
-        u1, u2 = unit[:, :, 0], unit[:, :, 1]
-        diff = (np.einsum("ki,ki->k", u1, u1)
-                - np.einsum("ki,ki->k", u2, u2))
-        off = 2.0 * np.einsum("ki,ki->k", u1, u2)
-        r = np.hypot(diff, off)
-        cos = np.divide(diff, r, out=np.ones_like(r), where=r > 0.0)
-        sin = np.divide(off, r, out=np.zeros_like(r), where=r > 0.0)
         grow = np.power(self.norms, cert.p - 2.0,
                         out=np.zeros_like(self.norms), where=~inside)
         m = np.where(inside, 0.5 * (q1 + q2), cert.c * cert.p * grow)
@@ -593,7 +581,7 @@ class EnvelopeTable:
     rotations, so bounds are tabulated at representatives diag(s1, s2) on
     a square grid and queried through the singular values of the argument,
     taken in closed form from the column Gram invariants
-    (:func:`~memrelax.tensor_kernel.singular_values`, no LAPACK call).
+    (:func:`~memrelax.tensor_kernel.singular_frame`, no LAPACK call).
     Node values are certified upper bounds; interpolated values carry the
     interpolation error of the grid. Outside the tabulated box the
     certificate bound c (1 + |xi|^p) is returned, which keeps every query
@@ -660,10 +648,10 @@ class EnvelopeTable:
         """Interpolated upper bounds for an (N, 3, 2) stack, with what
         their slopes read.
 
-        The stack is read once, by :func:`singular_values`, which refuses
+        The stack is read once, by :func:`singular_frame`, which refuses
         anything but an (N, 3, 2) stack of finite entries.
         """
-        sig = singular_values(xis)
+        sig, norms, cos, sin = singular_frame(xis)
         pts = np.asarray(xis, dtype=float)
         inside, (i1, i2), (f1, f2) = self._cells(sig)
         v, n = self.values.ravel(), self.sigma_grid.size
@@ -671,13 +659,12 @@ class EnvelopeTable:
         corners = (v.take(node), v.take(node + n), v.take(node + 1),
                    v.take(node + (n + 1)))
         v00, v10, v01, v11 = corners
-        norms = np.hypot(sig[:, 0], sig[:, 1])
         out = np.where(inside,
                        v00 * (1 - f1) * (1 - f2) + v10 * f1 * (1 - f2)
                        + v01 * (1 - f1) * f2 + v11 * f1 * f2,
                        self.certificate.bound(norms))
-        return TableLookup(self, pts, out, sig, norms, inside, (i1, i2),
-                           (f1, f2), corners)
+        return TableLookup(self, pts, out, sig, norms, (cos, sin), inside,
+                           (i1, i2), (f1, f2), corners)
 
     def values_at(self, xis: np.ndarray) -> np.ndarray:
         """Interpolated upper bounds for an (N, 3, 2) stack."""

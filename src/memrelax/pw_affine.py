@@ -242,9 +242,9 @@ class PwAffineField:
     """Continuous field with one 3-vector per mesh vertex.
 
     Sharing nodal values across cells makes the interpolant continuous; the
-    gradient is constant on each cell. :meth:`gradients` is a C-ordered
-    (m, 3, 2) copy of :meth:`TriMesh.component_gradients_and_means`'s,
-    so a sum over a cell's entries adds them in one fixed order.
+    gradient is constant on each cell. :meth:`gradients` is the (m, 3, 2)
+    view of :meth:`TriMesh.component_gradients_and_means`'s component-major
+    gradients, whose entry rows are contiguous.
     """
 
     __slots__ = ("mesh", "values", "_grads")
@@ -256,8 +256,7 @@ class PwAffineField:
                 f"values must be ({mesh.n_vertices}, 3), got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("nodal values must be finite")
-        grads = np.ascontiguousarray(
-            mesh.component_gradients_and_means(vals)[0].T)
+        grads = mesh.component_gradients_and_means(vals)[0].T
         vals.setflags(write=False)
         grads.setflags(write=False)
         object.__setattr__(self, "mesh", mesh)

@@ -9,6 +9,8 @@ scalar result as such a value, and refuses NaN and negative ones.
 Every (N, 3, 2) stack a public function takes is read by :func:`as_stack`
 and every column cross product of a stack is formed by
 :func:`column_invariants`; :func:`cross3` is its form for two 3-vectors.
+The Gram matrix xi^T xi is formed once, by :func:`singular_frame`, which
+reads the singular values, the norms and the principal frame off it.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ __all__ = [
     "column_invariants",
     "cross3",
     "wedge",
-    "singular_values",
+    "singular_frame",
 ]
 
 
@@ -186,46 +188,54 @@ _GRAM_MIN = 2.0 ** -240
 _GRAM_MAX = 2.0 ** 240
 
 
-def _gram_singular(x: np.ndarray) -> np.ndarray:
-    c1 = x[:, :, 0]
-    c2 = x[:, :, 1]
-    a = np.einsum("ni,ni->n", c1, c1)
-    d = np.einsum("ni,ni->n", c2, c2)
-    b = np.einsum("ni,ni->n", c1, c2)
-    w = column_invariants(x)[0]
-    s1 = np.sqrt(0.5 * (a + d + np.hypot(a - d, 2.0 * b)))
-    # |w| = s1 s2 exactly; s1 = 0 only for the zero matrix, where w = 0.
-    # sum3 adds |w|^2 in the order of the einsums above
-    s2 = np.sqrt(sum3(w * w)) / np.where(s1 > 0.0, s1, 1.0)
-    return np.column_stack([s1, np.minimum(s2, s1)])
+def _gram_frame(x: np.ndarray):
+    _, w, q = column_invariants(x)
+    c1, c2 = x[:, :, 0], x[:, :, 1]
+    diff = np.einsum("ni,ni->n", c1, c1) - np.einsum("ni,ni->n", c2, c2)
+    off = 2.0 * np.einsum("ni,ni->n", c1, c2)
+    r = np.hypot(diff, off)
+    sig = np.empty((x.shape[0], 2))
+    s1 = np.sqrt(0.5 * (q + r), out=sig[:, 0])
+    # |w| = s1 s2 exactly; s1 = 0 only for the zero matrix, where w = 0
+    np.minimum(w / np.where(s1 > 0.0, s1, 1.0), s1, out=sig[:, 1])
+    cos = np.divide(diff, r, out=np.ones_like(r), where=r > 0.0)
+    sin = np.divide(off, r, out=np.zeros_like(r), where=r > 0.0)
+    return sig, np.sqrt(q), cos, sin
 
 
-def singular_values(xis) -> np.ndarray:
-    """Singular values of an (N, 3, 2) stack, (N, 2) in descending order.
+def _scaled_frame(x: np.ndarray):
+    """:func:`_gram_frame` of the rows scaled by powers of two, their
+    singular values and norms scaled back."""
+    e = np.frexp(np.abs(x).max(axis=(1, 2), initial=0.0))[1]
+    sig, norms, cos, sin = _gram_frame(np.ldexp(x, -e[:, None, None]))
+    return np.ldexp(sig, e[:, None]), np.ldexp(norms, e), cos, sin
 
-    Closed form from the column Gram invariants a = |c1|^2, d = |c2|^2,
-    b = c1.c2 and the wedge w = c1 x c2:
-    s1 = sqrt((a + d + hypot(a - d, 2b)) / 2) and s2 = |w| / s1.  Every
-    term of s1 is nonnegative, and s2 divides the directly computed wedge
-    instead of subtracting two close numbers, so both keep an absolute
-    error of a few ulps of s1 at s1 = s2 and at rank deficiency.
+
+def singular_frame(xis):
+    """Singular values ``sigma`` (N, 2), descending, Frobenius norms and
+    principal frame ``(cos, sin)`` of an (N, 3, 2) stack, read off its
+    Gram matrix [[a, b], [b, d]] = xi^T xi in one pass. The top
+    eigenvector v1 has v1 v1^T = [[1 + cos, sin], [sin, 1 - cos]] / 2 with
+    (cos, sin) = (a - d, 2b) / r, r = hypot(a - d, 2b) = s1^2 - s2^2, and
+    (1, 0) where r = 0 (s1 = s2). With the wedge w and q = |xi|^2 of
+    :func:`column_invariants`, s1 = sqrt((q + r) / 2), s2 = |w| / s1 and
+    |xi| = sqrt(q): every term of s1 is nonnegative, and s2 divides the
+    directly computed wedge instead of subtracting two close numbers, so
+    both keep an absolute error of a few ulps of s1 at s1 = s2 and at
+    rank deficiency.
 
     Squares must stay in the normal range: a stack with an entry beyond
     2^240 is scaled row by row by powers of two (exact), and otherwise
     only the rows with s1 below 2^-240 are, so the common case pays one
-    max over the stack.  The stack is read by :func:`as_stack`.
+    max over the stack; the frame is that of the scaled rows. The stack
+    is read by :func:`as_stack`.
     """
     x = as_stack(xis)
     if float(np.abs(x).max(initial=0.0)) > _GRAM_MAX:
-        sig = np.empty((x.shape[0], 2))
-        far = np.ones(x.shape[0], dtype=bool)
-    else:
-        sig = _gram_singular(x)
-        far = sig[:, 0] < _GRAM_MIN
-        if not np.any(far):
-            return sig
-    rows = x[far]
-    e = np.frexp(np.abs(rows).max(axis=(1, 2), initial=0.0))[1]
-    sig[far] = np.ldexp(_gram_singular(np.ldexp(rows, -e[:, None, None])),
-                        e[:, None])
-    return sig
+        return _scaled_frame(x)
+    frame = _gram_frame(x)
+    far = frame[0][:, 0] < _GRAM_MIN
+    if far.any():
+        for whole, part in zip(frame, _scaled_frame(x[far])):
+            whole[far] = part
+    return frame

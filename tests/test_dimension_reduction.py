@@ -347,6 +347,18 @@ def test_gamma_sweep_checks_thicknesses_before_the_membrane_descent(
                     unit_square_mesh(2), schedule, iters=5)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.1])
+def test_prism_field_and_recovery_sequence_refuse_a_bad_thickness(eps):
+    # refused before the lift multiplies by it: inf times the mid-layer
+    # height 0 is NaN
+    mesh = unit_square_mesh(2)
+    refusal = "thickness must be finite and positive"
+    with pytest.raises(ValueError, match=refusal):
+        PrismField(mesh, np.zeros((3, mesh.n_vertices, 3)), eps)
+    with pytest.raises(ValueError, match=refusal):
+        recovery_sequence(_flat(mesh), np.array([0.0, 0.0, 1.0]), eps)
+
+
 def test_film_total_matches_the_film_objective():
     # a zero-step descent values its start like any film objective with
     # the same determinant signs; gamma_sweep's guard compares a film run's
@@ -712,10 +724,10 @@ def test_sweep_film_totals_stay_above_the_relaxed_membrane_minimum(
 # the benchmark's seed-0 sweep (unit_square_mesh(8), eps 0.2 and 0.1, 200
 # steps, the set-up table above): eps, e3d and emem as float.hex and the
 # film descents' value counts, recorded once the table held the
-# tension-field density
+# tension-field density and its slope read the frame of singular_frame
 GOLDEN_SWEEP_ROWS = [
-    (0.2, "0x1.c56a70972f1c8p+1", "0x1.c5078049f59f4p+1", 206),
-    (0.1, "0x1.c5305eae92765p+1", "0x1.c5078049f59f4p+1", 210),
+    (0.2, "0x1.c56a70945479bp+1", "0x1.c5078049f59f4p+1", 205),
+    (0.1, "0x1.c5305bbe0ab03p+1", "0x1.c5078049f59f4p+1", 209),
 ]
 
 

@@ -12,7 +12,7 @@ from memrelax.envelope import RelaxedDensity, build_envelope_table
 from memrelax.fiber_reduction import ReducedDensity, w0_batch
 from memrelax.tensor_kernel import (
     ExtValue, as_mat32, as_stack, cofactors, frob_norm, is_integer,
-    singular_values, wedge,
+    singular_frame, wedge,
 )
 from oracles import INFINITE, append_column, finite, mat32, mat33
 
@@ -129,7 +129,7 @@ def test_matrix_validation():
 
 def _sigma_error(xis):
     """Largest |closed form - LAPACK| over the stack, relative to s1."""
-    got = singular_values(xis)
+    got = singular_frame(xis)[0]
     ref = np.linalg.svd(xis, compute_uv=False)
     scale = np.where(ref[:, :1] > 0.0, ref[:, :1], 1.0)
     return float(np.max(np.abs(got - ref) / scale))
@@ -154,9 +154,9 @@ def test_singular_values_at_degenerate_and_equal_sigma():
     for xis in (parallel, equal, zero, q * s):
         assert _sigma_error(xis) <= 1e-14
     # equal columns have an exactly zero wedge, so s2 is exactly zero
-    assert np.all(singular_values(equal)[:, 1] == 0.0)
-    assert np.all(singular_values(zero) == 0.0)
-    sig = singular_values(q * s)
+    assert np.all(singular_frame(equal)[0][:, 1] == 0.0)
+    assert np.all(singular_frame(zero)[0] == 0.0)
+    sig = singular_frame(q * s)[0]
     np.testing.assert_allclose(sig, np.broadcast_to(s[:, 0], (500, 2)),
                                rtol=1e-14)
     assert np.all(sig[:, 1] <= sig[:, 0])
@@ -170,7 +170,7 @@ def test_singular_values_at_the_edge_of_the_exponent_range(scale):
     xis = rng.standard_normal((2000, 3, 2))
     xis[::7, :, 1] = 0.5 * xis[::7, :, 0]
     assert _sigma_error(xis * scale) <= 1e-14
-    assert np.all(np.isfinite(singular_values(xis * scale)))
+    assert np.all(np.isfinite(singular_frame(xis * scale)[0]))
     mixed = xis.copy()
     mixed[::2] *= scale
     assert _sigma_error(mixed) <= 1e-14
@@ -181,9 +181,60 @@ def test_singular_values_reject_non_finite_and_bad_shapes():
     for bad in (np.nan, np.inf, -np.inf):
         xis[1, 2, 0] = bad
         with pytest.raises(ValueError, match="mat32 entries must be finite"):
-            singular_values(xis)
+            singular_frame(xis)
     with pytest.raises(ValueError, match="shape"):
-        singular_values(np.ones((3, 2)))
+        singular_frame(np.ones((3, 2)))
+
+
+def _eigh_frame(xis):
+    """eigh's frame of xi^T xi: (cos, sin) of twice the angle of its top
+    eigenvector, its conditioning |xi|^2 / (s1^2 - s2^2) and the norms
+    |xi|, each row scaled by a power of two so that its Gram matrix is
+    formed in the normal range."""
+    e = np.frexp(np.abs(xis).max(axis=(1, 2)))[1]
+    unit = np.ldexp(xis, -e[:, None, None])
+    lam, vec = np.linalg.eigh(np.einsum("kia,kib->kab", unit, unit))
+    v = vec[:, :, 1]
+    return (v[:, 0] ** 2 - v[:, 1] ** 2, 2.0 * v[:, 0] * v[:, 1],
+            lam.sum(axis=1) / (lam[:, 1] - lam[:, 0]),
+            np.ldexp(np.linalg.norm(unit, axis=(1, 2)), e))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+def test_singular_frame_is_the_top_eigenvector_of_the_gram_matrix(scale):
+    # a frame is as well posed as the eigenvalue gap allows: eigh's and
+    # the kernel's both move by about an ulp times the conditioning
+    rng = np.random.default_rng(16)
+    xis = rng.standard_normal((20_000, 3, 2))
+    xis *= np.exp(rng.uniform(-3.0, 3.0, (20_000, 1, 2)))
+    xis[::2] *= scale
+    _, norms, cos, sin = singular_frame(xis)
+    want_cos, want_sin, cond, want_norms = _eigh_frame(xis)
+    assert np.all(np.hypot(cos - want_cos, sin - want_sin) <= 1e-14 * cond)
+    np.testing.assert_allclose(norms, want_norms, rtol=1e-15)
+
+
+def test_singular_frame_at_equal_sigma_rank_one_and_zero():
+    rng = np.random.default_rng(17)
+    # columns (a, b, 0) and (-b, a, 0), rows permuted: a Gram matrix of
+    # exactly (a^2 + b^2) I, whose frame is (1, 0)
+    a, b = rng.standard_normal((2, 300))
+    equal = np.stack([np.stack([a, b, 0 * a], 1),
+                      np.stack([-b, a, 0 * a], 1)], axis=2)
+    equal[100:] = equal[100:, [2, 0, 1]]
+    sig, _, cos, sin = singular_frame(equal)
+    assert np.all(cos == 1.0) and np.all(sin == 0.0)
+    np.testing.assert_allclose(sig[:, 1], sig[:, 0], rtol=1e-15)
+    # rank one: a Gram matrix with a simple top eigenvalue |xi|^2
+    c = rng.standard_normal((300, 3, 1))
+    parallel = np.concatenate([c, rng.standard_normal((300, 1, 1)) * c], 2)
+    _, _, cos, sin = singular_frame(parallel)
+    want_cos, want_sin, _, _ = _eigh_frame(parallel)
+    assert np.all(np.hypot(cos - want_cos, sin - want_sin) <= 1e-14)
+    # the zero matrix has no top eigenvector either
+    sig, norms, cos, sin = singular_frame(np.zeros((3, 3, 2)))
+    assert np.all(sig == 0.0) and np.all(norms == 0.0)
+    assert np.all(cos == 1.0) and np.all(sin == 0.0)
 
 
 def test_wedge_of_a_stack_is_bit_identical_to_np_cross():
@@ -238,14 +289,14 @@ def stack_entry_points():
             "RelaxedDensity.batch": RelaxedDensity(model).batch,
             "EnvelopeTable.lookup": table.lookup,
             "EnvelopeTable.values_at": table.values_at,
-            "singular_values": singular_values,
+            "singular_frame": singular_frame,
             "wedge": wedge,
             "feasible_normal": feasible_normal}
 
 
 @pytest.mark.parametrize("name", [
     "w0_batch", "ReducedDensity.batch", "RelaxedDensity.batch",
-    "EnvelopeTable.lookup", "EnvelopeTable.values_at", "singular_values",
+    "EnvelopeTable.lookup", "EnvelopeTable.values_at", "singular_frame",
     "wedge", "feasible_normal"])
 def test_every_stack_entry_point_refuses_what_is_not_a_stack(
         stack_entry_points, name):
